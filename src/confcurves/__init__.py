@@ -9,7 +9,7 @@ the verification suites.
 """
 
 from .curves import CurveJet, DegenerateVelocityError
-from .families import Circle, FamilyError, LogSpiral, TransformedSpiral, eval_jet
+from .families import Circle, FamilyError, LogSpiral, TransformedSpiral
 from .jets import JetDomainError, JetError, JetOrderError, JetScalar, JetVector
 from .mercator import (
     PhasePoint,
@@ -27,7 +27,6 @@ from .mercator import (
 )
 from .multilinear import (
     Tractor,
-    WedgeTractor,
     antisymmetrize,
     dot,
     epsilon,

@@ -223,7 +223,7 @@ def _verify_spiral(spiral, times, checks, seed):
             abs(closed.wN - piped.wN),
         )
     checks.add("acceleration_tractor_matches_pipeline", worst, 1e-10)
-    kappas = [tractors.kappa1(j) for j in jets]
+    kappas = [g.kappa1() for g in grams]
     checks.add(
         "kappa1_matches", max(abs(k + (c**2 - 1.0) / (2 * c)) for k in kappas), 1e-8
     )
@@ -455,7 +455,7 @@ def _quantity_row(t, jet):
         delta5 = float("nan")
     row += [g.delta3, g.delta4, delta5, g.alpha1, g.alpha2]
     try:
-        row.append(tractors.kappa1(jet))
+        row.append(g.kappa1())
     except (UndefinedInvariantError, ValueError):
         row.append(float("nan"))
     return row
@@ -699,6 +699,10 @@ def _apply_config(args):
         except ValueError as exc:
             raise ConfigError(f"tol: bad value in {item!r}") from exc
     args.tolerances = overrides
+    for name in ("samples", "store_every"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            raise ConfigError(f"{name.replace('_', '-')}: must be at least 1, got {value}")
 
 
 def main(argv=None):

@@ -24,7 +24,6 @@ __all__ = [
     "LogSpiral",
     "TransformedSpiral",
     "TransformedSpiralReport",
-    "eval_jet",
 ]
 
 DEFAULT_ORDER = 6
@@ -269,8 +268,3 @@ class TransformedSpiralReport:
 
     def f_special_conformal(self, S):
         return 2.0 * float(np.asarray(S, dtype=float) @ self.Y)
-
-
-def eval_jet(family, t, order=DEFAULT_ORDER) -> CurveJet:
-    """Jet of any closed-form family at parameter ``t``."""
-    return family.jet(t, order)

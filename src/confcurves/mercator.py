@@ -138,30 +138,10 @@ def hamiltonian(p: PhasePoint):
     return float(p.P @ p.U) - UR**2 + 0.5 * p.u2 * float(p.R @ p.R)
 
 
-@dataclass(frozen=True, eq=False)
-class PhaseTangent:
-    """Tangent vector to the phase space (no velocity validation)."""
-
-    X: np.ndarray
-    U: np.ndarray
-    P: np.ndarray
-    R: np.ndarray
-
-    def flat(self):
-        return np.concatenate([self.X, self.U, self.P, self.R])
-
-
-def hamilton_rhs(p: PhasePoint) -> PhaseTangent:
-    """Right-hand sides of the four first-order equations of motion."""
-    u2 = p.u2
-    UR = float(p.U @ p.R)
-    R2 = float(p.R @ p.R)
-    return PhaseTangent(
-        p.U.copy(),
-        u2 * p.R - 2 * UR * p.U,
-        np.zeros(p.dim),
-        -R2 * p.U + 2 * UR * p.R - p.P,
-    )
+def hamilton_rhs(p: PhasePoint) -> np.ndarray:
+    """Right-hand sides of the four first-order equations of motion, laid
+    out like :meth:`PhasePoint.flat` (X, U, P, R blocks)."""
+    return _rhs_flat(p.flat(), p.dim)
 
 
 @dataclass
@@ -179,9 +159,6 @@ class Trajectory:
 
     def phase_point(self, k) -> PhasePoint:
         return PhasePoint.from_flat(self.states[k], self.dim)
-
-    def phase_points(self):
-        return [self.phase_point(k) for k in range(len(self))]
 
 
 def _rhs_flat(y, n):

@@ -11,13 +11,17 @@ Conventions used throughout the package:
   for *any* index tuple (repeats give 0, odd reorderings flip the sign).
 * Antisymmetrization over bracketed indices includes the 1/m!
   normalization, so it is a projection.
+* A rank-``k`` wedge is a plain array over the increasing slot tuples
+  ``itertools.combinations(range(n + 2), k)``, in that order.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,10 +33,8 @@ __all__ = [
     "antisymmetrize",
     "Tractor",
     "tractor_metric_pair",
-    "WedgeTractor",
     "wedge",
     "wedge_pair",
-    "rho_standard",
     "rho_wedge",
 ]
 
@@ -139,65 +141,70 @@ def tractor_metric_pair(a, b):
     return a.w0 * b.wN + a.wN * b.w0 + float(np.dot(a.wi, b.wi))
 
 
-def _metric_entry(a, b, n):
-    # slot metric: <0,N>=1, <i,i>=1, everything else 0 (N = n+1)
-    if a == 0:
-        return 1.0 if b == n + 1 else 0.0
-    if a == n + 1:
-        return 1.0 if b == 0 else 0.0
-    return 1.0 if a == b else 0.0
+class _SlotTables(NamedTuple):
+    """Index tables of one wedge space.
+
+    ``slots`` holds the slot tuples in combinations order.  Each term of the
+    nilpotent action is one entry of the ``rho_*`` arrays, listed in
+    input-tuple order: the coefficient at ``rho_src`` times
+    ``rho_sign * x[rho_comp]`` lands on ``rho_dst``.  ``dual`` is the
+    position of each tuple's metric dual and ``dual_sign`` the sign of
+    their pairing.
+    """
+
+    slots: np.ndarray
+    rho_dst: np.ndarray
+    rho_src: np.ndarray
+    rho_comp: np.ndarray
+    rho_sign: np.ndarray
+    dual: np.ndarray
+    dual_sign: np.ndarray
 
 
-class WedgeTractor:
-    """Sparse antisymmetric array over increasing slot tuples."""
+@functools.cache
+def _slot_tables(ambient, rank):
+    n = ambient - 2
+    slots = list(itertools.combinations(range(ambient), rank))
+    position = {idx: k for k, idx in enumerate(slots)}
 
-    __slots__ = ("ambient", "rank", "coeffs")
+    def sort_sign(seq):
+        return _perm_sign(sorted(range(rank), key=seq.__getitem__))
 
-    def __init__(self, ambient, rank, coeffs=None):
-        self.ambient = ambient
-        self.rank = rank
-        self.coeffs = dict(coeffs or {})
-
-    @classmethod
-    def basis(cls, ambient, idx, coefficient=1.0):
-        idx = tuple(idx)
-        if list(idx) != sorted(set(idx)):
-            raise ValueError("basis tuple must be strictly increasing")
-        return cls(ambient, len(idx), {idx: float(coefficient)})
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0.0) + v
-        return WedgeTractor(self.ambient, self.rank, out)
-
-    def __sub__(self, other):
-        return self + (other * -1.0)
-
-    def __mul__(self, scalar):
-        return WedgeTractor(
-            self.ambient, self.rank, {k: v * scalar for k, v in self.coeffs.items()}
-        )
-
-    __rmul__ = __mul__
-
-    def _check(self, other):
-        if self.ambient != other.ambient or self.rank != other.rank:
-            raise ValueError("wedge rank or ambient dimension mismatch")
-
-    def max_abs(self):
-        return max((abs(v) for v in self.coeffs.values()), default=0.0)
-
-    def __getitem__(self, idx):
-        return self.coeffs.get(tuple(idx), 0.0)
-
-    def __repr__(self):
-        return f"WedgeTractor(rank={self.rank}, ambient={self.ambient}, {self.coeffs})"
+    terms = []
+    for src, idx in enumerate(slots):
+        for pos, a in enumerate(idx):
+            # slot 0 -> sum_s x[s] * slot s; spatial slot a -> -x[a] * slot n+1
+            if a == 0:
+                targets = [(s, s - 1, 1) for s in range(1, n + 1)]
+            elif a <= n:
+                targets = [(n + 1, a - 1, -1)]
+            else:
+                continue
+            for b, comp, sign in targets:
+                if b in idx:
+                    continue
+                new = idx[:pos] + (b,) + idx[pos + 1 :]
+                terms.append((position[tuple(sorted(new))], src, comp, sign * sort_sign(new)))
+    terms = np.array(terms, dtype=np.intp).reshape(-1, 4)
+    # the metric pairs slot 0 with slot n+1 and each spatial slot with itself
+    partners = [tuple(n + 1 - a if a in (0, n + 1) else a for a in idx) for idx in slots]
+    tables = _SlotTables(
+        slots=np.array(slots, dtype=np.intp).reshape(-1, rank),
+        rho_dst=terms[:, 0],
+        rho_src=terms[:, 1],
+        rho_comp=terms[:, 2],
+        rho_sign=terms[:, 3].astype(float),
+        dual=np.array([position[tuple(sorted(p))] for p in partners], dtype=np.intp),
+        dual_sign=np.array([float(sort_sign(p)) for p in partners]),
+    )
+    for arr in tables:
+        arr.flags.writeable = False
+    return tables
 
 
 def wedge(tractors):
-    """Antisymmetric product of ``k`` tractors, k in {3, 4}.
+    """Antisymmetric product of ``k`` tractors, k in {3, 4}, as an array over
+    ``itertools.combinations(range(n + 2), k)``.
 
     The coefficient on each increasing slot tuple is the determinant of the
     corresponding component rows, so dependent tractors produce the zero
@@ -211,96 +218,40 @@ def wedge(tractors):
     if any(c.size != ambient for c in cols):
         raise ValueError("wedge factors must share the ambient dimension")
     mat = np.column_stack(cols)
-    coeffs = {}
-    for idx in itertools.combinations(range(ambient), k):
-        val = float(np.linalg.det(mat[list(idx), :]))
-        if val != 0.0:
-            coeffs[idx] = val
-    return WedgeTractor(ambient, k, coeffs)
+    return np.linalg.det(mat[_slot_tables(ambient, k).slots])
 
 
-def _dual_tuple(idx, n):
-    # the only tuple pairing non-trivially with idx: swap the two null slots
-    swapped = tuple(sorted(n + 1 if a == 0 else (0 if a == n + 1 else a) for a in idx))
-    return swapped
+def wedge_pair(a, b, rank):
+    """Metric pairing of two rank-``rank`` wedges: the determinant pairing of
+    simple wedges extended bilinearly to coefficient arrays.  ``b`` may
+    carry trailing batch axes, giving one pairing per batch entry."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 1 or b.shape[:1] != a.shape:
+        raise ValueError("wedge rank or ambient dimension mismatch")
+    ambient = rank
+    while math.comb(ambient, rank) < a.size:
+        ambient += 1
+    tables = _slot_tables(ambient, rank)
+    if len(tables.slots) != a.size:
+        raise ValueError(f"{a.size} coefficients do not form a rank-{rank} wedge")
+    return (a * tables.dual_sign) @ b[tables.dual]
 
 
-def _duality_sign(idx, n):
-    dual = _dual_tuple(idx, n)
-    m = len(idx)
-    mat = np.empty((m, m))
-    for r, a in enumerate(idx):
-        for c, b in enumerate(dual):
-            mat[r, c] = _metric_entry(a, b, n)
-    return float(np.linalg.det(mat))
-
-
-def wedge_pair(a, b):
-    """Metric pairing of two wedges: the determinant pairing of simple
-    wedges extended bilinearly to coefficient arrays."""
-    a._check(b)
-    n = a.ambient - 2
-    total = 0.0
-    for idx, va in a.coeffs.items():
-        dual = _dual_tuple(idx, n)
-        vb = b.coeffs.get(dual)
-        if vb is not None:
-            total += va * vb * _duality_sign(idx, n)
-    return total
-
-
-def rho_standard(x, tr):
-    """Nilpotent slot action generated by a spatial vector ``x``:
-    the top null slot feeds the spatial block, the spatial block feeds the
-    bottom null slot with a minus sign, the bottom slot is annihilated."""
-    if isinstance(tr.wi, JetVector):
-        return Tractor(
-            JetScalar.constant(0.0, tr.w0.order),
-            x * tr.w0,
-            -(tr.wi.dot(x)),
-        )
+def rho_wedge(x, w, rank):
+    """Nilpotent slot action generated by a spatial vector ``x``, extended
+    to rank-``rank`` wedges as a derivation: the top null slot feeds the
+    spatial block, the spatial block feeds the bottom null slot with a minus
+    sign, the bottom slot is annihilated.  ``w`` may carry trailing batch
+    axes."""
     x = np.asarray(x, dtype=float)
-    return Tractor(0.0, tr.w0 * x, -float(np.dot(tr.wi, x)))
-
-
-def _sorted_with_sign(seq):
-    lst = list(seq)
-    if len(set(lst)) < len(lst):
-        return None, 0
-    sign = 1
-    for i in range(len(lst)):
-        for j in range(len(lst) - 1 - i):
-            if lst[j] > lst[j + 1]:
-                lst[j], lst[j + 1] = lst[j + 1], lst[j]
-                sign = -sign
-    return tuple(lst), sign
-
-
-def rho_wedge(x, w):
-    """The action of :func:`rho_standard` extended to wedges as a derivation."""
-    x = np.asarray(x, dtype=float)
-    n = w.ambient - 2
-    if x.size != n:
+    w = np.asarray(w, dtype=float)
+    tables = _slot_tables(x.size + 2, rank)
+    if w.shape[0] != len(tables.slots):
         raise ValueError("spatial vector dimension mismatch")
-    out = {}
-    for idx, c in w.coeffs.items():
-        for pos, a in enumerate(idx):
-            if a == n + 1:
-                continue
-            rest = idx[:pos] + idx[pos + 1 :]
-            if a == 0:
-                # slot 0 -> sum_s x[s] * slot s
-                for s in range(1, n + 1):
-                    if x[s - 1] == 0.0 or s in rest:
-                        continue
-                    key, sign = _sorted_with_sign(idx[:pos] + (s,) + idx[pos + 1 :])
-                    if sign:
-                        out[key] = out.get(key, 0.0) + c * x[s - 1] * sign
-            else:
-                # spatial slot a -> -x[a] * bottom slot
-                if n + 1 in rest:
-                    continue
-                key, sign = _sorted_with_sign(idx[:pos] + (n + 1,) + idx[pos + 1 :])
-                if sign:
-                    out[key] = out.get(key, 0.0) - c * x[a - 1] * sign
-    return WedgeTractor(w.ambient, w.rank, {k: v for k, v in out.items() if v != 0.0})
+    coef = (x[tables.rho_comp] * tables.rho_sign).reshape((-1,) + (1,) * (w.ndim - 1))
+    out = np.zeros_like(w)
+    # np.add.at sums each target in input-tuple order; the decay order of
+    # parallel_defect is reported to round-off and depends on that order
+    np.add.at(out, tables.rho_dst, coef * w[tables.rho_src])
+    return out

@@ -25,7 +25,6 @@ from .curves import CurveJet
 from .jets import JetScalar, JetVector
 from .multilinear import (
     Tractor,
-    WedgeTractor,
     epsilon,
     rho_wedge,
     tractor_metric_pair,
@@ -55,17 +54,6 @@ __all__ = [
 # Relative band below which delta_4 counts as vanishing (the conformal
 # circle class), scaled against the natural size of the Gram entries.
 CIRCLE_BAND = 1e-9
-
-# The pairing of a basis-element section with the 4-wedge fixes each
-# quantity only up to the orientation chosen for that basis element.  For
-# the family with all-spatial indices plus the bottom null slot the metric
-# duality permutation is an odd 4-cycle, and we orient those elements with
-# a minus sign so that the paired values carry the same signs as the
-# determinant formulas of q_quantities (and hence the phase-space
-# expressions).  With that orientation a single overall constant of one
-# reproduces q_quantities on every family; the constant was fitted once on
-# a random jet and is frozen here.
-WEDGE_PAIRING_NORMALIZATION = 1.0
 
 
 class UndefinedInvariantError(ValueError):
@@ -145,6 +133,29 @@ class GramInvariants:
 
     def gram_scale(self, ell):
         return max(abs(self.gram[a][b].value) for a in range(ell) for b in range(ell))
+
+    def kappa1(self):
+        """Relative curvature invariant of the negative-delta_4 class; needs
+        the delta_4 jet through order 2, which a curve jet of order 6 gives."""
+        d4 = self.delta4_jet
+        if d4 is None or d4.order < 2:
+            raise ValueError("kappa_1 needs the delta_4 jet through order 2")
+        delta4 = d4.value
+        if not delta4 < 0.0 or is_conformal_circle(delta4, self.alpha1):
+            raise UndefinedInvariantError(
+                f"kappa_1 undefined for delta_4 = {delta4:.3e}"
+            )
+        d4p = d4.differentiate()
+        d4pp = d4p.differentiate()
+        return (
+            -0.5
+            * (-delta4) ** -2.5
+            * (
+                self.alpha1 * delta4**2
+                - 0.5 * delta4 * d4pp.value
+                + 9.0 / 16.0 * d4p.value ** 2
+            )
+        )
 
 
 def gram_invariants(jet: CurveJet, max_ell: int = 5) -> GramInvariants:
@@ -274,14 +285,6 @@ def q_quantities(jet: CurveJet, scale_by_delta4: bool = False):
     return out
 
 
-def _oriented_basis(ambient, idx, rank):
-    n = ambient - 2
-    orient = 1.0
-    if rank == 4 and idx[0] != 0 and idx[-1] == n + 1:
-        orient = -1.0
-    return WedgeTractor.basis(ambient, idx, orient)
-
-
 def parallel_section_oracle(jet: CurveJet, rank: int = 4):
     """Quantities recomputed from first principles: for every basis element
     of the rank-``rank`` wedge space, transport it to a parallel section at
@@ -289,24 +292,26 @@ def parallel_section_oracle(jet: CurveJet, rank: int = 4):
     action, then pair with the wedge of the canonical tractors.
 
     Agrees with :func:`q_quantities` (rank 4) and
-    :func:`q_circle_quantities` (rank 3) up to the frozen normalization.
+    :func:`q_circle_quantities` (rank 3).
     """
     if rank not in (3, 4):
         raise ValueError("rank must be 3 or 4")
     jet.require_order(rank, "section pairing")
     n = jet.dim
-    trs = canonical_tractors(jet, rank)
-    W = wedge(trs)
-    X = jet.X
-    out = {}
-    for idx in itertools.combinations(range(n + 2), rank):
-        key = tuple(a if a < n + 1 else n + 1 for a in idx)
-        w = _oriented_basis(n + 2, idx, rank)
-        r1 = rho_wedge(X, w)
-        r2 = rho_wedge(X, r1)
-        section = w - r1 + 0.5 * r2
-        out[key] = WEDGE_PAIRING_NORMALIZATION * wedge_pair(section, W)
-    return out
+    slots = list(itertools.combinations(range(n + 2), rank))
+    # Pairing fixes each quantity only up to the orientation of its basis
+    # element.  For all-spatial indices plus the bottom null slot the metric
+    # duality permutation is an odd 4-cycle; orienting those elements with a
+    # minus sign gives the paired values the signs of the determinant
+    # formulas of q_quantities (and hence of the phase-space expressions).
+    basis = np.diag(
+        [-1.0 if rank == 4 and idx[0] != 0 and idx[-1] == n + 1 else 1.0 for idx in slots]
+    )
+    r1 = rho_wedge(jet.X, basis, rank)
+    r2 = rho_wedge(jet.X, r1, rank)
+    sections = basis - r1 + 0.5 * r2
+    paired = wedge_pair(wedge(canonical_tractors(jet, rank)), sections, rank)
+    return dict(zip(slots, paired.tolist()))
 
 
 def q_circle_quantities(jet: CurveJet):
@@ -346,24 +351,7 @@ def kappa1(jet: CurveJet):
     """Relative curvature invariant of the negative-delta_4 class; constant
     exactly on the logarithmic-spiral curves."""
     jet.require_order(6, "kappa_1")
-    g = gram_invariants(jet, max_ell=4)
-    d4 = g.delta4_jet
-    delta4 = d4.value
-    if not delta4 < 0.0 or is_conformal_circle(delta4, g.alpha1):
-        raise UndefinedInvariantError(
-            f"kappa_1 undefined for delta_4 = {delta4:.3e}"
-        )
-    d4p = d4.differentiate()
-    d4pp = d4p.differentiate()
-    return (
-        -0.5
-        * (-delta4) ** -2.5
-        * (
-            g.alpha1 * delta4**2
-            - 0.5 * delta4 * d4pp.value
-            + 9.0 / 16.0 * d4p.value ** 2
-        )
-    )
+    return gram_invariants(jet, max_ell=4).kappa1()
 
 
 def enforce_alpha1_stationary(jet: CurveJet) -> CurveJet:
@@ -460,5 +448,5 @@ def parallel_defect(curve, t, h, count=3, scaled=False):
     wm = wedge_at(t - h)
     w0 = wedge_at(t)
     center = curve(t)
-    deriv = (wp - wm) * (0.5 / h) + rho_wedge(center.U, w0)
-    return deriv.max_abs()
+    deriv = (wp - wm) * (0.5 / h) + rho_wedge(center.U, w0, count)
+    return float(np.max(np.abs(deriv)))

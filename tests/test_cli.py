@@ -12,6 +12,12 @@ SPIRAL_ARGS = [
 ]
 
 
+def assert_config_error(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1
+
+
 def read_csv(path):
     with open(path) as fh:
         rows = list(csv.reader(fh))
@@ -68,14 +74,15 @@ class TestVerify:
         code = main(["verify", "--family", "spiral", "--n", "3", "--c", "2"])
         assert code == 2
 
-    def test_bad_vector_is_config_error(self):
-        code = main(
+    def test_bad_vector_is_config_error(self, capsys):
+        for argv in (
             [
                 "verify", "--family", "spiral", "--n", "3", "--c", "2",
                 "--p0", "1,x,0", "--q0", "0,1,0", "--r0", "0,0,0",
-            ]
-        )
-        assert code == 2
+            ],
+            ["verify", *SPIRAL_ARGS, "--samples", "0"],
+        ):
+            assert_config_error(argv, capsys)
 
     def test_tolerance_override_can_fail(self, capsys):
         code = main(["verify", *SPIRAL_ARGS, "--tol", "delta4_matches_pitch=1e-30"])
@@ -167,8 +174,12 @@ class TestIntegrate:
         assert payload["columns"][0] == "t"
         assert len(payload["rows"]) == 2
 
-    def test_requires_initial_point(self):
-        assert main(["integrate", "--t-end", "1", "--out", "x.csv"]) == 2
+    def test_requires_initial_point(self, capsys):
+        for argv in (
+            ["integrate", "--t-end", "1", "--out", "x.csv"],
+            ["integrate", *SPIRAL_ARGS, "--store-every", "0", "--out", "x.csv"],
+        ):
+            assert_config_error(argv, capsys)
 
 
 class TestRelations:
@@ -188,6 +199,10 @@ class TestRelations:
 
     def test_jet_identity_mode(self):
         assert main(["relations", "--n", "3", "--samples", "50", "--seed", "7", "--jet-identity"]) == 0
+
+    def test_nonpositive_samples_is_config_error(self, capsys):
+        for samples in ("0", "-5"):
+            assert_config_error(["relations", "--n", "4", "--samples", samples], capsys)
 
     def test_jet_identity_alias(self):
         assert main(["relations", "--n", "3", "--samples", "10", "--seed", "7", "--appendix-c"]) == 0

@@ -10,7 +10,6 @@ from confcurves import (
     TransformedSpiral,
     canonical_tractors,
     circle_residual,
-    eval_jet,
     gram_invariants,
     mercator_C,
     parallel_defect,
@@ -172,8 +171,3 @@ class TestTransformedSpiralFamily:
         bad = x0 / float(x0 @ x0)
         with pytest.raises(FamilyError):
             TransformedSpiral(spiral, bad)
-
-    def test_eval_jet_helper(self, rng):
-        spiral = random_spiral(rng, 3)
-        jet = eval_jet(spiral, 0.25, order=4)
-        assert jet.order == 4 and jet.t == 0.25

@@ -5,7 +5,6 @@ import pytest
 
 from confcurves import (
     Tractor,
-    WedgeTractor,
     antisymmetrize,
     canonical_tractors,
     dot,
@@ -128,20 +127,32 @@ def basis_tractor(ambient, slot):
     return arr
 
 
+def slot_position(ambient, rank):
+    return {idx: k for k, idx in enumerate(itertools.combinations(range(ambient), rank))}
+
+
+def basis_wedge(ambient, idx):
+    pos = slot_position(ambient, len(idx))
+    w = np.zeros(len(pos))
+    w[pos[idx]] = 1.0
+    return w
+
+
 class TestWedge:
     def test_dependent_factors_vanish(self, rng):
         n = 3
         a = rng.normal(size=n + 2)
         b = rng.normal(size=n + 2)
         w = wedge([a, b, 2.0 * a - b])
-        assert w.max_abs() <= 1e-14
+        assert np.max(np.abs(w)) <= 1e-14
 
     def test_basis_wedge(self):
         n = 3
         e = [basis_tractor(n + 2, k) for k in (0, 1, 2, n + 1)]
         w = wedge(e)
-        assert w[(0, 1, 2, n + 1)] == 1.0
-        assert sum(abs(v) for k, v in w.coeffs.items() if k != (0, 1, 2, n + 1)) == 0.0
+        k = slot_position(n + 2, 4)[(0, 1, 2, n + 1)]
+        assert w[k] == 1.0
+        assert np.sum(np.abs(np.delete(w, k))) == 0.0
 
     def test_explicit_four_wedge_components(self, rng):
         # coefficients of the wedge of the first four canonical tractors,
@@ -149,6 +160,7 @@ class TestWedge:
         for n in (3, 4):
             jet = random_curve_jet(rng, n)
             w = wedge(canonical_tractors(jet, 4))
+            pos = slot_position(n + 2, 4)
             X, U, A, Ap = jet.X, jet.U, jet.A, jet.Ap
             u2 = jet.u2
             UA = float(U @ A)
@@ -156,23 +168,23 @@ class TestWedge:
                 expect = -3 * u2**-2 * UA * epsilon((i, j), U, A) + u2**-1 * epsilon(
                     (i, j), U, Ap
                 )
-                assert w[(0, i, j, n + 1)] == pytest.approx(expect, rel=1e-11, abs=1e-12)
+                assert w[pos[(0, i, j, n + 1)]] == pytest.approx(expect, rel=1e-11, abs=1e-12)
             for i, j, k in itertools.combinations(range(1, n + 1), 3):
                 expect = u2**-2 * epsilon((i, j, k), U, A, Ap)
-                assert w[(0, i, j, k)] == pytest.approx(expect, rel=1e-11, abs=1e-12)
+                assert w[pos[(0, i, j, k)]] == pytest.approx(expect, rel=1e-11, abs=1e-12)
 
 
 class TestWedgePair:
     def test_cross_null_pair(self):
         n = 3
         e0, e1, e2, eN = (basis_tractor(n + 2, k) for k in (0, 1, 2, n + 1))
-        assert wedge_pair(wedge([e0, e1, e2]), wedge([eN, e1, e2])) == 1.0
+        assert wedge_pair(wedge([e0, e1, e2]), wedge([eN, e1, e2]), 3) == 1.0
 
     def test_null_direction_self_pair(self):
         n = 3
         e0, e1, e2 = (basis_tractor(n + 2, k) for k in (0, 1, 2))
         w = wedge([e0, e1, e2])
-        assert wedge_pair(w, w) == 0.0
+        assert wedge_pair(w, w, 3) == 0.0
 
     def test_signature_of_orthonormal_wedges(self):
         n = 3
@@ -182,10 +194,10 @@ class TestWedgePair:
         e2 = basis_tractor(n + 2, 2)
         plus = (e0 + eN) / np.sqrt(2.0)  # unit spacelike
         minus = (e0 - eN) / np.sqrt(2.0)  # unit timelike
-        assert wedge_pair(wedge([plus, e1, e2]), wedge([plus, e1, e2])) == pytest.approx(1.0)
-        assert wedge_pair(wedge([minus, e1, e2]), wedge([minus, e1, e2])) == pytest.approx(-1.0)
+        assert wedge_pair(wedge([plus, e1, e2]), wedge([plus, e1, e2]), 3) == pytest.approx(1.0)
+        assert wedge_pair(wedge([minus, e1, e2]), wedge([minus, e1, e2]), 3) == pytest.approx(-1.0)
         spatial = wedge([e1, e2, basis_tractor(n + 2, 3)])
-        assert wedge_pair(spatial, spatial) == pytest.approx(1.0)
+        assert wedge_pair(spatial, spatial, 3) == pytest.approx(1.0)
 
 
 class TestRhoWedge:
@@ -198,37 +210,40 @@ class TestRhoWedge:
         amb = 5
 
         def act(idx):
-            return rho_wedge(x, WedgeTractor.basis(amb, idx)).coeffs
+            return rho_wedge(x, basis_wedge(amb, idx), 4)
+
+        def expect(terms):
+            return sum(c * basis_wedge(amb, idx) for idx, c in terms.items())
 
         got = act((0, 1, 2, 3))
         assert got == pytest.approx(
-            {(0, 2, 3, 4): -x[0], (0, 1, 3, 4): x[1], (0, 1, 2, 4): -x[2]}
+            expect({(0, 2, 3, 4): -x[0], (0, 1, 3, 4): x[1], (0, 1, 2, 4): -x[2]})
         )
-        assert act((0, 1, 2, 4)) == pytest.approx({(1, 2, 3, 4): x[2]})
-        assert act((0, 1, 3, 4)) == pytest.approx({(1, 2, 3, 4): -x[1]})
-        assert act((0, 2, 3, 4)) == pytest.approx({(1, 2, 3, 4): x[0]})
-        assert act((1, 2, 3, 4)) == {}
+        assert act((0, 1, 2, 4)) == pytest.approx(expect({(1, 2, 3, 4): x[2]}))
+        assert act((0, 1, 3, 4)) == pytest.approx(expect({(1, 2, 3, 4): -x[1]}))
+        assert act((0, 2, 3, 4)) == pytest.approx(expect({(1, 2, 3, 4): x[0]}))
+        assert not np.any(act((1, 2, 3, 4)))
 
     def test_derivation_property(self, rng):
-        # rho on a wedge of vectors equals the sum over factors
-        n = 4
-        x = rng.normal(size=n)
-        cols = [rng.normal(size=n + 2) for _ in range(3)]
+        # rho on a wedge of vectors equals the sum over factors; at n = 5
+        # both ranks have C(7, 3) = C(7, 4) = 35 coefficients
+        for n, rank in ((4, 3), (5, 3), (5, 4)):
+            x = rng.normal(size=n)
+            cols = [rng.normal(size=n + 2) for _ in range(rank)]
 
-        def rho_vec(v):
-            out = np.zeros(n + 2)
-            out[1 : n + 1] = v[0] * x
-            out[n + 1] = -float(v[1 : n + 1] @ x)
-            return out
+            def rho_vec(v):
+                out = np.zeros(n + 2)
+                out[1 : n + 1] = v[0] * x
+                out[n + 1] = -float(v[1 : n + 1] @ x)
+                return out
 
-        lhs = rho_wedge(x, wedge(cols))
-        rhs = WedgeTractor(n + 2, 3)
-        for k in range(3):
-            factors = list(cols)
-            factors[k] = rho_vec(cols[k])
-            rhs = rhs + wedge(factors)
-        diff = lhs - rhs
-        assert diff.max_abs() <= 1e-12
+            lhs = rho_wedge(x, wedge(cols), rank)
+            rhs = 0.0
+            for k in range(rank):
+                factors = list(cols)
+                factors[k] = rho_vec(cols[k])
+                rhs = rhs + wedge(factors)
+            assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
 class TestTractorValues:
