@@ -10,7 +10,7 @@ the verification suites.
 
 from .curves import CurveJet, DegenerateVelocityError
 from .families import Circle, FamilyError, LogSpiral, TransformedSpiral
-from .jets import JetDomainError, JetError, JetOrderError, JetScalar, JetVector
+from .jets import JetDomainError, JetError, JetOrderError, JetScalar
 from .mercator import (
     PhasePoint,
     Trajectory,

@@ -51,9 +51,12 @@ def _fmt(x):
 
 def _parse_vector(text, name):
     try:
-        return np.array([float(p) for p in text.split(",")])
+        values = np.array([float(p) for p in text.split(",")])
     except ValueError as exc:
         raise ConfigError(f"{name}: expected comma-separated reals, got {text!r}") from exc
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{name}: expected finite reals, got {text!r}")
+    return values
 
 
 def _resolve_out(path):
@@ -98,6 +101,15 @@ class CheckList:
     @property
     def ok(self):
         return all(r["pass"] for r in self.records)
+
+    def require_checked(self):
+        """Reject a run that recorded no check, and a tolerance override
+        that names no recorded check."""
+        if not self.records:
+            raise ConfigError("nothing checked: every check is vacuous for this configuration")
+        unknown = sorted(set(self.overrides) - {r["name"] for r in self.records})
+        if unknown:
+            raise ConfigError(f"tol: no recorded check named {', '.join(unknown)}")
 
 
 def _build_family(args):
@@ -361,6 +373,7 @@ def cmd_verify(args):
 
 
 def _write_report(args, command, checks, extra=None):
+    checks.require_checked()
     out = _resolve_out(args.out)
     payload = {
         "command": command,
@@ -699,10 +712,20 @@ def _apply_config(args):
         except ValueError as exc:
             raise ConfigError(f"tol: bad value in {item!r}") from exc
     args.tolerances = overrides
-    for name in ("samples", "store_every"):
-        value = getattr(args, name, None)
-        if value is not None and value < 1:
-            raise ConfigError(f"{name.replace('_', '-')}: must be at least 1, got {value}")
+    for names, valid, need in (
+        (("n", "samples", "store_every"), lambda v: v >= 1, "at least 1"),
+        (("c", "t0", "t1"), math.isfinite, "finite"),
+        (("h", "t_end"), lambda v: 0 < v < math.inf, "positive and finite"),
+    ):
+        for name in names:
+            value = getattr(args, name, None)
+            if value is not None and not valid(value):
+                raise ConfigError(f"{name.replace('_', '-')}: must be {need}, got {value}")
+    if getattr(args, "h", None) is not None:
+        # RK4 takes round(t_end / h) fixed steps; a remainder would be dropped
+        steps = round(args.t_end / args.h)
+        if abs(steps * args.h - args.t_end) > 1e-9 * args.t_end:
+            raise ConfigError(f"t-end: {args.t_end} is not a whole number of steps of h = {args.h}")
 
 
 def main(argv=None):

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .jets import JetVector
+from .jets import JetScalar
 
 __all__ = ["DegenerateVelocityError", "CurveJet", "VELOCITY_FLOOR"]
 
@@ -30,8 +30,8 @@ class CurveJet:
     __slots__ = ("t", "position")
 
     def __init__(self, t, position):
-        if not isinstance(position, JetVector):
-            raise TypeError("CurveJet position must be a JetVector")
+        if not isinstance(position, JetScalar) or position.coeffs.ndim != 2:
+            raise TypeError("CurveJet position must be a vector jet")
         if position.order < 1:
             raise ValueError("a curve jet needs at least the velocity level")
         self.t = float(t)
@@ -51,10 +51,7 @@ class CurveJet:
         if any(d.size != dim for d in derivs):
             raise ValueError("derivative vectors must share one dimension")
         rows = np.array([d / math.factorial(k) for k, d in enumerate(derivs)])
-        comps = [rows[:, i] for i in range(dim)]
-        from .jets import JetScalar
-
-        return cls(t, JetVector([JetScalar(c) for c in comps]))
+        return cls(t, JetScalar(rows.T))
 
     @property
     def dim(self):

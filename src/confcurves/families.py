@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import CurveJet
-from .jets import JetScalar, JetVector
+from .jets import JetScalar
 from .multilinear import Tractor
 
 __all__ = [
@@ -73,11 +73,8 @@ class Circle:
         tau = JetScalar.variable(t, order)
         tau2 = tau * tau
         den = (tau2 * float(self.a0 @ self.a0) + 1.0).recip()
-        comps = []
-        for i in range(self.dim):
-            num = tau * self.u0[i] + tau2 * self.a0[i]
-            comps.append(num * den + self.x0[i])
-        return CurveJet(t, JetVector(comps))
+        num = tau * self.u0 + tau2 * self.a0
+        return CurveJet(t, num * den + self.x0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,10 +121,7 @@ class LogSpiral:
         theta = tau * self.c
         ec = growth * theta.cos()
         es = growth * theta.sin()
-        comps = [
-            ec * self.p0[i] + es * self.q0[i] + self.r0[i] for i in range(self.dim)
-        ]
-        return CurveJet(t, JetVector(comps))
+        return CurveJet(t, ec * self.p0 + es * self.q0 + self.r0)
 
     def closed_derivatives(self, t):
         """First three derivative vectors in closed form, independent of the
@@ -199,14 +193,10 @@ class TransformedSpiral:
         if abs(den_val) < 1e-9:
             raise FamilyError(f"transform denominator vanishes at t = {t}")
         base_jet = self.base.jet(t, order).position
-        b = JetVector.constant(self.b, order)
+        b = JetScalar.constant(self.b, order)
         n2 = base_jet.norm_sq()
         den = 1.0 - 2.0 * base_jet.dot(b) + float(self.b @ self.b) * n2
-        inv = den.recip()
-        comps = [
-            (base_jet.components[i] - n2 * self.b[i]) * inv for i in range(self.dim)
-        ]
-        return CurveJet(t, JetVector(comps))
+        return CurveJet(t, (base_jet - n2 * self.b) * den.recip())
 
     def conserved_report(self) -> "TransformedSpiralReport":
         """Closed-form values of the Noether quantities along the image

@@ -1,11 +1,18 @@
 """Truncated Taylor (jet) arithmetic in one variable.
 
 A jet of order ``m`` stores the coefficients ``f(t0), f'(t0), f''(t0)/2!,
-..., f^(m)(t0)/m!`` of a scalar function around an expansion point.  With
-the 1/k! scaling, multiplication is a plain Cauchy product and every
-elementary function propagates through the standard convolution
-recurrences, so high-order derivatives of closed-form curves come out
-exact to round-off instead of via finite differences.
+..., f^(m)(t0)/m!`` of a function around an expansion point, with shape
+``(m+1,)`` for a scalar and ``(dim, m+1)`` for a vector (one row per
+component).  With the 1/k! scaling, multiplication is a plain Cauchy
+product, convolved row by row with a scalar broadcast over a vector, and
+every elementary function (scalar jets only) propagates through the
+standard convolution recurrences, so high-order derivatives of closed-form
+curves come out exact to round-off instead of via finite differences.
+
+The operand order of each convolution is fixed, which keeps results
+reproducible to the bit: a vector jet goes before a scalar jet, otherwise
+the left operand goes first, and a number or array, taken as a constant
+jet, goes second.  ``dot`` adds the componentwise products in order.
 
 Jets of different orders never mix silently: combining them raises
 ``JetOrderError``.  Lowering the order is always an explicit
@@ -23,7 +30,6 @@ __all__ = [
     "JetOrderError",
     "JetDomainError",
     "JetScalar",
-    "JetVector",
 ]
 
 
@@ -40,24 +46,48 @@ class JetDomainError(JetError):
     non-positive leading coefficient, and similar domain violations."""
 
 
+def _constant(value, order):
+    """Coefficients of the constant jet of a number or a 1-d array."""
+    value = np.asarray(value, dtype=float)
+    c = np.zeros(value.shape + (order + 1,))
+    c[..., 0] = value
+    return c
+
+
+def _product(a, b):
+    """Truncated Cauchy product of two coefficient arrays, ``a`` first in
+    every ``np.convolve``; a 1-d operand is broadcast over the rows of a
+    2-d one, two 2-d operands multiply row by row."""
+    m = a.shape[-1]
+    if a.ndim == 1 and b.ndim == 1:
+        return np.convolve(a, b)[:m]
+    a, b = np.broadcast_arrays(a, b)
+    out = np.empty(a.shape)
+    for i in range(a.shape[0]):
+        out[i] = np.convolve(a[i], b[i])[:m]
+    return out
+
+
 class JetScalar:
-    """Taylor coefficients of a scalar function, truncated at a fixed order."""
+    """Taylor coefficients of a scalar or vector function, truncated at a
+    fixed order."""
 
     __slots__ = ("coeffs",)
+    # Defer binary operators with an ndarray on the left to the jet.
+    __array_ufunc__ = None
 
     def __init__(self, coeffs):
         c = np.atleast_1d(np.asarray(coeffs, dtype=float))
-        if c.ndim != 1 or c.size == 0:
-            raise ValueError("jet coefficients must form a non-empty 1-d array")
+        if c.ndim > 2 or 0 in c.shape:
+            raise ValueError("jet coefficients must form a non-empty 1-d or 2-d array")
         if not np.all(np.isfinite(c)):
             raise ValueError("jet coefficients must be finite")
         self.coeffs = c
 
     @classmethod
     def constant(cls, value, order):
-        c = np.zeros(order + 1)
-        c[0] = value
-        return cls(c)
+        """Constant jet of a number (scalar jet) or a 1-d array (vector jet)."""
+        return cls(_constant(value, order))
 
     @classmethod
     def variable(cls, value, order):
@@ -71,48 +101,78 @@ class JetScalar:
 
     @property
     def order(self):
-        return self.coeffs.size - 1
+        return self.coeffs.shape[-1] - 1
+
+    @property
+    def dim(self):
+        """Number of components of a vector jet."""
+        return len(self._vector())
 
     @property
     def value(self):
-        return float(self.coeffs[0])
+        """Value at the expansion point: a float, or an array for a vector."""
+        return self.derivative(0)
 
     def derivative(self, k):
         """k-th derivative value at the expansion point (k! * coeffs[k])."""
         if not 0 <= k <= self.order:
             raise JetOrderError(f"derivative {k} beyond stored order {self.order}")
-        return float(self.coeffs[k]) * math.factorial(k)
+        d = self.coeffs[..., k] * math.factorial(k)
+        return float(d) if d.ndim == 0 else d
 
     def truncated(self, order):
         if order > self.order:
             raise JetOrderError(f"cannot extend order {self.order} to {order}")
-        return JetScalar(self.coeffs[: order + 1])
+        return JetScalar(self.coeffs[..., : order + 1])
 
     def differentiate(self):
         """Jet of the derivative; the order drops by one."""
         if self.order < 1:
             raise JetOrderError("cannot differentiate an order-0 jet")
         k = np.arange(1, self.order + 1)
-        return JetScalar(self.coeffs[1:] * k)
+        return JetScalar(self.coeffs[..., 1:] * k)
+
+    def __getitem__(self, index):
+        """Component ``index`` of a vector jet as a scalar jet, or a slice
+        of components as a vector jet."""
+        return JetScalar(self._vector()[index])
+
+    def _vector(self):
+        if self.coeffs.ndim != 2:
+            raise TypeError("expected a vector jet")
+        return self.coeffs
+
+    def _scalar(self):
+        if self.coeffs.ndim != 1:
+            raise TypeError("expected a scalar jet")
+        return self.coeffs
 
     # -- arithmetic ---------------------------------------------------
 
     def _coerce(self, other):
+        """Coefficients of ``other`` at this jet's order, or None for an
+        unsupported operand."""
         if isinstance(other, JetScalar):
             if other.order != self.order:
                 raise JetOrderError(
                     f"mixed jet orders {self.order} and {other.order}"
                 )
-            return other
-        if isinstance(other, (int, float, np.integer, np.floating)):
-            return JetScalar.constant(float(other), self.order)
-        return None
+            c = other.coeffs
+        elif isinstance(other, (int, float, np.integer, np.floating, np.ndarray)):
+            c = _constant(other, self.order)
+        else:
+            return None
+        if c.ndim == self.coeffs.ndim == 2 and len(c) != len(self.coeffs):
+            raise ValueError(
+                f"dimension mismatch: {len(self.coeffs)} and {len(c)} components"
+            )
+        return c
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return JetScalar(self.coeffs + o.coeffs)
+        return JetScalar(self.coeffs + o)
 
     __radd__ = __add__
 
@@ -123,40 +183,54 @@ class JetScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return JetScalar(self.coeffs - o.coeffs)
+        return JetScalar(self.coeffs - o)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return JetScalar(o.coeffs - self.coeffs)
+        return JetScalar(o - self.coeffs)
 
     def __mul__(self, other):
-        if isinstance(other, JetVector):
-            return NotImplemented
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return JetScalar(np.convolve(self.coeffs, o.coeffs)[: self.order + 1])
+        if isinstance(other, JetScalar) and o.ndim > self.coeffs.ndim:
+            return JetScalar(_product(o, self.coeffs))
+        return JetScalar(_product(self.coeffs, o))
 
+    # Reached only with a number or array on the left, which goes second.
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self * o.recip()
+        return self * JetScalar(o).recip()
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o * self.recip()
+        return JetScalar(o) * self.recip()
 
-    # -- elementary compositions --------------------------------------
+    def dot(self, other):
+        """Euclidean inner product of two vector jets, a scalar jet."""
+        if not isinstance(other, JetScalar) or other.coeffs.ndim != 2:
+            raise TypeError("dot expects a vector jet")
+        rows = _product(self._vector(), self._coerce(other))
+        acc = rows[0]
+        for row in rows[1:]:
+            acc = acc + row
+        return JetScalar(acc)
+
+    def norm_sq(self):
+        return self.dot(self)
+
+    # -- elementary compositions (scalar jets) ------------------------
 
     def recip(self):
-        a = self.coeffs
+        a = self._scalar()
         if a[0] == 0.0:
             raise JetDomainError("reciprocal of a jet with zero constant term")
         b = np.zeros_like(a)
@@ -166,7 +240,7 @@ class JetScalar:
         return JetScalar(b)
 
     def sqrt(self):
-        a = self.coeffs
+        a = self._scalar()
         if a[0] <= 0.0:
             raise JetDomainError("sqrt of a jet with non-positive constant term")
         b = np.zeros_like(a)
@@ -177,7 +251,7 @@ class JetScalar:
         return JetScalar(b)
 
     def exp(self):
-        a = self.coeffs
+        a = self._scalar()
         b = np.zeros_like(a)
         b[0] = math.exp(a[0])
         j = np.arange(1, a.size)
@@ -192,7 +266,7 @@ class JetScalar:
         return self._sincos()[1]
 
     def _sincos(self):
-        a = self.coeffs
+        a = self._scalar()
         s = np.zeros_like(a)
         c = np.zeros_like(a)
         s[0] = math.sin(a[0])
@@ -206,6 +280,7 @@ class JetScalar:
 
     def powi(self, k):
         """Integer power, negative allowed when the constant term is nonzero."""
+        self._scalar()
         if k < 0:
             return self.recip().powi(-k)
         out = JetScalar.constant(1.0, self.order)
@@ -219,79 +294,3 @@ class JetScalar:
 
     def __repr__(self):
         return f"JetScalar({self.coeffs.tolist()})"
-
-
-class JetVector:
-    """A fixed-dimension vector whose components are jets of one common order."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, components):
-        comps = tuple(components)
-        if not comps:
-            raise ValueError("empty jet vector")
-        order = comps[0].order
-        if any(c.order != order for c in comps):
-            raise JetOrderError("jet vector components must share one order")
-        self.components = comps
-
-    @classmethod
-    def constant(cls, values, order):
-        return cls([JetScalar.constant(v, order) for v in np.asarray(values, dtype=float)])
-
-    @property
-    def dim(self):
-        return len(self.components)
-
-    @property
-    def order(self):
-        return self.components[0].order
-
-    @property
-    def value(self):
-        return np.array([c.value for c in self.components])
-
-    def derivative(self, k):
-        return np.array([c.derivative(k) for c in self.components])
-
-    def truncated(self, order):
-        return JetVector([c.truncated(order) for c in self.components])
-
-    def differentiate(self):
-        return JetVector([c.differentiate() for c in self.components])
-
-    def dot(self, other):
-        if not isinstance(other, JetVector):
-            raise TypeError("dot expects a JetVector")
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch in jet dot product")
-        acc = self.components[0] * other.components[0]
-        for a, b in zip(self.components[1:], other.components[1:]):
-            acc = acc + a * b
-        return acc
-
-    def norm_sq(self):
-        return self.dot(self)
-
-    def __add__(self, other):
-        if not isinstance(other, JetVector):
-            return NotImplemented
-        return JetVector([a + b for a, b in zip(self.components, other.components)])
-
-    def __sub__(self, other):
-        if not isinstance(other, JetVector):
-            return NotImplemented
-        return JetVector([a - b for a, b in zip(self.components, other.components)])
-
-    def __neg__(self):
-        return JetVector([-c for c in self.components])
-
-    def __mul__(self, scalar):
-        if isinstance(scalar, (JetScalar, int, float, np.integer, np.floating)):
-            return JetVector([c * scalar for c in self.components])
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"JetVector(dim={self.dim}, order={self.order})"

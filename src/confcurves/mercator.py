@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import VELOCITY_FLOOR, CurveJet, DegenerateVelocityError
-from .jets import JetScalar, JetVector
+from .jets import JetScalar
 
 __all__ = [
     "PhasePoint",
@@ -257,24 +257,18 @@ def solution_jet(p: PhasePoint, order: int = 6) -> CurveJet:
     returned as a curve jet, all derivatives of the actual solution.
     """
     n = p.dim
-    y0 = p.flat()
-    coeffs = np.zeros((order + 1, 4 * n))
-    coeffs[0] = y0
+    coeffs = np.zeros((4 * n, order + 1))
+    coeffs[:, 0] = p.flat()
     for k in range(order):
-        state = JetVector([JetScalar(coeffs[: k + 1, i]) for i in range(4 * n)])
-        U = JetVector(state.components[n : 2 * n])
-        P = JetVector(state.components[2 * n : 3 * n])
-        R = JetVector(state.components[3 * n : 4 * n])
+        state = JetScalar(coeffs[:, : k + 1])
+        U = state[n : 2 * n]
+        P = state[2 * n : 3 * n]
+        R = state[3 * n : 4 * n]
         u2 = U.norm_sq()
         UR = U.dot(R)
         R2 = R.norm_sq()
-        rhs = (
-            list(U.components)
-            + list((u2 * R - 2.0 * UR * U).components)
-            + [JetScalar.constant(0.0, k) for _ in range(n)]
-            + list((-1.0 * R2 * U + 2.0 * UR * R - P).components)
-        )
-        for i, comp in enumerate(rhs):
-            coeffs[k + 1, i] = comp.coeffs[k] / (k + 1)
-    pos = JetVector([JetScalar(coeffs[:, i]) for i in range(n)])
-    return CurveJet(0.0, pos)
+        # the P rows stay zero: the position momentum is conserved
+        coeffs[0:n, k + 1] = U.coeffs[:, k] / (k + 1)
+        coeffs[n : 2 * n, k + 1] = (u2 * R - 2.0 * UR * U).coeffs[:, k] / (k + 1)
+        coeffs[3 * n :, k + 1] = (-1.0 * R2 * U + 2.0 * UR * R - P).coeffs[:, k] / (k + 1)
+    return CurveJet(0.0, JetScalar(coeffs[:n]))

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .jets import JetScalar, JetVector
+from .jets import JetScalar
 
 __all__ = [
     "dot",
@@ -115,17 +115,11 @@ class Tractor:
     wi: object
     wN: object
 
-    @property
-    def dim(self):
-        if isinstance(self.wi, JetVector):
-            return self.wi.dim
-        return np.asarray(self.wi).size
-
     def values(self):
         """Strip jet tracking, keeping only the pointwise slot values."""
         w0 = self.w0.value if isinstance(self.w0, JetScalar) else float(self.w0)
         wN = self.wN.value if isinstance(self.wN, JetScalar) else float(self.wN)
-        wi = self.wi.value if isinstance(self.wi, JetVector) else np.asarray(self.wi, dtype=float)
+        wi = self.wi.value if isinstance(self.wi, JetScalar) else np.asarray(self.wi, dtype=float)
         return Tractor(w0, wi.copy(), wN)
 
     def as_array(self):
@@ -136,7 +130,7 @@ class Tractor:
 def tractor_metric_pair(a, b):
     """Indefinite pairing: the two null slots cross-pair, the spatial block
     is Euclidean."""
-    if isinstance(a.wi, JetVector) or isinstance(b.wi, JetVector):
+    if isinstance(a.wi, JetScalar) or isinstance(b.wi, JetScalar):
         return a.w0 * b.wN + a.wN * b.w0 + a.wi.dot(b.wi)
     return a.w0 * b.wN + a.wN * b.w0 + float(np.dot(a.wi, b.wi))
 

@@ -12,7 +12,7 @@ from typing import Union
 import numpy as np
 
 from .curves import CurveJet
-from .jets import JetVector
+from .jets import JetScalar
 from .mercator import PhasePoint, hamiltonian, mercator_C, poisson_bracket_fd
 from .multilinear import antisymmetrize, epsilon
 
@@ -91,23 +91,22 @@ def ckv_eval(field: KillingField, x):
     raise TypeError(f"not a Killing field: {field!r}")
 
 
-def _ckv_jet(field: KillingField, x: JetVector) -> JetVector:
+def _ckv_jet(field: KillingField, x: JetScalar) -> JetScalar:
     """The field evaluated on a position jet; exact since every generator
     is polynomial in the position."""
     if isinstance(field, Translation):
-        return JetVector.constant(field.T, x.order)
+        return JetScalar.constant(field.T, x.order)
     if isinstance(field, Rotation):
-        rows = field.R.T
-        return JetVector(
-            [sum((rows[i, j] * x.components[j] for j in range(x.dim)), start=0.0 * x.components[0])
-             for i in range(x.dim)]
-        )
+        # R^T x, summed over the components of x in order
+        v = x[0] * np.zeros(x.dim)
+        for j in range(x.dim):
+            v = v + x[j] * field.R[j]
+        return v
     if isinstance(field, Dilatation):
         return x * field.a
     if isinstance(field, SpecialConformal):
-        x2 = x.norm_sq()
-        sx = x.dot(JetVector.constant(field.S, x.order))
-        return JetVector.constant(field.S, x.order) * x2 - x * (2.0 * sx)
+        s = JetScalar.constant(field.S, x.order)
+        return s * x.norm_sq() - x * (2.0 * x.dot(s))
     raise TypeError(f"not a Killing field: {field!r}")
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import CurveJet
-from .jets import JetScalar, JetVector
+from .jets import JetScalar
 from .multilinear import (
     Tractor,
     epsilon,
@@ -73,7 +73,7 @@ def canonical_tractor_jets(jet: CurveJet, count: int):
     u_jet = jet.velocity_jet()
     order = u_jet.order
     u = u_jet.norm_sq().sqrt()
-    zero_vec = JetVector.constant(np.zeros(jet.dim), order)
+    zero_vec = JetScalar.constant(np.zeros(jet.dim), order)
     seq = [Tractor(u.recip(), zero_vec, JetScalar.constant(0.0, order))]
     for _ in range(count - 1):
         cur = seq[-1]

@@ -81,6 +81,11 @@ class TestVerify:
                 "--p0", "1,x,0", "--q0", "0,1,0", "--r0", "0,0,0",
             ],
             ["verify", *SPIRAL_ARGS, "--samples", "0"],
+            ["verify", *SPIRAL_ARGS, "--tol", "typo=1"],
+            ["verify", "--family", "spiral", "--n", "3", "--c", "nan",
+             "--p0", "1,0,0", "--q0", "0,1,0", "--r0", "0,0,0"],
+            ["verify", "--family", "circle", "--n", "3",
+             "--x0", "nan,0,0", "--u0", "1,0,0", "--a0", "0,0.8,0.3"],
         ):
             assert_config_error(argv, capsys)
 
@@ -178,6 +183,11 @@ class TestIntegrate:
         for argv in (
             ["integrate", "--t-end", "1", "--out", "x.csv"],
             ["integrate", *SPIRAL_ARGS, "--store-every", "0", "--out", "x.csv"],
+            ["integrate", *SPIRAL_ARGS, "--h", "-0.1", "--out", "x.csv"],
+            ["integrate", *SPIRAL_ARGS, "--h", "0", "--out", "x.csv"],
+            ["integrate", *SPIRAL_ARGS, "--t-end", "0", "--out", "x.csv"],
+            # 1 / 0.3 is not a whole number of steps
+            ["integrate", *SPIRAL_ARGS, "--t-end", "1", "--h", "0.3", "--out", "x.csv"],
         ):
             assert_config_error(argv, capsys)
 
@@ -199,10 +209,17 @@ class TestRelations:
 
     def test_jet_identity_mode(self):
         assert main(["relations", "--n", "3", "--samples", "50", "--seed", "7", "--jet-identity"]) == 0
+        assert main(["relations", "--n", "1", "--samples", "5", "--jet-identity"]) == 0
 
     def test_nonpositive_samples_is_config_error(self, capsys):
-        for samples in ("0", "-5"):
-            assert_config_error(["relations", "--n", "4", "--samples", samples], capsys)
+        for argv in (
+            ["relations", "--n", "4", "--samples", "0"],
+            ["relations", "--n", "4", "--samples", "-5"],
+            ["relations", "--n", "0"],
+            # every identity family is vacuous in dimension 1
+            ["relations", "--n", "1", "--samples", "3"],
+        ):
+            assert_config_error(argv, capsys)
 
     def test_jet_identity_alias(self):
         assert main(["relations", "--n", "3", "--samples", "10", "--seed", "7", "--appendix-c"]) == 0

@@ -130,9 +130,9 @@ class TestTransformedSpiralFamily:
         for t in (-0.8, 0.3):
             a = spiral.jet(t).position
             b = ts.jet(t).position
-            for ca, cb in zip(a.components, b.components):
-                assert np.max(np.abs(ca.coeffs - cb.coeffs)) <= 1e-14 * (
-                    1.0 + np.max(np.abs(ca.coeffs))
+            for ca, cb in zip(a.coeffs, b.coeffs):
+                assert np.max(np.abs(ca - cb)) <= 1e-14 * (
+                    1.0 + np.max(np.abs(ca))
                 )
 
     def test_flow_vector_constant_but_nonzero(self, rng):

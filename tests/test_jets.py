@@ -60,6 +60,63 @@ class TestArithmetic:
         assert np.array_equal(got, full)
 
 
+def assert_bitwise(got, expected):
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+def truncated_convolve(a, b):
+    return np.convolve(a, b)[: a.size]
+
+
+class TestVectorJets:
+    # The operand order of every np.convolve is part of the contract: it
+    # fixes the round-off of everything built on jets, down to the last bit.
+    def test_product_and_dot_follow_component_rule(self, rng):
+        order = 6
+        for _ in range(20):
+            dim = int(rng.integers(3, 6))
+            V = JetScalar(rng.uniform(-1, 1, (dim, order + 1)))
+            W = JetScalar(rng.uniform(-1, 1, (dim, order + 1)))
+            s = JetScalar(rng.uniform(-1, 1, order + 1))
+            rows = np.array([truncated_convolve(v, s.coeffs) for v in V.coeffs])
+            assert_bitwise((V * s).coeffs, rows)
+            assert_bitwise((s * V).coeffs, rows)
+            c = float(rng.uniform(-2, 2))
+            const = JetScalar.constant(c, order).coeffs
+            scaled = np.array([truncated_convolve(v, const) for v in V.coeffs])
+            assert_bitwise((V * c).coeffs, scaled)
+            assert_bitwise((c * V).coeffs, scaled)
+            acc = truncated_convolve(V.coeffs[0], W.coeffs[0])
+            for v, w in zip(V.coeffs[1:], W.coeffs[1:]):
+                acc = acc + truncated_convolve(v, w)
+            assert_bitwise(V.dot(W).coeffs, acc)
+
+    def test_slicing(self, rng):
+        V = JetScalar(rng.uniform(-1, 1, (5, 7)))
+        assert V.dim == 5 and V.order == 6
+        assert np.array_equal(V[1:3].coeffs, V.coeffs[1:3]) and V[1:3].dim == 2
+        assert V[4].coeffs.ndim == 1 and np.array_equal(V[4].coeffs, V.coeffs[4])
+        assert np.array_equal(V.value, V.coeffs[:, 0])
+        assert np.array_equal(V.derivative(2), 2.0 * V.coeffs[:, 2])
+
+    def test_constant_from_array(self):
+        c = JetScalar.constant(np.array([1.0, -2.0, 3.0]), 2)
+        assert np.array_equal(c.coeffs, [[1.0, 0.0, 0.0], [-2.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
+        assert c.dim == 3
+
+    def test_mixed_orders_rejected(self, rng):
+        V = JetScalar(rng.uniform(-1, 1, (3, 7)))
+        low = JetScalar(rng.uniform(-1, 1, (3, 6)))
+        for op in (
+            lambda: V + low,
+            lambda: V * JetScalar.constant(1.0, 5),
+            lambda: V.dot(low),
+        ):
+            with pytest.raises(JetOrderError):
+                op()
+
+
 class TestElementary:
     def test_exp_series(self):
         t = JetScalar.variable(0.0, 4)

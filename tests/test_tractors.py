@@ -8,7 +8,6 @@ from confcurves import (
     CurveJet,
     DegenerateVelocityError,
     JetScalar,
-    JetVector,
     UndefinedInvariantError,
     canonical_tractor_jets,
     canonical_tractors,
@@ -476,11 +475,7 @@ class TestParallelTransport:
             e = sigma.exp()
             th = sigma * spiral.c
             ec, es = e * th.cos(), e * th.sin()
-            comps = [
-                ec * spiral.p0[i] + es * spiral.q0[i] + spiral.r0[i]
-                for i in range(3)
-            ]
-            return CurveJet(t, JetVector(comps))
+            return CurveJet(t, ec * spiral.p0 + es * spiral.q0 + spiral.r0)
 
         g = gram_invariants(repar(0.2, 6), 5)
         assert abs(g.delta5) <= 1e-8 * max(1.0, g.gram_scale(5)) ** 5
@@ -496,15 +491,12 @@ class TestParallelTransport:
 
         def poly(t, order=4):
             tau = JetScalar.variable(t, order)
-            comps = []
-            for i in range(3):
-                acc = JetScalar.constant(coeffs[0][i], order)
-                power = JetScalar.constant(1.0, order)
-                for k in range(1, 6):
-                    power = power * tau
-                    acc = acc + power * coeffs[k][i]
-                comps.append(acc)
-            return CurveJet(t, JetVector(comps))
+            acc = JetScalar.constant(coeffs[0], order)
+            power = JetScalar.constant(1.0, order)
+            for k in range(1, 6):
+                power = power * tau
+                acc = acc + power * coeffs[k]
+            return CurveJet(t, acc)
 
         defects = [parallel_defect(poly, 0.1, h, count=3) for h in (0.02, 0.01, 0.005)]
         assert min(defects) > 0.1
