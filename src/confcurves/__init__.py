@@ -26,7 +26,6 @@ from .mercator import (
     solution_jet,
 )
 from .multilinear import (
-    Tractor,
     antisymmetrize,
     dot,
     epsilon,
@@ -51,6 +50,7 @@ from .symmetries import (
 )
 from .tractors import (
     GramInvariants,
+    IdentityResiduals,
     UndefinedInvariantError,
     canonical_tractors,
     canonical_tractor_jets,

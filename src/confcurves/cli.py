@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from . import families, mercator, symmetries, tractors
-from .multilinear import epsilon
+from .multilinear import epsilon, tractor_metric_pair
 from .curves import CurveJet, DegenerateVelocityError
 from .mercator import FlowDegeneracyError, PhasePoint
 from .tractors import UndefinedInvariantError
@@ -90,6 +90,8 @@ class CheckList:
         print(f"{status}  {name}: measured {measured:.3e} vs tolerance {tolerance:.3e}")
 
     def add_range(self, name, measured, lo, hi):
+        if name in self.overrides:
+            raise ConfigError(f"tol: {name} is a range check and takes no override")
         measured = float(measured)
         ok = bool(lo <= measured <= hi)
         self.records.append(
@@ -158,6 +160,21 @@ def _sample_times(args):
     return np.linspace(t0, t1, args.samples)
 
 
+def _family_jets(family, times):
+    """Jets at ``times``; a time the family cannot be evaluated at (float
+    overflow, a vanishing transform denominator) is a config error."""
+    jets = []
+    for t in map(float, times):
+        try:
+            with np.errstate(over="raise"):
+                jets.append(family.jet(t))
+        except DegenerateVelocityError:
+            raise
+        except (ValueError, ArithmeticError) as exc:
+            raise ConfigError(f"window: cannot evaluate the family at t = {t:g}: {exc}") from exc
+    return jets
+
+
 def _spread(values):
     values = np.asarray(values, dtype=float)
     scale = 1.0 + float(np.max(np.abs(values)))
@@ -183,12 +200,12 @@ def _random_fields(n, seed):
 def _verify_spiral(spiral, times, checks, seed):
     c = spiral.c
     p2 = float(spiral.p0 @ spiral.p0)
-    _, delta4_probe = tractors.closed_form_alpha1_delta4(spiral.jet(float(times[0])))
+    jets = _family_jets(spiral, times)
+    _, delta4_probe = tractors.closed_form_alpha1_delta4(jets[0])
     if tractors.is_conformal_circle(delta4_probe, c**2 - 1.0):
         raise ConfigError(
             "c: the fourth invariant vanishes for this pitch, outside the spiral class"
         )
-    jets = [spiral.jet(float(t)) for t in times]
     grams = [tractors.gram_invariants(j, 5) for j in jets]
     checks.add("delta3_is_minus_one", max(abs(g.delta3 + 1.0) for g in grams), 1e-9)
     checks.add("delta4_matches_pitch", max(abs(g.delta4 + c**2) for g in grams), 1e-8)
@@ -219,22 +236,14 @@ def _verify_spiral(spiral, times, checks, seed):
         worst = max(worst, abs(qs[0][(0, i, j, k)] - expected))
         worst = max(worst, abs(qs[0][(i, j, k, n + 1)]))
     checks.add("q_matches_spiral_values", worst, 1e-9)
-    checks.add(
-        "acceleration_tractor_square",
-        max(abs(_tractor_square(spiral, float(t)) - (c**2 - 1.0)) for t in times),
-        1e-10,
-    )
-    worst = 0.0
+    worst_square = worst_match = 0.0
     for t, j in zip(times, jets):
         closed = spiral.acceleration_tractor(float(t))
         piped = tractors.canonical_tractors(j, 3)[2]
-        worst = max(
-            worst,
-            abs(closed.w0 - piped.w0),
-            float(np.max(np.abs(closed.wi - piped.wi))),
-            abs(closed.wN - piped.wN),
-        )
-    checks.add("acceleration_tractor_matches_pipeline", worst, 1e-10)
+        worst_square = max(worst_square, abs(tractor_metric_pair(closed, closed) - (c**2 - 1.0)))
+        worst_match = max(worst_match, float(np.max(np.abs(closed - piped))))
+    checks.add("acceleration_tractor_square", worst_square, 1e-10)
+    checks.add("acceleration_tractor_matches_pipeline", worst_match, 1e-10)
     kappas = [g.kappa1() for g in grams]
     checks.add(
         "kappa1_matches", max(abs(k + (c**2 - 1.0) / (2 * c)) for k in kappas), 1e-8
@@ -259,13 +268,6 @@ def _verify_spiral(spiral, times, checks, seed):
     checks.add("jet_matches_closed_derivatives", worst, 1e-12)
 
 
-def _tractor_square(spiral, t):
-    from .multilinear import tractor_metric_pair
-
-    closed = spiral.acceleration_tractor(t)
-    return tractor_metric_pair(closed, closed)
-
-
 def _verify_noether(jets, checks, seed):
     n = jets[0].dim
     worst_agree = 0.0
@@ -284,7 +286,7 @@ def _verify_noether(jets, checks, seed):
 
 
 def _verify_circle(circle, times, checks, seed):
-    jets = [circle.jet(float(t)) for t in times]
+    jets = _family_jets(circle, times)
     checks.add(
         "circle_residual",
         max(float(np.max(np.abs(mercator.circle_residual(j)))) for j in jets),
@@ -308,10 +310,10 @@ def _verify_circle(circle, times, checks, seed):
 
 def _verify_tspiral(tspiral, times, checks, seed):
     c = tspiral.base.c
-    _, delta4_probe = tractors.closed_form_alpha1_delta4(tspiral.jet(float(times[0])))
+    jets = _family_jets(tspiral, times)
+    _, delta4_probe = tractors.closed_form_alpha1_delta4(jets[0])
     if tractors.is_conformal_circle(delta4_probe, c**2 - 1.0):
         raise ConfigError("c: the fourth invariant vanishes, outside the spiral class")
-    jets = [tspiral.jet(float(t)) for t in times]
     report = tspiral.conserved_report()
     Cs = [mercator.mercator_C(j) for j in jets]
     checks.add(
@@ -495,7 +497,7 @@ def cmd_quantities(args):
     times = _sample_times(args)
     if args.out is None:
         raise ConfigError("out: required for quantities")
-    rows = [_quantity_row(float(t), family.jet(float(t))) for t in times]
+    rows = [_quantity_row(float(t), j) for t, j in zip(times, _family_jets(family, times))]
     columns = _quantity_columns(family.dim)
     out = _resolve_out(args.out)
     _write_table(out, columns, rows, args.format)
@@ -510,7 +512,7 @@ def _initial_phase(args):
     if args.family is not None:
         family = _build_family(args)
         t0 = args.t0 if args.t0 is not None else 0.0
-        return mercator.phase_from_jet(family.jet(t0))
+        return mercator.phase_from_jet(_family_jets(family, [t0])[0])
     if any(getattr(args, k) is None for k in ("x", "u", "p", "r")):
         raise ConfigError("initial point: give either --family or all of --x --u --p --r")
     try:
@@ -625,12 +627,15 @@ def _add_common(p):
     p.add_argument("--out", help="output path (JSON report or trace file)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--config", help="JSON config file; values override flags")
+
+
+def _add_tol(p):
     p.add_argument(
         "--tol",
         action="append",
         default=[],
         metavar="NAME=VALUE",
-        help="tolerance override, repeatable",
+        help="tolerance override of a recorded check, repeatable",
     )
 
 
@@ -659,6 +664,7 @@ def build_parser():
     p = sub.add_parser("verify", help="run a family invariant suite")
     _add_family(p)
     _add_common(p)
+    _add_tol(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("integrate", help="integrate the Hamiltonian flow")
@@ -675,6 +681,7 @@ def build_parser():
 
     p = sub.add_parser("relations", help="check the algebraic identities at random points")
     _add_common(p)
+    _add_tol(p)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument(
         "--jet-identity",
@@ -693,15 +700,44 @@ def build_parser():
     return parser
 
 
-def _apply_config(args):
+def _command_flags(parser, command):
+    """The flags of one subcommand, keyed by destination."""
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in sub.choices[command]._actions if a.default is not argparse.SUPPRESS}
+
+
+def _config_value(key, flag, val):
+    """A config value as its flag would set it; its JSON type must be the
+    flag's, and ``true`` is not a number."""
+    if flag.nargs == 0 or isinstance(val, bool):
+        ok = flag.nargs == 0 and isinstance(val, bool)
+    elif flag.type in (int, float):
+        ok = isinstance(val, (flag.type, int))
+    elif isinstance(flag.default, list):
+        ok = isinstance(val, list) and all(isinstance(v, str) for v in val)
+    else:
+        ok = isinstance(val, str) and val in (flag.choices or [val])
+    if not ok:
+        raise ConfigError(f"config: {key}: {json.dumps(val)} does not fit flag {flag.option_strings[0]}")
+    return float(val) if flag.type is float else val
+
+
+def _apply_config(args, flags):
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            data = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"config: cannot read {args.config}: {exc.strerror}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"config: malformed JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError("config: expected a JSON object of flag values")
         for key, val in data.items():
-            attr = key.replace("-", "_")
-            if not hasattr(args, attr):
+            flag = flags.get(key.replace("-", "_"))
+            if flag is None:
                 raise ConfigError(f"config: unknown key {key!r}")
-            setattr(args, attr, val)
+            setattr(args, flag.dest, _config_value(key, flag, val))
     overrides = {}
     for item in getattr(args, "tol", []):
         if "=" not in item:
@@ -730,9 +766,11 @@ def _apply_config(args):
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
     try:
-        _apply_config(args)
+        if unknown:
+            raise ConfigError(f"{args.command}: unrecognized arguments: {' '.join(unknown)}")
+        _apply_config(args, _command_flags(parser, args.command))
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

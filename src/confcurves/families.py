@@ -16,7 +16,6 @@ import numpy as np
 
 from .curves import CurveJet
 from .jets import JetScalar
-from .multilinear import Tractor
 
 __all__ = [
     "FamilyError",
@@ -146,9 +145,10 @@ class LogSpiral:
         )
         return U, A, Ap
 
-    def acceleration_tractor(self, t) -> Tractor:
-        """The third canonical tractor along the spiral in closed form; its
-        metric square equals ``c^2 - 1`` for every ``t``."""
+    def acceleration_tractor(self, t) -> np.ndarray:
+        """The third canonical tractor along the spiral in closed form, as
+        an ``(n+2)``-array; its metric square equals ``c^2 - 1`` for every
+        ``t``."""
         c = self.c
         scale = float(np.linalg.norm(self.p0))
         root = math.sqrt(c**2 + 1.0)
@@ -157,7 +157,7 @@ class LogSpiral:
             math.cos(c * t) * self.p0 + math.sin(c * t) * self.q0
         )
         wN = -math.exp(t) * scale * root
-        return Tractor(w0, wi, wN)
+        return np.concatenate([[w0], wi, [wN]])
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,6 +11,9 @@ Conventions used throughout the package:
   for *any* index tuple (repeats give 0, odd reorderings flip the sign).
 * Antisymmetrization over bracketed indices includes the 1/m!
   normalization, so it is a projection.
+* A tractor is an ``(n+2)``-vector in slot order ``0, 1..n, n+1``: an
+  ndarray of values, or a vector jet when its parameter derivatives are
+  tracked.
 * A rank-``k`` wedge is a plain array over the increasing slot tuples
   ``itertools.combinations(range(n + 2), k)``, in that order.
 """
@@ -20,18 +23,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-
-from .jets import JetScalar
 
 __all__ = [
     "dot",
     "epsilon",
     "antisymmetrize",
-    "Tractor",
     "tractor_metric_pair",
     "wedge",
     "wedge_pair",
@@ -103,36 +102,10 @@ def antisymmetrize(array, axes=None):
     return out / math.factorial(len(axes))
 
 
-@dataclass(frozen=True)
-class Tractor:
-    """One element of the rank-(n+2) bundle in the (null, spatial, null) split.
-
-    Slots may hold plain numbers/arrays or jet values; the recurrences in
-    :mod:`confcurves.tractors` run the same code over both.
-    """
-
-    w0: object
-    wi: object
-    wN: object
-
-    def values(self):
-        """Strip jet tracking, keeping only the pointwise slot values."""
-        w0 = self.w0.value if isinstance(self.w0, JetScalar) else float(self.w0)
-        wN = self.wN.value if isinstance(self.wN, JetScalar) else float(self.wN)
-        wi = self.wi.value if isinstance(self.wi, JetScalar) else np.asarray(self.wi, dtype=float)
-        return Tractor(w0, wi.copy(), wN)
-
-    def as_array(self):
-        v = self.values()
-        return np.concatenate([[v.w0], v.wi, [v.wN]])
-
-
 def tractor_metric_pair(a, b):
-    """Indefinite pairing: the two null slots cross-pair, the spatial block
-    is Euclidean."""
-    if isinstance(a.wi, JetScalar) or isinstance(b.wi, JetScalar):
-        return a.w0 * b.wN + a.wN * b.w0 + a.wi.dot(b.wi)
-    return a.w0 * b.wN + a.wN * b.w0 + float(np.dot(a.wi, b.wi))
+    """Indefinite pairing of two tractors, arrays or vector jets: the two
+    null slots cross-pair, the spatial block is Euclidean."""
+    return a[0] * b[-1] + a[-1] * b[0] + a[1:-1].dot(b[1:-1])
 
 
 class _SlotTables(NamedTuple):
@@ -207,7 +180,7 @@ def wedge(tractors):
     k = len(tractors)
     if k not in (3, 4):
         raise ValueError("wedge supports rank 3 and 4 only")
-    cols = [t.as_array() if isinstance(t, Tractor) else np.asarray(t, dtype=float) for t in tractors]
+    cols = [np.asarray(t, dtype=float) for t in tractors]
     ambient = cols[0].size
     if any(c.size != ambient for c in cols):
         raise ValueError("wedge factors must share the ambient dimension")

@@ -3,9 +3,9 @@ quantities obtained by pairing parallel wedges with parallel sections.
 
 The canonical sequence starts from the weighted inclusion ``u^{-1}`` in the
 top null slot and repeatedly applies the connection ``d/dt + rho(velocity)``.
-Every slot is carried as a jet, so parameter derivatives of any derived
-scalar (Gram entries, determinants) come out exact rather than by finite
-differences.
+Each tractor is carried as an ``(n+2)``-vector jet, so parameter
+derivatives of any derived scalar (alpha_1, delta_4) come out exact rather
+than by finite differences.
 
 Index conventions follow :mod:`confcurves.multilinear`: slot 0 and slot
 ``n+1`` are the null pair, slots ``1..n`` the Euclidean block.  Quantity
@@ -23,14 +23,7 @@ import numpy as np
 
 from .curves import CurveJet
 from .jets import JetScalar
-from .multilinear import (
-    Tractor,
-    epsilon,
-    rho_wedge,
-    tractor_metric_pair,
-    wedge,
-    wedge_pair,
-)
+from .multilinear import epsilon, rho_wedge, tractor_metric_pair, wedge, wedge_pair
 
 __all__ = [
     "UndefinedInvariantError",
@@ -62,7 +55,7 @@ class UndefinedInvariantError(ValueError):
 
 
 def canonical_tractor_jets(jet: CurveJet, count: int):
-    """First ``count`` canonical tractors with jet-valued slots.
+    """First ``count`` canonical tractors as ``(n+2)``-vector jets.
 
     ``count`` between 2 and 5; producing ``count`` tractors consumes
     position derivatives through order ``count``.
@@ -73,31 +66,28 @@ def canonical_tractor_jets(jet: CurveJet, count: int):
     u_jet = jet.velocity_jet()
     order = u_jet.order
     u = u_jet.norm_sq().sqrt()
-    zero_vec = JetScalar.constant(np.zeros(jet.dim), order)
-    seq = [Tractor(u.recip(), zero_vec, JetScalar.constant(0.0, order))]
+    first = np.zeros((jet.dim + 2, order + 1))
+    first[0] = u.recip().coeffs
+    seq = [JetScalar(first)]
     for _ in range(count - 1):
         cur = seq[-1]
-        k = cur.w0.order - 1
+        k = cur.order - 1
         if k < 0:
             raise ValueError("jet order exhausted in tractor recurrence")
         uk = u_jet.truncated(k)
-        w0 = cur.w0.differentiate()
-        wi = cur.wi.differentiate() + uk * cur.w0.truncated(k)
-        wN = cur.wN.differentiate() - cur.wi.truncated(k).dot(uk)
-        seq.append(Tractor(w0, wi, wN))
+        # slot by slot, in a fixed operand order, so values repeat to the bit
+        d = cur.differentiate()
+        low = cur.truncated(k)
+        wi = d[1:-1] + uk * low[0]
+        wN = d[-1] - low[1:-1].dot(uk)
+        seq.append(JetScalar(np.vstack([d.coeffs[0], wi.coeffs, wN.coeffs])))
     return seq
 
 
 def canonical_tractors(jet: CurveJet, count: int):
-    """Pointwise values of the canonical tractor sequence."""
-    return [t.values() for t in canonical_tractor_jets(jet, count)]
-
-
-def _pair_trunc(a: Tractor, b: Tractor):
-    k = min(a.w0.order, b.w0.order)
-    ta = Tractor(a.w0.truncated(k), a.wi.truncated(k), a.wN.truncated(k))
-    tb = Tractor(b.w0.truncated(k), b.wi.truncated(k), b.wN.truncated(k))
-    return tractor_metric_pair(ta, tb)
+    """Pointwise values of the canonical tractor sequence, one
+    ``(n+2)``-array each."""
+    return [t.value for t in canonical_tractor_jets(jet, count)]
 
 
 def _jet_det(rows):
@@ -116,8 +106,8 @@ def _jet_det(rows):
 @dataclass
 class GramInvariants:
     """Determinant invariants of the canonical sequence and the squared
-    lengths of the third and fourth tractors, with jet tracking where the
-    input order allows it."""
+    lengths of the third and fourth tractors.  ``gram`` is the symmetric
+    matrix of pairing values; alpha_1 and delta_4 also come as jets."""
 
     delta3: float
     delta4: float | None
@@ -126,13 +116,10 @@ class GramInvariants:
     alpha2: float | None
     alpha1_jet: JetScalar
     delta4_jet: JetScalar | None
-    gram: list
-
-    def entry(self, a, b):
-        return self.gram[a][b].value
+    gram: np.ndarray
 
     def gram_scale(self, ell):
-        return max(abs(self.gram[a][b].value) for a in range(ell) for b in range(ell))
+        return float(np.max(np.abs(self.gram[:ell, :ell])))
 
     def kappa1(self):
         """Relative curvature invariant of the negative-delta_4 class; needs
@@ -163,23 +150,22 @@ def gram_invariants(jet: CurveJet, max_ell: int = 5) -> GramInvariants:
     if not 3 <= max_ell <= 5:
         raise ValueError("max_ell must lie in 3..5")
     trs = canonical_tractor_jets(jet, max_ell)
-    gram = [[_pair_trunc(trs[a], trs[b]) for b in range(max_ell)] for a in range(max_ell)]
-
-    def block_det(ell):
-        k = min(gram[a][b].order for a in range(ell) for b in range(ell))
-        rows = [[gram[a][b].truncated(k) for b in range(ell)] for a in range(ell)]
-        return _jet_det(rows)
-
-    delta3 = block_det(3).value
-    delta4_jet = block_det(4) if max_ell >= 4 else None
-    delta5 = block_det(5).value if max_ell >= 5 else None
+    pairs = {}
+    for a, b in itertools.combinations_with_replacement(range(max_ell), 2):
+        # each tractor has one order less than the one before it
+        pairs[a, b] = pairs[b, a] = tractor_metric_pair(trs[a].truncated(trs[b].order), trs[b])
+    gram = np.array([[pairs[a, b].value for b in range(max_ell)] for a in range(max_ell)])
+    delta4_jet = None
+    if max_ell >= 4:
+        k = trs[3].order
+        delta4_jet = _jet_det([[pairs[a, b].truncated(k) for b in range(4)] for a in range(4)])
     return GramInvariants(
-        delta3=delta3,
+        delta3=float(np.linalg.det(gram[:3, :3])),
         delta4=None if delta4_jet is None else delta4_jet.value,
-        delta5=delta5,
-        alpha1=gram[2][2].value,
-        alpha2=gram[3][3].value if max_ell >= 4 else None,
-        alpha1_jet=gram[2][2],
+        delta5=float(np.linalg.det(gram)) if max_ell == 5 else None,
+        alpha1=float(gram[2, 2]),
+        alpha2=float(gram[3, 3]) if max_ell >= 4 else None,
+        alpha1_jet=pairs[2, 2],
         delta4_jet=delta4_jet,
         gram=gram,
     )

@@ -2,6 +2,8 @@ import csv
 import json
 
 import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from confcurves.cli import main
 
@@ -9,6 +11,10 @@ from confcurves.cli import main
 SPIRAL_ARGS = [
     "--family", "spiral", "--n", "3", "--c", "2",
     "--p0", "1,0,0", "--q0", "0,1,0", "--r0", "0.3,-0.2,0.5",
+]
+CIRCLE_ARGS = [
+    "--family", "circle", "--n", "3",
+    "--x0", "0.2,-0.1,0.4", "--u0", "1,0,0", "--a0", "0,0.8,0.3",
 ]
 
 
@@ -86,6 +92,13 @@ class TestVerify:
              "--p0", "1,0,0", "--q0", "0,1,0", "--r0", "0,0,0"],
             ["verify", "--family", "circle", "--n", "3",
              "--x0", "nan,0,0", "--u0", "1,0,0", "--a0", "0,0.8,0.3"],
+            # a range check takes no tolerance override
+            ["verify", *CIRCLE_ARGS, "--tol", "t3_parallel_decay_order=0"],
+            # exp overflows at the window end
+            ["verify", *SPIRAL_ARGS, "--samples", "3", "--t1", "800"],
+            # b = x(2) / |x(2)|^2 sends the curve point at t = 2 to infinity
+            ["verify", "--family", "tspiral", *SPIRAL_ARGS[1:], "--t1", "2", "--samples", "3",
+             "--b=-0.08339566141607338,-0.10663414462256243,0.009205206484415317"],
         ):
             assert_config_error(argv, capsys)
 
@@ -113,10 +126,21 @@ class TestVerify:
         )
         assert code == 0
 
-    def test_unknown_config_key_rejected(self, tmp_path):
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"pitch": 2.0}))
-        assert main(["verify", *SPIRAL_ARGS, "--config", str(cfg)]) == 2
+        for text in (
+            json.dumps({"pitch": 2.0}),
+            json.dumps({"n": "3"}),
+            json.dumps({"samples": 2.5}),
+            json.dumps({"samples": True}),
+            json.dumps([1]),
+            '{"n": 3,',
+        ):
+            cfg.write_text(text)
+            assert_config_error(["verify", *SPIRAL_ARGS, "--config", str(cfg)], capsys)
+        assert_config_error(
+            ["verify", *SPIRAL_ARGS, "--config", str(tmp_path / "missing.json")], capsys
+        )
 
 
 class TestIntegrate:
@@ -188,8 +212,17 @@ class TestIntegrate:
             ["integrate", *SPIRAL_ARGS, "--t-end", "0", "--out", "x.csv"],
             # 1 / 0.3 is not a whole number of steps
             ["integrate", *SPIRAL_ARGS, "--t-end", "1", "--h", "0.3", "--out", "x.csv"],
+            ["integrate", *SPIRAL_ARGS, "--t0", "800", "--out", "x.csv"],
         ):
             assert_config_error(argv, capsys)
+
+    def test_tolerances_only_where_checks_are_recorded(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tol": ["typo=1"]}))
+        for command in ("integrate", "quantities"):
+            out = str(tmp_path / "x.csv")
+            assert_config_error([command, *SPIRAL_ARGS, "--tol", "typo=1", "--out", out], capsys)
+            assert_config_error([command, *SPIRAL_ARGS, "--config", str(cfg), "--out", out], capsys)
 
 
 class TestRelations:
@@ -266,3 +299,60 @@ class TestQuantities:
         assert main(["quantities", *SPIRAL_ARGS, "--samples", "5", "--out", str(out1)]) == 0
         assert main(["quantities", *SPIRAL_ARGS, "--samples", "5", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+BAD_NUMBERS = ("0", "-1", "nan", "inf", "800")
+
+
+@st.composite
+def cli_argv(draw):
+    """An argv from the parser's grammar: valid values, with up to two
+    numeric or vector flags replaced by a number from BAD_NUMBERS (a whole
+    vector of it).  Values go after ``=`` as a vector may start with '-'."""
+    n = draw(st.integers(2, 4))
+    command = draw(st.sampled_from(("verify", "integrate", "relations", "quantities")))
+    flags = {"n": str(n), "samples": str(draw(st.integers(-1, 3)))}
+    if command != "relations":
+        e = [",".join("1" if i == k else "0" for i in range(n)) for k in range(2)]
+        family = draw(st.sampled_from(("spiral", "circle", "tspiral")))
+        if family == "circle":
+            flags.update(x0=",".join(["0.2"] * n), u0=e[0], a0=",".join(["0", "0.8"] + ["0.3"] * (n - 2)))
+        else:
+            flags.update(c="2", p0=e[0], q0=e[1], r0=",".join(["0.3"] * n))
+        if family == "tspiral":
+            flags["b"] = ",".join(["0.1", "-0.1"] + ["0.15"] * (n - 2))
+        flags.update({"family": family, "t0": "-1"})
+        if command == "integrate":
+            del flags["samples"]
+            flags.update({"t-end": "0.01", "h": "0.005", "store-every": str(draw(st.integers(-1, 3)))})
+        else:
+            flags["t1"] = "1"
+    numeric = sorted(k for k in flags if k not in ("n", "samples", "store-every", "family"))
+    for name in draw(st.lists(st.sampled_from(numeric), max_size=2, unique=True)) if numeric else ():
+        # --t-end 800 would be a valid run of minutes, so it is not drawn
+        bad = draw(st.sampled_from(BAD_NUMBERS[:-1] if name == "t-end" else BAD_NUMBERS))
+        flags[name] = ",".join([bad] * len(flags[name].split(",")))
+    if command in ("verify", "relations") and draw(st.booleans()):
+        flags["tol"] = draw(st.sampled_from(("typo=1", "delta4_matches_pitch=1", "x")))
+    argv = [command] + [f"--{k}={v}" for k, v in flags.items()]
+    if command == "relations" and draw(st.booleans()):
+        argv.append("--jet-identity")
+    return argv
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(argv=cli_argv())
+def test_every_drawn_input_ends_in_a_documented_exit_code(argv, tmp_path, capsys):
+    out = tmp_path / ("out.csv" if argv[0] in ("integrate", "quantities") else "out.json")
+    code = main([*argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in captured.out + captured.err
+    if code in (2, 3):
+        assert captured.err.count("\n") == 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from confcurves import (
-    Tractor,
+    JetScalar,
     antisymmetrize,
     canonical_tractors,
     dot,
@@ -12,7 +12,7 @@ from confcurves import (
     wedge,
     wedge_pair,
 )
-from confcurves.multilinear import rho_wedge
+from confcurves.multilinear import rho_wedge, tractor_metric_pair
 
 from conftest import random_curve_jet
 
@@ -247,6 +247,12 @@ class TestRhoWedge:
 
 
 class TestTractorValues:
-    def test_as_array_layout(self):
-        t = Tractor(2.0, np.array([1.0, -1.0]), 3.0)
-        assert np.array_equal(t.as_array(), [2.0, 1.0, -1.0, 3.0])
+    def test_metric_pair_array_matches_constant_jet(self, rng):
+        # integer slots keep every sum exact, whatever its order
+        for n in (1, 2, 5):
+            a = rng.integers(-9, 10, n + 2).astype(float)
+            b = rng.integers(-9, 10, n + 2).astype(float)
+            ja = JetScalar.constant(a, 3)
+            jb = JetScalar.constant(b, 3)
+            assert tractor_metric_pair(ja, jb).value == tractor_metric_pair(a, b)
+            assert tractor_metric_pair(a, b) == a[0] * b[-1] + a[-1] * b[0] + a[1:-1] @ b[1:-1]

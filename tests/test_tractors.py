@@ -68,23 +68,17 @@ def displayed_sequence(jet):
 class TestCanonicalSequence:
     def test_straight_line(self):
         trs = canonical_tractors(straight_line_jet(), 3)
-        assert np.allclose(
-            [trs[0].w0, *trs[0].wi, trs[0].wN], [1, 0, 0, 0, 0], atol=1e-15
-        )
-        assert np.allclose(
-            [trs[1].w0, *trs[1].wi, trs[1].wN], [0, 1, 0, 0, 0], atol=1e-15
-        )
-        assert np.allclose(
-            [trs[2].w0, *trs[2].wi, trs[2].wN], [0, 0, 0, 0, -1], atol=1e-15
-        )
+        assert np.allclose(trs[0], [1, 0, 0, 0, 0], atol=1e-15)
+        assert np.allclose(trs[1], [0, 1, 0, 0, 0], atol=1e-15)
+        assert np.allclose(trs[2], [0, 0, 0, 0, -1], atol=1e-15)
 
     def test_unit_pitch_spiral_acceleration_slot(self, planar_unit_spiral):
         # top slot 3 u^-5 <U,A>^2 - u^-3 (<A,A> + <U,A'>) = sqrt(2)/2 by hand
         jet = planar_unit_spiral.jet(0.0)
         acc = canonical_tractors(jet, 3)[2]
-        assert acc.w0 == pytest.approx(math.sqrt(2) / 2, abs=1e-14)
-        assert np.allclose(acc.wi, [-math.sqrt(2), 0.0], atol=1e-14)
-        assert acc.wN == pytest.approx(-math.sqrt(2), abs=1e-14)
+        assert acc[0] == pytest.approx(math.sqrt(2) / 2, abs=1e-14)
+        assert np.allclose(acc[1:-1], [-math.sqrt(2), 0.0], atol=1e-14)
+        assert acc[-1] == pytest.approx(-math.sqrt(2), abs=1e-14)
 
     def test_recurrence_matches_displayed_forms(self, rng):
         for _ in range(100):
@@ -94,9 +88,9 @@ class TestCanonicalSequence:
             for displayed, got in zip(displayed_sequence(jet), trs[1:]):
                 w0, wi, wN = displayed
                 scale = 1.0 + max(abs(w0), float(np.max(np.abs(wi))), abs(wN))
-                assert abs(got.w0 - w0) <= 1e-12 * scale
-                assert np.max(np.abs(got.wi - wi)) <= 1e-12 * scale
-                assert abs(got.wN - wN) <= 1e-12 * scale
+                assert abs(got[0] - w0) <= 1e-12 * scale
+                assert np.max(np.abs(got[1:-1] - wi)) <= 1e-12 * scale
+                assert abs(got[-1] - wN) <= 1e-12 * scale
 
     def test_insufficient_order_rejected(self, rng):
         jet = random_curve_jet(rng, 3, levels=3)
@@ -165,19 +159,19 @@ class TestGramInvariants:
             a1 = g.alpha1_jet
             a1p = a1.differentiate()
             tol = 1e-10 * (1.0 + g.gram_scale(5))
-            assert abs(g.entry(0, 0)) <= tol
-            assert abs(g.entry(0, 1)) <= tol
-            assert abs(g.entry(0, 2) + 1.0) <= tol
-            assert abs(g.entry(0, 3)) <= tol
-            assert abs(g.entry(1, 1) - 1.0) <= tol
-            assert abs(g.entry(1, 2)) <= tol
-            assert abs(g.entry(1, 3) + a1.value) <= tol
-            assert abs(g.entry(2, 3) - 0.5 * a1p.value) <= tol
-            assert abs(g.entry(0, 4) - a1.value) <= tol
-            assert abs(g.entry(1, 4) + 1.5 * a1p.value) <= tol
-            assert abs(
-                g.entry(2, 4) - (0.5 * a1p.differentiate().value - g.alpha2)
-            ) <= tol
+            G = g.gram
+            assert np.array_equal(G, G.T)
+            assert abs(G[0, 0]) <= tol
+            assert abs(G[0, 1]) <= tol
+            assert abs(G[0, 2] + 1.0) <= tol
+            assert abs(G[0, 3]) <= tol
+            assert abs(G[1, 1] - 1.0) <= tol
+            assert abs(G[1, 2]) <= tol
+            assert abs(G[1, 3] + a1.value) <= tol
+            assert abs(G[2, 3] - 0.5 * a1p.value) <= tol
+            assert abs(G[0, 4] - a1.value) <= tol
+            assert abs(G[1, 4] + 1.5 * a1p.value) <= tol
+            assert abs(G[2, 4] - (0.5 * a1p.differentiate().value - g.alpha2)) <= tol
 
     def test_dependency_combination_on_circles(self, rng):
         # fourth tractor of a circle lies in the span of the first two:
@@ -189,15 +183,7 @@ class TestGramInvariants:
                 trs = canonical_tractor_jets(jet, 4)
                 g = gram_invariants(jet, 4)
                 a1p = g.alpha1_jet.differentiate().value
-                comb = [
-                    trs[3].w0.value + g.alpha1 * trs[1].w0.value + 0.5 * a1p * trs[0].w0.value,
-                    *(
-                        trs[3].wi.value
-                        + g.alpha1 * trs[1].wi.value
-                        + 0.5 * a1p * trs[0].wi.value
-                    ),
-                    trs[3].wN.value + g.alpha1 * trs[1].wN.value + 0.5 * a1p * trs[0].wN.value,
-                ]
+                comb = trs[3].value + g.alpha1 * trs[1].value + 0.5 * a1p * trs[0].value
                 assert np.max(np.abs(comb)) <= 1e-9
 
 
@@ -419,7 +405,7 @@ class TestReductionIdentity:
             jet = enforce_alpha1_stationary(random_curve_jet(rng, n, levels=6))
             trs = canonical_tractor_jets(jet, 5)
             g = gram_invariants(jet, max_ell=3)
-            pipeline = -(trs[4].wi.value + g.alpha1 * trs[2].wi.value)
+            pipeline = -(trs[4][1:-1].value + g.alpha1 * trs[2][1:-1].value)
             res = mercator_tractor_residuals(jet)
             scale = 1.0 + np.max(np.abs(pipeline))
             assert np.max(np.abs(res.tractor_slot - pipeline)) <= 1e-9 * scale
