@@ -1,30 +1,33 @@
-"""Noether quantities of the fourth-order flow for the four types of
-conformal Killing fields, evaluated two independent ways on each
-closed-form solution family.
+"""Noether quantities of the fourth-order flow for conformal Killing
+fields, evaluated two independent ways on each closed-form solution family.
+
+A field ``v(x) = T + R^T x + a x + |x|^2 S - 2 (S.x) x`` has the quantity
+``T.E_T + <R, E_R>/2 + a E_D + S.E_S``: a pairing with the basis
+quantities, so one basis per curve point gives every field's value.
 """
 
 import numpy as np
 
 from confcurves import (
-    Dilatation,
-    LogSpiral,
-    Rotation,
-    SpecialConformal,
-    TransformedSpiral,
-    Translation,
     Circle,
+    KillingField,
+    LogSpiral,
+    TransformedSpiral,
     f_closed,
     f_generic,
+    noether_basis,
 )
 
 rng = np.random.default_rng(11)
 rot = np.zeros((3, 3))
 rot[0, 1], rot[1, 0] = 1.0, -1.0
+T, S = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
 fields = {
-    "translation": Translation(rng.uniform(-1, 1, 3)),
-    "rotation": Rotation(rot),
-    "dilatation": Dilatation(0.9),
-    "special conformal": SpecialConformal(rng.uniform(-1, 1, 3)),
+    "translation": KillingField(3, T=T),
+    "rotation": KillingField(3, R=rot),
+    "dilatation": KillingField(3, a=0.9),
+    "special conformal": KillingField(3, S=S),
+    "general": KillingField(3, T=T, R=rot, a=0.9, S=S),
 }
 
 spiral = LogSpiral(1.5, np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), np.array([0.2, 0.1, -0.3]))
@@ -47,12 +50,14 @@ for name, family in (("spiral", spiral), ("circle", circle), ("transformed spira
 print("two-dimensional loxodromes: the rotation quantity equals the pitch")
 for c in (0.5, 1.0, 2.5):
     lox = LogSpiral(c, np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.zeros(2))
-    r2 = Rotation(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    r2 = KillingField(2, R=np.array([[0.0, 1.0], [-1.0, 0.0]]))
     print(f"  c = {c}: F_R = {f_closed(r2, lox.jet(0.3)):.12f}")
 
 print()
-print("transformed spiral against its closed-form report:")
+print("transformed spiral against its closed-form basis:")
 rep = tspiral.conserved_report()
-print(f"  constant flow vector: {np.round(rep.C, 8)}")
-print(f"  dilatation rate {rep.dilatation_rate:+.8f} vs evaluated "
-      f"{f_closed(Dilatation(1.0), tspiral.jet(0.4)):+.8f}")
+basis = noether_basis(tspiral.jet(0.4))
+print(f"  constant flow vector: {np.round(-rep.E_T, 8)}")
+print(f"  dilatation rate {rep.E_D:+.8f} vs evaluated {basis.E_D:+.8f}")
+gaps = [np.max(np.abs(getattr(rep, k) - getattr(basis, k))) for k in ("E_T", "E_R", "E_D", "E_S")]
+print(f"  largest basis gap {max(gaps):.2e}")

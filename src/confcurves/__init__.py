@@ -33,17 +33,15 @@ from .multilinear import (
     wedge_pair,
 )
 from .symmetries import (
-    Dilatation,
     EQuantities,
-    Rotation,
-    SpecialConformal,
-    Translation,
+    KillingField,
     ckv_eval,
     conformal_factor,
     e_quantities,
     f_closed,
     f_generic,
     involutivity_check,
+    noether_basis,
     q_phase,
     quantity_identities,
     three_d_reduction,

@@ -16,13 +16,13 @@ import numpy as np
 
 from .curves import CurveJet
 from .jets import JetScalar
+from .symmetries import EQuantities
 
 __all__ = [
     "FamilyError",
     "Circle",
     "LogSpiral",
     "TransformedSpiral",
-    "TransformedSpiralReport",
 ]
 
 DEFAULT_ORDER = 6
@@ -198,9 +198,11 @@ class TransformedSpiral:
         den = 1.0 - 2.0 * base_jet.dot(b) + float(self.b @ self.b) * n2
         return CurveJet(t, (base_jet - n2 * self.b) * den.recip())
 
-    def conserved_report(self) -> "TransformedSpiralReport":
-        """Closed-form values of the Noether quantities along the image
-        curve, for comparison against the generic evaluations."""
+    def conserved_report(self) -> EQuantities:
+        """Closed-form basis quantities along the image curve, for
+        comparison against the evaluations from its jets: the flow vector
+        gives the translation part, and the special conformal part does not
+        depend on the transform parameter."""
         s = self.base
         b = self.b
         c = s.c
@@ -218,43 +220,13 @@ class TransformedSpiral:
             - b2 * p2 * s.r0
             + (2 * c * pr * qb - 2 * c * qr * pb + (2 * rb - 1.0) * p2) * b
         )
-        fd_rate = -(1.0 - 2 * rb + (2 * c / p2) * (pb * qr - qb * pr))
-        Y = -c * qr / p2 * s.p0 + c * pr / p2 * s.q0 + s.r0
-        return TransformedSpiralReport(C=C, dilatation_rate=fd_rate, Y=Y, base=s, b=b)
-
-
-@dataclass(frozen=True, eq=False)
-class TransformedSpiralReport:
-    """Closed-form conserved data of a transformed spiral: the constant
-    flow vector, the dilatation quantity per unit rate, and the vector
-    whose pairing with the special-conformal parameter gives that family's
-    quantity (independent of the transform parameter)."""
-
-    C: np.ndarray
-    dilatation_rate: float
-    Y: np.ndarray
-    base: LogSpiral
-    b: np.ndarray
-
-    def f_translation(self, T):
-        return -float(np.asarray(T, dtype=float) @ self.C)
-
-    def f_rotation(self, R):
-        R = np.asarray(R, dtype=float)
-        s, b = self.base, self.b
-        p2 = float(s.p0 @ s.p0)
-
-        def br(y, z):
-            return float(np.einsum("ij,i,j->", R, y, z))
-
-        return (
-            s.c / p2 * br(s.p0, s.q0)
-            - 2.0 * br(b, s.r0)
-            + 2.0 * s.c / p2 * (br(s.q0, b) * float(s.p0 @ s.r0) - br(s.p0, b) * float(s.q0 @ s.r0))
+        # an antisymmetric generator R has the rotation quantity <R, M>,
+        # which is <R, M - M^T> / 2
+        M = (
+            c / p2 * np.outer(s.p0, s.q0)
+            - 2.0 * np.outer(b, s.r0)
+            + 2.0 * c / p2 * (pr * np.outer(s.q0, b) - qr * np.outer(s.p0, b))
         )
-
-    def f_dilatation(self, a):
-        return a * self.dilatation_rate
-
-    def f_special_conformal(self, S):
-        return 2.0 * float(np.asarray(S, dtype=float) @ self.Y)
+        E_D = -(1.0 - 2 * rb + (2 * c / p2) * (pb * qr - qb * pr))
+        Y = -c * qr / p2 * s.p0 + c * pr / p2 * s.q0 + s.r0
+        return EQuantities(-C, M - M.T, E_D, 2.0 * Y)

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -17,14 +16,11 @@ from .mercator import PhasePoint, hamiltonian, mercator_C, poisson_bracket_fd
 from .multilinear import antisymmetrize, epsilon
 
 __all__ = [
-    "Translation",
-    "Rotation",
-    "Dilatation",
-    "SpecialConformal",
     "KillingField",
     "ckv_eval",
     "conformal_factor",
     "f_generic",
+    "noether_basis",
     "f_closed",
     "EQuantities",
     "e_quantities",
@@ -36,92 +32,82 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class Translation:
-    T: np.ndarray
+class KillingField:
+    """Conformal Killing field ``v(x) = T + R^T x + a x + |x|^2 S - 2 (S.x) x``
+    of dimension ``n``: a translation ``T``, a rotation generator ``R``, a
+    dilatation rate ``a`` and a special conformal parameter ``S``.  A part
+    not given is zero.  ``R`` is antisymmetrized exactly on construction;
+    grossly asymmetric input, and a part whose shape does not match ``n``,
+    is rejected."""
+
+    n: int
+    T: np.ndarray | None = None
+    R: np.ndarray | None = None
+    a: float = 0.0
+    S: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "T", np.asarray(self.T, dtype=float))
-
-
-@dataclass(frozen=True, eq=False)
-class Rotation:
-    """Infinitesimal rotation; the generator matrix is antisymmetrized
-    exactly on construction, grossly asymmetric input is rejected."""
-
-    R: np.ndarray
-
-    def __post_init__(self):
-        R = np.asarray(self.R, dtype=float)
-        if R.ndim != 2 or R.shape[0] != R.shape[1]:
-            raise ValueError("rotation generator must be a square matrix")
+        n = self.n
+        for name, shape in (("T", (n,)), ("R", (n, n)), ("S", (n,))):
+            value = getattr(self, name)
+            value = np.zeros(shape) if value is None else np.asarray(value, dtype=float)
+            if value.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {value.shape}")
+            object.__setattr__(self, name, value)
+        R = self.R
         skew = 0.5 * (R - R.T)
         scale = np.max(np.abs(R)) or 1.0
         if np.max(np.abs(R - skew)) > 1e-9 * scale:
             raise ValueError("rotation generator is not antisymmetric")
         object.__setattr__(self, "R", skew)
+        object.__setattr__(self, "a", float(self.a))
 
-
-@dataclass(frozen=True)
-class Dilatation:
-    a: float
-
-
-@dataclass(frozen=True, eq=False)
-class SpecialConformal:
-    S: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "S", np.asarray(self.S, dtype=float))
-
-
-KillingField = Union[Translation, Rotation, Dilatation, SpecialConformal]
+    def pair(self, basis: EQuantities):
+        """The quantity of this field from the basis quantities:
+        ``T.E_T + <R, E_R>/2 + a E_D + S.E_S``."""
+        return (
+            float(self.T @ basis.E_T)
+            + 0.5 * float(np.sum(self.R * basis.E_R))
+            + self.a * basis.E_D
+            + float(self.S @ basis.E_S)
+        )
 
 
 def ckv_eval(field: KillingField, x):
     """Value of the Killing field at a point."""
     x = np.asarray(x, dtype=float)
-    if isinstance(field, Translation):
-        return field.T.copy()
-    if isinstance(field, Rotation):
-        return field.R.T @ x
-    if isinstance(field, Dilatation):
-        return field.a * x
-    if isinstance(field, SpecialConformal):
-        return float(x @ x) * field.S - 2.0 * float(field.S @ x) * x
-    raise TypeError(f"not a Killing field: {field!r}")
+    return (
+        field.T
+        + field.R.T @ x
+        + field.a * x
+        + float(x @ x) * field.S
+        - 2.0 * float(field.S @ x) * x
+    )
 
 
 def _ckv_jet(field: KillingField, x: JetScalar) -> JetScalar:
-    """The field evaluated on a position jet; exact since every generator
-    is polynomial in the position."""
-    if isinstance(field, Translation):
-        return JetScalar.constant(field.T, x.order)
-    if isinstance(field, Rotation):
-        # R^T x, summed over the components of x in order
-        v = x[0] * np.zeros(x.dim)
-        for j in range(x.dim):
-            v = v + x[j] * field.R[j]
-        return v
-    if isinstance(field, Dilatation):
-        return x * field.a
-    if isinstance(field, SpecialConformal):
-        s = JetScalar.constant(field.S, x.order)
-        return s * x.norm_sq() - x * (2.0 * x.dot(s))
-    raise TypeError(f"not a Killing field: {field!r}")
+    """The field evaluated on a position jet; exact since the field is
+    polynomial in the position.  The parts linear in ``x`` act on the
+    coefficients directly."""
+    c = x.coeffs
+    # S.x summed in component order, as JetScalar.dot does
+    s_dot_x = JetScalar((field.S[:, None] * c).sum(axis=0))
+    coeffs = (
+        field.R.T @ c
+        + field.a * c
+        + np.outer(field.S, x.norm_sq().coeffs)
+        - 2.0 * (x * s_dot_x).coeffs
+    )
+    coeffs[:, 0] += field.T
+    return JetScalar(coeffs)
 
 
 def conformal_factor(field: KillingField, x):
     """The trace part of the Killing equation (divergence over dimension):
-    zero for isometries, the rate for a dilatation, linear in the position
-    for a special conformal generator."""
+    the dilatation rate plus ``-2 S.x`` from the special conformal part;
+    isometries contribute nothing."""
     x = np.asarray(x, dtype=float)
-    if isinstance(field, (Translation, Rotation)):
-        return 0.0
-    if isinstance(field, Dilatation):
-        return field.a
-    if isinstance(field, SpecialConformal):
-        return -2.0 * float(field.S @ x)
-    raise TypeError(f"not a Killing field: {field!r}")
+    return field.a - 2.0 * float(field.S @ x)
 
 
 def f_generic(field: KillingField, jet: CurveJet):
@@ -141,34 +127,39 @@ def f_generic(field: KillingField, jet: CurveJet):
     return dWVp + WpVp - float(C @ v.value)
 
 
-def f_closed(field: KillingField, jet: CurveJet):
-    """Noether quantity in closed form, one expression per generator type."""
+def noether_basis(jet: CurveJet) -> EQuantities:
+    """The basis quantities in closed form in the curve data ``(X, U, A)``
+    and the flow vector ``C``, independent of the phase-space route of
+    :func:`e_quantities`."""
     jet.require_order(3, "closed-form Noether quantity")
     X, U, A = jet.X, jet.U, jet.A
     u2 = jet.u2
     C = mercator_C(jet)
-    if isinstance(field, Translation):
-        return -float(C @ field.T)
-    if isinstance(field, Rotation):
-        return float(np.einsum("ij,i,j->", field.R, U, A) / u2 + np.einsum("ij,i,j->", field.R, C, X))
-    if isinstance(field, Dilatation):
-        return -field.a * (float(U @ A) / u2 + float(C @ X))
-    if isinstance(field, SpecialConformal):
-        Y = (
-            float(U @ X) / u2 * A
-            - (1.0 + float(A @ X) / u2) * U
-            + (float(U @ A) / u2 + float(C @ X)) * X
-            - 0.5 * float(X @ X) * C
-        )
-        return 2.0 * float(field.S @ Y)
-    raise TypeError(f"not a Killing field: {field!r}")
+    F_R = (np.outer(U, A) - np.outer(A, U)) / u2 + (np.outer(C, X) - np.outer(X, C))
+    F_D = -(float(U @ A) / u2 + float(C @ X))
+    Y = (
+        float(U @ X) / u2 * A
+        - (1.0 + float(A @ X) / u2) * U
+        + (float(U @ A) / u2 + float(C @ X)) * X
+        - 0.5 * float(X @ X) * C
+    )
+    return EQuantities(-C, F_R, F_D, 2.0 * Y)
+
+
+def f_closed(field: KillingField, jet: CurveJet):
+    """Noether quantity in closed form: the field paired with
+    :func:`noether_basis`."""
+    return field.pair(noether_basis(jet))
 
 
 @dataclass(frozen=True, eq=False)
 class EQuantities:
-    """The (n+1)(n+2)/2 basis quantities in phase variables: one vector for
-    translations, an antisymmetric matrix for rotations, a scalar for the
-    dilatation, and one vector for the special conformal generators."""
+    """The (n+1)(n+2)/2 basis quantities: one vector for translations, an
+    antisymmetric matrix for rotations, a scalar for the dilatation, and one
+    vector for the special conformal generators.  They come from the phase
+    variables (:func:`e_quantities`), from the curve data
+    (:func:`noether_basis`) or from a family's closed form;
+    :meth:`KillingField.pair` gives a field's quantity from them."""
 
     E_T: np.ndarray
     E_R: np.ndarray

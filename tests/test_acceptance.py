@@ -11,11 +11,8 @@ import time
 import numpy as np
 
 from confcurves import (
-    Dilatation,
+    KillingField,
     LogSpiral,
-    Rotation,
-    SpecialConformal,
-    Translation,
     accel_from_phase,
     closed_form_alpha1_delta4,
     e_quantities,
@@ -188,10 +185,10 @@ def test_criterion_5_noether_cross_check():
     rot = np.zeros((3, 3))
     rot[0, 1], rot[1, 0] = 1.0, -1.0
     fields = [
-        Translation(rng.uniform(-1, 1, 3)),
-        Rotation(rot),
-        Dilatation(float(rng.uniform(0.5, 1.5))),
-        SpecialConformal(rng.uniform(-1, 1, 3)),
+        KillingField(3, T=rng.uniform(-1, 1, 3)),
+        KillingField(3, R=rot),
+        KillingField(3, a=float(rng.uniform(0.5, 1.5))),
+        KillingField(3, S=rng.uniform(-1, 1, 3)),
     ]
     worst_agree, worst_spread = 0.0, 0.0
     times = np.linspace(-1, 1, 9)
@@ -207,7 +204,7 @@ def test_criterion_5_noether_cross_check():
     lox_err = 0.0
     for c in (0.8, 1.7):
         lox = LogSpiral(c, np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.zeros(2))
-        r2 = Rotation(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        r2 = KillingField(2, R=np.array([[0.0, 1.0], [-1.0, 0.0]]))
         lox_err = max(lox_err, abs(f_closed(r2, lox.jet(0.3)) - c))
     ok = worst_agree <= 1e-9 and worst_spread <= 1e-8 and lox_err <= 1e-10
     report(

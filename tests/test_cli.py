@@ -99,6 +99,11 @@ class TestVerify:
             # b = x(2) / |x(2)|^2 sends the curve point at t = 2 to infinity
             ["verify", "--family", "tspiral", *SPIRAL_ARGS[1:], "--t1", "2", "--samples", "3",
              "--b=-0.08339566141607338,-0.10663414462256243,0.009205206484415317"],
+            # the family evaluates at t = 200, a power of its speed overflows
+            ["verify", *SPIRAL_ARGS, "--samples", "2", "--t1", "200"],
+            ["quantities", *SPIRAL_ARGS, "--samples", "2", "--t1", "200", "--out", "x.csv"],
+            # argparse reads a value starting with '-' as a flag
+            ["verify", *CIRCLE_ARGS[:-1], "-1,-1"],
         ):
             assert_config_error(argv, capsys)
 
@@ -249,6 +254,7 @@ class TestRelations:
             ["relations", "--n", "4", "--samples", "0"],
             ["relations", "--n", "4", "--samples", "-5"],
             ["relations", "--n", "0"],
+            ["relations", "--n", "abc"],
             # every identity family is vacuous in dimension 1
             ["relations", "--n", "1", "--samples", "3"],
         ):
@@ -285,7 +291,10 @@ class TestQuantities:
         k = data[:, header.index("kappa1")]
         assert np.allclose(k, -0.75, atol=1e-9)
         # Noether columns agree with the phase-space basis columns
-        for a, b in (("F_D", "E_D"), ("F_T_1", "E_T_1"), ("F_S_2", "E_S_2"), ("F_R_12", "E_R_12")):
+        noether = [name for name in header if name.startswith("F_")]
+        assert len(noether) == 3 + 3 + 1 + 3
+        for a in noether:
+            b = "E_" + a[2:]
             assert np.allclose(data[:, header.index(a)], data[:, header.index(b)], atol=1e-10)
 
     def test_output_dir_env(self, tmp_path, monkeypatch):
@@ -308,7 +317,8 @@ BAD_NUMBERS = ("0", "-1", "nan", "inf", "800")
 def cli_argv(draw):
     """An argv from the parser's grammar: valid values, with up to two
     numeric or vector flags replaced by a number from BAD_NUMBERS (a whole
-    vector of it).  Values go after ``=`` as a vector may start with '-'."""
+    vector of it).  Values go after ``=`` or, which argparse rejects for a
+    vector starting with '-', as the next word."""
     n = draw(st.integers(2, 4))
     command = draw(st.sampled_from(("verify", "integrate", "relations", "quantities")))
     flags = {"n": str(n), "samples": str(draw(st.integers(-1, 3)))}
@@ -334,7 +344,10 @@ def cli_argv(draw):
         flags[name] = ",".join([bad] * len(flags[name].split(",")))
     if command in ("verify", "relations") and draw(st.booleans()):
         flags["tol"] = draw(st.sampled_from(("typo=1", "delta4_matches_pitch=1", "x")))
-    argv = [command] + [f"--{k}={v}" for k, v in flags.items()]
+    joined = draw(st.booleans())
+    argv = [command]
+    for k, v in flags.items():
+        argv += [f"--{k}={v}"] if joined else [f"--{k}", v]
     if command == "relations" and draw(st.booleans()):
         argv.append("--jet-identity")
     return argv

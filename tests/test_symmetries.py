@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from confcurves import (
-    Dilatation,
+    KillingField,
     PhasePoint,
-    Rotation,
-    SpecialConformal,
-    Translation,
     ckv_eval,
     conformal_factor,
     e_quantities,
@@ -37,43 +34,53 @@ def basis_rotation(n, i, j):
     rot = np.zeros((n, n))
     rot[i - 1, j - 1] = 1.0
     rot[j - 1, i - 1] = -1.0
-    return Rotation(rot)
+    return KillingField(n, R=rot)
 
 
 def sample_fields(rng, n):
-    return [
-        Translation(rng.uniform(-1, 1, n)),
+    """One field per generator type, then their sum, a general field with
+    all four parts nonzero."""
+    translation, rotation, dilatation, special = (
+        KillingField(n, T=rng.uniform(-1, 1, n)),
         basis_rotation(n, 1, 2),
-        Dilatation(float(rng.uniform(0.5, 1.5))),
-        SpecialConformal(rng.uniform(-1, 1, n)),
-    ]
+        KillingField(n, a=float(rng.uniform(0.5, 1.5))),
+        KillingField(n, S=rng.uniform(-1, 1, n)),
+    )
+    general = KillingField(n, T=translation.T, R=rotation.R, a=dilatation.a, S=special.S)
+    return [translation, rotation, dilatation, special, general]
 
 
 class TestFieldEvaluation:
     def test_translation(self):
-        assert np.array_equal(ckv_eval(Translation([1.0, 2.0]), [5.0, -3.0]), [1.0, 2.0])
+        assert np.array_equal(ckv_eval(KillingField(2, T=[1.0, 2.0]), [5.0, -3.0]), [1.0, 2.0])
 
     def test_dilatation(self):
-        assert np.array_equal(ckv_eval(Dilatation(1.0), [2.0, 0.0]), [2.0, 0.0])
+        assert np.array_equal(ckv_eval(KillingField(2, a=1.0), [2.0, 0.0]), [2.0, 0.0])
 
     def test_special_conformal_hand_value(self):
-        got = ckv_eval(SpecialConformal([1.0, 0.0]), [1.0, 1.0])
+        got = ckv_eval(KillingField(2, S=[1.0, 0.0]), [1.0, 1.0])
         assert np.allclose(got, [0.0, -2.0])
 
     def test_rotation_antisymmetrized(self):
-        rot = Rotation(np.array([[1e-12, 1.0], [-1.0, -1e-12]]))
+        rot = KillingField(2, R=np.array([[1e-12, 1.0], [-1.0, -1e-12]]))
         assert np.array_equal(rot.R, -rot.R.T)
-        with pytest.raises(ValueError):
-            Rotation(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        for part in (
+            {"R": np.array([[0.0, 1.0], [1.0, 0.0]])},
+            {"R": np.zeros((3, 3))},
+            {"T": np.ones(3)},
+            {"S": np.ones((2, 2))},
+        ):
+            with pytest.raises(ValueError):
+                KillingField(2, **part)
 
     def test_conformal_factor_values(self, rng):
         n = 3
         x = rng.normal(size=n)
         assert conformal_factor(basis_rotation(n, 1, 3), x) == 0.0
-        assert conformal_factor(Translation(np.ones(n)), x) == 0.0
-        assert conformal_factor(Dilatation(0.7), x) == 0.7
+        assert conformal_factor(KillingField(n, T=np.ones(n)), x) == 0.0
+        assert conformal_factor(KillingField(n, a=0.7), x) == 0.7
         S = rng.normal(size=n)
-        assert conformal_factor(SpecialConformal(S), x) == pytest.approx(-2 * float(S @ x))
+        assert conformal_factor(KillingField(n, S=S), x) == pytest.approx(-2 * float(S @ x))
 
     def test_conformal_factor_is_divergence_over_n(self, rng):
         # finite-difference divergence of each generator
@@ -107,7 +114,7 @@ class TestNoetherQuantities:
     def test_translation_reduces_to_flow_vector(self, rng):
         jet = random_curve_jet(rng, 3)
         T = rng.normal(size=3)
-        assert f_generic(Translation(T), jet) == pytest.approx(
+        assert f_generic(KillingField(3, T=T), jet) == pytest.approx(
             -float(mercator_C(jet) @ T), rel=1e-12, abs=1e-12
         )
 
@@ -115,8 +122,8 @@ class TestNoetherQuantities:
         spiral = random_spiral(rng, 3, c=1.3)
         jet = spiral.jet(0.45)
         T = rng.normal(size=3)
-        assert f_closed(Translation(T), jet) == pytest.approx(0.0, abs=1e-10)
-        assert f_closed(Dilatation(0.9), jet) == pytest.approx(-0.9, abs=1e-10)
+        assert f_closed(KillingField(3, T=T), jet) == pytest.approx(0.0, abs=1e-10)
+        assert f_closed(KillingField(3, a=0.9), jet) == pytest.approx(-0.9, abs=1e-10)
 
     def test_loxodrome_rotation_quantity_is_pitch(self):
         from confcurves import LogSpiral
@@ -151,8 +158,8 @@ class TestNoetherQuantities:
         for _ in range(5):
             ts = random_transformed_spiral(rng, 3)
             rep = ts.conserved_report()
-            got = f_closed(Dilatation(1.0), ts.jet(0.2))
-            assert got == pytest.approx(rep.dilatation_rate, rel=1e-9, abs=1e-9)
+            got = f_closed(KillingField(3, a=1.0), ts.jet(0.2))
+            assert got == pytest.approx(rep.E_D, rel=1e-9, abs=1e-9)
 
 
 class TestEQuantities:
@@ -198,7 +205,7 @@ class TestEQuantities:
             jet = random_curve_jet(rng, n)
             e = e_quantities(phase_from_jet(jet))
             T = rng.normal(size=n)
-            assert f_closed(Translation(T), jet) == pytest.approx(
+            assert f_closed(KillingField(n, T=T), jet) == pytest.approx(
                 float(T @ e.E_T), rel=1e-12, abs=1e-12
             )
             i, j = sorted(rng.choice(np.arange(1, n + 1), size=2, replace=False))
@@ -206,13 +213,18 @@ class TestEQuantities:
                 e.E_R[i - 1, j - 1], rel=1e-12, abs=1e-12
             )
             a = float(rng.uniform(0.5, 2.0))
-            assert f_closed(Dilatation(a), jet) == pytest.approx(
+            assert f_closed(KillingField(n, a=a), jet) == pytest.approx(
                 a * e.E_D, rel=1e-12, abs=1e-12
             )
             S = rng.normal(size=n)
-            assert f_closed(SpecialConformal(S), jet) == pytest.approx(
+            assert f_closed(KillingField(n, S=S), jet) == pytest.approx(
                 float(S @ e.E_S), rel=1e-12, abs=1e-12
             )
+            R = rng.normal(size=(n, n))
+            R = R - R.T
+            general = KillingField(n, T=T, R=R, a=a, S=S)
+            pairing = float(T @ e.E_T) + 0.5 * float(np.sum(R * e.E_R)) + a * e.E_D + float(S @ e.E_S)
+            assert f_closed(general, jet) == pytest.approx(pairing, rel=1e-12, abs=1e-12)
 
 
 class TestQPhase:
