@@ -170,12 +170,12 @@ def _sample_times(args):
 
 def _family_jets(family, times):
     """Jets at ``times``; a time the family cannot be evaluated at (float
-    overflow, a vanishing transform denominator) is a config error."""
+    overflow under ``main``'s error state, a vanishing transform
+    denominator) is a config error."""
     jets = []
     for t in map(float, times):
         try:
-            with np.errstate(over="raise"):
-                jets.append(family.jet(t))
+            jets.append(family.jet(t))
         except DegenerateVelocityError:
             raise
         except (ValueError, ArithmeticError) as exc:
@@ -415,20 +415,9 @@ def _quantity_columns(n):
     cols += [f"F_R_{i}{j}" for i, j in itertools.combinations(range(1, n + 1), 2)]
     cols += ["F_D"]
     cols += [f"F_S_{i}" for i in range(1, n + 1)]
-    for key in _q_keys(n):
-        cols.append(_q_column(key, n))
+    cols += [_q_column(key, n) for key in tractors.q_keys(n)]
     cols += ["delta3", "delta4", "delta5", "alpha1", "alpha2", "kappa1"]
     return cols
-
-
-def _q_keys(n):
-    keys = []
-    N = n + 1
-    keys += [(0, i, j, N) for i, j in itertools.combinations(range(1, n + 1), 2)]
-    keys += [(0,) + t for t in itertools.combinations(range(1, n + 1), 3)]
-    keys += [t + (N,) for t in itertools.combinations(range(1, n + 1), 3)]
-    keys += list(itertools.combinations(range(1, n + 1), 4))
-    return keys
 
 
 def _q_column(key, n):
@@ -452,7 +441,7 @@ def _quantity_row(t, jet):
     row.append(f.E_D)
     row += list(f.E_S)
     q = tractors.q_quantities(jet)
-    row += [q[key] for key in _q_keys(n)]
+    row += [q[key] for key in tractors.q_keys(n)]
     if jet.order >= 5:
         g = tractors.gram_invariants(jet, 5)
         delta5 = g.delta5
@@ -762,13 +751,14 @@ def main(argv=None):
         if unknown:
             raise ConfigError(f"{args.command}: unrecognized arguments: {' '.join(unknown)}")
         _apply_config(args, _command_flags(parser, args.command))
-        return args.func(args)
+        # an inf or nan from the inputs stops the run; underflow to 0 is a result
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (OverflowError, FloatingPointError) as exc:
-        # the family evaluates, but a power of its speed does not fit a float
-        print(f"config error: window: the curve leaves the float range: {exc}", file=sys.stderr)
+        print(f"config error: inputs: the run leaves the float range: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (FlowDegeneracyError, DegenerateVelocityError) as exc:
         print(f"runtime degeneracy: {exc}", file=sys.stderr)

@@ -9,6 +9,8 @@ Conventions used throughout the package:
 * ``epsilon(idx, vectors)`` is the determinant of the matrix whose rows
   are the selected components and whose columns are the argument vectors,
   for *any* index tuple (repeats give 0, odd reorderings flip the sign).
+  ``minors`` gives it on every increasing index tuple at once, as one
+  batched determinant; ``epsilon`` is the per-tuple oracle.
 * Antisymmetrization over bracketed indices includes the 1/m!
   normalization, so it is a projection.
 * A tractor is an ``(n+2)``-vector in slot order ``0, 1..n, n+1``: an
@@ -30,6 +32,8 @@ import numpy as np
 __all__ = [
     "dot",
     "epsilon",
+    "index_tuples",
+    "minors",
     "antisymmetrize",
     "tractor_metric_pair",
     "wedge",
@@ -65,6 +69,36 @@ def epsilon(idx, *vectors):
                 raise ValueError(f"index {i} out of range 1..{v.size}")
             mat[row, col] = v[i - 1]
     return float(np.linalg.det(mat))
+
+
+@functools.cache
+def index_tuples(n, k):
+    """The increasing ``k``-tuples of ``range(n)`` in ``itertools.combinations``
+    order, as a read-only ``(C(n, k), k)`` index array."""
+    tuples = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
+    tuples = tuples.reshape(math.comb(n, k), k)
+    tuples.flags.writeable = False
+    return tuples
+
+
+def minors(columns, border=None):
+    """Minors of an ``(n, k)`` column stack ``[V_1 .. V_k]``, one per increasing
+    row tuple ``I`` in :func:`index_tuples` order.
+
+    Without ``border``, ``I`` runs over the ``k``-tuples and the values are
+    ``epsilon(I, V_1, ..., V_k)`` (with ``I`` shifted to 1-based indices).
+    With a vector ``border``, ``I`` runs over the ``(k-1)``-tuples and the
+    values are ``sum_l epsilon(I + (l,), V_1, ..., V_k) * border[l]``: by
+    multilinearity in the last row, the determinants of the rows ``I`` of
+    the stack bordered below by the one row ``border @ [V_1 .. V_k]``.
+    """
+    mat = np.asarray(columns, dtype=float)
+    n, k = mat.shape
+    if border is None:
+        return np.linalg.det(mat[index_tuples(n, k)])
+    rows = mat[index_tuples(n, k - 1)]
+    edge = np.broadcast_to(np.asarray(border, dtype=float) @ mat, (len(rows), 1, k))
+    return np.linalg.det(np.concatenate([rows, edge], axis=1))
 
 
 def _perm_sign(perm):
@@ -109,17 +143,16 @@ def tractor_metric_pair(a, b):
 
 
 class _SlotTables(NamedTuple):
-    """Index tables of one wedge space.
+    """Index tables of one wedge space, whose slot tuples are
+    ``index_tuples(ambient, rank)``.
 
-    ``slots`` holds the slot tuples in combinations order.  Each term of the
-    nilpotent action is one entry of the ``rho_*`` arrays, listed in
-    input-tuple order: the coefficient at ``rho_src`` times
+    Each term of the nilpotent action is one entry of the ``rho_*`` arrays,
+    listed in input-tuple order: the coefficient at ``rho_src`` times
     ``rho_sign * x[rho_comp]`` lands on ``rho_dst``.  ``dual`` is the
     position of each tuple's metric dual and ``dual_sign`` the sign of
     their pairing.
     """
 
-    slots: np.ndarray
     rho_dst: np.ndarray
     rho_src: np.ndarray
     rho_comp: np.ndarray
@@ -156,7 +189,6 @@ def _slot_tables(ambient, rank):
     # the metric pairs slot 0 with slot n+1 and each spatial slot with itself
     partners = [tuple(n + 1 - a if a in (0, n + 1) else a for a in idx) for idx in slots]
     tables = _SlotTables(
-        slots=np.array(slots, dtype=np.intp).reshape(-1, rank),
         rho_dst=terms[:, 0],
         rho_src=terms[:, 1],
         rho_comp=terms[:, 2],
@@ -173,19 +205,13 @@ def wedge(tractors):
     """Antisymmetric product of ``k`` tractors, k in {3, 4}, as an array over
     ``itertools.combinations(range(n + 2), k)``.
 
-    The coefficient on each increasing slot tuple is the determinant of the
-    corresponding component rows, so dependent tractors produce the zero
-    wedge rather than an error.
+    The coefficients are the :func:`minors` of the factors' column stack,
+    so dependent tractors produce the zero wedge rather than an error.
     """
-    k = len(tractors)
-    if k not in (3, 4):
+    if len(tractors) not in (3, 4):
         raise ValueError("wedge supports rank 3 and 4 only")
-    cols = [np.asarray(t, dtype=float) for t in tractors]
-    ambient = cols[0].size
-    if any(c.size != ambient for c in cols):
-        raise ValueError("wedge factors must share the ambient dimension")
-    mat = np.column_stack(cols)
-    return np.linalg.det(mat[_slot_tables(ambient, k).slots])
+    # column_stack raises ValueError on factors of different lengths
+    return minors(np.column_stack(tractors))
 
 
 def wedge_pair(a, b, rank):
@@ -200,7 +226,7 @@ def wedge_pair(a, b, rank):
     while math.comb(ambient, rank) < a.size:
         ambient += 1
     tables = _slot_tables(ambient, rank)
-    if len(tables.slots) != a.size:
+    if tables.dual.size != a.size:
         raise ValueError(f"{a.size} coefficients do not form a rank-{rank} wedge")
     return (a * tables.dual_sign) @ b[tables.dual]
 
@@ -214,7 +240,7 @@ def rho_wedge(x, w, rank):
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
     tables = _slot_tables(x.size + 2, rank)
-    if w.shape[0] != len(tables.slots):
+    if w.shape[0] != tables.dual.size:
         raise ValueError("spatial vector dimension mismatch")
     coef = (x[tables.rho_comp] * tables.rho_sign).reshape((-1,) + (1,) * (w.ndim - 1))
     out = np.zeros_like(w)

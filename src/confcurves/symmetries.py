@@ -6,6 +6,7 @@ of conserved quantities.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,7 +14,8 @@ import numpy as np
 from .curves import CurveJet
 from .jets import JetScalar
 from .mercator import PhasePoint, hamiltonian, mercator_C, poisson_bracket_fd
-from .multilinear import antisymmetrize, epsilon
+from .multilinear import antisymmetrize, index_tuples
+from .tractors import _pairing_families, q_keys
 
 __all__ = [
     "KillingField",
@@ -192,29 +194,14 @@ def e_quantities(p: PhasePoint) -> EQuantities:
 
 def q_phase(p: PhasePoint):
     """The four pairing-quantity families as polynomials in the phase
-    variables, keyed like :func:`confcurves.tractors.q_quantities`."""
-    n = p.dim
-    X, U, P, R = p.X, p.U, p.P, p.R
-    UR = float(U @ R)
-    X2 = float(X @ X)
-    N = n + 1
-    out = {}
-    for i, j in itertools.combinations(range(1, n + 1), 2):
-        val = -UR * epsilon((i, j), U, R) + epsilon((i, j), U, P)
-        val -= sum(epsilon((i, j, k), U, R, P) * X[k - 1] for k in range(1, n + 1))
-        out[(0, i, j, N)] = val
-    for i, j, k in itertools.combinations(range(1, n + 1), 3):
-        val = (
-            UR * epsilon((i, j, k), X, U, R)
-            + epsilon((i, j, k), U, X, P)
-            + 0.5 * X2 * epsilon((i, j, k), U, R, P)
-        )
-        val += sum(epsilon((i, j, k, l), X, U, R, P) * X[l - 1] for l in range(1, n + 1))
-        out[(0, i, j, k)] = -val
-        out[(i, j, k, N)] = -epsilon((i, j, k), U, R, P)
-    for idx in itertools.combinations(range(1, n + 1), 4):
-        out[idx] = -epsilon(idx, X, U, R, P)
-    return out
+    variables, keyed by :func:`confcurves.tractors.q_keys` like
+    :func:`confcurves.tractors.q_quantities`.
+
+    They are the curve-data forms with ``(A, A')`` replaced by ``(R, P)`` and
+    the weights ``(3 (U.A)/u^4, -1/u^2, 1/u^4)`` by ``(-U.R, 1, -1)``.
+    """
+    families = _pairing_families(p.X, p.U, p.R, p.P, (-float(p.U @ p.R), 1.0, -1.0))
+    return dict(zip(q_keys(p.dim), np.concatenate(families).tolist()))
 
 
 def quantity_identities(p: PhasePoint):
@@ -227,44 +214,23 @@ def quantity_identities(p: PhasePoint):
     and the operand scale for relative comparisons.
     """
     n = p.dim
-    q = q_phase(p)
     e = e_quantities(p)
     E_T, E_R, E_D, E_S = e.E_T, e.E_R, e.E_D, e.E_S
-
+    # q_phase lists its values in q_keys order, one family after another
+    q = np.array(list(q_phase(p).values()))
+    q2, q3, q3N, q4 = np.split(q, np.cumsum([math.comb(n, 2), math.comb(n, 3), math.comb(n, 3)]))
+    (i, j), triples, quads = (tuple(index_tuples(n, k).T) for k in (2, 3, 4))
+    sides = {
+        "0ijN": (q2, 0.5 * (E_T[i] * E_S[j] - E_T[j] * E_S[i]) - E_D * E_R[i, j]),
+        "0ijk": (q3, 1.5 * antisymmetrize(E_R[:, :, None] * E_S)[triples]),
+        "ijkN": (q3N, -3.0 * antisymmetrize(E_R[:, :, None] * E_T)[triples]),
+        "ijkl": (E_D * q4, 6.0 * antisymmetrize(E_R[:, :, None, None] * E_S[:, None] * E_T)[quads]),
+    }
     report = {}
-
-    def record(family, lhs, rhs):
-        lhs = np.atleast_1d(lhs)
-        rhs = np.atleast_1d(rhs)
+    for family, (lhs, rhs) in sides.items():
         resid = float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
         scale = float(np.max(np.abs(np.concatenate([lhs, rhs])))) if lhs.size else 0.0
         report[family] = {"residual": resid, "scale": scale}
-
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
-    lhs1 = np.array([q[(0, i, j, n + 1)] for i, j in pairs])
-    rhs1 = np.array(
-        [
-            0.5 * (E_T[i - 1] * E_S[j - 1] - E_T[j - 1] * E_S[i - 1]) - E_D * E_R[i - 1, j - 1]
-            for i, j in pairs
-        ]
-    )
-    record("0ijN", lhs1, rhs1)
-
-    triples = list(itertools.combinations(range(1, n + 1), 3))
-    rs = antisymmetrize(E_R[:, :, None] * E_S[None, None, :])
-    rt = antisymmetrize(E_R[:, :, None] * E_T[None, None, :])
-    lhs2 = np.array([q[(0, i, j, k)] for i, j, k in triples])
-    rhs2 = np.array([1.5 * rs[i - 1, j - 1, k - 1] for i, j, k in triples])
-    record("0ijk", lhs2, rhs2)
-    lhs3 = np.array([q[(i, j, k, n + 1)] for i, j, k in triples])
-    rhs3 = np.array([-3.0 * rt[i - 1, j - 1, k - 1] for i, j, k in triples])
-    record("ijkN", lhs3, rhs3)
-
-    quads = list(itertools.combinations(range(1, n + 1), 4))
-    rst = antisymmetrize(E_R[:, :, None, None] * E_S[None, None, :, None] * E_T[None, None, None, :])
-    lhs4 = np.array([E_D * q[idx] for idx in quads])
-    rhs4 = np.array([6.0 * rst[i - 1, j - 1, k - 1, l - 1] for i, j, k, l in quads])
-    record("ijkl", lhs4, rhs4)
     return report
 
 

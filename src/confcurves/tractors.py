@@ -15,6 +15,7 @@ classifies a key into one of the four index families.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ import numpy as np
 
 from .curves import CurveJet
 from .jets import JetScalar
-from .multilinear import epsilon, rho_wedge, tractor_metric_pair, wedge, wedge_pair
+from .multilinear import minors, rho_wedge, tractor_metric_pair, wedge, wedge_pair
 
 __all__ = [
     "UndefinedInvariantError",
@@ -33,6 +34,7 @@ __all__ = [
     "gram_invariants",
     "closed_form_alpha1_delta4",
     "is_conformal_circle",
+    "q_keys",
     "q_quantities",
     "quantity_family",
     "parallel_section_oracle",
@@ -223,21 +225,59 @@ def quantity_family(key, n):
     return "ijk"
 
 
+@functools.cache
+def q_keys(n, rank=4):
+    """Keys of the rank-``rank`` pairing quantities in dimension ``n``, family
+    by family: ``(0, I, n+1)`` over the ``(rank-2)``-tuples ``I`` of spatial
+    slots, then ``(0, I)`` and ``(I, n+1)`` over the ``(rank-1)``-tuples, then
+    the ``rank``-tuples ``I``; each family in combinations order."""
+    spatial = range(1, n + 1)
+    N = n + 1
+    keys = [(0, *t, N) for t in itertools.combinations(spatial, rank - 2)]
+    keys += [(0, *t) for t in itertools.combinations(spatial, rank - 1)]
+    keys += [(*t, N) for t in itertools.combinations(spatial, rank - 1)]
+    keys += list(itertools.combinations(spatial, rank))
+    return tuple(keys)
+
+
+def _pairing_families(X, U, A, B, weights):
+    """The four rank-4 families in :func:`q_keys` order, for a position ``X``,
+    three vectors ``U, A, B`` and weights ``(w1, w2, w3)``, as minors of the
+    column stack ``[X, U, A, B]`` (``eps`` is
+    :func:`confcurves.multilinear.epsilon`):
+
+    * ``0ijN``: ``w1 eps(ij; U,A) + w2 eps(ij; U,B) + w3 sum_l eps(ijl; U,A,B) X_l``
+    * ``0ijk``: ``w1 eps(ijk; X,U,A) + w2 eps(ijk; X,U,B)
+      + w3 (|X|^2/2 eps(ijk; U,A,B) + sum_l eps(ijkl; X,U,A,B) X_l)``
+    * ``ijkN``: ``w3 eps(ijk; U,A,B)``
+    * ``ijkl``: ``w3 eps(ijkl; X,U,A,B)``
+    """
+    w1, w2, w3 = weights
+    M = np.column_stack([X, U, A, B])
+    uab = minors(M[:, 1:])
+    return (
+        w1 * minors(M[:, [1, 2]]) + w2 * minors(M[:, [1, 3]]) + w3 * minors(M[:, 1:], X),
+        w1 * minors(M[:, :3])
+        + w2 * minors(M[:, [0, 1, 3]])
+        + w3 * (0.5 * float(X @ X) * uab + minors(M, X)),
+        w3 * uab,
+        w3 * minors(M),
+    )
+
+
 def q_quantities(jet: CurveJet, scale_by_delta4: bool = False):
     """The four families of pairing quantities in terms of the position and
-    its first three derivative vectors, keyed by increasing slot tuple.
+    its first three derivative vectors, keyed by :func:`q_keys`.
 
-    With ``scale_by_delta4`` every value is multiplied by
-    ``(-delta_4)^(-1/2)``, defined only on the negative-delta_4 class.
+    Each family is a weighted sum of batched minors of ``[X, U, A, A']``
+    with weights ``(3 (U.A)/u^4, -1/u^2, 1/u^4)``; see
+    :func:`_pairing_families`.  With ``scale_by_delta4`` every value is
+    multiplied by ``(-delta_4)^(-1/2)``, defined only on the negative-delta_4
+    class.
     """
     jet.require_order(3, "pairing quantities")
-    n = jet.dim
-    X, U, A, Ap = jet.X, jet.U, jet.A, jet.Ap
-    u2 = jet.u2
-    iu2 = 1.0 / u2
+    iu2 = 1.0 / jet.u2
     iu4 = iu2 * iu2
-    UA = float(U @ A)
-    X2 = float(X @ X)
     factor = 1.0
     if scale_by_delta4:
         _, delta4 = closed_form_alpha1_delta4(jet)
@@ -246,29 +286,9 @@ def q_quantities(jet: CurveJet, scale_by_delta4: bool = False):
                 f"scaling needs delta_4 < 0, got {delta4:.3e}"
             )
         factor = (-delta4) ** -0.5
-
-    N = n + 1
-    out = {}
-    for i, j in itertools.combinations(range(1, n + 1), 2):
-        val = 3 * iu4 * UA * epsilon((i, j), U, A) - iu2 * epsilon((i, j), U, Ap)
-        val += iu4 * sum(
-            epsilon((i, j, l), U, A, Ap) * X[l - 1] for l in range(1, n + 1)
-        )
-        out[(0, i, j, N)] = factor * val
-    for i, j, k in itertools.combinations(range(1, n + 1), 3):
-        val = (
-            3 * iu4 * UA * epsilon((i, j, k), X, U, A)
-            - iu2 * epsilon((i, j, k), X, U, Ap)
-            + 0.5 * X2 * iu4 * epsilon((i, j, k), U, A, Ap)
-        )
-        val += iu4 * sum(
-            epsilon((i, j, k, l), X, U, A, Ap) * X[l - 1] for l in range(1, n + 1)
-        )
-        out[(0, i, j, k)] = factor * val
-        out[(i, j, k, N)] = factor * iu4 * epsilon((i, j, k), U, A, Ap)
-    for idx in itertools.combinations(range(1, n + 1), 4):
-        out[idx] = factor * iu4 * epsilon(idx, X, U, A, Ap)
-    return out
+    weights = (3 * iu4 * float(jet.U @ jet.A), -iu2, iu4)
+    values = np.concatenate(_pairing_families(jet.X, jet.U, jet.A, jet.Ap, weights))
+    return dict(zip(q_keys(jet.dim), (factor * values).tolist()))
 
 
 def parallel_section_oracle(jet: CurveJet, rank: int = 4):
@@ -302,35 +322,28 @@ def parallel_section_oracle(jet: CurveJet, rank: int = 4):
 
 def q_circle_quantities(jet: CurveJet):
     """The rank-3 pairing quantities (the conformal-circle family), keyed by
-    increasing slot tuple.
+    ``q_keys(n, 3)``.
 
     The position-dependent rank-2 family sits at ``(0, i, j)``; the
     position-free one pairs with the spatial-plus-null elements and sits at
-    ``(i, j, n+1)``.
+    ``(i, j, n+1)``.  Like :func:`q_quantities`, each family is a weighted
+    sum of batched minors, here of ``[X, U, A]``.
     """
     jet.require_order(2, "circle quantities")
-    n = jet.dim
     X, U, A = jet.X, jet.U, jet.A
-    u = jet.u
-    iu1 = 1.0 / u
+    iu1 = 1.0 / jet.u
     iu3 = iu1 / jet.u2
-    X2 = float(X @ X)
-    N = n + 1
-    out = {}
-    for i in range(1, n + 1):
-        out[(0, i, N)] = iu1 * U[i - 1] + iu3 * sum(
-            epsilon((i, k), U, A) * X[k - 1] for k in range(1, n + 1)
-        )
-    for i, j in itertools.combinations(range(1, n + 1), 2):
-        out[(0, i, j)] = (
-            -iu1 * epsilon((i, j), X, U)
-            + 0.5 * iu3 * X2 * epsilon((i, j), U, A)
-            - iu3 * sum(epsilon((i, j, k), X, U, A) * X[k - 1] for k in range(1, n + 1))
-        )
-        out[(i, j, N)] = iu3 * epsilon((i, j), U, A)
-    for idx in itertools.combinations(range(1, n + 1), 3):
-        out[idx] = iu3 * epsilon(idx, X, U, A)
-    return out
+    M = np.column_stack([X, U, A])
+    ua = minors(M[:, 1:])
+    values = np.concatenate(
+        [
+            iu1 * U + iu3 * minors(M[:, 1:], X),
+            -iu1 * minors(M[:, :2]) + iu3 * (0.5 * float(X @ X) * ua - minors(M, X)),
+            iu3 * ua,
+            iu3 * minors(M),
+        ]
+    )
+    return dict(zip(q_keys(jet.dim, 3), values.tolist()))
 
 
 def kappa1(jet: CurveJet):

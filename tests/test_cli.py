@@ -104,6 +104,9 @@ class TestVerify:
             ["quantities", *SPIRAL_ARGS, "--samples", "2", "--t1", "200", "--out", "x.csv"],
             # argparse reads a value starting with '-' as a flag
             ["verify", *CIRCLE_ARGS[:-1], "-1,-1"],
+            # |p0|^2 overflows in the spiral's own setup, before any sample
+            ["verify", "--family", "spiral", "--n", "3", "--c", "2", "--p0", "1e200,0,0",
+             "--q0", "0,1e200,0", "--r0", "0.3,-0.2,0.5", "--samples", "3"],
         ):
             assert_config_error(argv, capsys)
 
@@ -218,6 +221,11 @@ class TestIntegrate:
             # 1 / 0.3 is not a whole number of steps
             ["integrate", *SPIRAL_ARGS, "--t-end", "1", "--h", "0.3", "--out", "x.csv"],
             ["integrate", *SPIRAL_ARGS, "--t0", "800", "--out", "x.csv"],
+            # the solution jet of a huge initial point overflows
+            ["integrate", "--x", "0,0", "--u", "1e200,0", "--p", "0,0", "--r", "0,0",
+             "--t-end", "0.01", "--h", "0.01", "--out", "x.csv"],
+            ["integrate", "--x", "0,0", "--u", "1,0", "--p", "1e300,0", "--r", "0,0",
+             "--t-end", "0.01", "--h", "0.01", "--out", "x.csv"],
         ):
             assert_config_error(argv, capsys)
 
@@ -311,13 +319,17 @@ class TestQuantities:
 
 
 BAD_NUMBERS = ("0", "-1", "nan", "inf", "800")
+# drawn for vector components and --c only: --h 1e-160 would be a valid run
+# of about 1e160 RK4 steps
+MAGNITUDES = ("1e200", "1e-160")
 
 
 @st.composite
 def cli_argv(draw):
-    """An argv from the parser's grammar: valid values, with up to two
-    numeric or vector flags replaced by a number from BAD_NUMBERS (a whole
-    vector of it).  Values go after ``=`` or, which argparse rejects for a
+    """An argv from the parser's grammar: valid values, maybe one vector
+    flag or --c scaled by a number from MAGNITUDES, then up to two numeric
+    or vector flags replaced by a number from BAD_NUMBERS (a whole vector
+    of it).  Values go after ``=`` or, which argparse rejects for a
     vector starting with '-', as the next word."""
     n = draw(st.integers(2, 4))
     command = draw(st.sampled_from(("verify", "integrate", "relations", "quantities")))
@@ -337,6 +349,11 @@ def cli_argv(draw):
             flags.update({"t-end": "0.01", "h": "0.005", "store-every": str(draw(st.integers(-1, 3)))})
         else:
             flags["t1"] = "1"
+    sized = sorted(k for k in flags if k == "c" or "," in flags[k])
+    magnitude = draw(st.sampled_from((*MAGNITUDES, None)))
+    if magnitude and sized:
+        name = draw(st.sampled_from(sized))
+        flags[name] = ",".join(repr(float(v) * float(magnitude)) for v in flags[name].split(","))
     numeric = sorted(k for k in flags if k not in ("n", "samples", "store-every", "family"))
     for name in draw(st.lists(st.sampled_from(numeric), max_size=2, unique=True)) if numeric else ():
         # --t-end 800 would be a valid run of minutes, so it is not drawn
@@ -354,7 +371,7 @@ def cli_argv(draw):
 
 
 @settings(
-    max_examples=60,
+    max_examples=100,
     deadline=None,
     derandomize=True,
     database=None,

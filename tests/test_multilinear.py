@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from confcurves import (
     wedge,
     wedge_pair,
 )
-from confcurves.multilinear import rho_wedge, tractor_metric_pair
+from confcurves.multilinear import minors, rho_wedge, tractor_metric_pair
 
 from conftest import random_curve_jet
 
@@ -84,6 +85,59 @@ class TestEpsilon:
                         + float(X @ P) * epsilon((i, j, k), X, U, R)
                     )
                     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+def epsilon_loops(cols, border=None):
+    """``minors`` through per-tuple ``epsilon`` calls (1-based indices)."""
+    n, k = cols.shape
+    vecs = list(cols.T)
+    if border is None:
+        return [epsilon(idx, *vecs) for idx in itertools.combinations(range(1, n + 1), k)]
+    return [
+        sum(epsilon(idx + (l,), *vecs) * border[l - 1] for l in range(1, n + 1))
+        for idx in itertools.combinations(range(1, n + 1), k - 1)
+    ]
+
+
+def exact_minors(cols, border=None):
+    """``minors`` of an integer stack by the Leibniz formula in Python ints."""
+    cols = cols.astype(int).tolist()
+    n, k = len(cols), len(cols[0])
+
+    def det(rows):
+        return sum(
+            (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+            * math.prod(row[c] for row, c in zip(rows, perm))
+            for perm in itertools.permutations(range(k))
+        )
+
+    if border is None:
+        return [det([cols[i] for i in I]) for I in itertools.combinations(range(n), k)]
+    edge = [sum(int(b) * row[c] for b, row in zip(border, cols)) for c in range(k)]
+    return [det([cols[i] for i in I] + [edge]) for I in itertools.combinations(range(n), k - 1)]
+
+
+class TestMinors:
+    def test_matches_epsilon_loops(self, rng):
+        for n in range(2, 8):
+            for k in range(1, 5):
+                cols = rng.uniform(-1.0, 1.0, (n, k))
+                for border in (None, rng.uniform(-1.0, 1.0, n)):
+                    got = minors(cols, border)
+                    expect = np.array(epsilon_loops(cols, border))
+                    assert got.shape == expect.shape == (math.comb(n, k if border is None else k - 1),)
+                    assert np.all(np.abs(got - expect) <= 1e-13 * (1.0 + np.abs(expect)))
+
+    def test_integer_columns_round_to_the_exact_minors(self, rng):
+        # np.linalg.det factors through LU, so integer minors come back
+        # within round-off of the exact integers, not always equal to them
+        for n in range(2, 8):
+            for k in range(1, 5):
+                cols = rng.integers(-3, 4, (n, k)).astype(float)
+                for border in (None, rng.integers(-3, 4, n).astype(float)):
+                    exact = np.array(exact_minors(cols, border), dtype=float)
+                    for got in (minors(cols, border), np.array(epsilon_loops(cols, border))):
+                        assert np.all(np.abs(got - exact) <= 1e-13 * (1.0 + np.abs(exact)))
 
 
 class TestAntisymmetrize:

@@ -249,8 +249,8 @@ class TestQQuantities:
 class TestParallelSectionOracle:
     def test_matches_closed_forms(self, rng):
         worst = 0.0
-        for _ in range(50):
-            n = int(rng.choice([3, 4, 5]))
+        for trial in range(50):
+            n = 2 + trial % 7
             jet = random_curve_jet(rng, n)
             q = q_quantities(jet)
             oracle = parallel_section_oracle(jet)
@@ -332,8 +332,8 @@ class TestCircleQuantities:
                 assert vals.max() - vals.min() <= 1e-9 * (1.0 + np.max(np.abs(vals)))
 
     def test_rank3_oracle_agreement(self, rng):
-        for _ in range(20):
-            n = int(rng.integers(2, 5))
+        for trial in range(20):
+            n = 2 + trial % 7
             jet = random_curve_jet(rng, n, levels=4)
             q = q_circle_quantities(jet)
             oracle = parallel_section_oracle(jet, rank=3)
