@@ -26,8 +26,6 @@ from .mercator import (
     solution_jet,
 )
 from .multilinear import (
-    antisymmetrize,
-    dot,
     epsilon,
     wedge,
     wedge_pair,

@@ -11,8 +11,6 @@ Conventions used throughout the package:
   for *any* index tuple (repeats give 0, odd reorderings flip the sign).
   ``minors`` gives it on every increasing index tuple at once, as one
   batched determinant; ``epsilon`` is the per-tuple oracle.
-* Antisymmetrization over bracketed indices includes the 1/m!
-  normalization, so it is a projection.
 * A tractor is an ``(n+2)``-vector in slot order ``0, 1..n, n+1``: an
   ndarray of values, or a vector jet when its parameter derivatives are
   tracked.
@@ -25,29 +23,20 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "dot",
     "epsilon",
     "index_tuples",
     "minors",
-    "antisymmetrize",
     "tractor_metric_pair",
     "wedge",
     "wedge_pair",
     "rho_wedge",
 ]
-
-
-def dot(a, b):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(a @ b)
 
 
 def epsilon(idx, *vectors):
@@ -118,28 +107,16 @@ def _perm_sign(perm):
     return sign
 
 
-def antisymmetrize(array, axes=None):
-    """Average of signed permutations of ``axes`` (all axes by default)."""
-    arr = np.asarray(array, dtype=float)
-    if axes is None:
-        axes = tuple(range(arr.ndim))
-    axes = tuple(axes)
-    dims = {arr.shape[a] for a in axes}
-    if len(dims) > 1:
-        raise ValueError("antisymmetrized axes must have equal lengths")
-    out = np.zeros_like(arr)
-    for perm in itertools.permutations(range(len(axes))):
-        order = list(range(arr.ndim))
-        for pos, p in zip(axes, perm):
-            order[pos] = axes[p]
-        out += _perm_sign(perm) * np.transpose(arr, order)
-    return out / math.factorial(len(axes))
-
-
 def tractor_metric_pair(a, b):
-    """Indefinite pairing of two tractors, arrays or vector jets: the two
-    null slots cross-pair, the spatial block is Euclidean."""
-    return a[0] * b[-1] + a[-1] * b[0] + a[1:-1].dot(b[1:-1])
+    """Indefinite pairing of two tractors: the two null slots cross-pair,
+    the spatial block is Euclidean.  ``a`` and ``b`` are vector jets, or
+    arrays with the slot axis first that broadcast against each other, such
+    as ``(n+2, m, 1)`` and ``(n+2, 1, m)`` column stacks for all pairings
+    of ``m`` tractors at once."""
+    # spatial slots summed one by one in order, so stacked values repeat
+    # the values of the jet pairings to the bit
+    spatial = functools.reduce(operator.add, a[1:-1] * b[1:-1])
+    return a[0] * b[-1] + a[-1] * b[0] + spatial
 
 
 class _SlotTables(NamedTuple):

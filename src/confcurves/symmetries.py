@@ -14,7 +14,7 @@ import numpy as np
 from .curves import CurveJet
 from .jets import JetScalar
 from .mercator import PhasePoint, hamiltonian, mercator_C, poisson_bracket_fd
-from .multilinear import antisymmetrize, index_tuples
+from .multilinear import index_tuples
 from .tractors import _pairing_families, q_keys
 
 __all__ = [
@@ -219,12 +219,23 @@ def quantity_identities(p: PhasePoint):
     # q_phase lists its values in q_keys order, one family after another
     q = np.array(list(q_phase(p).values()))
     q2, q3, q3N, q4 = np.split(q, np.cumsum([math.comb(n, 2), math.comb(n, 3), math.comb(n, 3)]))
-    (i, j), triples, quads = (tuple(index_tuples(n, k).T) for k in (2, 3, 4))
+    (i, j), (a, b, c), (w, x, y, z) = (tuple(index_tuples(n, k).T) for k in (2, 3, 4))
+
+    def split3(v):
+        # the signed splits of each increasing triple into a pair and a slot
+        return E_R[a, b] * v[c] - E_R[a, c] * v[b] + E_R[b, c] * v[a]
+
+    # the six signed splits of each increasing quadruple into two pairs
+    W = np.outer(E_S, E_T) - np.outer(E_T, E_S)
+    split4 = (
+        E_R[w, x] * W[y, z] - E_R[w, y] * W[x, z] + E_R[w, z] * W[x, y]
+        + E_R[x, y] * W[w, z] - E_R[x, z] * W[w, y] + E_R[y, z] * W[w, x]
+    )
     sides = {
         "0ijN": (q2, 0.5 * (E_T[i] * E_S[j] - E_T[j] * E_S[i]) - E_D * E_R[i, j]),
-        "0ijk": (q3, 1.5 * antisymmetrize(E_R[:, :, None] * E_S)[triples]),
-        "ijkN": (q3N, -3.0 * antisymmetrize(E_R[:, :, None] * E_T)[triples]),
-        "ijkl": (E_D * q4, 6.0 * antisymmetrize(E_R[:, :, None, None] * E_S[:, None] * E_T)[quads]),
+        "0ijk": (q3, 0.5 * split3(E_S)),
+        "ijkN": (q3N, -split3(E_T)),
+        "ijkl": (E_D * q4, 0.5 * split4),
     }
     report = {}
     for family, (lhs, rhs) in sides.items():

@@ -92,17 +92,14 @@ def canonical_tractors(jet: CurveJet, count: int):
     return [t.value for t in canonical_tractor_jets(jet, count)]
 
 
-def _jet_det(rows):
-    if len(rows) == 1:
-        return rows[0][0]
-    acc = None
-    for j, entry in enumerate(rows[0]):
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = entry * _jet_det(minor)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
+@functools.cache
+def _row_orders(k):
+    """Every assignment of Taylor orders to the four rows of a determinant
+    whose total is at most ``k``, as a read-only ``(count, 4)`` array."""
+    orders = [o for o in itertools.product(range(k + 1), repeat=4) if sum(o) <= k]
+    orders = np.array(orders, dtype=np.intp)
+    orders.flags.writeable = False
+    return orders
 
 
 @dataclass
@@ -152,22 +149,30 @@ def gram_invariants(jet: CurveJet, max_ell: int = 5) -> GramInvariants:
     if not 3 <= max_ell <= 5:
         raise ValueError("max_ell must lie in 3..5")
     trs = canonical_tractor_jets(jet, max_ell)
-    pairs = {}
-    for a, b in itertools.combinations_with_replacement(range(max_ell), 2):
-        # each tractor has one order less than the one before it
-        pairs[a, b] = pairs[b, a] = tractor_metric_pair(trs[a].truncated(trs[b].order), trs[b])
-    gram = np.array([[pairs[a, b].value for b in range(max_ell)] for a in range(max_ell)])
+    values = np.column_stack([t.value for t in trs])
+    gram = tractor_metric_pair(values[:, :, None], values[:, None, :])
     delta4_jet = None
     if max_ell >= 4:
+        # Taylor coefficients G_j of the pairings of the first four
+        # tractors; each tractor has one order less than the one before it
         k = trs[3].order
-        delta4_jet = _jet_det([[pairs[a, b].truncated(k) for b in range(4)] for a in range(4)])
+        coeffs = np.stack([t.coeffs[:, : k + 1] for t in trs[:4]], axis=1)
+        pairs = tractor_metric_pair(coeffs[:, :, None, :, None], coeffs[:, None, :, None, :])
+        total = np.add.outer(np.arange(k + 1), np.arange(k + 1))
+        G = np.array([pairs[:, :, total == j].sum(axis=-1) for j in range(k + 1)])
+        # the determinant is linear in each row: coefficient j sums the
+        # determinants whose row r comes from G_{o_r}, over the orders o
+        # that total j
+        orders = _row_orders(k)
+        dets = np.linalg.det(G[orders, np.arange(4)])
+        delta4_jet = JetScalar(np.bincount(orders.sum(axis=1), weights=dets, minlength=k + 1))
     return GramInvariants(
         delta3=float(np.linalg.det(gram[:3, :3])),
         delta4=None if delta4_jet is None else delta4_jet.value,
         delta5=float(np.linalg.det(gram)) if max_ell == 5 else None,
         alpha1=float(gram[2, 2]),
         alpha2=float(gram[3, 3]) if max_ell >= 4 else None,
-        alpha1_jet=pairs[2, 2],
+        alpha1_jet=tractor_metric_pair(trs[2], trs[2]),
         delta4_jet=delta4_jet,
         gram=gram,
     )

@@ -107,8 +107,24 @@ class TestVerify:
             # |p0|^2 overflows in the spiral's own setup, before any sample
             ["verify", "--family", "spiral", "--n", "3", "--c", "2", "--p0", "1e200,0,0",
              "--q0", "0,1e200,0", "--r0", "0.3,-0.2,0.5", "--samples", "3"],
+            # the Noether checks need a rotation plane
+            ["verify", "--family", "circle", "--x0", "0", "--u0", "1", "--a0", "0"],
         ):
             assert_config_error(argv, capsys)
+
+    def test_straight_line_decay_order_is_vacuous(self, tmp_path, capsys):
+        # both parallel defects are exactly 0, so there is no order to measure
+        out = tmp_path / "line.json"
+        code = main(
+            [
+                "verify", "--family", "circle", "--n", "3",
+                "--x0", "0,0,0", "--u0", "1,0,0", "--a0", "0,0,0", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        assert "note  t3_parallel_decay_order: vacuous" in capsys.readouterr().out
+        names = {r["name"] for r in json.loads(out.read_text())["checks"]}
+        assert "t3_parallel_decay_order" not in names
 
     def test_tolerance_override_can_fail(self, capsys):
         code = main(["verify", *SPIRAL_ARGS, "--tol", "delta4_matches_pitch=1e-30"])
@@ -225,6 +241,12 @@ class TestIntegrate:
             ["integrate", "--x", "0,0", "--u", "1e200,0", "--p", "0,0", "--r", "0,0",
              "--t-end", "0.01", "--h", "0.01", "--out", "x.csv"],
             ["integrate", "--x", "0,0", "--u", "1,0", "--p", "1e300,0", "--r", "0,0",
+             "--t-end", "0.01", "--h", "0.01", "--out", "x.csv"],
+            # initial vectors of unequal length
+            ["integrate", "--x", "0,0,0", "--u", "1,0", "--p", "0,0", "--r", "0,0",
+             "--t-end", "0.01", "--h", "0.01", "--out", "x.csv"],
+            # initial vectors whose length is not --n
+            ["integrate", "--n", "3", "--x", "0,0", "--u", "1,0", "--p", "0,0", "--r", "0,0",
              "--t-end", "0.01", "--h", "0.01", "--out", "x.csv"],
         ):
             assert_config_error(argv, capsys)

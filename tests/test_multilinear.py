@@ -6,9 +6,7 @@ import pytest
 
 from confcurves import (
     JetScalar,
-    antisymmetrize,
     canonical_tractors,
-    dot,
     epsilon,
     wedge,
     wedge_pair,
@@ -16,21 +14,6 @@ from confcurves import (
 from confcurves.multilinear import minors, rho_wedge, tractor_metric_pair
 
 from conftest import random_curve_jet
-
-
-class TestDot:
-    def test_spiral_point_value(self):
-        assert dot([1.0, 1.0], [0.0, 2.0]) == 2.0
-
-    def test_self_dot(self):
-        assert dot([3.0, 4.0], [3.0, 4.0]) == 25.0
-
-    def test_orthogonal(self):
-        assert dot([1.0, 0.0], [0.0, 1.0]) == 0.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            dot([1.0, 0.0], [1.0, 0.0, 0.0])
 
 
 class TestEpsilon:
@@ -138,41 +121,6 @@ class TestMinors:
                     exact = np.array(exact_minors(cols, border), dtype=float)
                     for got in (minors(cols, border), np.array(epsilon_loops(cols, border))):
                         assert np.all(np.abs(got - exact) <= 1e-13 * (1.0 + np.abs(exact)))
-
-
-class TestAntisymmetrize:
-    def test_zero_factor(self):
-        er = np.random.default_rng(0).normal(size=(3, 3))
-        er = er - er.T
-        et = np.zeros(3)
-        out = antisymmetrize(er[:, :, None] * et[None, None, :])
-        assert np.allclose(out, 0.0)
-
-    def test_bracket_identity_standard_basis(self):
-        # three-fold bracket of a rank-2 alternating tensor with a vector
-        # reproduces the rank-3 tensor
-        p0, q0, r0 = np.eye(3)
-        er = np.array([[epsilon((i + 1, j + 1), p0, q0) for j in range(3)] for i in range(3)])
-        out = 3.0 * antisymmetrize(er[:, :, None] * r0[None, None, :])
-        assert out[0, 1, 2] == pytest.approx(epsilon((1, 2, 3), p0, q0, r0))
-        assert out[0, 1, 2] == pytest.approx(1.0)
-
-    def test_bracket_identity_random(self, rng):
-        for n in (3, 4):
-            y, z, w = (rng.normal(size=n) for _ in range(3))
-            er = np.array(
-                [[epsilon((i + 1, j + 1), y, z) for j in range(n)] for i in range(n)]
-            )
-            out = 3.0 * antisymmetrize(er[:, :, None] * w[None, None, :])
-            for i, j, k in itertools.combinations(range(1, n + 1), 3):
-                assert out[i - 1, j - 1, k - 1] == pytest.approx(
-                    epsilon((i, j, k), y, z, w), rel=1e-12, abs=1e-12
-                )
-
-    def test_projection_idempotent(self, rng):
-        arr = rng.normal(size=(4, 4, 4))
-        anti = antisymmetrize(arr)
-        assert np.allclose(antisymmetrize(anti), anti, atol=1e-14)
 
 
 def basis_tractor(ambient, slot):

@@ -24,6 +24,7 @@ from confcurves import (
     q_quantities,
     quantity_family,
 )
+from confcurves.multilinear import tractor_metric_pair
 from conftest import (
     random_circle,
     random_curve_jet,
@@ -102,7 +103,53 @@ class TestCanonicalSequence:
             CurveJet.from_derivatives(0.0, [np.zeros(3), np.zeros(3), np.ones(3)])
 
 
+def pair_jets(trs, count):
+    """Pairing jets of the first ``count`` tractors, each truncated to the
+    lower order of its two factors."""
+    return {
+        (a, b): tractor_metric_pair(trs[a].truncated(trs[b].order), trs[b])
+        for a in range(count)
+        for b in range(count)
+        if a <= b
+    }
+
+
+def cofactor_det(rows):
+    """Laplace expansion along the first row in jet arithmetic."""
+    if len(rows) == 1:
+        return rows[0][0]
+    acc = None
+    for j, entry in enumerate(rows[0]):
+        term = entry * cofactor_det([r[:j] + r[j + 1 :] for r in rows[1:]])
+        if j % 2:
+            term = -term
+        acc = term if acc is None else acc + term
+    return acc
+
+
 class TestGramInvariants:
+    def test_gram_repeats_the_jet_pairings(self, rng):
+        for trial in range(35):
+            n = 2 + trial % 7
+            jet = random_curve_jet(rng, n, levels=6)
+            pairs = pair_jets(canonical_tractor_jets(jet, 5), 5)
+            expect = np.array([[pairs[min(a, b), max(a, b)].value for b in range(5)] for a in range(5)])
+            assert np.array_equal(gram_invariants(jet, 5).gram, expect)
+
+    def test_delta4_jet_matches_cofactor_expansion(self, rng):
+        for trial in range(56):
+            n = 2 + trial % 7
+            levels = 5 + trial % 4  # delta_4 jets of order 0 to 3
+            jet = random_curve_jet(rng, n, levels=levels)
+            trs = canonical_tractor_jets(jet, 4)
+            k = trs[3].order
+            pairs = pair_jets(trs, 4)
+            rows = [[pairs[min(a, b), max(a, b)].truncated(k) for b in range(4)] for a in range(4)]
+            expect = cofactor_det(rows).coeffs
+            got = gram_invariants(jet, 4).delta4_jet.coeffs
+            assert got.shape == expect.shape == (k + 1,)
+            assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
     def test_spiral_values(self, rng):
         for c in (0.8, 1.0, 2.0):
             spiral = random_spiral(rng, 3, c=c)
