@@ -24,6 +24,7 @@ from .mercator import (
     phase_from_jet,
     poisson_bracket_fd,
     solution_jet,
+    taylor_lift,
 )
 from .multilinear import (
     epsilon,

@@ -68,6 +68,23 @@ def _product(a, b):
     return out
 
 
+def _product_coefficient(a, b, j):
+    """Coefficient ``j`` of :func:`_product` of operands with more than
+    ``j`` coefficients, batched over leading axes, with the bits of
+    ``np.convolve``: below the last coefficient, the dot of ``a[:j+1]`` and
+    ``b[j::-1]`` it calls (here through ``np.matmul`` on contiguous
+    copies); the last, its small-kernel sum of the terms in order from 0.0
+    (through 12 coefficients with numpy 2.4; round-off beyond)."""
+    if j < a.shape[-1] - 1:
+        lhs = np.ascontiguousarray(a[..., : j + 1])[..., None, :]
+        rhs = np.ascontiguousarray(b[..., j::-1])[..., None]
+        return np.matmul(lhs, rhs)[..., 0, 0]
+    acc = 0.0
+    for p in range(j + 1):
+        acc = acc + a[..., p] * b[..., j - p]
+    return acc
+
+
 class JetScalar:
     """Taylor coefficients of a scalar or vector function, truncated at a
     fixed order."""

@@ -10,12 +10,13 @@ classical RK4, and evaluate Poisson brackets by central differences.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .curves import VELOCITY_FLOOR, CurveJet, DegenerateVelocityError
-from .jets import JetScalar
+from .jets import JetScalar, _product_coefficient
 
 __all__ = [
     "PhasePoint",
@@ -30,6 +31,7 @@ __all__ = [
     "integrate",
     "poisson_bracket_fd",
     "solution_jet",
+    "taylor_lift",
 ]
 
 
@@ -248,27 +250,42 @@ def poisson_bracket_fd(f, g, p: PhasePoint, step: float = 1e-5):
     return float(dfX @ dgP + dfU @ dgR - dgX @ dfP - dgU @ dfR)
 
 
-def solution_jet(p: PhasePoint, order: int = 6) -> CurveJet:
-    """Taylor lift of the flow through a phase point.
+def taylor_lift(states, order: int = 6) -> np.ndarray:
+    """Taylor coefficients ``(..., n, order+1)`` of the positions of the flow
+    through each state of a ``(..., 4n)`` array, laid out like
+    :meth:`PhasePoint.flat`.
 
-    The right-hand side is polynomial in the state, so the Taylor
-    coefficients of the solution follow by repeated substitution of the
-    truncated state jet into the equations of motion; the position part is
-    returned as a curve jet, all derivatives of the actual solution.
+    The right-hand side is polynomial, so the coefficients follow by
+    repeated substitution: step ``k`` needs all ``k+1`` coefficients of
+    ``U.U``, ``U.R`` and ``R.R`` but only coefficient ``k`` of the products
+    built from them.  Products keep the operands and the summation of the
+    jet product (:func:`confcurves.jets._product_coefficient`), and inner
+    products add their components in order, so every row repeats the
+    substitution in jet arithmetic to the bit, batched or alone, at the
+    orders where that helper does.
     """
-    n = p.dim
-    coeffs = np.zeros((4 * n, order + 1))
-    coeffs[:, 0] = p.flat()
+    states = np.asarray(states, dtype=float)
+    n = states.shape[-1] // 4
+    c = np.zeros(states.shape + (order + 1,))
+    c[..., 0] = states
     for k in range(order):
-        state = JetScalar(coeffs[:, : k + 1])
-        U = state[n : 2 * n]
-        P = state[2 * n : 3 * n]
-        R = state[3 * n : 4 * n]
-        u2 = U.norm_sq()
-        UR = U.dot(R)
-        R2 = R.norm_sq()
+        U, P, R = (c[..., i * n : (i + 1) * n, : k + 1] for i in (1, 2, 3))
+        a, b = np.stack([U, U, R], axis=-3), np.stack([U, R, R], axis=-3)
+        terms = np.stack([_product_coefficient(a, b, j) for j in range(k + 1)], axis=-1)
+        u2, UR, R2 = np.moveaxis(functools.reduce(np.add, np.moveaxis(terms, -2, 0)), -2, 0)
+        # 2 UR and -R2 as products with constant jets give them: 0.0 for -0.0
+        UR2, R2n = 0.0 + 2.0 * UR, 0.0 - R2
+        scalars = np.stack([u2, UR2, R2n, UR2], axis=-2)[..., None, :]
+        top = _product_coefficient(np.stack([R, U, U, R], axis=-3), scalars, k)
+        u2R, URU, R2U, URR = np.moveaxis(top, -2, 0)
         # the P rows stay zero: the position momentum is conserved
-        coeffs[0:n, k + 1] = U.coeffs[:, k] / (k + 1)
-        coeffs[n : 2 * n, k + 1] = (u2 * R - 2.0 * UR * U).coeffs[:, k] / (k + 1)
-        coeffs[3 * n :, k + 1] = (-1.0 * R2 * U + 2.0 * UR * R - P).coeffs[:, k] / (k + 1)
-    return CurveJet(0.0, JetScalar(coeffs[:n]))
+        c[..., :n, k + 1] = U[..., k] / (k + 1)
+        c[..., n : 2 * n, k + 1] = (u2R - URU) / (k + 1)
+        c[..., 3 * n :, k + 1] = (R2U + URR - P[..., k]) / (k + 1)
+    return c[..., :n, :]
+
+
+def solution_jet(p: PhasePoint, order: int = 6) -> CurveJet:
+    """Taylor lift of the flow through a phase point as a curve jet, all
+    derivatives of the actual solution (:func:`taylor_lift` of one row)."""
+    return CurveJet(0.0, JetScalar(taylor_lift(p.flat(), order)))

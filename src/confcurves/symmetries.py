@@ -5,8 +5,8 @@ of conserved quantities.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +15,7 @@ from .curves import CurveJet
 from .jets import JetScalar
 from .mercator import PhasePoint, hamiltonian, mercator_C, poisson_bracket_fd
 from .multilinear import index_tuples
-from .tractors import _pairing_families, q_keys
+from .tractors import _pairing_families, q_keys, quantity_family
 
 __all__ = [
     "KillingField",
@@ -204,6 +204,14 @@ def q_phase(p: PhasePoint):
     return dict(zip(q_keys(p.dim), np.concatenate(families).tolist()))
 
 
+@functools.cache
+def _family_sizes(n):
+    """Sizes of the first three families of ``q_keys(n)``, which lists the
+    four families one after another."""
+    families = [quantity_family(key, n) for key in q_keys(n)]
+    return tuple(families.count(f) for f in ("0ijN", "0ijk", "ijkN"))
+
+
 def quantity_identities(p: PhasePoint):
     """Residuals of the four identities expressing the pairing quantities
     through the basis quantities.
@@ -216,9 +224,8 @@ def quantity_identities(p: PhasePoint):
     n = p.dim
     e = e_quantities(p)
     E_T, E_R, E_D, E_S = e.E_T, e.E_R, e.E_D, e.E_S
-    # q_phase lists its values in q_keys order, one family after another
     q = np.array(list(q_phase(p).values()))
-    q2, q3, q3N, q4 = np.split(q, np.cumsum([math.comb(n, 2), math.comb(n, 3), math.comb(n, 3)]))
+    q2, q3, q3N, q4 = np.split(q, np.cumsum(_family_sizes(n)))
     (i, j), (a, b, c), (w, x, y, z) = (tuple(index_tuples(n, k).T) for k in (2, 3, 4))
 
     def split3(v):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import CurveJet
-from .jets import JetScalar
+from .jets import JetScalar, _product
 from .multilinear import minors, rho_wedge, tractor_metric_pair, wedge, wedge_pair
 
 __all__ = [
@@ -66,24 +66,21 @@ def canonical_tractor_jets(jet: CurveJet, count: int):
         raise ValueError("count must lie in 2..5")
     jet.require_order(count, "canonical tractor sequence")
     u_jet = jet.velocity_jet()
-    order = u_jet.order
-    u = u_jet.norm_sq().sqrt()
-    first = np.zeros((jet.dim + 2, order + 1))
-    first[0] = u.recip().coeffs
-    seq = [JetScalar(first)]
+    u = u_jet.coeffs
+    first = np.zeros((jet.dim + 2, u_jet.order + 1))
+    first[0] = u_jet.norm_sq().sqrt().recip().coeffs
+    seq = [first]
     for _ in range(count - 1):
         cur = seq[-1]
-        k = cur.order - 1
-        if k < 0:
-            raise ValueError("jet order exhausted in tractor recurrence")
-        uk = u_jet.truncated(k)
-        # slot by slot, in a fixed operand order, so values repeat to the bit
-        d = cur.differentiate()
-        low = cur.truncated(k)
-        wi = d[1:-1] + uk * low[0]
-        wN = d[-1] - low[1:-1].dot(uk)
-        seq.append(JetScalar(np.vstack([d.coeffs[0], wi.coeffs, wN.coeffs])))
-    return seq
+        k = cur.shape[-1] - 2
+        # slot by slot on coefficient arrays, with the operands and the
+        # component order of the jet operators, so values repeat to the bit
+        d = cur[:, 1:] * np.arange(1, k + 2)
+        low = cur[:, : k + 1]
+        wi = d[1:-1] + _product(u[:, : k + 1], low[0])
+        wN = d[-1] - functools.reduce(np.add, _product(low[1:-1], u[:, : k + 1]))
+        seq.append(np.vstack([d[0], wi, wN]))
+    return [JetScalar(c) for c in seq]
 
 
 def canonical_tractors(jet: CurveJet, count: int):

@@ -2,6 +2,7 @@ import csv
 import json
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -125,6 +126,33 @@ class TestVerify:
         assert "note  t3_parallel_decay_order: vacuous" in capsys.readouterr().out
         names = {r["name"] for r in json.loads(out.read_text())["checks"]}
         assert "t3_parallel_decay_order" not in names
+
+    @pytest.mark.parametrize("a0", ["0,1e-12,0", "0,1e-10,0", "0,1e-9,0", "0,1e-8,0"])
+    def test_nearly_straight_decay_order_is_vacuous(self, a0, tmp_path, capsys):
+        # both defects are round-off, so their ratio measures nothing
+        out = tmp_path / "line.json"
+        code = main(
+            [
+                "verify", "--family", "circle", "--n", "3",
+                "--x0", "0,0,0", "--u0", "1,0,0", "--a0", a0, "--out", str(out),
+            ]
+        )
+        assert code == 0
+        assert "note  t3_parallel_decay_order: vacuous" in capsys.readouterr().out
+        names = {r["name"] for r in json.loads(out.read_text())["checks"]}
+        assert "t3_parallel_decay_order" not in names
+
+    def test_small_curvature_decay_order_is_measured(self, tmp_path):
+        out = tmp_path / "circle.json"
+        code = main(
+            [
+                "verify", "--family", "circle", "--n", "3",
+                "--x0", "0,0,0", "--u0", "1,0,0", "--a0", "0,1e-3,0", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        records = {r["name"]: r for r in json.loads(out.read_text())["checks"]}
+        assert records["t3_parallel_decay_order"]["pass"]
 
     def test_tolerance_override_can_fail(self, capsys):
         code = main(["verify", *SPIRAL_ARGS, "--tol", "delta4_matches_pitch=1e-30"])

@@ -5,6 +5,7 @@ import pytest
 
 from confcurves import (
     CurveJet,
+    JetScalar,
     PhasePoint,
     accel_from_phase,
     circle_residual,
@@ -18,6 +19,7 @@ from confcurves import (
     poisson_bracket_fd,
     q_phase,
     solution_jet,
+    taylor_lift,
 )
 from confcurves.mercator import FlowDegeneracyError
 
@@ -304,6 +306,21 @@ class TestPoissonBracket:
             assert abs(poisson_bracket_fd(e_d, hamiltonian, p)) <= 1e-6
 
 
+def substitution_lift(y, n, order):
+    """The Taylor lift by repeated substitution of the state jet into the
+    equations of motion in jet arithmetic, as an oracle."""
+    coeffs = np.zeros((4 * n, order + 1))
+    coeffs[:, 0] = y
+    for k in range(order):
+        state = JetScalar(coeffs[:, : k + 1])
+        U, P, R = state[n : 2 * n], state[2 * n : 3 * n], state[3 * n :]
+        u2, UR, R2 = U.norm_sq(), U.dot(R), R.norm_sq()
+        coeffs[0:n, k + 1] = U.coeffs[:, k] / (k + 1)
+        coeffs[n : 2 * n, k + 1] = (u2 * R - 2.0 * UR * U).coeffs[:, k] / (k + 1)
+        coeffs[3 * n :, k + 1] = (-1.0 * R2 * U + 2.0 * UR * R - P).coeffs[:, k] / (k + 1)
+    return coeffs[:n]
+
+
 class TestSolutionJet:
     def test_matches_spiral_jet(self, rng):
         spiral = random_spiral(rng, 3, c=1.6)
@@ -321,3 +338,20 @@ class TestSolutionJet:
             assert np.max(np.abs(mercator_C(lifted) + p.P)) <= 1e-11 * (
                 1.0 + np.max(np.abs(p.P))
             )
+
+    def test_batched_rows_equal_single_rows(self, rng):
+        for n in (1, 3, 6):
+            states = np.array([random_phase_point(rng, n).flat() for _ in range(25)])
+            batched = taylor_lift(states, 6)
+            assert batched.shape == (25, n, 7)
+            for y, row in zip(states, batched):
+                assert np.array_equal(taylor_lift(y, 6), row)
+
+    def test_matches_jet_substitution(self, rng):
+        for n in range(1, 9):
+            for order in range(1, 7):
+                for _ in range(4):
+                    y = random_phase_point(rng, n).flat()
+                    got = taylor_lift(y, order)
+                    want = substitution_lift(y, n, order)
+                    assert np.max(np.abs(got - want)) <= 1e-13 * (1.0 + np.max(np.abs(want)))

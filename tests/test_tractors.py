@@ -66,7 +66,36 @@ def displayed_sequence(jet):
     return t_u, t_a, t_ap
 
 
+def operator_tractor_jets(jet, count):
+    """The canonical recurrence in jet operators, as an oracle."""
+    u_jet = jet.velocity_jet()
+    first = np.zeros((jet.dim + 2, u_jet.order + 1))
+    first[0] = u_jet.norm_sq().sqrt().recip().coeffs
+    seq = [JetScalar(first)]
+    for _ in range(count - 1):
+        cur = seq[-1]
+        k = cur.order - 1
+        uk = u_jet.truncated(k)
+        d = cur.differentiate()
+        low = cur.truncated(k)
+        wi = d[1:-1] + uk * low[0]
+        wN = d[-1] - low[1:-1].dot(uk)
+        seq.append(JetScalar(np.vstack([d.coeffs[0], wi.coeffs, wN.coeffs])))
+    return seq
+
+
 class TestCanonicalSequence:
+    def test_array_recurrence_repeats_jet_operators(self, rng):
+        for n in range(2, 9):
+            for count in range(2, 6):
+                for levels in (count + 1, 7):
+                    jet = random_curve_jet(rng, n, levels=levels)
+                    got = canonical_tractor_jets(jet, count)
+                    want = operator_tractor_jets(jet, count)
+                    assert len(got) == count
+                    for g, w in zip(got, want):
+                        assert np.array_equal(g.coeffs, w.coeffs)
+
     def test_straight_line(self):
         trs = canonical_tractors(straight_line_jet(), 3)
         assert np.allclose(trs[0], [1, 0, 0, 0, 0], atol=1e-15)
