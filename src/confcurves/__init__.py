@@ -47,13 +47,16 @@ from .symmetries import (
 )
 from .tractors import (
     GramInvariants,
+    GramStack,
     IdentityResiduals,
     UndefinedInvariantError,
     canonical_tractors,
     canonical_tractor_jets,
+    canonical_tractor_stack,
     closed_form_alpha1_delta4,
     enforce_alpha1_stationary,
     gram_invariants,
+    gram_stack,
     is_conformal_circle,
     kappa1,
     mercator_tractor_residuals,
@@ -61,6 +64,7 @@ from .tractors import (
     parallel_section_oracle,
     q_circle_quantities,
     q_quantities,
+    q_stack,
     quantity_family,
 )
 

@@ -31,7 +31,6 @@ from .multilinear import epsilon, tractor_metric_pair, wedge
 from .curves import CurveJet, DegenerateVelocityError
 from .jets import JetScalar
 from .mercator import FlowDegeneracyError, PhasePoint
-from .tractors import UndefinedInvariantError
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -190,6 +189,11 @@ def _family_jets(family, times):
     return jets
 
 
+def _coefficient_stack(jets):
+    """The ``(rows, n, order+1)`` position coefficients of curve jets."""
+    return np.stack([j.position.coeffs for j in jets])
+
+
 def _spread(values):
     values = np.asarray(values, dtype=float)
     scale = 1.0 + float(np.max(np.abs(values)))
@@ -221,49 +225,41 @@ def _verify_spiral(spiral, times, checks, seed):
         raise ConfigError(
             "c: the fourth invariant vanishes for this pitch, outside the spiral class"
         )
-    grams = [tractors.gram_invariants(j, 5) for j in jets]
-    checks.add("delta3_is_minus_one", max(abs(g.delta3 + 1.0) for g in grams), 1e-9)
-    checks.add("delta4_matches_pitch", max(abs(g.delta4 + c**2) for g in grams), 1e-8)
-    checks.add(
-        "delta5_vanishes_rel",
-        max(abs(g.delta5) / max(1.0, g.gram_scale(5)) ** 5 for g in grams),
-        1e-6,
-    )
-    checks.add("alpha1_matches", max(abs(g.alpha1 - (c**2 - 1.0)) for g in grams), 1e-9)
-    checks.add(
-        "alpha2_matches", max(abs(g.alpha2 - (c**4 - c**2 + 1.0)) for g in grams), 1e-9
-    )
+    coeffs = _coefficient_stack(jets)
+    g = tractors.gram_stack(coeffs, 5)
+    checks.add("delta3_is_minus_one", np.max(np.abs(g.delta3 + 1.0)), 1e-9)
+    checks.add("delta4_matches_pitch", np.max(np.abs(g.delta4 + c**2)), 1e-8)
+    _check_delta5(checks, g)
+    checks.add("alpha1_matches", np.max(np.abs(g.alpha1 - (c**2 - 1.0))), 1e-9)
+    checks.add("alpha2_matches", np.max(np.abs(g.alpha2 - (c**4 - c**2 + 1.0))), 1e-9)
     checks.add(
         "flow_vector_vanishes",
         max(float(np.max(np.abs(mercator.mercator_C(j)))) for j in jets),
         1e-10,
     )
-    qs = [tractors.q_quantities(j) for j in jets]
-    spread = max(_spread([q[k] for q in qs]) for k in qs[0])
-    checks.add("q_constant_along_curve", spread, 1e-8)
+    qs = tractors.q_stack(coeffs)
+    checks.add("q_constant_along_curve", max(map(_spread, qs.T)), 1e-8)
     n = spiral.dim
+    q0 = dict(zip(tractors.q_keys(n), qs[0]))
     worst = 0.0
     for i, j in itertools.combinations(range(1, n + 1), 2):
         expected = c / p2 * epsilon((i, j), spiral.p0, spiral.q0)
-        worst = max(worst, abs(qs[0][(0, i, j, n + 1)] - expected))
+        worst = max(worst, abs(q0[(0, i, j, n + 1)] - expected))
     for i, j, k in itertools.combinations(range(1, n + 1), 3):
         expected = c / p2 * epsilon((i, j, k), spiral.p0, spiral.q0, spiral.r0)
-        worst = max(worst, abs(qs[0][(0, i, j, k)] - expected))
-        worst = max(worst, abs(qs[0][(i, j, k, n + 1)]))
+        worst = max(worst, abs(q0[(0, i, j, k)] - expected))
+        worst = max(worst, abs(q0[(i, j, k, n + 1)]))
     checks.add("q_matches_spiral_values", worst, 1e-9)
     worst_square = worst_match = 0.0
-    for t, j in zip(times, jets):
+    for t, piped in zip(times, tractors.canonical_tractor_stack(coeffs, 3)[2][..., 0]):
         closed = spiral.acceleration_tractor(float(t))
-        piped = tractors.canonical_tractors(j, 3)[2]
         worst_square = max(worst_square, abs(tractor_metric_pair(closed, closed) - (c**2 - 1.0)))
         worst_match = max(worst_match, float(np.max(np.abs(closed - piped))))
     checks.add("acceleration_tractor_square", worst_square, 1e-10)
     checks.add("acceleration_tractor_matches_pipeline", worst_match, 1e-10)
-    kappas = [g.kappa1() for g in grams]
-    checks.add(
-        "kappa1_matches", max(abs(k + (c**2 - 1.0) / (2 * c)) for k in kappas), 1e-8
-    )
-    checks.add("kappa1_constant", _spread(kappas), 1e-8)
+    # an undefined kappa_1 is NaN, and a NaN measurement fails its check
+    checks.add("kappa1_matches", np.max(np.abs(g.kappa1 + (c**2 - 1.0) / (2 * c))), 1e-8)
+    checks.add("kappa1_constant", _spread(g.kappa1), 1e-8)
     _verify_noether(jets, checks, seed)
     hs = [mercator.hamiltonian(mercator.phase_from_jet(j)) for j in jets]
     checks.add("hamiltonian_constant", _spread(hs), 1e-9)
@@ -281,6 +277,12 @@ def _verify_spiral(spiral, times, checks, seed):
             / scale,
         )
     checks.add("jet_matches_closed_derivatives", worst, 1e-12)
+
+
+def _check_delta5(checks, g):
+    """delta_5 against the fifth power of its row's Gram scale."""
+    scale = np.maximum(1.0, np.max(np.abs(g.gram), axis=(-2, -1)))
+    checks.add("delta5_vanishes_rel", np.max(np.abs(g.delta5) / scale**5), 1e-6)
 
 
 def _verify_noether(jets, checks, seed):
@@ -308,9 +310,9 @@ def _verify_circle(circle, times, checks, seed):
         max(float(np.max(np.abs(mercator.circle_residual(j)))) for j in jets),
         1e-10,
     )
-    grams = [tractors.gram_invariants(j, 4) for j in jets]
-    checks.add("delta3_is_minus_one", max(abs(g.delta3 + 1.0) for g in grams), 1e-9)
-    checks.add("delta4_vanishes", max(abs(g.delta4) for g in grams), 1e-9)
+    g = tractors.gram_stack(_coefficient_stack(jets), 4)
+    checks.add("delta3_is_minus_one", np.max(np.abs(g.delta3 + 1.0)), 1e-9)
+    checks.add("delta4_vanishes", np.max(np.abs(g.delta4)), 1e-9)
     centre = len(times) // 2
     mid = float(times[centre])
     steps = (0.02, 0.01)
@@ -348,16 +350,11 @@ def _verify_tspiral(tspiral, times, checks, seed):
         float(np.max(np.abs(Cs[0] + report.E_T))) / (1.0 + float(np.max(np.abs(report.E_T)))),
         1e-9,
     )
-    grams = [tractors.gram_invariants(j, 5) for j in jets]
-    checks.add("delta4_matches_pitch", max(abs(g.delta4 + c**2) for g in grams), 1e-8)
-    checks.add(
-        "delta5_vanishes_rel",
-        max(abs(g.delta5) / max(1.0, g.gram_scale(5)) ** 5 for g in grams),
-        1e-6,
-    )
-    qs = [tractors.q_quantities(j) for j in jets]
-    spread = max(_spread([q[k] for q in qs]) for k in qs[0])
-    checks.add("q_constant_along_curve", spread, 1e-8)
+    coeffs = _coefficient_stack(jets)
+    g = tractors.gram_stack(coeffs, 5)
+    checks.add("delta4_matches_pitch", np.max(np.abs(g.delta4 + c**2)), 1e-8)
+    _check_delta5(checks, g)
+    checks.add("q_constant_along_curve", max(map(_spread, tractors.q_stack(coeffs).T)), 1e-8)
     basis = symmetries.noether_basis(jets[0])
     worst = 0.0
     for field in _random_fields(tspiral.dim, seed):
@@ -441,34 +438,26 @@ def _q_column(key, n):
     return f"Q_{fam}_{digits}"
 
 
-def _quantity_row(t, jet):
-    n = jet.dim
-    p = mercator.phase_from_jet(jet)
-    e = symmetries.e_quantities(p)
-    row = [t] + list(jet.X)
-    row += [mercator.hamiltonian(p), e.E_D]
-    row += list(e.E_T)
-    row += list(e.rotation_pairs().values())
-    row += list(e.E_S)
-    f = symmetries.noether_basis(jet)
-    row += list(f.E_T)
-    row += list(f.rotation_pairs().values())
-    row.append(f.E_D)
-    row += list(f.E_S)
-    q = tractors.q_quantities(jet)
-    row += [q[key] for key in tractors.q_keys(n)]
-    if jet.order >= 5:
-        g = tractors.gram_invariants(jet, 5)
-        delta5 = g.delta5
-    else:
-        g = tractors.gram_invariants(jet, 4)
-        delta5 = float("nan")
-    row += [g.delta3, g.delta4, delta5, g.alpha1, g.alpha2]
-    try:
-        row.append(g.kappa1())
-    except (UndefinedInvariantError, ValueError):
-        row.append(float("nan"))
-    return row
+def _quantity_table(ts, coeffs):
+    """The quantity trace of a position coefficient stack ``(rows, n,
+    order+1)``, order at least 6, one row per time in ``ts``: the tractor
+    columns in one pass over the stack, the E, F and H columns row by row."""
+    if coeffs.shape[-1] < 7:
+        raise ValueError(f"the quantity table needs jets of order 6 or more, got {coeffs.shape[-1] - 1}")
+    g = tractors.gram_stack(coeffs, 5)
+    rows = []
+    for t, c in zip(ts, coeffs):
+        jet = CurveJet(t, JetScalar(c))
+        p = mercator.phase_from_jet(jet)
+        e = symmetries.e_quantities(p)
+        f = symmetries.noether_basis(jet)
+        rows.append([
+            t, *jet.X, mercator.hamiltonian(p), e.E_D, *e.E_T, *e.rotation_pairs().values(),
+            *e.E_S, *f.E_T, *f.rotation_pairs().values(), f.E_D, *f.E_S,
+        ])
+    return np.column_stack(
+        [rows, tractors.q_stack(coeffs), g.delta3, g.delta4, g.delta5, g.alpha1, g.alpha2, g.kappa1]
+    )
 
 
 def _write_table(path, columns, rows, fmt):
@@ -492,7 +481,8 @@ def cmd_quantities(args):
     times = _sample_times(args)
     if args.out is None:
         raise ConfigError("out: required for quantities")
-    rows = [_quantity_row(float(t), j) for t, j in zip(times, _family_jets(family, times))]
+    coeffs = _coefficient_stack(_family_jets(family, times))
+    rows = _quantity_table(times, coeffs)
     columns = _quantity_columns(family.dim)
     out = _resolve_out(args.out)
     _write_table(out, columns, rows, args.format)
@@ -532,17 +522,13 @@ def cmd_integrate(args):
     except FlowDegeneracyError as exc:
         degenerate = exc
         traj = exc.trajectory
-    # one lift for all stored states; CurveJet rejects a speed below the floor
-    lifted = mercator.taylor_lift(traj.states, order=6)
-    rows = [
-        [t] + _quantity_row(0.0, CurveJet(0.0, JetScalar(c)))[1:]
-        for t, c in zip(traj.ts, lifted)
-    ]
+    # one lift and one table for all stored states; the table rejects a
+    # speed below the floor
+    data = _quantity_table(traj.ts, mercator.taylor_lift(traj.states, order=6))
     columns = _quantity_columns(traj.dim)
     out = _resolve_out(args.out)
-    _write_table(out, columns, rows, args.format)
-    data = np.array(rows, dtype=float)
-    print(f"trace with {len(rows)} samples written to {out}")
+    _write_table(out, columns, data, args.format)
+    print(f"trace with {len(data)} samples written to {out}")
     print("max relative drift per conserved column:")
     for idx, name in enumerate(columns):
         if name == "t" or name.startswith("x") or name.startswith("delta") or name in (

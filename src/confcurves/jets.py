@@ -21,6 +21,7 @@ Jets of different orders never mix silently: combining them raises
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -68,21 +69,64 @@ def _product(a, b):
     return out
 
 
+def _dot(a, b):
+    """``np.dot`` of the last axes of ``a`` and ``b``, batched over the leading
+    axes, with its bits: one ``np.matmul`` over contiguous copies."""
+    lhs = np.ascontiguousarray(a)[..., None, :]
+    rhs = np.ascontiguousarray(b)[..., None]
+    return np.matmul(lhs, rhs)[..., 0, 0]
+
+
 def _product_coefficient(a, b, j):
     """Coefficient ``j`` of :func:`_product` of operands with more than
     ``j`` coefficients, batched over leading axes, with the bits of
     ``np.convolve``: below the last coefficient, the dot of ``a[:j+1]`` and
-    ``b[j::-1]`` it calls (here through ``np.matmul`` on contiguous
-    copies); the last, its small-kernel sum of the terms in order from 0.0
-    (through 12 coefficients with numpy 2.4; round-off beyond)."""
+    ``b[j::-1]`` it calls (:func:`_dot`); the last, its small-kernel sum of
+    the terms in order from 0.0 (through 12 coefficients with numpy 2.4;
+    round-off beyond)."""
     if j < a.shape[-1] - 1:
-        lhs = np.ascontiguousarray(a[..., : j + 1])[..., None, :]
-        rhs = np.ascontiguousarray(b[..., j::-1])[..., None]
-        return np.matmul(lhs, rhs)[..., 0, 0]
+        return _dot(a[..., : j + 1], b[..., j::-1])
     acc = 0.0
     for p in range(j + 1):
         acc = acc + a[..., p] * b[..., j - p]
     return acc
+
+
+def _stack_product(a, b):
+    """:func:`_product` of operands batched (and broadcast) over leading
+    axes, one :func:`_product_coefficient` per coefficient."""
+    return np.stack([_product_coefficient(a, b, j) for j in range(a.shape[-1])], axis=-1)
+
+
+def _sum_rows(a):
+    """Sum over the second-to-last axis, the rows added in order as
+    :meth:`JetScalar.dot` adds its components."""
+    return functools.reduce(np.add, np.moveaxis(a, -2, 0))
+
+
+def _recip(a):
+    """Reciprocal recurrence over the last axis of ``(..., order+1)``
+    coefficients, each coefficient's dot one :func:`_dot`."""
+    if np.any(a[..., 0] == 0.0):
+        raise JetDomainError("reciprocal of a jet with zero constant term")
+    b = np.zeros(a.shape)
+    b[..., 0] = 1.0 / a[..., 0]
+    for k in range(1, a.shape[-1]):
+        b[..., k] = -b[..., 0] * _dot(a[..., 1 : k + 1], b[..., k - 1 :: -1])
+    return b
+
+
+def _sqrt(a):
+    """Square-root recurrence over the last axis of ``(..., order+1)``
+    coefficients, each coefficient's dot one :func:`_dot`."""
+    if np.any(a[..., 0] <= 0.0):
+        raise JetDomainError("sqrt of a jet with non-positive constant term")
+    b = np.zeros(a.shape)
+    b[..., 0] = np.sqrt(a[..., 0])
+    for k in range(1, a.shape[-1]):
+        conv = _dot(b[..., 1:k], b[..., k - 1 : 0 : -1]) if k > 1 else 0.0
+        b[..., k] = (a[..., k] - conv) / (2.0 * b[..., 0])
+    return b
 
 
 class JetScalar:
@@ -247,25 +291,10 @@ class JetScalar:
     # -- elementary compositions (scalar jets) ------------------------
 
     def recip(self):
-        a = self._scalar()
-        if a[0] == 0.0:
-            raise JetDomainError("reciprocal of a jet with zero constant term")
-        b = np.zeros_like(a)
-        b[0] = 1.0 / a[0]
-        for k in range(1, a.size):
-            b[k] = -b[0] * np.dot(a[1 : k + 1], b[k - 1 :: -1])
-        return JetScalar(b)
+        return JetScalar(_recip(self._scalar()))
 
     def sqrt(self):
-        a = self._scalar()
-        if a[0] <= 0.0:
-            raise JetDomainError("sqrt of a jet with non-positive constant term")
-        b = np.zeros_like(a)
-        b[0] = math.sqrt(a[0])
-        for k in range(1, a.size):
-            conv = np.dot(b[1:k], b[k - 1 : 0 : -1]) if k > 1 else 0.0
-            b[k] = (a[k] - conv) / (2.0 * b[0])
-        return JetScalar(b)
+        return JetScalar(_sqrt(self._scalar()))
 
     def exp(self):
         a = self._scalar()

@@ -10,13 +10,12 @@ classical RK4, and evaluate Poisson brackets by central differences.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .curves import VELOCITY_FLOOR, CurveJet, DegenerateVelocityError
-from .jets import JetScalar, _product_coefficient
+from .jets import JetScalar, _product_coefficient, _stack_product, _sum_rows
 
 __all__ = [
     "PhasePoint",
@@ -271,8 +270,8 @@ def taylor_lift(states, order: int = 6) -> np.ndarray:
     for k in range(order):
         U, P, R = (c[..., i * n : (i + 1) * n, : k + 1] for i in (1, 2, 3))
         a, b = np.stack([U, U, R], axis=-3), np.stack([U, R, R], axis=-3)
-        terms = np.stack([_product_coefficient(a, b, j) for j in range(k + 1)], axis=-1)
-        u2, UR, R2 = np.moveaxis(functools.reduce(np.add, np.moveaxis(terms, -2, 0)), -2, 0)
+        terms = _stack_product(a, b)
+        u2, UR, R2 = np.moveaxis(_sum_rows(terms), -2, 0)
         # 2 UR and -R2 as products with constant jets give them: 0.0 for -0.0
         UR2, R2n = 0.0 + 2.0 * UR, 0.0 - R2
         scalars = np.stack([u2, UR2, R2n, UR2], axis=-2)[..., None, :]

@@ -72,7 +72,8 @@ def index_tuples(n, k):
 
 def minors(columns, border=None):
     """Minors of an ``(n, k)`` column stack ``[V_1 .. V_k]``, one per increasing
-    row tuple ``I`` in :func:`index_tuples` order.
+    row tuple ``I`` in :func:`index_tuples` order; leading axes of
+    ``columns`` (and of ``border``) are batch axes.
 
     Without ``border``, ``I`` runs over the ``k``-tuples and the values are
     ``epsilon(I, V_1, ..., V_k)`` (with ``I`` shifted to 1-based indices).
@@ -82,12 +83,13 @@ def minors(columns, border=None):
     the stack bordered below by the one row ``border @ [V_1 .. V_k]``.
     """
     mat = np.asarray(columns, dtype=float)
-    n, k = mat.shape
+    n, k = mat.shape[-2:]
     if border is None:
-        return np.linalg.det(mat[index_tuples(n, k)])
-    rows = mat[index_tuples(n, k - 1)]
-    edge = np.broadcast_to(np.asarray(border, dtype=float) @ mat, (len(rows), 1, k))
-    return np.linalg.det(np.concatenate([rows, edge], axis=1))
+        return np.linalg.det(mat[..., index_tuples(n, k), :])
+    rows = mat[..., index_tuples(n, k - 1), :]
+    edge = np.asarray(border, dtype=float)[..., None, :] @ mat
+    edge = np.broadcast_to(edge[..., None, :, :], rows.shape[:-2] + (1, k))
+    return np.linalg.det(np.concatenate([rows, edge], axis=-2))
 
 
 def _perm_sign(perm):

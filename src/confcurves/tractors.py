@@ -5,7 +5,9 @@ The canonical sequence starts from the weighted inclusion ``u^{-1}`` in the
 top null slot and repeatedly applies the connection ``d/dt + rho(velocity)``.
 Each tractor is carried as an ``(n+2)``-vector jet, so parameter
 derivatives of any derived scalar (alpha_1, delta_4) come out exact rather
-than by finite differences.
+than by finite differences.  The ``*_stack`` functions do the work for
+every row of a stack of position coefficients ``(..., n, order+1)`` in
+one pass; the per-jet functions are their one-row calls.
 
 Index conventions follow :mod:`confcurves.multilinear`: slot 0 and slot
 ``n+1`` are the null pair, slots ``1..n`` the Euclidean block.  Quantity
@@ -19,23 +21,28 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .curves import CurveJet
-from .jets import JetScalar, _product
+from .curves import VELOCITY_FLOOR, CurveJet, DegenerateVelocityError
+from .jets import JetScalar, _dot, _recip, _sqrt, _stack_product, _sum_rows
 from .multilinear import minors, rho_wedge, tractor_metric_pair, wedge, wedge_pair
 
 __all__ = [
     "UndefinedInvariantError",
     "GramInvariants",
+    "GramStack",
     "canonical_tractor_jets",
+    "canonical_tractor_stack",
     "canonical_tractors",
     "gram_invariants",
+    "gram_stack",
     "closed_form_alpha1_delta4",
     "is_conformal_circle",
     "q_keys",
     "q_quantities",
+    "q_stack",
     "quantity_family",
     "parallel_section_oracle",
     "q_circle_quantities",
@@ -56,31 +63,55 @@ class UndefinedInvariantError(ValueError):
     (for example the spiral curvature on a conformal circle)."""
 
 
-def canonical_tractor_jets(jet: CurveJet, count: int):
-    """First ``count`` canonical tractors as ``(n+2)``-vector jets.
+def _speed_sq(coeffs, order, what):
+    """Squared speed of every row of a position coefficient stack, as
+    :attr:`CurveJet.u2` sums it, after the checks of :class:`CurveJet`:
+    derivatives through ``order`` (for ``what``), and no row at or below the
+    velocity floor, rejected before anything divides by it."""
+    if coeffs.shape[-1] <= order:
+        raise ValueError(
+            f"{what} needs derivatives through order {order}, jet stores {coeffs.shape[-1] - 1}"
+        )
+    u2 = _dot(coeffs[..., 1], coeffs[..., 1])
+    if np.any(u2 <= VELOCITY_FLOOR):
+        raise DegenerateVelocityError(f"squared speed {np.min(u2):.3e} is below the floor")
+    return u2
+
+
+def canonical_tractor_stack(coeffs, count):
+    """First ``count`` canonical tractors of every row of a position
+    coefficient stack ``(..., n, order+1)``: the ``i``-th (from 0) as a
+    coefficient array ``(..., n+2, order-i)``.
 
     ``count`` between 2 and 5; producing ``count`` tractors consumes
     position derivatives through order ``count``.
     """
     if not 2 <= count <= 5:
         raise ValueError("count must lie in 2..5")
-    jet.require_order(count, "canonical tractor sequence")
-    u_jet = jet.velocity_jet()
-    u = u_jet.coeffs
-    first = np.zeros((jet.dim + 2, u_jet.order + 1))
-    first[0] = u_jet.norm_sq().sqrt().recip().coeffs
+    coeffs = np.asarray(coeffs, dtype=float)
+    _speed_sq(coeffs, count, "canonical tractor sequence")
+    order = coeffs.shape[-1] - 1
+    u = coeffs[..., 1:] * np.arange(1, order + 1)
+    first = np.zeros(coeffs.shape[:-2] + (coeffs.shape[-2] + 2, order))
+    first[..., 0, :] = _recip(_sqrt(_sum_rows(_stack_product(u, u))))
     seq = [first]
     for _ in range(count - 1):
         cur = seq[-1]
         k = cur.shape[-1] - 2
-        # slot by slot on coefficient arrays, with the operands and the
-        # component order of the jet operators, so values repeat to the bit
-        d = cur[:, 1:] * np.arange(1, k + 2)
-        low = cur[:, : k + 1]
-        wi = d[1:-1] + _product(u[:, : k + 1], low[0])
-        wN = d[-1] - functools.reduce(np.add, _product(low[1:-1], u[:, : k + 1]))
-        seq.append(np.vstack([d[0], wi, wN]))
-    return [JetScalar(c) for c in seq]
+        # slot by slot, with the operands and the component order of the
+        # jet operators, so values repeat them to the bit
+        d = cur[..., 1:] * np.arange(1, k + 2)
+        low, uk = cur[..., : k + 1], u[..., : k + 1]
+        wi = d[..., 1:-1, :] + _stack_product(uk, low[..., :1, :])
+        wN = d[..., -1:, :] - _sum_rows(_stack_product(low[..., 1:-1, :], uk))[..., None, :]
+        seq.append(np.concatenate([d[..., :1, :], wi, wN], axis=-2))
+    return seq
+
+
+def canonical_tractor_jets(jet: CurveJet, count: int):
+    """First ``count`` canonical tractors as ``(n+2)``-vector jets, the
+    one-row call of :func:`canonical_tractor_stack`."""
+    return [JetScalar(c[0]) for c in canonical_tractor_stack(jet.position.coeffs[None], count)]
 
 
 def canonical_tractors(jet: CurveJet, count: int):
@@ -97,6 +128,31 @@ def _row_orders(k):
     orders = np.array(orders, dtype=np.intp)
     orders.flags.writeable = False
     return orders
+
+
+def _pairing_jet(a, b):
+    """Taylor coefficients of the metric pairing of two tractor coefficient
+    arrays with the slot axis first and ``m`` coefficients last (leading
+    axes broadcast): coefficient ``j`` adds the pairings of coefficient
+    ``p`` of ``a`` with coefficient ``j-p`` of ``b`` in increasing ``p``."""
+    m = a.shape[-1]
+    pairs = tractor_metric_pair(a[..., :, None], b[..., None, :])
+    total = np.add.outer(np.arange(m), np.arange(m))
+    return np.stack([pairs[..., total == j].sum(axis=-1) for j in range(m)], axis=-1)
+
+
+def _kappa1(delta4_jet, alpha1):
+    """kappa_1 from the ``(..., k+1)`` coefficients (``k >= 2``) of the
+    delta_4 jet and from alpha_1; NaN where it is undefined, off the
+    negative-delta_4 class or inside the circle band."""
+    delta4 = delta4_jet[..., 0]
+    defined = (delta4 < 0.0) & ~is_conformal_circle(delta4, alpha1)
+    # a stand-in value keeps the undefined rows clear of float errors
+    d4 = np.where(defined, delta4, -1.0)
+    d4p = delta4_jet[..., 1]
+    d4pp = 2.0 * delta4_jet[..., 2]
+    value = -0.5 * (-d4) ** -2.5 * (alpha1 * d4**2 - 0.5 * d4 * d4pp + 9.0 / 16.0 * d4p**2)
+    return np.where(defined, value, np.nan)
 
 
 @dataclass
@@ -123,55 +179,84 @@ class GramInvariants:
         d4 = self.delta4_jet
         if d4 is None or d4.order < 2:
             raise ValueError("kappa_1 needs the delta_4 jet through order 2")
-        delta4 = d4.value
-        if not delta4 < 0.0 or is_conformal_circle(delta4, self.alpha1):
-            raise UndefinedInvariantError(
-                f"kappa_1 undefined for delta_4 = {delta4:.3e}"
-            )
-        d4p = d4.differentiate()
-        d4pp = d4p.differentiate()
-        return (
-            -0.5
-            * (-delta4) ** -2.5
-            * (
-                self.alpha1 * delta4**2
-                - 0.5 * delta4 * d4pp.value
-                + 9.0 / 16.0 * d4p.value ** 2
-            )
-        )
+        value = float(_kappa1(d4.coeffs[None], np.array([self.alpha1]))[0])
+        if math.isnan(value):
+            raise UndefinedInvariantError(f"kappa_1 undefined for delta_4 = {d4.value:.3e}")
+        return value
 
 
-def gram_invariants(jet: CurveJet, max_ell: int = 5) -> GramInvariants:
-    """Gram-matrix data of the first ``max_ell`` canonical tractors."""
+class GramStack(NamedTuple):
+    """:class:`GramInvariants` of every row of a position coefficient stack,
+    as arrays over the stack's leading axes (the jets as coefficient arrays
+    ``(..., k+1)``), and ``kappa1``, NaN where undefined.  A field that
+    ``max_ell`` or the stack's order does not reach is None."""
+
+    delta3: np.ndarray
+    delta4: np.ndarray | None
+    delta5: np.ndarray | None
+    alpha1: np.ndarray
+    alpha2: np.ndarray | None
+    kappa1: np.ndarray | None
+    alpha1_jet: np.ndarray
+    delta4_jet: np.ndarray | None
+    gram: np.ndarray
+
+
+def gram_stack(coeffs, max_ell: int = 5) -> GramStack:
+    """Gram-matrix data of the first ``max_ell`` canonical tractors of every
+    row of a position coefficient stack ``(..., n, order+1)``, in one pass."""
     if not 3 <= max_ell <= 5:
         raise ValueError("max_ell must lie in 3..5")
-    trs = canonical_tractor_jets(jet, max_ell)
-    values = np.column_stack([t.value for t in trs])
-    gram = tractor_metric_pair(values[:, :, None], values[:, None, :])
-    delta4_jet = None
+    # the slot axis first, as tractor_metric_pair takes it
+    trs = [np.moveaxis(t, -2, 0) for t in canonical_tractor_stack(coeffs, max_ell)]
+    values = np.stack([t[..., 0] for t in trs], axis=-1)
+    gram = tractor_metric_pair(values[..., :, None], values[..., None, :])
+    delta4_jet = kappa1 = None
     if max_ell >= 4:
         # Taylor coefficients G_j of the pairings of the first four
         # tractors; each tractor has one order less than the one before it
-        k = trs[3].order
-        coeffs = np.stack([t.coeffs[:, : k + 1] for t in trs[:4]], axis=1)
-        pairs = tractor_metric_pair(coeffs[:, :, None, :, None], coeffs[:, None, :, None, :])
-        total = np.add.outer(np.arange(k + 1), np.arange(k + 1))
-        G = np.array([pairs[:, :, total == j].sum(axis=-1) for j in range(k + 1)])
+        k = trs[3].shape[-1] - 1
+        c = np.stack([t[..., : k + 1] for t in trs[:4]], axis=-2)
+        G = np.moveaxis(_pairing_jet(c[..., :, None, :], c[..., None, :, :]), -1, -3)
         # the determinant is linear in each row: coefficient j sums the
         # determinants whose row r comes from G_{o_r}, over the orders o
-        # that total j
+        # that total j, added in table order as np.bincount adds them
         orders = _row_orders(k)
-        dets = np.linalg.det(G[orders, np.arange(4)])
-        delta4_jet = JetScalar(np.bincount(orders.sum(axis=1), weights=dets, minlength=k + 1))
-    return GramInvariants(
-        delta3=float(np.linalg.det(gram[:3, :3])),
-        delta4=None if delta4_jet is None else delta4_jet.value,
-        delta5=float(np.linalg.det(gram)) if max_ell == 5 else None,
-        alpha1=float(gram[2, 2]),
-        alpha2=float(gram[3, 3]) if max_ell >= 4 else None,
-        alpha1_jet=tractor_metric_pair(trs[2], trs[2]),
+        dets = np.linalg.det(G[..., orders, np.arange(4), :])
+        delta4_jet = np.zeros(dets.shape[:-1] + (k + 1,))
+        np.add.at(np.moveaxis(delta4_jet, -1, 0), orders.sum(axis=1), np.moveaxis(dets, -1, 0))
+        if k >= 2:
+            kappa1 = _kappa1(delta4_jet, gram[..., 2, 2])
+    return GramStack(
+        delta3=np.linalg.det(gram[..., :3, :3]),
+        delta4=None if delta4_jet is None else delta4_jet[..., 0],
+        delta5=np.linalg.det(gram) if max_ell == 5 else None,
+        alpha1=gram[..., 2, 2],
+        alpha2=gram[..., 3, 3] if max_ell >= 4 else None,
+        kappa1=kappa1,
+        alpha1_jet=_pairing_jet(trs[2], trs[2]),
         delta4_jet=delta4_jet,
         gram=gram,
+    )
+
+
+def gram_invariants(jet: CurveJet, max_ell: int = 5) -> GramInvariants:
+    """Gram-matrix data of the first ``max_ell`` canonical tractors, the
+    one-row call of :func:`gram_stack`."""
+    g = gram_stack(jet.position.coeffs[None], max_ell)
+
+    def row(v, kind=float):
+        return None if v is None else kind(v[0])
+
+    return GramInvariants(
+        delta3=row(g.delta3),
+        delta4=row(g.delta4),
+        delta5=row(g.delta5),
+        alpha1=row(g.alpha1),
+        alpha2=row(g.alpha2),
+        alpha1_jet=row(g.alpha1_jet, JetScalar),
+        delta4_jet=row(g.delta4_jet, JetScalar),
+        gram=g.gram[0],
     )
 
 
@@ -253,23 +338,38 @@ def _pairing_families(X, U, A, B, weights):
       + w3 (|X|^2/2 eps(ijk; U,A,B) + sum_l eps(ijkl; X,U,A,B) X_l)``
     * ``ijkN``: ``w3 eps(ijk; U,A,B)``
     * ``ijkl``: ``w3 eps(ijkl; X,U,A,B)``
+
+    Leading axes of the vectors and the weights are batch axes.
     """
-    w1, w2, w3 = weights
-    M = np.column_stack([X, U, A, B])
-    uab = minors(M[:, 1:])
+    w1, w2, w3 = (np.asarray(w)[..., None] for w in weights)
+    M = np.stack([X, U, A, B], axis=-1)
+    uab = minors(M[..., 1:])
     return (
-        w1 * minors(M[:, [1, 2]]) + w2 * minors(M[:, [1, 3]]) + w3 * minors(M[:, 1:], X),
-        w1 * minors(M[:, :3])
-        + w2 * minors(M[:, [0, 1, 3]])
-        + w3 * (0.5 * float(X @ X) * uab + minors(M, X)),
+        w1 * minors(M[..., [1, 2]]) + w2 * minors(M[..., [1, 3]]) + w3 * minors(M[..., 1:], X),
+        w1 * minors(M[..., :3])
+        + w2 * minors(M[..., [0, 1, 3]])
+        + w3 * (0.5 * _dot(X, X)[..., None] * uab + minors(M, X)),
         w3 * uab,
         w3 * minors(M),
     )
 
 
+def q_stack(coeffs):
+    """The four families of pairing quantities of every row of a position
+    coefficient stack ``(..., n, order+1)``, as an array with one entry per
+    key of ``q_keys(n)``, in that order; see :func:`q_quantities`."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    iu2 = 1.0 / _speed_sq(coeffs, 3, "pairing quantities")
+    iu4 = iu2 * iu2
+    X, U, A, Ap = (coeffs[..., k] * math.factorial(k) for k in range(4))
+    weights = (3 * iu4 * _dot(U, A), -iu2, iu4)
+    return np.concatenate(_pairing_families(X, U, A, Ap, weights), axis=-1)
+
+
 def q_quantities(jet: CurveJet, scale_by_delta4: bool = False):
     """The four families of pairing quantities in terms of the position and
-    its first three derivative vectors, keyed by :func:`q_keys`.
+    its first three derivative vectors, keyed by :func:`q_keys`; the
+    one-row call of :func:`q_stack`.
 
     Each family is a weighted sum of batched minors of ``[X, U, A, A']``
     with weights ``(3 (U.A)/u^4, -1/u^2, 1/u^4)``; see
@@ -278,8 +378,6 @@ def q_quantities(jet: CurveJet, scale_by_delta4: bool = False):
     class.
     """
     jet.require_order(3, "pairing quantities")
-    iu2 = 1.0 / jet.u2
-    iu4 = iu2 * iu2
     factor = 1.0
     if scale_by_delta4:
         _, delta4 = closed_form_alpha1_delta4(jet)
@@ -288,8 +386,7 @@ def q_quantities(jet: CurveJet, scale_by_delta4: bool = False):
                 f"scaling needs delta_4 < 0, got {delta4:.3e}"
             )
         factor = (-delta4) ** -0.5
-    weights = (3 * iu4 * float(jet.U @ jet.A), -iu2, iu4)
-    values = np.concatenate(_pairing_families(jet.X, jet.U, jet.A, jet.Ap, weights))
+    values = q_stack(jet.position.coeffs[None])[0]
     return dict(zip(q_keys(jet.dim), (factor * values).tolist()))
 
 

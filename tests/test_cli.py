@@ -6,7 +6,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from confcurves.cli import main
+from confcurves import mercator
+from confcurves.cli import _quantity_table, main
 
 
 SPIRAL_ARGS = [
@@ -241,6 +242,25 @@ class TestIntegrate:
         header, data = read_csv(out)
         assert data.shape[0] >= 1
         assert "partial" in capsys.readouterr().out
+
+    def test_stored_row_at_the_floor_exits_3(self, tmp_path, monkeypatch, capsys):
+        # the table checks the floor before its sqrt and recip recurrences,
+        # which would otherwise stop the run as a float error (exit 2)
+        def stalled(p0, t_end, h, store_every):
+            states = np.array([p0.flat(), p0.flat()])
+            states[1, p0.dim : 2 * p0.dim] = 0.0
+            return mercator.Trajectory(np.array([0.0, h]), states, p0.dim, h)
+
+        monkeypatch.setattr(mercator, "integrate", stalled)
+        argv = ["integrate", "--x", "0,0", "--u", "1,0", "--p", "0,0", "--r", "0,0",
+                "--t-end", "0.01", "--h", "0.01", "--out", str(tmp_path / "t.csv")]
+        assert main(argv) == 3
+        assert "below the floor" in capsys.readouterr().err
+
+    def test_table_needs_order_six(self, rng):
+        coeffs = rng.uniform(-1.0, 1.0, (2, 3, 6))
+        with pytest.raises(ValueError):
+            _quantity_table([0.0, 1.0], coeffs)
 
     def test_json_trace_format(self, tmp_path):
         out = tmp_path / "trace.json"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confcurves import JetDomainError, JetOrderError, JetScalar
+from confcurves.jets import _recip, _sqrt
 
 from conftest import random_spiral
 
@@ -162,6 +163,47 @@ class TestElementary:
         rhs = a.exp().truncated(order - 1) * a.differentiate()
         scale = 1.0 + np.max(np.abs(rhs.coeffs))
         assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) <= 1e-14 * scale
+
+
+def dot_recip(a):
+    """The reciprocal recurrence row by row with ``np.dot``, the oracle."""
+    b = np.zeros_like(a)
+    b[0] = 1.0 / a[0]
+    for k in range(1, a.size):
+        b[k] = -b[0] * np.dot(a[1 : k + 1], b[k - 1 :: -1])
+    return b
+
+
+def dot_sqrt(a):
+    """The square-root recurrence row by row with ``np.dot``, the oracle."""
+    b = np.zeros_like(a)
+    b[0] = math.sqrt(a[0])
+    for k in range(1, a.size):
+        conv = np.dot(b[1:k], b[k - 1 : 0 : -1]) if k > 1 else 0.0
+        b[k] = (a[k] - conv) / (2.0 * b[0])
+    return b
+
+
+class TestBatchedRecurrences:
+    def test_batch_repeats_the_dot_recurrence(self, rng):
+        for order in range(1, 13):
+            a = rng.uniform(-1, 1, (4, 3, order + 1))
+            a[..., 0] = rng.uniform(0.1, 2.0, (4, 3))
+            for batched, oracle, method in (
+                (_recip, dot_recip, JetScalar.recip),
+                (_sqrt, dot_sqrt, JetScalar.sqrt),
+            ):
+                got = batched(a)
+                for idx in np.ndindex(a.shape[:-1]):
+                    assert_bitwise(got[idx], oracle(a[idx]))
+                    assert_bitwise(method(JetScalar(a[idx])).coeffs, got[idx])
+
+    def test_one_singular_row_fails_the_batch(self, rng):
+        a = rng.uniform(0.5, 1.0, (5, 4))
+        a[3, 0] = 0.0
+        for batched in (_recip, _sqrt):
+            with pytest.raises(JetDomainError):
+                batched(a)
 
 
 class TestDifferentiate:

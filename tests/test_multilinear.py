@@ -111,6 +111,16 @@ class TestMinors:
                     assert got.shape == expect.shape == (math.comb(n, k if border is None else k - 1),)
                     assert np.all(np.abs(got - expect) <= 1e-13 * (1.0 + np.abs(expect)))
 
+    def test_leading_axes_are_batch_axes(self, rng):
+        for n in range(2, 8):
+            for k in range(1, 5):
+                cols = rng.uniform(-1.0, 1.0, (3, 2, n, k))
+                for border in (None, rng.uniform(-1.0, 1.0, (3, 2, n))):
+                    got = minors(cols, border)
+                    for idx in np.ndindex(3, 2):
+                        one = minors(cols[idx], None if border is None else border[idx])
+                        assert np.array_equal(got[idx], one)
+
     def test_integer_columns_round_to_the_exact_minors(self, rng):
         # np.linalg.det factors through LU, so integer minors come back
         # within round-off of the exact integers, not always equal to them

@@ -24,7 +24,9 @@ from confcurves import (
     q_quantities,
     quantity_family,
 )
+from confcurves.curves import VELOCITY_FLOOR
 from confcurves.multilinear import tractor_metric_pair
+from confcurves.tractors import canonical_tractor_stack, gram_stack, q_keys, q_stack
 from conftest import (
     random_circle,
     random_curve_jet,
@@ -568,3 +570,94 @@ class TestParallelTransport:
         circle = random_circle(rng, 3)
         with pytest.raises(ValueError):
             parallel_defect(lambda t: circle.jet(t, 4), 0.0, 0.0)
+
+
+def mixed_rows(rng, n):
+    """Order-6 curve jets in dimension ``n``: random, spiral, circle and
+    straight-line rows interleaved."""
+    line = [np.zeros(n) for _ in range(7)]
+    line[0] = rng.uniform(-1, 1, n)
+    line[1][0] = 0.7
+    jets = []
+    for _ in range(2):
+        jets.append(random_curve_jet(rng, n, levels=7))
+        jets.append(random_spiral(rng, n).jet(float(rng.uniform(-1, 1))))
+        jets.append(random_circle(rng, n).jet(float(rng.uniform(-1, 1))))
+        jets.append(CurveJet.from_derivatives(0.0, line))
+    return jets
+
+
+def stack_of(jets):
+    return np.stack([j.position.coeffs for j in jets])
+
+
+class TestStacks:
+    """The row-batched kernels against their one-row calls."""
+
+    def test_tractors_match_one_row_calls(self, rng):
+        for n in range(2, 9):
+            jets = mixed_rows(rng, n)
+            stack = canonical_tractor_stack(stack_of(jets), 5)
+            for i, jet in enumerate(jets):
+                for got, want in zip(stack, canonical_tractor_jets(jet, 5)):
+                    assert np.array_equal(got[i], want.coeffs)
+
+    def test_gram_delta4_and_kappa1_bit_identical(self, rng):
+        undefined = 0
+        for n in range(2, 9):
+            jets = mixed_rows(rng, n)
+            for max_ell in (3, 4, 5):
+                g = gram_stack(stack_of(jets), max_ell)
+                for i, jet in enumerate(jets):
+                    one = gram_invariants(jet, max_ell)
+                    assert np.array_equal(g.gram[i], one.gram)
+                    for name in ("delta3", "delta4", "delta5", "alpha1", "alpha2"):
+                        value = getattr(one, name)
+                        assert (getattr(g, name) is None) == (value is None)
+                        if value is not None:
+                            assert np.array_equal(getattr(g, name)[i], value)
+                    assert np.array_equal(g.alpha1_jet[i], one.alpha1_jet.coeffs)
+                    if max_ell == 3:
+                        assert g.delta4_jet is None and g.kappa1 is None
+                        continue
+                    assert np.array_equal(g.delta4_jet[i], one.delta4_jet.coeffs)
+                    try:
+                        kappa = one.kappa1()
+                    except UndefinedInvariantError:
+                        kappa = np.nan
+                        undefined += 1
+                    assert np.array_equal(g.kappa1[i], kappa, equal_nan=True)
+        # every circle and straight-line row, at max_ell 4 and 5
+        assert undefined >= 7 * 2 * 4
+
+    def test_q_matches_one_row_calls(self, rng):
+        for n in range(2, 9):
+            jets = mixed_rows(rng, n)
+            values = q_stack(stack_of(jets))
+            assert values.shape == (len(jets), len(q_keys(n)))
+            for row, jet in zip(values, jets):
+                want = np.array(list(q_quantities(jet).values()))
+                scale = 1.0 + np.max(np.abs(want))
+                assert np.max(np.abs(row - want)) <= 1e-13 * scale
+
+    def test_row_at_the_velocity_floor_is_degenerate(self, rng):
+        coeffs = stack_of(mixed_rows(rng, 3))
+        for speed_sq in (0.0, VELOCITY_FLOOR):
+            coeffs[2, :, 1] = [np.sqrt(speed_sq), 0.0, 0.0]
+            # checked before the sqrt and recip recurrences divide by it,
+            # under the error state the command line runs in
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                for call in (
+                    lambda: canonical_tractor_stack(coeffs, 3),
+                    lambda: gram_stack(coeffs, 5),
+                    lambda: q_stack(coeffs),
+                ):
+                    with pytest.raises(DegenerateVelocityError):
+                        call()
+
+    def test_insufficient_order_rejected(self, rng):
+        coeffs = stack_of([random_curve_jet(rng, 3, levels=4) for _ in range(3)])
+        with pytest.raises(ValueError):
+            gram_stack(coeffs, 4)
+        with pytest.raises(ValueError):
+            q_stack(coeffs[..., :3])
