@@ -16,11 +16,14 @@ from .mercator import (
     Trajectory,
     accel_from_phase,
     circle_residual,
+    flow_vector_stack,
     hamilton_rhs,
     hamiltonian,
+    hamiltonian_stack,
     integrate,
     lagrangians,
     mercator_C,
+    momenta_stack,
     phase_from_jet,
     poisson_bracket_fd,
     solution_jet,
@@ -37,10 +40,12 @@ from .symmetries import (
     ckv_eval,
     conformal_factor,
     e_quantities,
+    e_stack,
     f_closed,
     f_generic,
     involutivity_check,
     noether_basis,
+    noether_stack,
     q_phase,
     quantity_identities,
     three_d_reduction,

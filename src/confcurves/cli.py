@@ -29,7 +29,6 @@ import numpy as np
 from . import families, mercator, symmetries, tractors
 from .multilinear import epsilon, tractor_metric_pair, wedge
 from .curves import CurveJet, DegenerateVelocityError
-from .jets import JetScalar
 from .mercator import FlowDegeneracyError, PhasePoint
 
 EXIT_PASS = 0
@@ -55,12 +54,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ConfigError(message)
-
-
-def _fmt(x):
-    if x is None or (isinstance(x, float) and math.isnan(x)):
-        return "nan"
-    return format(float(x), ".17g")
 
 
 def _parse_vector(text, name):
@@ -194,6 +187,12 @@ def _coefficient_stack(jets):
     return np.stack([j.position.coeffs for j in jets])
 
 
+def _derivatives(coeffs):
+    """The ``(rows, n)`` position, velocity, acceleration and third
+    derivative of a coefficient stack, as :class:`CurveJet` gives them."""
+    return [coeffs[..., k] * math.factorial(k) for k in range(4)]
+
+
 def _spread(values):
     values = np.asarray(values, dtype=float)
     scale = 1.0 + float(np.max(np.abs(values)))
@@ -226,17 +225,14 @@ def _verify_spiral(spiral, times, checks, seed):
             "c: the fourth invariant vanishes for this pitch, outside the spiral class"
         )
     coeffs = _coefficient_stack(jets)
+    derivs = _derivatives(coeffs)
     g = tractors.gram_stack(coeffs, 5)
     checks.add("delta3_is_minus_one", np.max(np.abs(g.delta3 + 1.0)), 1e-9)
     checks.add("delta4_matches_pitch", np.max(np.abs(g.delta4 + c**2)), 1e-8)
     _check_delta5(checks, g)
     checks.add("alpha1_matches", np.max(np.abs(g.alpha1 - (c**2 - 1.0))), 1e-9)
     checks.add("alpha2_matches", np.max(np.abs(g.alpha2 - (c**4 - c**2 + 1.0))), 1e-9)
-    checks.add(
-        "flow_vector_vanishes",
-        max(float(np.max(np.abs(mercator.mercator_C(j)))) for j in jets),
-        1e-10,
-    )
+    checks.add("flow_vector_vanishes", np.max(np.abs(mercator.flow_vector_stack(*derivs[1:]))), 1e-10)
     qs = tractors.q_stack(coeffs)
     checks.add("q_constant_along_curve", max(map(_spread, qs.T)), 1e-8)
     n = spiral.dim
@@ -260,8 +256,8 @@ def _verify_spiral(spiral, times, checks, seed):
     # an undefined kappa_1 is NaN, and a NaN measurement fails its check
     checks.add("kappa1_matches", np.max(np.abs(g.kappa1 + (c**2 - 1.0) / (2 * c))), 1e-8)
     checks.add("kappa1_constant", _spread(g.kappa1), 1e-8)
-    _verify_noether(jets, checks, seed)
-    hs = [mercator.hamiltonian(mercator.phase_from_jet(j)) for j in jets]
+    _verify_noether(jets, derivs, checks, seed)
+    hs = mercator.hamiltonian_stack(derivs[1], *mercator.momenta_stack(*derivs[1:]))
     checks.add("hamiltonian_constant", _spread(hs), 1e-9)
     worst = 0.0
     for t, j in zip(times, jets):
@@ -285,11 +281,12 @@ def _check_delta5(checks, g):
     checks.add("delta5_vanishes_rel", np.max(np.abs(g.delta5) / scale**5), 1e-6)
 
 
-def _verify_noether(jets, checks, seed):
+def _verify_noether(jets, derivs, checks, seed):
     n = jets[0].dim
     worst_agree = 0.0
     worst_spread = 0.0
-    bases = [symmetries.noether_basis(j) for j in jets]
+    f = symmetries.noether_stack(*derivs)
+    bases = [symmetries.EQuantities(*row) for row in zip(f.E_T, f.E_R, f.E_D.tolist(), f.E_S)]
     for field in _random_fields(n, seed):
         closed = [field.pair(basis) for basis in bases]
         generic = [symmetries.f_generic(field, j) for j in jets]
@@ -310,7 +307,8 @@ def _verify_circle(circle, times, checks, seed):
         max(float(np.max(np.abs(mercator.circle_residual(j)))) for j in jets),
         1e-10,
     )
-    g = tractors.gram_stack(_coefficient_stack(jets), 4)
+    coeffs = _coefficient_stack(jets)
+    g = tractors.gram_stack(coeffs, 4)
     checks.add("delta3_is_minus_one", np.max(np.abs(g.delta3 + 1.0)), 1e-9)
     checks.add("delta4_vanishes", np.max(np.abs(g.delta4)), 1e-9)
     centre = len(times) // 2
@@ -329,7 +327,7 @@ def _verify_circle(circle, times, checks, seed):
     qs = [tractors.q_circle_quantities(j) for j in jets]
     spread = max(_spread([q[k] for q in qs]) for k in qs[0])
     checks.add("circle_q_constant", spread, 1e-9)
-    _verify_noether(jets, checks, seed)
+    _verify_noether(jets, _derivatives(coeffs), checks, seed)
 
 
 def _verify_tspiral(tspiral, times, checks, seed):
@@ -339,10 +337,12 @@ def _verify_tspiral(tspiral, times, checks, seed):
     if tractors.is_conformal_circle(delta4_probe, c**2 - 1.0):
         raise ConfigError("c: the fourth invariant vanishes, outside the spiral class")
     report = tspiral.conserved_report()
-    Cs = [mercator.mercator_C(j) for j in jets]
+    coeffs = _coefficient_stack(jets)
+    derivs = _derivatives(coeffs)
+    Cs = mercator.flow_vector_stack(*derivs[1:])
     checks.add(
         "flow_vector_constant",
-        max(float(np.max(np.abs(C - Cs[0]))) for C in Cs) / (1.0 + float(np.max(np.abs(Cs[0])))),
+        float(np.max(np.abs(Cs - Cs[0]))) / (1.0 + float(np.max(np.abs(Cs[0])))),
         1e-9,
     )
     checks.add(
@@ -350,7 +350,6 @@ def _verify_tspiral(tspiral, times, checks, seed):
         float(np.max(np.abs(Cs[0] + report.E_T))) / (1.0 + float(np.max(np.abs(report.E_T)))),
         1e-9,
     )
-    coeffs = _coefficient_stack(jets)
     g = tractors.gram_stack(coeffs, 5)
     checks.add("delta4_matches_pitch", np.max(np.abs(g.delta4 + c**2)), 1e-8)
     _check_delta5(checks, g)
@@ -361,8 +360,8 @@ def _verify_tspiral(tspiral, times, checks, seed):
         reported = field.pair(report)
         worst = max(worst, abs(field.pair(basis) - reported) / (1.0 + abs(reported)))
     checks.add("noether_matches_report", worst, 1e-9)
-    _verify_noether(jets, checks, seed)
-    hs = [mercator.hamiltonian(mercator.phase_from_jet(j)) for j in jets]
+    _verify_noether(jets, derivs, checks, seed)
+    hs = mercator.hamiltonian_stack(derivs[1], *mercator.momenta_stack(*derivs[1:]))
     checks.add("hamiltonian_constant", _spread(hs), 1e-9)
 
 
@@ -440,40 +439,37 @@ def _q_column(key, n):
 
 def _quantity_table(ts, coeffs):
     """The quantity trace of a position coefficient stack ``(rows, n,
-    order+1)``, order at least 6, one row per time in ``ts``: the tractor
-    columns in one pass over the stack, the E, F and H columns row by row."""
+    order+1)``, order at least 6, one row per time in ``ts``, every column
+    in one pass over the stack."""
     if coeffs.shape[-1] < 7:
         raise ValueError(f"the quantity table needs jets of order 6 or more, got {coeffs.shape[-1] - 1}")
     g = tractors.gram_stack(coeffs, 5)
-    rows = []
-    for t, c in zip(ts, coeffs):
-        jet = CurveJet(t, JetScalar(c))
-        p = mercator.phase_from_jet(jet)
-        e = symmetries.e_quantities(p)
-        f = symmetries.noether_basis(jet)
-        rows.append([
-            t, *jet.X, mercator.hamiltonian(p), e.E_D, *e.E_T, *e.rotation_pairs().values(),
-            *e.E_S, *f.E_T, *f.rotation_pairs().values(), f.E_D, *f.E_S,
-        ])
-    return np.column_stack(
-        [rows, tractors.q_stack(coeffs), g.delta3, g.delta4, g.delta5, g.alpha1, g.alpha2, g.kappa1]
-    )
+    X, U, A, Ap = _derivatives(coeffs)
+    P, R = mercator.momenta_stack(U, A, Ap)
+    e = symmetries.e_stack(X, U, P, R)
+    f = symmetries.noether_stack(X, U, A, Ap)
+    # the rotation pairs (i, j), i < j, in the order of the column names
+    i, j = np.triu_indices(X.shape[-1], 1)
+    return np.column_stack([
+        ts, X, mercator.hamiltonian_stack(U, P, R), e.E_D, e.E_T, e.E_R[:, i, j], e.E_S,
+        f.E_T, f.E_R[:, i, j], f.E_D, f.E_S,
+        tractors.q_stack(coeffs), g.delta3, g.delta4, g.delta5, g.alpha1, g.alpha2, g.kappa1,
+    ])
 
 
 def _write_table(path, columns, rows, fmt):
+    # one %-format per row; "%.17g" gives the bytes of format(x, ".17g")
+    row_format = ",".join(["%.17g"] * len(columns))
+    lines = [row_format % tuple(row) for row in rows.tolist()]
     if fmt == "json":
-        payload = {
-            "columns": columns,
-            "rows": [[_fmt(v) for v in row] for row in rows],
-        }
+        payload = {"columns": columns, "rows": [line.split(",") for line in lines]}
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
     else:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(columns) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.writelines(line + "\n" for line in lines)
 
 
 def cmd_quantities(args):

@@ -10,17 +10,21 @@ classical RK4, and evaluate Poisson brackets by central differences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .curves import VELOCITY_FLOOR, CurveJet, DegenerateVelocityError
-from .jets import JetScalar, _product_coefficient, _stack_product, _sum_rows
+from .jets import JetScalar, _dot, _product_coefficient, _stack_product, _sum_rows
 
 __all__ = [
     "PhasePoint",
     "Trajectory",
     "mercator_C",
+    "flow_vector_stack",
+    "momenta_stack",
+    "hamiltonian_stack",
     "lagrangians",
     "circle_residual",
     "phase_from_jet",
@@ -70,18 +74,29 @@ class PhasePoint:
         return cls(y[0:n], y[n : 2 * n], y[2 * n : 3 * n], y[3 * n : 4 * n])
 
 
+def flow_vector_stack(U, A, Ap):
+    """The flow vector of :func:`mercator_C` from the first three derivative
+    vectors ``(..., n)``, over leading batch axes.
+
+    Inner products are :func:`confcurves.jets._dot`, kept as ``(..., 1)``
+    columns, and squares ``np.float_power``, the libm ``pow`` that Python's
+    ``**`` calls, so a row has the bits of the scalar formula."""
+    u2, AU, AA, ApU = (_dot(a, b)[..., None] for a, b in ((U, U), (A, U), (A, A), (Ap, U)))
+    return (
+        Ap
+        - AA / u2 * U
+        - 2 * AU / u2 * A
+        + 4 * np.float_power(AU, 2) / np.float_power(u2, 2) * U
+        - 2 * ApU / u2 * U
+    ) / u2
+
+
 def mercator_C(jet: CurveJet):
     """The conserved vector of the fourth-order flow; identically zero on
-    logarithmic spirals and straight lines."""
+    logarithmic spirals and straight lines (one row of
+    :func:`flow_vector_stack`)."""
     jet.require_order(3, "flow vector")
-    U, A, Ap = jet.U, jet.A, jet.Ap
-    u2 = jet.u2
-    AU = float(A @ U)
-    AA = float(A @ A)
-    ApU = float(Ap @ U)
-    return (
-        Ap - AA / u2 * U - 2 * AU / u2 * A + 4 * AU**2 / u2**2 * U - 2 * ApU / u2 * U
-    ) / u2
+    return flow_vector_stack(jet.U, jet.A, jet.Ap)
 
 
 def lagrangians(jet: CurveJet):
@@ -113,13 +128,19 @@ def circle_residual(jet: CurveJet):
     return Ap - 3 * float(A @ U) / u2 * A + 1.5 * float(A @ A) / u2 * U
 
 
+def momenta_stack(U, A, Ap):
+    """Ostrogradsky momenta ``(P, R)`` of :func:`phase_from_jet` over
+    leading batch axes of ``(..., n)`` derivative vectors."""
+    u2, UA = _dot(U, U)[..., None], _dot(U, A)[..., None]
+    return -flow_vector_stack(U, A, Ap), A / u2 - 2 * UA / np.float_power(u2, 2) * U
+
+
 def phase_from_jet(jet: CurveJet) -> PhasePoint:
     """Ostrogradsky momenta of the curve point: ``P`` is minus the flow
     vector, ``R`` the velocity-weighted acceleration."""
     U, A = jet.U, jet.A
-    u2 = jet.u2
-    R = A / u2 - 2 * float(U @ A) / u2**2 * U
-    return PhasePoint(jet.X, U, -mercator_C(jet), R)
+    jet.require_order(3, "flow vector")
+    return PhasePoint(jet.X, U, *momenta_stack(U, A, jet.Ap))
 
 
 def accel_from_phase(p: PhasePoint):
@@ -134,15 +155,21 @@ def accel_from_phase(p: PhasePoint):
     return A, Ap
 
 
+def hamiltonian_stack(U, P, R):
+    """The Hamiltonian over leading batch axes of ``(..., n)`` phase
+    components."""
+    UR = _dot(R, U)
+    return _dot(P, U) - np.float_power(UR, 2) + 0.5 * _dot(U, U) * _dot(R, R)
+
+
 def hamiltonian(p: PhasePoint):
-    UR = float(p.R @ p.U)
-    return float(p.P @ p.U) - UR**2 + 0.5 * p.u2 * float(p.R @ p.R)
+    return float(hamiltonian_stack(p.U, p.P, p.R))
 
 
 def hamilton_rhs(p: PhasePoint) -> np.ndarray:
     """Right-hand sides of the four first-order equations of motion, laid
     out like :meth:`PhasePoint.flat` (X, U, P, R blocks)."""
-    return _rhs_flat(p.flat(), p.dim)
+    return np.array(_rhs(p.flat().tolist(), p.dim))
 
 
 @dataclass
@@ -162,20 +189,39 @@ class Trajectory:
         return PhasePoint.from_flat(self.states[k], self.dim)
 
 
-def _rhs_flat(y, n):
-    U = y[n : 2 * n]
-    P = y[2 * n : 3 * n]
-    R = y[3 * n : 4 * n]
-    u2 = U @ U
+def _rhs(y, n):
+    """The right-hand side on a float list laid out like
+    :meth:`PhasePoint.flat`.
+
+    Python floats round every elementwise step as numpy does.  The three
+    inner products stay ``np.dot`` of contiguous length-``n`` arrays: the
+    BLAS ``ddot`` adds the terms in order with fused multiply-adds, which a
+    Python sum does not reproduce.  Float arithmetic overflows to inf
+    without raising, so a non-finite inner product raises here."""
+    U, P, R = y[n : 2 * n], y[2 * n : 3 * n], y[3 * n :]
+    Ua, Ra = np.array(U), np.array(R)
+    u2, UR, R2 = float(np.dot(Ua, Ua)), float(np.dot(Ua, Ra)), float(np.dot(Ra, Ra))
+    if not (math.isfinite(u2) and math.isfinite(UR) and math.isfinite(R2)):
+        raise FloatingPointError("the flow leaves the float range")
     if u2 <= VELOCITY_FLOOR:
         raise DegenerateVelocityError(f"squared speed {u2:.3e} below floor")
-    UR = U @ R
-    out = np.empty_like(y)
-    out[0:n] = U
-    out[n : 2 * n] = u2 * R - 2.0 * UR * U
-    out[2 * n : 3 * n] = 0.0
-    out[3 * n : 4 * n] = -(R @ R) * U + 2.0 * UR * R - P
-    return out
+    UR2, R2n = 2.0 * UR, -R2
+    return (
+        U
+        + [u2 * r - UR2 * u for u, r in zip(U, R)]
+        + [0.0] * n
+        + [R2n * u + UR2 * r - p for u, r, p in zip(U, R, P)]
+    )
+
+
+def _trajectory(ts, states, n, h, y):
+    """The stored samples as a :class:`Trajectory`, once the stored states
+    and the current state ``y`` are checked finite: an inf or nan in the
+    positions reaches no inner product of :func:`_rhs`."""
+    states = np.array(states)
+    if not (np.all(np.isfinite(states)) and all(map(math.isfinite, y))):
+        raise FloatingPointError("the flow leaves the float range")
+    return Trajectory(np.array(ts), states, n, h)
 
 
 class FlowDegeneracyError(DegenerateVelocityError):
@@ -193,31 +239,38 @@ def integrate(p0: PhasePoint, t_end: float, h: float = 1e-3, store_every: int = 
 
     Samples are stored every ``store_every`` steps (plus the final point).
     Velocity degeneracy anywhere in a stage aborts with
-    :class:`FlowDegeneracyError` holding the partial trajectory.
+    :class:`FlowDegeneracyError` holding the partial trajectory; a state
+    that leaves the float range raises ``FloatingPointError``.  The state
+    is a list of Python floats, with the bits of the same steps on numpy
+    arrays.
     """
     if h <= 0 or t_end <= 0:
         raise ValueError("need h > 0 and t_end > 0")
     n = p0.dim
     steps = int(round(t_end / h))
-    y = p0.flat().copy()
+    y = p0.flat().tolist()
     ts = [0.0]
-    states = [y.copy()]
+    states = [y]
     t = 0.0
+    # a fixed operand grouping keeps the bits: (0.5 h) k and (h/6) (((k1 + 2 k2) + 2 k3) + k4)
+    half, sixth = 0.5 * h, h / 6.0
     for k in range(steps):
         try:
-            k1 = _rhs_flat(y, n)
-            k2 = _rhs_flat(y + 0.5 * h * k1, n)
-            k3 = _rhs_flat(y + 0.5 * h * k2, n)
-            k4 = _rhs_flat(y + h * k3, n)
+            k1 = _rhs(y, n)
+            k2 = _rhs([a + half * b for a, b in zip(y, k1)], n)
+            k3 = _rhs([a + half * b for a, b in zip(y, k2)], n)
+            k4 = _rhs([a + h * b for a, b in zip(y, k3)], n)
         except DegenerateVelocityError:
-            partial = Trajectory(np.array(ts), np.array(states), n, h)
-            raise FlowDegeneracyError(t, partial) from None
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            raise FlowDegeneracyError(t, _trajectory(ts, states, n, h, y)) from None
+        y = [
+            a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+        ]
         t = (k + 1) * h
         if (k + 1) % store_every == 0 or k == steps - 1:
             ts.append(t)
-            states.append(y.copy())
-    return Trajectory(np.array(ts), np.array(states), n, h)
+            states.append(y)
+    return _trajectory(ts, states, n, h, y)
 
 
 def poisson_bracket_fd(f, g, p: PhasePoint, step: float = 1e-5):

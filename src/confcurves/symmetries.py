@@ -7,13 +7,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .curves import CurveJet
-from .jets import JetScalar
-from .mercator import PhasePoint, hamiltonian, mercator_C, poisson_bracket_fd
+from .jets import JetScalar, _dot
+from .mercator import PhasePoint, flow_vector_stack, hamiltonian, mercator_C, poisson_bracket_fd
 from .multilinear import index_tuples
 from .tractors import _pairing_families, q_keys, quantity_family
 
@@ -23,9 +23,11 @@ __all__ = [
     "conformal_factor",
     "f_generic",
     "noether_basis",
+    "noether_stack",
     "f_closed",
     "EQuantities",
     "e_quantities",
+    "e_stack",
     "q_phase",
     "quantity_identities",
     "three_d_reduction",
@@ -129,23 +131,31 @@ def f_generic(field: KillingField, jet: CurveJet):
     return dWVp + WpVp - float(C @ v.value)
 
 
+def _outer(a, b):
+    """``np.outer`` of the last axes, over leading batch axes."""
+    return a[..., :, None] * b[..., None, :]
+
+
+def noether_stack(X, U, A, Ap) -> EQuantities:
+    """The basis quantities of :func:`noether_basis` over leading batch axes
+    of ``(..., n)`` derivative vectors; ``E_D`` is an array."""
+    C = flow_vector_stack(U, A, Ap)
+    u2, UA, CX, UX, AX, XX = (
+        _dot(a, b)[..., None] for a, b in ((U, U), (U, A), (C, X), (U, X), (A, X), (X, X))
+    )
+    F_R = (_outer(U, A) - _outer(A, U)) / u2[..., None] + (_outer(C, X) - _outer(X, C))
+    F_D = -(UA / u2 + CX)[..., 0]
+    Y = UX / u2 * A - (1.0 + AX / u2) * U + (UA / u2 + CX) * X - 0.5 * XX * C
+    return EQuantities(-C, F_R, F_D, 2.0 * Y)
+
+
 def noether_basis(jet: CurveJet) -> EQuantities:
     """The basis quantities in closed form in the curve data ``(X, U, A)``
     and the flow vector ``C``, independent of the phase-space route of
-    :func:`e_quantities`."""
+    :func:`e_quantities` (one row of :func:`noether_stack`)."""
     jet.require_order(3, "closed-form Noether quantity")
-    X, U, A = jet.X, jet.U, jet.A
-    u2 = jet.u2
-    C = mercator_C(jet)
-    F_R = (np.outer(U, A) - np.outer(A, U)) / u2 + (np.outer(C, X) - np.outer(X, C))
-    F_D = -(float(U @ A) / u2 + float(C @ X))
-    Y = (
-        float(U @ X) / u2 * A
-        - (1.0 + float(A @ X) / u2) * U
-        + (float(U @ A) / u2 + float(C @ X)) * X
-        - 0.5 * float(X @ X) * C
-    )
-    return EQuantities(-C, F_R, F_D, 2.0 * Y)
+    f = noether_stack(jet.X, jet.U, jet.A, jet.Ap)
+    return replace(f, E_D=float(f.E_D))
 
 
 def f_closed(field: KillingField, jet: CurveJet):
@@ -161,7 +171,9 @@ class EQuantities:
     vector for the special conformal generators.  They come from the phase
     variables (:func:`e_quantities`), from the curve data
     (:func:`noether_basis`) or from a family's closed form;
-    :meth:`KillingField.pair` gives a field's quantity from them."""
+    :meth:`KillingField.pair` gives a field's quantity from them.
+    :func:`e_stack` and :func:`noether_stack` give them with leading batch
+    axes."""
 
     E_T: np.ndarray
     E_R: np.ndarray
@@ -179,17 +191,23 @@ class EQuantities:
         return np.array([self.E_R[1, 2], -self.E_R[0, 2], self.E_R[0, 1]])
 
 
-def e_quantities(p: PhasePoint) -> EQuantities:
-    X, U, P, R = p.X, p.U, p.P, p.R
-    E_R = np.outer(X, P) - np.outer(P, X) + np.outer(U, R) - np.outer(R, U)
-    E_D = float(X @ P) + float(U @ R)
-    E_S = (
-        float(X @ X) * P
-        + 2.0 * float(X @ U) * R
-        - 2.0 * E_D * X
-        - 2.0 * (1.0 + float(X @ R)) * U
+def e_stack(X, U, P, R) -> EQuantities:
+    """The basis quantities of :func:`e_quantities` over leading batch axes
+    of ``(..., n)`` phase components; ``E_D`` is an array."""
+    XP, UR, XX, XU, XR = (
+        _dot(a, b)[..., None] for a, b in ((X, P), (U, R), (X, X), (X, U), (X, R))
     )
-    return EQuantities(P.copy(), E_R, E_D, E_S)
+    E_R = _outer(X, P) - _outer(P, X) + _outer(U, R) - _outer(R, U)
+    E_D = XP + UR
+    E_S = XX * P + 2.0 * XU * R - 2.0 * E_D * X - 2.0 * (1.0 + XR) * U
+    return EQuantities(P.copy(), E_R, E_D[..., 0], E_S)
+
+
+def e_quantities(p: PhasePoint) -> EQuantities:
+    """The basis quantities from the phase variables (one row of
+    :func:`e_stack`)."""
+    e = e_stack(p.X, p.U, p.P, p.R)
+    return replace(e, E_D=float(e.E_D))
 
 
 def q_phase(p: PhasePoint):

@@ -57,3 +57,24 @@ def rng():
 def planar_unit_spiral():
     """The worked 2-d pitch-one spiral used in the hand examples."""
     return LogSpiral(1.0, np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.zeros(2))
+
+
+def row_sets(rng, count=9):
+    """Curve jets to stack for the row-batched oracles: random derivative
+    data, points along a spiral and points along a circle, in dimensions 2
+    to 8."""
+    for n in range(2, 9):
+        yield [random_curve_jet(rng, n) for _ in range(count)]
+        for family in (random_spiral(rng, n), random_circle(rng, n)):
+            yield [family.jet(float(t)) for t in np.linspace(-1.0, 1.0, count)]
+
+
+def stacked(jets, *names):
+    """The ``(rows, n)`` arrays of the named derivative vectors of jets."""
+    return [np.stack([getattr(j, name) for j in jets]) for name in names]
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.array_equal(got, want)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()

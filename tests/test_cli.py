@@ -299,6 +299,21 @@ class TestIntegrate:
         ):
             assert_config_error(argv, capsys)
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            # the first elementwise product of the float loop overflows
+            ("--u=1e150,0,0", "--p=0,0,0", "--r=0,1e10,0"),
+            ("--u=1e150,0,0", "--p=0,0,0", "--r=0,1e10,0", "--format", "json"),
+            ("--u=1e100,0,0", "--p=0,0,0", "--r=1e100,1e50,0"),
+            ("--u=1e150,0,0", "--p=1e300,0,0", "--r=0,1,0"),
+        ],
+    )
+    def test_flow_overflow_is_config_error(self, flags, tmp_path, capsys):
+        argv = ["integrate", "--n", "3", "--x=0,0,0", *flags, "--t-end", "1", "--h", "1e-3",
+                "--out", str(tmp_path / "t.out")]
+        assert_config_error(argv, capsys)
+
     def test_tolerances_only_where_checks_are_recorded(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"tol": ["typo=1"]}))

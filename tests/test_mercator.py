@@ -18,17 +18,25 @@ from confcurves import (
     phase_from_jet,
     poisson_bracket_fd,
     q_phase,
+    Trajectory,
+    flow_vector_stack,
+    hamiltonian_stack,
+    momenta_stack,
     solution_jet,
     taylor_lift,
 )
+from confcurves.curves import VELOCITY_FLOOR, DegenerateVelocityError
 from confcurves.mercator import FlowDegeneracyError
 
 from conftest import (
+    assert_same_bits,
     random_circle,
     random_curve_jet,
     random_phase_point,
     random_spiral,
     random_transformed_spiral,
+    row_sets,
+    stacked,
 )
 
 
@@ -61,6 +69,57 @@ class TestFlowVector:
                 assert np.max(np.abs(c - c_vals[0])) <= 1e-10 * (
                     1.0 + np.max(np.abs(c_vals[0]))
                 )
+
+
+def row_mercator_C(jet):
+    U, A, Ap = jet.U, jet.A, jet.Ap
+    u2 = jet.u2
+    AU = float(A @ U)
+    AA = float(A @ A)
+    ApU = float(Ap @ U)
+    return (
+        Ap - AA / u2 * U - 2 * AU / u2 * A + 4 * AU**2 / u2**2 * U - 2 * ApU / u2 * U
+    ) / u2
+
+
+def row_momenta(jet):
+    U, A = jet.U, jet.A
+    u2 = jet.u2
+    return -row_mercator_C(jet), A / u2 - 2 * float(U @ A) / u2**2 * U
+
+
+def row_hamiltonian(U, P, R):
+    UR = float(R @ U)
+    return float(P @ U) - UR**2 + 0.5 * float(U @ U) * float(R @ R)
+
+
+class TestRowBatched:
+    """The batched flow vector, momenta and Hamiltonian against the
+    one-row float formulas they replaced, bit for bit."""
+
+    def test_flow_vector(self, rng):
+        for jets in row_sets(rng):
+            batched = flow_vector_stack(*stacked(jets, "U", "A", "Ap"))
+            for jet, row in zip(jets, batched):
+                want = row_mercator_C(jet)
+                assert_same_bits(row, want)
+                assert_same_bits(mercator_C(jet), want)
+
+    def test_momenta_and_hamiltonian(self, rng):
+        for jets in row_sets(rng):
+            U, A, Ap = stacked(jets, "U", "A", "Ap")
+            P, R = momenta_stack(U, A, Ap)
+            H = hamiltonian_stack(U, P, R)
+            for k, jet in enumerate(jets):
+                want_P, want_R = row_momenta(jet)
+                assert_same_bits(P[k], want_P)
+                assert_same_bits(R[k], want_R)
+                p = phase_from_jet(jet)
+                assert_same_bits(p.P, want_P)
+                assert_same_bits(p.R, want_R)
+                want_H = row_hamiltonian(jet.U, want_P, want_R)
+                assert_same_bits(H[k], want_H)
+                assert hamiltonian(p) == want_H and isinstance(hamiltonian(p), float)
 
 
 class TestLagrangians:
@@ -206,6 +265,89 @@ class TestHamiltonRHS:
             assert np.max(np.abs(rhs - expect)) <= 1e-6 * (
                 1.0 + np.max(np.abs(expect))
             )
+
+
+def array_rhs(y, n):
+    U = y[n : 2 * n]
+    P = y[2 * n : 3 * n]
+    R = y[3 * n : 4 * n]
+    u2 = U @ U
+    if u2 <= VELOCITY_FLOOR:
+        raise DegenerateVelocityError(f"squared speed {u2:.3e} below floor")
+    UR = U @ R
+    out = np.empty_like(y)
+    out[0:n] = U
+    out[n : 2 * n] = u2 * R - 2.0 * UR * U
+    out[2 * n : 3 * n] = 0.0
+    out[3 * n : 4 * n] = -(R @ R) * U + 2.0 * UR * R - P
+    return out
+
+
+def array_rk4(p0, t_end, h, store_every):
+    """Classical RK4 with the state as a numpy array, the oracle of the
+    float-list loop of :func:`integrate`."""
+    n = p0.dim
+    steps = int(round(t_end / h))
+    y = p0.flat().copy()
+    ts = [0.0]
+    states = [y.copy()]
+    t = 0.0
+    for k in range(steps):
+        try:
+            k1 = array_rhs(y, n)
+            k2 = array_rhs(y + 0.5 * h * k1, n)
+            k3 = array_rhs(y + 0.5 * h * k2, n)
+            k4 = array_rhs(y + h * k3, n)
+        except DegenerateVelocityError:
+            partial = Trajectory(np.array(ts), np.array(states), n, h)
+            raise FlowDegeneracyError(t, partial) from None
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t = (k + 1) * h
+        if (k + 1) % store_every == 0 or k == steps - 1:
+            ts.append(t)
+            states.append(y.copy())
+    return Trajectory(np.array(ts), np.array(states), n, h)
+
+
+class TestFloatLoop:
+    @pytest.mark.parametrize("store_every", (1, 7, 10))
+    def test_matches_array_rk4(self, rng, store_every):
+        for n in range(1, 9):
+            points = [random_phase_point(rng, n) for _ in range(3)]
+            if n >= 2:
+                points.append(phase_from_jet(random_spiral(rng, n).jet(0.0)))
+            for p0 in points:
+                got = integrate(p0, 1.0, h=1e-2, store_every=store_every)
+                want = array_rk4(p0, 1.0, 1e-2, store_every)
+                assert_same_bits(got.ts, want.ts)
+                assert_same_bits(got.states, want.states)
+
+    @pytest.mark.parametrize("store_every", (1, 7, 10))
+    def test_degeneracy_matches_array_rk4(self, store_every):
+        # the speed passes through zero mid-flow
+        for n in (1, 2, 3):
+            U, R = np.zeros(n), np.zeros(n)
+            U[0], R[0] = 1.0, 5.0
+            p0 = PhasePoint(np.zeros(n), U, np.zeros(n), R)
+            with pytest.raises(FlowDegeneracyError) as got:
+                integrate(p0, 5.0, h=1e-2, store_every=store_every)
+            with pytest.raises(FlowDegeneracyError) as want:
+                array_rk4(p0, 5.0, 1e-2, store_every)
+            assert 0.0 < got.value.t == want.value.t < 5.0
+            assert_same_bits(got.value.trajectory.ts, want.value.trajectory.ts)
+            assert_same_bits(got.value.trajectory.states, want.value.trajectory.states)
+
+    def test_overflow_raises(self):
+        # Python float products overflow to inf without raising; the loop
+        # must not carry the inf on, whatever numpy's error state says
+        p0 = PhasePoint(np.zeros(3), [1e150, 0, 0], np.zeros(3), [0, 1e10, 0])
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
+            integrate(p0, 1.0, h=1e-3)
+
+    def test_hamilton_rhs_matches_array_rhs(self, rng):
+        for n in range(1, 9):
+            p = random_phase_point(rng, n)
+            assert_same_bits(hamilton_rhs(p), array_rhs(p.flat(), n))
 
 
 class TestIntegrate:

@@ -9,11 +9,14 @@ from confcurves import (
     ckv_eval,
     conformal_factor,
     e_quantities,
+    e_stack,
     f_closed,
     f_generic,
     hamiltonian,
     involutivity_check,
     mercator_C,
+    noether_basis,
+    noether_stack,
     phase_from_jet,
     poisson_bracket_fd,
     q_phase,
@@ -22,11 +25,14 @@ from confcurves import (
     three_d_reduction,
 )
 from conftest import (
+    assert_same_bits,
     random_circle,
     random_curve_jet,
     random_phase_point,
     random_spiral,
     random_transformed_spiral,
+    row_sets,
+    stacked,
 )
 
 
@@ -364,3 +370,65 @@ class TestPoissonStructure:
             assert np.max(np.abs(predicted - brackets[13:])) <= 1e-5 * (
                 1.0 + np.max(np.abs(brackets))
             )
+
+
+def row_e_quantities(X, U, P, R):
+    E_R = np.outer(X, P) - np.outer(P, X) + np.outer(U, R) - np.outer(R, U)
+    E_D = float(X @ P) + float(U @ R)
+    E_S = (
+        float(X @ X) * P
+        + 2.0 * float(X @ U) * R
+        - 2.0 * E_D * X
+        - 2.0 * (1.0 + float(X @ R)) * U
+    )
+    return P.copy(), E_R, E_D, E_S
+
+
+def row_noether_basis(jet):
+    X, U, A = jet.X, jet.U, jet.A
+    u2 = jet.u2
+    C = mercator_C(jet)
+    F_R = (np.outer(U, A) - np.outer(A, U)) / u2 + (np.outer(C, X) - np.outer(X, C))
+    F_D = -(float(U @ A) / u2 + float(C @ X))
+    Y = (
+        float(U @ X) / u2 * A
+        - (1.0 + float(A @ X) / u2) * U
+        + (float(U @ A) / u2 + float(C @ X)) * X
+        - 0.5 * float(X @ X) * C
+    )
+    return -C, F_R, F_D, 2.0 * Y
+
+
+def assert_basis(got, k, want):
+    """Row ``k`` of batched basis quantities (``k`` None for one row) has
+    the bits of the one-row formula's ``want``."""
+    fields = (got.E_T, got.E_R, got.E_D, got.E_S)
+    for value, expected in zip(fields, want):
+        assert_same_bits(value if k is None else value[k], expected)
+
+
+class TestRowBatched:
+    """The batched basis quantities against the one-row float formulas they
+    replaced, bit for bit."""
+
+    def test_e_quantities(self, rng):
+        for jets in row_sets(rng):
+            points = [phase_from_jet(j) for j in jets]
+            X, U, P, R = (np.stack([getattr(p, k) for p in points]) for k in "XUPR")
+            batched = e_stack(X, U, P, R)
+            for k, p in enumerate(points):
+                want = row_e_quantities(p.X, p.U, p.P, p.R)
+                assert_basis(batched, k, want)
+                one = e_quantities(p)
+                assert_basis(one, None, want)
+                assert isinstance(one.E_D, float)
+
+    def test_noether_basis(self, rng):
+        for jets in row_sets(rng):
+            batched = noether_stack(*stacked(jets, "X", "U", "A", "Ap"))
+            for k, jet in enumerate(jets):
+                want = row_noether_basis(jet)
+                assert_basis(batched, k, want)
+                one = noether_basis(jet)
+                assert_basis(one, None, want)
+                assert isinstance(one.E_D, float)
