@@ -16,6 +16,7 @@ from .mercator import (
     Trajectory,
     accel_from_phase,
     circle_residual,
+    circle_residual_stack,
     flow_vector_stack,
     hamilton_rhs,
     hamiltonian,
@@ -43,6 +44,7 @@ from .symmetries import (
     e_stack,
     f_closed,
     f_generic,
+    f_generic_stack,
     involutivity_check,
     noether_basis,
     noether_stack,
@@ -59,15 +61,18 @@ from .tractors import (
     canonical_tractor_jets,
     canonical_tractor_stack,
     closed_form_alpha1_delta4,
+    alpha1_stationary_stack,
     enforce_alpha1_stationary,
     gram_invariants,
     gram_stack,
+    identity_residual_stack,
     is_conformal_circle,
     kappa1,
     mercator_tractor_residuals,
     parallel_defect,
     parallel_section_oracle,
     q_circle_quantities,
+    q_circle_stack,
     q_quantities,
     q_stack,
     quantity_family,

@@ -28,7 +28,8 @@ import numpy as np
 
 from . import families, mercator, symmetries, tractors
 from .multilinear import epsilon, tractor_metric_pair, wedge
-from .curves import CurveJet, DegenerateVelocityError
+from .curves import CurveJet, DegenerateVelocityError, _check_speed
+from .jets import JetScalar, _dot
 from .mercator import FlowDegeneracyError, PhasePoint
 
 EXIT_PASS = 0
@@ -168,23 +169,23 @@ def _sample_times(args):
 
 
 def _family_jets(family, times):
-    """Jets at ``times``; a time the family cannot be evaluated at (float
-    overflow under ``main``'s error state, a vanishing transform
-    denominator) is a config error."""
-    jets = []
-    for t in map(float, times):
-        try:
-            jets.append(family.jet(t))
-        except DegenerateVelocityError:
-            raise
-        except (ValueError, ArithmeticError) as exc:
-            raise ConfigError(f"window: cannot evaluate the family at t = {t:g}: {exc}") from exc
-    return jets
-
-
-def _coefficient_stack(jets):
-    """The ``(rows, n, order+1)`` position coefficients of curve jets."""
-    return np.stack([j.position.coeffs for j in jets])
+    """The ``(times, n, order+1)`` position coefficients at ``times``.  On a
+    failure the first time whose own ``jet`` fails names it: a float overflow
+    under ``main``'s error state or a vanishing transform denominator is a
+    config error, a speed at or below the floor a degeneracy."""
+    try:
+        coeffs = family.jet_stack(times)
+        _check_speed(times, _dot(coeffs[..., 1], coeffs[..., 1]))
+        return coeffs
+    except (ValueError, ArithmeticError):
+        for t in map(float, times):
+            try:
+                family.jet(t)
+            except DegenerateVelocityError:
+                raise
+            except (ValueError, ArithmeticError) as exc:
+                raise ConfigError(f"window: cannot evaluate the family at t = {t:g}: {exc}") from exc
+        raise
 
 
 def _derivatives(coeffs):
@@ -218,13 +219,12 @@ def _random_fields(n, seed):
 def _verify_spiral(spiral, times, checks, seed):
     c = spiral.c
     p2 = float(spiral.p0 @ spiral.p0)
-    jets = _family_jets(spiral, times)
-    _, delta4_probe = tractors.closed_form_alpha1_delta4(jets[0])
+    coeffs = _family_jets(spiral, times)
+    _, delta4_probe = tractors.closed_form_alpha1_delta4(CurveJet(times[0], JetScalar(coeffs[0])))
     if tractors.is_conformal_circle(delta4_probe, c**2 - 1.0):
         raise ConfigError(
             "c: the fourth invariant vanishes for this pitch, outside the spiral class"
         )
-    coeffs = _coefficient_stack(jets)
     derivs = _derivatives(coeffs)
     g = tractors.gram_stack(coeffs, 5)
     checks.add("delta3_is_minus_one", np.max(np.abs(g.delta3 + 1.0)), 1e-9)
@@ -256,23 +256,13 @@ def _verify_spiral(spiral, times, checks, seed):
     # an undefined kappa_1 is NaN, and a NaN measurement fails its check
     checks.add("kappa1_matches", np.max(np.abs(g.kappa1 + (c**2 - 1.0) / (2 * c))), 1e-8)
     checks.add("kappa1_constant", _spread(g.kappa1), 1e-8)
-    _verify_noether(jets, derivs, checks, seed)
+    _verify_noether(coeffs, derivs, checks, seed)
     hs = mercator.hamiltonian_stack(derivs[1], *mercator.momenta_stack(*derivs[1:]))
     checks.add("hamiltonian_constant", _spread(hs), 1e-9)
-    worst = 0.0
-    for t, j in zip(times, jets):
-        U, A, Ap = spiral.closed_derivatives(float(t))
-        scale = 1.0 + max(np.max(np.abs(U)), np.max(np.abs(A)), np.max(np.abs(Ap)))
-        worst = max(
-            worst,
-            max(
-                float(np.max(np.abs(j.U - U))),
-                float(np.max(np.abs(j.A - A))),
-                float(np.max(np.abs(j.Ap - Ap))),
-            )
-            / scale,
-        )
-    checks.add("jet_matches_closed_derivatives", worst, 1e-12)
+    closed = np.array([spiral.closed_derivatives(float(t)) for t in times])
+    worst = np.max(np.abs(np.stack(derivs[1:], axis=1) - closed), axis=(1, 2))
+    scale = 1.0 + np.max(np.abs(closed), axis=(1, 2))
+    checks.add("jet_matches_closed_derivatives", np.max(worst / scale), 1e-12)
 
 
 def _check_delta5(checks, g):
@@ -281,33 +271,24 @@ def _check_delta5(checks, g):
     checks.add("delta5_vanishes_rel", np.max(np.abs(g.delta5) / scale**5), 1e-6)
 
 
-def _verify_noether(jets, derivs, checks, seed):
-    n = jets[0].dim
-    worst_agree = 0.0
-    worst_spread = 0.0
-    f = symmetries.noether_stack(*derivs)
-    bases = [symmetries.EQuantities(*row) for row in zip(f.E_T, f.E_R, f.E_D.tolist(), f.E_S)]
-    for field in _random_fields(n, seed):
-        closed = [field.pair(basis) for basis in bases]
-        generic = [symmetries.f_generic(field, j) for j in jets]
-        worst_agree = max(
-            worst_agree,
-            max(abs(a - b) for a, b in zip(closed, generic))
-            / (1.0 + max(abs(v) for v in closed)),
-        )
+def _verify_noether(coeffs, derivs, checks, seed):
+    """Closed-form Noether values of random fields (paired with the
+    ``noether_stack`` basis) against ``f_generic_stack``, one call each."""
+    worst_agree = worst_spread = 0.0
+    bases = symmetries.noether_stack(*derivs)
+    for field in _random_fields(coeffs.shape[-2], seed):
+        closed = field.pair(bases)
+        generic = symmetries.f_generic_stack(field, coeffs)
+        worst_agree = max(worst_agree, np.max(np.abs(closed - generic)) / (1.0 + np.max(np.abs(closed))))
         worst_spread = max(worst_spread, _spread(closed))
     checks.add("noether_generic_matches_closed", worst_agree, 1e-9)
     checks.add("noether_constant_along_curve", worst_spread, 1e-8)
 
 
 def _verify_circle(circle, times, checks, seed):
-    jets = _family_jets(circle, times)
-    checks.add(
-        "circle_residual",
-        max(float(np.max(np.abs(mercator.circle_residual(j)))) for j in jets),
-        1e-10,
-    )
-    coeffs = _coefficient_stack(jets)
+    coeffs = _family_jets(circle, times)
+    derivs = _derivatives(coeffs)
+    checks.add("circle_residual", np.max(np.abs(mercator.circle_residual_stack(*derivs[1:]))), 1e-10)
     g = tractors.gram_stack(coeffs, 4)
     checks.add("delta3_is_minus_one", np.max(np.abs(g.delta3 + 1.0)), 1e-9)
     checks.add("delta4_vanishes", np.max(np.abs(g.delta4)), 1e-9)
@@ -317,27 +298,26 @@ def _verify_circle(circle, times, checks, seed):
     defects = [
         tractors.parallel_defect(lambda s: circle.jet(s, 4), mid, h, count=3) for h in steps
     ]
-    scale = float(np.max(np.abs(wedge(tractors.canonical_tractors(jets[centre], 3)))))
+    values = [t[0, :, 0] for t in tractors.canonical_tractor_stack(coeffs[centre : centre + 1], 3)]
+    scale = float(np.max(np.abs(wedge(values))))
     floor = PARALLEL_ROUNDOFF * np.finfo(float).eps * scale / steps[1]
     if defects[1] <= floor:
         # the true defect, about 2 kappa^3 h^2 at curvature kappa, is lost
         print(f"note  t3_parallel_decay_order: vacuous, defect {defects[1]:.3g} <= {floor:.3g}")
     else:
         checks.add_range("t3_parallel_decay_order", math.log2(defects[0] / defects[1]), 1.6, 2.4)
-    qs = [tractors.q_circle_quantities(j) for j in jets]
-    spread = max(_spread([q[k] for q in qs]) for k in qs[0])
-    checks.add("circle_q_constant", spread, 1e-9)
-    _verify_noether(jets, _derivatives(coeffs), checks, seed)
+    checks.add("circle_q_constant", max(map(_spread, tractors.q_circle_stack(coeffs).T)), 1e-9)
+    _verify_noether(coeffs, derivs, checks, seed)
 
 
 def _verify_tspiral(tspiral, times, checks, seed):
     c = tspiral.base.c
-    jets = _family_jets(tspiral, times)
-    _, delta4_probe = tractors.closed_form_alpha1_delta4(jets[0])
+    coeffs = _family_jets(tspiral, times)
+    first = CurveJet(times[0], JetScalar(coeffs[0]))
+    _, delta4_probe = tractors.closed_form_alpha1_delta4(first)
     if tractors.is_conformal_circle(delta4_probe, c**2 - 1.0):
         raise ConfigError("c: the fourth invariant vanishes, outside the spiral class")
     report = tspiral.conserved_report()
-    coeffs = _coefficient_stack(jets)
     derivs = _derivatives(coeffs)
     Cs = mercator.flow_vector_stack(*derivs[1:])
     checks.add(
@@ -354,13 +334,13 @@ def _verify_tspiral(tspiral, times, checks, seed):
     checks.add("delta4_matches_pitch", np.max(np.abs(g.delta4 + c**2)), 1e-8)
     _check_delta5(checks, g)
     checks.add("q_constant_along_curve", max(map(_spread, tractors.q_stack(coeffs).T)), 1e-8)
-    basis = symmetries.noether_basis(jets[0])
+    basis = symmetries.noether_basis(first)
     worst = 0.0
     for field in _random_fields(tspiral.dim, seed):
         reported = field.pair(report)
         worst = max(worst, abs(field.pair(basis) - reported) / (1.0 + abs(reported)))
     checks.add("noether_matches_report", worst, 1e-9)
-    _verify_noether(jets, derivs, checks, seed)
+    _verify_noether(coeffs, derivs, checks, seed)
     hs = mercator.hamiltonian_stack(derivs[1], *mercator.momenta_stack(*derivs[1:]))
     checks.add("hamiltonian_constant", _spread(hs), 1e-9)
 
@@ -369,6 +349,9 @@ def cmd_verify(args):
     family = _build_family(args)
     if family.dim < 2:
         raise ConfigError(f"n: verify needs dimension at least 2, got {family.dim}")
+    if args.samples < 2:
+        # a spread over one sample is 0 by construction
+        raise ConfigError(f"samples: verify needs at least 2 sample times, got {args.samples}")
     times = _sample_times(args)
     checks = CheckList(args.tolerances)
     if isinstance(family, families.LogSpiral):
@@ -477,8 +460,7 @@ def cmd_quantities(args):
     times = _sample_times(args)
     if args.out is None:
         raise ConfigError("out: required for quantities")
-    coeffs = _coefficient_stack(_family_jets(family, times))
-    rows = _quantity_table(times, coeffs)
+    rows = _quantity_table(times, _family_jets(family, times))
     columns = _quantity_columns(family.dim)
     out = _resolve_out(args.out)
     _write_table(out, columns, rows, args.format)
@@ -493,7 +475,7 @@ def _initial_phase(args):
     if args.family is not None:
         family = _build_family(args)
         t0 = args.t0 if args.t0 is not None else 0.0
-        return mercator.phase_from_jet(_family_jets(family, [t0])[0])
+        return mercator.phase_from_jet(CurveJet(t0, JetScalar(_family_jets(family, [t0])[0])))
     if any(getattr(args, k) is None for k in ("x", "u", "p", "r")):
         raise ConfigError("initial point: give either --family or all of --x --u --p --r")
     x = _parse_vector(args.x, "x")
@@ -563,21 +545,18 @@ def cmd_relations(args):
     rng = np.random.default_rng(args.seed)
     checks = CheckList(args.tolerances)
     if args.jet_identity:
-        worst = 0.0
+        draws = []
         for _ in range(args.samples):
             derivs = [rng.uniform(-1, 1, n) for _ in range(5)]
             while float(derivs[1] @ derivs[1]) < 0.1:
                 derivs[1] = rng.uniform(-1, 1, n)
-            jet = tractors.enforce_alpha1_stationary(
-                CurveJet.from_derivatives(0.0, derivs)
-            )
-            res = tractors.mercator_tractor_residuals(jet)
-            scale = 1.0 + max(
-                float(np.max(np.abs(res.tractor_slot))),
-                float(np.max(np.abs(res.mercator_expansion))),
-            )
-            worst = max(worst, res.identity_defect / scale)
-        checks.add("reduction_identity_defect", worst, 1e-9)
+            draws.append(derivs)
+        # (samples, n, 5) coefficients, as CurveJet.from_derivatives scales them
+        coeffs = np.swapaxes(draws, 1, 2) / [math.factorial(k) for k in range(5)]
+        res = tractors.identity_residual_stack(tractors.alpha1_stationary_stack(coeffs))
+        sizes = [np.max(np.abs(v), axis=-1) for v in (res.tractor_slot, res.mercator_expansion)]
+        scale = 1.0 + np.maximum(*sizes)
+        checks.add("reduction_identity_defect", np.max(res.identity_defect / scale), 1e-9)
     else:
         worst = {"0ijN": 0.0, "0ijk": 0.0, "ijkN": 0.0, "ijkl": 0.0}
         for p in _random_phase_points(rng, n, args.samples):

@@ -19,6 +19,14 @@ class DegenerateVelocityError(ValueError):
     """The squared speed fell at or below the usable floor."""
 
 
+def _check_speed(ts, u2):
+    """Raise :class:`DegenerateVelocityError` for the first of the times
+    ``ts`` whose squared speed in ``u2`` is at or below the floor."""
+    for t, v in zip(ts, u2):
+        if v <= VELOCITY_FLOOR:
+            raise DegenerateVelocityError(f"squared speed {v:.3e} at t={float(t)} is below the floor")
+
+
 class CurveJet:
     """Position and derivatives of a parametrized curve at one parameter value.
 
@@ -36,10 +44,7 @@ class CurveJet:
             raise ValueError("a curve jet needs at least the velocity level")
         self.t = float(t)
         self.position = position
-        if self.u2 <= VELOCITY_FLOOR:
-            raise DegenerateVelocityError(
-                f"squared speed {self.u2:.3e} at t={self.t} is below the floor"
-            )
+        _check_speed([self.t], [self.u2])
 
     @classmethod
     def from_derivatives(cls, t, derivs):

@@ -4,7 +4,9 @@ and special-conformal images of spirals.
 
 All jets are produced by exact jet arithmetic on the defining formulas, so
 derivatives of any order (up to the jet limit) carry no discretization
-error.
+error.  A family's ``jet_stack`` evaluates them at many times in one pass,
+with the operands and operation order of the jet operators, so each row has
+the bits of that time's ``jet``, its one-row call.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import CurveJet
-from .jets import JetScalar
+from .curves import CurveJet, _check_speed
+from .jets import JetScalar, _constant, _dot, _exp, _recip, _sincos, _stack_product, _sum_rows
 from .symmetries import EQuantities
 
 __all__ = [
@@ -31,6 +33,17 @@ _VALID = 1e-12
 
 class FamilyError(ValueError):
     """Invalid family parameters or an evaluation outside the usable window."""
+
+
+def _times(a, value):
+    """Coefficients ``a`` times a number or array, a constant jet second,
+    as the jet operators multiply them."""
+    return _stack_product(a, _constant(value, a.shape[-1] - 1))
+
+
+def _jet(self, t, order=DEFAULT_ORDER) -> CurveJet:
+    """The curve jet at ``t``, the one-row call of ``jet_stack``."""
+    return CurveJet(t, JetScalar(self.jet_stack([t], order)[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,12 +81,16 @@ class Circle:
     def dim(self):
         return self.x0.size
 
-    def jet(self, t, order=DEFAULT_ORDER) -> CurveJet:
-        tau = JetScalar.variable(t, order)
-        tau2 = tau * tau
-        den = (tau2 * float(self.a0 @ self.a0) + 1.0).recip()
-        num = tau * self.u0 + tau2 * self.a0
-        return CurveJet(t, num * den + self.x0)
+    jet = _jet
+
+    def jet_stack(self, times, order=DEFAULT_ORDER):
+        """Position coefficients ``(times, n, order+1)``."""
+        tau = _constant(times, order)  # the variable jets: t, then 1
+        tau[:, 1] = 1.0
+        tau2 = _stack_product(tau, tau)
+        den = _recip(_times(tau2, float(self.a0 @ self.a0)) + _constant(1.0, order))
+        num = _times(tau[:, None], self.u0) + _times(tau2[:, None], self.a0)
+        return _stack_product(num, den[:, None]) + _constant(self.x0, order)
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,13 +131,16 @@ class LogSpiral:
             + self.r0
         )
 
-    def jet(self, t, order=DEFAULT_ORDER) -> CurveJet:
-        tau = JetScalar.variable(t, order)
-        growth = tau.exp()
-        theta = tau * self.c
-        ec = growth * theta.cos()
-        es = growth * theta.sin()
-        return CurveJet(t, ec * self.p0 + es * self.q0 + self.r0)
+    jet = _jet
+
+    def jet_stack(self, times, order=DEFAULT_ORDER):
+        """Position coefficients ``(times, n, order+1)``."""
+        tau = _constant(times, order)
+        tau[:, 1] = 1.0
+        growth = _exp(tau)
+        sin, cos = _sincos(_times(tau, self.c))
+        ec, es = (_stack_product(growth, f)[:, None] for f in (cos, sin))
+        return _times(ec, self.p0) + _times(es, self.q0) + _constant(self.r0, order)
 
     def closed_derivatives(self, t):
         """First three derivative vectors in closed form, independent of the
@@ -188,15 +208,21 @@ class TransformedSpiral:
         xh = self.base.position(t)
         return 1.0 - 2.0 * float(xh @ self.b) + float(self.b @ self.b) * float(xh @ xh)
 
-    def jet(self, t, order=DEFAULT_ORDER) -> CurveJet:
-        den_val = self._denominator(t)
-        if abs(den_val) < 1e-9:
-            raise FamilyError(f"transform denominator vanishes at t = {t}")
-        base_jet = self.base.jet(t, order).position
-        b = JetScalar.constant(self.b, order)
-        n2 = base_jet.norm_sq()
-        den = 1.0 - 2.0 * base_jet.dot(b) + float(self.b @ self.b) * n2
-        return CurveJet(t, (base_jet - n2 * self.b) * den.recip())
+    jet = _jet
+
+    def jet_stack(self, times, order=DEFAULT_ORDER):
+        """Position coefficients ``(times, n, order+1)``; a time at which
+        the transform denominator or the spiral's velocity vanishes is
+        rejected as that time's ``jet`` rejects it."""
+        for t in times:
+            if abs(self._denominator(t)) < 1e-9:
+                raise FamilyError(f"transform denominator vanishes at t = {t}")
+        x = self.base.jet_stack(times, order)
+        _check_speed(times, _dot(x[..., 1], x[..., 1]))
+        n2 = _sum_rows(_stack_product(x, x))
+        bx = _sum_rows(_times(x, self.b))
+        den = _constant(1.0, order) - _times(bx, 2.0) + _times(n2, float(self.b @ self.b))
+        return _stack_product(x - _times(n2[:, None], self.b), _recip(den)[:, None])
 
     def conserved_report(self) -> EQuantities:
         """Closed-form basis quantities along the image curve, for

@@ -129,6 +129,29 @@ def _sqrt(a):
     return b
 
 
+def _exp(a):
+    """Exponential recurrence over the last axis of ``(..., order+1)``
+    coefficients, each coefficient's dot one :func:`_dot`; the constant term
+    is libm's, which ``np.exp`` does not always give, as are its errors."""
+    b = np.zeros(a.shape)
+    b[..., 0] = np.vectorize(math.exp, otypes=[float])(a[..., 0])
+    for k in range(1, a.shape[-1]):
+        b[..., k] = _dot(np.arange(1, k + 1) * a[..., 1 : k + 1], b[..., k - 1 :: -1]) / k
+    return b
+
+
+def _sincos(a):
+    """Sine and cosine recurrences over the last axis of ``(..., order+1)``
+    coefficients, each coefficient's dot one :func:`_dot`."""
+    s, c = np.zeros(a.shape), np.zeros(a.shape)
+    s[..., 0], c[..., 0] = (np.vectorize(f, otypes=[float])(a[..., 0]) for f in (math.sin, math.cos))
+    for k in range(1, a.shape[-1]):
+        ja = np.arange(1, k + 1) * a[..., 1 : k + 1]
+        s[..., k] = _dot(ja, c[..., k - 1 :: -1]) / k
+        c[..., k] = -_dot(ja, s[..., k - 1 :: -1]) / k
+    return s, c
+
+
 class JetScalar:
     """Taylor coefficients of a scalar or vector function, truncated at a
     fixed order."""
@@ -297,13 +320,7 @@ class JetScalar:
         return JetScalar(_sqrt(self._scalar()))
 
     def exp(self):
-        a = self._scalar()
-        b = np.zeros_like(a)
-        b[0] = math.exp(a[0])
-        j = np.arange(1, a.size)
-        for k in range(1, a.size):
-            b[k] = np.dot(j[:k] * a[1 : k + 1], b[k - 1 :: -1]) / k
-        return JetScalar(b)
+        return JetScalar(_exp(self._scalar()))
 
     def sin(self):
         return self._sincos()[0]
@@ -312,17 +329,7 @@ class JetScalar:
         return self._sincos()[1]
 
     def _sincos(self):
-        a = self._scalar()
-        s = np.zeros_like(a)
-        c = np.zeros_like(a)
-        s[0] = math.sin(a[0])
-        c[0] = math.cos(a[0])
-        j = np.arange(1, a.size)
-        for k in range(1, a.size):
-            ja = j[:k] * a[1 : k + 1]
-            s[k] = np.dot(ja, c[k - 1 :: -1]) / k
-            c[k] = -np.dot(ja, s[k - 1 :: -1]) / k
-        return JetScalar(s), JetScalar(c)
+        return tuple(map(JetScalar, _sincos(self._scalar())))
 
     def powi(self, k):
         """Integer power, negative allowed when the constant term is nonzero."""

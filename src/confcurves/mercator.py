@@ -27,6 +27,7 @@ __all__ = [
     "hamiltonian_stack",
     "lagrangians",
     "circle_residual",
+    "circle_residual_stack",
     "phase_from_jet",
     "accel_from_phase",
     "hamiltonian",
@@ -119,13 +120,18 @@ def lagrangians(jet: CurveJet):
     return L, L1
 
 
+def circle_residual_stack(U, A, Ap):
+    """:func:`circle_residual` from the first three derivative vectors
+    ``(..., n)``, over leading batch axes."""
+    u2, AU, AA = (_dot(a, b)[..., None] for a, b in ((U, U), (A, U), (A, A)))
+    return Ap - 3 * AU / u2 * A + 1.5 * AA / u2 * U
+
+
 def circle_residual(jet: CurveJet):
-    """Left side of the third-order conformal-circle equation; zero exactly
-    on projectively parametrized circles and straight lines."""
+    """Left side of the third-order conformal-circle equation, zero exactly on
+    projective circles and lines (one row of :func:`circle_residual_stack`)."""
     jet.require_order(3, "circle residual")
-    U, A, Ap = jet.U, jet.A, jet.Ap
-    u2 = jet.u2
-    return Ap - 3 * float(A @ U) / u2 * A + 1.5 * float(A @ A) / u2 * U
+    return circle_residual_stack(jet.U, jet.A, jet.Ap)
 
 
 def momenta_stack(U, A, Ap):

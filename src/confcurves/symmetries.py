@@ -7,21 +7,23 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .curves import CurveJet
-from .jets import JetScalar, _dot
-from .mercator import PhasePoint, flow_vector_stack, hamiltonian, mercator_C, poisson_bracket_fd
+from .jets import JetScalar, _dot, _recip, _stack_product, _sum_rows
+from .mercator import PhasePoint, flow_vector_stack, hamiltonian, poisson_bracket_fd
 from .multilinear import index_tuples
-from .tractors import _pairing_families, q_keys, quantity_family
+from .tractors import _pairing_families, _speed_sq, q_keys, quantity_family
 
 __all__ = [
     "KillingField",
     "ckv_eval",
     "conformal_factor",
     "f_generic",
+    "f_generic_stack",
     "noether_basis",
     "noether_stack",
     "f_closed",
@@ -68,13 +70,15 @@ class KillingField:
 
     def pair(self, basis: EQuantities):
         """The quantity of this field from the basis quantities:
-        ``T.E_T + <R, E_R>/2 + a E_D + S.E_S``."""
-        return (
-            float(self.T @ basis.E_T)
-            + 0.5 * float(np.sum(self.R * basis.E_R))
+        ``T.E_T + <R, E_R>/2 + a E_D + S.E_S``; an array over the leading
+        axes of stacked ones (:func:`noether_stack`, :func:`e_stack`)."""
+        value = (
+            _dot(self.T, basis.E_T)
+            + 0.5 * np.sum(self.R * basis.E_R, axis=(-2, -1))
             + self.a * basis.E_D
-            + float(self.S @ basis.E_S)
+            + _dot(self.S, basis.E_S)
         )
+        return value if np.ndim(value) else float(value)
 
 
 def ckv_eval(field: KillingField, x):
@@ -89,21 +93,20 @@ def ckv_eval(field: KillingField, x):
     )
 
 
-def _ckv_jet(field: KillingField, x: JetScalar) -> JetScalar:
-    """The field evaluated on a position jet; exact since the field is
-    polynomial in the position.  The parts linear in ``x`` act on the
-    coefficients directly."""
-    c = x.coeffs
+def _ckv_stack(field: KillingField, c):
+    """The field on every row of position coefficients ``(..., n, m)``, exact
+    since it is polynomial in the position: the linear parts act on the
+    coefficients directly, the products are those of the jet operators."""
     # S.x summed in component order, as JetScalar.dot does
-    s_dot_x = JetScalar((field.S[:, None] * c).sum(axis=0))
+    s_dot_x = (field.S[:, None] * c).sum(axis=-2)
     coeffs = (
         field.R.T @ c
         + field.a * c
-        + np.outer(field.S, x.norm_sq().coeffs)
-        - 2.0 * (x * s_dot_x).coeffs
+        + field.S[:, None] * _sum_rows(_stack_product(c, c))[..., None, :]
+        - 2.0 * _stack_product(c, s_dot_x[..., None, :])
     )
-    coeffs[:, 0] += field.T
-    return JetScalar(coeffs)
+    coeffs[..., 0] += field.T
+    return coeffs
 
 
 def conformal_factor(field: KillingField, x):
@@ -114,21 +117,29 @@ def conformal_factor(field: KillingField, x):
     return field.a - 2.0 * float(field.S @ x)
 
 
+def f_generic_stack(field: KillingField, coeffs):
+    """:func:`f_generic` at every row of a position coefficient stack
+    ``(..., n, order+1)``, order at least 4; only coefficients 0-2 of ``v'``
+    and ``w`` enter, formed by the stack kernels in jet operand order."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    _speed_sq(coeffs, 4, "generic Noether quantity")
+    v = _ckv_stack(field, coeffs[..., :4])
+    vp = v[..., 1:] * np.arange(1, 4)
+    u = coeffs[..., 1:4] * np.arange(1, 4)
+    w = _stack_product(u, _recip(_sum_rows(_stack_product(u, u)))[..., None, :])
+    U, A, Ap = (coeffs[..., k] * math.factorial(k) for k in range(1, 4))
+    dWVp = _sum_rows(_stack_product(w, vp))[..., 1]
+    return dWVp + _dot(w[..., 1], vp[..., 0]) - _dot(flow_vector_stack(U, A, Ap), v[..., 0])
+
+
 def f_generic(field: KillingField, jet: CurveJet):
-    """Noether quantity of the flow for an arbitrary Killing field,
+    """Noether quantity of the flow for an arbitrary Killing field ``v``,
     evaluated directly from its defining expression with every derivative
-    taken through the jet."""
-    jet.require_order(4, "generic Noether quantity")
-    x = jet.position
-    v = _ckv_jet(field, x)
-    vp = v.differentiate()
-    u_jet = x.differentiate()
-    k = vp.order
-    w = u_jet.truncated(k) * u_jet.truncated(k).norm_sq().recip()
-    dWVp = w.dot(vp).differentiate().value
-    WpVp = float(np.dot(w.differentiate().value, vp.value))
-    C = mercator_C(jet)
-    return dWVp + WpVp - float(C @ v.value)
+    taken through the jet: ``d/ds <w, v'> + <w', v'> - <C, v>`` with
+    ``w = u / |u|^2`` and ``C`` the flow vector.  It never goes through the
+    basis quantities, so it checks :func:`f_closed` independently (one row
+    of :func:`f_generic_stack`)."""
+    return float(f_generic_stack(field, jet.position.coeffs[None])[0])
 
 
 def _outer(a, b):
@@ -179,10 +190,6 @@ class EQuantities:
     E_R: np.ndarray
     E_D: float
     E_S: np.ndarray
-
-    def rotation_pairs(self):
-        n = self.E_T.size
-        return {(i, j): self.E_R[i - 1, j - 1] for i, j in itertools.combinations(range(1, n + 1), 2)}
 
     def rotation_vector3(self):
         """3-d packing of the rotation matrix as an axial vector."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -46,9 +46,12 @@ __all__ = [
     "quantity_family",
     "parallel_section_oracle",
     "q_circle_quantities",
+    "q_circle_stack",
     "kappa1",
     "enforce_alpha1_stationary",
+    "alpha1_stationary_stack",
     "mercator_tractor_residuals",
+    "identity_residual_stack",
     "IdentityResiduals",
     "parallel_defect",
 ]
@@ -419,30 +422,37 @@ def parallel_section_oracle(jet: CurveJet, rank: int = 4):
     return dict(zip(slots, paired.tolist()))
 
 
+def q_circle_stack(coeffs):
+    """:func:`q_circle_quantities` of every row of a position coefficient
+    stack ``(..., n, order+1)``, in the order of ``q_keys(n, 3)``."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    u2 = _speed_sq(coeffs, 2, "circle quantities")[..., None]
+    X, U, A = (coeffs[..., k] * math.factorial(k) for k in range(3))
+    iu1 = 1.0 / np.sqrt(u2)
+    iu3 = iu1 / u2
+    M = np.stack([X, U, A], axis=-1)
+    ua = minors(M[..., 1:])
+    return np.concatenate(
+        [
+            iu1 * U + iu3 * minors(M[..., 1:], X),
+            -iu1 * minors(M[..., :2]) + iu3 * (0.5 * _dot(X, X)[..., None] * ua - minors(M, X)),
+            iu3 * ua,
+            iu3 * minors(M),
+        ],
+        axis=-1,
+    )
+
+
 def q_circle_quantities(jet: CurveJet):
     """The rank-3 pairing quantities (the conformal-circle family), keyed by
-    ``q_keys(n, 3)``.
+    ``q_keys(n, 3)``; the one-row call of :func:`q_circle_stack`.
 
     The position-dependent rank-2 family sits at ``(0, i, j)``; the
     position-free one pairs with the spatial-plus-null elements and sits at
     ``(i, j, n+1)``.  Like :func:`q_quantities`, each family is a weighted
     sum of batched minors, here of ``[X, U, A]``.
     """
-    jet.require_order(2, "circle quantities")
-    X, U, A = jet.X, jet.U, jet.A
-    iu1 = 1.0 / jet.u
-    iu3 = iu1 / jet.u2
-    M = np.column_stack([X, U, A])
-    ua = minors(M[:, 1:])
-    values = np.concatenate(
-        [
-            iu1 * U + iu3 * minors(M[:, 1:], X),
-            -iu1 * minors(M[:, :2]) + iu3 * (0.5 * float(X @ X) * ua - minors(M, X)),
-            iu3 * ua,
-            iu3 * minors(M),
-        ]
-    )
-    return dict(zip(q_keys(jet.dim, 3), values.tolist()))
+    return dict(zip(q_keys(jet.dim, 3), q_circle_stack(jet.position.coeffs[None])[0].tolist()))
 
 
 def kappa1(jet: CurveJet):
@@ -452,21 +462,30 @@ def kappa1(jet: CurveJet):
     return gram_invariants(jet, max_ell=4).kappa1()
 
 
+def alpha1_stationary_stack(coeffs):
+    """:func:`enforce_alpha1_stationary` on every row of a coefficient stack
+    ``(..., n, order+1)``, in one :func:`gram_stack` call; the derivatives
+    round-trip through their ``k!`` scaling as the one-row jet's do."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    _speed_sq(coeffs, 4, "alpha_1 constraint")
+    a1p = gram_stack(coeffs, 3).alpha1_jet[..., 1]
+    scale = [math.factorial(k) for k in range(coeffs.shape[-1])]
+    derivs = coeffs * scale
+    derivs[..., 4] = derivs[..., 4] - (0.5 * a1p)[..., None] * derivs[..., 1]
+    return derivs / scale
+
+
 def enforce_alpha1_stationary(jet: CurveJet) -> CurveJet:
     """Shift the fourth derivative along the velocity so that the first
-    invariant has zero parameter derivative at this point.
+    invariant has zero parameter derivative at this point (the one-row
+    call of :func:`alpha1_stationary_stack`).
 
     The derivative of alpha_1 is linear in the fourth derivative with
     slope 2 per unit of velocity component, so a single scalar solve
     suffices; used to produce constrained random jets for the reduction
     identity tests.
     """
-    jet.require_order(4, "alpha_1 constraint")
-    g = gram_invariants(jet, max_ell=3)
-    a1p = g.alpha1_jet.differentiate().value
-    derivs = [jet.derivative(k) for k in range(jet.order + 1)]
-    derivs[4] = derivs[4] - 0.5 * a1p * jet.U
-    return CurveJet.from_derivatives(jet.t, derivs)
+    return CurveJet(jet.t, JetScalar(alpha1_stationary_stack(jet.position.coeffs[None])[0]))
 
 
 @dataclass
@@ -476,48 +495,53 @@ class IdentityResiduals:
     identity_defect: float
 
 
-def mercator_tractor_residuals(jet: CurveJet) -> IdentityResiduals:
-    """Both sides of the consistency identity between the tractor route and
-    the fourth-order flow: the spatial slot of the dependency combination
-    of the fifth canonical tractor, and the expanded parameter derivative
-    of the flow's constant vector.
-
-    The defect ``max |expansion + u^{-1} * slot|`` vanishes exactly on jets
-    with stationary alpha_1 (the slot is oriented to make the signs cancel
-    that way round).
-    """
-    jet.require_order(4, "reduction identity")
-    U, A, Ap, App = jet.U, jet.A, jet.Ap, jet.App
-    u2 = jet.u2
-    u = math.sqrt(u2)
-    UA = float(U @ A)
-    UAp = float(U @ Ap)
-    UApp = float(U @ App)
-    AA = float(A @ A)
-    AAp = float(A @ Ap)
-
+def identity_residual_stack(coeffs) -> IdentityResiduals:
+    """:func:`mercator_tractor_residuals` of every row of a coefficient stack
+    ``(..., n, order+1)``, as arrays; inner products are :func:`_dot`
+    columns and powers ``np.float_power``, the libm ``pow`` of ``**``."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    u2 = _speed_sq(coeffs, 4, "reduction identity")[..., None]
+    U, A, Ap, App = (coeffs[..., k] * math.factorial(k) for k in range(1, 5))
+    u = np.sqrt(u2)
+    pairs = ((U, A), (U, Ap), (U, App), (A, A), (A, Ap))
+    UA, UAp, UApp, AA, AAp = (_dot(a, b)[..., None] for a, b in pairs)
+    p = np.float_power
     mercator = (
-        -24 * u2**-4 * UA**3 * U
-        + 16 * u2**-3 * UA * UAp * U
-        + 12 * u2**-3 * UA * AA * U
-        + 12 * u2**-3 * UA**2 * A
-        - 2 * u2**-2 * UApp * U
-        - 4 * u2**-2 * AAp * U
-        - 4 * u2**-2 * UAp * A
-        - 3 * u2**-2 * AA * A
-        - 4 * u2**-2 * UA * Ap
-        + u2**-1 * App
+        -24 * p(u2, -4) * p(UA, 3) * U
+        + 16 * p(u2, -3) * UA * UAp * U
+        + 12 * p(u2, -3) * UA * AA * U
+        + 12 * p(u2, -3) * p(UA, 2) * A
+        - 2 * p(u2, -2) * UApp * U
+        - 4 * p(u2, -2) * AAp * U
+        - 4 * p(u2, -2) * UAp * A
+        - 3 * p(u2, -2) * AA * A
+        - 4 * p(u2, -2) * UA * Ap
+        + p(u2, -1) * App
     )
     # spatial slot of the dependency combination, with the fourth-derivative
     # inner product eliminated via stationarity of alpha_1
     slot = (
         -App / u
-        + 4 * UA / u**3 * Ap
-        - (12 * UA**2 / u**5 - 4 * UAp / u**3 - 3 * AA / u**3) * A
-        + (6 * UA * AA / u**5 - 4 * AAp / u**3) * U
+        + 4 * UA / p(u, 3) * Ap
+        - (12 * p(UA, 2) / p(u, 5) - 4 * UAp / p(u, 3) - 3 * AA / p(u, 3)) * A
+        + (6 * UA * AA / p(u, 5) - 4 * AAp / p(u, 3)) * U
     )
-    defect = float(np.max(np.abs(mercator + slot / u)))
-    return IdentityResiduals(slot, mercator, defect)
+    return IdentityResiduals(slot, mercator, np.max(np.abs(mercator + slot / u), axis=-1))
+
+
+def mercator_tractor_residuals(jet: CurveJet) -> IdentityResiduals:
+    """Both sides of the consistency identity between the tractor route and
+    the fourth-order flow: the spatial slot of the dependency combination
+    of the fifth canonical tractor, and the expanded parameter derivative
+    of the flow's constant vector (one row of
+    :func:`identity_residual_stack`).
+
+    The defect ``max |expansion + u^{-1} * slot|`` vanishes exactly on jets
+    with stationary alpha_1 (the slot is oriented to make the signs cancel
+    that way round).
+    """
+    slot, expansion, defect = (v[0] for v in astuple(identity_residual_stack(jet.position.coeffs[None])))
+    return IdentityResiduals(slot, expansion, float(defect))
 
 
 def parallel_defect(curve, t, h, count=3, scaled=False):

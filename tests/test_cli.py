@@ -111,8 +111,25 @@ class TestVerify:
              "--q0", "0,1e200,0", "--r0", "0.3,-0.2,0.5", "--samples", "3"],
             # the Noether checks need a rotation plane
             ["verify", "--family", "circle", "--x0", "0", "--u0", "1", "--a0", "0"],
+            # a spread over one sample time is 0 by construction
+            ["verify", *SPIRAL_ARGS, "--samples", "1"],
+            ["verify", *CIRCLE_ARGS, "--samples", "1"],
         ):
             assert_config_error(argv, capsys)
+
+    def test_first_failing_time_names_the_failure(self, capsys):
+        # the family is evaluated at all times at once; a failure is named
+        # by the first time that fails on its own, as a per-time loop would
+        for argv, code, where in (
+            (["verify", *SPIRAL_ARGS, "--samples", "3", "--t1", "800"], 2, "t = 399.5"),
+            (["verify", *CIRCLE_ARGS, "--t0", "10", "--t1", "1e200", "--samples", "3"], 2, "t = 5e+199"),
+            # a speed below the floor at t = 2.5e79 comes before the
+            # overflow at t = 1e80
+            (["verify", *CIRCLE_ARGS, "--t0", "1e3", "--t1", "1e80", "--samples", "5"], 3, "t=2.5e+79"),
+        ):
+            assert main(argv) == code
+            err = capsys.readouterr().err
+            assert where in err and err.count("\n") == 1
 
     def test_straight_line_decay_order_is_vacuous(self, tmp_path, capsys):
         # both parallel defects are exactly 0, so there is no order to measure

@@ -14,6 +14,8 @@ from confcurves import (
     mercator_C,
     parallel_defect,
 )
+from confcurves.curves import DegenerateVelocityError
+from confcurves.jets import JetScalar
 from confcurves.multilinear import tractor_metric_pair
 
 from conftest import random_circle, random_spiral, random_transformed_spiral
@@ -171,3 +173,76 @@ class TestTransformedSpiralFamily:
         bad = x0 / float(x0 @ x0)
         with pytest.raises(FamilyError):
             TransformedSpiral(spiral, bad)
+
+
+# The per-time jet bodies that the stacked evaluations replaced, kept as
+# oracles: jet arithmetic on the defining formulas at one time.
+
+
+def jet_circle(circle, t, order):
+    tau = JetScalar.variable(t, order)
+    tau2 = tau * tau
+    den = (tau2 * float(circle.a0 @ circle.a0) + 1.0).recip()
+    num = tau * circle.u0 + tau2 * circle.a0
+    return (num * den + circle.x0).coeffs
+
+
+def jet_spiral(spiral, t, order):
+    tau = JetScalar.variable(t, order)
+    growth = tau.exp()
+    theta = tau * spiral.c
+    ec = growth * theta.cos()
+    es = growth * theta.sin()
+    return (ec * spiral.p0 + es * spiral.q0 + spiral.r0).coeffs
+
+
+def jet_tspiral(tspiral, t, order):
+    base_jet = JetScalar(jet_spiral(tspiral.base, t, order))
+    b = JetScalar.constant(tspiral.b, order)
+    n2 = base_jet.norm_sq()
+    den = 1.0 - 2.0 * base_jet.dot(b) + float(tspiral.b @ tspiral.b) * n2
+    return ((base_jet - n2 * tspiral.b) * den.recip()).coeffs
+
+
+class TestJetStacks:
+    """Each row of a family's ``jet_stack`` against the per-time jet body,
+    bit for bit (through order 10: beyond, ``np.convolve`` sums its
+    coefficients differently)."""
+
+    def families(self, rng, n):
+        return (
+            (random_circle(rng, n), jet_circle),
+            (random_spiral(rng, n), jet_spiral),
+            (random_transformed_spiral(rng, n), jet_tspiral),
+        )
+
+    def test_rows_repeat_the_per_time_jets(self, rng):
+        times = np.linspace(-1.0, 1.0, 21)
+        for n in range(2, 9):
+            for family, oracle in self.families(rng, n):
+                for order in (4, 6, 10):
+                    stack = family.jet_stack(times, order)
+                    assert stack.shape == (times.size, n, order + 1)
+                    for t, row in zip(times, stack):
+                        want = oracle(family, float(t), order)
+                        assert np.array_equal(row, want) and row.tobytes() == want.tobytes()
+                        assert np.array_equal(family.jet(float(t), order).position.coeffs, want)
+
+    def test_one_time_stack(self, rng):
+        # integrate takes its initial point from a stack of one time
+        for n in (2, 3, 6):
+            for family, oracle in self.families(rng, n):
+                t0 = float(rng.uniform(-1.0, 1.0))
+                for order in (4, 6):
+                    assert np.array_equal(family.jet_stack([t0], order)[0], oracle(family, t0, order))
+
+    def test_transform_rejections_name_the_time(self, rng):
+        tspiral = random_transformed_spiral(rng, 3)
+        # b = x(2) / |x(2)|^2 sends the curve point at t = 2 to infinity
+        x2 = tspiral.base.position(2.0)
+        pole = TransformedSpiral(tspiral.base, x2 / float(x2 @ x2), window=(-1.0, 1.0))
+        with pytest.raises(FamilyError, match="t = 2.0"):
+            pole.jet_stack([0.0, 2.0])
+        # the spiral's own speed vanishes at t = -30 before the image's does
+        with pytest.raises(DegenerateVelocityError, match="at t=-30.0"):
+            tspiral.jet_stack([0.0, -30.0])

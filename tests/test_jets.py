@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confcurves import JetDomainError, JetOrderError, JetScalar
-from confcurves.jets import _recip, _sqrt
+from confcurves.jets import _exp, _recip, _sincos, _sqrt
 
 from conftest import random_spiral
 
@@ -184,7 +184,56 @@ def dot_sqrt(a):
     return b
 
 
+def dot_exp(a):
+    """The exponential recurrence row by row with ``np.dot``, the oracle."""
+    b = np.zeros_like(a)
+    b[0] = math.exp(a[0])
+    j = np.arange(1, a.size)
+    for k in range(1, a.size):
+        b[k] = np.dot(j[:k] * a[1 : k + 1], b[k - 1 :: -1]) / k
+    return b
+
+
+def dot_sincos(a):
+    """The sine and cosine recurrences row by row with ``np.dot``, the
+    oracle."""
+    s = np.zeros_like(a)
+    c = np.zeros_like(a)
+    s[0] = math.sin(a[0])
+    c[0] = math.cos(a[0])
+    j = np.arange(1, a.size)
+    for k in range(1, a.size):
+        ja = j[:k] * a[1 : k + 1]
+        s[k] = np.dot(ja, c[k - 1 :: -1]) / k
+        c[k] = -np.dot(ja, s[k - 1 :: -1]) / k
+    return s, c
+
+
 class TestBatchedRecurrences:
+    def test_exp_and_sincos_repeat_the_dot_recurrence(self, rng):
+        for order in range(1, 13):
+            # constant terms up to 20 in size, where np.exp and math.exp
+            # disagree in a few percent of values
+            a = rng.uniform(-1, 1, (4, 3, order + 1))
+            a[..., 0] = rng.uniform(-20.0, 20.0, (4, 3))
+            e = _exp(a)
+            s, c = _sincos(a)
+            for idx in np.ndindex(a.shape[:-1]):
+                assert_bitwise(e[idx], dot_exp(a[idx]))
+                want_s, want_c = dot_sincos(a[idx])
+                assert_bitwise(s[idx], want_s)
+                assert_bitwise(c[idx], want_c)
+                jet = JetScalar(a[idx])
+                assert_bitwise(jet.exp().coeffs, e[idx])
+                assert_bitwise(jet.sin().coeffs, s[idx])
+                assert_bitwise(jet.cos().coeffs, c[idx])
+
+    def test_exp_overflow_raises_for_the_batch(self, rng):
+        a = rng.uniform(-1, 1, (3, 5))
+        a[1, 0] = 800.0
+        with pytest.raises(OverflowError):
+            _exp(a)
+
     def test_batch_repeats_the_dot_recurrence(self, rng):
         for order in range(1, 13):
             a = rng.uniform(-1, 1, (4, 3, order + 1))

@@ -9,6 +9,7 @@ from confcurves import (
     PhasePoint,
     accel_from_phase,
     circle_residual,
+    circle_residual_stack,
     e_quantities,
     hamilton_rhs,
     hamiltonian,
@@ -159,6 +160,15 @@ class TestCircleResidual:
         res = circle_residual(planar_unit_spiral.jet(0.0))
         assert np.allclose(res, [1.0, -1.0], atol=1e-13)
         assert np.linalg.norm(res) > 0.5
+
+    def test_stack_repeats_the_one_row_formula(self, rng):
+        for jets in row_sets(rng):
+            batched = circle_residual_stack(*stacked(jets, "U", "A", "Ap"))
+            for jet, row in zip(jets, batched):
+                U, A, Ap = jet.U, jet.A, jet.Ap
+                want = Ap - 3 * float(A @ U) / jet.u2 * A + 1.5 * float(A @ A) / jet.u2 * U
+                assert_same_bits(row, want)
+                assert_same_bits(circle_residual(jet), want)
 
 
 class TestPhaseConversions:

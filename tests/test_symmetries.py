@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from confcurves import (
+    JetScalar,
     KillingField,
     PhasePoint,
     ckv_eval,
@@ -12,6 +13,7 @@ from confcurves import (
     e_stack,
     f_closed,
     f_generic,
+    f_generic_stack,
     hamiltonian,
     involutivity_check,
     mercator_C,
@@ -149,9 +151,9 @@ class TestNoetherQuantities:
             for t in (-0.4, 0.3):
                 jet = circle.jet(float(t))
                 x = jet.position
-                from confcurves.symmetries import _ckv_jet
+                from confcurves.symmetries import _ckv_stack
 
-                v = _ckv_jet(field, x)
+                v = JetScalar(_ckv_stack(field, x.coeffs[None])[0])
                 u_jet = x.differentiate()
                 k = u_jet.order - 1
                 w = u_jet.truncated(k + 1) * u_jet.truncated(k + 1).norm_sq().recip()
@@ -192,8 +194,8 @@ class TestEQuantities:
             e = e_quantities(phase_from_jet(spiral.jet(float(t))))
             assert np.allclose(e.E_T, 0.0, atol=1e-10)
             assert e.E_D == pytest.approx(-1.0, abs=1e-10)
-            for (i, j), value in e.rotation_pairs().items():
-                assert value == pytest.approx(
+            for i, j in itertools.combinations(range(1, 4), 2):
+                assert e.E_R[i - 1, j - 1] == pytest.approx(
                     spiral.c / p2 * epsilon((i, j), spiral.p0, spiral.q0), abs=1e-10
                 )
             expect_s = (
@@ -432,3 +434,79 @@ class TestRowBatched:
                 one = noether_basis(jet)
                 assert_basis(one, None, want)
                 assert isinstance(one.E_D, float)
+
+    def test_pair_over_stacked_bases(self, rng):
+        # the one-row pairing formula, with Python floats
+        for jets in row_sets(rng, count=5):
+            n = jets[0].dim
+            bases = noether_stack(*stacked(jets, "X", "U", "A", "Ap"))
+            for field in sample_fields(rng, n):
+                values = field.pair(bases)
+                for k, jet in enumerate(jets):
+                    b = noether_basis(jet)
+                    want = (
+                        float(field.T @ b.E_T)
+                        + 0.5 * float(np.sum(field.R * b.E_R))
+                        + field.a * b.E_D
+                        + float(field.S @ b.E_S)
+                    )
+                    assert values[k] == want and field.pair(b) == want
+                    assert isinstance(field.pair(b), float)
+
+
+def jet_ckv(field, x):
+    """The field on a position jet, the one-row body the stack replaced."""
+    c = x.coeffs
+    s_dot_x = JetScalar((field.S[:, None] * c).sum(axis=0))
+    coeffs = (
+        field.R.T @ c
+        + field.a * c
+        + np.outer(field.S, x.norm_sq().coeffs)
+        - 2.0 * (x * s_dot_x).coeffs
+    )
+    coeffs[:, 0] += field.T
+    return JetScalar(coeffs)
+
+
+def jet_f_generic(field, jet):
+    """The per-jet body of ``f_generic`` that the stack replaced: every
+    derivative through jet objects of the full order."""
+    x = jet.position
+    v = jet_ckv(field, x)
+    vp = v.differentiate()
+    u_jet = x.differentiate()
+    k = vp.order
+    w = u_jet.truncated(k) * u_jet.truncated(k).norm_sq().recip()
+    dWVp = w.dot(vp).differentiate().value
+    WpVp = float(np.dot(w.differentiate().value, vp.value))
+    C = mercator_C(jet)
+    return dWVp + WpVp - float(C @ v.value)
+
+
+class TestGenericStack:
+    def test_stack_matches_the_per_jet_body(self, rng):
+        worst = 0.0
+        for n in range(2, 9):
+            families = (random_spiral(rng, n), random_circle(rng, n), random_transformed_spiral(rng, n))
+            for family in families:
+                times = np.linspace(-1.0, 1.0, 9)
+                coeffs = family.jet_stack(times)
+                for field in sample_fields(rng, n):
+                    got = f_generic_stack(field, coeffs)
+                    for t, value in zip(times, got):
+                        jet = family.jet(float(t))
+                        want = jet_f_generic(field, jet)
+                        worst = max(worst, abs(value - want) / (1.0 + abs(want)))
+                        assert f_generic(field, jet) == value
+        assert worst <= 1e-13
+
+    def test_random_jets_and_order_check(self, rng):
+        for n in range(2, 6):
+            jets = [random_curve_jet(rng, n) for _ in range(6)]
+            coeffs = np.stack([j.position.coeffs for j in jets])
+            for field in sample_fields(rng, n):
+                for jet, value in zip(jets, f_generic_stack(field, coeffs)):
+                    want = jet_f_generic(field, jet)
+                    assert abs(value - want) <= 1e-13 * (1.0 + abs(want))
+        with pytest.raises(ValueError, match="through order 4"):
+            f_generic_stack(KillingField(3, a=1.0), np.ones((2, 3, 4)))

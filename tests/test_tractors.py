@@ -9,23 +9,26 @@ from confcurves import (
     DegenerateVelocityError,
     JetScalar,
     UndefinedInvariantError,
+    alpha1_stationary_stack,
     canonical_tractor_jets,
     canonical_tractors,
     closed_form_alpha1_delta4,
     enforce_alpha1_stationary,
     epsilon,
     gram_invariants,
+    identity_residual_stack,
     is_conformal_circle,
     kappa1,
     mercator_tractor_residuals,
     parallel_defect,
     parallel_section_oracle,
     q_circle_quantities,
+    q_circle_stack,
     q_quantities,
     quantity_family,
 )
 from confcurves.curves import VELOCITY_FLOOR
-from confcurves.multilinear import tractor_metric_pair
+from confcurves.multilinear import minors, tractor_metric_pair
 from confcurves.tractors import canonical_tractor_stack, gram_stack, q_keys, q_stack
 from conftest import (
     random_circle,
@@ -661,3 +664,97 @@ class TestStacks:
             gram_stack(coeffs, 4)
         with pytest.raises(ValueError):
             q_stack(coeffs[..., :3])
+
+
+# The per-jet bodies that the sample-axis stacks replaced, kept as oracles.
+
+
+def jet_alpha1_stationary(jet):
+    g = gram_invariants(jet, max_ell=3)
+    a1p = g.alpha1_jet.differentiate().value
+    derivs = [jet.derivative(k) for k in range(jet.order + 1)]
+    derivs[4] = derivs[4] - 0.5 * a1p * jet.U
+    return CurveJet.from_derivatives(jet.t, derivs)
+
+
+def jet_identity_residuals(jet):
+    U, A, Ap, App = jet.U, jet.A, jet.Ap, jet.App
+    u2 = jet.u2
+    u = math.sqrt(u2)
+    UA = float(U @ A)
+    UAp = float(U @ Ap)
+    UApp = float(U @ App)
+    AA = float(A @ A)
+    AAp = float(A @ Ap)
+    mercator = (
+        -24 * u2**-4 * UA**3 * U
+        + 16 * u2**-3 * UA * UAp * U
+        + 12 * u2**-3 * UA * AA * U
+        + 12 * u2**-3 * UA**2 * A
+        - 2 * u2**-2 * UApp * U
+        - 4 * u2**-2 * AAp * U
+        - 4 * u2**-2 * UAp * A
+        - 3 * u2**-2 * AA * A
+        - 4 * u2**-2 * UA * Ap
+        + u2**-1 * App
+    )
+    slot = (
+        -App / u
+        + 4 * UA / u**3 * Ap
+        - (12 * UA**2 / u**5 - 4 * UAp / u**3 - 3 * AA / u**3) * A
+        + (6 * UA * AA / u**5 - 4 * AAp / u**3) * U
+    )
+    return slot, mercator, float(np.max(np.abs(mercator + slot / u)))
+
+
+def jet_q_circle(jet):
+    X, U, A = jet.X, jet.U, jet.A
+    iu1 = 1.0 / jet.u
+    iu3 = iu1 / jet.u2
+    M = np.column_stack([X, U, A])
+    ua = minors(M[:, 1:])
+    return np.concatenate(
+        [
+            iu1 * U + iu3 * minors(M[:, 1:], X),
+            -iu1 * minors(M[:, :2]) + iu3 * (0.5 * float(X @ X) * ua - minors(M, X)),
+            iu3 * ua,
+            iu3 * minors(M),
+        ]
+    )
+
+
+class TestSampleStacks:
+    """The stacks over the sample axis against the per-jet bodies they
+    replaced, bit for bit."""
+
+    def test_jet_identity_repeats_the_per_sample_loop(self, rng):
+        # drawn as `relations --jet-identity` draws its samples
+        for n in range(1, 9):
+            draws = []
+            for _ in range(12):
+                derivs = [rng.uniform(-1, 1, n) for _ in range(5)]
+                while float(derivs[1] @ derivs[1]) < 0.1:
+                    derivs[1] = rng.uniform(-1, 1, n)
+                draws.append(derivs)
+            jets = [CurveJet.from_derivatives(0.0, d) for d in draws]
+            stationary = alpha1_stationary_stack(stack_of(jets))
+            res = identity_residual_stack(stationary)
+            for k, jet in enumerate(jets):
+                want = jet_alpha1_stationary(jet)
+                assert np.array_equal(stationary[k], want.position.coeffs)
+                assert np.array_equal(enforce_alpha1_stationary(jet).position.coeffs, stationary[k])
+                slot, expansion, defect = jet_identity_residuals(want)
+                assert np.array_equal(res.tractor_slot[k], slot)
+                assert np.array_equal(res.mercator_expansion[k], expansion)
+                assert res.identity_defect[k] == defect
+                one = mercator_tractor_residuals(want)
+                assert one.identity_defect == defect and isinstance(one.identity_defect, float)
+
+    def test_circle_quantities_repeat_the_per_jet_body(self, rng):
+        for n in range(2, 9):
+            jets = mixed_rows(rng, n)
+            values = q_circle_stack(stack_of(jets))
+            for row, jet in zip(values, jets):
+                want = jet_q_circle(jet)
+                assert np.array_equal(row, want)
+                assert list(q_circle_quantities(jet).values()) == want.tolist()
