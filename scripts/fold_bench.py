@@ -21,11 +21,18 @@ writes the layout of the earlier ``BENCH_*.json`` files: every pair's
 end-to-end metrics, and per workload and metric each side's median and
 quartiles, the pairs the change won and the relative change of the medians.
 Which direction is better comes from ``BENCHMARK.json``.
+
+With ``--traced DIR``, where ``DIR/parent`` and ``DIR/change`` each hold
+the ``result-W-seedS-trace1.json`` and ``spans-W-seedS.csv`` of one
+``--trace 1`` run, the output also gets a ``traced`` record: per side, the
+run's per-layer metrics and the call count of every span name.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
+import csv
 import json
 import statistics
 import sys
@@ -93,6 +100,27 @@ def summarize(pairs, metrics):
     return summary
 
 
+def read_traced(traced):
+    """Per side, the metrics of one ``--trace 1`` run and the number of spans
+    of each name in its spans file."""
+    record = {}
+    for side in SIDES:
+        paths = sorted((traced / side).glob("result-*-trace1.json"))
+        if len(paths) != 1:
+            raise SystemExit(f"fold_bench: {traced / side} needs exactly one traced result")
+        result = json.loads(paths[0].read_text())
+        spans = traced / side / Path(result["diagnostics"]["spans_file"]).name
+        with open(spans, newline="") as fh:
+            calls = collections.Counter(row["name"] for row in csv.DictReader(fh))
+        record[side] = {
+            "workload": result["env"]["workload"],
+            "seed": result["env"]["seed"],
+            "metrics": {k: m["value"] for k, m in result["metrics"].items()},
+            "span_calls": dict(sorted(calls.items())),
+        }
+    return record
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("runs", type=Path, help="directory of pair-*/<order>-<side>/ results")
@@ -101,6 +129,7 @@ def main(argv=None):
     p.add_argument("--change", required=True, help="one line on what the change does")
     p.add_argument("--procedure", default="", help="how the pairs ran")
     p.add_argument("--host", default="", help="the machine the pairs ran on")
+    p.add_argument("--traced", type=Path, help="directory of parent/ and change/ --trace 1 runs")
     args = p.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
@@ -117,6 +146,8 @@ def main(argv=None):
         "summary": summary,
         "pairs": pairs,
     }
+    if args.traced:
+        payload["traced"] = read_traced(args.traced)
     args.out.write_text(json.dumps(payload, indent=1) + "\n")
     for workload, table in payload["summary"].items():
         wall = table["wall_s.p50"]

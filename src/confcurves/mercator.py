@@ -42,7 +42,9 @@ __all__ = [
 @dataclass(frozen=True, eq=False)
 class PhasePoint:
     """State of the first-order system: position, velocity, and the two
-    conjugate momenta."""
+    conjugate momenta.  The components share one ``(..., n)`` shape; leading
+    axes stack points, and every row is checked against the velocity
+    floor."""
 
     X: np.ndarray
     U: np.ndarray
@@ -52,27 +54,28 @@ class PhasePoint:
     def __post_init__(self):
         for name in ("X", "U", "P", "R"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        n = self.X.size
-        if any(getattr(self, k).size != n for k in ("U", "P", "R")):
-            raise ValueError("phase components must share one dimension")
-        u2 = float(self.U @ self.U)
-        if u2 <= VELOCITY_FLOOR:
-            raise DegenerateVelocityError(f"squared speed {u2:.3e} below floor")
+        shape = self.X.shape
+        if not shape or any(getattr(self, k).shape != shape for k in ("U", "P", "R")):
+            raise ValueError("phase components must share one (..., n) shape")
+        u2 = _dot(self.U, self.U)
+        if np.any(u2 <= VELOCITY_FLOOR):
+            raise DegenerateVelocityError(f"squared speed {np.min(u2):.3e} below floor")
 
     @property
     def dim(self):
-        return self.X.size
+        return self.X.shape[-1]
 
     @property
     def u2(self):
         return float(self.U @ self.U)
 
     def flat(self):
-        return np.concatenate([self.X, self.U, self.P, self.R])
+        return np.concatenate([self.X, self.U, self.P, self.R], axis=-1)
 
     @classmethod
     def from_flat(cls, y, n):
-        return cls(y[0:n], y[n : 2 * n], y[2 * n : 3 * n], y[3 * n : 4 * n])
+        """The point of each ``(..., 4n)`` row laid out like :meth:`flat`."""
+        return cls(y[..., 0:n], y[..., n : 2 * n], y[..., 2 * n : 3 * n], y[..., 3 * n : 4 * n])
 
 
 def flow_vector_stack(U, A, Ap):

@@ -70,6 +70,12 @@ def index_tuples(n, k):
     return tuples
 
 
+# float64 elements (8 MiB) that one chunk of the gathered minor matrices may
+# hold: rows * C(n, k) * k^2 up to this, such as 900 rows of the rank-4
+# minors at n = 8, is one chunk
+_MINORS_BUDGET = 1 << 20
+
+
 def minors(columns, border=None):
     """Minors of an ``(n, k)`` column stack ``[V_1 .. V_k]``, one per increasing
     row tuple ``I`` in :func:`index_tuples` order; leading axes of
@@ -84,12 +90,22 @@ def minors(columns, border=None):
     """
     mat = np.asarray(columns, dtype=float)
     n, k = mat.shape[-2:]
-    if border is None:
-        return np.linalg.det(mat[..., index_tuples(n, k), :])
-    rows = mat[..., index_tuples(n, k - 1), :]
-    edge = np.asarray(border, dtype=float)[..., None, :] @ mat
-    edge = np.broadcast_to(edge[..., None, :, :], rows.shape[:-2] + (1, k))
-    return np.linalg.det(np.concatenate([rows, edge], axis=-2))
+    tuples = index_tuples(n, k if border is None else k - 1)
+    if border is not None:
+        edge = (np.asarray(border, dtype=float)[..., None, :] @ mat)[..., None, :, :]
+    # the gathered (..., tuples, k, k) matrices are built a chunk of tuples
+    # at a time, at most _MINORS_BUDGET elements; det takes each matrix on
+    # its own, so the chunking leaves every value unchanged
+    step = max(1, _MINORS_BUDGET // max(1, k * k * math.prod(mat.shape[:-2])))
+    parts = []
+    for start in range(0, max(len(tuples), 1), step):
+        rows = mat[..., tuples[start : start + step], :]
+        if border is not None:
+            rows = np.concatenate(
+                [rows, np.broadcast_to(edge, rows.shape[:-2] + (1, k))], axis=-2
+            )
+        parts.append(np.linalg.det(rows))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
 
 
 def _perm_sign(perm):

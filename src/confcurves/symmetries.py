@@ -220,13 +220,17 @@ def e_quantities(p: PhasePoint) -> EQuantities:
 def q_phase(p: PhasePoint):
     """The four pairing-quantity families as polynomials in the phase
     variables, keyed by :func:`confcurves.tractors.q_keys` like
-    :func:`confcurves.tractors.q_quantities`.
+    :func:`confcurves.tractors.q_quantities`: a float per key for one
+    point, an array over the leading axes for a stacked one.
 
     They are the curve-data forms with ``(A, A')`` replaced by ``(R, P)`` and
     the weights ``(3 (U.A)/u^4, -1/u^2, 1/u^4)`` by ``(-U.R, 1, -1)``.
     """
-    families = _pairing_families(p.X, p.U, p.R, p.P, (-float(p.U @ p.R), 1.0, -1.0))
-    return dict(zip(q_keys(p.dim), np.concatenate(families).tolist()))
+    families = _pairing_families(p.X, p.U, p.R, p.P, (-_dot(p.U, p.R), 1.0, -1.0))
+    values = np.concatenate(families, axis=-1)
+    if values.ndim == 1:
+        return dict(zip(q_keys(p.dim), values.tolist()))
+    return dict(zip(q_keys(p.dim), np.moveaxis(values, -1, 0)))
 
 
 @functools.cache
@@ -244,13 +248,16 @@ def quantity_identities(p: PhasePoint):
     The pure-spatial identity is checked in multiplied-through form
     (``E_D`` times the quantity), so it is meaningful on the whole phase
     space.  Returns per-family dictionaries with the max absolute residual
-    and the operand scale for relative comparisons.
+    and the operand scale for relative comparisons: floats for one point,
+    arrays over the leading axes for a stacked one.
     """
     n = p.dim
-    e = e_quantities(p)
-    E_T, E_R, E_D, E_S = e.E_T, e.E_R, e.E_D, e.E_S
-    q = np.array(list(q_phase(p).values()))
-    q2, q3, q3N, q4 = np.split(q, np.cumsum(_family_sizes(n)))
+    e = e_stack(p.X, p.U, p.P, p.R)
+    # component axes first, batch axes last, so the gathers index them
+    E_T, E_S = np.moveaxis(e.E_T, -1, 0), np.moveaxis(e.E_S, -1, 0)
+    E_R, E_D = np.moveaxis(e.E_R, (-2, -1), (0, 1)), e.E_D
+    q = list(q_phase(p).values())
+    q2, q3, q3N, q4 = np.split(np.reshape(q, (len(q),) + E_D.shape), np.cumsum(_family_sizes(n)))
     (i, j), (a, b, c), (w, x, y, z) = (tuple(index_tuples(n, k).T) for k in (2, 3, 4))
 
     def split3(v):
@@ -258,7 +265,7 @@ def quantity_identities(p: PhasePoint):
         return E_R[a, b] * v[c] - E_R[a, c] * v[b] + E_R[b, c] * v[a]
 
     # the six signed splits of each increasing quadruple into two pairs
-    W = np.outer(E_S, E_T) - np.outer(E_T, E_S)
+    W = E_S[:, None] * E_T - E_T[:, None] * E_S
     split4 = (
         E_R[w, x] * W[y, z] - E_R[w, y] * W[x, z] + E_R[w, z] * W[x, y]
         + E_R[x, y] * W[w, z] - E_R[x, z] * W[w, y] + E_R[y, z] * W[w, x]
@@ -271,8 +278,11 @@ def quantity_identities(p: PhasePoint):
     }
     report = {}
     for family, (lhs, rhs) in sides.items():
-        resid = float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
-        scale = float(np.max(np.abs(np.concatenate([lhs, rhs])))) if lhs.size else 0.0
+        # a vacuous family (no keys below dimension 4) reads 0
+        resid = np.max(np.abs(lhs - rhs), axis=0, initial=0.0)
+        scale = np.max(np.abs(np.concatenate([lhs, rhs])), axis=0, initial=0.0)
+        if not E_D.ndim:
+            resid, scale = float(resid), float(scale)
         report[family] = {"residual": resid, "scale": scale}
     return report
 

@@ -555,20 +555,16 @@ def parallel_defect(curve, t, h, count=3, scaled=False):
     """
     if h <= 0:
         raise ValueError("h must be positive")
-
-    def wedge_at(s):
-        j = curve(s)
-        w = wedge(canonical_tractors(j, count))
-        if scaled:
+    jets = [curve(s) for s in (t + h, t - h, t)]
+    # one recurrence over the three sampled rows, then one wedge per row
+    stack = canonical_tractor_stack(np.stack([j.position.coeffs for j in jets]), count)
+    wedges = [wedge([c[row, :, 0] for c in stack]) for row in range(3)]
+    if scaled:
+        for row, j in enumerate(jets):
             _, d4 = closed_form_alpha1_delta4(j)
             if not d4 < 0.0:
                 raise UndefinedInvariantError("scaled wedge needs delta_4 < 0")
-            w = w * (-d4) ** -0.5
-        return w
-
-    wp = wedge_at(t + h)
-    wm = wedge_at(t - h)
-    w0 = wedge_at(t)
-    center = curve(t)
-    deriv = (wp - wm) * (0.5 / h) + rho_wedge(center.U, w0, count)
+            wedges[row] = wedges[row] * (-d4) ** -0.5
+    wp, wm, w0 = wedges
+    deriv = (wp - wm) * (0.5 / h) + rho_wedge(jets[2].U, w0, count)
     return float(np.max(np.abs(deriv)))

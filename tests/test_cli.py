@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -372,6 +373,36 @@ class TestRelations:
 
     def test_jet_identity_alias(self):
         assert main(["relations", "--n", "3", "--samples", "10", "--seed", "7", "--appendix-c"]) == 0
+
+
+class TestMemory:
+    """``multilinear.minors`` gathers its minor matrices a chunk at a time, so
+    a stacked ``relations`` run and a wide quantity table stay under a fixed
+    traced peak; without the chunks each peaks above 50 MB."""
+
+    WIDE = ",".join(["1"] + ["0"] * 15), ",".join(["0", "1"] + ["0"] * 14)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["relations", "--n", "16", "--samples", "200", "--seed", "0", "--out", "r.json"],
+            ["quantities", "--family", "spiral", "--n", "16", "--c", "2", "--p0", WIDE[0],
+             "--q0", WIDE[1], "--r0=" + ",".join(["0.3", "-0.2"] * 8), "--samples", "201",
+             "--out", "q.csv"],
+        ],
+        ids=["relations", "quantities"],
+    )
+    def test_peak_is_bounded(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        main(argv)  # fill the per-dimension caches first
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 40e6
 
 
 class TestQuantities:

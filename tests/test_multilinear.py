@@ -11,9 +11,10 @@ from confcurves import (
     wedge,
     wedge_pair,
 )
+from confcurves import multilinear
 from confcurves.multilinear import minors, rho_wedge, tractor_metric_pair
 
-from conftest import random_curve_jet
+from conftest import assert_same_bits, random_curve_jet
 
 
 class TestEpsilon:
@@ -120,6 +121,19 @@ class TestMinors:
                     for idx in np.ndindex(3, 2):
                         one = minors(cols[idx], None if border is None else border[idx])
                         assert np.array_equal(got[idx], one)
+
+    def test_chunks_leave_the_values_unchanged(self, rng, monkeypatch):
+        # budgets from one tuple per chunk to one chunk for all, including
+        # uneven last chunks and an empty tuple set (n < k)
+        for n in range(1, 9):
+            for k in range(1, 5):
+                cols = rng.uniform(-1.0, 1.0, (3, n, k))
+                for border in (None, rng.uniform(-1.0, 1.0, (3, n))):
+                    whole = minors(cols, border)
+                    for budget in (1, 48, 7 * 48, 1 << 20):
+                        with monkeypatch.context() as m:
+                            m.setattr(multilinear, "_MINORS_BUDGET", budget)
+                            assert_same_bits(minors(cols, border), whole)
 
     def test_integer_columns_round_to_the_exact_minors(self, rng):
         # np.linalg.det factors through LU, so integer minors come back

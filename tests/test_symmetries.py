@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -26,6 +27,10 @@ from confcurves import (
     quantity_identities,
     three_d_reduction,
 )
+from confcurves.cli import main
+from confcurves.curves import DegenerateVelocityError
+from confcurves.multilinear import index_tuples
+from confcurves.tractors import _pairing_families, q_keys, quantity_family
 from conftest import (
     assert_same_bits,
     random_circle,
@@ -510,3 +515,131 @@ class TestGenericStack:
                     assert abs(value - want) <= 1e-13 * (1.0 + abs(want))
         with pytest.raises(ValueError, match="through order 4"):
             f_generic_stack(KillingField(3, a=1.0), np.ones((2, 3, 4)))
+
+
+def row_q_phase(p):
+    """The per-point body of ``q_phase`` that the stacked call replaced."""
+    families = _pairing_families(p.X, p.U, p.R, p.P, (-float(p.U @ p.R), 1.0, -1.0))
+    return dict(zip(q_keys(p.dim), np.concatenate(families).tolist()))
+
+
+def row_quantity_identities(p):
+    """The per-point body of ``quantity_identities`` that the stacked call
+    replaced."""
+    n = p.dim
+    e = e_quantities(p)
+    E_T, E_R, E_D, E_S = e.E_T, e.E_R, e.E_D, e.E_S
+    q = np.array(list(row_q_phase(p).values()))
+    families = [quantity_family(key, n) for key in q_keys(n)]
+    sizes = [families.count(f) for f in ("0ijN", "0ijk", "ijkN")]
+    q2, q3, q3N, q4 = np.split(q, np.cumsum(sizes))
+    (i, j), (a, b, c), (w, x, y, z) = (tuple(index_tuples(n, k).T) for k in (2, 3, 4))
+
+    def split3(v):
+        return E_R[a, b] * v[c] - E_R[a, c] * v[b] + E_R[b, c] * v[a]
+
+    W = np.outer(E_S, E_T) - np.outer(E_T, E_S)
+    split4 = (
+        E_R[w, x] * W[y, z] - E_R[w, y] * W[x, z] + E_R[w, z] * W[x, y]
+        + E_R[x, y] * W[w, z] - E_R[x, z] * W[w, y] + E_R[y, z] * W[w, x]
+    )
+    sides = {
+        "0ijN": (q2, 0.5 * (E_T[i] * E_S[j] - E_T[j] * E_S[i]) - E_D * E_R[i, j]),
+        "0ijk": (q3, 0.5 * split3(E_S)),
+        "ijkN": (q3N, -split3(E_T)),
+        "ijkl": (E_D * q4, 0.5 * split4),
+    }
+    report = {}
+    for family, (lhs, rhs) in sides.items():
+        resid = float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
+        scale = float(np.max(np.abs(np.concatenate([lhs, rhs])))) if lhs.size else 0.0
+        report[family] = {"residual": resid, "scale": scale}
+    return report
+
+
+def relation_draws(seed, n, count):
+    """The phase points ``relations`` draws for ``--seed``, one by one."""
+    rng = np.random.default_rng(seed)
+    points = []
+    while len(points) < count:
+        y = rng.uniform(-1.0, 1.0, 4 * n)
+        if float(y[n : 2 * n] @ y[n : 2 * n]) >= 0.1:
+            points.append(PhasePoint.from_flat(y, n))
+    return points
+
+
+class TestStackedPhasePoints:
+    """``q_phase`` and ``quantity_identities`` on a stacked point against
+    their per-point bodies, bit for bit."""
+
+    def test_stack_matches_the_per_point_bodies(self, rng):
+        for n in range(1, 9):
+            points = [random_phase_point(rng, n) for _ in range(25)]
+            flat = np.stack([p.flat() for p in points])
+            stack = PhasePoint.from_flat(flat, n)
+            assert stack.dim == n
+            assert_same_bits(stack.flat(), flat)
+            q = q_phase(stack)
+            rep = quantity_identities(stack)
+            assert list(q) == list(q_keys(n)) and list(rep) == ["0ijN", "0ijk", "ijkN", "ijkl"]
+            for k, p in enumerate(points):
+                want_q = row_q_phase(p)
+                assert [q[key][k] for key in q] == list(want_q.values())
+                assert q_phase(p) == want_q
+                want = row_quantity_identities(p)
+                assert quantity_identities(p) == want
+                for family, rec in rep.items():
+                    assert rec["residual"][k] == want[family]["residual"]
+                    assert rec["scale"][k] == want[family]["scale"]
+
+    def test_vacuous_families_below_dimension_four(self, rng):
+        for n in (1, 2, 3):
+            stack = PhasePoint.from_flat(np.stack([random_phase_point(rng, n).flat() for _ in range(4)]), n)
+            sizes = [quantity_family(key, n) for key in q_keys(n)]
+            for family, rec in quantity_identities(stack).items():
+                if family not in sizes:
+                    assert_same_bits(rec["residual"], np.zeros(4))
+                    assert_same_bits(rec["scale"], np.zeros(4))
+
+    def test_one_point_gives_python_floats(self, rng):
+        p = random_phase_point(rng, 4)
+        assert all(type(v) is float for v in q_phase(p).values())
+        for rec in quantity_identities(p).values():
+            assert type(rec["residual"]) is float and type(rec["scale"]) is float
+
+    def test_component_shapes_must_match(self):
+        ones = np.ones(3)
+        for X, U in (
+            (np.zeros(3), np.ones(4)),
+            (np.zeros((2, 3)), ones),
+            (np.zeros(()), np.ones(())),
+        ):
+            with pytest.raises(ValueError):
+                PhasePoint(X, U, np.zeros(np.shape(X)), np.zeros(np.shape(X)))
+        with pytest.raises(ValueError):
+            PhasePoint(np.zeros((2, 3)), np.ones((2, 3)), np.zeros((2, 3)), np.zeros((3, 2)))
+
+    def test_one_slow_row_is_degenerate(self, rng):
+        y = np.stack([random_phase_point(rng, 3).flat() for _ in range(5)])
+        y[3, 3:6] = 1e-9
+        with pytest.raises(DegenerateVelocityError):
+            PhasePoint.from_flat(y, 3)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_relations_report_matches_the_per_sample_loop(self, tmp_path, n):
+        # the fold of the per-sample loop that one stacked call replaced
+        points = relation_draws(11, n, 40)
+        worst = {"0ijN": 0.0, "0ijk": 0.0, "ijkN": 0.0, "ijkl": 0.0}
+        for p in points:
+            for family, rec in row_quantity_identities(p).items():
+                worst[family] = max(worst[family], rec["residual"] / (1.0 + rec["scale"]))
+        sizes = {quantity_family(key, n) for key in q_keys(n)}
+        out = tmp_path / "rel.json"
+        code = main(["relations", "--n", str(n), "--samples", "40", "--seed", "11", "--out", str(out)])
+        if not sizes:
+            # every family is vacuous in dimension 1: nothing checked
+            assert code == 2 and not out.exists()
+            return
+        assert code == 0
+        measured = {r["name"]: r["measured"] for r in json.loads(out.read_text())["checks"]}
+        assert measured == {f"identity_{f}": v for f, v in worst.items() if f in sizes}

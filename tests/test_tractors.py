@@ -28,7 +28,7 @@ from confcurves import (
     quantity_family,
 )
 from confcurves.curves import VELOCITY_FLOOR
-from confcurves.multilinear import minors, tractor_metric_pair
+from confcurves.multilinear import minors, rho_wedge, tractor_metric_pair, wedge
 from confcurves.tractors import canonical_tractor_stack, gram_stack, q_keys, q_stack
 from conftest import (
     random_circle,
@@ -516,18 +516,55 @@ class TestReductionIdentity:
             assert np.max(np.abs(fd - res.mercator_expansion)) <= 1e-7 * scale
 
 
+def row_parallel_defect(curve, t, h, count=3, scaled=False):
+    """The per-time body of ``parallel_defect`` that the three-row tractor
+    stack replaced: one sampled jet and one tractor recurrence per time."""
+
+    def wedge_at(s):
+        j = curve(s)
+        w = wedge(canonical_tractors(j, count))
+        if scaled:
+            _, d4 = closed_form_alpha1_delta4(j)
+            w = w * (-d4) ** -0.5
+        return w
+
+    wp = wedge_at(t + h)
+    wm = wedge_at(t - h)
+    w0 = wedge_at(t)
+    center = curve(t)
+    deriv = (wp - wm) * (0.5 / h) + rho_wedge(center.U, w0, count)
+    return float(np.max(np.abs(deriv)))
+
+
+def assert_defect(curve, t, h, count=3, scaled=False):
+    """``parallel_defect``, asserted equal to its per-time body."""
+    d = parallel_defect(curve, t, h, count=count, scaled=scaled)
+    assert d == row_parallel_defect(curve, t, h, count, scaled)
+    return d
+
+
 class TestParallelTransport:
     def test_circle_second_order_decay(self, rng):
         circle = random_circle(rng, 3)
-        d1 = parallel_defect(lambda t: circle.jet(t, 4), 0.1, 0.02, count=3)
-        d2 = parallel_defect(lambda t: circle.jet(t, 4), 0.1, 0.01, count=3)
+        d1 = assert_defect(lambda t: circle.jet(t, 4), 0.1, 0.02, count=3)
+        d2 = assert_defect(lambda t: circle.jet(t, 4), 0.1, 0.01, count=3)
         order = math.log2(d1 / d2)
         assert 1.6 <= order <= 2.4
+
+    def test_circle_steps_match_the_per_time_body(self, rng):
+        # the circle steps of verify, the acceptance suite, the family
+        # tests and the transport demo: times 0 and mid-window, h 0.02 and
+        # 0.01, the demo's coarser 0.08 and 0.04, dimensions 2 to 6
+        for n in range(2, 7):
+            circle = random_circle(rng, n)
+            for t in (0.0, 0.1, 0.5, -0.35):
+                for h in (0.08, 0.04, 0.02, 0.01, 0.005):
+                    assert_defect(lambda s: circle.jet(s, 4), t, h, count=3)
 
     def test_spiral_scaled_wedge_parallel(self, rng):
         spiral = random_spiral(rng, 3, c=1.7)
         for h in (0.02, 0.01):
-            d = parallel_defect(lambda t: spiral.jet(t, 5), 0.1, h, count=4)
+            d = assert_defect(lambda t: spiral.jet(t, 5), 0.1, h, count=4)
             assert d <= 1.0 * h**2
 
     def test_reparametrized_spiral_needs_scaling(self, rng):
@@ -547,8 +584,8 @@ class TestParallelTransport:
         g = gram_invariants(repar(0.2, 6), 5)
         assert abs(g.delta5) <= 1e-8 * max(1.0, g.gram_scale(5)) ** 5
         assert abs(g.delta4_jet.differentiate().value) > 1e-3
-        bare = parallel_defect(repar, 0.2, 0.01, count=4, scaled=False)
-        scaled = parallel_defect(repar, 0.2, 0.01, count=4, scaled=True)
+        bare = assert_defect(repar, 0.2, 0.01, count=4, scaled=False)
+        scaled = assert_defect(repar, 0.2, 0.01, count=4, scaled=True)
         assert bare > 1e-2
         assert scaled <= 1e-10
 
@@ -565,7 +602,7 @@ class TestParallelTransport:
                 acc = acc + power * coeffs[k]
             return CurveJet(t, acc)
 
-        defects = [parallel_defect(poly, 0.1, h, count=3) for h in (0.02, 0.01, 0.005)]
+        defects = [assert_defect(poly, 0.1, h, count=3) for h in (0.02, 0.01, 0.005)]
         assert min(defects) > 0.1
         assert abs(defects[-1] / defects[-2] - 1.0) < 0.2
 
