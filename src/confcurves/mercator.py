@@ -5,7 +5,9 @@ derivative vectors is constant along the curve.  Writing the associated
 second-order Lagrangian in Ostrogradsky variables produces a polynomial
 Hamiltonian on the 4n-dimensional phase space ``(X, U, P, R)``; the
 functions here convert between the two pictures, integrate the flow with
-classical RK4, and evaluate Poisson brackets by central differences.
+classical RK4, and evaluate Poisson brackets by central differences.  The
+right-hand side never reads ``X`` and keeps ``P`` fixed, so RK4 stages
+carry only ``(U, R)`` and ``X`` advances from the four stage velocities.
 """
 
 from __future__ import annotations
@@ -67,7 +69,12 @@ class PhasePoint:
 
     @property
     def u2(self):
-        return float(self.U @ self.U)
+        u2 = _dot(self.U, self.U)
+        return float(u2) if u2.ndim == 0 else u2
+
+    def require_row(self, what):
+        if self.X.ndim != 1:
+            raise ValueError(f"{what} takes one phase point, got a stack of shape {self.X.shape[:-1]}")
 
     def flat(self):
         return np.concatenate([self.X, self.U, self.P, self.R], axis=-1)
@@ -155,6 +162,7 @@ def phase_from_jet(jet: CurveJet) -> PhasePoint:
 def accel_from_phase(p: PhasePoint):
     """Invert the momentum definitions for the second and third derivative
     vectors."""
+    p.require_row("accel_from_phase")
     u2 = p.u2
     UR = float(p.U @ p.R)
     UP = float(p.U @ p.P)
@@ -172,13 +180,37 @@ def hamiltonian_stack(U, P, R):
 
 
 def hamiltonian(p: PhasePoint):
-    return float(hamiltonian_stack(p.U, p.P, p.R))
+    H = hamiltonian_stack(p.U, p.P, p.R)
+    return float(H) if H.ndim == 0 else H
+
+
+def _flow(U, R, P):
+    """The rates ``(U', R')`` on float lists (``X' = U``, ``P' = 0``).
+
+    Python floats round every elementwise step as numpy does.  The inner
+    products are ``ndarray.dot``, ``np.dot``'s BLAS ``ddot`` without its
+    dispatcher; neither a Python sum nor a Gram ``M @ M.T`` has its bits.
+    Floats overflow to inf silently, so a non-finite product raises here."""
+    Ua, Ra = np.array(U), np.array(R)
+    u2, UR, R2 = float(Ua.dot(Ua)), float(Ua.dot(Ra)), float(Ra.dot(Ra))
+    if not (math.isfinite(u2) and math.isfinite(UR) and math.isfinite(R2)):
+        raise FloatingPointError("the flow leaves the float range")
+    if u2 <= VELOCITY_FLOOR:
+        raise DegenerateVelocityError(f"squared speed {u2:.3e} below floor")
+    UR2, R2n = 2.0 * UR, -R2
+    return (
+        [u2 * r - UR2 * u for u, r in zip(U, R)],
+        [R2n * u + UR2 * r - p for u, r, p in zip(U, R, P)],
+    )
 
 
 def hamilton_rhs(p: PhasePoint) -> np.ndarray:
     """Right-hand sides of the four first-order equations of motion, laid
     out like :meth:`PhasePoint.flat` (X, U, P, R blocks)."""
-    return np.array(_rhs(p.flat().tolist(), p.dim))
+    p.require_row("hamilton_rhs")
+    U, P, R = p.U.tolist(), p.P.tolist(), p.R.tolist()
+    dU, dR = _flow(U, R, P)
+    return np.array(U + dU + [0.0] * p.dim + dR)
 
 
 @dataclass
@@ -189,7 +221,6 @@ class Trajectory:
     states: np.ndarray  # shape (len(ts), 4n)
     dim: int
     h: float
-    method: str = "rk4"
 
     def __len__(self):
         return self.ts.size
@@ -198,35 +229,10 @@ class Trajectory:
         return PhasePoint.from_flat(self.states[k], self.dim)
 
 
-def _rhs(y, n):
-    """The right-hand side on a float list laid out like
-    :meth:`PhasePoint.flat`.
-
-    Python floats round every elementwise step as numpy does.  The three
-    inner products stay ``np.dot`` of contiguous length-``n`` arrays: the
-    BLAS ``ddot`` adds the terms in order with fused multiply-adds, which a
-    Python sum does not reproduce.  Float arithmetic overflows to inf
-    without raising, so a non-finite inner product raises here."""
-    U, P, R = y[n : 2 * n], y[2 * n : 3 * n], y[3 * n :]
-    Ua, Ra = np.array(U), np.array(R)
-    u2, UR, R2 = float(np.dot(Ua, Ua)), float(np.dot(Ua, Ra)), float(np.dot(Ra, Ra))
-    if not (math.isfinite(u2) and math.isfinite(UR) and math.isfinite(R2)):
-        raise FloatingPointError("the flow leaves the float range")
-    if u2 <= VELOCITY_FLOOR:
-        raise DegenerateVelocityError(f"squared speed {u2:.3e} below floor")
-    UR2, R2n = 2.0 * UR, -R2
-    return (
-        U
-        + [u2 * r - UR2 * u for u, r in zip(U, R)]
-        + [0.0] * n
-        + [R2n * u + UR2 * r - p for u, r, p in zip(U, R, P)]
-    )
-
-
 def _trajectory(ts, states, n, h, y):
     """The stored samples as a :class:`Trajectory`, once the stored states
     and the current state ``y`` are checked finite: an inf or nan in the
-    positions reaches no inner product of :func:`_rhs`."""
+    positions reaches no inner product of :func:`_flow`."""
     states = np.array(states)
     if not (np.all(np.isfinite(states)) and all(map(math.isfinite, y))):
         raise FloatingPointError("the flow leaves the float range")
@@ -249,37 +255,42 @@ def integrate(p0: PhasePoint, t_end: float, h: float = 1e-3, store_every: int = 
     Samples are stored every ``store_every`` steps (plus the final point).
     Velocity degeneracy anywhere in a stage aborts with
     :class:`FlowDegeneracyError` holding the partial trajectory; a state
-    that leaves the float range raises ``FloatingPointError``.  The state
-    is a list of Python floats, with the bits of the same steps on numpy
-    arrays.
+    that leaves the float range raises ``FloatingPointError``.  The stages
+    carry only ``(U, R)``, as Python floats through :func:`_flow`; past the
+    run's first stage ``P`` is ``p + 0.0``, the bits of ``p + (0.5 h) 0.0``,
+    and ``X`` advances once per step from the four stage velocities.  Rows
+    have the bits of the same steps on the full state array with ``np.dot``.
     """
     if h <= 0 or t_end <= 0:
         raise ValueError("need h > 0 and t_end > 0")
     n = p0.dim
     steps = int(round(t_end / h))
-    y = p0.flat().tolist()
-    ts = [0.0]
-    states = [y]
-    t = 0.0
+    X, U, P, R = (v.tolist() for v in (p0.X, p0.U, p0.P, p0.R))
+    ts, states, t = [0.0], [X + U + P + R], 0.0
+    Ps = [p + 0.0 for p in P]
     # a fixed operand grouping keeps the bits: (0.5 h) k and (h/6) (((k1 + 2 k2) + 2 k3) + k4)
     half, sixth = 0.5 * h, h / 6.0
     for k in range(steps):
         try:
-            k1 = _rhs(y, n)
-            k2 = _rhs([a + half * b for a, b in zip(y, k1)], n)
-            k3 = _rhs([a + half * b for a, b in zip(y, k2)], n)
-            k4 = _rhs([a + h * b for a, b in zip(y, k3)], n)
+            dU1, dR1 = _flow(U, R, P)
+            U2, R2 = [a + half * b for a, b in zip(U, dU1)], [a + half * b for a, b in zip(R, dR1)]
+            dU2, dR2 = _flow(U2, R2, Ps)
+            U3, R3 = [a + half * b for a, b in zip(U, dU2)], [a + half * b for a, b in zip(R, dR2)]
+            dU3, dR3 = _flow(U3, R3, Ps)
+            U4, R4 = [a + h * b for a, b in zip(U, dU3)], [a + h * b for a, b in zip(R, dR3)]
+            dU4, dR4 = _flow(U4, R4, Ps)
         except DegenerateVelocityError:
-            raise FlowDegeneracyError(t, _trajectory(ts, states, n, h, y)) from None
-        y = [
-            a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+            raise FlowDegeneracyError(t, _trajectory(ts, states, n, h, X + U + P + R)) from None
+        X, U, R = [
+            [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(*ks)]
+            for ks in ((X, U, U2, U3, U4), (U, dU1, dU2, dU3, dU4), (R, dR1, dR2, dR3, dR4))
         ]
+        P = Ps
         t = (k + 1) * h
         if (k + 1) % store_every == 0 or k == steps - 1:
             ts.append(t)
-            states.append(y)
-    return _trajectory(ts, states, n, h, y)
+            states.append(X + U + P + R)
+    return _trajectory(ts, states, n, h, X + U + P + R)
 
 
 def poisson_bracket_fd(f, g, p: PhasePoint, step: float = 1e-5):
@@ -349,4 +360,5 @@ def taylor_lift(states, order: int = 6) -> np.ndarray:
 def solution_jet(p: PhasePoint, order: int = 6) -> CurveJet:
     """Taylor lift of the flow through a phase point as a curve jet, all
     derivatives of the actual solution (:func:`taylor_lift` of one row)."""
+    p.require_row("solution_jet")
     return CurveJet(0.0, JetScalar(taylor_lift(p.flat(), order)))

@@ -211,10 +211,10 @@ def e_stack(X, U, P, R) -> EQuantities:
 
 
 def e_quantities(p: PhasePoint) -> EQuantities:
-    """The basis quantities from the phase variables (one row of
-    :func:`e_stack`)."""
+    """The basis quantities from the phase variables (:func:`e_stack`), with
+    a float ``E_D`` for one point."""
     e = e_stack(p.X, p.U, p.P, p.R)
-    return replace(e, E_D=float(e.E_D))
+    return e if e.E_D.ndim else replace(e, E_D=float(e.E_D))
 
 
 def q_phase(p: PhasePoint):
@@ -299,6 +299,7 @@ def three_d_reduction(p: PhasePoint) -> ThreeDReduction:
     """Dimension-three repackaging: the rank-2 quantities as an axial
     vector, single scalars for the two rank-3 families, and the
     Hamiltonian rewritten through the basis quantities."""
+    p.require_row("three_d_reduction")
     if p.dim != 3:
         raise ValueError("reduction requires dimension 3")
     e = e_quantities(p)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from confcurves import mercator
+from confcurves import cli, mercator
 from confcurves.cli import _quantity_table, main
 
 
@@ -375,10 +375,51 @@ class TestRelations:
         assert main(["relations", "--n", "3", "--samples", "10", "--seed", "7", "--appendix-c"]) == 0
 
 
+class TestRelationChunks:
+    """Plain ``relations`` runs ``quantity_identities`` a chunk of samples at
+    a time; the per-sample values do not depend on the chunks."""
+
+    def test_chunked_and_unchunked_reports_agree(self, tmp_path, monkeypatch):
+        argv = ["relations", "--n", "24", "--samples", "40", "--seed", "5"]
+        assert main(argv + ["--out", str(tmp_path / "chunked.json")]) == 0
+        monkeypatch.setattr(cli, "_MINORS_BUDGET", 1 << 40)
+        assert main(argv + ["--out", str(tmp_path / "whole.json")]) == 0
+        assert (tmp_path / "chunked.json").read_bytes() == (tmp_path / "whole.json").read_bytes()
+
+    def test_chunk_sizes(self):
+        rng = np.random.default_rng(0)
+        for n in range(1, 9):
+            assert [len(p.X) for p in cli._random_phase_points(rng, n, 100)] == [100]
+        assert [len(p.X) for p in cli._random_phase_points(rng, 24, 100)] == [6] * 16 + [4]
+
+
+class TestParser:
+    def test_main_builds_one_parser(self, tmp_path):
+        cli.build_parser.cache_clear()
+        for seed in ("1", "2"):
+            argv = ["relations", "--n", "3", "--samples", "5", "--seed", seed]
+            assert main(argv + ["--out", str(tmp_path / "r.json")]) == 0
+        assert cli.build_parser.cache_info().misses == 1
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_config_error_between_runs_leaves_the_report(self, tmp_path, capsys):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({"samples": 5, "bogus": 1}))
+        good = ["relations", "--n", "4", "--samples", "20", "--seed", "3", "--tol", "identity_0ijN=1e-9"]
+        reports = []
+        for bad in (["--config", str(config)], ["--tol", "nope"], ["--n", "x"]):
+            out = tmp_path / f"r{len(reports)}.json"
+            assert main(good + ["--out", str(out)]) == 0
+            reports.append((out.read_bytes(), capsys.readouterr().out.replace(str(out), "OUT")))
+            assert_config_error(["relations"] + bad, capsys)
+        assert reports[1:] == reports[:-1]
+
+
 class TestMemory:
-    """``multilinear.minors`` gathers its minor matrices a chunk at a time, so
-    a stacked ``relations`` run and a wide quantity table stay under a fixed
-    traced peak; without the chunks each peaks above 50 MB."""
+    """``multilinear.minors`` gathers its minor matrices a chunk at a time,
+    and plain ``relations`` checks its samples a chunk at a time, so stacked
+    ``relations`` runs and a wide quantity table stay under a fixed traced
+    peak; without the chunks each peaks above 50 MB."""
 
     WIDE = ",".join(["1"] + ["0"] * 15), ",".join(["0", "1"] + ["0"] * 14)
 
@@ -386,11 +427,12 @@ class TestMemory:
         "argv",
         [
             ["relations", "--n", "16", "--samples", "200", "--seed", "0", "--out", "r.json"],
+            ["relations", "--n", "24", "--samples", "100", "--seed", "0", "--out", "r.json"],
             ["quantities", "--family", "spiral", "--n", "16", "--c", "2", "--p0", WIDE[0],
              "--q0", WIDE[1], "--r0=" + ",".join(["0.3", "-0.2"] * 8), "--samples", "201",
              "--out", "q.csv"],
         ],
-        ids=["relations", "quantities"],
+        ids=["relations", "wide-relations", "quantities"],
     )
     def test_peak_is_bounded(self, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)

@@ -354,6 +354,66 @@ class TestFloatLoop:
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
             integrate(p0, 1.0, h=1e-3)
 
+    @pytest.mark.parametrize("store_every", range(1, 6))
+    def test_signed_zeros_match_array_rk4(self, rng, store_every):
+        # the stages see P as p + 0.0 after the run's first one, and a -0.0
+        # in P flips the sign of a zero R' entry; uniform and np.zeros
+        # draws never give -0.0
+        for n in (1, 2, 3, 6):
+            # at n = 1 the oracle's U @ R adds a lone -0.0 product to +0.0,
+            # where ddot returns it: compare there up to the sign of zero
+            same = assert_same_bits if n > 1 else lambda a, b: assert_same_bits(a + 0.0, b + 0.0)
+            for d in range(6):
+                # -0.0, 0.0 and a uniform draw in turn, so each block gets all three
+                y = rng.uniform(-1.0, 1.0, 4 * n)
+                pick = (np.arange(4 * n) + d) % 3
+                y[pick == 0], y[pick == 1] = -0.0, 0.0
+                if d >= 3:
+                    # P and R signed zeros only: R stays zero, and the sign of
+                    # each R' entry is that of the P the stage sees
+                    y[2 * n :] = np.where(pick[2 * n :] == 0, -0.0, 0.0)
+                y[n] = 1.0
+                p0 = PhasePoint.from_flat(y, n)
+                got = integrate(p0, 0.2, h=1e-2, store_every=store_every)
+                want = array_rk4(p0, 0.2, 1e-2, store_every)
+                assert_same_bits(got.ts, want.ts)
+                same(got.states, want.states)
+                same(hamilton_rhs(p0), array_rhs(p0.flat(), n))
+
+    def test_one_dimensional_zero_signs_follow_ddot(self):
+        # U = 1, P = +0.0, R = -0.0: U.R is the lone product -0.0, so
+        # U' = -0.0 - (-0.0) and R' = (-0.0 + 0.0) - 0.0 are both +0.0
+        p0 = PhasePoint([-0.0], [1.0], [0.0], [-0.0])
+        assert_same_bits(hamilton_rhs(p0), [1.0, 0.0, 0.0, 0.0])
+        states = integrate(p0, 0.02, h=1e-2, store_every=1).states
+        assert_same_bits(states[:, 2:], [[0.0, -0.0], [0.0, 0.0], [0.0, 0.0]])
+
+    def test_first_step_degeneracy_matches_array_rk4(self):
+        # U' = -r on U = (1, 0), R = (r, 0): the second stage of the first
+        # step has U = 1 - (0.5 h) r = 0, with P still as given
+        for n in (1, 2, 3):
+            U, P, R = np.zeros(n), np.full(n, -0.0), np.zeros(n)
+            U[0], R[0] = 1.0, 200.0
+            p0 = PhasePoint(np.full(n, -0.0), U, P, R)
+            with pytest.raises(FlowDegeneracyError) as got:
+                integrate(p0, 1.0, h=1e-2)
+            with pytest.raises(FlowDegeneracyError) as want:
+                array_rk4(p0, 1.0, 1e-2, 10)
+            assert got.value.t == want.value.t == 0.0
+            assert_same_bits(got.value.trajectory.ts, want.value.trajectory.ts)
+            assert_same_bits(got.value.trajectory.states, want.value.trajectory.states)
+            assert_same_bits(got.value.trajectory.states, p0.flat()[None])
+
+    @pytest.mark.parametrize("store_every", (1, 10))
+    def test_position_overflow_raises(self, store_every):
+        # only X leaves the float range: the stage inner products stay
+        # finite, so the end-of-run check is the one that sees it
+        p0 = PhasePoint([1.7e308, 0.0], [1.0, 0.0], np.zeros(2), np.zeros(2))
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            array_rk4(p0, 1e308, 1e308, store_every)
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
+            integrate(p0, 1e308, h=1e308, store_every=store_every)
+
     def test_hamilton_rhs_matches_array_rhs(self, rng):
         for n in range(1, 9):
             p = random_phase_point(rng, n)
@@ -507,3 +567,33 @@ class TestSolutionJet:
                     got = taylor_lift(y, order)
                     want = substitution_lift(y, n, order)
                     assert np.max(np.abs(got - want)) <= 1e-13 * (1.0 + np.max(np.abs(want)))
+
+
+def four_row_point(rng, n=3):
+    return PhasePoint.from_flat(np.stack([random_phase_point(rng, n).flat() for _ in range(4)]), n)
+
+
+class TestStackedPointHelpers:
+    """The one-row helpers on a four-row point: the stack kernels work over
+    its leading axis, the rest raise one ``ValueError`` naming the helper and
+    the batch shape."""
+
+    def rows(self, stack):
+        return [PhasePoint.from_flat(y, stack.dim) for y in stack.flat()]
+
+    def test_u2_is_per_row(self, rng):
+        stack = four_row_point(rng)
+        assert_same_bits(stack.u2, [p.u2 for p in self.rows(stack)])
+        assert all(type(p.u2) is float for p in self.rows(stack))
+
+    def test_hamiltonian_is_per_row(self, rng):
+        stack = four_row_point(rng)
+        assert_same_bits(hamiltonian(stack), [hamiltonian(p) for p in self.rows(stack)])
+
+    @pytest.mark.parametrize(
+        "helper", [hamilton_rhs, accel_from_phase, solution_jet], ids=lambda f: f.__name__
+    )
+    def test_one_row_helper_names_the_stack(self, rng, helper):
+        message = rf"^{helper.__name__} takes one phase point, got a stack of shape \(4,\)$"
+        with pytest.raises(ValueError, match=message):
+            helper(four_row_point(rng))

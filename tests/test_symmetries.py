@@ -619,6 +619,22 @@ class TestStackedPhasePoints:
         with pytest.raises(ValueError):
             PhasePoint(np.zeros((2, 3)), np.ones((2, 3)), np.zeros((2, 3)), np.zeros((3, 2)))
 
+    def test_e_quantities_over_the_stack(self, rng):
+        points = [random_phase_point(rng, 3) for _ in range(4)]
+        e = e_quantities(PhasePoint.from_flat(np.stack([p.flat() for p in points]), 3))
+        for k, p in enumerate(points):
+            want = e_quantities(p)
+            assert type(want.E_D) is float and e.E_D[k] == want.E_D
+            for name in ("E_T", "E_R", "E_S"):
+                assert_same_bits(getattr(e, name)[k], getattr(want, name))
+
+    def test_three_d_reduction_names_the_stack(self, rng):
+        rows = np.stack([random_phase_point(rng, 3).flat() for _ in range(4)])
+        stack = PhasePoint.from_flat(rows, 3)
+        message = r"^three_d_reduction takes one phase point, got a stack of shape \(4,\)$"
+        with pytest.raises(ValueError, match=message):
+            three_d_reduction(stack)
+
     def test_one_slow_row_is_degenerate(self, rng):
         y = np.stack([random_phase_point(rng, 3).flat() for _ in range(5)])
         y[3, 3:6] = 1e-9
