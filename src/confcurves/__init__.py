@@ -53,7 +53,6 @@ from .symmetries import (
     three_d_reduction,
 )
 from .tractors import (
-    GramInvariants,
     GramStack,
     IdentityResiduals,
     UndefinedInvariantError,

@@ -88,26 +88,22 @@ class CheckList:
         self.records = []
         self.overrides = tolerances or {}
 
+    def _record(self, name, measured, tolerance, ok, versus):
+        self.records.append({"name": name, "measured": measured, "tolerance": tolerance, "pass": ok})
+        print(f"{'PASS' if ok else 'FAIL'}  {name}: measured {versus}")
+
     def add(self, name, measured, tolerance):
         tolerance = float(self.overrides.get(name, tolerance))
         measured = float(measured)
-        ok = bool(measured <= tolerance)
-        self.records.append(
-            {"name": name, "measured": measured, "tolerance": tolerance, "pass": ok}
-        )
-        status = "PASS" if ok else "FAIL"
-        print(f"{status}  {name}: measured {measured:.3e} vs tolerance {tolerance:.3e}")
+        versus = f"{measured:.3e} vs tolerance {tolerance:.3e}"
+        self._record(name, measured, tolerance, measured <= tolerance, versus)
 
     def add_range(self, name, measured, lo, hi):
         if name in self.overrides:
             raise ConfigError(f"tol: {name} is a range check and takes no override")
         measured = float(measured)
-        ok = bool(lo <= measured <= hi)
-        self.records.append(
-            {"name": name, "measured": measured, "tolerance": [lo, hi], "pass": ok}
-        )
-        status = "PASS" if ok else "FAIL"
-        print(f"{status}  {name}: measured {measured:.6g} vs range [{lo}, {hi}]")
+        versus = f"{measured:.6g} vs range [{lo}, {hi}]"
+        self._record(name, measured, [lo, hi], lo <= measured <= hi, versus)
 
     @property
     def ok(self):
@@ -123,42 +119,36 @@ class CheckList:
             raise ConfigError(f"tol: no recorded check named {', '.join(unknown)}")
 
 
+def _family_vectors(args, kind, fields):
+    """The family's required vectors, parsed; the first must have ``--n``
+    entries."""
+    for field in fields:
+        if getattr(args, field) is None:
+            raise ConfigError(f"{field}: required for family {kind}")
+    vectors = [_parse_vector(getattr(args, field), field) for field in fields]
+    if args.n is not None and vectors[0].size != args.n:
+        raise ConfigError(f"{fields[0]}: dimension {vectors[0].size} != n = {args.n}")
+    return vectors
+
+
 def _build_family(args):
     kind = args.family
     if kind is None:
         raise ConfigError("family: required")
-    n = args.n
     try:
-        if kind == "spiral" or kind == "tspiral":
-            for field in ("p0", "q0", "r0"):
-                if getattr(args, field) is None:
-                    raise ConfigError(f"{field}: required for family {kind}")
-            p0 = _parse_vector(args.p0, "p0")
-            q0 = _parse_vector(args.q0, "q0")
-            r0 = _parse_vector(args.r0, "r0")
-            if n is not None and p0.size != n:
-                raise ConfigError(f"p0: dimension {p0.size} != n = {n}")
-            if args.c is None:
-                raise ConfigError("c: required for spiral families")
-            spiral = families.LogSpiral(args.c, p0, q0, r0)
-            if kind == "spiral":
-                return spiral
-            if args.b is None:
-                raise ConfigError("b: required for family tspiral")
-            return families.TransformedSpiral(spiral, _parse_vector(args.b, "b"))
         if kind == "circle":
-            for field in ("x0", "u0", "a0"):
-                if getattr(args, field) is None:
-                    raise ConfigError(f"{field}: required for family circle")
-            x0 = _parse_vector(args.x0, "x0")
-            u0 = _parse_vector(args.u0, "u0")
-            a0 = _parse_vector(args.a0, "a0")
-            if n is not None and x0.size != n:
-                raise ConfigError(f"x0: dimension {x0.size} != n = {n}")
-            return families.Circle(x0, u0, a0)
+            return families.Circle(*_family_vectors(args, kind, ("x0", "u0", "a0")))
+        p0, q0, r0 = _family_vectors(args, kind, ("p0", "q0", "r0"))
+        if args.c is None:
+            raise ConfigError("c: required for spiral families")
+        spiral = families.LogSpiral(args.c, p0, q0, r0)
+        if kind == "spiral":
+            return spiral
+        if args.b is None:
+            raise ConfigError("b: required for family tspiral")
+        return families.TransformedSpiral(spiral, _parse_vector(args.b, "b"))
     except families.FamilyError as exc:
         raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"family: unknown kind {kind!r}")
 
 
 def _sample_times(args):
@@ -268,7 +258,7 @@ def _verify_spiral(spiral, times, checks, seed):
 
 def _check_delta5(checks, g):
     """delta_5 against the fifth power of its row's Gram scale."""
-    scale = np.maximum(1.0, np.max(np.abs(g.gram), axis=(-2, -1)))
+    scale = np.maximum(1.0, g.gram_scale())
     checks.add("delta5_vanishes_rel", np.max(np.abs(g.delta5) / scale**5), 1e-6)
 
 
@@ -510,11 +500,7 @@ def cmd_integrate(args):
     print(f"trace with {len(data)} samples written to {out}")
     print("max relative drift per conserved column:")
     for idx, name in enumerate(columns):
-        if name == "t" or name.startswith("x") or name.startswith("delta") or name in (
-            "alpha1",
-            "alpha2",
-            "kappa1",
-        ):
+        if name == "t" or name == "kappa1" or name.startswith(("x", "delta", "alpha")):
             continue
         col = data[:, idx]
         if np.any(np.isnan(col)):

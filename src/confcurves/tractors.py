@@ -7,7 +7,8 @@ Each tractor is carried as an ``(n+2)``-vector jet, so parameter
 derivatives of any derived scalar (alpha_1, delta_4) come out exact rather
 than by finite differences.  The ``*_stack`` functions do the work for
 every row of a stack of position coefficients ``(..., n, order+1)`` in
-one pass; the per-jet functions are their one-row calls.
+one pass; the per-jet functions are their one-row calls, and
+``gram_invariants`` returns row 0 of :class:`GramStack`.
 
 Index conventions follow :mod:`confcurves.multilinear`: slot 0 and slot
 ``n+1`` are the null pair, slots ``1..n`` the Euclidean block.  Quantity
@@ -20,7 +21,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import astuple, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -31,7 +31,6 @@ from .multilinear import minors, rho_wedge, tractor_metric_pair, wedge, wedge_pa
 
 __all__ = [
     "UndefinedInvariantError",
-    "GramInvariants",
     "GramStack",
     "canonical_tractor_jets",
     "canonical_tractor_stack",
@@ -158,41 +157,12 @@ def _kappa1(delta4_jet, alpha1):
     return np.where(defined, value, np.nan)
 
 
-@dataclass
-class GramInvariants:
-    """Determinant invariants of the canonical sequence and the squared
-    lengths of the third and fourth tractors.  ``gram`` is the symmetric
-    matrix of pairing values; alpha_1 and delta_4 also come as jets."""
-
-    delta3: float
-    delta4: float | None
-    delta5: float | None
-    alpha1: float
-    alpha2: float | None
-    alpha1_jet: JetScalar
-    delta4_jet: JetScalar | None
-    gram: np.ndarray
-
-    def gram_scale(self, ell):
-        return float(np.max(np.abs(self.gram[:ell, :ell])))
-
-    def kappa1(self):
-        """Relative curvature invariant of the negative-delta_4 class; needs
-        the delta_4 jet through order 2, which a curve jet of order 6 gives."""
-        d4 = self.delta4_jet
-        if d4 is None or d4.order < 2:
-            raise ValueError("kappa_1 needs the delta_4 jet through order 2")
-        value = float(_kappa1(d4.coeffs[None], np.array([self.alpha1]))[0])
-        if math.isnan(value):
-            raise UndefinedInvariantError(f"kappa_1 undefined for delta_4 = {d4.value:.3e}")
-        return value
-
-
 class GramStack(NamedTuple):
-    """:class:`GramInvariants` of every row of a position coefficient stack,
-    as arrays over the stack's leading axes (the jets as coefficient arrays
-    ``(..., k+1)``), and ``kappa1``, NaN where undefined.  A field that
-    ``max_ell`` or the stack's order does not reach is None."""
+    """Determinant invariants, squared lengths of the third and fourth
+    tractors and ``kappa1`` (NaN where undefined) of every row of a position
+    coefficient stack, over its leading axes; ``gram`` is the symmetric
+    pairing matrix, and alpha_1 and delta_4 also come as jets ``(..., k+1)``.
+    A field that ``max_ell`` or the stack's order does not reach is None."""
 
     delta3: np.ndarray
     delta4: np.ndarray | None
@@ -203,6 +173,10 @@ class GramStack(NamedTuple):
     alpha1_jet: np.ndarray
     delta4_jet: np.ndarray | None
     gram: np.ndarray
+
+    def gram_scale(self):
+        """The largest ``|entry|`` of ``gram`` in each row."""
+        return np.max(np.abs(self.gram), axis=(-2, -1))
 
 
 def gram_stack(coeffs, max_ell: int = 5) -> GramStack:
@@ -243,24 +217,11 @@ def gram_stack(coeffs, max_ell: int = 5) -> GramStack:
     )
 
 
-def gram_invariants(jet: CurveJet, max_ell: int = 5) -> GramInvariants:
-    """Gram-matrix data of the first ``max_ell`` canonical tractors, the
-    one-row call of :func:`gram_stack`."""
+def gram_invariants(jet: CurveJet, max_ell: int = 5) -> GramStack:
+    """Gram-matrix data of the first ``max_ell`` canonical tractors: row 0
+    of the one-row call of :func:`gram_stack`."""
     g = gram_stack(jet.position.coeffs[None], max_ell)
-
-    def row(v, kind=float):
-        return None if v is None else kind(v[0])
-
-    return GramInvariants(
-        delta3=row(g.delta3),
-        delta4=row(g.delta4),
-        delta5=row(g.delta5),
-        alpha1=row(g.alpha1),
-        alpha2=row(g.alpha2),
-        alpha1_jet=row(g.alpha1_jet, JetScalar),
-        delta4_jet=row(g.delta4_jet, JetScalar),
-        gram=g.gram[0],
-    )
+    return GramStack(*(None if v is None else v[0] for v in g))
 
 
 def closed_form_alpha1_delta4(jet: CurveJet):
@@ -294,25 +255,11 @@ def is_conformal_circle(delta4, alpha1):
 
 def quantity_family(key, n):
     """Classify an increasing slot tuple into its index family, e.g.
-    ``(0, i, j, n+1) -> '0ijN'``."""
-    bottom = n + 1
-    has0 = key[0] == 0
-    hasN = key[-1] == bottom
-    if len(key) == 4:
-        if has0 and hasN:
-            return "0ijN"
-        if has0:
-            return "0ijk"
-        if hasN:
-            return "ijkN"
-        return "ijkl"
-    if has0 and hasN:
-        return "0iN"
-    if has0:
-        return "0ij"
-    if hasN:
-        return "ijN"
-    return "ijk"
+    ``(0, i, j, n+1) -> '0ijN'``: ``0`` if it holds slot 0, then one letter
+    per spatial slot, then ``N`` if it holds slot ``n+1``."""
+    head = "0" if key[0] == 0 else ""
+    tail = "N" if key[-1] == n + 1 else ""
+    return head + "ijkl"[: len(key) - len(head) - len(tail)] + tail
 
 
 @functools.cache
@@ -459,7 +406,10 @@ def kappa1(jet: CurveJet):
     """Relative curvature invariant of the negative-delta_4 class; constant
     exactly on the logarithmic-spiral curves."""
     jet.require_order(6, "kappa_1")
-    return gram_invariants(jet, max_ell=4).kappa1()
+    g = gram_invariants(jet, max_ell=4)
+    if math.isnan(g.kappa1):
+        raise UndefinedInvariantError(f"kappa_1 undefined for delta_4 = {g.delta4:.3e}")
+    return float(g.kappa1)
 
 
 def alpha1_stationary_stack(coeffs):
@@ -488,11 +438,12 @@ def enforce_alpha1_stationary(jet: CurveJet) -> CurveJet:
     return CurveJet(jet.t, JetScalar(alpha1_stationary_stack(jet.position.coeffs[None])[0]))
 
 
-@dataclass
-class IdentityResiduals:
+class IdentityResiduals(NamedTuple):
+    """Both sides of the reduction identity and its defect, per row."""
+
     tractor_slot: np.ndarray
     mercator_expansion: np.ndarray
-    identity_defect: float
+    identity_defect: np.ndarray
 
 
 def identity_residual_stack(coeffs) -> IdentityResiduals:
@@ -540,8 +491,7 @@ def mercator_tractor_residuals(jet: CurveJet) -> IdentityResiduals:
     with stationary alpha_1 (the slot is oriented to make the signs cancel
     that way round).
     """
-    slot, expansion, defect = (v[0] for v in astuple(identity_residual_stack(jet.position.coeffs[None])))
-    return IdentityResiduals(slot, expansion, float(defect))
+    return IdentityResiduals(*(v[0] for v in identity_residual_stack(jet.position.coeffs[None])))
 
 
 def parallel_defect(curve, t, h, count=3, scaled=False):

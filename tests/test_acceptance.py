@@ -68,7 +68,7 @@ def test_criterion_1_spiral_invariant_suite():
     ok = all(abs(g.delta3 + 1.0) <= 1e-9 for g in grams)
     ok &= all(abs(g.delta4 + 4.0) <= 1e-8 for g in grams)
     ok &= all(
-        abs(g.delta5) <= 1e-6 * max(1.0, g.gram_scale(5)) ** 5 for g in grams
+        abs(g.delta5) <= 1e-6 * max(1.0, g.gram_scale()) ** 5 for g in grams
     )
     ok &= all(abs(g.alpha1 - 3.0) <= 1e-9 for g in grams)
     ok &= all(abs(g.alpha2 - 13.0) <= 1e-9 for g in grams)

@@ -122,7 +122,7 @@ class TestLogSpiralFamily:
             assert g.delta4 == pytest.approx(-4.0, abs=1e-8)
             assert g.alpha1 == pytest.approx(3.0, abs=1e-8)
             assert g.alpha2 == pytest.approx(13.0, abs=1e-8)
-            assert abs(g.delta5) <= 1e-8 * max(1.0, g.gram_scale(5)) ** 5
+            assert abs(g.delta5) <= 1e-8 * max(1.0, g.gram_scale()) ** 5
 
 
 class TestTransformedSpiralFamily:

@@ -36,6 +36,12 @@ class TestEpsilon:
         with pytest.raises(ValueError):
             epsilon((1, 2, 3), [1.0, 0, 0], [0.0, 1, 0])
 
+    def test_perm_sign_is_the_permutation_determinant(self):
+        for length in range(1, 6):
+            for perm in itertools.permutations(range(length)):
+                matrix = np.eye(length)[list(perm)]
+                assert multilinear._perm_sign(perm) == np.sign(np.linalg.det(matrix))
+
     def test_alternating_in_arguments(self, rng):
         for _ in range(25):
             n = int(rng.integers(2, 6))
