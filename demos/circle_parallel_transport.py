@@ -7,11 +7,13 @@ import numpy as np
 
 from confcurves import (
     Circle,
-    circle_residual,
-    gram_invariants,
+    circle_residual_stack,
+    derivatives,
+    gram_stack,
     parallel_defect,
-    q_circle_quantities,
+    q_circle_stack,
 )
+from confcurves.tractors import q_keys
 
 circle = Circle(
     np.array([0.2, -0.1, 0.4]),
@@ -22,8 +24,8 @@ circle = Circle(
 print("residual of the circle equation and the fourth invariant:")
 for t in (-1.0, -0.5, 0.0, 0.5, 1.0):
     jet = circle.jet(t)
-    res = float(np.max(np.abs(circle_residual(jet))))
-    d4 = gram_invariants(jet, 4).delta4
+    res = float(np.max(np.abs(circle_residual_stack(*derivatives(jet, 4)[1:]))))
+    d4 = gram_stack(jet, 4).delta4
     print(f"  t={t:5.2f}: residual {res:.2e}   delta4 {d4:+.2e}")
 
 print()
@@ -38,8 +40,8 @@ print("halving h divides the defect by ~4: the wedge is parallel")
 
 print()
 print("rank-3 pairing quantities stay constant along the circle:")
-q0 = q_circle_quantities(circle.jet(-1.0))
-q1 = q_circle_quantities(circle.jet(1.0))
+q0 = dict(zip(q_keys(3, 3), q_circle_stack(circle.jet(-1.0)).tolist()))
+q1 = dict(zip(q_keys(3, 3), q_circle_stack(circle.jet(1.0)).tolist()))
 worst = max(abs(q1[k] - q0[k]) for k in q0)
 print(f"  max drift across the window: {worst:.2e}")
 for key in list(sorted(q0))[:4]:

@@ -43,7 +43,7 @@ for k in range(len(traj)):
     rows.append(
         [hamiltonian(pt), e.E_D, *e.E_T, *e.E_S]
         + [e.E_R[i - 1, j - 1] for i, j in itertools.combinations(range(1, 4), 2)]
-        + [q[key] for key in sorted(q)]
+        + list(q)
     )
 rows = np.array(rows)
 drift = np.max(np.abs(rows - rows[0]), axis=0) / (1.0 + np.abs(rows[0]))

@@ -6,12 +6,12 @@ constrained-jet identity between the tractor route and the flow route.
 import numpy as np
 
 from confcurves import (
-    CurveJet,
     PhasePoint,
-    enforce_alpha1_stationary,
+    alpha1_stationary_stack,
+    coefficients,
     e_quantities,
+    identity_residual_stack,
     involutivity_check,
-    mercator_tractor_residuals,
     quantity_identities,
     three_d_reduction,
 )
@@ -57,8 +57,7 @@ for _ in range(100):
     derivs = [rng.uniform(-1, 1, n) for _ in range(5)]
     while derivs[1] @ derivs[1] < 0.1:
         derivs[1] = rng.uniform(-1, 1, n)
-    jet = enforce_alpha1_stationary(CurveJet.from_derivatives(0.0, derivs))
-    res = mercator_tractor_residuals(jet)
+    res = identity_residual_stack(alpha1_stationary_stack(coefficients(derivs)))
     scale = 1.0 + max(
         float(np.max(np.abs(res.tractor_slot))),
         float(np.max(np.abs(res.mercator_expansion))),

@@ -8,7 +8,8 @@ rank-2/rank-3 determinants of the plane frame.
 
 import numpy as np
 
-from confcurves import LogSpiral, gram_invariants, kappa1, mercator_C, q_quantities
+from confcurves import LogSpiral, derivatives, flow_vector_stack, gram_stack, q_stack
+from confcurves.tractors import q_keys
 
 spiral = LogSpiral(
     2.0,
@@ -24,17 +25,17 @@ print()
 print(f"{'t':>6} {'delta3':>10} {'delta4':>10} {'delta5':>12} {'alpha1':>10} {'kappa1':>10} {'|C|':>10}")
 for t in np.linspace(-1.0, 1.0, 9):
     jet = spiral.jet(float(t))
-    g = gram_invariants(jet, 5)
-    c_norm = float(np.max(np.abs(mercator_C(jet))))
+    g = gram_stack(jet, 5)
+    c_norm = float(np.max(np.abs(flow_vector_stack(*derivatives(jet, 4)[1:]))))
     print(
         f"{t:6.2f} {g.delta3:10.6f} {g.delta4:10.6f} {g.delta5:12.2e}"
-        f" {g.alpha1:10.6f} {kappa1(jet):10.6f} {c_norm:10.2e}"
+        f" {g.alpha1:10.6f} {g.kappa1:10.6f} {c_norm:10.2e}"
     )
 
 print()
 print("pairing quantities at t = 0 (constant along the curve):")
-q0 = q_quantities(spiral.jet(0.0))
-q1 = q_quantities(spiral.jet(0.8))
+q0 = dict(zip(q_keys(3), q_stack(spiral.jet(0.0)).tolist()))
+q1 = dict(zip(q_keys(3), q_stack(spiral.jet(0.8)).tolist()))
 for key in sorted(q0):
     print(f"  Q{key}: {q0[key]:+.12f}   drift to t=0.8: {abs(q1[key] - q0[key]):.2e}")
 print()

@@ -8,14 +8,13 @@ the closed-form solution families used as oracles, and a CLI for running
 the verification suites.
 """
 
-from .curves import CurveJet, DegenerateVelocityError
+from .curves import DegenerateVelocityError, coefficients, derivatives
 from .families import Circle, FamilyError, LogSpiral, TransformedSpiral
 from .jets import JetDomainError, JetError, JetOrderError, JetScalar
 from .mercator import (
     PhasePoint,
     Trajectory,
     accel_from_phase,
-    circle_residual,
     circle_residual_stack,
     flow_vector_stack,
     hamilton_rhs,
@@ -23,11 +22,9 @@ from .mercator import (
     hamiltonian_stack,
     integrate,
     lagrangians,
-    mercator_C,
     momenta_stack,
     phase_from_jet,
     poisson_bracket_fd,
-    solution_jet,
     taylor_lift,
 )
 from .multilinear import (
@@ -42,11 +39,8 @@ from .symmetries import (
     conformal_factor,
     e_quantities,
     e_stack,
-    f_closed,
-    f_generic,
     f_generic_stack,
     involutivity_check,
-    noether_basis,
     noether_stack,
     q_phase,
     quantity_identities,
@@ -56,23 +50,15 @@ from .tractors import (
     GramStack,
     IdentityResiduals,
     UndefinedInvariantError,
-    canonical_tractors,
-    canonical_tractor_jets,
     canonical_tractor_stack,
     closed_form_alpha1_delta4,
     alpha1_stationary_stack,
-    enforce_alpha1_stationary,
-    gram_invariants,
     gram_stack,
     identity_residual_stack,
     is_conformal_circle,
-    kappa1,
-    mercator_tractor_residuals,
     parallel_defect,
     parallel_section_oracle,
-    q_circle_quantities,
     q_circle_stack,
-    q_quantities,
     q_stack,
     quantity_family,
 )

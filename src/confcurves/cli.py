@@ -29,8 +29,8 @@ import numpy as np
 
 from . import families, mercator, symmetries, tractors
 from .multilinear import _MINORS_BUDGET, epsilon, tractor_metric_pair, wedge
-from .curves import CurveJet, DegenerateVelocityError, _check_speed
-from .jets import JetScalar, _dot
+from .curves import DegenerateVelocityError, _check_speed, coefficients, derivatives
+from .jets import _dot
 from .mercator import FlowDegeneracyError, PhasePoint
 
 EXIT_PASS = 0
@@ -179,12 +179,6 @@ def _family_jets(family, times):
         raise
 
 
-def _derivatives(coeffs):
-    """The ``(rows, n)`` position, velocity, acceleration and third
-    derivative of a coefficient stack, as :class:`CurveJet` gives them."""
-    return [coeffs[..., k] * math.factorial(k) for k in range(4)]
-
-
 def _spread(values):
     values = np.asarray(values, dtype=float)
     scale = 1.0 + float(np.max(np.abs(values)))
@@ -211,12 +205,12 @@ def _verify_spiral(spiral, times, checks, seed):
     c = spiral.c
     p2 = float(spiral.p0 @ spiral.p0)
     coeffs = _family_jets(spiral, times)
-    _, delta4_probe = tractors.closed_form_alpha1_delta4(CurveJet(times[0], JetScalar(coeffs[0])))
+    _, delta4_probe = tractors.closed_form_alpha1_delta4(coeffs[0])
     if tractors.is_conformal_circle(delta4_probe, c**2 - 1.0):
         raise ConfigError(
             "c: the fourth invariant vanishes for this pitch, outside the spiral class"
         )
-    derivs = _derivatives(coeffs)
+    derivs = derivatives(coeffs, 4)
     g = tractors.gram_stack(coeffs, 5)
     checks.add("delta3_is_minus_one", np.max(np.abs(g.delta3 + 1.0)), 1e-9)
     checks.add("delta4_matches_pitch", np.max(np.abs(g.delta4 + c**2)), 1e-8)
@@ -278,7 +272,7 @@ def _verify_noether(coeffs, derivs, checks, seed):
 
 def _verify_circle(circle, times, checks, seed):
     coeffs = _family_jets(circle, times)
-    derivs = _derivatives(coeffs)
+    derivs = derivatives(coeffs, 4)
     checks.add("circle_residual", np.max(np.abs(mercator.circle_residual_stack(*derivs[1:]))), 1e-10)
     g = tractors.gram_stack(coeffs, 4)
     checks.add("delta3_is_minus_one", np.max(np.abs(g.delta3 + 1.0)), 1e-9)
@@ -304,12 +298,11 @@ def _verify_circle(circle, times, checks, seed):
 def _verify_tspiral(tspiral, times, checks, seed):
     c = tspiral.base.c
     coeffs = _family_jets(tspiral, times)
-    first = CurveJet(times[0], JetScalar(coeffs[0]))
-    _, delta4_probe = tractors.closed_form_alpha1_delta4(first)
+    _, delta4_probe = tractors.closed_form_alpha1_delta4(coeffs[0])
     if tractors.is_conformal_circle(delta4_probe, c**2 - 1.0):
         raise ConfigError("c: the fourth invariant vanishes, outside the spiral class")
     report = tspiral.conserved_report()
-    derivs = _derivatives(coeffs)
+    derivs = derivatives(coeffs, 4)
     Cs = mercator.flow_vector_stack(*derivs[1:])
     checks.add(
         "flow_vector_constant",
@@ -325,7 +318,7 @@ def _verify_tspiral(tspiral, times, checks, seed):
     checks.add("delta4_matches_pitch", np.max(np.abs(g.delta4 + c**2)), 1e-8)
     _check_delta5(checks, g)
     checks.add("q_constant_along_curve", max(map(_spread, tractors.q_stack(coeffs).T)), 1e-8)
-    basis = symmetries.noether_basis(first)
+    basis = symmetries.noether_stack(*(d[0] for d in derivs))
     worst = 0.0
     for field in _random_fields(tspiral.dim, seed):
         reported = field.pair(report)
@@ -418,7 +411,7 @@ def _quantity_table(ts, coeffs):
     if coeffs.shape[-1] < 7:
         raise ValueError(f"the quantity table needs jets of order 6 or more, got {coeffs.shape[-1] - 1}")
     g = tractors.gram_stack(coeffs, 5)
-    X, U, A, Ap = _derivatives(coeffs)
+    X, U, A, Ap = derivatives(coeffs, 4)
     P, R = mercator.momenta_stack(U, A, Ap)
     e = symmetries.e_stack(X, U, P, R)
     f = symmetries.noether_stack(X, U, A, Ap)
@@ -466,7 +459,7 @@ def _initial_phase(args):
     if args.family is not None:
         family = _build_family(args)
         t0 = args.t0 if args.t0 is not None else 0.0
-        return mercator.phase_from_jet(CurveJet(t0, JetScalar(_family_jets(family, [t0])[0])))
+        return mercator.phase_from_jet(_family_jets(family, [t0])[0])
     if any(getattr(args, k) is None for k in ("x", "u", "p", "r")):
         raise ConfigError("initial point: give either --family or all of --x --u --p --r")
     x = _parse_vector(args.x, "x")
@@ -541,8 +534,7 @@ def cmd_relations(args):
             while float(derivs[1] @ derivs[1]) < 0.1:
                 derivs[1] = rng.uniform(-1, 1, n)
             draws.append(derivs)
-        # (samples, n, 5) coefficients, as CurveJet.from_derivatives scales them
-        coeffs = np.swapaxes(draws, 1, 2) / [math.factorial(k) for k in range(5)]
+        coeffs = coefficients(np.swapaxes(draws, 0, 1))
         res = tractors.identity_residual_stack(tractors.alpha1_stationary_stack(coeffs))
         sizes = [np.max(np.abs(v), axis=-1) for v in (res.tractor_slot, res.mercator_expansion)]
         scale = 1.0 + np.maximum(*sizes)

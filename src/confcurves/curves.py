@@ -1,4 +1,6 @@
-"""Pointwise curve data: position and derivatives packaged as a jet."""
+"""Pointwise curve data: the position Taylor coefficients ``(..., n,
+order+1)`` of a curve at one parameter value per row, coefficient ``k``
+being the ``k``-th derivative over ``k!``."""
 
 from __future__ import annotations
 
@@ -6,9 +8,9 @@ import math
 
 import numpy as np
 
-from .jets import JetScalar
+from .jets import _dot
 
-__all__ = ["DegenerateVelocityError", "CurveJet", "VELOCITY_FLOOR"]
+__all__ = ["DegenerateVelocityError", "VELOCITY_FLOOR", "coefficients", "derivatives"]
 
 # Every formula in the package divides by powers of the speed; below this
 # squared-speed threshold the quantities are numerically meaningless.
@@ -27,85 +29,34 @@ def _check_speed(ts, u2):
             raise DegenerateVelocityError(f"squared speed {v:.3e} at t={float(t)} is below the floor")
 
 
-class CurveJet:
-    """Position and derivatives of a parametrized curve at one parameter value.
+def _speed_sq(coeffs, order, what):
+    """Squared speed of every row of a position coefficient stack, after
+    the entry checks of every stack: a component axis, finite entries,
+    derivatives through ``order`` (for ``what``), and no row at or below the
+    velocity floor, rejected before anything divides by it."""
+    if coeffs.ndim < 2:
+        raise ValueError(f"{what} needs coefficients of shape (..., n, order+1), got {coeffs.shape}")
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError(f"{what} needs finite coefficients")
+    if coeffs.shape[-1] <= order:
+        raise ValueError(
+            f"{what} needs derivatives through order {order}, jet stores {coeffs.shape[-1] - 1}"
+        )
+    u2 = _dot(coeffs[..., 1], coeffs[..., 1])
+    if np.any(u2 <= VELOCITY_FLOOR):
+        raise DegenerateVelocityError(f"squared speed {np.min(u2):.3e} is below the floor")
+    return u2
 
-    ``derivative(k)`` returns the k-th derivative vector in geometric units;
-    ``position`` exposes the underlying jet for exact differentiation of
-    derived scalar and tractor data.
-    """
 
-    __slots__ = ("t", "position")
+def derivatives(coeffs, count):
+    """The first ``count`` derivative vectors ``[X, X', X'', ...]`` of a
+    coefficient stack, each ``(..., n)``: coefficient ``k`` times ``k!``."""
+    return [coeffs[..., k] * math.factorial(k) for k in range(count)]
 
-    def __init__(self, t, position):
-        if not isinstance(position, JetScalar) or position.coeffs.ndim != 2:
-            raise TypeError("CurveJet position must be a vector jet")
-        if position.order < 1:
-            raise ValueError("a curve jet needs at least the velocity level")
-        self.t = float(t)
-        self.position = position
-        _check_speed([self.t], [self.u2])
 
-    @classmethod
-    def from_derivatives(cls, t, derivs):
-        """Build from raw derivative vectors ``[X, X', X'', ...]``."""
-        derivs = [np.asarray(d, dtype=float) for d in derivs]
-        if len(derivs) < 2:
-            raise ValueError("need at least position and velocity")
-        dim = derivs[0].size
-        if any(d.size != dim for d in derivs):
-            raise ValueError("derivative vectors must share one dimension")
-        rows = np.array([d / math.factorial(k) for k, d in enumerate(derivs)])
-        return cls(t, JetScalar(rows.T))
-
-    @property
-    def dim(self):
-        return self.position.dim
-
-    @property
-    def order(self):
-        return self.position.order
-
-    def derivative(self, k):
-        return self.position.derivative(k)
-
-    def require_order(self, order, what="operation"):
-        if self.order < order:
-            raise ValueError(
-                f"{what} needs derivatives through order {order}, jet stores {self.order}"
-            )
-
-    @property
-    def X(self):
-        return self.position.value
-
-    @property
-    def U(self):
-        return self.position.derivative(1)
-
-    @property
-    def A(self):
-        return self.position.derivative(2)
-
-    @property
-    def Ap(self):
-        return self.position.derivative(3)
-
-    @property
-    def App(self):
-        return self.position.derivative(4)
-
-    @property
-    def u2(self):
-        u = self.position.derivative(1)
-        return float(u @ u)
-
-    @property
-    def u(self):
-        return math.sqrt(self.u2)
-
-    def velocity_jet(self):
-        return self.position.differentiate()
-
-    def __repr__(self):
-        return f"CurveJet(t={self.t}, dim={self.dim}, order={self.order})"
+def coefficients(derivs):
+    """The coefficient stack ``(..., n, count)`` of the derivative vectors
+    ``[X, X', X'', ...]``, each ``(..., n)``: the inverse of
+    :func:`derivatives`, derivative ``k`` divided by ``k!``."""
+    derivs = np.stack(derivs, axis=-1)
+    return derivs / [math.factorial(k) for k in range(derivs.shape[-1])]

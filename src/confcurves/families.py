@@ -2,11 +2,11 @@
 conservation test: projectively parametrized circles, logarithmic spirals,
 and special-conformal images of spirals.
 
-All jets are produced by exact jet arithmetic on the defining formulas, so
-derivatives of any order (up to the jet limit) carry no discretization
-error.  A family's ``jet_stack`` evaluates them at many times in one pass,
-with the operands and operation order of the jet operators, so each row has
-the bits of that time's ``jet``, its one-row call.
+All position coefficients are produced by exact jet arithmetic on the
+defining formulas, so derivatives of any order (up to the jet limit) carry
+no discretization error.  A family's ``jet_stack`` evaluates them at many
+times in one pass, with the operands and operation order of the jet
+operators; its ``jet`` is the one-time row.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import CurveJet, _check_speed
-from .jets import JetScalar, _constant, _dot, _exp, _recip, _sincos, _stack_product, _sum_rows
+from .curves import _check_speed, derivatives
+from .jets import _constant, _dot, _exp, _recip, _sincos, _stack_product, _sum_rows
 from .symmetries import EQuantities
 
 __all__ = [
@@ -41,9 +41,13 @@ def _times(a, value):
     return _stack_product(a, _constant(value, a.shape[-1] - 1))
 
 
-def _jet(self, t, order=DEFAULT_ORDER) -> CurveJet:
-    """The curve jet at ``t``, the one-row call of ``jet_stack``."""
-    return CurveJet(t, JetScalar(self.jet_stack([t], order)[0]))
+def _jet(self, t, order=DEFAULT_ORDER):
+    """The position coefficients ``(n, order+1)`` at ``t``, row 0 of
+    ``jet_stack``, with the speed checked against the floor."""
+    coeffs = self.jet_stack([t], order)[0]
+    u = derivatives(coeffs, 2)[1]
+    _check_speed([t], [u @ u])
+    return coeffs
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,18 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import VELOCITY_FLOOR, CurveJet, DegenerateVelocityError
+from .curves import VELOCITY_FLOOR, DegenerateVelocityError, _speed_sq, derivatives
 from .jets import JetScalar, _dot, _product_coefficient, _stack_product, _sum_rows
 
 __all__ = [
     "PhasePoint",
     "Trajectory",
-    "mercator_C",
     "flow_vector_stack",
     "momenta_stack",
     "hamiltonian_stack",
     "lagrangians",
-    "circle_residual",
     "circle_residual_stack",
     "phase_from_jet",
     "accel_from_phase",
@@ -36,7 +34,6 @@ __all__ = [
     "hamilton_rhs",
     "integrate",
     "poisson_bracket_fd",
-    "solution_jet",
     "taylor_lift",
 ]
 
@@ -86,8 +83,8 @@ class PhasePoint:
 
 
 def flow_vector_stack(U, A, Ap):
-    """The flow vector of :func:`mercator_C` from the first three derivative
-    vectors ``(..., n)``, over leading batch axes.
+    """The conserved vector ``C`` of the fourth-order flow (zero on spirals
+    and lines) from the derivative vectors ``(..., n)``, over batch axes.
 
     Inner products are :func:`confcurves.jets._dot`, kept as ``(..., 1)``
     columns, and squares ``np.float_power``, the libm ``pow`` that Python's
@@ -102,27 +99,20 @@ def flow_vector_stack(U, A, Ap):
     ) / u2
 
 
-def mercator_C(jet: CurveJet):
-    """The conserved vector of the fourth-order flow; identically zero on
-    logarithmic spirals and straight lines (one row of
-    :func:`flow_vector_stack`)."""
-    jet.require_order(3, "flow vector")
-    return flow_vector_stack(jet.U, jet.A, jet.Ap)
-
-
-def lagrangians(jet: CurveJet):
-    """Third-order Lagrangian ``L`` and second-order Lagrangian ``L1``.
+def lagrangians(coeffs):
+    """Third- and second-order Lagrangians ``L``, ``L1`` of one row.
 
     They differ by the total derivative of ``u^{-2} <U, A>``, which is
     evaluated through the jet, so ``L`` needs one more derivative level.
     """
-    jet.require_order(3, "Lagrangian")
-    U, A = jet.U, jet.A
-    u2 = jet.u2
+    _speed_sq(np.asarray(coeffs, dtype=float), 3, "Lagrangian")
+    position = JetScalar(coeffs)
+    U, A = position.derivative(1), position.derivative(2)
+    u2 = float(U @ U)
     UA = float(U @ A)
     L1 = 0.5 * float(A @ A) / u2 - UA**2 / u2**2
 
-    u_jet = jet.velocity_jet()
+    u_jet = position.differentiate()
     a_jet = u_jet.differentiate()
     k = a_jet.order
     q = u_jet.truncated(k).dot(a_jet) / u_jet.truncated(k).norm_sq()
@@ -131,17 +121,10 @@ def lagrangians(jet: CurveJet):
 
 
 def circle_residual_stack(U, A, Ap):
-    """:func:`circle_residual` from the first three derivative vectors
-    ``(..., n)``, over leading batch axes."""
+    """Left side of the third-order conformal-circle equation (zero exactly
+    on projective circles and lines), over leading batch axes."""
     u2, AU, AA = (_dot(a, b)[..., None] for a, b in ((U, U), (A, U), (A, A)))
     return Ap - 3 * AU / u2 * A + 1.5 * AA / u2 * U
-
-
-def circle_residual(jet: CurveJet):
-    """Left side of the third-order conformal-circle equation, zero exactly on
-    projective circles and lines (one row of :func:`circle_residual_stack`)."""
-    jet.require_order(3, "circle residual")
-    return circle_residual_stack(jet.U, jet.A, jet.Ap)
 
 
 def momenta_stack(U, A, Ap):
@@ -151,12 +134,14 @@ def momenta_stack(U, A, Ap):
     return -flow_vector_stack(U, A, Ap), A / u2 - 2 * UA / np.float_power(u2, 2) * U
 
 
-def phase_from_jet(jet: CurveJet) -> PhasePoint:
-    """Ostrogradsky momenta of the curve point: ``P`` is minus the flow
-    vector, ``R`` the velocity-weighted acceleration."""
-    U, A = jet.U, jet.A
-    jet.require_order(3, "flow vector")
-    return PhasePoint(jet.X, U, *momenta_stack(U, A, jet.Ap))
+def phase_from_jet(coeffs) -> PhasePoint:
+    """The phase point of every row of a coefficient stack ``(..., n,
+    order+1)``: ``P`` is minus the flow vector, ``R`` the velocity-weighted
+    acceleration."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    _speed_sq(coeffs, 3, "flow vector")
+    X, U, A, Ap = derivatives(coeffs, 4)
+    return PhasePoint(X, U, *momenta_stack(U, A, Ap))
 
 
 def accel_from_phase(p: PhasePoint):
@@ -355,10 +340,3 @@ def taylor_lift(states, order: int = 6) -> np.ndarray:
         c[..., n : 2 * n, k + 1] = (u2R - URU) / (k + 1)
         c[..., 3 * n :, k + 1] = (R2U + URR - P[..., k]) / (k + 1)
     return c[..., :n, :]
-
-
-def solution_jet(p: PhasePoint, order: int = 6) -> CurveJet:
-    """Taylor lift of the flow through a phase point as a curve jet, all
-    derivatives of the actual solution (:func:`taylor_lift` of one row)."""
-    p.require_row("solution_jet")
-    return CurveJet(0.0, JetScalar(taylor_lift(p.flat(), order)))

@@ -7,26 +7,22 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curves import CurveJet
-from .jets import JetScalar, _dot, _recip, _stack_product, _sum_rows
+from .curves import _speed_sq, derivatives
+from .jets import _dot, _recip, _stack_product, _sum_rows
 from .mercator import PhasePoint, flow_vector_stack, hamiltonian, poisson_bracket_fd
 from .multilinear import index_tuples
-from .tractors import _pairing_families, _speed_sq, q_keys, quantity_family
+from .tractors import _pairing_families, q_keys, quantity_family
 
 __all__ = [
     "KillingField",
     "ckv_eval",
     "conformal_factor",
-    "f_generic",
     "f_generic_stack",
-    "noether_basis",
     "noether_stack",
-    "f_closed",
     "EQuantities",
     "e_quantities",
     "e_stack",
@@ -118,28 +114,21 @@ def conformal_factor(field: KillingField, x):
 
 
 def f_generic_stack(field: KillingField, coeffs):
-    """:func:`f_generic` at every row of a position coefficient stack
-    ``(..., n, order+1)``, order at least 4; only coefficients 0-2 of ``v'``
-    and ``w`` enter, formed by the stack kernels in jet operand order."""
+    """Noether quantity of a Killing field ``v`` at every row of a position
+    coefficient stack ``(..., n, order+1)``, order at least 4, from its
+    defining expression ``d/ds <w, v'> + <w', v'> - <C, v>`` (``w = u /
+    |u|^2``, ``C`` the flow vector), independent of :func:`noether_stack`.
+    Only coefficients 0-2 of ``v'`` and ``w`` enter, formed by the stack
+    kernels in jet operand order."""
     coeffs = np.asarray(coeffs, dtype=float)
     _speed_sq(coeffs, 4, "generic Noether quantity")
     v = _ckv_stack(field, coeffs[..., :4])
     vp = v[..., 1:] * np.arange(1, 4)
     u = coeffs[..., 1:4] * np.arange(1, 4)
     w = _stack_product(u, _recip(_sum_rows(_stack_product(u, u)))[..., None, :])
-    U, A, Ap = (coeffs[..., k] * math.factorial(k) for k in range(1, 4))
+    U, A, Ap = derivatives(coeffs, 4)[1:]
     dWVp = _sum_rows(_stack_product(w, vp))[..., 1]
     return dWVp + _dot(w[..., 1], vp[..., 0]) - _dot(flow_vector_stack(U, A, Ap), v[..., 0])
-
-
-def f_generic(field: KillingField, jet: CurveJet):
-    """Noether quantity of the flow for an arbitrary Killing field ``v``,
-    evaluated directly from its defining expression with every derivative
-    taken through the jet: ``d/ds <w, v'> + <w', v'> - <C, v>`` with
-    ``w = u / |u|^2`` and ``C`` the flow vector.  It never goes through the
-    basis quantities, so it checks :func:`f_closed` independently (one row
-    of :func:`f_generic_stack`)."""
-    return float(f_generic_stack(field, jet.position.coeffs[None])[0])
 
 
 def _outer(a, b):
@@ -148,8 +137,9 @@ def _outer(a, b):
 
 
 def noether_stack(X, U, A, Ap) -> EQuantities:
-    """The basis quantities of :func:`noether_basis` over leading batch axes
-    of ``(..., n)`` derivative vectors; ``E_D`` is an array."""
+    """The basis quantities in closed form in the curve data ``(X, U, A)``
+    and the flow vector ``C`` over leading batch axes of ``(..., n)``
+    derivative vectors, independent of :func:`e_stack`."""
     C = flow_vector_stack(U, A, Ap)
     u2, UA, CX, UX, AX, XX = (
         _dot(a, b)[..., None] for a, b in ((U, U), (U, A), (C, X), (U, X), (A, X), (X, X))
@@ -160,28 +150,13 @@ def noether_stack(X, U, A, Ap) -> EQuantities:
     return EQuantities(-C, F_R, F_D, 2.0 * Y)
 
 
-def noether_basis(jet: CurveJet) -> EQuantities:
-    """The basis quantities in closed form in the curve data ``(X, U, A)``
-    and the flow vector ``C``, independent of the phase-space route of
-    :func:`e_quantities` (one row of :func:`noether_stack`)."""
-    jet.require_order(3, "closed-form Noether quantity")
-    f = noether_stack(jet.X, jet.U, jet.A, jet.Ap)
-    return replace(f, E_D=float(f.E_D))
-
-
-def f_closed(field: KillingField, jet: CurveJet):
-    """Noether quantity in closed form: the field paired with
-    :func:`noether_basis`."""
-    return field.pair(noether_basis(jet))
-
-
 @dataclass(frozen=True, eq=False)
 class EQuantities:
     """The (n+1)(n+2)/2 basis quantities: one vector for translations, an
     antisymmetric matrix for rotations, a scalar for the dilatation, and one
     vector for the special conformal generators.  They come from the phase
     variables (:func:`e_quantities`), from the curve data
-    (:func:`noether_basis`) or from a family's closed form;
+    (:func:`noether_stack`) or from a family's closed form;
     :meth:`KillingField.pair` gives a field's quantity from them.
     :func:`e_stack` and :func:`noether_stack` give them with leading batch
     axes."""
@@ -219,18 +194,14 @@ def e_quantities(p: PhasePoint) -> EQuantities:
 
 def q_phase(p: PhasePoint):
     """The four pairing-quantity families as polynomials in the phase
-    variables, keyed by :func:`confcurves.tractors.q_keys` like
-    :func:`confcurves.tractors.q_quantities`: a float per key for one
-    point, an array over the leading axes for a stacked one.
+    variables, an array ``(..., keys)`` in :func:`confcurves.tractors.q_keys`
+    order like :func:`confcurves.tractors.q_stack`.
 
     They are the curve-data forms with ``(A, A')`` replaced by ``(R, P)`` and
     the weights ``(3 (U.A)/u^4, -1/u^2, 1/u^4)`` by ``(-U.R, 1, -1)``.
     """
     families = _pairing_families(p.X, p.U, p.R, p.P, (-_dot(p.U, p.R), 1.0, -1.0))
-    values = np.concatenate(families, axis=-1)
-    if values.ndim == 1:
-        return dict(zip(q_keys(p.dim), values.tolist()))
-    return dict(zip(q_keys(p.dim), np.moveaxis(values, -1, 0)))
+    return np.concatenate(families, axis=-1)
 
 
 @functools.cache
@@ -256,8 +227,7 @@ def quantity_identities(p: PhasePoint):
     # component axes first, batch axes last, so the gathers index them
     E_T, E_S = np.moveaxis(e.E_T, -1, 0), np.moveaxis(e.E_S, -1, 0)
     E_R, E_D = np.moveaxis(e.E_R, (-2, -1), (0, 1)), e.E_D
-    q = list(q_phase(p).values())
-    q2, q3, q3N, q4 = np.split(np.reshape(q, (len(q),) + E_D.shape), np.cumsum(_family_sizes(n)))
+    q2, q3, q3N, q4 = np.split(np.moveaxis(q_phase(p), -1, 0), np.cumsum(_family_sizes(n)))
     (i, j), (a, b, c), (w, x, y, z) = (tuple(index_tuples(n, k).T) for k in (2, 3, 4))
 
     def split3(v):

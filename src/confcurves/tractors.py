@@ -3,16 +3,16 @@ quantities obtained by pairing parallel wedges with parallel sections.
 
 The canonical sequence starts from the weighted inclusion ``u^{-1}`` in the
 top null slot and repeatedly applies the connection ``d/dt + rho(velocity)``.
-Each tractor is carried as an ``(n+2)``-vector jet, so parameter
-derivatives of any derived scalar (alpha_1, delta_4) come out exact rather
-than by finite differences.  The ``*_stack`` functions do the work for
-every row of a stack of position coefficients ``(..., n, order+1)`` in
-one pass; the per-jet functions are their one-row calls, and
-``gram_invariants`` returns row 0 of :class:`GramStack`.
+Each tractor is carried as ``(n+2)``-vector Taylor coefficients, so
+parameter derivatives of any derived scalar (alpha_1, delta_4) come out
+exact rather than by finite differences.  The ``*_stack`` functions do the
+work for every row of a stack of position coefficients ``(..., n,
+order+1)`` in one pass; one unbatched ``(n, order+1)`` row gives the bits
+of row 0 of its stack.
 
 Index conventions follow :mod:`confcurves.multilinear`: slot 0 and slot
 ``n+1`` are the null pair, slots ``1..n`` the Euclidean block.  Quantity
-dictionaries are keyed by increasing slot tuples; ``quantity_family``
+arrays follow :func:`q_keys`, increasing slot tuples; ``quantity_family``
 classifies a key into one of the four index families.
 """
 
@@ -20,36 +20,27 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .curves import VELOCITY_FLOOR, CurveJet, DegenerateVelocityError
-from .jets import JetScalar, _dot, _recip, _sqrt, _stack_product, _sum_rows
+from .curves import _speed_sq, coefficients, derivatives
+from .jets import _dot, _recip, _sqrt, _stack_product, _sum_rows
 from .multilinear import minors, rho_wedge, tractor_metric_pair, wedge, wedge_pair
 
 __all__ = [
     "UndefinedInvariantError",
     "GramStack",
-    "canonical_tractor_jets",
     "canonical_tractor_stack",
-    "canonical_tractors",
-    "gram_invariants",
     "gram_stack",
     "closed_form_alpha1_delta4",
     "is_conformal_circle",
     "q_keys",
-    "q_quantities",
     "q_stack",
     "quantity_family",
     "parallel_section_oracle",
-    "q_circle_quantities",
     "q_circle_stack",
-    "kappa1",
-    "enforce_alpha1_stationary",
     "alpha1_stationary_stack",
-    "mercator_tractor_residuals",
     "identity_residual_stack",
     "IdentityResiduals",
     "parallel_defect",
@@ -62,22 +53,7 @@ CIRCLE_BAND = 1e-9
 
 class UndefinedInvariantError(ValueError):
     """Raised when an invariant is undefined on the given curve class
-    (for example the spiral curvature on a conformal circle)."""
-
-
-def _speed_sq(coeffs, order, what):
-    """Squared speed of every row of a position coefficient stack, as
-    :attr:`CurveJet.u2` sums it, after the checks of :class:`CurveJet`:
-    derivatives through ``order`` (for ``what``), and no row at or below the
-    velocity floor, rejected before anything divides by it."""
-    if coeffs.shape[-1] <= order:
-        raise ValueError(
-            f"{what} needs derivatives through order {order}, jet stores {coeffs.shape[-1] - 1}"
-        )
-    u2 = _dot(coeffs[..., 1], coeffs[..., 1])
-    if np.any(u2 <= VELOCITY_FLOOR):
-        raise DegenerateVelocityError(f"squared speed {np.min(u2):.3e} is below the floor")
-    return u2
+    (for example the scaled wedge of a conformal circle)."""
 
 
 def canonical_tractor_stack(coeffs, count):
@@ -110,18 +86,6 @@ def canonical_tractor_stack(coeffs, count):
     return seq
 
 
-def canonical_tractor_jets(jet: CurveJet, count: int):
-    """First ``count`` canonical tractors as ``(n+2)``-vector jets, the
-    one-row call of :func:`canonical_tractor_stack`."""
-    return [JetScalar(c[0]) for c in canonical_tractor_stack(jet.position.coeffs[None], count)]
-
-
-def canonical_tractors(jet: CurveJet, count: int):
-    """Pointwise values of the canonical tractor sequence, one
-    ``(n+2)``-array each."""
-    return [t.value for t in canonical_tractor_jets(jet, count)]
-
-
 @functools.cache
 def _row_orders(k):
     """Every assignment of Taylor orders to the four rows of a determinant
@@ -144,16 +108,18 @@ def _pairing_jet(a, b):
 
 
 def _kappa1(delta4_jet, alpha1):
-    """kappa_1 from the ``(..., k+1)`` coefficients (``k >= 2``) of the
-    delta_4 jet and from alpha_1; NaN where it is undefined, off the
-    negative-delta_4 class or inside the circle band."""
+    """kappa_1, the curvature invariant constant exactly on logarithmic
+    spirals, from the ``(..., k+1)`` coefficients (``k >= 2``) of the delta_4
+    jet and from alpha_1; NaN off the negative-delta_4 class or inside the
+    circle band."""
     delta4 = delta4_jet[..., 0]
     defined = (delta4 < 0.0) & ~is_conformal_circle(delta4, alpha1)
     # a stand-in value keeps the undefined rows clear of float errors
     d4 = np.where(defined, delta4, -1.0)
     d4p = delta4_jet[..., 1]
     d4pp = 2.0 * delta4_jet[..., 2]
-    value = -0.5 * (-d4) ** -2.5 * (alpha1 * d4**2 - 0.5 * d4 * d4pp + 9.0 / 16.0 * d4p**2)
+    # ufunc powers: on the numpy scalars of one row ``**`` is libm's pow, off by an ulp
+    value = -0.5 * np.power(-d4, -2.5) * (alpha1 * (d4 * d4) - 0.5 * d4 * d4pp + 0.5625 * (d4p * d4p))
     return np.where(defined, value, np.nan)
 
 
@@ -217,20 +183,14 @@ def gram_stack(coeffs, max_ell: int = 5) -> GramStack:
     )
 
 
-def gram_invariants(jet: CurveJet, max_ell: int = 5) -> GramStack:
-    """Gram-matrix data of the first ``max_ell`` canonical tractors: row 0
-    of the one-row call of :func:`gram_stack`."""
-    g = gram_stack(jet.position.coeffs[None], max_ell)
-    return GramStack(*(None if v is None else v[0] for v in g))
-
-
-def closed_form_alpha1_delta4(jet: CurveJet):
-    """The two lowest invariants from inner products of the derivatives
-    alone (through the third derivative); an independent check against the
-    Gram-determinant route."""
-    jet.require_order(3, "closed-form invariants")
-    U, A, Ap = jet.U, jet.A, jet.Ap
-    u2 = jet.u2
+def closed_form_alpha1_delta4(coeffs):
+    """The two lowest invariants of one coefficient row ``(n, order+1)``
+    from inner products of the derivatives alone (through the third
+    derivative); an independent check against the Gram-determinant route."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    _speed_sq(coeffs, 3, "closed-form invariants")
+    _, U, A, Ap = derivatives(coeffs, 4)
+    u2 = float(U @ U)
     UA = float(U @ A)
     UAp = float(U @ Ap)
     AA = float(A @ A)
@@ -307,74 +267,51 @@ def _pairing_families(X, U, A, B, weights):
 def q_stack(coeffs):
     """The four families of pairing quantities of every row of a position
     coefficient stack ``(..., n, order+1)``, as an array with one entry per
-    key of ``q_keys(n)``, in that order; see :func:`q_quantities`."""
+    key of ``q_keys(n)``, in that order: weighted sums of batched minors of
+    ``[X, U, A, A']`` with weights ``(3 (U.A)/u^4, -1/u^2, 1/u^4)``."""
     coeffs = np.asarray(coeffs, dtype=float)
     iu2 = 1.0 / _speed_sq(coeffs, 3, "pairing quantities")
     iu4 = iu2 * iu2
-    X, U, A, Ap = (coeffs[..., k] * math.factorial(k) for k in range(4))
+    X, U, A, Ap = derivatives(coeffs, 4)
     weights = (3 * iu4 * _dot(U, A), -iu2, iu4)
     return np.concatenate(_pairing_families(X, U, A, Ap, weights), axis=-1)
 
 
-def q_quantities(jet: CurveJet, scale_by_delta4: bool = False):
-    """The four families of pairing quantities in terms of the position and
-    its first three derivative vectors, keyed by :func:`q_keys`; the
-    one-row call of :func:`q_stack`.
-
-    Each family is a weighted sum of batched minors of ``[X, U, A, A']``
-    with weights ``(3 (U.A)/u^4, -1/u^2, 1/u^4)``; see
-    :func:`_pairing_families`.  With ``scale_by_delta4`` every value is
-    multiplied by ``(-delta_4)^(-1/2)``, defined only on the negative-delta_4
-    class.
-    """
-    jet.require_order(3, "pairing quantities")
-    factor = 1.0
-    if scale_by_delta4:
-        _, delta4 = closed_form_alpha1_delta4(jet)
-        if not delta4 < 0.0:
-            raise UndefinedInvariantError(
-                f"scaling needs delta_4 < 0, got {delta4:.3e}"
-            )
-        factor = (-delta4) ** -0.5
-    values = q_stack(jet.position.coeffs[None])[0]
-    return dict(zip(q_keys(jet.dim), (factor * values).tolist()))
-
-
-def parallel_section_oracle(jet: CurveJet, rank: int = 4):
-    """Quantities recomputed from first principles: for every basis element
-    of the rank-``rank`` wedge space, transport it to a parallel section at
-    the curve's position via the quadratic exponential of the nilpotent
-    action, then pair with the wedge of the canonical tractors.
-
-    Agrees with :func:`q_quantities` (rank 4) and
-    :func:`q_circle_quantities` (rank 3).
-    """
+def parallel_section_oracle(coeffs, rank: int = 4):
+    """Quantities of one coefficient row ``(n, order+1)`` from first
+    principles, keyed by slot tuple: each basis element of the rank-``rank``
+    wedge space, moved to a parallel section at the curve's position by the
+    quadratic exponential of the nilpotent action, paired with the wedge of
+    the canonical tractors; agrees with :func:`q_stack` and :func:`q_circle_stack`."""
     if rank not in (3, 4):
         raise ValueError("rank must be 3 or 4")
-    jet.require_order(rank, "section pairing")
-    n = jet.dim
+    tractors = [c[..., 0] for c in canonical_tractor_stack(coeffs, rank)]
+    X = np.asarray(coeffs, dtype=float)[:, 0]
+    n = X.size
     slots = list(itertools.combinations(range(n + 2), rank))
     # Pairing fixes each quantity only up to the orientation of its basis
     # element.  For all-spatial indices plus the bottom null slot the metric
     # duality permutation is an odd 4-cycle; orienting those elements with a
     # minus sign gives the paired values the signs of the determinant
-    # formulas of q_quantities (and hence of the phase-space expressions).
+    # formulas of q_stack (and hence of the phase-space expressions).
     basis = np.diag(
         [-1.0 if rank == 4 and idx[0] != 0 and idx[-1] == n + 1 else 1.0 for idx in slots]
     )
-    r1 = rho_wedge(jet.X, basis, rank)
-    r2 = rho_wedge(jet.X, r1, rank)
+    r1 = rho_wedge(X, basis, rank)
+    r2 = rho_wedge(X, r1, rank)
     sections = basis - r1 + 0.5 * r2
-    paired = wedge_pair(wedge(canonical_tractors(jet, rank)), sections, rank)
+    paired = wedge_pair(wedge(tractors), sections, rank)
     return dict(zip(slots, paired.tolist()))
 
 
 def q_circle_stack(coeffs):
-    """:func:`q_circle_quantities` of every row of a position coefficient
-    stack ``(..., n, order+1)``, in the order of ``q_keys(n, 3)``."""
+    """The rank-3 pairing quantities (the conformal-circle family) of every
+    row of a position coefficient stack ``(..., n, order+1)``, in the order
+    of ``q_keys(n, 3)``: weighted sums of batched minors of ``[X, U, A]``;
+    the rank-2 family sits at ``(0, i, j)`` and ``(i, j, n+1)``."""
     coeffs = np.asarray(coeffs, dtype=float)
     u2 = _speed_sq(coeffs, 2, "circle quantities")[..., None]
-    X, U, A = (coeffs[..., k] * math.factorial(k) for k in range(3))
+    X, U, A = derivatives(coeffs, 3)
     iu1 = 1.0 / np.sqrt(u2)
     iu3 = iu1 / u2
     M = np.stack([X, U, A], axis=-1)
@@ -390,52 +327,17 @@ def q_circle_stack(coeffs):
     )
 
 
-def q_circle_quantities(jet: CurveJet):
-    """The rank-3 pairing quantities (the conformal-circle family), keyed by
-    ``q_keys(n, 3)``; the one-row call of :func:`q_circle_stack`.
-
-    The position-dependent rank-2 family sits at ``(0, i, j)``; the
-    position-free one pairs with the spatial-plus-null elements and sits at
-    ``(i, j, n+1)``.  Like :func:`q_quantities`, each family is a weighted
-    sum of batched minors, here of ``[X, U, A]``.
-    """
-    return dict(zip(q_keys(jet.dim, 3), q_circle_stack(jet.position.coeffs[None])[0].tolist()))
-
-
-def kappa1(jet: CurveJet):
-    """Relative curvature invariant of the negative-delta_4 class; constant
-    exactly on the logarithmic-spiral curves."""
-    jet.require_order(6, "kappa_1")
-    g = gram_invariants(jet, max_ell=4)
-    if math.isnan(g.kappa1):
-        raise UndefinedInvariantError(f"kappa_1 undefined for delta_4 = {g.delta4:.3e}")
-    return float(g.kappa1)
-
-
 def alpha1_stationary_stack(coeffs):
-    """:func:`enforce_alpha1_stationary` on every row of a coefficient stack
-    ``(..., n, order+1)``, in one :func:`gram_stack` call; the derivatives
-    round-trip through their ``k!`` scaling as the one-row jet's do."""
+    """Shift the fourth derivative of every row of a coefficient stack
+    ``(..., n, order+1)`` along the velocity so that alpha_1 is stationary
+    there: its derivative is linear in the fourth derivative, slope 2 per
+    unit of velocity component, so one scalar solve per row suffices."""
     coeffs = np.asarray(coeffs, dtype=float)
     _speed_sq(coeffs, 4, "alpha_1 constraint")
     a1p = gram_stack(coeffs, 3).alpha1_jet[..., 1]
-    scale = [math.factorial(k) for k in range(coeffs.shape[-1])]
-    derivs = coeffs * scale
-    derivs[..., 4] = derivs[..., 4] - (0.5 * a1p)[..., None] * derivs[..., 1]
-    return derivs / scale
-
-
-def enforce_alpha1_stationary(jet: CurveJet) -> CurveJet:
-    """Shift the fourth derivative along the velocity so that the first
-    invariant has zero parameter derivative at this point (the one-row
-    call of :func:`alpha1_stationary_stack`).
-
-    The derivative of alpha_1 is linear in the fourth derivative with
-    slope 2 per unit of velocity component, so a single scalar solve
-    suffices; used to produce constrained random jets for the reduction
-    identity tests.
-    """
-    return CurveJet(jet.t, JetScalar(alpha1_stationary_stack(jet.position.coeffs[None])[0]))
+    derivs = derivatives(coeffs, coeffs.shape[-1])
+    derivs[4] = derivs[4] - (0.5 * a1p)[..., None] * derivs[1]
+    return coefficients(derivs)
 
 
 class IdentityResiduals(NamedTuple):
@@ -447,12 +349,15 @@ class IdentityResiduals(NamedTuple):
 
 
 def identity_residual_stack(coeffs) -> IdentityResiduals:
-    """:func:`mercator_tractor_residuals` of every row of a coefficient stack
-    ``(..., n, order+1)``, as arrays; inner products are :func:`_dot`
-    columns and powers ``np.float_power``, the libm ``pow`` of ``**``."""
+    """Both sides of the identity between the tractor route and the flow for
+    every row of a coefficient stack ``(..., n, order+1)``: the spatial slot
+    of the dependency combination of the fifth canonical tractor, and the
+    expanded derivative of the flow vector, whose defect ``max |expansion +
+    slot / u|`` vanishes exactly where alpha_1 is stationary.  Inner products
+    are :func:`_dot` columns and powers ``np.float_power``, libm's ``pow``."""
     coeffs = np.asarray(coeffs, dtype=float)
     u2 = _speed_sq(coeffs, 4, "reduction identity")[..., None]
-    U, A, Ap, App = (coeffs[..., k] * math.factorial(k) for k in range(1, 5))
+    U, A, Ap, App = derivatives(coeffs, 5)[1:]
     u = np.sqrt(u2)
     pairs = ((U, A), (U, Ap), (U, App), (A, A), (A, Ap))
     UA, UAp, UApp, AA, AAp = (_dot(a, b)[..., None] for a, b in pairs)
@@ -480,41 +385,27 @@ def identity_residual_stack(coeffs) -> IdentityResiduals:
     return IdentityResiduals(slot, mercator, np.max(np.abs(mercator + slot / u), axis=-1))
 
 
-def mercator_tractor_residuals(jet: CurveJet) -> IdentityResiduals:
-    """Both sides of the consistency identity between the tractor route and
-    the fourth-order flow: the spatial slot of the dependency combination
-    of the fifth canonical tractor, and the expanded parameter derivative
-    of the flow's constant vector (one row of
-    :func:`identity_residual_stack`).
-
-    The defect ``max |expansion + u^{-1} * slot|`` vanishes exactly on jets
-    with stationary alpha_1 (the slot is oriented to make the signs cancel
-    that way round).
-    """
-    return IdentityResiduals(*(v[0] for v in identity_residual_stack(jet.position.coeffs[None])))
-
-
 def parallel_defect(curve, t, h, count=3, scaled=False):
     """Max-norm of the discrete connection derivative of the wedge of the
     first ``count`` canonical tractors along a curve sampler.
 
-    ``curve`` maps a parameter value to a :class:`CurveJet`.  With
+    ``curve`` maps a parameter value to a coefficient row.  With
     ``scaled`` the wedge is normalized by ``(-delta_4)^(-1/2)`` first.  A
     parallel wedge decays at second order in ``h``; a non-parallel one
     stays bounded away from zero.
     """
     if h <= 0:
         raise ValueError("h must be positive")
-    jets = [curve(s) for s in (t + h, t - h, t)]
+    rows = np.stack([curve(s) for s in (t + h, t - h, t)])
     # one recurrence over the three sampled rows, then one wedge per row
-    stack = canonical_tractor_stack(np.stack([j.position.coeffs for j in jets]), count)
+    stack = canonical_tractor_stack(rows, count)
     wedges = [wedge([c[row, :, 0] for c in stack]) for row in range(3)]
     if scaled:
-        for row, j in enumerate(jets):
-            _, d4 = closed_form_alpha1_delta4(j)
+        for row in range(3):
+            _, d4 = closed_form_alpha1_delta4(rows[row])
             if not d4 < 0.0:
                 raise UndefinedInvariantError("scaled wedge needs delta_4 < 0")
             wedges[row] = wedges[row] * (-d4) ** -0.5
     wp, wm, w0 = wedges
-    deriv = (wp - wm) * (0.5 / h) + rho_wedge(jets[2].U, w0, count)
+    deriv = (wp - wm) * (0.5 / h) + rho_wedge(rows[2, :, 1], w0, count)
     return float(np.max(np.abs(deriv)))

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from confcurves import Circle, CurveJet, LogSpiral, PhasePoint, TransformedSpiral
+from confcurves import Circle, LogSpiral, PhasePoint, TransformedSpiral, coefficients
+from confcurves.tractors import canonical_tractor_stack, q_keys
 
 
 def random_curve_jet(rng, n, levels=5, min_u2=0.1):
-    """Random derivative data with a well-conditioned velocity."""
+    """Random derivative data with a well-conditioned velocity, as one row
+    of position coefficients ``(n, levels)``."""
     derivs = [rng.uniform(-1.0, 1.0, n) for _ in range(levels)]
     while float(derivs[1] @ derivs[1]) < min_u2:
         derivs[1] = rng.uniform(-1.0, 1.0, n)
-    return CurveJet.from_derivatives(0.0, derivs)
+    return coefficients(derivs)
 
 
 def random_phase_point(rng, n, min_u2=0.1):
@@ -60,18 +62,24 @@ def planar_unit_spiral():
 
 
 def row_sets(rng, count=9):
-    """Curve jets to stack for the row-batched oracles: random derivative
-    data, points along a spiral and points along a circle, in dimensions 2
-    to 8."""
+    """Coefficient rows to stack for the row-batched oracles: random
+    derivative data, points along a spiral and points along a circle, in
+    dimensions 2 to 8."""
     for n in range(2, 9):
         yield [random_curve_jet(rng, n) for _ in range(count)]
         for family in (random_spiral(rng, n), random_circle(rng, n)):
             yield [family.jet(float(t)) for t in np.linspace(-1.0, 1.0, count)]
 
 
-def stacked(jets, *names):
-    """The ``(rows, n)`` arrays of the named derivative vectors of jets."""
-    return [np.stack([getattr(j, name) for j in jets]) for name in names]
+def tractor_values(jet, count):
+    """Values of the first ``count`` canonical tractors of one coefficient
+    row, one ``(n+2)``-array each."""
+    return [t[..., 0] for t in canonical_tractor_stack(jet, count)]
+
+
+def keyed(values, n, rank=4):
+    """One row of pairing quantities as a dict keyed by ``q_keys(n, rank)``."""
+    return dict(zip(q_keys(n, rank), np.asarray(values).tolist()))
 
 
 def assert_same_bits(got, want):

@@ -14,30 +14,31 @@ from confcurves import (
     KillingField,
     LogSpiral,
     accel_from_phase,
+    alpha1_stationary_stack,
     closed_form_alpha1_delta4,
+    derivatives,
     e_quantities,
-    enforce_alpha1_stationary,
     epsilon,
-    f_closed,
-    f_generic,
-    gram_invariants,
+    f_generic_stack,
+    flow_vector_stack,
+    gram_stack,
     hamiltonian,
+    identity_residual_stack,
     integrate,
-    kappa1,
-    mercator_C,
-    mercator_tractor_residuals,
+    noether_stack,
     parallel_defect,
     parallel_section_oracle,
     phase_from_jet,
     poisson_bracket_fd,
-    q_circle_quantities,
+    q_circle_stack,
     q_phase,
-    q_quantities,
+    q_stack,
     three_d_reduction,
 )
 from confcurves.multilinear import tractor_metric_pair
 
 from conftest import (
+    keyed,
     random_circle,
     random_curve_jet,
     random_phase_point,
@@ -64,7 +65,7 @@ def test_criterion_1_spiral_invariant_suite():
     start = time.perf_counter()
     spiral = ACCEPTANCE_SPIRAL
     jets = [spiral.jet(float(t)) for t in WINDOW]
-    grams = [gram_invariants(j, 5) for j in jets]
+    grams = [gram_stack(j, 5) for j in jets]
     ok = all(abs(g.delta3 + 1.0) <= 1e-9 for g in grams)
     ok &= all(abs(g.delta4 + 4.0) <= 1e-8 for g in grams)
     ok &= all(
@@ -72,8 +73,8 @@ def test_criterion_1_spiral_invariant_suite():
     )
     ok &= all(abs(g.alpha1 - 3.0) <= 1e-9 for g in grams)
     ok &= all(abs(g.alpha2 - 13.0) <= 1e-9 for g in grams)
-    ok &= all(float(np.max(np.abs(mercator_C(j)))) <= 1e-10 for j in jets)
-    qs = [q_quantities(j) for j in jets]
+    ok &= all(float(np.max(np.abs(flow_vector_stack(*derivatives(j, 4)[1:])))) <= 1e-10 for j in jets)
+    qs = [keyed(q_stack(j), 3) for j in jets]
     spread = 0.0
     for key in qs[0]:
         vals = np.array([q[key] for q in qs])
@@ -93,14 +94,15 @@ def test_criterion_2_circle_suite():
     orders = []
     for _ in range(3):
         circle = random_circle(rng, 3)
-        from confcurves import circle_residual
+        from confcurves import circle_residual_stack
 
         samples = []
         for t in WINDOW:
             jet = circle.jet(float(t))
-            worst_res = max(worst_res, float(np.max(np.abs(circle_residual(jet)))))
-            worst_d4 = max(worst_d4, abs(gram_invariants(jet, 4).delta4))
-            samples.append(q_circle_quantities(jet))
+            residual = circle_residual_stack(*derivatives(jet, 4)[1:])
+            worst_res = max(worst_res, float(np.max(np.abs(residual))))
+            worst_d4 = max(worst_d4, abs(gram_stack(jet, 4).delta4))
+            samples.append(keyed(q_circle_stack(jet), 3, 3))
         for key in samples[0]:
             vals = np.array([s[key] for s in samples])
             worst_q = max(
@@ -129,7 +131,7 @@ def _trajectory_drifts(p0, h):
         rows.append(
             [hamiltonian(pt), e.E_D, *e.E_T, *e.E_S]
             + [e.E_R[i - 1, j - 1] for i, j in itertools.combinations(range(1, 4), 2)]
-            + [q[key] for key in sorted(q)]
+            + list(q)
         )
     rows = np.array(rows)
     drift = float(
@@ -194,8 +196,9 @@ def test_criterion_5_noether_cross_check():
     times = np.linspace(-1, 1, 9)
     for family in families:
         for field in fields:
-            generic = [f_generic(field, family.jet(float(t))) for t in times]
-            closed = [f_closed(field, family.jet(float(t))) for t in times]
+            jets = [family.jet(float(t)) for t in times]
+            generic = [float(f_generic_stack(field, jet)) for jet in jets]
+            closed = [field.pair(noether_stack(*derivatives(jet, 4))) for jet in jets]
             scale = 1.0 + max(abs(v) for v in closed)
             worst_agree = max(
                 worst_agree, max(abs(a - b) for a, b in zip(generic, closed)) / scale
@@ -205,7 +208,7 @@ def test_criterion_5_noether_cross_check():
     for c in (0.8, 1.7):
         lox = LogSpiral(c, np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.zeros(2))
         r2 = KillingField(2, R=np.array([[0.0, 1.0], [-1.0, 0.0]]))
-        lox_err = max(lox_err, abs(f_closed(r2, lox.jet(0.3)) - c))
+        lox_err = max(lox_err, abs(r2.pair(noether_stack(*derivatives(lox.jet(0.3), 4))) - c))
     ok = worst_agree <= 1e-9 and worst_spread <= 1e-8 and lox_err <= 1e-10
     report(
         5,
@@ -221,7 +224,7 @@ def test_criterion_6_oracle_equivalences():
     for _ in range(50):
         n = int(rng.choice([3, 4, 5]))
         jet = random_curve_jet(rng, n)
-        q = q_quantities(jet)
+        q = keyed(q_stack(jet), n)
         oracle = parallel_section_oracle(jet)
         for key, v in q.items():
             worst_pairing = max(worst_pairing, abs(v - oracle[key]) / (1.0 + abs(v)))
@@ -230,7 +233,7 @@ def test_criterion_6_oracle_equivalences():
         n = int(rng.integers(2, 5))
         jet = random_curve_jet(rng, n)
         a1, d4 = closed_form_alpha1_delta4(jet)
-        g = gram_invariants(jet, 4)
+        g = gram_stack(jet, 4)
         scale = 1.0 + abs(a1) + abs(d4)
         worst_gram = max(
             worst_gram, abs(g.alpha1 - a1) / scale, abs(g.delta4 - d4) / scale
@@ -240,7 +243,7 @@ def test_criterion_6_oracle_equivalences():
         spiral = random_spiral(rng, int(rng.integers(2, 5)))
         t = float(rng.uniform(-1, 1))
         jet = spiral.jet(t, 3)
-        for got, expect in zip((jet.U, jet.A, jet.Ap), spiral.closed_derivatives(t)):
+        for got, expect in zip(derivatives(jet, 4)[1:], spiral.closed_derivatives(t)):
             worst_jet = max(
                 worst_jet,
                 float(np.max(np.abs(got - expect))) / (1.0 + float(np.max(np.abs(expect)))),
@@ -249,11 +252,12 @@ def test_criterion_6_oracle_equivalences():
     for _ in range(50):
         jet = random_curve_jet(rng, int(rng.integers(2, 5)))
         A, Ap = accel_from_phase(phase_from_jet(jet))
-        scale = 1.0 + float(np.max(np.abs(jet.Ap)))
+        _, _, jet_A, jet_Ap = derivatives(jet, 4)
+        scale = 1.0 + float(np.max(np.abs(jet_Ap)))
         worst_round = max(
             worst_round,
-            float(np.max(np.abs(A - jet.A))) / scale,
-            float(np.max(np.abs(Ap - jet.Ap))) / scale,
+            float(np.max(np.abs(A - jet_A))) / scale,
+            float(np.max(np.abs(Ap - jet_Ap))) / scale,
         )
     ok = (
         worst_pairing <= 1e-10
@@ -274,8 +278,8 @@ def test_criterion_7_reduction_identity():
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(2, 5))
-        jet = enforce_alpha1_stationary(random_curve_jet(rng, n))
-        res = mercator_tractor_residuals(jet)
+        jet = alpha1_stationary_stack(random_curve_jet(rng, n))
+        res = identity_residual_stack(jet)
         scale = 1.0 + max(
             float(np.max(np.abs(res.tractor_slot))),
             float(np.max(np.abs(res.mercator_expansion))),
@@ -328,7 +332,7 @@ def test_criterion_9_spiral_tractor_and_curvature():
             worst_sq = max(
                 worst_sq, abs(tractor_metric_pair(tr, tr) - (c**2 - 1.0))
             )
-            kappas.append(kappa1(spiral.jet(float(t))))
+            kappas.append(gram_stack(spiral.jet(float(t)), 4).kappa1)
         expect = -(c**2 - 1.0) / (2.0 * c)
         worst_k = max(worst_k, max(abs(k - expect) for k in kappas))
         worst_k = max(worst_k, max(kappas) - min(kappas))

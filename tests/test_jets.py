@@ -276,9 +276,9 @@ class TestSpiralJets:
             n = int(rng.integers(2, 5))
             spiral = random_spiral(rng, n)
             t = float(rng.uniform(-1, 1))
-            jet = spiral.jet(t, order=3)
+            jet = JetScalar(spiral.jet(t, order=3))
             U, A, Ap = spiral.closed_derivatives(t)
             scale = 1.0 + max(np.max(np.abs(v)) for v in (U, A, Ap))
-            assert np.max(np.abs(jet.U - U)) <= 1e-12 * scale
-            assert np.max(np.abs(jet.A - A)) <= 1e-12 * scale
-            assert np.max(np.abs(jet.Ap - Ap)) <= 1e-12 * scale
+            assert np.max(np.abs(jet.derivative(1) - U)) <= 1e-12 * scale
+            assert np.max(np.abs(jet.derivative(2) - A)) <= 1e-12 * scale
+            assert np.max(np.abs(jet.derivative(3) - Ap)) <= 1e-12 * scale

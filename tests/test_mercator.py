@@ -4,18 +4,17 @@ import numpy as np
 import pytest
 
 from confcurves import (
-    CurveJet,
     JetScalar,
     PhasePoint,
     accel_from_phase,
-    circle_residual,
     circle_residual_stack,
+    coefficients,
+    derivatives,
     e_quantities,
     hamilton_rhs,
     hamiltonian,
     integrate,
     lagrangians,
-    mercator_C,
     phase_from_jet,
     poisson_bracket_fd,
     q_phase,
@@ -23,7 +22,6 @@ from confcurves import (
     flow_vector_stack,
     hamiltonian_stack,
     momenta_stack,
-    solution_jet,
     taylor_lift,
 )
 from confcurves.curves import VELOCITY_FLOOR, DegenerateVelocityError
@@ -37,27 +35,31 @@ from conftest import (
     random_spiral,
     random_transformed_spiral,
     row_sets,
-    stacked,
 )
 
 
 def straight_line_jet(n=2):
     derivs = [np.zeros(n) for _ in range(5)]
     derivs[1][0] = 1.0
-    return CurveJet.from_derivatives(0.0, derivs)
+    return coefficients(derivs)
+
+
+def flow_vector(jet):
+    """The flow vector of one coefficient row, an unbatched stack call."""
+    return flow_vector_stack(*derivatives(jet, 4)[1:])
 
 
 class TestFlowVector:
     def test_vanishes_on_spirals(self, rng):
         spiral = random_spiral(rng, 3)
         for t in np.linspace(-1, 1, 7):
-            assert np.max(np.abs(mercator_C(spiral.jet(float(t))))) <= 1e-10
+            assert np.max(np.abs(flow_vector(spiral.jet(float(t))))) <= 1e-10
 
     def test_vanishes_on_straight_line(self):
-        assert np.max(np.abs(mercator_C(straight_line_jet()))) == 0.0
+        assert np.max(np.abs(flow_vector(straight_line_jet()))) == 0.0
 
     def test_unit_pitch_hand_evaluation(self, planar_unit_spiral):
-        assert np.allclose(mercator_C(planar_unit_spiral.jet(0.0)), [0.0, 0.0], atol=1e-14)
+        assert np.allclose(flow_vector(planar_unit_spiral.jet(0.0)), [0.0, 0.0], atol=1e-14)
 
     def test_constant_along_families(self, rng):
         for family in (
@@ -65,7 +67,7 @@ class TestFlowVector:
             random_circle(rng, 3),
             random_transformed_spiral(rng, 3),
         ):
-            c_vals = [mercator_C(family.jet(float(t))) for t in (-0.8, 0.1, 0.9)]
+            c_vals = [flow_vector(family.jet(float(t))) for t in (-0.8, 0.1, 0.9)]
             for c in c_vals[1:]:
                 assert np.max(np.abs(c - c_vals[0])) <= 1e-10 * (
                     1.0 + np.max(np.abs(c_vals[0]))
@@ -73,8 +75,8 @@ class TestFlowVector:
 
 
 def row_mercator_C(jet):
-    U, A, Ap = jet.U, jet.A, jet.Ap
-    u2 = jet.u2
+    _, U, A, Ap = derivatives(jet, 4)
+    u2 = float(U @ U)
     AU = float(A @ U)
     AA = float(A @ A)
     ApU = float(Ap @ U)
@@ -84,8 +86,8 @@ def row_mercator_C(jet):
 
 
 def row_momenta(jet):
-    U, A = jet.U, jet.A
-    u2 = jet.u2
+    _, U, A = derivatives(jet, 3)
+    u2 = float(U @ U)
     return -row_mercator_C(jet), A / u2 - 2 * float(U @ A) / u2**2 * U
 
 
@@ -100,17 +102,20 @@ class TestRowBatched:
 
     def test_flow_vector(self, rng):
         for jets in row_sets(rng):
-            batched = flow_vector_stack(*stacked(jets, "U", "A", "Ap"))
+            batched = flow_vector_stack(*derivatives(np.stack(jets), 4)[1:])
             for jet, row in zip(jets, batched):
                 want = row_mercator_C(jet)
                 assert_same_bits(row, want)
-                assert_same_bits(mercator_C(jet), want)
+                assert_same_bits(flow_vector(jet), want)
 
     def test_momenta_and_hamiltonian(self, rng):
         for jets in row_sets(rng):
-            U, A, Ap = stacked(jets, "U", "A", "Ap")
+            U, A, Ap = derivatives(np.stack(jets), 4)[1:]
             P, R = momenta_stack(U, A, Ap)
             H = hamiltonian_stack(U, P, R)
+            points = phase_from_jet(np.stack(jets))
+            assert_same_bits(points.P, P)
+            assert_same_bits(points.R, R)
             for k, jet in enumerate(jets):
                 want_P, want_R = row_momenta(jet)
                 assert_same_bits(P[k], want_P)
@@ -118,7 +123,7 @@ class TestRowBatched:
                 p = phase_from_jet(jet)
                 assert_same_bits(p.P, want_P)
                 assert_same_bits(p.R, want_R)
-                want_H = row_hamiltonian(jet.U, want_P, want_R)
+                want_H = row_hamiltonian(derivatives(jet, 2)[1], want_P, want_R)
                 assert_same_bits(H[k], want_H)
                 assert hamiltonian(p) == want_H and isinstance(hamiltonian(p), float)
 
@@ -140,10 +145,15 @@ class TestLagrangians:
             n = int(rng.integers(2, 5))
             jet = random_curve_jet(rng, n)
             L, L1 = lagrangians(jet)
-            U, A, Ap = jet.U, jet.A, jet.Ap
-            u2 = jet.u2
+            _, U, A, Ap = derivatives(jet, 4)
+            u2 = float(U @ U)
             expect = (float(A @ A) + float(U @ Ap)) / u2 - 2 * float(U @ A) ** 2 / u2**2
             assert L - L1 == pytest.approx(expect, rel=1e-12, abs=1e-12)
+
+
+def circle_residual(jet):
+    """The circle residual of one coefficient row, an unbatched stack call."""
+    return circle_residual_stack(*derivatives(jet, 4)[1:])
 
 
 class TestCircleResidual:
@@ -163,10 +173,11 @@ class TestCircleResidual:
 
     def test_stack_repeats_the_one_row_formula(self, rng):
         for jets in row_sets(rng):
-            batched = circle_residual_stack(*stacked(jets, "U", "A", "Ap"))
+            batched = circle_residual_stack(*derivatives(np.stack(jets), 4)[1:])
             for jet, row in zip(jets, batched):
-                U, A, Ap = jet.U, jet.A, jet.Ap
-                want = Ap - 3 * float(A @ U) / jet.u2 * A + 1.5 * float(A @ A) / jet.u2 * U
+                _, U, A, Ap = derivatives(jet, 4)
+                u2 = float(U @ U)
+                want = Ap - 3 * float(A @ U) / u2 * A + 1.5 * float(A @ A) / u2 * U
                 assert_same_bits(row, want)
                 assert_same_bits(circle_residual(jet), want)
 
@@ -198,15 +209,16 @@ class TestPhaseConversions:
             jet = random_curve_jet(rng, n)
             p = phase_from_jet(jet)
             A, Ap = accel_from_phase(p)
-            scale = 1.0 + np.max(np.abs(jet.Ap))
-            assert np.max(np.abs(A - jet.A)) <= 1e-12 * scale
-            assert np.max(np.abs(Ap - jet.Ap)) <= 1e-12 * scale
+            _, _, jet_A, jet_Ap = derivatives(jet, 4)
+            scale = 1.0 + np.max(np.abs(jet_Ap))
+            assert np.max(np.abs(A - jet_A)) <= 1e-12 * scale
+            assert np.max(np.abs(Ap - jet_Ap)) <= 1e-12 * scale
 
     def test_idempotence(self, rng):
         jet = random_curve_jet(rng, 3)
         p = phase_from_jet(jet)
         A, Ap = accel_from_phase(p)
-        rebuilt = CurveJet.from_derivatives(0.0, [p.X, p.U, A, Ap])
+        rebuilt = coefficients([p.X, p.U, A, Ap])
         p2 = phase_from_jet(rebuilt)
         for name in ("X", "U", "P", "R"):
             assert np.max(np.abs(getattr(p, name) - getattr(p2, name))) <= 1e-12
@@ -462,7 +474,7 @@ class TestIntegrate:
             rows.append(
                 [hamiltonian(pt), e.E_D, *e.E_T, *e.E_S]
                 + [e.E_R[i - 1, j - 1] for i, j in itertools.combinations(range(1, 4), 2)]
-                + [q[key] for key in sorted(q)]
+                + list(q)
             )
         rows = np.array(rows)
         drift = np.max(np.abs(rows - rows[0]), axis=0) / (1.0 + np.abs(rows[0]))
@@ -534,17 +546,17 @@ class TestSolutionJet:
     def test_matches_spiral_jet(self, rng):
         spiral = random_spiral(rng, 3, c=1.6)
         j0 = spiral.jet(0.0)
-        lifted = solution_jet(phase_from_jet(j0), order=6)
-        for k in range(7):
-            scale = 1.0 + np.max(np.abs(j0.derivative(k)))
-            assert np.max(np.abs(lifted.derivative(k) - j0.derivative(k))) <= 1e-10 * scale
+        lifted = taylor_lift(phase_from_jet(j0).flat(), 6)
+        for got, want in zip(derivatives(lifted, 7), derivatives(j0, 7)):
+            scale = 1.0 + np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 1e-10 * scale
 
     def test_lift_satisfies_flow(self, rng):
         # the flow vector of the lifted jet equals minus the momentum
         for _ in range(20):
             p = random_phase_point(rng, 3)
-            lifted = solution_jet(p, order=4)
-            assert np.max(np.abs(mercator_C(lifted) + p.P)) <= 1e-11 * (
+            lifted = taylor_lift(p.flat(), 4)
+            assert np.max(np.abs(flow_vector(lifted) + p.P)) <= 1e-11 * (
                 1.0 + np.max(np.abs(p.P))
             )
 
@@ -588,7 +600,7 @@ class TestStackedPointHelpers:
         assert_same_bits(hamiltonian(stack), [hamiltonian(p) for p in self.rows(stack)])
 
     @pytest.mark.parametrize(
-        "helper", [hamilton_rhs, accel_from_phase, solution_jet], ids=lambda f: f.__name__
+        "helper", [hamilton_rhs, accel_from_phase], ids=lambda f: f.__name__
     )
     def test_one_row_helper_names_the_stack(self, rng, helper):
         message = rf"^{helper.__name__} takes one phase point, got a stack of shape \(4,\)$"

@@ -6,7 +6,7 @@ import pytest
 
 from confcurves import (
     JetScalar,
-    canonical_tractors,
+    derivatives,
     epsilon,
     wedge,
     wedge_pair,
@@ -14,7 +14,7 @@ from confcurves import (
 from confcurves import multilinear
 from confcurves.multilinear import minors, rho_wedge, tractor_metric_pair
 
-from conftest import assert_same_bits, random_curve_jet
+from conftest import assert_same_bits, random_curve_jet, tractor_values
 
 
 class TestEpsilon:
@@ -191,10 +191,10 @@ class TestWedge:
         # collected on increasing tuples, against the determinant formulas
         for n in (3, 4):
             jet = random_curve_jet(rng, n)
-            w = wedge(canonical_tractors(jet, 4))
+            w = wedge(tractor_values(jet, 4))
             pos = slot_position(n + 2, 4)
-            X, U, A, Ap = jet.X, jet.U, jet.A, jet.Ap
-            u2 = jet.u2
+            X, U, A, Ap = derivatives(jet, 4)
+            u2 = float(U @ U)
             UA = float(U @ A)
             for i, j in itertools.combinations(range(1, n + 1), 2):
                 expect = -3 * u2**-2 * UA * epsilon((i, j), U, A) + u2**-1 * epsilon(

@@ -10,37 +10,40 @@ from confcurves import (
     PhasePoint,
     ckv_eval,
     conformal_factor,
+    derivatives,
     e_quantities,
     e_stack,
-    f_closed,
-    f_generic,
     f_generic_stack,
+    flow_vector_stack,
     hamiltonian,
     involutivity_check,
-    mercator_C,
-    noether_basis,
     noether_stack,
     phase_from_jet,
     poisson_bracket_fd,
     q_phase,
-    q_quantities,
     quantity_identities,
     three_d_reduction,
 )
 from confcurves.cli import main
 from confcurves.curves import DegenerateVelocityError
 from confcurves.multilinear import index_tuples
-from confcurves.tractors import _pairing_families, q_keys, quantity_family
+from confcurves.tractors import _pairing_families, q_keys, q_stack, quantity_family
 from conftest import (
     assert_same_bits,
+    keyed,
     random_circle,
     random_curve_jet,
     random_phase_point,
     random_spiral,
     random_transformed_spiral,
     row_sets,
-    stacked,
 )
+
+
+def closed_basis(jet):
+    """The closed-form basis quantities of one coefficient row, an unbatched
+    :func:`noether_stack` call."""
+    return noether_stack(*derivatives(jet, 4))
 
 
 def basis_rotation(n, i, j):
@@ -118,8 +121,9 @@ class TestNoetherQuantities:
             random_transformed_spiral(rng, 3),
         ):
             for field in sample_fields(rng, 3):
-                vals_g = [f_generic(field, family.jet(float(t))) for t in np.linspace(-1, 1, 7)]
-                vals_c = [f_closed(field, family.jet(float(t))) for t in np.linspace(-1, 1, 7)]
+                jets = [family.jet(float(t)) for t in np.linspace(-1, 1, 7)]
+                vals_g = [float(f_generic_stack(field, jet)) for jet in jets]
+                vals_c = [field.pair(closed_basis(jet)) for jet in jets]
                 scale = 1.0 + max(abs(v) for v in vals_c)
                 assert max(abs(a - b) for a, b in zip(vals_g, vals_c)) <= 1e-9 * scale
                 assert (max(vals_c) - min(vals_c)) <= 1e-8 * scale
@@ -127,16 +131,16 @@ class TestNoetherQuantities:
     def test_translation_reduces_to_flow_vector(self, rng):
         jet = random_curve_jet(rng, 3)
         T = rng.normal(size=3)
-        assert f_generic(KillingField(3, T=T), jet) == pytest.approx(
-            -float(mercator_C(jet) @ T), rel=1e-12, abs=1e-12
+        assert f_generic_stack(KillingField(3, T=T), jet) == pytest.approx(
+            -float(flow_vector_stack(*derivatives(jet, 4)[1:]) @ T), rel=1e-12, abs=1e-12
         )
 
     def test_spiral_printed_values(self, rng):
         spiral = random_spiral(rng, 3, c=1.3)
         jet = spiral.jet(0.45)
         T = rng.normal(size=3)
-        assert f_closed(KillingField(3, T=T), jet) == pytest.approx(0.0, abs=1e-10)
-        assert f_closed(KillingField(3, a=0.9), jet) == pytest.approx(-0.9, abs=1e-10)
+        assert KillingField(3, T=T).pair(closed_basis(jet)) == pytest.approx(0.0, abs=1e-10)
+        assert KillingField(3, a=0.9).pair(closed_basis(jet)) == pytest.approx(-0.9, abs=1e-10)
 
     def test_loxodrome_rotation_quantity_is_pitch(self):
         from confcurves import LogSpiral
@@ -145,8 +149,8 @@ class TestNoetherQuantities:
             lox = LogSpiral(c, np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.zeros(2))
             rot = basis_rotation(2, 1, 2)
             for t in (-0.5, 0.0, 0.8):
-                assert f_closed(rot, lox.jet(t)) == pytest.approx(c, abs=1e-10)
-                assert f_generic(rot, lox.jet(t)) == pytest.approx(c, abs=1e-10)
+                assert rot.pair(closed_basis(lox.jet(t))) == pytest.approx(c, abs=1e-10)
+                assert f_generic_stack(rot, lox.jet(t)) == pytest.approx(c, abs=1e-10)
 
     def test_circle_quantity_from_double_derivative(self, rng):
         # on circles the quantity collapses to d/dt <W', V> for the
@@ -155,7 +159,7 @@ class TestNoetherQuantities:
         for field in sample_fields(rng, 3)[:3]:
             for t in (-0.4, 0.3):
                 jet = circle.jet(float(t))
-                x = jet.position
+                x = JetScalar(jet)
                 from confcurves.symmetries import _ckv_stack
 
                 v = JetScalar(_ckv_stack(field, x.coeffs[None])[0])
@@ -165,13 +169,13 @@ class TestNoetherQuantities:
                 rate = w.differentiate().truncated(k - 1).dot(
                     v.truncated(k - 1)
                 ).differentiate().value
-                assert f_generic(field, jet) == pytest.approx(rate, rel=1e-9, abs=1e-9)
+                assert f_generic_stack(field, jet) == pytest.approx(rate, rel=1e-9, abs=1e-9)
 
     def test_transformed_spiral_dilatation_report(self, rng):
         for _ in range(5):
             ts = random_transformed_spiral(rng, 3)
             rep = ts.conserved_report()
-            got = f_closed(KillingField(3, a=1.0), ts.jet(0.2))
+            got = KillingField(3, a=1.0).pair(closed_basis(ts.jet(0.2)))
             assert got == pytest.approx(rep.E_D, rel=1e-9, abs=1e-9)
 
 
@@ -217,53 +221,54 @@ class TestEQuantities:
             n = int(rng.integers(2, 5))
             jet = random_curve_jet(rng, n)
             e = e_quantities(phase_from_jet(jet))
+            basis = closed_basis(jet)
             T = rng.normal(size=n)
-            assert f_closed(KillingField(n, T=T), jet) == pytest.approx(
+            assert KillingField(n, T=T).pair(basis) == pytest.approx(
                 float(T @ e.E_T), rel=1e-12, abs=1e-12
             )
             i, j = sorted(rng.choice(np.arange(1, n + 1), size=2, replace=False))
-            assert f_closed(basis_rotation(n, i, j), jet) == pytest.approx(
+            assert basis_rotation(n, i, j).pair(basis) == pytest.approx(
                 e.E_R[i - 1, j - 1], rel=1e-12, abs=1e-12
             )
             a = float(rng.uniform(0.5, 2.0))
-            assert f_closed(KillingField(n, a=a), jet) == pytest.approx(
+            assert KillingField(n, a=a).pair(basis) == pytest.approx(
                 a * e.E_D, rel=1e-12, abs=1e-12
             )
             S = rng.normal(size=n)
-            assert f_closed(KillingField(n, S=S), jet) == pytest.approx(
+            assert KillingField(n, S=S).pair(basis) == pytest.approx(
                 float(S @ e.E_S), rel=1e-12, abs=1e-12
             )
             R = rng.normal(size=(n, n))
             R = R - R.T
             general = KillingField(n, T=T, R=R, a=a, S=S)
             pairing = float(T @ e.E_T) + 0.5 * float(np.sum(R * e.E_R)) + a * e.E_D + float(S @ e.E_S)
-            assert f_closed(general, jet) == pytest.approx(pairing, rel=1e-12, abs=1e-12)
+            assert general.pair(basis) == pytest.approx(pairing, rel=1e-12, abs=1e-12)
 
 
 class TestQPhase:
     def test_unit_pitch_hand_value(self, planar_unit_spiral):
-        q = q_phase(phase_from_jet(planar_unit_spiral.jet(0.0)))
+        q = keyed(q_phase(phase_from_jet(planar_unit_spiral.jet(0.0))), 2)
         assert q[(0, 1, 2, 3)] == pytest.approx(1.0, abs=1e-14)
 
     def test_matches_derivative_route(self, rng):
         for trial in range(100):
             n = 2 + trial % 7
             jet = random_curve_jet(rng, n)
-            qj = q_quantities(jet)
-            qp = q_phase(phase_from_jet(jet))
+            qj = keyed(q_stack(jet), n)
+            qp = keyed(q_phase(phase_from_jet(jet)), n)
             for key, v in qj.items():
                 assert qp[key] == pytest.approx(v, rel=1e-10, abs=1e-10)
 
     def test_zero_momenta_vanish(self):
         p = PhasePoint(np.ones(4), np.array([1.0, 0, 0, 0]), np.zeros(4), np.zeros(4))
-        assert all(abs(v) <= 1e-15 for v in q_phase(p).values())
+        assert all(abs(v) <= 1e-15 for v in q_phase(p))
 
 
 class TestQuantityIdentities:
     def test_unit_pitch_hand_identity(self, planar_unit_spiral):
         p = phase_from_jet(planar_unit_spiral.jet(0.0))
         e = e_quantities(p)
-        q = q_phase(p)
+        q = keyed(q_phase(p), 2)
         assert q[(0, 1, 2, 3)] == pytest.approx(
             0.5 * 0.0 - e.E_D * e.E_R[0, 1], abs=1e-13
         )
@@ -278,7 +283,7 @@ class TestQuantityIdentities:
             np.zeros(n),
             rng.uniform(-1, 1, n),
         )
-        q = q_phase(p)
+        q = keyed(q_phase(p), n)
         for i, j, k in itertools.combinations(range(1, n + 1), 3):
             assert q[(i, j, k, n + 1)] == pytest.approx(0.0, abs=1e-13)
         for idx in itertools.combinations(range(1, n + 1), 4):
@@ -297,7 +302,7 @@ class TestThreeDReduction:
         for _ in range(100):
             p = random_phase_point(rng, 3)
             red = three_d_reduction(p)
-            q = q_phase(p)
+            q = keyed(q_phase(p), 3)
             assert red.Q1[0] == pytest.approx(q[(0, 2, 3, 4)], rel=1e-12, abs=1e-12)
             assert red.Q1[1] == pytest.approx(-q[(0, 1, 3, 4)], rel=1e-12, abs=1e-12)
             assert red.Q1[2] == pytest.approx(q[(0, 1, 2, 4)], rel=1e-12, abs=1e-12)
@@ -346,7 +351,7 @@ class TestPoissonStructure:
         fns.append(lambda p: e_quantities(p).E_D)
         keys = [(0, 1, 2, 4), (0, 1, 3, 4), (0, 2, 3, 4), (0, 1, 2, 3), (1, 2, 3, 4)]
         for key in keys:
-            fns.append(lambda p, key=key: q_phase(p)[key])
+            fns.append(lambda p, key=key: keyed(q_phase(p), 3)[key])
         for _ in range(10):
             p = random_phase_point(rng, 3)
             for f in fns:
@@ -392,9 +397,9 @@ def row_e_quantities(X, U, P, R):
 
 
 def row_noether_basis(jet):
-    X, U, A = jet.X, jet.U, jet.A
-    u2 = jet.u2
-    C = mercator_C(jet)
+    X, U, A, Ap = derivatives(jet, 4)
+    u2 = float(U @ U)
+    C = flow_vector_stack(U, A, Ap)
     F_R = (np.outer(U, A) - np.outer(A, U)) / u2 + (np.outer(C, X) - np.outer(X, C))
     F_D = -(float(U @ A) / u2 + float(C @ X))
     Y = (
@@ -432,23 +437,23 @@ class TestRowBatched:
 
     def test_noether_basis(self, rng):
         for jets in row_sets(rng):
-            batched = noether_stack(*stacked(jets, "X", "U", "A", "Ap"))
+            batched = noether_stack(*derivatives(np.stack(jets), 4))
             for k, jet in enumerate(jets):
                 want = row_noether_basis(jet)
                 assert_basis(batched, k, want)
-                one = noether_basis(jet)
+                one = closed_basis(jet)
                 assert_basis(one, None, want)
-                assert isinstance(one.E_D, float)
+                assert np.ndim(one.E_D) == 0
 
     def test_pair_over_stacked_bases(self, rng):
         # the one-row pairing formula, with Python floats
         for jets in row_sets(rng, count=5):
-            n = jets[0].dim
-            bases = noether_stack(*stacked(jets, "X", "U", "A", "Ap"))
+            n = jets[0].shape[0]
+            bases = noether_stack(*derivatives(np.stack(jets), 4))
             for field in sample_fields(rng, n):
                 values = field.pair(bases)
                 for k, jet in enumerate(jets):
-                    b = noether_basis(jet)
+                    b = closed_basis(jet)
                     want = (
                         float(field.T @ b.E_T)
                         + 0.5 * float(np.sum(field.R * b.E_R))
@@ -476,7 +481,7 @@ def jet_ckv(field, x):
 def jet_f_generic(field, jet):
     """The per-jet body of ``f_generic`` that the stack replaced: every
     derivative through jet objects of the full order."""
-    x = jet.position
+    x = JetScalar(jet)
     v = jet_ckv(field, x)
     vp = v.differentiate()
     u_jet = x.differentiate()
@@ -484,7 +489,7 @@ def jet_f_generic(field, jet):
     w = u_jet.truncated(k) * u_jet.truncated(k).norm_sq().recip()
     dWVp = w.dot(vp).differentiate().value
     WpVp = float(np.dot(w.differentiate().value, vp.value))
-    C = mercator_C(jet)
+    C = flow_vector_stack(*derivatives(jet, 4)[1:])
     return dWVp + WpVp - float(C @ v.value)
 
 
@@ -502,13 +507,13 @@ class TestGenericStack:
                         jet = family.jet(float(t))
                         want = jet_f_generic(field, jet)
                         worst = max(worst, abs(value - want) / (1.0 + abs(want)))
-                        assert f_generic(field, jet) == value
+                        assert f_generic_stack(field, jet) == value
         assert worst <= 1e-13
 
     def test_random_jets_and_order_check(self, rng):
         for n in range(2, 6):
             jets = [random_curve_jet(rng, n) for _ in range(6)]
-            coeffs = np.stack([j.position.coeffs for j in jets])
+            coeffs = np.stack(jets)
             for field in sample_fields(rng, n):
                 for jet, value in zip(jets, f_generic_stack(field, coeffs)):
                     want = jet_f_generic(field, jet)
@@ -581,11 +586,11 @@ class TestStackedPhasePoints:
             assert_same_bits(stack.flat(), flat)
             q = q_phase(stack)
             rep = quantity_identities(stack)
-            assert list(q) == list(q_keys(n)) and list(rep) == ["0ijN", "0ijk", "ijkN", "ijkl"]
+            assert q.shape == (25, len(q_keys(n))) and list(rep) == ["0ijN", "0ijk", "ijkN", "ijkl"]
             for k, p in enumerate(points):
                 want_q = row_q_phase(p)
-                assert [q[key][k] for key in q] == list(want_q.values())
-                assert q_phase(p) == want_q
+                assert q[k].tolist() == list(want_q.values())
+                assert q_phase(p).tolist() == list(want_q.values())
                 want = row_quantity_identities(p)
                 assert quantity_identities(p) == want
                 for family, rec in rep.items():
@@ -603,7 +608,7 @@ class TestStackedPhasePoints:
 
     def test_one_point_gives_python_floats(self, rng):
         p = random_phase_point(rng, 4)
-        assert all(type(v) is float for v in q_phase(p).values())
+        assert q_phase(p).shape == (len(q_keys(4)),)
         for rec in quantity_identities(p).values():
             assert type(rec["residual"]) is float and type(rec["scale"]) is float
 

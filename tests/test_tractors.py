@@ -5,51 +5,51 @@ import numpy as np
 import pytest
 
 from confcurves import (
-    CurveJet,
     DegenerateVelocityError,
     JetScalar,
-    UndefinedInvariantError,
     alpha1_stationary_stack,
-    canonical_tractor_jets,
-    canonical_tractors,
     closed_form_alpha1_delta4,
-    enforce_alpha1_stationary,
+    coefficients,
+    derivatives,
     epsilon,
-    gram_invariants,
+    flow_vector_stack,
     identity_residual_stack,
     is_conformal_circle,
-    kappa1,
-    mercator_tractor_residuals,
     parallel_defect,
     parallel_section_oracle,
-    q_circle_quantities,
     q_circle_stack,
-    q_quantities,
     quantity_family,
 )
 from confcurves.curves import VELOCITY_FLOOR
 from confcurves.multilinear import minors, rho_wedge, tractor_metric_pair, wedge
 from confcurves.tractors import canonical_tractor_stack, gram_stack, q_keys, q_stack
 from conftest import (
+    keyed,
     random_circle,
     random_curve_jet,
     random_spiral,
     random_transformed_spiral,
+    tractor_values,
 )
 
 
 def straight_line_jet(n=3, order=4):
     derivs = [np.zeros(n) for _ in range(order + 1)]
     derivs[1][0] = 1.0
-    return CurveJet.from_derivatives(0.0, derivs)
+    return coefficients(derivs)
+
+
+def tractor_jets(jet, count):
+    """The canonical tractors of one coefficient row as vector jets."""
+    return [JetScalar(c) for c in canonical_tractor_stack(jet, count)]
 
 
 def displayed_sequence(jet):
     """Closed forms of the second through fourth canonical tractors straight
     from the derivative vectors; the oracle for the recurrence."""
-    U, A, Ap = jet.U, jet.A, jet.Ap
-    App = jet.App if jet.order >= 4 else None
-    u = jet.u
+    _, U, A, Ap = derivatives(jet, 4)
+    App = derivatives(jet, 5)[4] if jet.shape[-1] > 4 else None
+    u = math.sqrt(float(U @ U))
     UA = float(U @ A)
     AA = float(A @ A)
     UAp = float(U @ Ap)
@@ -73,8 +73,8 @@ def displayed_sequence(jet):
 
 def operator_tractor_jets(jet, count):
     """The canonical recurrence in jet operators, as an oracle."""
-    u_jet = jet.velocity_jet()
-    first = np.zeros((jet.dim + 2, u_jet.order + 1))
+    u_jet = JetScalar(jet).differentiate()
+    first = np.zeros((jet.shape[0] + 2, u_jet.order + 1))
     first[0] = u_jet.norm_sq().sqrt().recip().coeffs
     seq = [JetScalar(first)]
     for _ in range(count - 1):
@@ -95,14 +95,14 @@ class TestCanonicalSequence:
             for count in range(2, 6):
                 for levels in (count + 1, 7):
                     jet = random_curve_jet(rng, n, levels=levels)
-                    got = canonical_tractor_jets(jet, count)
+                    got = canonical_tractor_stack(jet, count)
                     want = operator_tractor_jets(jet, count)
                     assert len(got) == count
                     for g, w in zip(got, want):
-                        assert np.array_equal(g.coeffs, w.coeffs)
+                        assert np.array_equal(g, w.coeffs)
 
     def test_straight_line(self):
-        trs = canonical_tractors(straight_line_jet(), 3)
+        trs = tractor_values(straight_line_jet(), 3)
         assert np.allclose(trs[0], [1, 0, 0, 0, 0], atol=1e-15)
         assert np.allclose(trs[1], [0, 1, 0, 0, 0], atol=1e-15)
         assert np.allclose(trs[2], [0, 0, 0, 0, -1], atol=1e-15)
@@ -110,7 +110,7 @@ class TestCanonicalSequence:
     def test_unit_pitch_spiral_acceleration_slot(self, planar_unit_spiral):
         # top slot 3 u^-5 <U,A>^2 - u^-3 (<A,A> + <U,A'>) = sqrt(2)/2 by hand
         jet = planar_unit_spiral.jet(0.0)
-        acc = canonical_tractors(jet, 3)[2]
+        acc = tractor_values(jet, 3)[2]
         assert acc[0] == pytest.approx(math.sqrt(2) / 2, abs=1e-14)
         assert np.allclose(acc[1:-1], [-math.sqrt(2), 0.0], atol=1e-14)
         assert acc[-1] == pytest.approx(-math.sqrt(2), abs=1e-14)
@@ -119,7 +119,7 @@ class TestCanonicalSequence:
         for _ in range(100):
             n = int(rng.integers(2, 5))
             jet = random_curve_jet(rng, n)
-            trs = canonical_tractors(jet, 4)
+            trs = tractor_values(jet, 4)
             for displayed, got in zip(displayed_sequence(jet), trs[1:]):
                 w0, wi, wN = displayed
                 scale = 1.0 + max(abs(w0), float(np.max(np.abs(wi))), abs(wN))
@@ -130,11 +130,11 @@ class TestCanonicalSequence:
     def test_insufficient_order_rejected(self, rng):
         jet = random_curve_jet(rng, 3, levels=3)
         with pytest.raises(ValueError):
-            canonical_tractors(jet, 4)
+            canonical_tractor_stack(jet, 4)
 
     def test_degenerate_velocity_rejected(self):
         with pytest.raises(DegenerateVelocityError):
-            CurveJet.from_derivatives(0.0, [np.zeros(3), np.zeros(3), np.ones(3)])
+            canonical_tractor_stack(coefficients([np.zeros(3), np.zeros(3), np.ones(3)]), 2)
 
 
 def pair_jets(trs, count):
@@ -166,21 +166,21 @@ class TestGramInvariants:
         for trial in range(35):
             n = 2 + trial % 7
             jet = random_curve_jet(rng, n, levels=6)
-            pairs = pair_jets(canonical_tractor_jets(jet, 5), 5)
+            pairs = pair_jets(tractor_jets(jet, 5), 5)
             expect = np.array([[pairs[min(a, b), max(a, b)].value for b in range(5)] for a in range(5)])
-            assert np.array_equal(gram_invariants(jet, 5).gram, expect)
+            assert np.array_equal(gram_stack(jet, 5).gram, expect)
 
     def test_delta4_jet_matches_cofactor_expansion(self, rng):
         for trial in range(56):
             n = 2 + trial % 7
             levels = 5 + trial % 4  # delta_4 jets of order 0 to 3
             jet = random_curve_jet(rng, n, levels=levels)
-            trs = canonical_tractor_jets(jet, 4)
+            trs = tractor_jets(jet, 4)
             k = trs[3].order
             pairs = pair_jets(trs, 4)
             rows = [[pairs[min(a, b), max(a, b)].truncated(k) for b in range(4)] for a in range(4)]
             expect = cofactor_det(rows).coeffs
-            got = gram_invariants(jet, 4).delta4_jet
+            got = gram_stack(jet, 4).delta4_jet
             assert got.shape == expect.shape == (k + 1,)
             assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
@@ -188,7 +188,7 @@ class TestGramInvariants:
         for c in (0.8, 1.0, 2.0):
             spiral = random_spiral(rng, 3, c=c)
             for t in (-0.5, 0.0, 0.7):
-                g = gram_invariants(spiral.jet(t), 5)
+                g = gram_stack(spiral.jet(t), 5)
                 assert g.alpha1 == pytest.approx(c**2 - 1.0, abs=1e-10)
                 assert g.alpha2 == pytest.approx(c**4 - c**2 + 1.0, abs=1e-9)
                 assert g.delta4 == pytest.approx(-(c**2), abs=1e-9)
@@ -200,13 +200,13 @@ class TestGramInvariants:
         alpha1, delta4 = closed_form_alpha1_delta4(jet)
         assert alpha1 == pytest.approx(0.0, abs=1e-14)
         assert delta4 == pytest.approx(-1.0, abs=1e-14)
-        g = gram_invariants(jet, 4)
+        g = gram_stack(jet, 4)
         assert g.delta4 == pytest.approx(-1.0, abs=1e-12)
 
     def test_circle_delta4_vanishes(self, rng):
         for _ in range(5):
             circle = random_circle(rng, 3)
-            g = gram_invariants(circle.jet(float(rng.uniform(-1, 1))), 4)
+            g = gram_stack(circle.jet(float(rng.uniform(-1, 1))), 4)
             assert is_conformal_circle(g.delta4, g.alpha1)
 
     def test_closed_form_agrees_with_gram(self, rng):
@@ -214,7 +214,7 @@ class TestGramInvariants:
             n = int(rng.integers(2, 5))
             jet = random_curve_jet(rng, n)
             alpha1, delta4 = closed_form_alpha1_delta4(jet)
-            g = gram_invariants(jet, 4)
+            g = gram_stack(jet, 4)
             scale = 1.0 + abs(alpha1) + abs(delta4)
             assert abs(g.alpha1 - alpha1) <= 1e-10 * scale
             assert abs(g.delta4 - delta4) <= 1e-10 * scale
@@ -226,7 +226,7 @@ class TestGramInvariants:
     def test_delta3_and_nonpositivity(self, rng):
         for _ in range(50):
             n = int(rng.integers(2, 5))
-            g = gram_invariants(random_curve_jet(rng, n), 4)
+            g = gram_stack(random_curve_jet(rng, n), 4)
             assert abs(g.delta3 + 1.0) <= 1e-10
             assert g.delta4 <= 1e-10
 
@@ -236,7 +236,7 @@ class TestGramInvariants:
         for _ in range(25):
             n = int(rng.integers(2, 5))
             jet = random_curve_jet(rng, n, levels=6)
-            g = gram_invariants(jet, 5)
+            g = gram_stack(jet, 5)
             a1 = JetScalar(g.alpha1_jet)
             a1p = a1.differentiate()
             tol = 1e-10 * (1.0 + g.gram_scale())
@@ -261,10 +261,10 @@ class TestGramInvariants:
             circle = random_circle(rng, 3)
             for t in np.linspace(-1, 1, 5):
                 jet = circle.jet(float(t))
-                trs = canonical_tractor_jets(jet, 4)
-                g = gram_invariants(jet, 4)
+                trs = tractor_values(jet, 4)
+                g = gram_stack(jet, 4)
                 a1p = JetScalar(g.alpha1_jet).differentiate().value
-                comb = trs[3].value + g.alpha1 * trs[1].value + 0.5 * a1p * trs[0].value
+                comb = trs[3] + g.alpha1 * trs[1] + 0.5 * a1p * trs[0]
                 assert np.max(np.abs(comb)) <= 1e-9
 
 
@@ -274,7 +274,7 @@ class TestQQuantities:
             spiral = random_spiral(rng, n)
             c = spiral.c
             p2 = float(spiral.p0 @ spiral.p0)
-            q = q_quantities(spiral.jet(0.33))
+            q = keyed(q_stack(spiral.jet(0.33)), n)
             for i, j in itertools.combinations(range(1, n + 1), 2):
                 assert q[(0, i, j, n + 1)] == pytest.approx(
                     c / p2 * epsilon((i, j), spiral.p0, spiral.q0), abs=1e-10
@@ -290,33 +290,20 @@ class TestQQuantities:
 
     def test_unit_pitch_hand_value(self, planar_unit_spiral):
         # 3/2 * 2 - 1/2 * 4 = 1
-        q = q_quantities(planar_unit_spiral.jet(0.0))
+        q = keyed(q_stack(planar_unit_spiral.jet(0.0)), 2)
         assert q[(0, 1, 2, 3)] == pytest.approx(1.0, abs=1e-13)
 
     def test_straight_line_all_zero(self):
-        q = q_quantities(straight_line_jet())
-        assert all(abs(v) <= 1e-15 for v in q.values())
+        q = q_stack(straight_line_jet())
+        assert all(abs(v) <= 1e-15 for v in q)
 
     def test_constancy_along_spiral_and_transform(self, rng):
         for family in (random_spiral(rng, 3), random_transformed_spiral(rng, 3)):
-            samples = [q_quantities(family.jet(float(t))) for t in np.linspace(-1, 1, 11)]
+            samples = [keyed(q_stack(family.jet(float(t))), 3) for t in np.linspace(-1, 1, 11)]
             for key in samples[0]:
                 vals = np.array([s[key] for s in samples])
                 spread = vals.max() - vals.min()
                 assert spread <= 1e-8 * (1.0 + np.max(np.abs(vals)))
-
-    def test_scaled_variant(self, rng):
-        spiral = random_spiral(rng, 3, c=2.0)
-        jet = spiral.jet(0.1)
-        plain = q_quantities(jet)
-        scaled = q_quantities(jet, scale_by_delta4=True)
-        for key, v in plain.items():
-            assert scaled[key] == pytest.approx(v / 2.0, abs=1e-12)
-
-    def test_scaled_variant_rejected_on_circles(self, rng):
-        circle = random_circle(rng, 3)
-        with pytest.raises(UndefinedInvariantError):
-            q_quantities(circle.jet(0.0), scale_by_delta4=True)
 
     def test_family_classifier(self):
         assert quantity_family((0, 1, 2, 4), 3) == "0ijN"
@@ -335,7 +322,7 @@ class TestParallelSectionOracle:
         for trial in range(50):
             n = 2 + trial % 7
             jet = random_curve_jet(rng, n)
-            q = q_quantities(jet)
+            q = keyed(q_stack(jet), n)
             oracle = parallel_section_oracle(jet)
             assert set(oracle) == set(q)
             for key, v in q.items():
@@ -349,21 +336,22 @@ class TestParallelSectionOracle:
         derivs = [np.zeros(n)] + [rng.uniform(-1, 1, n) for _ in range(4)]
         while float(derivs[1] @ derivs[1]) < 0.1:
             derivs[1] = rng.uniform(-1, 1, n)
-        jet = CurveJet.from_derivatives(0.0, derivs)
+        jet = coefficients(derivs)
         oracle = parallel_section_oracle(jet)
-        u2 = jet.u2
+        _, U, A, Ap = derivatives(jet, 4)
+        u2 = float(U @ U)
         for i, j, k in itertools.combinations(range(1, n + 1), 3):
-            expect = u2**-2 * epsilon((i, j, k), jet.U, jet.A, jet.Ap)
+            expect = u2**-2 * epsilon((i, j, k), U, A, Ap)
             assert oracle[(i, j, k, n + 1)] == pytest.approx(expect, rel=1e-11, abs=1e-12)
 
     def test_three_dimensional_reduction_formulas(self, rng):
         # cross/triple-product shape of the five quantities in dimension 3
         jet = random_curve_jet(rng, 3)
-        X, U, A, Ap = jet.X, jet.U, jet.A, jet.Ap
-        u2 = jet.u2
+        X, U, A, Ap = derivatives(jet, 4)
+        u2 = float(U @ U)
         UA = float(U @ A)
         triple = float(np.linalg.det(np.column_stack([U, A, Ap])))
-        q = q_quantities(jet)
+        q = keyed(q_stack(jet), 3)
         oracle = parallel_section_oracle(jet)
 
         def type1(i, j, xk):
@@ -387,7 +375,7 @@ class TestParallelSectionOracle:
 
 class TestCircleQuantities:
     def test_straight_line(self):
-        q = q_circle_quantities(straight_line_jet())
+        q = keyed(q_circle_stack(straight_line_jet()), 3, 3)
         assert q[(0, 1, 4)] == pytest.approx(1.0)
         for key, v in q.items():
             if key != (0, 1, 4):
@@ -400,15 +388,14 @@ class TestCircleQuantities:
                 np.array([-math.sin(t), math.cos(t)]),
                 np.array([-math.cos(t), -math.sin(t)]),
             ]
-            jet = CurveJet.from_derivatives(t, derivs)
-            q = q_circle_quantities(jet)
+            q = keyed(q_circle_stack(coefficients(derivs)), 2, 3)
             assert q[(1, 2, 3)] == pytest.approx(1.0, abs=1e-13)
 
     def test_constancy_along_circle_family(self, rng):
         for _ in range(5):
             circle = random_circle(rng, 3)
             samples = [
-                q_circle_quantities(circle.jet(float(t))) for t in np.linspace(-1, 1, 11)
+                keyed(q_circle_stack(circle.jet(float(t))), 3, 3) for t in np.linspace(-1, 1, 11)
             ]
             for key in samples[0]:
                 vals = np.array([s[key] for s in samples])
@@ -418,7 +405,7 @@ class TestCircleQuantities:
         for trial in range(20):
             n = 2 + trial % 7
             jet = random_curve_jet(rng, n, levels=4)
-            q = q_circle_quantities(jet)
+            q = keyed(q_circle_stack(jet), n, 3)
             oracle = parallel_section_oracle(jet, rank=3)
             for key, v in q.items():
                 assert oracle[key] == pytest.approx(v, rel=1e-10, abs=1e-12)
@@ -428,45 +415,44 @@ class TestKappa1:
     def test_spiral_value_and_constancy(self, rng):
         for c in (0.8, 2.0):
             spiral = random_spiral(rng, 3, c=c)
-            vals = [kappa1(spiral.jet(float(t))) for t in np.linspace(-1, 1, 9)]
+            vals = [gram_stack(spiral.jet(float(t)), 4).kappa1 for t in np.linspace(-1, 1, 9)]
             expect = -(c**2 - 1.0) / (2.0 * c)
             assert vals[0] == pytest.approx(expect, abs=1e-10)
             assert max(vals) - min(vals) <= 1e-8 * (1.0 + abs(expect))
 
     def test_unit_pitch_vanishes(self, planar_unit_spiral):
-        assert kappa1(planar_unit_spiral.jet(0.2)) == pytest.approx(0.0, abs=1e-12)
+        assert gram_stack(planar_unit_spiral.jet(0.2), 4).kappa1 == pytest.approx(0.0, abs=1e-12)
 
     def test_undefined_on_circles(self, rng):
         circle = random_circle(rng, 3)
-        with pytest.raises(UndefinedInvariantError):
-            kappa1(circle.jet(0.0, order=6))
+        assert np.isnan(gram_stack(circle.jet(0.0, order=6), 4).kappa1)
 
     def test_needs_order_six(self, rng):
-        with pytest.raises(ValueError):
-            kappa1(random_curve_jet(rng, 3, levels=6))
+        # an order-5 row reaches delta_4's first derivative only
+        assert gram_stack(random_curve_jet(rng, 3, levels=6), 4).kappa1 is None
 
 
 class TestReductionIdentity:
     def test_spiral_both_sides_vanish(self, rng):
         spiral = random_spiral(rng, 3)
         for t in (-0.5, 0.4):
-            res = mercator_tractor_residuals(spiral.jet(float(t)))
+            res = identity_residual_stack(spiral.jet(float(t)))
             assert np.max(np.abs(res.mercator_expansion)) <= 1e-9
             assert np.max(np.abs(res.tractor_slot)) <= 1e-9
             assert res.identity_defect <= 1e-9
 
     def test_straight_line_zero(self):
-        res = mercator_tractor_residuals(straight_line_jet())
+        res = identity_residual_stack(straight_line_jet())
         assert np.max(np.abs(res.mercator_expansion)) == 0.0
         assert np.max(np.abs(res.tractor_slot)) == 0.0
 
     def test_constrained_random_jets(self, rng):
         for _ in range(50):
             n = int(rng.integers(2, 5))
-            jet = enforce_alpha1_stationary(random_curve_jet(rng, n))
-            g = gram_invariants(jet, max_ell=3)
+            jet = alpha1_stationary_stack(random_curve_jet(rng, n))
+            g = gram_stack(jet, max_ell=3)
             assert abs(JetScalar(g.alpha1_jet).differentiate().value) <= 1e-12
-            res = mercator_tractor_residuals(jet)
+            res = identity_residual_stack(jet)
             scale = 1.0 + max(
                 np.max(np.abs(res.tractor_slot)), np.max(np.abs(res.mercator_expansion))
             )
@@ -477,7 +463,7 @@ class TestReductionIdentity:
         defects = []
         for _ in range(10):
             jet = random_curve_jet(rng, 3)
-            defects.append(mercator_tractor_residuals(jet).identity_defect)
+            defects.append(identity_residual_stack(jet).identity_defect)
         assert max(defects) > 1e-3
 
     def test_slot_matches_jet_pipeline(self, rng):
@@ -485,33 +471,30 @@ class TestReductionIdentity:
         # (fifth tractor + alpha1 * third tractor) computed by the recurrence
         for _ in range(20):
             n = int(rng.integers(2, 5))
-            jet = enforce_alpha1_stationary(random_curve_jet(rng, n, levels=6))
-            trs = canonical_tractor_jets(jet, 5)
-            g = gram_invariants(jet, max_ell=3)
-            pipeline = -(trs[4][1:-1].value + g.alpha1 * trs[2][1:-1].value)
-            res = mercator_tractor_residuals(jet)
+            jet = alpha1_stationary_stack(random_curve_jet(rng, n, levels=6))
+            trs = tractor_values(jet, 5)
+            g = gram_stack(jet, max_ell=3)
+            pipeline = -(trs[4][1:-1] + g.alpha1 * trs[2][1:-1])
+            res = identity_residual_stack(jet)
             scale = 1.0 + np.max(np.abs(pipeline))
             assert np.max(np.abs(res.tractor_slot - pipeline)) <= 1e-9 * scale
 
     def test_mercator_expansion_is_flow_derivative(self, rng):
         # expansion equals the jet derivative of the flow vector
-        from confcurves import mercator_C
-
         for _ in range(20):
             n = int(rng.integers(2, 5))
             jet = random_curve_jet(rng, n, levels=6)
-            res = mercator_tractor_residuals(jet)
+            res = identity_residual_stack(jet)
             h = 1e-6
+            order = jet.shape[-1] - 1
+            d = derivatives(jet, order + 1)
 
             def c_at(s):
                 derivs = [
-                    sum(
-                        jet.derivative(k + m) * s**m / math.factorial(m)
-                        for m in range(jet.order + 1 - k)
-                    )
+                    sum(d[k + m] * s**m / math.factorial(m) for m in range(order + 1 - k))
                     for k in range(4)
                 ]
-                return mercator_C(CurveJet.from_derivatives(s, derivs))
+                return flow_vector_stack(*derivs[1:])
 
             fd = (c_at(h) - c_at(-h)) / (2 * h)
             scale = 1.0 + np.max(np.abs(res.mercator_expansion))
@@ -524,7 +507,7 @@ def row_parallel_defect(curve, t, h, count=3, scaled=False):
 
     def wedge_at(s):
         j = curve(s)
-        w = wedge(canonical_tractors(j, count))
+        w = wedge(tractor_values(j, count))
         if scaled:
             _, d4 = closed_form_alpha1_delta4(j)
             w = w * (-d4) ** -0.5
@@ -534,7 +517,7 @@ def row_parallel_defect(curve, t, h, count=3, scaled=False):
     wm = wedge_at(t - h)
     w0 = wedge_at(t)
     center = curve(t)
-    deriv = (wp - wm) * (0.5 / h) + rho_wedge(center.U, w0, count)
+    deriv = (wp - wm) * (0.5 / h) + rho_wedge(derivatives(center, 2)[1], w0, count)
     return float(np.max(np.abs(deriv)))
 
 
@@ -581,9 +564,9 @@ class TestParallelTransport:
             e = sigma.exp()
             th = sigma * spiral.c
             ec, es = e * th.cos(), e * th.sin()
-            return CurveJet(t, ec * spiral.p0 + es * spiral.q0 + spiral.r0)
+            return (ec * spiral.p0 + es * spiral.q0 + spiral.r0).coeffs
 
-        g = gram_invariants(repar(0.2, 6), 5)
+        g = gram_stack(repar(0.2, 6), 5)
         assert abs(g.delta5) <= 1e-8 * max(1.0, g.gram_scale()) ** 5
         assert abs(JetScalar(g.delta4_jet).differentiate().value) > 1e-3
         bare = assert_defect(repar, 0.2, 0.01, count=4, scaled=False)
@@ -602,7 +585,7 @@ class TestParallelTransport:
             for k in range(1, 6):
                 power = power * tau
                 acc = acc + power * coeffs[k]
-            return CurveJet(t, acc)
+            return acc.coeffs
 
         defects = [assert_defect(poly, 0.1, h, count=3) for h in (0.02, 0.01, 0.005)]
         assert min(defects) > 0.1
@@ -615,8 +598,8 @@ class TestParallelTransport:
 
 
 def mixed_rows(rng, n):
-    """Order-6 curve jets in dimension ``n``: random, spiral, circle and
-    straight-line rows interleaved."""
+    """Order-6 coefficient rows in dimension ``n``: random, spiral, circle
+    and straight-line rows interleaved."""
     line = [np.zeros(n) for _ in range(7)]
     line[0] = rng.uniform(-1, 1, n)
     line[1][0] = 0.7
@@ -625,12 +608,12 @@ def mixed_rows(rng, n):
         jets.append(random_curve_jet(rng, n, levels=7))
         jets.append(random_spiral(rng, n).jet(float(rng.uniform(-1, 1))))
         jets.append(random_circle(rng, n).jet(float(rng.uniform(-1, 1))))
-        jets.append(CurveJet.from_derivatives(0.0, line))
+        jets.append(coefficients(line))
     return jets
 
 
 def stack_of(jets):
-    return np.stack([j.position.coeffs for j in jets])
+    return np.stack(jets)
 
 
 class TestStacks:
@@ -641,8 +624,8 @@ class TestStacks:
             jets = mixed_rows(rng, n)
             stack = canonical_tractor_stack(stack_of(jets), 5)
             for i, jet in enumerate(jets):
-                for got, want in zip(stack, canonical_tractor_jets(jet, 5)):
-                    assert np.array_equal(got[i], want.coeffs)
+                for got, want in zip(stack, canonical_tractor_stack(jet, 5)):
+                    assert np.array_equal(got[i], want)
 
     def test_gram_delta4_and_kappa1_bit_identical(self, rng):
         undefined = 0
@@ -651,7 +634,7 @@ class TestStacks:
             for max_ell in (3, 4, 5):
                 g = gram_stack(stack_of(jets), max_ell)
                 for i, jet in enumerate(jets):
-                    one = gram_invariants(jet, max_ell)
+                    one = gram_stack(jet, max_ell)
                     assert np.array_equal(g.gram[i], one.gram)
                     for name in ("delta3", "delta4", "delta5", "alpha1", "alpha2"):
                         value = getattr(one, name)
@@ -674,7 +657,7 @@ class TestStacks:
             values = q_stack(stack_of(jets))
             assert values.shape == (len(jets), len(q_keys(n)))
             for row, jet in zip(values, jets):
-                want = np.array(list(q_quantities(jet).values()))
+                want = q_stack(jet)
                 scale = 1.0 + np.max(np.abs(want))
                 assert np.max(np.abs(row - want)) <= 1e-13 * scale
 
@@ -705,16 +688,16 @@ class TestStacks:
 
 
 def jet_alpha1_stationary(jet):
-    g = gram_invariants(jet, max_ell=3)
+    g = gram_stack(jet, max_ell=3)
     a1p = JetScalar(g.alpha1_jet).differentiate().value
-    derivs = [jet.derivative(k) for k in range(jet.order + 1)]
-    derivs[4] = derivs[4] - 0.5 * a1p * jet.U
-    return CurveJet.from_derivatives(jet.t, derivs)
+    derivs = derivatives(jet, jet.shape[-1])
+    derivs[4] = derivs[4] - 0.5 * a1p * derivs[1]
+    return coefficients(derivs)
 
 
 def jet_identity_residuals(jet):
-    U, A, Ap, App = jet.U, jet.A, jet.Ap, jet.App
-    u2 = jet.u2
+    U, A, Ap, App = derivatives(jet, 5)[1:]
+    u2 = float(U @ U)
     u = math.sqrt(u2)
     UA = float(U @ A)
     UAp = float(U @ Ap)
@@ -743,9 +726,10 @@ def jet_identity_residuals(jet):
 
 
 def jet_q_circle(jet):
-    X, U, A = jet.X, jet.U, jet.A
-    iu1 = 1.0 / jet.u
-    iu3 = iu1 / jet.u2
+    X, U, A = derivatives(jet, 3)
+    u2 = float(U @ U)
+    iu1 = 1.0 / math.sqrt(u2)
+    iu3 = iu1 / u2
     M = np.column_stack([X, U, A])
     ua = minors(M[:, 1:])
     return np.concatenate(
@@ -771,18 +755,18 @@ class TestSampleStacks:
                 while float(derivs[1] @ derivs[1]) < 0.1:
                     derivs[1] = rng.uniform(-1, 1, n)
                 draws.append(derivs)
-            jets = [CurveJet.from_derivatives(0.0, d) for d in draws]
+            jets = [coefficients(d) for d in draws]
             stationary = alpha1_stationary_stack(stack_of(jets))
             res = identity_residual_stack(stationary)
             for k, jet in enumerate(jets):
                 want = jet_alpha1_stationary(jet)
-                assert np.array_equal(stationary[k], want.position.coeffs)
-                assert np.array_equal(enforce_alpha1_stationary(jet).position.coeffs, stationary[k])
+                assert np.array_equal(stationary[k], want)
+                assert np.array_equal(alpha1_stationary_stack(jet), stationary[k])
                 slot, expansion, defect = jet_identity_residuals(want)
                 assert np.array_equal(res.tractor_slot[k], slot)
                 assert np.array_equal(res.mercator_expansion[k], expansion)
                 assert res.identity_defect[k] == defect
-                one = mercator_tractor_residuals(want)
+                one = identity_residual_stack(want)
                 assert one.identity_defect == defect and isinstance(one.identity_defect, float)
 
     def test_circle_quantities_repeat_the_per_jet_body(self, rng):
@@ -792,4 +776,4 @@ class TestSampleStacks:
             for row, jet in zip(values, jets):
                 want = jet_q_circle(jet)
                 assert np.array_equal(row, want)
-                assert list(q_circle_quantities(jet).values()) == want.tolist()
+                assert q_circle_stack(jet).tolist() == want.tolist()
