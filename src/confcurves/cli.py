@@ -492,14 +492,10 @@ def cmd_integrate(args):
     _write_table(out, columns, data, args.format)
     print(f"trace with {len(data)} samples written to {out}")
     print("max relative drift per conserved column:")
-    for idx, name in enumerate(columns):
-        if name == "t" or name == "kappa1" or name.startswith(("x", "delta", "alpha")):
-            continue
-        col = data[:, idx]
-        if np.any(np.isnan(col)):
-            continue
-        drift = float(np.max(np.abs(col - col[0]))) / (1.0 + abs(float(col[0])))
-        print(f"  {name}: {drift:.3e}")
+    drift = np.max(np.abs(data - data[0]), axis=0) / (1.0 + np.abs(data[0]))
+    for name, value, nan in zip(columns, drift, np.isnan(data).any(axis=0)):
+        if not (nan or name in ("t", "kappa1") or name.startswith(("x", "delta", "alpha"))):
+            print(f"  {name}: {value:.3e}")
     if degenerate is not None:
         print(f"velocity degenerated at t = {degenerate.t:.6g}; trace is partial")
         return EXIT_DEGENERATE

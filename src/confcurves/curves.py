@@ -29,11 +29,11 @@ def _check_speed(ts, u2):
             raise DegenerateVelocityError(f"squared speed {v:.3e} at t={float(t)} is below the floor")
 
 
-def _speed_sq(coeffs, order, what):
+def _speed_sq(coeffs, order, what, row=None):
     """Squared speed of every row of a position coefficient stack, after
     the entry checks of every stack: a component axis, finite entries,
-    derivatives through ``order`` (for ``what``), and no row at or below the
-    velocity floor, rejected before anything divides by it."""
+    derivatives through ``order`` (for ``what``), one row for the one-row
+    function ``row``, and no row at or below the velocity floor."""
     if coeffs.ndim < 2:
         raise ValueError(f"{what} needs coefficients of shape (..., n, order+1), got {coeffs.shape}")
     if not np.all(np.isfinite(coeffs)):
@@ -42,6 +42,8 @@ def _speed_sq(coeffs, order, what):
         raise ValueError(
             f"{what} needs derivatives through order {order}, jet stores {coeffs.shape[-1] - 1}"
         )
+    if row is not None and coeffs.ndim > 2:
+        raise ValueError(f"{row} takes one coefficient row, got a stack of shape {coeffs.shape[:-2]}")
     u2 = _dot(coeffs[..., 1], coeffs[..., 1])
     if np.any(u2 <= VELOCITY_FLOOR):
         raise DegenerateVelocityError(f"squared speed {np.min(u2):.3e} is below the floor")

@@ -188,7 +188,7 @@ def closed_form_alpha1_delta4(coeffs):
     from inner products of the derivatives alone (through the third
     derivative); an independent check against the Gram-determinant route."""
     coeffs = np.asarray(coeffs, dtype=float)
-    _speed_sq(coeffs, 3, "closed-form invariants")
+    _speed_sq(coeffs, 3, "closed-form invariants", row="closed_form_alpha1_delta4")
     _, U, A, Ap = derivatives(coeffs, 4)
     u2 = float(U @ U)
     UA = float(U @ A)
@@ -285,6 +285,7 @@ def parallel_section_oracle(coeffs, rank: int = 4):
     the canonical tractors; agrees with :func:`q_stack` and :func:`q_circle_stack`."""
     if rank not in (3, 4):
         raise ValueError("rank must be 3 or 4")
+    _speed_sq(np.asarray(coeffs, dtype=float), rank, "parallel sections", row="parallel_section_oracle")
     tractors = [c[..., 0] for c in canonical_tractor_stack(coeffs, rank)]
     X = np.asarray(coeffs, dtype=float)[:, 0]
     n = X.size

@@ -234,6 +234,33 @@ class TestIntegrate:
             col = data[:, header.index(name)]
             assert np.max(np.abs(col - col[0])) <= 1e-12
 
+    def test_drift_table_repeats_the_column_loop(self, tmp_path, monkeypatch, capsys):
+        # the per-column loop the one array pass replaced, on the written
+        # trace (17 digits round-trip); a column holding a NaN is left out
+        table, h = cli._quantity_table, cli._quantity_columns(3).index("H")
+
+        def with_nan(ts, coeffs):
+            data = table(ts, coeffs)
+            data[5, h] = np.nan
+            return data
+
+        monkeypatch.setattr(cli, "_quantity_table", with_nan)
+        out = tmp_path / "trace.csv"
+        argv = ["integrate", *SPIRAL_ARGS, "--t-end", "1", "--h", "1e-3", "--out", str(out)]
+        assert main(argv) == 0
+        header, data = read_csv(out)
+        want = []
+        for idx, name in enumerate(header):
+            if name == "t" or name == "kappa1" or name.startswith(("x", "delta", "alpha")):
+                continue
+            col = data[:, idx]
+            if np.any(np.isnan(col)):
+                continue
+            drift = float(np.max(np.abs(col - col[0]))) / (1.0 + abs(float(col[0])))
+            want.append(f"  {name}: {drift:.3e}")
+        assert len(want) == 25
+        assert capsys.readouterr().out.splitlines()[2:] == want
+
     def test_free_motion_trace_is_affine(self, tmp_path):
         out = tmp_path / "free.csv"
         code = main(

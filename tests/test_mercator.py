@@ -5,6 +5,7 @@ import pytest
 
 from confcurves import (
     JetScalar,
+    LogSpiral,
     PhasePoint,
     accel_from_phase,
     circle_residual_stack,
@@ -150,6 +151,12 @@ class TestLagrangians:
             expect = (float(A @ A) + float(U @ Ap)) / u2 - 2 * float(U @ A) ** 2 / u2**2
             assert L - L1 == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
+    def test_names_a_stack(self, rng):
+        stack = np.stack([random_curve_jet(rng, 3) for _ in range(2)])
+        message = r"^lagrangians takes one coefficient row, got a stack of shape \(2,\)$"
+        with pytest.raises(ValueError, match=message):
+            lagrangians(stack)
+
 
 def circle_residual(jet):
     """The circle residual of one coefficient row, an unbatched stack call."""
@@ -289,25 +296,35 @@ class TestHamiltonRHS:
             )
 
 
-def array_rhs(y, n):
+def ordered_dot(a, b):
+    """The products of two vectors added in order from the first one, the
+    inner product of the float-list loop."""
+    total = a[0] * b[0]
+    for x, y in zip(a[1:], b[1:]):
+        total = total + x * y
+    return total
+
+
+def array_rhs(y, n, dot=ordered_dot):
     U = y[n : 2 * n]
     P = y[2 * n : 3 * n]
     R = y[3 * n : 4 * n]
-    u2 = np.dot(U, U)
+    u2 = dot(U, U)
     if u2 <= VELOCITY_FLOOR:
         raise DegenerateVelocityError(f"squared speed {u2:.3e} below floor")
-    UR = np.dot(U, R)
+    UR = dot(U, R)
     out = np.empty_like(y)
     out[0:n] = U
     out[n : 2 * n] = u2 * R - 2.0 * UR * U
     out[2 * n : 3 * n] = 0.0
-    out[3 * n : 4 * n] = -np.dot(R, R) * U + 2.0 * UR * R - P
+    out[3 * n : 4 * n] = -dot(R, R) * U + 2.0 * UR * R - P
     return out
 
 
-def array_rk4(p0, t_end, h, store_every):
+def array_rk4(p0, t_end, h, store_every, dot=ordered_dot):
     """Classical RK4 with the state as a numpy array, the oracle of the
-    float-list loop of :func:`integrate`."""
+    float-list loop of :func:`integrate`; ``dot`` takes the inner products
+    of the right-hand side."""
     n = p0.dim
     steps = int(round(t_end / h))
     y = p0.flat().copy()
@@ -316,10 +333,10 @@ def array_rk4(p0, t_end, h, store_every):
     t = 0.0
     for k in range(steps):
         try:
-            k1 = array_rhs(y, n)
-            k2 = array_rhs(y + 0.5 * h * k1, n)
-            k3 = array_rhs(y + 0.5 * h * k2, n)
-            k4 = array_rhs(y + h * k3, n)
+            k1 = array_rhs(y, n, dot)
+            k2 = array_rhs(y + 0.5 * h * k1, n, dot)
+            k3 = array_rhs(y + 0.5 * h * k2, n, dot)
+            k4 = array_rhs(y + h * k3, n, dot)
         except DegenerateVelocityError:
             partial = Trajectory(np.array(ts), np.array(states), n, h)
             raise FlowDegeneracyError(t, partial) from None
@@ -428,6 +445,42 @@ class TestFloatLoop:
             p = random_phase_point(rng, n)
             assert_same_bits(hamilton_rhs(p), array_rhs(p.flat(), n))
 
+    @pytest.mark.parametrize(
+        "point, final",
+        [
+            (
+                ([0.5], [1.0], [0.25], [-0.125]),
+                ["0x1.0585d041bdc04p+0", "0x1.19654412f7c69p+0", "0x1.0000000000000p-2",
+                 "-0x1.dbd75dd8b7db9p-3"],
+            ),
+            (
+                ([0.5, -0.25, 0.75], [0.75, 0.5, -0.625], [0.125, -0.25, 0.375], [0.25, -0.375, 0.5]),
+                ["0x1.eb841dac9df96p-1", "-0x1.66d50ae393e98p-6", "0x1.df690c97b9f4cp-2",
+                 "0x1.10f8ca2891aacp+0", "0x1.a17ad32173e37p-2", "-0x1.ffcd29974293fp-2",
+                 "0x1.0000000000000p-3", "-0x1.0000000000000p-2", "0x1.8000000000000p-2",
+                 "0x1.f81fca1cd1de4p-6", "-0x1.e08a9db0102abp-3", "0x1.27ec42bbc6938p-2"],
+            ),
+        ],
+        ids=("n1", "n3"),
+    )
+    def test_final_state_bits(self, point, final):
+        # a dyadic point and step, so no dot outside the loop rounds; the
+        # in-order sums are plain binary64, the same on every CPU and BLAS
+        # (at n = 3 the same steps with np.dot end 2 ulps away in one entry)
+        p0 = PhasePoint(*point)
+        states = integrate(p0, 0.5, h=0.015625, store_every=8).states
+        assert [float(v).hex() for v in states[-1]] == final
+
+    def test_near_the_ddot_loop(self, rng):
+        # the same steps with np.dot inner products: round-off apart only
+        for n in range(1, 9):
+            for _ in range(20):
+                p0 = random_phase_point(rng, n)
+                got = integrate(p0, 1.0, h=1e-2, store_every=1).states
+                want = array_rk4(p0, 1.0, 1e-2, 1, dot=np.dot).states
+                scale = np.maximum(1.0, np.maximum(np.abs(got), np.abs(want)))
+                assert np.max(np.abs(got - want) / scale) <= 1e-13
+
 
 class TestIntegrate:
     def test_free_motion_is_exact(self):
@@ -452,6 +505,18 @@ class TestIntegrate:
 
         d1, d2 = h_drift(2e-3), h_drift(1e-3)
         assert d1 / d2 == pytest.approx(16.0, rel=0.35)
+
+    def test_position_error_is_fourth_order(self):
+        # the README spiral: the error at t = 1 against the closed form falls
+        # about 16x per halving of h (3.3e-5 at h = 4e-2 to 8.3e-9 at 5e-3)
+        spiral = LogSpiral(2.0, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.3, -0.2, 0.5])
+        p0 = phase_from_jet(spiral.jet(0.0))
+        errors = [
+            np.max(np.abs(integrate(p0, 1.0, h=h).states[-1, :3] - spiral.position(1.0)))
+            for h in (4e-2, 2e-2, 1e-2, 5e-3)
+        ]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 14.0 <= coarse / fine <= 18.0
 
     def test_spiral_matches_closed_form(self, rng):
         spiral = random_spiral(rng, 3, c=1.4)

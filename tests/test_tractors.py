@@ -223,6 +223,12 @@ class TestGramInvariants:
         alpha1, delta4 = closed_form_alpha1_delta4(straight_line_jet())
         assert alpha1 == 0.0 and delta4 == 0.0
 
+    def test_closed_form_names_a_stack(self, rng):
+        stack = np.stack([random_curve_jet(rng, 3) for _ in range(2)])
+        message = r"^closed_form_alpha1_delta4 takes one coefficient row, got a stack of shape \(2,\)$"
+        with pytest.raises(ValueError, match=message):
+            closed_form_alpha1_delta4(stack)
+
     def test_delta3_and_nonpositivity(self, rng):
         for _ in range(50):
             n = int(rng.integers(2, 5))
@@ -317,6 +323,12 @@ class TestQQuantities:
 
 
 class TestParallelSectionOracle:
+    def test_names_a_stack(self, rng):
+        stack = np.stack([random_curve_jet(rng, 4) for _ in range(3)])
+        message = r"^parallel_section_oracle takes one coefficient row, got a stack of shape \(3,\)$"
+        with pytest.raises(ValueError, match=message):
+            parallel_section_oracle(stack)
+
     def test_matches_closed_forms(self, rng):
         worst = 0.0
         for trial in range(50):
