@@ -39,6 +39,7 @@ EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 
 OUTDIR_ENV = "CONFCURVES_OUTDIR"
+_TRACE_BUDGET = 1 << 20  # integrate's RK4 steps, and its stored rows times table columns
 
 # A circle's parallel defect at step h within PARALLEL_ROUNDOFF eps S / h of
 # zero (S the largest wedge entry) is round-off.  Over 9,000 random circles
@@ -371,12 +372,8 @@ def _config_echo(args):
     # out/config paths do not affect results and would break byte-identical
     # reruns redirected to different files
     skip = {"func", "tolerances", "out", "config"}
-    echo = {}
-    for key, val in sorted(vars(args).items()):
-        if key in skip or val is None:
-            continue
-        echo[key] = val
-    echo["tolerance_overrides"] = {k: v for k, v in (args.tolerances or {}).items()}
+    echo = {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
+    echo["tolerance_overrides"] = dict(args.tolerances or {})
     return echo
 
 
@@ -384,18 +381,13 @@ def _config_echo(args):
 
 
 def _quantity_columns(n):
-    cols = ["t"] + [f"x{i}" for i in range(1, n + 1)]
-    cols += ["H", "E_D"]
-    cols += [f"E_T_{i}" for i in range(1, n + 1)]
-    cols += [f"E_R_{i}{j}" for i, j in itertools.combinations(range(1, n + 1), 2)]
-    cols += [f"E_S_{i}" for i in range(1, n + 1)]
-    cols += [f"F_T_{i}" for i in range(1, n + 1)]
-    cols += [f"F_R_{i}{j}" for i, j in itertools.combinations(range(1, n + 1), 2)]
-    cols += ["F_D"]
-    cols += [f"F_S_{i}" for i in range(1, n + 1)]
-    cols += [_q_column(key, n) for key in tractors.q_keys(n)]
-    cols += ["delta3", "delta4", "delta5", "alpha1", "alpha2", "kappa1"]
-    return cols
+    ones = [str(i) for i in range(1, n + 1)]
+    pairs = [i + j for i, j in itertools.combinations(ones, 2)]
+    cols = ["t", *(f"x{i}" for i in ones), "H", "E_D"]
+    blocks = (("E_T", ones), ("E_R", pairs), ("E_S", ones), ("F_T", ones), ("F_R", pairs))
+    cols += [f"{name}_{k}" for name, ks in blocks for k in ks]
+    cols += ["F_D", *(f"F_S_{i}" for i in ones), *(_q_column(key, n) for key in tractors.q_keys(n))]
+    return cols + ["delta3", "delta4", "delta5", "alpha1", "alpha2", "kappa1"]
 
 
 def _q_column(key, n):
@@ -478,6 +470,10 @@ def cmd_integrate(args):
     p0 = _initial_phase(args)
     if args.out is None:
         raise ConfigError("out: required for integrate")
+    columns = _quantity_columns(p0.dim)
+    rows = 1 + math.ceil(round(args.t_end / args.h) / args.store_every)
+    if rows * len(columns) > _TRACE_BUDGET:
+        raise ConfigError(f"store-every: {rows} rows of {len(columns)} columns exceed {_TRACE_BUDGET} cells")
     degenerate = None
     try:
         traj = mercator.integrate(p0, args.t_end, args.h, args.store_every)
@@ -487,7 +483,6 @@ def cmd_integrate(args):
     # one lift and one table for all stored states; the table rejects a
     # speed below the floor
     data = _quantity_table(traj.ts, mercator.taylor_lift(traj.states, order=6))
-    columns = _quantity_columns(traj.dim)
     out = _resolve_out(args.out)
     _write_table(out, columns, data, args.format)
     print(f"trace with {len(data)} samples written to {out}")
@@ -694,6 +689,8 @@ def _apply_config(args, flags):
         steps = round(args.t_end / args.h)
         if abs(steps * args.h - args.t_end) > 1e-9 * args.t_end:
             raise ConfigError(f"t-end: {args.t_end} is not a whole number of steps of h = {args.h}")
+        if steps > _TRACE_BUDGET:
+            raise ConfigError(f"t-end: {steps:.3g} steps of h = {args.h} exceed {_TRACE_BUDGET} RK4 steps")
 
 
 def main(argv=None):

@@ -5,14 +5,14 @@ derivative vectors is constant along the curve.  Writing the associated
 second-order Lagrangian in Ostrogradsky variables produces a polynomial
 Hamiltonian on the 4n-dimensional phase space ``(X, U, P, R)``; the
 functions here convert between the two pictures, integrate the flow with
-classical RK4, and evaluate Poisson brackets by central differences.  The
-right-hand side never reads ``X`` and keeps ``P`` fixed, so RK4 stages
-carry only ``(U, R)`` and ``X`` advances from the four stage velocities;
-stages are plain float arithmetic, with the same bits on every CPU and BLAS.
+classical RK4, and evaluate Poisson brackets by central differences.  An
+RK4 step is straight-line float code generated and compiled once per
+dimension: the same bits on every CPU and BLAS, and those of a loop.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -170,36 +170,69 @@ def hamiltonian(p: PhasePoint):
     return float(H) if H.ndim == 0 else H
 
 
-def _flow(U, R, P):
-    """The rates ``(U', R')`` on float lists (``X' = U``, ``P' = 0``).
+_TERMS = 256  # products per statement: the compiler's recursion stays shallow
 
-    Plain IEEE binary64 on every CPU and BLAS: each inner product adds its
-    terms in order from the first (a lone ``-0.0`` keeps its sign), in a
-    loop, as ``sum()`` of floats is compensated from Python 3.12.  Floats
-    overflow to inf silently, so a non-finite product raises here."""
-    pairs = zip(U, R)
-    u, r = next(pairs)
-    u2, UR, R2 = u * u, u * r, r * r
-    for u, r in pairs:
-        u2, UR, R2 = u2 + u * u, UR + u * r, R2 + r * r
-    if not (math.isfinite(u2) and math.isfinite(UR) and math.isfinite(R2)):
-        raise FloatingPointError("the flow leaves the float range")
-    if u2 <= VELOCITY_FLOOR:
-        raise DegenerateVelocityError(f"squared speed {u2:.3e} below floor")
-    UR2, R2n = 2.0 * UR, -R2
-    return (
-        [u2 * r - UR2 * u for u, r in zip(U, R)],
-        [R2n * u + UR2 * r - p for u, r, p in zip(U, R, P)],
-    )
+
+def _stage(u, r, p, du, dr):
+    """Statements of the rates ``du``, ``dr`` (``U'``, ``R'``) at ``(u, r,
+    p)``, all lists of local names.  Inner products add in order from the
+    first product; floats overflow silently, so a non-finite one raises."""
+    lines = []
+    for v, a, b in (("uu", u, u), ("ur", u, r), ("rr", r, r)):
+        for s in range(0, len(a), _TERMS):
+            terms = " + ".join(map("{} * {}".format, a[s : s + _TERMS], b[s : s + _TERMS]))
+            lines.append(f"{v} = {v} + {terms}" if s else f"{v} = {terms}")
+    return lines + [
+        "if not (isfinite(uu) and isfinite(ur) and isfinite(rr)):",
+        "    raise FloatingPointError('the flow leaves the float range')",
+        "if uu <= VELOCITY_FLOOR:",
+        "    raise DegenerateVelocityError(f'squared speed {uu:.3e} below floor')",
+        "ur2, rrn = 2.0 * ur, -rr",
+        *map("{} = uu * {} - ur2 * {}".format, du, r, u),
+        *map("{} = rrn * {} + ur2 * {} - {}".format, dr, u, r, p),
+    ]
+
+
+def _kernel_source(n):
+    """Python source of two straight-line float functions of a row ``x.., u..,
+    p.., r..`` laid out like :meth:`PhasePoint.flat`, for dimension ``n``:
+    ``rhs`` gives its rates ``(U, U', 0, R')``, and ``step(row, q.., half, h,
+    sixth)`` the row one RK4 step on, whose stages past the first see ``P = q``."""
+    if type(n) is not int or n < 1:
+        raise ValueError(f"the RK4 kernel needs a positive int dimension, got {n!r}")
+    x, u, p, r, q = ([f"{c}{i}" for i in range(n)] for c in "xuprq")
+    U, R = ([v] + [[f"{a}_{k}" for a in v] for k in (2, 3, 4)] for v in (u, r))
+    dU, dR = ([[f"d{a}_{k}" for a in v] for k in (1, 2, 3, 4)] for v in (u, r))
+    body = _stage(u, r, p, dU[0], dR[0])
+    for k, width in ((1, "half"), (2, "half"), (3, "h")):
+        body += map(f"{{}} = {{}} + {width} * {{}}".format, U[k] + R[k], u + r, dU[k - 1] + dR[k - 1])
+        body += _stage(U[k], R[k], q, dU[k], dR[k])
+    # (h/6) (((k1 + 2 k2) + 2 k3) + k4); the stage rates of X are the stage velocities
+    update = "{} + sixth * ({} + 2.0 * {} + 2.0 * {} + {})".format
+    row = ", ".join(x + u + p + r)
+    return "\n\n".join(
+        "\n    ".join([f"def {head}:", *lines, "return (", *(f"    {v}," for v in out), ")"])
+        for head, lines, out in (
+            (f"rhs({row})", _stage(u, r, p, dU[0], dR[0]), u + dU[0] + ["0.0"] * n + dR[0]),
+            (f"step({row}, {', '.join(q)}, half, h, sixth)", body,
+             [*map(update, x + u, *(U[k] + dU[k] for k in range(4))), *q, *map(update, r, *dR)]),
+        )
+    ) + "\n"
+
+
+@functools.cache
+def _kernel(n):
+    """The functions of :func:`_kernel_source` by name, compiled once per ``n``."""
+    namespace = dict(globals(), isfinite=math.isfinite)
+    exec(compile(_kernel_source(n), f"<rk4 kernel, n = {n}>", "exec"), namespace)
+    return namespace
 
 
 def hamilton_rhs(p: PhasePoint) -> np.ndarray:
     """Right-hand sides of the four first-order equations of motion, laid
     out like :meth:`PhasePoint.flat`, with the bits of an RK4 stage."""
     p.require_row("hamilton_rhs")
-    U, P, R = p.U.tolist(), p.P.tolist(), p.R.tolist()
-    dU, dR = _flow(U, R, P)
-    return np.array(U + dU + [0.0] * p.dim + dR)
+    return np.array(_kernel(p.dim)["rhs"](*p.flat().tolist()))
 
 
 @dataclass
@@ -221,7 +254,7 @@ class Trajectory:
 def _trajectory(ts, states, n, h, y):
     """The stored samples as a :class:`Trajectory`, once the stored states
     and the current state ``y`` are checked finite: an inf or nan in the
-    positions reaches no inner product of :func:`_flow`."""
+    positions reaches no inner product of the step kernel."""
     states = np.array(states)
     if not (np.all(np.isfinite(states)) and all(map(math.isfinite, y))):
         raise FloatingPointError("the flow leaves the float range")
@@ -244,42 +277,31 @@ def integrate(p0: PhasePoint, t_end: float, h: float = 1e-3, store_every: int = 
     Samples are stored every ``store_every`` steps (plus the final point).
     Velocity degeneracy anywhere in a stage aborts with
     :class:`FlowDegeneracyError` holding the partial trajectory; a state
-    that leaves the float range raises ``FloatingPointError``.  The stages
-    carry only ``(U, R)``, as Python floats through :func:`_flow`; past the
-    run's first stage ``P`` is ``p + 0.0``, the bits of ``p + (0.5 h) 0.0``,
-    and ``X`` advances once per step from the four stage velocities.  Rows
-    lie within round-off (3e-14 in 100 steps) of the same steps with ``np.dot``.
+    that leaves the float range raises ``FloatingPointError``.  A step is one
+    call of the compiled ``step`` (:func:`_kernel_source`) on the row ``(X,
+    U, P, R)``; past the run's first stage ``P`` is ``p + 0.0``, the bits of
+    ``p + (0.5 h) 0.0``.  Rows lie within round-off (3e-14 in 100 steps) of
+    the same steps with ``np.dot``.
     """
     if h <= 0 or t_end <= 0:
         raise ValueError("need h > 0 and t_end > 0")
     n = p0.dim
-    steps = int(round(t_end / h))
-    X, U, P, R = (v.tolist() for v in (p0.X, p0.U, p0.P, p0.R))
-    ts, states, t = [0.0], [X + U + P + R], 0.0
-    Ps = [p + 0.0 for p in P]
+    step, steps = _kernel(n)["step"], int(round(t_end / h))
+    y = tuple(p0.flat().tolist())
+    ts, states, t = [0.0], [y], 0.0
+    Ps = tuple(p + 0.0 for p in p0.P.tolist())
     # a fixed operand grouping keeps the bits: (0.5 h) k and (h/6) (((k1 + 2 k2) + 2 k3) + k4)
     half, sixth = 0.5 * h, h / 6.0
     for k in range(steps):
         try:
-            dU1, dR1 = _flow(U, R, P)
-            U2, R2 = [a + half * b for a, b in zip(U, dU1)], [a + half * b for a, b in zip(R, dR1)]
-            dU2, dR2 = _flow(U2, R2, Ps)
-            U3, R3 = [a + half * b for a, b in zip(U, dU2)], [a + half * b for a, b in zip(R, dR2)]
-            dU3, dR3 = _flow(U3, R3, Ps)
-            U4, R4 = [a + h * b for a, b in zip(U, dU3)], [a + h * b for a, b in zip(R, dR3)]
-            dU4, dR4 = _flow(U4, R4, Ps)
+            y = step(*y, *Ps, half, h, sixth)
         except DegenerateVelocityError:
-            raise FlowDegeneracyError(t, _trajectory(ts, states, n, h, X + U + P + R)) from None
-        X, U, R = [
-            [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(*ks)]
-            for ks in ((X, U, U2, U3, U4), (U, dU1, dU2, dU3, dU4), (R, dR1, dR2, dR3, dR4))
-        ]
-        P = Ps
+            raise FlowDegeneracyError(t, _trajectory(ts, states, n, h, y)) from None
         t = (k + 1) * h
         if (k + 1) % store_every == 0 or k == steps - 1:
             ts.append(t)
-            states.append(X + U + P + R)
-    return _trajectory(ts, states, n, h, X + U + P + R)
+            states.append(y)
+    return _trajectory(ts, states, n, h, y)
 
 
 def poisson_bracket_fd(f, g, p: PhasePoint, step: float = 1e-5):

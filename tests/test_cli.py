@@ -359,6 +359,22 @@ class TestIntegrate:
                 "--out", str(tmp_path / "t.out")]
         assert_config_error(argv, capsys)
 
+    def test_runs_over_the_bound_are_config_errors(self, tmp_path, capsys, monkeypatch):
+        # 1e300 steps would loop for ever; 1e6 steps storing every one would
+        # keep a 36-column table of 1e6 rows; neither gets to the RK4 loop
+        def unreachable(*args):
+            raise AssertionError("integrate ran")
+
+        monkeypatch.setattr(mercator, "integrate", unreachable)
+        out = str(tmp_path / "x.csv")
+        assert_config_error(["integrate", *SPIRAL_ARGS, "--t-end", "1", "--h", "1e-300", "--out", out], capsys)
+        assert_config_error(
+            ["integrate", *SPIRAL_ARGS, "--t-end", "1", "--h", "1e-6", "--store-every", "1", "--out", out],
+            capsys,
+        )
+        assert_config_error(["integrate", "--x=0", "--u=1", "--p=0", "--r=0", "--t-end", "1100",
+                             "--h", "1e-3", "--store-every", "1000", "--out", out], capsys)
+
     def test_tolerances_only_where_checks_are_recorded(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"tol": ["typo=1"]}))

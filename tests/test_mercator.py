@@ -26,7 +26,7 @@ from confcurves import (
     taylor_lift,
 )
 from confcurves.curves import VELOCITY_FLOOR, DegenerateVelocityError
-from confcurves.mercator import FlowDegeneracyError
+from confcurves.mercator import FlowDegeneracyError, _kernel_source
 
 from conftest import (
     assert_same_bits,
@@ -348,10 +348,142 @@ def array_rk4(p0, t_end, h, store_every, dot=ordered_dot):
     return Trajectory(np.array(ts), np.array(states), n, h)
 
 
+def stage_velocities(p0, h, steps):
+    """The first velocity component of every RK4 stage of :func:`array_rk4`
+    from ``p0``, in order, up to the first stage at or below the velocity
+    floor or the end of ``steps`` steps."""
+    n, y, out = p0.dim, p0.flat().copy(), []
+    for _ in range(steps):
+        ks = []
+        for w in (None, 0.5 * h, 0.5 * h, h):
+            z = y if w is None else y + w * ks[-1]
+            out.append(float(z[n]))
+            try:
+                ks.append(array_rhs(z, n))
+            except DegenerateVelocityError:
+                return out
+        y = y + (h / 6.0) * (ks[0] + 2.0 * ks[1] + 2.0 * ks[2] + ks[3])
+    return out
+
+
+def first_nonfinite_stage(p0, h):
+    """The first RK4 stage of the first step of :func:`array_rk4` whose
+    inner products are not all finite, or ``None``."""
+    n, y, ks = p0.dim, p0.flat().copy(), []
+    with np.errstate(all="ignore"):
+        for stage, w in enumerate((None, 0.5 * h, 0.5 * h, h), start=1):
+            z = y if w is None else y + w * ks[-1]
+            U, R = z[n : 2 * n], z[3 * n :]
+            if not all(np.isfinite(ordered_dot(a, b)) for a, b in ((U, U), (U, R), (R, R))):
+                return stage
+            ks.append(array_rhs(z, n))
+    return None
+
+
+# the kernel source of n = 2, the text that integrate and hamilton_rhs run
+KERNEL_N2 = """\
+def rhs(x0, x1, u0, u1, p0, p1, r0, r1):
+    uu = u0 * u0 + u1 * u1
+    ur = u0 * r0 + u1 * r1
+    rr = r0 * r0 + r1 * r1
+    if not (isfinite(uu) and isfinite(ur) and isfinite(rr)):
+        raise FloatingPointError('the flow leaves the float range')
+    if uu <= VELOCITY_FLOOR:
+        raise DegenerateVelocityError(f'squared speed {uu:.3e} below floor')
+    ur2, rrn = 2.0 * ur, -rr
+    du0_1 = uu * r0 - ur2 * u0
+    du1_1 = uu * r1 - ur2 * u1
+    dr0_1 = rrn * u0 + ur2 * r0 - p0
+    dr1_1 = rrn * u1 + ur2 * r1 - p1
+    return (
+        u0,
+        u1,
+        du0_1,
+        du1_1,
+        0.0,
+        0.0,
+        dr0_1,
+        dr1_1,
+    )
+
+def step(x0, x1, u0, u1, p0, p1, r0, r1, q0, q1, half, h, sixth):
+    uu = u0 * u0 + u1 * u1
+    ur = u0 * r0 + u1 * r1
+    rr = r0 * r0 + r1 * r1
+    if not (isfinite(uu) and isfinite(ur) and isfinite(rr)):
+        raise FloatingPointError('the flow leaves the float range')
+    if uu <= VELOCITY_FLOOR:
+        raise DegenerateVelocityError(f'squared speed {uu:.3e} below floor')
+    ur2, rrn = 2.0 * ur, -rr
+    du0_1 = uu * r0 - ur2 * u0
+    du1_1 = uu * r1 - ur2 * u1
+    dr0_1 = rrn * u0 + ur2 * r0 - p0
+    dr1_1 = rrn * u1 + ur2 * r1 - p1
+    u0_2 = u0 + half * du0_1
+    u1_2 = u1 + half * du1_1
+    r0_2 = r0 + half * dr0_1
+    r1_2 = r1 + half * dr1_1
+    uu = u0_2 * u0_2 + u1_2 * u1_2
+    ur = u0_2 * r0_2 + u1_2 * r1_2
+    rr = r0_2 * r0_2 + r1_2 * r1_2
+    if not (isfinite(uu) and isfinite(ur) and isfinite(rr)):
+        raise FloatingPointError('the flow leaves the float range')
+    if uu <= VELOCITY_FLOOR:
+        raise DegenerateVelocityError(f'squared speed {uu:.3e} below floor')
+    ur2, rrn = 2.0 * ur, -rr
+    du0_2 = uu * r0_2 - ur2 * u0_2
+    du1_2 = uu * r1_2 - ur2 * u1_2
+    dr0_2 = rrn * u0_2 + ur2 * r0_2 - q0
+    dr1_2 = rrn * u1_2 + ur2 * r1_2 - q1
+    u0_3 = u0 + half * du0_2
+    u1_3 = u1 + half * du1_2
+    r0_3 = r0 + half * dr0_2
+    r1_3 = r1 + half * dr1_2
+    uu = u0_3 * u0_3 + u1_3 * u1_3
+    ur = u0_3 * r0_3 + u1_3 * r1_3
+    rr = r0_3 * r0_3 + r1_3 * r1_3
+    if not (isfinite(uu) and isfinite(ur) and isfinite(rr)):
+        raise FloatingPointError('the flow leaves the float range')
+    if uu <= VELOCITY_FLOOR:
+        raise DegenerateVelocityError(f'squared speed {uu:.3e} below floor')
+    ur2, rrn = 2.0 * ur, -rr
+    du0_3 = uu * r0_3 - ur2 * u0_3
+    du1_3 = uu * r1_3 - ur2 * u1_3
+    dr0_3 = rrn * u0_3 + ur2 * r0_3 - q0
+    dr1_3 = rrn * u1_3 + ur2 * r1_3 - q1
+    u0_4 = u0 + h * du0_3
+    u1_4 = u1 + h * du1_3
+    r0_4 = r0 + h * dr0_3
+    r1_4 = r1 + h * dr1_3
+    uu = u0_4 * u0_4 + u1_4 * u1_4
+    ur = u0_4 * r0_4 + u1_4 * r1_4
+    rr = r0_4 * r0_4 + r1_4 * r1_4
+    if not (isfinite(uu) and isfinite(ur) and isfinite(rr)):
+        raise FloatingPointError('the flow leaves the float range')
+    if uu <= VELOCITY_FLOOR:
+        raise DegenerateVelocityError(f'squared speed {uu:.3e} below floor')
+    ur2, rrn = 2.0 * ur, -rr
+    du0_4 = uu * r0_4 - ur2 * u0_4
+    du1_4 = uu * r1_4 - ur2 * u1_4
+    dr0_4 = rrn * u0_4 + ur2 * r0_4 - q0
+    dr1_4 = rrn * u1_4 + ur2 * r1_4 - q1
+    return (
+        x0 + sixth * (u0 + 2.0 * u0_2 + 2.0 * u0_3 + u0_4),
+        x1 + sixth * (u1 + 2.0 * u1_2 + 2.0 * u1_3 + u1_4),
+        u0 + sixth * (du0_1 + 2.0 * du0_2 + 2.0 * du0_3 + du0_4),
+        u1 + sixth * (du1_1 + 2.0 * du1_2 + 2.0 * du1_3 + du1_4),
+        q0,
+        q1,
+        r0 + sixth * (dr0_1 + 2.0 * dr0_2 + 2.0 * dr0_3 + dr0_4),
+        r1 + sixth * (dr1_1 + 2.0 * dr1_2 + 2.0 * dr1_3 + dr1_4),
+    )
+"""
+
+
 class TestFloatLoop:
     @pytest.mark.parametrize("store_every", (1, 7, 10))
     def test_matches_array_rk4(self, rng, store_every):
-        for n in range(1, 9):
+        for n in (*range(1, 9), 12, 24):
             points = [random_phase_point(rng, n) for _ in range(3)]
             if n >= 2:
                 points.append(phase_from_jet(random_spiral(rng, n).jet(0.0)))
@@ -439,6 +571,67 @@ class TestFloatLoop:
             array_rk4(p0, 1e308, 1e308, store_every)
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
             integrate(p0, 1e308, h=1e308, store_every=store_every)
+
+    @pytest.mark.parametrize("stage, scale", [(2, 1e100), (3, 1e50), (4, 1e20)])
+    def test_overflow_in_a_later_stage_raises(self, stage, scale):
+        # U = e_1, R = scale e_2: the first stage stays finite, and the
+        # growth of R' reaches inf first in the named stage
+        for n in (2, 3, 6):
+            U, R = np.zeros(n), np.zeros(n)
+            U[0], R[1] = 1.0, scale
+            p0 = PhasePoint(np.zeros(n), U, np.zeros(n), R)
+            assert first_nonfinite_stage(p0, 1e-2) == stage
+            with np.errstate(all="ignore"), pytest.raises(FloatingPointError) as got:
+                integrate(p0, 1.0, h=1e-2)
+            # the stage check raises it, not the end-of-run check
+            assert got.traceback[-1].frame.code.raw.co_filename.startswith("<rk4 kernel")
+
+    @pytest.mark.parametrize("stage, lo, hi", [(3, 143.8, 144.0), (4, 143.6, 143.8)])
+    def test_later_stage_degeneracy_matches_array_rk4(self, stage, lo, hi):
+        # U = e_1, R = r e_1, P = -300 e_1: the velocity stays on e_1, and
+        # the r at which it vanishes in the given stage of the third step
+        # is found by bisection; every earlier stage keeps |U_1| > 0.1
+        def point(r, n):
+            U, P, R = np.zeros(n), np.zeros(n), np.zeros(n)
+            U[0], P[0], R[0] = 1.0, -300.0, r
+            return PhasePoint(np.zeros(n), U, P, R)
+
+        def velocity(r):
+            return stage_velocities(point(r, 1), 1e-2, 3)[8 + stage - 1]
+
+        assert velocity(lo) * velocity(hi) < 0.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if (velocity(mid) < 0.0) == (velocity(lo) < 0.0) else (lo, mid)
+        for n in (1, 2, 3):
+            p0 = point(lo, n)
+            speeds = np.square(stage_velocities(p0, 1e-2, 3))
+            assert len(speeds) == 8 + stage and speeds[-1] <= VELOCITY_FLOOR
+            assert np.min(speeds[:-1]) > 0.01
+            for store_every in (1, 2):
+                with pytest.raises(FlowDegeneracyError) as got:
+                    integrate(p0, 1.0, h=1e-2, store_every=store_every)
+                with pytest.raises(FlowDegeneracyError) as want:
+                    array_rk4(p0, 1.0, 1e-2, store_every)
+                assert got.value.t == want.value.t == 2 * 1e-2
+                assert_same_bits(got.value.trajectory.ts, want.value.trajectory.ts)
+                assert_same_bits(got.value.trajectory.states, want.value.trajectory.states)
+
+    def test_chunked_inner_products_match_array_rk4(self, rng):
+        # past 256 components an inner product spans two statements
+        p0 = random_phase_point(rng, 300)
+        got = integrate(p0, 0.05, h=1e-2, store_every=1)
+        want = array_rk4(p0, 0.05, 1e-2, 1)
+        assert_same_bits(got.states, want.states)
+        assert_same_bits(hamilton_rhs(p0), array_rhs(p0.flat(), 300))
+
+    def test_kernel_source_n2(self):
+        assert _kernel_source(2) == KERNEL_N2
+
+    @pytest.mark.parametrize("n", [0, -1, True, False, 2.0, "2", np.int64(2), None])
+    def test_kernel_needs_a_positive_int(self, n):
+        with pytest.raises(ValueError, match="positive int"):
+            _kernel_source(n)
 
     def test_hamilton_rhs_matches_array_rhs(self, rng):
         for n in range(1, 9):
