@@ -1,16 +1,16 @@
 """Conserved quantities of distinguished curves on the flat conformal sphere.
 
-The package provides exact jet arithmetic, the canonical tractor sequence
-of a parametrized curve with its determinant invariants, the conserved
-quantities obtained from parallel wedges, the conformally invariant
-fourth-order curve flow with its Hamiltonian form and Noether quantities,
-the closed-form solution families used as oracles, and a CLI for running
-the verification suites.
+The package provides Taylor (jet) kernels over coefficient arrays, the
+canonical tractor sequence of a parametrized curve with its determinant
+invariants, the conserved quantities obtained from parallel wedges, the
+conformally invariant fourth-order curve flow with its Hamiltonian form and
+Noether quantities, the closed-form solution families used as oracles, and
+a CLI for running the verification suites.
 """
 
 from .curves import DegenerateVelocityError, coefficients, derivatives
 from .families import Circle, FamilyError, LogSpiral, TransformedSpiral
-from .jets import JetDomainError, JetError, JetOrderError, JetScalar
+from .jets import JetDomainError, JetError
 from .mercator import (
     PhasePoint,
     Trajectory,

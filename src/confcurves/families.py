@@ -2,11 +2,12 @@
 conservation test: projectively parametrized circles, logarithmic spirals,
 and special-conformal images of spirals.
 
-All position coefficients are produced by exact jet arithmetic on the
-defining formulas, so derivatives of any order (up to the jet limit) carry
-no discretization error.  A family's ``jet_stack`` evaluates them at many
-times in one pass, with the operands and operation order of the jet
-operators; its ``jet`` is the one-time row.
+All position coefficients are produced by the Taylor kernels of
+:mod:`confcurves.jets` on the defining formulas, so derivatives of any
+order (up to the jet limit) carry no discretization error.  A family's
+``jet_stack`` evaluates them at many times in one pass, with each
+product's operands in the kernels' order; its ``jet`` is the one-time
+row.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ class FamilyError(ValueError):
 
 
 def _times(a, value):
-    """Coefficients ``a`` times a number or array, a constant jet second,
-    as the jet operators multiply them."""
+    """Coefficients ``a`` times a number or array, taken as a constant jet
+    and put second in every product."""
     return _stack_product(a, _constant(value, a.shape[-1] - 1))
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import VELOCITY_FLOOR, DegenerateVelocityError, _speed_sq, derivatives
-from .jets import JetScalar, _dot, _product_coefficient, _stack_product, _sum_rows
+from .jets import _dot, _product_coefficient, _stack_product, _sum_rows
 
 __all__ = [
     "PhasePoint",
@@ -101,24 +101,20 @@ def flow_vector_stack(U, A, Ap):
 
 
 def lagrangians(coeffs):
-    """Third- and second-order Lagrangians ``L``, ``L1`` of one row.
+    """Third- and second-order Lagrangians ``L``, ``L1`` of every row of a
+    coefficient stack ``(..., n, order+1)``.
 
     They differ by the total derivative of ``u^{-2} <U, A>``, which is
-    evaluated through the jet, so ``L`` needs one more derivative level.
+    ``(<A, A> + <U, A'>) / u^2 - 2 <U, A>^2 / u^4``, so ``L`` needs one
+    more derivative level.
     """
-    _speed_sq(np.asarray(coeffs, dtype=float), 3, "Lagrangian", row="lagrangians")
-    position = JetScalar(coeffs)
-    U, A = position.derivative(1), position.derivative(2)
-    u2 = float(U @ U)
-    UA = float(U @ A)
-    L1 = 0.5 * float(A @ A) / u2 - UA**2 / u2**2
-
-    u_jet = position.differentiate()
-    a_jet = u_jet.differentiate()
-    k = a_jet.order
-    q = u_jet.truncated(k).dot(a_jet) / u_jet.truncated(k).norm_sq()
-    L = L1 + q.differentiate().value
-    return L, L1
+    coeffs = np.asarray(coeffs, dtype=float)
+    _speed_sq(coeffs, 3, "Lagrangian")
+    U, A, Ap = derivatives(coeffs, 4)[1:]
+    u2, UA, AA = _dot(U, U), _dot(U, A), _dot(A, A)
+    UA2_u4 = np.float_power(UA, 2) / np.float_power(u2, 2)
+    L1 = 0.5 * AA / u2 - UA2_u4
+    return L1 + (AA + _dot(U, Ap)) / u2 - 2 * UA2_u4, L1
 
 
 def circle_residual_stack(U, A, Ap):
@@ -341,11 +337,12 @@ def taylor_lift(states, order: int = 6) -> np.ndarray:
     The right-hand side is polynomial, so the coefficients follow by
     repeated substitution: step ``k`` needs all ``k+1`` coefficients of
     ``U.U``, ``U.R`` and ``R.R`` but only coefficient ``k`` of the products
-    built from them.  Products keep the operands and the summation of the
-    jet product (:func:`confcurves.jets._product_coefficient`), and inner
+    built from them.  A product puts a vector before its scalar factor and
+    sums as :func:`confcurves.jets._product_coefficient` does, and inner
     products add their components in order, so every row repeats the
-    substitution in jet arithmetic to the bit, batched or alone, at the
-    orders where that helper does.
+    substitution in the per-row ``np.convolve`` jets of
+    ``tests/jet_oracle.py`` to the bit, batched or alone, at the orders
+    where that helper does.
     """
     states = np.asarray(states, dtype=float)
     n = states.shape[-1] // 4

@@ -12,8 +12,8 @@ Conventions used throughout the package:
   ``minors`` gives it on every increasing index tuple at once, as one
   batched determinant; ``epsilon`` is the per-tuple oracle.
 * A tractor is an ``(n+2)``-vector in slot order ``0, 1..n, n+1``: an
-  ndarray of values, or a vector jet when its parameter derivatives are
-  tracked.
+  ndarray of values, or of Taylor coefficients ``(n+2, order+1)`` when its
+  parameter derivatives are tracked.
 * A rank-``k`` wedge is a plain array over the increasing slot tuples
   ``itertools.combinations(range(n + 2), k)``, in that order.
 """
@@ -116,12 +116,12 @@ def _perm_sign(perm):
 
 def tractor_metric_pair(a, b):
     """Indefinite pairing of two tractors: the two null slots cross-pair,
-    the spatial block is Euclidean.  ``a`` and ``b`` are vector jets, or
-    arrays with the slot axis first that broadcast against each other, such
-    as ``(n+2, m, 1)`` and ``(n+2, 1, m)`` column stacks for all pairings
-    of ``m`` tractors at once."""
+    the spatial block is Euclidean.  ``a`` and ``b`` have the slot axis
+    first: arrays that broadcast against each other, such as ``(n+2, m,
+    1)`` and ``(n+2, 1, m)`` column stacks for all pairings of ``m``
+    tractors, or the vector jets of ``tests/jet_oracle.py``."""
     # spatial slots summed one by one in order, so stacked values repeat
-    # the values of the jet pairings to the bit
+    # one pairing's values to the bit
     spatial = functools.reduce(operator.add, a[1:-1] * b[1:-1])
     return a[0] * b[-1] + a[-1] * b[0] + spatial
 

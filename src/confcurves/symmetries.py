@@ -92,8 +92,8 @@ def ckv_eval(field: KillingField, x):
 def _ckv_stack(field: KillingField, c):
     """The field on every row of position coefficients ``(..., n, m)``, exact
     since it is polynomial in the position: the linear parts act on the
-    coefficients directly, the products are those of the jet operators."""
-    # S.x summed in component order, as JetScalar.dot does
+    coefficients directly, and each product puts the position first."""
+    # S.x summed over the components in order
     s_dot_x = (field.S[:, None] * c).sum(axis=-2)
     coeffs = (
         field.R.T @ c

@@ -76,8 +76,9 @@ def canonical_tractor_stack(coeffs, count):
     for _ in range(count - 1):
         cur = seq[-1]
         k = cur.shape[-1] - 2
-        # slot by slot, with the operands and the component order of the
-        # jet operators, so values repeat them to the bit
+        # slot by slot: the velocity before slot 0 in ``wi`` and after the
+        # spatial slots in ``wN``, whose products add in component order
+        # (the per-row jets of tests/jet_oracle.py check these bits)
         d = cur[..., 1:] * np.arange(1, k + 2)
         low, uk = cur[..., : k + 1], u[..., : k + 1]
         wi = d[..., 1:-1, :] + _stack_product(uk, low[..., :1, :])

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from confcurves import (
-    JetScalar,
     KillingField,
     alpha1_stationary_stack,
     circle_residual_stack,
@@ -36,6 +35,7 @@ from conftest import (
     random_spiral,
     random_transformed_spiral,
 )
+from jet_oracle import JetScalar
 
 
 def general_field(rng, n):
@@ -67,6 +67,7 @@ STACKS = {
     "momenta_stack": lambda c, f: momenta_stack(*derivatives(c, 4)[1:]),
     "noether_stack": lambda c, f: noether_stack(*derivatives(c, 4)),
     "e_stack": lambda c, f: phase_basis(c),
+    "lagrangians": lambda c, f: lagrangians(c),
 }
 
 

@@ -15,10 +15,10 @@ from confcurves import (
     parallel_defect,
 )
 from confcurves.curves import DegenerateVelocityError
-from confcurves.jets import JetScalar
 from confcurves.multilinear import tractor_metric_pair
 
 from conftest import random_circle, random_spiral, random_transformed_spiral, tractor_values
+from jet_oracle import JetScalar
 
 
 class TestCircleFamily:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from confcurves import (
-    JetScalar,
     LogSpiral,
     PhasePoint,
     accel_from_phase,
@@ -37,6 +36,7 @@ from conftest import (
     random_transformed_spiral,
     row_sets,
 )
+from jet_oracle import JetScalar
 
 
 def straight_line_jet(n=2):
@@ -151,11 +151,43 @@ class TestLagrangians:
             expect = (float(A @ A) + float(U @ Ap)) / u2 - 2 * float(U @ A) ** 2 / u2**2
             assert L - L1 == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
-    def test_names_a_stack(self, rng):
-        stack = np.stack([random_curve_jet(rng, 3) for _ in range(2)])
-        message = r"^lagrangians takes one coefficient row, got a stack of shape \(2,\)$"
-        with pytest.raises(ValueError, match=message):
-            lagrangians(stack)
+    def test_stack_is_its_rows(self, rng):
+        for n in range(2, 6):
+            rows = [random_curve_jet(rng, n) for _ in range(6)] + [random_spiral(rng, n).jet(0.3, order=4)]
+            L, L1 = lagrangians(np.stack(rows))
+            assert L.shape == L1.shape == (7,)
+            for k, row in enumerate(rows):
+                assert_same_bits(np.array(lagrangians(row)), np.array([L[k], L1[k]]))
+
+    def test_closed_form_matches_jet_route(self, rng):
+        for n in range(2, 7):
+            rows = [random_curve_jet(rng, n, levels=levels) for levels in (4, 5, 7) for _ in range(10)]
+            for family in (random_spiral(rng, n), random_circle(rng, n), random_transformed_spiral(rng, n)):
+                rows += [family.jet(float(t)) for t in np.linspace(-1.0, 1.0, 7)]
+            for row in rows:
+                L, L1 = lagrangians(row)
+                want_L, want_L1 = jet_lagrangians(row)
+                assert L1 == want_L1
+                # relative to the sizes of the terms: L vanishes on circles
+                _, U, A, Ap = derivatives(row, 4)
+                u2 = float(U @ U)
+                scale = (float(A @ A) + abs(float(U @ Ap))) / u2 + 3 * float(U @ A) ** 2 / u2**2
+                assert abs(L - want_L) <= 1e-13 * scale
+
+
+def jet_lagrangians(coeffs):
+    """``L`` and ``L1`` of one row with ``L - L1`` the derivative of the jet
+    of ``u^{-2} <U, A>``, the body the closed form replaced."""
+    position = JetScalar(coeffs)
+    U, A = position.derivative(1), position.derivative(2)
+    u2 = float(U @ U)
+    UA = float(U @ A)
+    L1 = 0.5 * float(A @ A) / u2 - UA**2 / u2**2
+    u_jet = position.differentiate()
+    a_jet = u_jet.differentiate()
+    k = a_jet.order
+    q = u_jet.truncated(k).dot(a_jet) / u_jet.truncated(k).norm_sq()
+    return L1 + q.differentiate().value, L1
 
 
 def circle_residual(jet):

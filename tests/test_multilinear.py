@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from confcurves import (
-    JetScalar,
     derivatives,
     epsilon,
     wedge,
@@ -15,6 +14,7 @@ from confcurves import multilinear
 from confcurves.multilinear import minors, rho_wedge, tractor_metric_pair
 
 from conftest import assert_same_bits, random_curve_jet, tractor_values
+from jet_oracle import JetScalar
 
 
 class TestEpsilon:

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from confcurves import (
-    JetScalar,
     KillingField,
     PhasePoint,
     ckv_eval,
@@ -38,6 +37,7 @@ from conftest import (
     random_transformed_spiral,
     row_sets,
 )
+from jet_oracle import JetScalar
 
 
 def closed_basis(jet):

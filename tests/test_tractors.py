@@ -6,7 +6,6 @@ import pytest
 
 from confcurves import (
     DegenerateVelocityError,
-    JetScalar,
     alpha1_stationary_stack,
     closed_form_alpha1_delta4,
     coefficients,
@@ -31,6 +30,7 @@ from conftest import (
     random_transformed_spiral,
     tractor_values,
 )
+from jet_oracle import JetScalar
 
 
 def straight_line_jet(n=3, order=4):
