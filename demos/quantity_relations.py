@@ -39,14 +39,14 @@ for fam, val in worst.items():
 print()
 print("dimension-3 repackaging at one random point:")
 p = random_point(3)
-red = three_d_reduction(p)
-e = e_quantities(p)
+red = three_d_reduction(e_quantities(p))
 print(f"  Q1 = {np.round(red.Q1, 6)}  Q2 = {red.Q2:.6f}  Q3 = {red.Q3:.6f}")
 print(f"  energy rewritten through the basis quantities: {red.H_from_E:.6f}")
 
 print()
-print("five-element involutive set {E_T1, E_T2, E_T3, Q3, H}:")
-table = involutivity_check([random_point(3) for _ in range(20)])
+print("five-element involutive set {E_T1, E_T2, E_T3, Q3, H}, by complex step:")
+points = PhasePoint.from_flat(np.stack([random_point(3).flat() for _ in range(20)]), 3)
+table = involutivity_check(points)
 print(f"  max |bracket| over all pairs and 20 points: {max(table.values()):.2e}")
 
 print()

@@ -24,7 +24,7 @@ from .mercator import (
     lagrangians,
     momenta_stack,
     phase_from_jet,
-    poisson_bracket_fd,
+    poisson_bracket,
     taylor_lift,
 )
 from .multilinear import (

@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from . import families, mercator, symmetries, tractors
-from .multilinear import _MINORS_BUDGET, epsilon, tractor_metric_pair, wedge
+from .multilinear import _MINORS_BUDGET, minors, tractor_metric_pair, wedge
 from .curves import DegenerateVelocityError, _check_speed, coefficients, derivatives
 from .jets import _dot
 from .mercator import FlowDegeneracyError, PhasePoint
@@ -152,11 +152,16 @@ def _build_family(args):
         raise ConfigError(str(exc)) from exc
 
 
-def _sample_times(args):
+def _sample_times(args, n):
+    """The sample window, once a quantity table of its samples in dimension
+    ``n`` fits the cell budget that bounds ``integrate``'s stored rows."""
     t0 = args.t0 if args.t0 is not None else -1.0
     t1 = args.t1 if args.t1 is not None else 1.0
     if not t1 > t0:
         raise ConfigError(f"window: need t1 > t0, got [{t0}, {t1}]")
+    columns = len(_quantity_columns(n))
+    if args.samples * columns > _TRACE_BUDGET:
+        raise ConfigError(f"samples: {args.samples} rows of {columns} columns exceed {_TRACE_BUDGET} cells")
     return np.linspace(t0, t1, args.samples)
 
 
@@ -221,17 +226,11 @@ def _verify_spiral(spiral, times, checks, seed):
     checks.add("flow_vector_vanishes", np.max(np.abs(mercator.flow_vector_stack(*derivs[1:]))), 1e-10)
     qs = tractors.q_stack(coeffs)
     checks.add("q_constant_along_curve", max(map(_spread, qs.T)), 1e-8)
-    n = spiral.dim
-    q0 = dict(zip(tractors.q_keys(n), qs[0]))
-    worst = 0.0
-    for i, j in itertools.combinations(range(1, n + 1), 2):
-        expected = c / p2 * epsilon((i, j), spiral.p0, spiral.q0)
-        worst = max(worst, abs(q0[(0, i, j, n + 1)] - expected))
-    for i, j, k in itertools.combinations(range(1, n + 1), 3):
-        expected = c / p2 * epsilon((i, j, k), spiral.p0, spiral.q0, spiral.r0)
-        worst = max(worst, abs(q0[(0, i, j, k)] - expected))
-        worst = max(worst, abs(q0[(i, j, k, n + 1)]))
-    checks.add("q_matches_spiral_values", worst, 1e-9)
+    # the first three q_keys families: c/p^2 eps(ij; p0, q0), c/p^2 eps(ijk; p0, q0, r0), zeros
+    pq = minors(np.column_stack([spiral.p0, spiral.q0]))
+    pqr = minors(np.column_stack([spiral.p0, spiral.q0, spiral.r0]))
+    expected = c / p2 * np.concatenate([pq, pqr, np.zeros_like(pqr)])
+    checks.add("q_matches_spiral_values", np.max(np.abs(qs[0, : expected.size] - expected), initial=0.0), 1e-9)
     worst_square = worst_match = 0.0
     for t, piped in zip(times, tractors.canonical_tractor_stack(coeffs, 3)[2][..., 0]):
         closed = spiral.acceleration_tractor(float(t))
@@ -337,7 +336,7 @@ def cmd_verify(args):
     if args.samples < 2:
         # a spread over one sample is 0 by construction
         raise ConfigError(f"samples: verify needs at least 2 sample times, got {args.samples}")
-    times = _sample_times(args)
+    times = _sample_times(args, family.dim)
     checks = CheckList(args.tolerances)
     if isinstance(family, families.LogSpiral):
         _verify_spiral(family, times, checks, args.seed)
@@ -433,7 +432,7 @@ def _write_table(path, columns, rows, fmt):
 
 def cmd_quantities(args):
     family = _build_family(args)
-    times = _sample_times(args)
+    times = _sample_times(args, family.dim)
     if args.out is None:
         raise ConfigError("out: required for quantities")
     rows = _quantity_table(times, _family_jets(family, times))

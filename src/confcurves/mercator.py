@@ -5,8 +5,8 @@ derivative vectors is constant along the curve.  Writing the associated
 second-order Lagrangian in Ostrogradsky variables produces a polynomial
 Hamiltonian on the 4n-dimensional phase space ``(X, U, P, R)``; the
 functions here convert between the two pictures, integrate the flow with
-classical RK4, and evaluate Poisson brackets by central differences.  An
-RK4 step is straight-line float code generated and compiled once per
+classical RK4, and evaluate Poisson brackets by complex step.  An RK4
+step is straight-line float code generated and compiled once per
 dimension: the same bits on every CPU and BLAS, and those of a loop.
 """
 
@@ -34,7 +34,7 @@ __all__ = [
     "hamiltonian",
     "hamilton_rhs",
     "integrate",
-    "poisson_bracket_fd",
+    "poisson_bracket",
     "taylor_lift",
 ]
 
@@ -69,10 +69,6 @@ class PhasePoint:
     def u2(self):
         u2 = _dot(self.U, self.U)
         return float(u2) if u2.ndim == 0 else u2
-
-    def require_row(self, what):
-        if self.X.ndim != 1:
-            raise ValueError(f"{what} takes one phase point, got a stack of shape {self.X.shape[:-1]}")
 
     def flat(self):
         return np.concatenate([self.X, self.U, self.P, self.R], axis=-1)
@@ -143,14 +139,11 @@ def phase_from_jet(coeffs) -> PhasePoint:
 
 def accel_from_phase(p: PhasePoint):
     """Invert the momentum definitions for the second and third derivative
-    vectors."""
-    p.require_row("accel_from_phase")
-    u2 = p.u2
-    UR = float(p.U @ p.R)
-    UP = float(p.U @ p.P)
-    R2 = float(p.R @ p.R)
-    A = -2 * UR * p.U + u2 * p.R
-    Ap = (2 * UP + 4 * UR**2 - u2 * R2) * p.U - 2 * u2 * UR * p.R - u2 * p.P
+    vectors, over the leading axes of a stacked point."""
+    U, P, R = p.U, p.P, p.R
+    u2, UR, UP, R2 = (_dot(a, b)[..., None] for a, b in ((U, U), (U, R), (U, P), (R, R)))
+    A = -2 * UR * U + u2 * R
+    Ap = (2 * UP + 4 * np.float_power(UR, 2) - u2 * R2) * U - 2 * u2 * UR * R - u2 * P
     return A, Ap
 
 
@@ -227,7 +220,8 @@ def _kernel(n):
 def hamilton_rhs(p: PhasePoint) -> np.ndarray:
     """Right-hand sides of the four first-order equations of motion, laid
     out like :meth:`PhasePoint.flat`, with the bits of an RK4 stage."""
-    p.require_row("hamilton_rhs")
+    if p.X.ndim != 1:
+        raise ValueError(f"hamilton_rhs takes one phase point, got a stack of shape {p.X.shape[:-1]}")
     return np.array(_kernel(p.dim)["rhs"](*p.flat().tolist()))
 
 
@@ -300,33 +294,31 @@ def integrate(p0: PhasePoint, t_end: float, h: float = 1e-3, store_every: int = 
     return _trajectory(ts, states, n, h, y)
 
 
-def poisson_bracket_fd(f, g, p: PhasePoint, step: float = 1e-5):
-    """Canonical bracket of two phase functions by central differences.
+_STEP = 1e-30  # the complex step: far below round-off of any order-unity coordinate
 
-    The per-coordinate step is ``step * (1 + |coordinate|)``, balancing
-    truncation against round-off for order-unity data.
+
+def poisson_bracket(f, g, p: PhasePoint):
+    """Canonical bracket ``{f, g}`` of two phase functions at a point or at
+    every row of a stacked one: a float for one point, an array over the
+    leading axes of a stack.
+
+    ``f`` and ``g`` map component arrays ``(X, U, P, R)`` with leading batch
+    axes to their values over those axes, as :func:`hamiltonian_stack` and
+    :func:`confcurves.symmetries.e_stack` do.  Each gradient is a complex
+    step, ``Im f(y + i h e_k) / h`` with ``h = 1e-30`` for all ``4n``
+    directions of every row in one complex batch: exact to round-off for
+    real polynomials, with nothing to tune.  A function that casts its
+    input to float (such as :func:`confcurves.symmetries.q_phase`, whose
+    determinants do) loses the imaginary part, and reads a bracket of 0;
+    numpy warns with a ``ComplexWarning``.
     """
     n = p.dim
-    y = p.flat()
-
-    def grad(fun):
-        out = np.empty(4 * n)
-        for i in range(4 * n):
-            hi = step * (1.0 + abs(y[i]))
-            yp = y.copy()
-            ym = y.copy()
-            yp[i] += hi
-            ym[i] -= hi
-            out[i] = (
-                fun(PhasePoint.from_flat(yp, n)) - fun(PhasePoint.from_flat(ym, n))
-            ) / (2.0 * hi)
-        return out
-
-    df = grad(f)
-    dg = grad(g)
-    dfX, dfU, dfP, dfR = df[0:n], df[n : 2 * n], df[2 * n : 3 * n], df[3 * n :]
-    dgX, dgU, dgP, dgR = dg[0:n], dg[n : 2 * n], dg[2 * n : 3 * n], dg[3 * n :]
-    return float(dfX @ dgP + dfU @ dgR - dgX @ dfP - dgU @ dfR)
+    y = p.flat()[..., None, :] + 1j * _STEP * np.eye(4 * n)
+    df, dg = (np.imag(fun(*np.split(y, 4, axis=-1))) / _STEP for fun in (f, g))
+    # the symplectic pairing: positions (X, U) against momenta (P, R)
+    (fq, fm), (gq, gm) = np.split(df, 2, axis=-1), np.split(dg, 2, axis=-1)
+    bracket = _dot(fq, gm) - _dot(gq, fm)
+    return float(bracket) if bracket.ndim == 0 else bracket
 
 
 def taylor_lift(states, order: int = 6) -> np.ndarray:

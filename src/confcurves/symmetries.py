@@ -13,7 +13,7 @@ import numpy as np
 
 from .curves import _speed_sq, derivatives
 from .jets import _dot, _recip, _stack_product, _sum_rows
-from .mercator import PhasePoint, flow_vector_stack, hamiltonian, poisson_bracket_fd
+from .mercator import PhasePoint, flow_vector_stack, hamiltonian_stack, poisson_bracket
 from .multilinear import index_tuples
 from .tractors import _pairing_families, q_keys, quantity_family
 
@@ -166,12 +166,6 @@ class EQuantities:
     E_D: float
     E_S: np.ndarray
 
-    def rotation_vector3(self):
-        """3-d packing of the rotation matrix as an axial vector."""
-        if self.E_T.size != 3:
-            raise ValueError("axial packing needs dimension 3")
-        return np.array([self.E_R[1, 2], -self.E_R[0, 2], self.E_R[0, 1]])
-
 
 def e_stack(X, U, P, R) -> EQuantities:
     """The basis quantities of :func:`e_quantities` over leading batch axes
@@ -260,49 +254,53 @@ def quantity_identities(p: PhasePoint):
 @dataclass(frozen=True, eq=False)
 class ThreeDReduction:
     Q1: np.ndarray
-    Q2: float
-    Q3: float
-    H_from_E: float
+    Q2: np.ndarray
+    Q3: np.ndarray
+    H_from_E: np.ndarray
 
 
-def three_d_reduction(p: PhasePoint) -> ThreeDReduction:
-    """Dimension-three repackaging: the rank-2 quantities as an axial
-    vector, single scalars for the two rank-3 families, and the
-    Hamiltonian rewritten through the basis quantities."""
-    p.require_row("three_d_reduction")
-    if p.dim != 3:
+def three_d_reduction(q: PhasePoint | EQuantities) -> ThreeDReduction:
+    """Dimension-three repackaging of the basis quantities ``q`` (or those
+    of a phase point, :func:`e_quantities`) over their leading axes: the
+    rank-2 quantities as an axial vector, single scalars for the two rank-3
+    families, and the Hamiltonian rewritten through the basis quantities."""
+    e = e_quantities(q) if isinstance(q, PhasePoint) else q
+    if e.E_T.shape[-1] != 3:
         raise ValueError("reduction requires dimension 3")
-    e = e_quantities(p)
-    er = e.rotation_vector3()
-    q1 = 0.5 * np.cross(e.E_T, e.E_S) - e.E_D * er
-    q2 = 0.5 * float(er @ e.E_S)
-    q3 = -float(e.E_T @ er)
-    h = 0.5 * (float(er @ er) - float(e.E_T @ e.E_S) - e.E_D**2)
+    # the axial vector (E_R[1, 2], -E_R[0, 2], E_R[0, 1])
+    er = e.E_R[..., (1, 0, 0), (2, 2, 1)] * np.array([1.0, -1.0, 1.0])
+    E_D = np.asarray(e.E_D)
+    q1 = 0.5 * np.cross(e.E_T, e.E_S) - E_D[..., None] * er
+    q2 = 0.5 * _dot(er, e.E_S)
+    q3 = -_dot(e.E_T, er)
+    h = 0.5 * (_dot(er, er) - _dot(e.E_T, e.E_S) - np.float_power(E_D, 2))
     return ThreeDReduction(q1, q2, q3, h)
 
 
-def involutivity_check(points, step: float = 1e-5):
+def involutivity_check(points: PhasePoint):
     """Pairwise brackets among the five-element involutive set (the three
     translation quantities, the mixed rank-3 scalar, and the Hamiltonian)
-    at each supplied 3-d phase point; returns the max |bracket| per pair."""
+    over a stack of 3-d phase points; returns the max |bracket| per pair.
+
+    Each pair is one :func:`confcurves.mercator.poisson_bracket` call, a
+    complex step through :func:`e_stack`, :func:`three_d_reduction` and
+    :func:`confcurves.mercator.hamiltonian_stack`, none of which casts to
+    float; ``Q_3`` through :func:`q_phase`, whose determinants do, would
+    read 0."""
+    if points.dim != 3:
+        raise ValueError("involutivity table requires dimension 3")
 
     def et(i):
-        return lambda q: float(q.P[i])
+        return lambda X, U, P, R: P[..., i]
 
     fns = {
         "E_T1": et(0),
         "E_T2": et(1),
         "E_T3": et(2),
-        "Q_3": lambda q: three_d_reduction(q).Q3,
-        "H": hamiltonian,
+        "Q_3": lambda X, U, P, R: three_d_reduction(e_stack(X, U, P, R)).Q3,
+        "H": lambda X, U, P, R: hamiltonian_stack(U, P, R),
     }
-    names = list(fns)
-    table = {}
-    for a, b in itertools.combinations(names, 2):
-        worst = 0.0
-        for p in points:
-            if p.dim != 3:
-                raise ValueError("involutivity table requires dimension 3")
-            worst = max(worst, abs(poisson_bracket_fd(fns[a], fns[b], p, step)))
-        table[(a, b)] = worst
-    return table
+    return {
+        (a, b): float(np.max(np.abs(poisson_bracket(fns[a], fns[b], points))))
+        for a, b in itertools.combinations(fns, 2)
+    }

@@ -1,7 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from confcurves import Circle, LogSpiral, PhasePoint, TransformedSpiral, coefficients
+from confcurves import (
+    Circle,
+    LogSpiral,
+    PhasePoint,
+    TransformedSpiral,
+    coefficients,
+    e_stack,
+    hamiltonian_stack,
+    three_d_reduction,
+)
 from confcurves.tractors import canonical_tractor_stack, q_keys
 
 
@@ -19,6 +30,55 @@ def random_phase_point(rng, n, min_u2=0.1):
         y = rng.uniform(-1.0, 1.0, 4 * n)
         if float(y[n : 2 * n] @ y[n : 2 * n]) >= min_u2:
             return PhasePoint.from_flat(y, n)
+
+
+def stacked(points):
+    """One phase point stacking the rows of a list of one-row points."""
+    return PhasePoint.from_flat(np.stack([p.flat() for p in points]), points[0].dim)
+
+
+def energy(X, U, P, R):
+    """The Hamiltonian as a phase function over batch axes."""
+    return hamiltonian_stack(U, P, R)
+
+
+def three_d_functions():
+    """The fifteen conserved quantities of a 3-d phase point by name, as
+    phase functions ``(X, U, P, R)`` over batch axes: the five reduced
+    pairing quantities of ``three_d_reduction`` and the ten basis
+    quantities of ``e_stack``."""
+
+    def reduced(*y):
+        return three_d_reduction(e_stack(*y))
+
+    fns = {f"Q1_{i}": lambda *y, i=i: reduced(*y).Q1[..., i] for i in range(3)}
+    fns["Q2"] = lambda *y: reduced(*y).Q2
+    fns["Q3"] = lambda *y: reduced(*y).Q3
+    for i in range(3):
+        fns[f"E_T{i}"] = lambda *y, i=i: e_stack(*y).E_T[..., i]
+        fns[f"E_S{i}"] = lambda *y, i=i: e_stack(*y).E_S[..., i]
+    for i, j in itertools.combinations(range(3), 2):
+        fns[f"E_R{i}{j}"] = lambda *y, i=i, j=j: e_stack(*y).E_R[..., i, j]
+    fns["E_D"] = lambda *y: e_stack(*y).E_D
+    return fns
+
+
+def central_difference_bracket(f, g, p, step=1e-5):
+    """Canonical bracket of two phase functions ``(X, U, P, R)`` at one phase
+    point by central differences: the oracle of the complex-step
+    ``poisson_bracket``.  The step along coordinate ``i`` is ``step * (1 +
+    |y_i|)``, balancing truncation against round-off for order-unity data;
+    the ``4n`` shifted points of each sign are one batch."""
+    y = p.flat()
+    hi = step * (1.0 + np.abs(y))
+
+    def grad(fun):
+        plus, minus = (fun(*np.split(y + sign * np.diag(hi), 4, axis=-1)) for sign in (1.0, -1.0))
+        return (plus - minus) / (2.0 * hi)
+
+    dfX, dfU, dfP, dfR = np.split(grad(f), 4)
+    dgX, dgU, dgP, dgR = np.split(grad(g), 4)
+    return float(dfX @ dgP + dfU @ dgR - dgX @ dfP - dgU @ dfR)
 
 
 def random_spiral(rng, n, c=None):

@@ -490,6 +490,21 @@ class TestMemory:
         assert peak <= 40e6
 
 
+@pytest.mark.parametrize("command", ["verify", "quantities"])
+def test_oversized_samples_are_config_errors(tmp_path, capsys, monkeypatch, command):
+    # 29,128 rows of 36 columns pass the 2^20-cell bound of integrate's
+    # stored rows, and no jet stack is made; 29,127 rows get to the family
+    def reached(*args):
+        raise AssertionError("the family was evaluated")
+
+    monkeypatch.setattr(cli, "_family_jets", reached)
+    out = str(tmp_path / "x.csv")
+    for samples in ("29128", "400000000"):
+        assert_config_error([command, *SPIRAL_ARGS, "--samples", samples, "--out", out], capsys)
+    with pytest.raises(AssertionError, match="the family was evaluated"):
+        main([command, *SPIRAL_ARGS, "--samples", "29127", "--out", out])
+
+
 class TestQuantities:
     def test_circle_table_marks_undefined(self, tmp_path):
         out = tmp_path / "q.csv"

@@ -16,7 +16,7 @@ from confcurves import (
     integrate,
     lagrangians,
     phase_from_jet,
-    poisson_bracket_fd,
+    poisson_bracket,
     q_phase,
     Trajectory,
     flow_vector_stack,
@@ -25,16 +25,19 @@ from confcurves import (
     taylor_lift,
 )
 from confcurves.curves import VELOCITY_FLOOR, DegenerateVelocityError
+from confcurves.jets import _dot
 from confcurves.mercator import FlowDegeneracyError, _kernel_source
 
 from conftest import (
     assert_same_bits,
+    energy,
     random_circle,
     random_curve_jet,
     random_phase_point,
     random_spiral,
     random_transformed_spiral,
     row_sets,
+    stacked,
 )
 from jet_oracle import JetScalar
 
@@ -285,7 +288,7 @@ class TestHamiltonian:
         for _ in range(100):
             p = random_phase_point(rng, 3)
             e = e_quantities(p)
-            er = e.rotation_vector3()
+            er = np.array([e.E_R[1, 2], -e.E_R[0, 2], e.E_R[0, 1]])
             rhs = 0.5 * (float(er @ er) - float(e.E_T @ e.E_S) - e.E_D**2)
             assert hamiltonian(p) == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
@@ -787,34 +790,50 @@ class TestIntegrate:
             integrate(p0, -1.0, h=1e-3)
 
 
+def coordinate(k):
+    """The ``k``-th coordinate of :meth:`PhasePoint.flat` as a phase function."""
+    return lambda *y: np.concatenate(y, axis=-1)[..., k]
+
+
 class TestPoissonBracket:
     def test_canonical_pairs(self, rng):
-        p = random_phase_point(rng, 3)
-        for i in range(3):
-            bracket = poisson_bracket_fd(
-                lambda q, i=i: q.X[i], lambda q, i=i: q.P[i], p
-            )
-            assert bracket == pytest.approx(1.0, abs=1e-9)
-            bracket = poisson_bracket_fd(
-                lambda q, i=i: q.U[i], lambda q, i=i: q.R[i], p
-            )
-            assert bracket == pytest.approx(1.0, abs=1e-9)
-            bracket = poisson_bracket_fd(
-                lambda q, i=i: q.X[i], lambda q, i=i: q.R[i], p
-            )
-            assert bracket == pytest.approx(0.0, abs=1e-9)
+        # {y_j, y_k} over a stack: 1 for (position, its momentum), -1 for
+        # the reverse, 0 otherwise, with no round-off
+        for n in range(1, 5):
+            points = stacked([random_phase_point(rng, n) for _ in range(5)])
+            zero, one = np.zeros((2 * n, 2 * n)), np.eye(2 * n)
+            form = np.block([[zero, one], [-one, zero]])
+            for j, k in itertools.product(range(4 * n), repeat=2):
+                bracket = poisson_bracket(coordinate(j), coordinate(k), points)
+                assert np.array_equal(bracket, np.full(5, form[j, k]))
+
+    def test_coordinate_brackets_with_energy_are_the_rhs(self, rng):
+        # {y_k, H} is the k-th equation of motion: the route reads the flow,
+        # not 0 by construction
+        for n in range(1, 9):
+            for _ in range(10):
+                p = random_phase_point(rng, n)
+                rhs = hamilton_rhs(p)
+                got = np.array([poisson_bracket(coordinate(k), energy, p) for k in range(4 * n)])
+                assert np.max(np.abs(got - rhs)) <= 1e-14 * np.max(np.abs(rhs))
 
     def test_self_bracket_vanishes(self, rng):
         p = random_phase_point(rng, 3)
-        assert abs(poisson_bracket_fd(hamiltonian, hamiltonian, p)) <= 1e-10
+        assert abs(poisson_bracket(energy, energy, p)) <= 1e-12
 
     def test_dilatation_quantity_conserved(self, rng):
-        def e_d(q):
-            return float(q.X @ q.P) + float(q.U @ q.R)
+        def e_d(X, U, P, R):
+            return _dot(X, P) + _dot(U, R)
 
-        for _ in range(50):
-            p = random_phase_point(rng, 3)
-            assert abs(poisson_bracket_fd(e_d, hamiltonian, p)) <= 1e-6
+        points = stacked([random_phase_point(rng, 3) for _ in range(50)])
+        assert np.max(np.abs(poisson_bracket(e_d, energy, points))) <= 1e-12
+
+    def test_stacked_bracket_equals_its_rows(self, rng):
+        for n in (1, 3, 6):
+            rows = [random_phase_point(rng, n) for _ in range(6)]
+            got = poisson_bracket(coordinate(1), energy, stacked(rows))
+            assert_same_bits(got, [poisson_bracket(coordinate(1), energy, p) for p in rows])
+            assert all(type(poisson_bracket(energy, coordinate(0), p)) is float for p in rows)
 
 
 def substitution_lift(y, n, order):
@@ -889,9 +908,12 @@ class TestStackedPointHelpers:
         stack = four_row_point(rng)
         assert_same_bits(hamiltonian(stack), [hamiltonian(p) for p in self.rows(stack)])
 
-    @pytest.mark.parametrize(
-        "helper", [hamilton_rhs, accel_from_phase], ids=lambda f: f.__name__
-    )
+    def test_accel_from_phase_is_per_row(self, rng):
+        stack = four_row_point(rng)
+        for got, want in zip(accel_from_phase(stack), zip(*map(accel_from_phase, self.rows(stack)))):
+            assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("helper", [hamilton_rhs], ids=lambda f: f.__name__)
     def test_one_row_helper_names_the_stack(self, rng, helper):
         message = rf"^{helper.__name__} takes one phase point, got a stack of shape \(4,\)$"
         with pytest.raises(ValueError, match=message):

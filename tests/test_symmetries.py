@@ -18,7 +18,7 @@ from confcurves import (
     involutivity_check,
     noether_stack,
     phase_from_jet,
-    poisson_bracket_fd,
+    poisson_bracket,
     q_phase,
     quantity_identities,
     three_d_reduction,
@@ -29,6 +29,8 @@ from confcurves.multilinear import index_tuples
 from confcurves.tractors import _pairing_families, q_keys, q_stack, quantity_family
 from conftest import (
     assert_same_bits,
+    central_difference_bracket,
+    energy,
     keyed,
     random_circle,
     random_curve_jet,
@@ -36,6 +38,8 @@ from conftest import (
     random_spiral,
     random_transformed_spiral,
     row_sets,
+    stacked,
+    three_d_functions,
 )
 from jet_oracle import JetScalar
 
@@ -330,56 +334,59 @@ class TestPoissonStructure:
     def test_translation_brackets_vanish_exactly(self, rng):
         p = random_phase_point(rng, 3)
         for i, j in itertools.combinations(range(3), 2):
-            val = poisson_bracket_fd(
-                lambda q, i=i: float(q.P[i]), lambda q, j=j: float(q.P[j]), p
-            )
+            val = poisson_bracket(lambda *y, i=i: y[2][..., i], lambda *y, j=j: y[2][..., j], p)
             assert val == 0.0
 
     def test_involutive_set(self, rng):
-        points = [random_phase_point(rng, 3) for _ in range(10)]
+        points = stacked([random_phase_point(rng, 3) for _ in range(10)])
         table = involutivity_check(points)
         for pair, val in table.items():
-            assert val <= 1e-6, pair
+            assert val <= 1e-12, pair
+
+    def test_involutive_set_needs_dimension_three(self, rng):
+        with pytest.raises(ValueError, match="dimension 3"):
+            involutivity_check(stacked([random_phase_point(rng, 4) for _ in range(2)]))
 
     def test_all_quantities_commute_with_energy(self, rng):
-        fns = []
-        for i in range(3):
-            fns.append(lambda p, i=i: float(e_quantities(p).E_T[i]))
-            fns.append(lambda p, i=i: float(e_quantities(p).E_S[i]))
-        for i, j in itertools.combinations(range(3), 2):
-            fns.append(lambda p, i=i, j=j: float(e_quantities(p).E_R[i, j]))
-        fns.append(lambda p: e_quantities(p).E_D)
-        keys = [(0, 1, 2, 4), (0, 1, 3, 4), (0, 2, 3, 4), (0, 1, 2, 3), (1, 2, 3, 4)]
-        for key in keys:
-            fns.append(lambda p, key=key: keyed(q_phase(p), 3)[key])
-        for _ in range(10):
-            p = random_phase_point(rng, 3)
-            for f in fns:
-                assert abs(poisson_bracket_fd(f, hamiltonian, p)) <= 1e-6
+        points = stacked([random_phase_point(rng, 3) for _ in range(10)])
+        for name, f in three_d_functions().items():
+            assert np.max(np.abs(poisson_bracket(f, energy, points))) <= 1e-12, name
+
+    def test_complex_step_matches_central_differences(self):
+        # the central-difference oracle at criterion 8's points, against the
+        # energy and against E_S0, whose brackets with the others are O(1)
+        rng = np.random.default_rng(23)
+        rows = [random_phase_point(rng, 3) for _ in range(50)]
+        fns = three_d_functions()
+        for g in (energy, fns["E_S0"]):
+            for name, f in fns.items():
+                got = poisson_bracket(f, g, stacked(rows))
+                want = [central_difference_bracket(f, g, p) for p in rows]
+                assert np.max(np.abs(got - want)) <= 1e-6, name
+
+    def test_a_float_cast_warns(self, rng):
+        # a function that casts to float has no imaginary part to read
+        def q3(X, U, P, R):
+            return q_phase(PhasePoint(X, U, P, R))[..., -1]
+
+        with pytest.warns(np.exceptions.ComplexWarning):
+            poisson_bracket(q3, energy, random_phase_point(rng, 3))
 
     def test_basis_brackets_close_in_span(self, rng):
         # brackets of basis quantities are fixed linear combinations of
         # basis quantities: fit coefficients on half the points, check the
         # rest (no assertion about which combination appears)
-        def components(p):
-            e = e_quantities(p)
-            out = [e.E_D, *e.E_T, *e.E_S]
-            out += [e.E_R[i, j] for i, j in itertools.combinations(range(3), 2)]
-            return np.array(out)
-
-        pairs = [
-            (lambda p: float(e_quantities(p).E_T[0]), lambda p: float(e_quantities(p).E_S[0])),
-            (lambda p: float(e_quantities(p).E_T[0]), lambda p: float(e_quantities(p).E_S[1])),
-            (lambda p: float(e_quantities(p).E_R[0, 1]), lambda p: float(e_quantities(p).E_R[1, 2])),
-            (lambda p: e_quantities(p).E_D, lambda p: float(e_quantities(p).E_S[2])),
-        ]
-        points = [random_phase_point(rng, 3) for _ in range(26)]
-        basis = np.array([components(p) for p in points])
+        fns = three_d_functions()
+        names = ["E_D", "E_T0", "E_T1", "E_T2", "E_S0", "E_S1", "E_S2", "E_R01", "E_R02", "E_R12"]
+        pairs = [("E_T0", "E_S0"), ("E_T0", "E_S1"), ("E_R01", "E_R12"), ("E_D", "E_S2")]
+        points = stacked([random_phase_point(rng, 3) for _ in range(26)])
+        y = (points.X, points.U, points.P, points.R)
+        basis = np.stack([fns[name](*y) for name in names], axis=-1)
         for f, g in pairs:
-            brackets = np.array([poisson_bracket_fd(f, g, p) for p in points])
+            brackets = poisson_bracket(fns[f], fns[g], points)
             coeffs, *_ = np.linalg.lstsq(basis[:13], brackets[:13], rcond=None)
             predicted = basis[13:] @ coeffs
-            assert np.max(np.abs(predicted - brackets[13:])) <= 1e-5 * (
+            assert np.max(np.abs(predicted - brackets[13:])) <= 1e-12 * (
                 1.0 + np.max(np.abs(brackets))
             )
 
@@ -633,12 +640,13 @@ class TestStackedPhasePoints:
             for name in ("E_T", "E_R", "E_S"):
                 assert_same_bits(getattr(e, name)[k], getattr(want, name))
 
-    def test_three_d_reduction_names_the_stack(self, rng):
-        rows = np.stack([random_phase_point(rng, 3).flat() for _ in range(4)])
-        stack = PhasePoint.from_flat(rows, 3)
-        message = r"^three_d_reduction takes one phase point, got a stack of shape \(4,\)$"
-        with pytest.raises(ValueError, match=message):
-            three_d_reduction(stack)
+    def test_three_d_reduction_is_per_row(self, rng):
+        # of the stacked point, and of its basis quantities
+        points = [random_phase_point(rng, 3) for _ in range(4)]
+        stack = stacked(points)
+        for got in (three_d_reduction(stack), three_d_reduction(e_stack(stack.X, stack.U, stack.P, stack.R))):
+            for name in ("Q1", "Q2", "Q3", "H_from_E"):
+                assert_same_bits(getattr(got, name), [getattr(three_d_reduction(p), name) for p in points])
 
     def test_one_slow_row_is_degenerate(self, rng):
         y = np.stack([random_phase_point(rng, 3).flat() for _ in range(5)])
