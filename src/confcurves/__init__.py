@@ -14,29 +14,20 @@ from .jets import JetDomainError, JetError
 from .mercator import (
     PhasePoint,
     Trajectory,
-    accel_from_phase,
     circle_residual_stack,
     flow_vector_stack,
-    hamilton_rhs,
     hamiltonian,
     hamiltonian_stack,
     integrate,
-    lagrangians,
     momenta_stack,
     phase_from_jet,
     poisson_bracket,
     taylor_lift,
 )
-from .multilinear import (
-    epsilon,
-    wedge,
-    wedge_pair,
-)
+from .multilinear import wedge
 from .symmetries import (
     EQuantities,
     KillingField,
-    ckv_eval,
-    conformal_factor,
     e_quantities,
     e_stack,
     f_generic_stack,
@@ -49,7 +40,6 @@ from .symmetries import (
 from .tractors import (
     GramStack,
     IdentityResiduals,
-    UndefinedInvariantError,
     canonical_tractor_stack,
     closed_form_alpha1_delta4,
     alpha1_stationary_stack,
@@ -57,7 +47,6 @@ from .tractors import (
     identity_residual_stack,
     is_conformal_circle,
     parallel_defect,
-    parallel_section_oracle,
     q_circle_stack,
     q_stack,
     quantity_family,

@@ -132,7 +132,9 @@ def _family_vectors(args, kind, fields):
     return vectors
 
 
-def _build_family(args):
+def _build_family(args, window):
+    """The family of the command line; a transformed spiral scans the times
+    ``window = (lo, hi)`` that the command evaluates for a pole."""
     kind = args.family
     if kind is None:
         raise ConfigError("family: required")
@@ -147,16 +149,20 @@ def _build_family(args):
             return spiral
         if args.b is None:
             raise ConfigError("b: required for family tspiral")
-        return families.TransformedSpiral(spiral, _parse_vector(args.b, "b"))
+        return families.TransformedSpiral(spiral, _parse_vector(args.b, "b"), window)
     except families.FamilyError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _window(args):
+    """The sample window ``(t0, t1)``, by default ``(-1, 1)``."""
+    return (args.t0 if args.t0 is not None else -1.0, args.t1 if args.t1 is not None else 1.0)
 
 
 def _sample_times(args, n):
     """The sample window, once a quantity table of its samples in dimension
     ``n`` fits the cell budget that bounds ``integrate``'s stored rows."""
-    t0 = args.t0 if args.t0 is not None else -1.0
-    t1 = args.t1 if args.t1 is not None else 1.0
+    t0, t1 = _window(args)
     if not t1 > t0:
         raise ConfigError(f"window: need t1 > t0, got [{t0}, {t1}]")
     columns = len(_quantity_columns(n))
@@ -238,8 +244,9 @@ def _verify_spiral(spiral, times, checks, seed):
         worst_match = max(worst_match, float(np.max(np.abs(closed - piped))))
     checks.add("acceleration_tractor_square", worst_square, 1e-10)
     checks.add("acceleration_tractor_matches_pipeline", worst_match, 1e-10)
-    # an undefined kappa_1 is NaN, and a NaN measurement fails its check
-    checks.add("kappa1_matches", np.max(np.abs(g.kappa1 + (c**2 - 1.0) / (2 * c))), 1e-8)
+    # kappa_1 is even in c, as delta_4 and alpha_1 are; an undefined kappa_1
+    # is NaN, and a NaN measurement fails its check
+    checks.add("kappa1_matches", np.max(np.abs(g.kappa1 + (c**2 - 1.0) / (2 * abs(c)))), 1e-8)
     checks.add("kappa1_constant", _spread(g.kappa1), 1e-8)
     _verify_noether(coeffs, derivs, checks, seed)
     hs = mercator.hamiltonian_stack(derivs[1], *mercator.momenta_stack(*derivs[1:]))
@@ -330,7 +337,7 @@ def _verify_tspiral(tspiral, times, checks, seed):
 
 
 def cmd_verify(args):
-    family = _build_family(args)
+    family = _build_family(args, _window(args))
     if family.dim < 2:
         raise ConfigError(f"n: verify needs dimension at least 2, got {family.dim}")
     if args.samples < 2:
@@ -431,7 +438,7 @@ def _write_table(path, columns, rows, fmt):
 
 
 def cmd_quantities(args):
-    family = _build_family(args)
+    family = _build_family(args, _window(args))
     times = _sample_times(args, family.dim)
     if args.out is None:
         raise ConfigError("out: required for quantities")
@@ -448,8 +455,8 @@ def cmd_quantities(args):
 
 def _initial_phase(args):
     if args.family is not None:
-        family = _build_family(args)
         t0 = args.t0 if args.t0 is not None else 0.0
+        family = _build_family(args, (t0, t0))
         return mercator.phase_from_jet(_family_jets(family, [t0])[0])
     if any(getattr(args, k) is None for k in ("x", "u", "p", "r")):
         raise ConfigError("initial point: give either --family or all of --x --u --p --r")

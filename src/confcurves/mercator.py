@@ -4,7 +4,7 @@ The flow says that a particular vector ``C`` built from the first three
 derivative vectors is constant along the curve.  Writing the associated
 second-order Lagrangian in Ostrogradsky variables produces a polynomial
 Hamiltonian on the 4n-dimensional phase space ``(X, U, P, R)``; the
-functions here convert between the two pictures, integrate the flow with
+functions here take curve data to phase points, integrate the flow with
 classical RK4, and evaluate Poisson brackets by complex step.  An RK4
 step is straight-line float code generated and compiled once per
 dimension: the same bits on every CPU and BLAS, and those of a loop.
@@ -27,12 +27,9 @@ __all__ = [
     "flow_vector_stack",
     "momenta_stack",
     "hamiltonian_stack",
-    "lagrangians",
     "circle_residual_stack",
     "phase_from_jet",
-    "accel_from_phase",
     "hamiltonian",
-    "hamilton_rhs",
     "integrate",
     "poisson_bracket",
     "taylor_lift",
@@ -65,11 +62,6 @@ class PhasePoint:
     def dim(self):
         return self.X.shape[-1]
 
-    @property
-    def u2(self):
-        u2 = _dot(self.U, self.U)
-        return float(u2) if u2.ndim == 0 else u2
-
     def flat(self):
         return np.concatenate([self.X, self.U, self.P, self.R], axis=-1)
 
@@ -96,23 +88,6 @@ def flow_vector_stack(U, A, Ap):
     ) / u2
 
 
-def lagrangians(coeffs):
-    """Third- and second-order Lagrangians ``L``, ``L1`` of every row of a
-    coefficient stack ``(..., n, order+1)``.
-
-    They differ by the total derivative of ``u^{-2} <U, A>``, which is
-    ``(<A, A> + <U, A'>) / u^2 - 2 <U, A>^2 / u^4``, so ``L`` needs one
-    more derivative level.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    _speed_sq(coeffs, 3, "Lagrangian")
-    U, A, Ap = derivatives(coeffs, 4)[1:]
-    u2, UA, AA = _dot(U, U), _dot(U, A), _dot(A, A)
-    UA2_u4 = np.float_power(UA, 2) / np.float_power(u2, 2)
-    L1 = 0.5 * AA / u2 - UA2_u4
-    return L1 + (AA + _dot(U, Ap)) / u2 - 2 * UA2_u4, L1
-
-
 def circle_residual_stack(U, A, Ap):
     """Left side of the third-order conformal-circle equation (zero exactly
     on projective circles and lines), over leading batch axes."""
@@ -135,16 +110,6 @@ def phase_from_jet(coeffs) -> PhasePoint:
     _speed_sq(coeffs, 3, "flow vector")
     X, U, A, Ap = derivatives(coeffs, 4)
     return PhasePoint(X, U, *momenta_stack(U, A, Ap))
-
-
-def accel_from_phase(p: PhasePoint):
-    """Invert the momentum definitions for the second and third derivative
-    vectors, over the leading axes of a stacked point."""
-    U, P, R = p.U, p.P, p.R
-    u2, UR, UP, R2 = (_dot(a, b)[..., None] for a, b in ((U, U), (U, R), (U, P), (R, R)))
-    A = -2 * UR * U + u2 * R
-    Ap = (2 * UP + 4 * np.float_power(UR, 2) - u2 * R2) * U - 2 * u2 * UR * R - u2 * P
-    return A, Ap
 
 
 def hamiltonian_stack(U, P, R):
@@ -183,10 +148,10 @@ def _stage(u, r, p, du, dr):
 
 
 def _kernel_source(n):
-    """Python source of two straight-line float functions of a row ``x.., u..,
-    p.., r..`` laid out like :meth:`PhasePoint.flat`, for dimension ``n``:
-    ``rhs`` gives its rates ``(U, U', 0, R')``, and ``step(row, q.., half, h,
-    sixth)`` the row one RK4 step on, whose stages past the first see ``P = q``."""
+    """Python source of a straight-line float function ``step(row, q..,
+    half, h, sixth)`` for dimension ``n``: the row ``x.., u.., p.., r..``,
+    laid out like :meth:`PhasePoint.flat`, one RK4 step on, whose stages
+    past the first see ``P = q``."""
     if type(n) is not int or n < 1:
         raise ValueError(f"the RK4 kernel needs a positive int dimension, got {n!r}")
     x, u, p, r, q = ([f"{c}{i}" for i in range(n)] for c in "xuprq")
@@ -198,31 +163,17 @@ def _kernel_source(n):
         body += _stage(U[k], R[k], q, dU[k], dR[k])
     # (h/6) (((k1 + 2 k2) + 2 k3) + k4); the stage rates of X are the stage velocities
     update = "{} + sixth * ({} + 2.0 * {} + 2.0 * {} + {})".format
-    row = ", ".join(x + u + p + r)
-    return "\n\n".join(
-        "\n    ".join([f"def {head}:", *lines, "return (", *(f"    {v}," for v in out), ")"])
-        for head, lines, out in (
-            (f"rhs({row})", _stage(u, r, p, dU[0], dR[0]), u + dU[0] + ["0.0"] * n + dR[0]),
-            (f"step({row}, {', '.join(q)}, half, h, sixth)", body,
-             [*map(update, x + u, *(U[k] + dU[k] for k in range(4))), *q, *map(update, r, *dR)]),
-        )
-    ) + "\n"
+    out = [*map(update, x + u, *(U[k] + dU[k] for k in range(4))), *q, *map(update, r, *dR)]
+    head = f"def step({', '.join(x + u + p + r + q)}, half, h, sixth):"
+    return "\n    ".join([head, *body, "return (", *(f"    {v}," for v in out), ")"]) + "\n"
 
 
 @functools.cache
 def _kernel(n):
-    """The functions of :func:`_kernel_source` by name, compiled once per ``n``."""
+    """The ``step`` of :func:`_kernel_source`, compiled once per ``n``."""
     namespace = dict(globals(), isfinite=math.isfinite)
     exec(compile(_kernel_source(n), f"<rk4 kernel, n = {n}>", "exec"), namespace)
-    return namespace
-
-
-def hamilton_rhs(p: PhasePoint) -> np.ndarray:
-    """Right-hand sides of the four first-order equations of motion, laid
-    out like :meth:`PhasePoint.flat`, with the bits of an RK4 stage."""
-    if p.X.ndim != 1:
-        raise ValueError(f"hamilton_rhs takes one phase point, got a stack of shape {p.X.shape[:-1]}")
-    return np.array(_kernel(p.dim)["rhs"](*p.flat().tolist()))
+    return namespace["step"]
 
 
 @dataclass
@@ -276,7 +227,7 @@ def integrate(p0: PhasePoint, t_end: float, h: float = 1e-3, store_every: int = 
     if h <= 0 or t_end <= 0:
         raise ValueError("need h > 0 and t_end > 0")
     n = p0.dim
-    step, steps = _kernel(n)["step"], int(round(t_end / h))
+    step, steps = _kernel(n), int(round(t_end / h))
     y = tuple(p0.flat().tolist())
     ts, states, t = [0.0], [y], 0.0
     Ps = tuple(p + 0.0 for p in p0.P.tolist())

@@ -6,11 +6,9 @@ Conventions used throughout the package:
   quantities), ambient slot indices run ``0, 1, ..., n, n+1`` where slot 0
   is the distinguished null direction paired with slot ``n+1`` by the
   metric, and slots ``1..n`` are the Euclidean block.
-* ``epsilon(idx, vectors)`` is the determinant of the matrix whose rows
-  are the selected components and whose columns are the argument vectors,
-  for *any* index tuple (repeats give 0, odd reorderings flip the sign).
-  ``minors`` gives it on every increasing index tuple at once, as one
-  batched determinant; ``epsilon`` is the per-tuple oracle.
+* ``minors`` gives, for every increasing index tuple at once, the
+  determinant of the matrix whose rows are the selected components and
+  whose columns are the argument vectors, as one batched determinant.
 * A tractor is an ``(n+2)``-vector in slot order ``0, 1..n, n+1``: an
   ndarray of values, or of Taylor coefficients ``(n+2, order+1)`` when its
   parameter derivatives are tracked.
@@ -29,35 +27,12 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
-    "epsilon",
     "index_tuples",
     "minors",
     "tractor_metric_pair",
     "wedge",
-    "wedge_pair",
     "rho_wedge",
 ]
-
-
-def epsilon(idx, *vectors):
-    """Alternating tensor of rank ``len(idx)`` evaluated on ``vectors``.
-
-    ``idx`` holds 1-based component indices; the value is the determinant
-    of the matrix with rows ``idx`` and one column per vector.
-    """
-    m = len(idx)
-    if len(vectors) != m:
-        raise ValueError(f"rank-{m} epsilon needs exactly {m} vectors")
-    if len(set(idx)) < m:
-        return 0.0
-    mat = np.empty((m, m))
-    for col, v in enumerate(vectors):
-        v = np.asarray(v, dtype=float)
-        for row, i in enumerate(idx):
-            if not 1 <= i <= v.size:
-                raise ValueError(f"index {i} out of range 1..{v.size}")
-            mat[row, col] = v[i - 1]
-    return float(np.linalg.det(mat))
 
 
 @functools.cache
@@ -82,11 +57,11 @@ def minors(columns, border=None):
     ``columns`` (and of ``border``) are batch axes.
 
     Without ``border``, ``I`` runs over the ``k``-tuples and the values are
-    ``epsilon(I, V_1, ..., V_k)`` (with ``I`` shifted to 1-based indices).
-    With a vector ``border``, ``I`` runs over the ``(k-1)``-tuples and the
-    values are ``sum_l epsilon(I + (l,), V_1, ..., V_k) * border[l]``: by
-    multilinearity in the last row, the determinants of the rows ``I`` of
-    the stack bordered below by the one row ``border @ [V_1 .. V_k]``.
+    the determinants of the rows ``I`` of the stack.  With a vector
+    ``border``, ``I`` runs over the ``(k-1)``-tuples and the values are
+    ``sum_l det(rows I + (l,)) * border[l]``: by multilinearity in the last
+    row, the determinants of the rows ``I`` of the stack bordered below by
+    the one row ``border @ [V_1 .. V_k]``.
     """
     mat = np.asarray(columns, dtype=float)
     n, k = mat.shape[-2:]
@@ -132,17 +107,13 @@ class _SlotTables(NamedTuple):
 
     Each term of the nilpotent action is one entry of the ``rho_*`` arrays,
     listed in input-tuple order: the coefficient at ``rho_src`` times
-    ``rho_sign * x[rho_comp]`` lands on ``rho_dst``.  ``dual`` is the
-    position of each tuple's metric dual and ``dual_sign`` the sign of
-    their pairing.
+    ``rho_sign * x[rho_comp]`` lands on ``rho_dst``.
     """
 
     rho_dst: np.ndarray
     rho_src: np.ndarray
     rho_comp: np.ndarray
     rho_sign: np.ndarray
-    dual: np.ndarray
-    dual_sign: np.ndarray
 
 
 @functools.cache
@@ -170,15 +141,11 @@ def _slot_tables(ambient, rank):
                 new = idx[:pos] + (b,) + idx[pos + 1 :]
                 terms.append((position[tuple(sorted(new))], src, comp, sign * sort_sign(new)))
     terms = np.array(terms, dtype=np.intp).reshape(-1, 4)
-    # the metric pairs slot 0 with slot n+1 and each spatial slot with itself
-    partners = [tuple(n + 1 - a if a in (0, n + 1) else a for a in idx) for idx in slots]
     tables = _SlotTables(
         rho_dst=terms[:, 0],
         rho_src=terms[:, 1],
         rho_comp=terms[:, 2],
         rho_sign=terms[:, 3].astype(float),
-        dual=np.array([position[tuple(sorted(p))] for p in partners], dtype=np.intp),
-        dual_sign=np.array([float(sort_sign(p)) for p in partners]),
     )
     for arr in tables:
         arr.flags.writeable = False
@@ -198,23 +165,6 @@ def wedge(tractors):
     return minors(np.column_stack(tractors))
 
 
-def wedge_pair(a, b, rank):
-    """Metric pairing of two rank-``rank`` wedges: the determinant pairing of
-    simple wedges extended bilinearly to coefficient arrays.  ``b`` may
-    carry trailing batch axes, giving one pairing per batch entry."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 1 or b.shape[:1] != a.shape:
-        raise ValueError("wedge rank or ambient dimension mismatch")
-    ambient = rank
-    while math.comb(ambient, rank) < a.size:
-        ambient += 1
-    tables = _slot_tables(ambient, rank)
-    if tables.dual.size != a.size:
-        raise ValueError(f"{a.size} coefficients do not form a rank-{rank} wedge")
-    return (a * tables.dual_sign) @ b[tables.dual]
-
-
 def rho_wedge(x, w, rank):
     """Nilpotent slot action generated by a spatial vector ``x``, extended
     to rank-``rank`` wedges as a derivation: the top null slot feeds the
@@ -224,7 +174,7 @@ def rho_wedge(x, w, rank):
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
     tables = _slot_tables(x.size + 2, rank)
-    if w.shape[0] != tables.dual.size:
+    if w.shape[0] != math.comb(x.size + 2, rank):
         raise ValueError("spatial vector dimension mismatch")
     coef = (x[tables.rho_comp] * tables.rho_sign).reshape((-1,) + (1,) * (w.ndim - 1))
     out = np.zeros_like(w)

@@ -19,8 +19,6 @@ from .tractors import _pairing_families, q_keys, quantity_family
 
 __all__ = [
     "KillingField",
-    "ckv_eval",
-    "conformal_factor",
     "f_generic_stack",
     "noether_stack",
     "EQuantities",
@@ -77,18 +75,6 @@ class KillingField:
         return value if np.ndim(value) else float(value)
 
 
-def ckv_eval(field: KillingField, x):
-    """Value of the Killing field at a point."""
-    x = np.asarray(x, dtype=float)
-    return (
-        field.T
-        + field.R.T @ x
-        + field.a * x
-        + float(x @ x) * field.S
-        - 2.0 * float(field.S @ x) * x
-    )
-
-
 def _ckv_stack(field: KillingField, c):
     """The field on every row of position coefficients ``(..., n, m)``, exact
     since it is polynomial in the position: the linear parts act on the
@@ -103,14 +89,6 @@ def _ckv_stack(field: KillingField, c):
     )
     coeffs[..., 0] += field.T
     return coeffs
-
-
-def conformal_factor(field: KillingField, x):
-    """The trace part of the Killing equation (divergence over dimension):
-    the dilatation rate plus ``-2 S.x`` from the special conformal part;
-    isometries contribute nothing."""
-    x = np.asarray(x, dtype=float)
-    return field.a - 2.0 * float(field.S @ x)
 
 
 def f_generic_stack(field: KillingField, coeffs):

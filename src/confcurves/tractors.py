@@ -26,10 +26,9 @@ import numpy as np
 
 from .curves import _speed_sq, coefficients, derivatives
 from .jets import _dot, _recip, _sqrt, _stack_product, _sum_rows
-from .multilinear import minors, rho_wedge, tractor_metric_pair, wedge, wedge_pair
+from .multilinear import minors, rho_wedge, tractor_metric_pair, wedge
 
 __all__ = [
-    "UndefinedInvariantError",
     "GramStack",
     "canonical_tractor_stack",
     "gram_stack",
@@ -38,7 +37,6 @@ __all__ = [
     "q_keys",
     "q_stack",
     "quantity_family",
-    "parallel_section_oracle",
     "q_circle_stack",
     "alpha1_stationary_stack",
     "identity_residual_stack",
@@ -49,11 +47,6 @@ __all__ = [
 # Relative band below which delta_4 counts as vanishing (the conformal
 # circle class), scaled against the natural size of the Gram entries.
 CIRCLE_BAND = 1e-9
-
-
-class UndefinedInvariantError(ValueError):
-    """Raised when an invariant is undefined on the given curve class
-    (for example the scaled wedge of a conformal circle)."""
 
 
 def canonical_tractor_stack(coeffs, count):
@@ -241,8 +234,8 @@ def q_keys(n, rank=4):
 def _pairing_families(X, U, A, B, weights):
     """The four rank-4 families in :func:`q_keys` order, for a position ``X``,
     three vectors ``U, A, B`` and weights ``(w1, w2, w3)``, as minors of the
-    column stack ``[X, U, A, B]`` (``eps`` is
-    :func:`confcurves.multilinear.epsilon`):
+    column stack ``[X, U, A, B]`` (``eps(I; V..)`` is the minor of the
+    rows ``I`` of the columns ``V..``):
 
     * ``0ijN``: ``w1 eps(ij; U,A) + w2 eps(ij; U,B) + w3 sum_l eps(ijl; U,A,B) X_l``
     * ``0ijk``: ``w1 eps(ijk; X,U,A) + w2 eps(ijk; X,U,B)
@@ -276,34 +269,6 @@ def q_stack(coeffs):
     X, U, A, Ap = derivatives(coeffs, 4)
     weights = (3 * iu4 * _dot(U, A), -iu2, iu4)
     return np.concatenate(_pairing_families(X, U, A, Ap, weights), axis=-1)
-
-
-def parallel_section_oracle(coeffs, rank: int = 4):
-    """Quantities of one coefficient row ``(n, order+1)`` from first
-    principles, keyed by slot tuple: each basis element of the rank-``rank``
-    wedge space, moved to a parallel section at the curve's position by the
-    quadratic exponential of the nilpotent action, paired with the wedge of
-    the canonical tractors; agrees with :func:`q_stack` and :func:`q_circle_stack`."""
-    if rank not in (3, 4):
-        raise ValueError("rank must be 3 or 4")
-    _speed_sq(np.asarray(coeffs, dtype=float), rank, "parallel sections", row="parallel_section_oracle")
-    tractors = [c[..., 0] for c in canonical_tractor_stack(coeffs, rank)]
-    X = np.asarray(coeffs, dtype=float)[:, 0]
-    n = X.size
-    slots = list(itertools.combinations(range(n + 2), rank))
-    # Pairing fixes each quantity only up to the orientation of its basis
-    # element.  For all-spatial indices plus the bottom null slot the metric
-    # duality permutation is an odd 4-cycle; orienting those elements with a
-    # minus sign gives the paired values the signs of the determinant
-    # formulas of q_stack (and hence of the phase-space expressions).
-    basis = np.diag(
-        [-1.0 if rank == 4 and idx[0] != 0 and idx[-1] == n + 1 else 1.0 for idx in slots]
-    )
-    r1 = rho_wedge(X, basis, rank)
-    r2 = rho_wedge(X, r1, rank)
-    sections = basis - r1 + 0.5 * r2
-    paired = wedge_pair(wedge(tractors), sections, rank)
-    return dict(zip(slots, paired.tolist()))
 
 
 def q_circle_stack(coeffs):
@@ -387,27 +352,19 @@ def identity_residual_stack(coeffs) -> IdentityResiduals:
     return IdentityResiduals(slot, mercator, np.max(np.abs(mercator + slot / u), axis=-1))
 
 
-def parallel_defect(curve, t, h, count=3, scaled=False):
+def parallel_defect(curve, t, h, count=3):
     """Max-norm of the discrete connection derivative of the wedge of the
     first ``count`` canonical tractors along a curve sampler.
 
-    ``curve`` maps a parameter value to a coefficient row.  With
-    ``scaled`` the wedge is normalized by ``(-delta_4)^(-1/2)`` first.  A
-    parallel wedge decays at second order in ``h``; a non-parallel one
-    stays bounded away from zero.
+    ``curve`` maps a parameter value to a coefficient row.  A parallel
+    wedge decays at second order in ``h``; a non-parallel one stays bounded
+    away from zero.
     """
     if h <= 0:
         raise ValueError("h must be positive")
     rows = np.stack([curve(s) for s in (t + h, t - h, t)])
     # one recurrence over the three sampled rows, then one wedge per row
     stack = canonical_tractor_stack(rows, count)
-    wedges = [wedge([c[row, :, 0] for c in stack]) for row in range(3)]
-    if scaled:
-        for row in range(3):
-            _, d4 = closed_form_alpha1_delta4(rows[row])
-            if not d4 < 0.0:
-                raise UndefinedInvariantError("scaled wedge needs delta_4 < 0")
-            wedges[row] = wedges[row] * (-d4) ** -0.5
-    wp, wm, w0 = wedges
+    wp, wm, w0 = (wedge([c[row, :, 0] for c in stack]) for row in range(3))
     deriv = (wp - wm) * (0.5 / h) + rho_wedge(rows[2, :, 1], w0, count)
     return float(np.max(np.abs(deriv)))

@@ -1,0 +1,130 @@
+"""Reference implementations that the package does not run, kept as the
+independent oracles of its batched kernels: the per-tuple determinant
+``epsilon`` (the oracle of :func:`confcurves.multilinear.minors`), the
+pairing quantities from parallel sections (the oracle of ``q_stack`` and
+``q_circle_stack``), the pointwise Killing field and its conformal factor,
+and the inversion of the momentum definitions.
+"""
+
+import functools
+import itertools
+import math
+
+import numpy as np
+
+from confcurves.curves import _speed_sq
+from confcurves.jets import _dot
+from confcurves.multilinear import _perm_sign, rho_wedge, wedge
+from confcurves.tractors import canonical_tractor_stack
+
+
+def epsilon(idx, *vectors):
+    """Alternating tensor of rank ``len(idx)`` evaluated on ``vectors``.
+
+    ``idx`` holds 1-based component indices, in any order and with repeats
+    (which give 0); the value is the determinant of the matrix with rows
+    ``idx`` and one column per vector.
+    """
+    m = len(idx)
+    if len(vectors) != m:
+        raise ValueError(f"rank-{m} epsilon needs exactly {m} vectors")
+    if len(set(idx)) < m:
+        return 0.0
+    mat = np.empty((m, m))
+    for col, v in enumerate(vectors):
+        v = np.asarray(v, dtype=float)
+        for row, i in enumerate(idx):
+            if not 1 <= i <= v.size:
+                raise ValueError(f"index {i} out of range 1..{v.size}")
+            mat[row, col] = v[i - 1]
+    return float(np.linalg.det(mat))
+
+
+@functools.cache
+def _duals(ambient, rank):
+    """The position of each slot tuple's metric dual among the increasing
+    rank-``rank`` tuples of ``range(ambient)``, and the sign of their
+    pairing."""
+    n = ambient - 2
+    slots = list(itertools.combinations(range(ambient), rank))
+    position = {idx: k for k, idx in enumerate(slots)}
+    # the metric pairs slot 0 with slot n+1 and each spatial slot with itself
+    partners = [tuple(n + 1 - a if a in (0, n + 1) else a for a in idx) for idx in slots]
+    dual = np.array([position[tuple(sorted(p))] for p in partners], dtype=np.intp)
+    sign = np.array([float(_perm_sign(sorted(range(rank), key=p.__getitem__))) for p in partners])
+    return dual, sign
+
+
+def wedge_pair(a, b, rank):
+    """Metric pairing of two rank-``rank`` wedges: the determinant pairing of
+    simple wedges extended bilinearly to coefficient arrays.  ``b`` may
+    carry trailing batch axes, giving one pairing per batch entry."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 1 or b.shape[:1] != a.shape:
+        raise ValueError("wedge rank or ambient dimension mismatch")
+    ambient = rank
+    while math.comb(ambient, rank) < a.size:
+        ambient += 1
+    dual, sign = _duals(ambient, rank)
+    if dual.size != a.size:
+        raise ValueError(f"{a.size} coefficients do not form a rank-{rank} wedge")
+    return (a * sign) @ b[dual]
+
+
+def parallel_section_oracle(coeffs, rank=4):
+    """Quantities of one coefficient row ``(n, order+1)`` from first
+    principles, keyed by slot tuple: each basis element of the rank-``rank``
+    wedge space, moved to a parallel section at the curve's position by the
+    quadratic exponential of the nilpotent action, paired with the wedge of
+    the canonical tractors; agrees with ``q_stack`` and ``q_circle_stack``."""
+    if rank not in (3, 4):
+        raise ValueError("rank must be 3 or 4")
+    _speed_sq(np.asarray(coeffs, dtype=float), rank, "parallel sections", row="parallel_section_oracle")
+    tractors = [c[..., 0] for c in canonical_tractor_stack(coeffs, rank)]
+    X = np.asarray(coeffs, dtype=float)[:, 0]
+    n = X.size
+    slots = list(itertools.combinations(range(n + 2), rank))
+    # Pairing fixes each quantity only up to the orientation of its basis
+    # element.  For all-spatial indices plus the bottom null slot the metric
+    # duality permutation is an odd 4-cycle; orienting those elements with a
+    # minus sign gives the paired values the signs of the determinant
+    # formulas of q_stack (and hence of the phase-space expressions).
+    basis = np.diag(
+        [-1.0 if rank == 4 and idx[0] != 0 and idx[-1] == n + 1 else 1.0 for idx in slots]
+    )
+    r1 = rho_wedge(X, basis, rank)
+    r2 = rho_wedge(X, r1, rank)
+    sections = basis - r1 + 0.5 * r2
+    paired = wedge_pair(wedge(tractors), sections, rank)
+    return dict(zip(slots, paired.tolist()))
+
+
+def ckv_eval(field, x):
+    """Value of a ``KillingField`` at a point."""
+    x = np.asarray(x, dtype=float)
+    return (
+        field.T
+        + field.R.T @ x
+        + field.a * x
+        + float(x @ x) * field.S
+        - 2.0 * float(field.S @ x) * x
+    )
+
+
+def conformal_factor(field, x):
+    """The trace part of the Killing equation (divergence over dimension):
+    the dilatation rate plus ``-2 S.x`` from the special conformal part;
+    isometries contribute nothing."""
+    x = np.asarray(x, dtype=float)
+    return field.a - 2.0 * float(field.S @ x)
+
+
+def accel_from_phase(p):
+    """Invert the momentum definitions of a ``PhasePoint`` for the second and
+    third derivative vectors, over the leading axes of a stacked point."""
+    U, P, R = p.U, p.P, p.R
+    u2, UR, UP, R2 = (_dot(a, b)[..., None] for a, b in ((U, U), (U, R), (U, P), (R, R)))
+    A = -2 * UR * U + u2 * R
+    Ap = (2 * UP + 4 * np.float_power(UR, 2) - u2 * R2) * U - 2 * u2 * UR * R - u2 * P
+    return A, Ap

@@ -13,12 +13,10 @@ import numpy as np
 from confcurves import (
     KillingField,
     LogSpiral,
-    accel_from_phase,
     alpha1_stationary_stack,
     closed_form_alpha1_delta4,
     derivatives,
     e_quantities,
-    epsilon,
     f_generic_stack,
     flow_vector_stack,
     gram_stack,
@@ -28,7 +26,6 @@ from confcurves import (
     involutivity_check,
     noether_stack,
     parallel_defect,
-    parallel_section_oracle,
     phase_from_jet,
     poisson_bracket,
     q_circle_stack,
@@ -48,6 +45,7 @@ from conftest import (
     stacked,
     three_d_functions,
 )
+from oracles import accel_from_phase, epsilon, parallel_section_oracle
 
 ACCEPTANCE_SPIRAL = LogSpiral(
     2.0,

@@ -15,6 +15,11 @@ SPIRAL_ARGS = [
     "--family", "spiral", "--n", "3", "--c", "2",
     "--p0", "1,0,0", "--q0", "0,1,0", "--r0", "0.3,-0.2,0.5",
 ]
+# b = x(0.5) / |x(0.5)|^2 of the SPIRAL_ARGS spiral with pitch 1.5, and
+# x(2) / |x(2)|^2 of the SPIRAL_ARGS one: the transform sends that curve
+# point to infinity
+POLE_AT_HALF = "--b=0.44664919965447963,0.273926174607408,0.1482553532231831"
+POLE_AT_TWO = "--b=-0.08339566141607338,-0.10663414462256243,0.009205206484415317"
 CIRCLE_ARGS = [
     "--family", "circle", "--n", "3",
     "--x0", "0.2,-0.1,0.4", "--u0", "1,0,0", "--a0", "0,0.8,0.3",
@@ -69,6 +74,34 @@ class TestVerify:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("c", ["-2", "-0.5"])
+    def test_negative_pitch_spiral_passes(self, c, tmp_path):
+        # kappa_1 = -(c^2 - 1) / (2 |c|) is even in c, as delta_4 and alpha_1 are
+        out = tmp_path / "report.json"
+        assert main(["verify", *SPIRAL_ARGS[:4], "--c", c, *SPIRAL_ARGS[6:], "--out", str(out)]) == 0
+        by_name = {r["name"]: r for r in json.loads(out.read_text())["checks"]}
+        assert by_name["kappa1_matches"]["measured"] <= 1e-8
+
+    def test_tspiral_pole_outside_the_window_is_not_scanned(self, tmp_path):
+        # b sends the point at t = 0.5 of the pitch-1.5 spiral to infinity;
+        # each command scans the times it evaluates: verify and quantities
+        # the window [2, 3], integrate its start t0 = 2
+        family = ["--family", "tspiral", *SPIRAL_ARGS[2:4], "--c", "1.5", *SPIRAL_ARGS[6:],
+                  POLE_AT_HALF, "--t0", "2"]
+        assert main(["verify", *family, "--t1", "3"]) == 0
+        assert main(["quantities", *family, "--t1", "3", "--out", str(tmp_path / "q.csv")]) == 0
+        assert main(["integrate", *family, "--t-end", "0.1", "--out", str(tmp_path / "t.csv")]) == 0
+        assert main(["verify", *family[:-2], "--t0", "0", "--t1", "1"]) == 2
+
+    def test_tspiral_pole_between_samples_is_config_error(self, capsys):
+        # b = x(2) / |x(2)|^2 of the pitch-2 spiral: no sample of 20 on
+        # [1.5, 2.5] lands on the pole at t = 2, the window scan does
+        argv = ["verify", "--family", "tspiral", *SPIRAL_ARGS[2:], POLE_AT_TWO,
+                "--t0", "1.5", "--t1", "2.5", "--samples", "20"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: transform denominator vanishes near t = 2.000\n"
+
     def test_degenerate_pitch_is_config_error(self, capsys):
         code = main(
             [
@@ -99,9 +132,9 @@ class TestVerify:
             ["verify", *CIRCLE_ARGS, "--tol", "t3_parallel_decay_order=0"],
             # exp overflows at the window end
             ["verify", *SPIRAL_ARGS, "--samples", "3", "--t1", "800"],
-            # b = x(2) / |x(2)|^2 sends the curve point at t = 2 to infinity
-            ["verify", "--family", "tspiral", *SPIRAL_ARGS[1:], "--t1", "2", "--samples", "3",
-             "--b=-0.08339566141607338,-0.10663414462256243,0.009205206484415317"],
+            # the curve point at t = 2 goes to infinity
+            ["verify", "--family", "tspiral", *SPIRAL_ARGS[2:], "--t1", "2", "--samples", "3",
+             POLE_AT_TWO],
             # the family evaluates at t = 200, a power of its speed overflows
             ["verify", *SPIRAL_ARGS, "--samples", "2", "--t1", "200"],
             ["quantities", *SPIRAL_ARGS, "--samples", "2", "--t1", "200", "--out", "x.csv"],

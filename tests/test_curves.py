@@ -18,10 +18,8 @@ from confcurves import (
     flow_vector_stack,
     gram_stack,
     identity_residual_stack,
-    lagrangians,
     momenta_stack,
     noether_stack,
-    parallel_section_oracle,
     phase_from_jet,
     q_circle_stack,
     q_stack,
@@ -36,6 +34,7 @@ from conftest import (
     random_transformed_spiral,
 )
 from jet_oracle import JetScalar
+from oracles import parallel_section_oracle
 
 
 def general_field(rng, n):
@@ -67,7 +66,6 @@ STACKS = {
     "momenta_stack": lambda c, f: momenta_stack(*derivatives(c, 4)[1:]),
     "noether_stack": lambda c, f: noether_stack(*derivatives(c, 4)),
     "e_stack": lambda c, f: phase_basis(c),
-    "lagrangians": lambda c, f: lagrangians(c),
 }
 
 
@@ -152,7 +150,6 @@ COEFFICIENT_CALLS = {
     "phase_from_jet": phase_from_jet,
     "closed_form_alpha1_delta4": closed_form_alpha1_delta4,
     "parallel_section_oracle": parallel_section_oracle,
-    "lagrangians": lagrangians,
 }
 
 

@@ -6,15 +6,12 @@ import pytest
 from confcurves import (
     LogSpiral,
     PhasePoint,
-    accel_from_phase,
     circle_residual_stack,
     coefficients,
     derivatives,
     e_quantities,
-    hamilton_rhs,
     hamiltonian,
     integrate,
-    lagrangians,
     phase_from_jet,
     poisson_bracket,
     q_phase,
@@ -40,6 +37,7 @@ from conftest import (
     stacked,
 )
 from jet_oracle import JetScalar
+from oracles import accel_from_phase
 
 
 def straight_line_jet(n=2):
@@ -133,13 +131,15 @@ class TestRowBatched:
 
 
 class TestLagrangians:
+    """The Lagrangians by the jet route, :func:`jet_lagrangians`."""
+
     def test_straight_line(self):
-        L, L1 = lagrangians(straight_line_jet())
+        L, L1 = jet_lagrangians(straight_line_jet())
         assert L == 0.0 and L1 == 0.0
 
     def test_unit_pitch_point(self, planar_unit_spiral):
         # L1 = 1/2 * (1/2) * 4 - (1/4) * 4 = 0
-        L, L1 = lagrangians(planar_unit_spiral.jet(0.0))
+        L, L1 = jet_lagrangians(planar_unit_spiral.jet(0.0))
         assert L1 == pytest.approx(0.0, abs=1e-14)
 
     def test_difference_is_total_derivative(self, rng):
@@ -148,39 +148,17 @@ class TestLagrangians:
         for _ in range(100):
             n = int(rng.integers(2, 5))
             jet = random_curve_jet(rng, n)
-            L, L1 = lagrangians(jet)
+            L, L1 = jet_lagrangians(jet)
             _, U, A, Ap = derivatives(jet, 4)
             u2 = float(U @ U)
             expect = (float(A @ A) + float(U @ Ap)) / u2 - 2 * float(U @ A) ** 2 / u2**2
             assert L - L1 == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
-    def test_stack_is_its_rows(self, rng):
-        for n in range(2, 6):
-            rows = [random_curve_jet(rng, n) for _ in range(6)] + [random_spiral(rng, n).jet(0.3, order=4)]
-            L, L1 = lagrangians(np.stack(rows))
-            assert L.shape == L1.shape == (7,)
-            for k, row in enumerate(rows):
-                assert_same_bits(np.array(lagrangians(row)), np.array([L[k], L1[k]]))
-
-    def test_closed_form_matches_jet_route(self, rng):
-        for n in range(2, 7):
-            rows = [random_curve_jet(rng, n, levels=levels) for levels in (4, 5, 7) for _ in range(10)]
-            for family in (random_spiral(rng, n), random_circle(rng, n), random_transformed_spiral(rng, n)):
-                rows += [family.jet(float(t)) for t in np.linspace(-1.0, 1.0, 7)]
-            for row in rows:
-                L, L1 = lagrangians(row)
-                want_L, want_L1 = jet_lagrangians(row)
-                assert L1 == want_L1
-                # relative to the sizes of the terms: L vanishes on circles
-                _, U, A, Ap = derivatives(row, 4)
-                u2 = float(U @ U)
-                scale = (float(A @ A) + abs(float(U @ Ap))) / u2 + 3 * float(U @ A) ** 2 / u2**2
-                assert abs(L - want_L) <= 1e-13 * scale
-
 
 def jet_lagrangians(coeffs):
-    """``L`` and ``L1`` of one row with ``L - L1`` the derivative of the jet
-    of ``u^{-2} <U, A>``, the body the closed form replaced."""
+    """The third- and second-order Lagrangians ``L`` and ``L1`` of one
+    coefficient row, with ``L - L1`` the derivative of the jet of ``u^{-2}
+    <U, A>``."""
     position = JetScalar(coeffs)
     U, A = position.derivative(1), position.derivative(2)
     u2 = float(U @ U)
@@ -294,16 +272,18 @@ class TestHamiltonian:
 
 
 class TestHamiltonRHS:
+    """The equations of motion of :func:`array_rhs`, the RK4 oracle."""
+
     def test_free_motion(self):
         p = PhasePoint(np.zeros(3), np.array([0.7, 0, 0]), np.zeros(3), np.zeros(3))
-        rhs = hamilton_rhs(p)
+        rhs = array_rhs(p.flat(), 3)
         X, U, P, R = np.split(rhs, 4)
         assert np.allclose(X, p.U)
         assert np.allclose(U, 0.0) and np.allclose(P, 0.0) and np.allclose(R, 0.0)
 
     def test_velocity_equation_recovers_acceleration(self, planar_unit_spiral):
         p = phase_from_jet(planar_unit_spiral.jet(0.0))
-        U = np.split(hamilton_rhs(p), 4)[1]
+        U = np.split(array_rhs(p.flat(), 2), 4)[1]
         assert np.allclose(U, [0.0, 2.0], atol=1e-13)
 
     def test_matches_symplectic_gradient(self, rng):
@@ -311,8 +291,8 @@ class TestHamiltonRHS:
         for _ in range(100):
             n = int(rng.integers(2, 4))
             p = random_phase_point(rng, n)
-            rhs = hamilton_rhs(p)
             y = p.flat()
+            rhs = array_rhs(y, n)
             grad = np.empty(4 * n)
             for i in range(4 * n):
                 hstep = 1e-6 * (1.0 + abs(y[i]))
@@ -415,32 +395,8 @@ def first_nonfinite_stage(p0, h):
     return None
 
 
-# the kernel source of n = 2, the text that integrate and hamilton_rhs run
+# the kernel source of n = 2, the text that integrate runs
 KERNEL_N2 = """\
-def rhs(x0, x1, u0, u1, p0, p1, r0, r1):
-    uu = u0 * u0 + u1 * u1
-    ur = u0 * r0 + u1 * r1
-    rr = r0 * r0 + r1 * r1
-    if not (isfinite(uu) and isfinite(ur) and isfinite(rr)):
-        raise FloatingPointError('the flow leaves the float range')
-    if uu <= VELOCITY_FLOOR:
-        raise DegenerateVelocityError(f'squared speed {uu:.3e} below floor')
-    ur2, rrn = 2.0 * ur, -rr
-    du0_1 = uu * r0 - ur2 * u0
-    du1_1 = uu * r1 - ur2 * u1
-    dr0_1 = rrn * u0 + ur2 * r0 - p0
-    dr1_1 = rrn * u1 + ur2 * r1 - p1
-    return (
-        u0,
-        u1,
-        du0_1,
-        du1_1,
-        0.0,
-        0.0,
-        dr0_1,
-        dr1_1,
-    )
-
 def step(x0, x1, u0, u1, p0, p1, r0, r1, q0, q1, half, h, sixth):
     uu = u0 * u0 + u1 * u1
     ur = u0 * r0 + u1 * r1
@@ -571,13 +527,12 @@ class TestFloatLoop:
                 want = array_rk4(p0, 0.2, 1e-2, store_every)
                 assert_same_bits(got.ts, want.ts)
                 assert_same_bits(got.states, want.states)
-                assert_same_bits(hamilton_rhs(p0), array_rhs(p0.flat(), n))
 
     def test_one_dimensional_zero_signs_follow_ddot(self):
         # U = 1, P = +0.0, R = -0.0: U.R is the lone product -0.0, so
         # U' = -0.0 - (-0.0) and R' = (-0.0 + 0.0) - 0.0 are both +0.0
         p0 = PhasePoint([-0.0], [1.0], [0.0], [-0.0])
-        assert_same_bits(hamilton_rhs(p0), [1.0, 0.0, 0.0, 0.0])
+        assert_same_bits(array_rhs(p0.flat(), 1), [1.0, 0.0, 0.0, 0.0])
         states = integrate(p0, 0.02, h=1e-2, store_every=1).states
         assert_same_bits(states[:, 2:], [[0.0, -0.0], [0.0, 0.0], [0.0, 0.0]])
 
@@ -658,7 +613,6 @@ class TestFloatLoop:
         got = integrate(p0, 0.05, h=1e-2, store_every=1)
         want = array_rk4(p0, 0.05, 1e-2, 1)
         assert_same_bits(got.states, want.states)
-        assert_same_bits(hamilton_rhs(p0), array_rhs(p0.flat(), 300))
 
     def test_kernel_source_n2(self):
         assert _kernel_source(2) == KERNEL_N2
@@ -667,11 +621,6 @@ class TestFloatLoop:
     def test_kernel_needs_a_positive_int(self, n):
         with pytest.raises(ValueError, match="positive int"):
             _kernel_source(n)
-
-    def test_hamilton_rhs_matches_array_rhs(self, rng):
-        for n in range(1, 9):
-            p = random_phase_point(rng, n)
-            assert_same_bits(hamilton_rhs(p), array_rhs(p.flat(), n))
 
     @pytest.mark.parametrize(
         "point, final",
@@ -813,7 +762,7 @@ class TestPoissonBracket:
         for n in range(1, 9):
             for _ in range(10):
                 p = random_phase_point(rng, n)
-                rhs = hamilton_rhs(p)
+                rhs = array_rhs(p.flat(), n)
                 got = np.array([poisson_bracket(coordinate(k), energy, p) for k in range(4 * n)])
                 assert np.max(np.abs(got - rhs)) <= 1e-14 * np.max(np.abs(rhs))
 
@@ -892,17 +841,11 @@ def four_row_point(rng, n=3):
 
 
 class TestStackedPointHelpers:
-    """The one-row helpers on a four-row point: the stack kernels work over
-    its leading axis, the rest raise one ``ValueError`` naming the helper and
-    the batch shape."""
+    """The phase helpers on a four-row point work over its leading axis,
+    with the bits of each row on its own."""
 
     def rows(self, stack):
         return [PhasePoint.from_flat(y, stack.dim) for y in stack.flat()]
-
-    def test_u2_is_per_row(self, rng):
-        stack = four_row_point(rng)
-        assert_same_bits(stack.u2, [p.u2 for p in self.rows(stack)])
-        assert all(type(p.u2) is float for p in self.rows(stack))
 
     def test_hamiltonian_is_per_row(self, rng):
         stack = four_row_point(rng)
@@ -912,9 +855,3 @@ class TestStackedPointHelpers:
         stack = four_row_point(rng)
         for got, want in zip(accel_from_phase(stack), zip(*map(accel_from_phase, self.rows(stack)))):
             assert_same_bits(got, want)
-
-    @pytest.mark.parametrize("helper", [hamilton_rhs], ids=lambda f: f.__name__)
-    def test_one_row_helper_names_the_stack(self, rng, helper):
-        message = rf"^{helper.__name__} takes one phase point, got a stack of shape \(4,\)$"
-        with pytest.raises(ValueError, match=message):
-            helper(four_row_point(rng))

@@ -4,17 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from confcurves import (
-    derivatives,
-    epsilon,
-    wedge,
-    wedge_pair,
-)
+from confcurves import derivatives, wedge
 from confcurves import multilinear
 from confcurves.multilinear import minors, rho_wedge, tractor_metric_pair
 
 from conftest import assert_same_bits, random_curve_jet, tractor_values
 from jet_oracle import JetScalar
+from oracles import epsilon, wedge_pair
 
 
 class TestEpsilon:

@@ -7,8 +7,6 @@ import pytest
 from confcurves import (
     KillingField,
     PhasePoint,
-    ckv_eval,
-    conformal_factor,
     derivatives,
     e_quantities,
     e_stack,
@@ -42,6 +40,7 @@ from conftest import (
     three_d_functions,
 )
 from jet_oracle import JetScalar
+from oracles import ckv_eval, conformal_factor, epsilon
 
 
 def closed_basis(jet):
@@ -201,8 +200,6 @@ class TestEQuantities:
     def test_spiral_general_values(self, rng):
         spiral = random_spiral(rng, 3, c=1.9)
         p2 = float(spiral.p0 @ spiral.p0)
-        from confcurves import epsilon
-
         for t in (-0.6, 0.5):
             e = e_quantities(phase_from_jet(spiral.jet(float(t))))
             assert np.allclose(e.E_T, 0.0, atol=1e-10)

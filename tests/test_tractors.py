@@ -10,12 +10,10 @@ from confcurves import (
     closed_form_alpha1_delta4,
     coefficients,
     derivatives,
-    epsilon,
     flow_vector_stack,
     identity_residual_stack,
     is_conformal_circle,
     parallel_defect,
-    parallel_section_oracle,
     q_circle_stack,
     quantity_family,
 )
@@ -31,6 +29,7 @@ from conftest import (
     tractor_values,
 )
 from jet_oracle import JetScalar
+from oracles import epsilon, parallel_section_oracle
 
 
 def straight_line_jet(n=3, order=4):
@@ -515,7 +514,9 @@ class TestReductionIdentity:
 
 def row_parallel_defect(curve, t, h, count=3, scaled=False):
     """The per-time body of ``parallel_defect`` that the three-row tractor
-    stack replaced: one sampled jet and one tractor recurrence per time."""
+    stack replaced: one sampled jet and one tractor recurrence per time.
+    With ``scaled`` each wedge is normalized by ``(-delta_4)^(-1/2)``
+    first."""
 
     def wedge_at(s):
         j = curve(s)
@@ -533,10 +534,10 @@ def row_parallel_defect(curve, t, h, count=3, scaled=False):
     return float(np.max(np.abs(deriv)))
 
 
-def assert_defect(curve, t, h, count=3, scaled=False):
+def assert_defect(curve, t, h, count=3):
     """``parallel_defect``, asserted equal to its per-time body."""
-    d = parallel_defect(curve, t, h, count=count, scaled=scaled)
-    assert d == row_parallel_defect(curve, t, h, count, scaled)
+    d = parallel_defect(curve, t, h, count=count)
+    assert d == row_parallel_defect(curve, t, h, count)
     return d
 
 
@@ -581,8 +582,8 @@ class TestParallelTransport:
         g = gram_stack(repar(0.2, 6), 5)
         assert abs(g.delta5) <= 1e-8 * max(1.0, g.gram_scale()) ** 5
         assert abs(JetScalar(g.delta4_jet).differentiate().value) > 1e-3
-        bare = assert_defect(repar, 0.2, 0.01, count=4, scaled=False)
-        scaled = assert_defect(repar, 0.2, 0.01, count=4, scaled=True)
+        bare = assert_defect(repar, 0.2, 0.01, count=4)
+        scaled = row_parallel_defect(repar, 0.2, 0.01, count=4, scaled=True)
         assert bare > 1e-2
         assert scaled <= 1e-10
 
