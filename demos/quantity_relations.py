@@ -9,7 +9,7 @@ from confcurves import (
     PhasePoint,
     alpha1_stationary_stack,
     coefficients,
-    e_quantities,
+    e_stack,
     identity_residual_stack,
     involutivity_check,
     quantity_identities,
@@ -28,18 +28,14 @@ def random_point(n):
 
 print("pairing quantities rewritten through the basis quantities")
 print("(four identity families, 100 random points in dimension 4):")
-worst = {}
-for _ in range(100):
-    rep = quantity_identities(random_point(4))
-    for fam, rec in rep.items():
-        worst[fam] = max(worst.get(fam, 0.0), rec["residual"] / (1.0 + rec["scale"]))
-for fam, val in worst.items():
-    print(f"  {fam}: max scaled residual {val:.2e}")
+points = PhasePoint.from_flat(np.stack([random_point(4).flat() for _ in range(100)]), 4)
+for fam, rec in quantity_identities(points).items():
+    print(f"  {fam}: max scaled residual {np.max(rec['residual'] / (1.0 + rec['scale'])):.2e}")
 
 print()
 print("dimension-3 repackaging at one random point:")
 p = random_point(3)
-red = three_d_reduction(e_quantities(p))
+red = three_d_reduction(e_stack(p.X, p.U, p.P, p.R))
 print(f"  Q1 = {np.round(red.Q1, 6)}  Q2 = {red.Q2:.6f}  Q3 = {red.Q3:.6f}")
 print(f"  energy rewritten through the basis quantities: {red.H_from_E:.6f}")
 

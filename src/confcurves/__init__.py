@@ -16,7 +16,6 @@ from .mercator import (
     Trajectory,
     circle_residual_stack,
     flow_vector_stack,
-    hamiltonian,
     hamiltonian_stack,
     integrate,
     momenta_stack,
@@ -28,7 +27,6 @@ from .multilinear import wedge
 from .symmetries import (
     EQuantities,
     KillingField,
-    e_quantities,
     e_stack,
     f_generic_stack,
     involutivity_check,
@@ -41,7 +39,6 @@ from .tractors import (
     GramStack,
     IdentityResiduals,
     canonical_tractor_stack,
-    closed_form_alpha1_delta4,
     alpha1_stationary_stack,
     gram_stack,
     identity_residual_stack,

@@ -201,7 +201,18 @@ class TransformedSpiral:
             raise FamilyError("b must match the spiral dimension")
         object.__setattr__(self, "b", b)
         lo, hi = self.window
-        for t in np.linspace(lo, hi, 33):
+        scan = list(np.linspace(lo, hi, 33))
+        # the denominator |b|^2 |x - b/|b|^2|^2 has a double zero, which a
+        # grid can step over; the base radius e^t |p0| is monotone, so it
+        # meets |b/|b|^2 - r0| = |b - |b|^2 r0| / |b|^2 once, at t*; Python
+        # floats, so an extreme b makes t* inf or nan, not an error
+        beta = math.hypot(*b.tolist())
+        gap = math.hypot(*(v - beta * beta * r for v, r in zip(b.tolist(), self.base.r0.tolist())))
+        if gap:
+            t_star = math.log(gap) - 2.0 * math.log(beta) - math.log(math.hypot(*self.base.p0.tolist()))
+            if lo <= t_star <= hi:
+                scan.append(t_star)
+        for t in scan:
             if abs(self._denominator(t)) < 1e-6:
                 raise FamilyError(f"transform denominator vanishes near t = {t:.3f}")
 

@@ -29,7 +29,6 @@ __all__ = [
     "hamiltonian_stack",
     "circle_residual_stack",
     "phase_from_jet",
-    "hamiltonian",
     "integrate",
     "poisson_bracket",
     "taylor_lift",
@@ -119,11 +118,6 @@ def hamiltonian_stack(U, P, R):
     return _dot(P, U) - np.float_power(UR, 2) + 0.5 * _dot(U, U) * _dot(R, R)
 
 
-def hamiltonian(p: PhasePoint):
-    H = hamiltonian_stack(p.U, p.P, p.R)
-    return float(H) if H.ndim == 0 else H
-
-
 _TERMS = 256  # products per statement: the compiler's recursion stays shallow
 
 
@@ -178,18 +172,13 @@ def _kernel(n):
 
 @dataclass
 class Trajectory:
-    """Stored samples of an integrated flow (every ``store_every``-th step)."""
+    """Stored samples of an integrated flow (every ``store_every``-th step);
+    ``PhasePoint.from_flat(states, dim)`` is them as one stacked point."""
 
     ts: np.ndarray
     states: np.ndarray  # shape (len(ts), 4n)
     dim: int
     h: float
-
-    def __len__(self):
-        return self.ts.size
-
-    def phase_point(self, k) -> PhasePoint:
-        return PhasePoint.from_flat(self.states[k], self.dim)
 
 
 def _trajectory(ts, states, n, h, y):
@@ -249,9 +238,8 @@ _STEP = 1e-30  # the complex step: far below round-off of any order-unity coordi
 
 
 def poisson_bracket(f, g, p: PhasePoint):
-    """Canonical bracket ``{f, g}`` of two phase functions at a point or at
-    every row of a stacked one: a float for one point, an array over the
-    leading axes of a stack.
+    """Canonical bracket ``{f, g}`` of two phase functions at every row of
+    a phase point, over its leading axes.
 
     ``f`` and ``g`` map component arrays ``(X, U, P, R)`` with leading batch
     axes to their values over those axes, as :func:`hamiltonian_stack` and
@@ -268,8 +256,7 @@ def poisson_bracket(f, g, p: PhasePoint):
     df, dg = (np.imag(fun(*np.split(y, 4, axis=-1))) / _STEP for fun in (f, g))
     # the symplectic pairing: positions (X, U) against momenta (P, R)
     (fq, fm), (gq, gm) = np.split(df, 2, axis=-1), np.split(dg, 2, axis=-1)
-    bracket = _dot(fq, gm) - _dot(gq, fm)
-    return float(bracket) if bracket.ndim == 0 else bracket
+    return _dot(fq, gm) - _dot(gq, fm)
 
 
 def taylor_lift(states, order: int = 6) -> np.ndarray:

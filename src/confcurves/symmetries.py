@@ -5,9 +5,9 @@ of conserved quantities.
 
 from __future__ import annotations
 
-import functools
 import itertools
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,14 +15,13 @@ from .curves import _speed_sq, derivatives
 from .jets import _dot, _recip, _stack_product, _sum_rows
 from .mercator import PhasePoint, flow_vector_stack, hamiltonian_stack, poisson_bracket
 from .multilinear import index_tuples
-from .tractors import _pairing_families, q_keys, quantity_family
+from .tractors import _pairing_families
 
 __all__ = [
     "KillingField",
     "f_generic_stack",
     "noether_stack",
     "EQuantities",
-    "e_quantities",
     "e_stack",
     "q_phase",
     "quantity_identities",
@@ -66,13 +65,12 @@ class KillingField:
         """The quantity of this field from the basis quantities:
         ``T.E_T + <R, E_R>/2 + a E_D + S.E_S``; an array over the leading
         axes of stacked ones (:func:`noether_stack`, :func:`e_stack`)."""
-        value = (
+        return (
             _dot(self.T, basis.E_T)
             + 0.5 * np.sum(self.R * basis.E_R, axis=(-2, -1))
             + self.a * basis.E_D
             + _dot(self.S, basis.E_S)
         )
-        return value if np.ndim(value) else float(value)
 
 
 def _ckv_stack(field: KillingField, c):
@@ -133,11 +131,9 @@ class EQuantities:
     """The (n+1)(n+2)/2 basis quantities: one vector for translations, an
     antisymmetric matrix for rotations, a scalar for the dilatation, and one
     vector for the special conformal generators.  They come from the phase
-    variables (:func:`e_quantities`), from the curve data
-    (:func:`noether_stack`) or from a family's closed form;
-    :meth:`KillingField.pair` gives a field's quantity from them.
-    :func:`e_stack` and :func:`noether_stack` give them with leading batch
-    axes."""
+    variables (:func:`e_stack`) or the curve data (:func:`noether_stack`),
+    both with leading batch axes, or from a family's closed form;
+    :meth:`KillingField.pair` gives a field's quantity from them."""
 
     E_T: np.ndarray
     E_R: np.ndarray
@@ -146,8 +142,8 @@ class EQuantities:
 
 
 def e_stack(X, U, P, R) -> EQuantities:
-    """The basis quantities of :func:`e_quantities` over leading batch axes
-    of ``(..., n)`` phase components; ``E_D`` is an array."""
+    """The basis quantities from the phase variables over leading batch
+    axes of ``(..., n)`` phase components; ``E_D`` is an array."""
     XP, UR, XX, XU, XR = (
         _dot(a, b)[..., None] for a, b in ((X, P), (U, R), (X, X), (X, U), (X, R))
     )
@@ -155,13 +151,6 @@ def e_stack(X, U, P, R) -> EQuantities:
     E_D = XP + UR
     E_S = XX * P + 2.0 * XU * R - 2.0 * E_D * X - 2.0 * (1.0 + XR) * U
     return EQuantities(P.copy(), E_R, E_D[..., 0], E_S)
-
-
-def e_quantities(p: PhasePoint) -> EQuantities:
-    """The basis quantities from the phase variables (:func:`e_stack`), with
-    a float ``E_D`` for one point."""
-    e = e_stack(p.X, p.U, p.P, p.R)
-    return e if e.E_D.ndim else replace(e, E_D=float(e.E_D))
 
 
 def q_phase(p: PhasePoint):
@@ -176,14 +165,6 @@ def q_phase(p: PhasePoint):
     return np.concatenate(families, axis=-1)
 
 
-@functools.cache
-def _family_sizes(n):
-    """Sizes of the first three families of ``q_keys(n)``, which lists the
-    four families one after another."""
-    families = [quantity_family(key, n) for key in q_keys(n)]
-    return tuple(families.count(f) for f in ("0ijN", "0ijk", "ijkN"))
-
-
 def quantity_identities(p: PhasePoint):
     """Residuals of the four identities expressing the pairing quantities
     through the basis quantities.
@@ -191,15 +172,17 @@ def quantity_identities(p: PhasePoint):
     The pure-spatial identity is checked in multiplied-through form
     (``E_D`` times the quantity), so it is meaningful on the whole phase
     space.  Returns per-family dictionaries with the max absolute residual
-    and the operand scale for relative comparisons: floats for one point,
-    arrays over the leading axes for a stacked one.
+    and the operand scale for relative comparisons, over the leading axes
+    of the point.
     """
     n = p.dim
     e = e_stack(p.X, p.U, p.P, p.R)
     # component axes first, batch axes last, so the gathers index them
     E_T, E_S = np.moveaxis(e.E_T, -1, 0), np.moveaxis(e.E_S, -1, 0)
     E_R, E_D = np.moveaxis(e.E_R, (-2, -1), (0, 1)), e.E_D
-    q2, q3, q3N, q4 = np.split(np.moveaxis(q_phase(p), -1, 0), np.cumsum(_family_sizes(n)))
+    # q_keys lays out C(n, 2), C(n, 3), C(n, 3) and C(n, 4) keys, family by family
+    sizes = np.cumsum([math.comb(n, 2), math.comb(n, 3), math.comb(n, 3)])
+    q2, q3, q3N, q4 = np.split(np.moveaxis(q_phase(p), -1, 0), sizes)
     (i, j), (a, b, c), (w, x, y, z) = (tuple(index_tuples(n, k).T) for k in (2, 3, 4))
 
     def split3(v):
@@ -223,8 +206,6 @@ def quantity_identities(p: PhasePoint):
         # a vacuous family (no keys below dimension 4) reads 0
         resid = np.max(np.abs(lhs - rhs), axis=0, initial=0.0)
         scale = np.max(np.abs(np.concatenate([lhs, rhs])), axis=0, initial=0.0)
-        if not E_D.ndim:
-            resid, scale = float(resid), float(scale)
         report[family] = {"residual": resid, "scale": scale}
     return report
 
@@ -237,12 +218,11 @@ class ThreeDReduction:
     H_from_E: np.ndarray
 
 
-def three_d_reduction(q: PhasePoint | EQuantities) -> ThreeDReduction:
-    """Dimension-three repackaging of the basis quantities ``q`` (or those
-    of a phase point, :func:`e_quantities`) over their leading axes: the
-    rank-2 quantities as an axial vector, single scalars for the two rank-3
-    families, and the Hamiltonian rewritten through the basis quantities."""
-    e = e_quantities(q) if isinstance(q, PhasePoint) else q
+def three_d_reduction(e: EQuantities) -> ThreeDReduction:
+    """Dimension-three repackaging of the basis quantities ``e`` over their
+    leading axes: the rank-2 quantities as an axial vector, single scalars
+    for the two rank-3 families, and the Hamiltonian rewritten through the
+    basis quantities."""
     if e.E_T.shape[-1] != 3:
         raise ValueError("reduction requires dimension 3")
     # the axial vector (E_R[1, 2], -E_R[0, 2], E_R[0, 1])

@@ -32,7 +32,6 @@ __all__ = [
     "GramStack",
     "canonical_tractor_stack",
     "gram_stack",
-    "closed_form_alpha1_delta4",
     "is_conformal_circle",
     "q_keys",
     "q_stack",
@@ -121,17 +120,16 @@ class GramStack(NamedTuple):
     """Determinant invariants, squared lengths of the third and fourth
     tractors and ``kappa1`` (NaN where undefined) of every row of a position
     coefficient stack, over its leading axes; ``gram`` is the symmetric
-    pairing matrix, and alpha_1 and delta_4 also come as jets ``(..., k+1)``.
-    A field that ``max_ell`` or the stack's order does not reach is None."""
+    pairing matrix, and delta_4 also comes as a jet ``(..., k+1)``.
+    ``delta5`` is None at ``max_ell = 4``, ``kappa1`` below order 6."""
 
     delta3: np.ndarray
-    delta4: np.ndarray | None
+    delta4: np.ndarray
     delta5: np.ndarray | None
     alpha1: np.ndarray
-    alpha2: np.ndarray | None
+    alpha2: np.ndarray
     kappa1: np.ndarray | None
-    alpha1_jet: np.ndarray
-    delta4_jet: np.ndarray | None
+    delta4_jet: np.ndarray
     gram: np.ndarray
 
     def gram_scale(self):
@@ -142,64 +140,34 @@ class GramStack(NamedTuple):
 def gram_stack(coeffs, max_ell: int = 5) -> GramStack:
     """Gram-matrix data of the first ``max_ell`` canonical tractors of every
     row of a position coefficient stack ``(..., n, order+1)``, in one pass."""
-    if not 3 <= max_ell <= 5:
-        raise ValueError("max_ell must lie in 3..5")
+    if max_ell not in (4, 5):
+        raise ValueError("max_ell must be 4 or 5")
     # the slot axis first, as tractor_metric_pair takes it
     trs = [np.moveaxis(t, -2, 0) for t in canonical_tractor_stack(coeffs, max_ell)]
     values = np.stack([t[..., 0] for t in trs], axis=-1)
     gram = tractor_metric_pair(values[..., :, None], values[..., None, :])
-    delta4_jet = kappa1 = None
-    if max_ell >= 4:
-        # Taylor coefficients G_j of the pairings of the first four
-        # tractors; each tractor has one order less than the one before it
-        k = trs[3].shape[-1] - 1
-        c = np.stack([t[..., : k + 1] for t in trs[:4]], axis=-2)
-        G = np.moveaxis(_pairing_jet(c[..., :, None, :], c[..., None, :, :]), -1, -3)
-        # the determinant is linear in each row: coefficient j sums the
-        # determinants whose row r comes from G_{o_r}, over the orders o
-        # that total j, added in table order as np.bincount adds them
-        orders = _row_orders(k)
-        dets = np.linalg.det(G[..., orders, np.arange(4), :])
-        delta4_jet = np.zeros(dets.shape[:-1] + (k + 1,))
-        np.add.at(np.moveaxis(delta4_jet, -1, 0), orders.sum(axis=1), np.moveaxis(dets, -1, 0))
-        if k >= 2:
-            kappa1 = _kappa1(delta4_jet, gram[..., 2, 2])
+    # Taylor coefficients G_j of the pairings of the first four tractors;
+    # each tractor has one order less than the one before it
+    k = trs[3].shape[-1] - 1
+    c = np.stack([t[..., : k + 1] for t in trs[:4]], axis=-2)
+    G = np.moveaxis(_pairing_jet(c[..., :, None, :], c[..., None, :, :]), -1, -3)
+    # the determinant is linear in each row: coefficient j sums the
+    # determinants whose row r comes from G_{o_r}, over the orders o that
+    # total j, added in table order as np.bincount adds them
+    orders = _row_orders(k)
+    dets = np.linalg.det(G[..., orders, np.arange(4), :])
+    delta4_jet = np.zeros(dets.shape[:-1] + (k + 1,))
+    np.add.at(np.moveaxis(delta4_jet, -1, 0), orders.sum(axis=1), np.moveaxis(dets, -1, 0))
     return GramStack(
         delta3=np.linalg.det(gram[..., :3, :3]),
-        delta4=None if delta4_jet is None else delta4_jet[..., 0],
+        delta4=delta4_jet[..., 0],
         delta5=np.linalg.det(gram) if max_ell == 5 else None,
         alpha1=gram[..., 2, 2],
-        alpha2=gram[..., 3, 3] if max_ell >= 4 else None,
-        kappa1=kappa1,
-        alpha1_jet=_pairing_jet(trs[2], trs[2]),
+        alpha2=gram[..., 3, 3],
+        kappa1=_kappa1(delta4_jet, gram[..., 2, 2]) if k >= 2 else None,
         delta4_jet=delta4_jet,
         gram=gram,
     )
-
-
-def closed_form_alpha1_delta4(coeffs):
-    """The two lowest invariants of one coefficient row ``(n, order+1)``
-    from inner products of the derivatives alone (through the third
-    derivative); an independent check against the Gram-determinant route."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    _speed_sq(coeffs, 3, "closed-form invariants", row="closed_form_alpha1_delta4")
-    _, U, A, Ap = derivatives(coeffs, 4)
-    u2 = float(U @ U)
-    UA = float(U @ A)
-    UAp = float(U @ Ap)
-    AA = float(A @ A)
-    AAp = float(A @ Ap)
-    ApAp = float(Ap @ Ap)
-    alpha1 = -6 * UA**2 / u2**2 + 2 * UAp / u2 + 3 * AA / u2
-    delta4 = (
-        9 * UA**4 / u2**4
-        - 6 * UA**2 * UAp / u2**3
-        - 9 * UA**2 * AA / u2**3
-        + 6 * UA * AAp / u2**2
-        + UAp**2 / u2**2
-        - ApAp / u2
-    )
-    return alpha1, delta4
 
 
 def is_conformal_circle(delta4, alpha1):
@@ -301,7 +269,9 @@ def alpha1_stationary_stack(coeffs):
     unit of velocity component, so one scalar solve per row suffices."""
     coeffs = np.asarray(coeffs, dtype=float)
     _speed_sq(coeffs, 4, "alpha_1 constraint")
-    a1p = gram_stack(coeffs, 3).alpha1_jet[..., 1]
+    # alpha_1's jet: the metric square of the third tractor, slot axis first
+    t2 = np.moveaxis(canonical_tractor_stack(coeffs, 3)[2], -2, 0)
+    a1p = _pairing_jet(t2, t2)[..., 1]
     derivs = derivatives(coeffs, coeffs.shape[-1])
     derivs[4] = derivs[4] - (0.5 * a1p)[..., None] * derivs[1]
     return coefficients(derivs)

@@ -2,8 +2,9 @@
 independent oracles of its batched kernels: the per-tuple determinant
 ``epsilon`` (the oracle of :func:`confcurves.multilinear.minors`), the
 pairing quantities from parallel sections (the oracle of ``q_stack`` and
-``q_circle_stack``), the pointwise Killing field and its conformal factor,
-and the inversion of the momentum definitions.
+``q_circle_stack``), the closed-form alpha_1 and delta_4 (the oracle of
+``gram_stack``), the pointwise Killing field and its conformal factor, and
+the inversion of the momentum definitions.
 """
 
 import functools
@@ -12,10 +13,20 @@ import math
 
 import numpy as np
 
-from confcurves.curves import _speed_sq
+from confcurves.curves import _speed_sq, derivatives
 from confcurves.jets import _dot
 from confcurves.multilinear import _perm_sign, rho_wedge, wedge
 from confcurves.tractors import canonical_tractor_stack
+
+
+def _check_row(coeffs, order, what, name):
+    """The entry checks of :func:`confcurves.curves._speed_sq` on one
+    coefficient row ``(n, order+1)``; the function ``name`` rejects a
+    stack."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    _speed_sq(coeffs, order, what)
+    if coeffs.ndim > 2:
+        raise ValueError(f"{name} takes one coefficient row, got a stack of shape {coeffs.shape[:-2]}")
 
 
 def epsilon(idx, *vectors):
@@ -80,7 +91,7 @@ def parallel_section_oracle(coeffs, rank=4):
     the canonical tractors; agrees with ``q_stack`` and ``q_circle_stack``."""
     if rank not in (3, 4):
         raise ValueError("rank must be 3 or 4")
-    _speed_sq(np.asarray(coeffs, dtype=float), rank, "parallel sections", row="parallel_section_oracle")
+    _check_row(coeffs, rank, "parallel sections", "parallel_section_oracle")
     tractors = [c[..., 0] for c in canonical_tractor_stack(coeffs, rank)]
     X = np.asarray(coeffs, dtype=float)[:, 0]
     n = X.size
@@ -98,6 +109,31 @@ def parallel_section_oracle(coeffs, rank=4):
     sections = basis - r1 + 0.5 * r2
     paired = wedge_pair(wedge(tractors), sections, rank)
     return dict(zip(slots, paired.tolist()))
+
+
+def closed_form_alpha1_delta4(coeffs):
+    """The two lowest invariants of one coefficient row ``(n, order+1)``
+    from inner products of the derivatives alone (through the third
+    derivative); an independent check against the Gram-determinant route."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    _check_row(coeffs, 3, "closed-form invariants", "closed_form_alpha1_delta4")
+    _, U, A, Ap = derivatives(coeffs, 4)
+    u2 = float(U @ U)
+    UA = float(U @ A)
+    UAp = float(U @ Ap)
+    AA = float(A @ A)
+    AAp = float(A @ Ap)
+    ApAp = float(Ap @ Ap)
+    alpha1 = -6 * UA**2 / u2**2 + 2 * UAp / u2 + 3 * AA / u2
+    delta4 = (
+        9 * UA**4 / u2**4
+        - 6 * UA**2 * UAp / u2**3
+        - 9 * UA**2 * AA / u2**3
+        + 6 * UA * AAp / u2**2
+        + UAp**2 / u2**2
+        - ApAp / u2
+    )
+    return alpha1, delta4
 
 
 def ckv_eval(field, x):

@@ -13,14 +13,14 @@ import numpy as np
 from confcurves import (
     KillingField,
     LogSpiral,
+    PhasePoint,
     alpha1_stationary_stack,
-    closed_form_alpha1_delta4,
     derivatives,
-    e_quantities,
+    e_stack,
     f_generic_stack,
     flow_vector_stack,
     gram_stack,
-    hamiltonian,
+    hamiltonian_stack,
     identity_residual_stack,
     integrate,
     involutivity_check,
@@ -45,7 +45,7 @@ from conftest import (
     stacked,
     three_d_functions,
 )
-from oracles import accel_from_phase, epsilon, parallel_section_oracle
+from oracles import accel_from_phase, closed_form_alpha1_delta4, epsilon, parallel_section_oracle
 
 ACCEPTANCE_SPIRAL = LogSpiral(
     2.0,
@@ -124,17 +124,12 @@ def test_criterion_2_circle_suite():
 
 def _trajectory_drifts(p0, h):
     traj = integrate(p0, 1.0, h=h, store_every=10)
-    rows = []
-    for k in range(len(traj)):
-        pt = traj.phase_point(k)
-        e = e_quantities(pt)
-        q = q_phase(pt)
-        rows.append(
-            [hamiltonian(pt), e.E_D, *e.E_T, *e.E_S]
-            + [e.E_R[i - 1, j - 1] for i, j in itertools.combinations(range(1, 4), 2)]
-            + list(q)
-        )
-    rows = np.array(rows)
+    pts = PhasePoint.from_flat(traj.states, traj.dim)
+    e = e_stack(pts.X, pts.U, pts.P, pts.R)
+    i, j = np.triu_indices(3, 1)
+    rows = np.column_stack([
+        hamiltonian_stack(pts.U, pts.P, pts.R), e.E_D, e.E_T, e.E_S, e.E_R[:, i, j], q_phase(pts)
+    ])
     drift = float(
         np.max(np.max(np.abs(rows - rows[0]), axis=0) / (1.0 + np.abs(rows[0])))
     )

@@ -102,15 +102,28 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err == "config error: transform denominator vanishes near t = 2.000\n"
 
+    def test_tspiral_pole_between_scan_points_is_config_error(self, capsys):
+        # the same pole on [1.51, 2.5]: none of the 33 scan points lands
+        # near t = 2, and the denominator's double zero stays above the scan
+        # threshold between them; the scan adds the one time the base
+        # spiral's radius reaches the pole's
+        family = ["--family", "tspiral", *SPIRAL_ARGS[2:], "--t1", "2.5", "--samples", "20"]
+        assert main(["verify", *family, POLE_AT_TWO, "--t0", "1.51"]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: transform denominator vanishes near t = 2.000\n"
+        # b = 0 is the identity transform, with no pole to scan for
+        assert main(["verify", *family, "--b", "0,0,0", "--t0", "1.51"]) == 0
+
     def test_degenerate_pitch_is_config_error(self, capsys):
-        code = main(
-            [
-                "verify", "--family", "spiral", "--n", "3", "--c", "0",
-                "--p0", "1,0,0", "--q0", "0,1,0", "--r0", "0,0,0",
-            ]
-        )
-        assert code == 2
-        assert "config error" in capsys.readouterr().err
+        # delta_4 = -c^2 lies in the conformal-circle band at c = 0 and 1e-5
+        spiral = [*SPIRAL_ARGS[2:4], *SPIRAL_ARGS[6:]]
+        for family, message in (
+            (["spiral"], "c: the fourth invariant vanishes for this pitch, outside the spiral class"),
+            (["tspiral", "--b", "0.1,-0.1,0.15"], "c: the fourth invariant vanishes, outside the spiral class"),
+        ):
+            for c in ("0", "1e-5"):
+                assert main(["verify", "--family", *family, *spiral, "--c", c]) == 2
+                assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_missing_parameter_is_config_error(self, capsys):
         code = main(["verify", "--family", "spiral", "--n", "3", "--c", "2"])

@@ -10,7 +10,6 @@ from confcurves import (
     KillingField,
     alpha1_stationary_stack,
     circle_residual_stack,
-    closed_form_alpha1_delta4,
     coefficients,
     derivatives,
     e_stack,
@@ -34,7 +33,7 @@ from conftest import (
     random_transformed_spiral,
 )
 from jet_oracle import JetScalar
-from oracles import parallel_section_oracle
+from oracles import closed_form_alpha1_delta4, parallel_section_oracle
 
 
 def general_field(rng, n):
@@ -52,7 +51,6 @@ def phase_basis(c):
 # function of one coefficient array and the dimension's Killing field.
 STACKS = {
     "canonical_tractor_stack": lambda c, f: canonical_tractor_stack(c, 5),
-    "gram_stack_3": lambda c, f: gram_stack(c, 3),
     "gram_stack_4": lambda c, f: gram_stack(c, 4),
     "gram_stack_5": lambda c, f: gram_stack(c, 5),
     "q_stack": lambda c, f: q_stack(c),

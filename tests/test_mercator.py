@@ -9,8 +9,7 @@ from confcurves import (
     circle_residual_stack,
     coefficients,
     derivatives,
-    e_quantities,
-    hamiltonian,
+    e_stack,
     integrate,
     phase_from_jet,
     poisson_bracket,
@@ -127,7 +126,7 @@ class TestRowBatched:
                 assert_same_bits(p.R, want_R)
                 want_H = row_hamiltonian(derivatives(jet, 2)[1], want_P, want_R)
                 assert_same_bits(H[k], want_H)
-                assert hamiltonian(p) == want_H and isinstance(hamiltonian(p), float)
+                assert hamiltonian_stack(p.U, p.P, p.R) == want_H
 
 
 class TestLagrangians:
@@ -246,29 +245,28 @@ class TestPhaseConversions:
 
 class TestHamiltonian:
     def test_unit_pitch_value(self, planar_unit_spiral):
-        assert hamiltonian(phase_from_jet(planar_unit_spiral.jet(0.0))) == pytest.approx(
-            0.0, abs=1e-14
-        )
+        p = phase_from_jet(planar_unit_spiral.jet(0.0))
+        assert hamiltonian_stack(p.U, p.P, p.R) == pytest.approx(0.0, abs=1e-14)
 
     def test_zero_momenta(self):
         p = PhasePoint(np.zeros(2), np.array([2.0, 0.0]), np.zeros(2), np.zeros(2))
-        assert hamiltonian(p) == 0.0
+        assert hamiltonian_stack(p.U, p.P, p.R) == 0.0
 
     def test_spiral_energy_level(self, rng):
         # along any spiral of pitch c the Hamiltonian is (c^2 - 1)/2
         for c in (0.7, 2.0):
             spiral = random_spiral(rng, 3, c=c)
-            for t in (-0.4, 0.8):
-                h = hamiltonian(phase_from_jet(spiral.jet(float(t))))
-                assert h == pytest.approx((c**2 - 1.0) / 2.0, abs=1e-10)
+            p = phase_from_jet(spiral.jet_stack([-0.4, 0.8]))
+            h = hamiltonian_stack(p.U, p.P, p.R)
+            assert np.max(np.abs(h - (c**2 - 1.0) / 2.0)) <= 1e-10
 
     def test_three_d_energy_identity(self, rng):
         for _ in range(100):
             p = random_phase_point(rng, 3)
-            e = e_quantities(p)
+            e = e_stack(p.X, p.U, p.P, p.R)
             er = np.array([e.E_R[1, 2], -e.E_R[0, 2], e.E_R[0, 1]])
             rhs = 0.5 * (float(er @ er) - float(e.E_T @ e.E_S) - e.E_D**2)
-            assert hamiltonian(p) == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+            assert hamiltonian_stack(p.U, p.P, p.R) == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
 class TestHamiltonRHS:
@@ -299,10 +297,7 @@ class TestHamiltonRHS:
                 yp, ym = y.copy(), y.copy()
                 yp[i] += hstep
                 ym[i] -= hstep
-                grad[i] = (
-                    hamiltonian(PhasePoint.from_flat(yp, n))
-                    - hamiltonian(PhasePoint.from_flat(ym, n))
-                ) / (2 * hstep)
+                grad[i] = (energy(*np.split(yp, 4)) - energy(*np.split(ym, 4))) / (2 * hstep)
             expect = np.concatenate(
                 [grad[2 * n : 3 * n], grad[3 * n :], -grad[0:n], -grad[n : 2 * n]]
             )
@@ -663,8 +658,8 @@ class TestIntegrate:
     def test_free_motion_is_exact(self):
         p0 = PhasePoint(np.zeros(2), np.array([0.3, -0.4]), np.zeros(2), np.zeros(2))
         traj = integrate(p0, 1.0, h=1e-2, store_every=5)
-        for k, t in enumerate(traj.ts):
-            assert np.max(np.abs(traj.phase_point(k).X - t * p0.U)) <= 1e-13
+        X = PhasePoint.from_flat(traj.states, traj.dim).X
+        assert np.max(np.abs(X - traj.ts[:, None] * p0.U)) <= 1e-13
 
     def test_momentum_exactly_conserved(self, rng):
         p0 = random_phase_point(rng, 3)
@@ -676,9 +671,9 @@ class TestIntegrate:
         p0 = random_phase_point(rng, 3)
 
         def h_drift(h):
-            traj = integrate(p0, 1.0, h=h)
-            hs = [hamiltonian(traj.phase_point(k)) for k in range(len(traj))]
-            return max(abs(v - hs[0]) for v in hs)
+            points = PhasePoint.from_flat(integrate(p0, 1.0, h=h).states, 3)
+            hs = hamiltonian_stack(points.U, points.P, points.R)
+            return np.max(np.abs(hs - hs[0]))
 
         d1, d2 = h_drift(2e-3), h_drift(1e-3)
         assert d1 / d2 == pytest.approx(16.0, rel=0.35)
@@ -699,26 +694,17 @@ class TestIntegrate:
         spiral = random_spiral(rng, 3, c=1.4)
         p0 = phase_from_jet(spiral.jet(0.0))
         traj = integrate(p0, 1.0, h=1e-3)
-        worst = max(
-            float(np.max(np.abs(traj.phase_point(k).X - spiral.position(float(t)))))
-            for k, t in enumerate(traj.ts)
-        )
-        assert worst <= 1e-9
+        closed = np.array([spiral.position(float(t)) for t in traj.ts])
+        assert np.max(np.abs(PhasePoint.from_flat(traj.states, 3).X - closed)) <= 1e-9
 
     def test_conserved_quantities_drift(self, rng):
         p0 = random_phase_point(rng, 3)
-        traj = integrate(p0, 1.0, h=1e-3)
-        rows = []
-        for k in range(len(traj)):
-            pt = traj.phase_point(k)
-            e = e_quantities(pt)
-            q = q_phase(pt)
-            rows.append(
-                [hamiltonian(pt), e.E_D, *e.E_T, *e.E_S]
-                + [e.E_R[i - 1, j - 1] for i, j in itertools.combinations(range(1, 4), 2)]
-                + list(q)
-            )
-        rows = np.array(rows)
+        pts = PhasePoint.from_flat(integrate(p0, 1.0, h=1e-3).states, 3)
+        e = e_stack(pts.X, pts.U, pts.P, pts.R)
+        i, j = np.triu_indices(3, 1)
+        rows = np.column_stack([
+            hamiltonian_stack(pts.U, pts.P, pts.R), e.E_D, e.E_T, e.E_S, e.E_R[:, i, j], q_phase(pts)
+        ])
         drift = np.max(np.abs(rows - rows[0]), axis=0) / (1.0 + np.abs(rows[0]))
         assert float(np.max(drift)) <= 1e-8
 
@@ -782,7 +768,6 @@ class TestPoissonBracket:
             rows = [random_phase_point(rng, n) for _ in range(6)]
             got = poisson_bracket(coordinate(1), energy, stacked(rows))
             assert_same_bits(got, [poisson_bracket(coordinate(1), energy, p) for p in rows])
-            assert all(type(poisson_bracket(energy, coordinate(0), p)) is float for p in rows)
 
 
 def substitution_lift(y, n, order):
@@ -849,7 +834,8 @@ class TestStackedPointHelpers:
 
     def test_hamiltonian_is_per_row(self, rng):
         stack = four_row_point(rng)
-        assert_same_bits(hamiltonian(stack), [hamiltonian(p) for p in self.rows(stack)])
+        want = [hamiltonian_stack(p.U, p.P, p.R) for p in self.rows(stack)]
+        assert_same_bits(hamiltonian_stack(stack.U, stack.P, stack.R), want)
 
     def test_accel_from_phase_is_per_row(self, rng):
         stack = four_row_point(rng)

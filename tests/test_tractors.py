@@ -7,7 +7,6 @@ import pytest
 from confcurves import (
     DegenerateVelocityError,
     alpha1_stationary_stack,
-    closed_form_alpha1_delta4,
     coefficients,
     derivatives,
     flow_vector_stack,
@@ -29,7 +28,7 @@ from conftest import (
     tractor_values,
 )
 from jet_oracle import JetScalar
-from oracles import epsilon, parallel_section_oracle
+from oracles import closed_form_alpha1_delta4, epsilon, parallel_section_oracle
 
 
 def straight_line_jet(n=3, order=4):
@@ -86,6 +85,15 @@ def operator_tractor_jets(jet, count):
         wN = d[-1] - low[1:-1].dot(uk)
         seq.append(JetScalar(np.vstack([d.coeffs[0], wi.coeffs, wN.coeffs])))
     return seq
+
+
+def alpha1_jet(jet):
+    """Taylor coefficients of alpha_1 of one coefficient row: the metric
+    square of the third tractor of :func:`operator_tractor_jets`, whose
+    coefficient ``j`` adds the pairings of coefficients ``p`` and ``j - p``
+    in increasing ``p``."""
+    t = operator_tractor_jets(jet, 3)[2].coeffs
+    return np.array([tractor_metric_pair(t[:, : j + 1], t[:, j::-1]).sum() for j in range(t.shape[-1])])
 
 
 class TestCanonicalSequence:
@@ -242,7 +250,7 @@ class TestGramInvariants:
             n = int(rng.integers(2, 5))
             jet = random_curve_jet(rng, n, levels=6)
             g = gram_stack(jet, 5)
-            a1 = JetScalar(g.alpha1_jet)
+            a1 = JetScalar(alpha1_jet(jet))
             a1p = a1.differentiate()
             tol = 1e-10 * (1.0 + g.gram_scale())
             G = g.gram
@@ -267,9 +275,8 @@ class TestGramInvariants:
             for t in np.linspace(-1, 1, 5):
                 jet = circle.jet(float(t))
                 trs = tractor_values(jet, 4)
-                g = gram_stack(jet, 4)
-                a1p = JetScalar(g.alpha1_jet).differentiate().value
-                comb = trs[3] + g.alpha1 * trs[1] + 0.5 * a1p * trs[0]
+                a1, a1p = alpha1_jet(jet)[:2]
+                comb = trs[3] + a1 * trs[1] + 0.5 * a1p * trs[0]
                 assert np.max(np.abs(comb)) <= 1e-9
 
 
@@ -461,8 +468,7 @@ class TestReductionIdentity:
         for _ in range(50):
             n = int(rng.integers(2, 5))
             jet = alpha1_stationary_stack(random_curve_jet(rng, n))
-            g = gram_stack(jet, max_ell=3)
-            assert abs(JetScalar(g.alpha1_jet).differentiate().value) <= 1e-12
+            assert abs(alpha1_jet(jet)[1]) <= 1e-12
             res = identity_residual_stack(jet)
             scale = 1.0 + max(
                 np.max(np.abs(res.tractor_slot)), np.max(np.abs(res.mercator_expansion))
@@ -484,8 +490,7 @@ class TestReductionIdentity:
             n = int(rng.integers(2, 5))
             jet = alpha1_stationary_stack(random_curve_jet(rng, n, levels=6))
             trs = tractor_values(jet, 5)
-            g = gram_stack(jet, max_ell=3)
-            pipeline = -(trs[4][1:-1] + g.alpha1 * trs[2][1:-1])
+            pipeline = -(trs[4][1:-1] + alpha1_jet(jet)[0] * trs[2][1:-1])
             res = identity_residual_stack(jet)
             scale = 1.0 + np.max(np.abs(pipeline))
             assert np.max(np.abs(res.tractor_slot - pipeline)) <= 1e-9 * scale
@@ -644,7 +649,7 @@ class TestStacks:
         undefined = 0
         for n in range(2, 9):
             jets = mixed_rows(rng, n)
-            for max_ell in (3, 4, 5):
+            for max_ell in (4, 5):
                 g = gram_stack(stack_of(jets), max_ell)
                 for i, jet in enumerate(jets):
                     one = gram_stack(jet, max_ell)
@@ -654,10 +659,6 @@ class TestStacks:
                         assert (getattr(g, name) is None) == (value is None)
                         if value is not None:
                             assert np.array_equal(getattr(g, name)[i], value)
-                    assert np.array_equal(g.alpha1_jet[i], one.alpha1_jet)
-                    if max_ell == 3:
-                        assert g.delta4_jet is None and g.kappa1 is None
-                        continue
                     assert np.array_equal(g.delta4_jet[i], one.delta4_jet)
                     undefined += bool(np.isnan(one.kappa1))
                     assert np.array_equal(g.kappa1[i], one.kappa1, equal_nan=True)
@@ -689,6 +690,12 @@ class TestStacks:
                     with pytest.raises(DegenerateVelocityError):
                         call()
 
+    def test_gram_needs_four_or_five_tractors(self, rng):
+        coeffs = stack_of([random_curve_jet(rng, 3, levels=7) for _ in range(3)])
+        for max_ell in (3, 6):
+            with pytest.raises(ValueError, match="^max_ell must be 4 or 5$"):
+                gram_stack(coeffs, max_ell)
+
     def test_insufficient_order_rejected(self, rng):
         coeffs = stack_of([random_curve_jet(rng, 3, levels=4) for _ in range(3)])
         with pytest.raises(ValueError):
@@ -701,8 +708,7 @@ class TestStacks:
 
 
 def jet_alpha1_stationary(jet):
-    g = gram_stack(jet, max_ell=3)
-    a1p = JetScalar(g.alpha1_jet).differentiate().value
+    a1p = alpha1_jet(jet)[1]
     derivs = derivatives(jet, jet.shape[-1])
     derivs[4] = derivs[4] - 0.5 * a1p * derivs[1]
     return coefficients(derivs)
