@@ -31,7 +31,7 @@ print(f"start on a pitch-1.4 spiral: H = {H0:.6f} (expected (c^2-1)/2 = 0.48)")
 traj = integrate(p0, 1.0, h=1e-3, store_every=10)
 # every stored state as one stacked phase point
 pts = PhasePoint.from_flat(traj.states, traj.dim)
-closed = np.array([spiral.position(float(t)) for t in traj.ts])
+closed = spiral.position(traj.ts)
 print(f"trajectory vs closed-form spiral over [0,1]: max error {np.max(np.abs(pts.X - closed)):.2e}")
 
 # one row per stored state: H, the basis quantities (E_R above the

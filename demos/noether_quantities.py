@@ -42,8 +42,8 @@ def basis(jet):
 
 for name, family in (("spiral", spiral), ("circle", circle), ("transformed spiral", tspiral)):
     print(f"{name}:")
+    jets = family.jet(np.linspace(-1, 1, 9))
     for label, field in fields.items():
-        jets = [family.jet(float(t)) for t in np.linspace(-1, 1, 9)]
         vals_closed = [field.pair(basis(jet)) for jet in jets]
         vals_generic = [float(f_generic_stack(field, jet)) for jet in jets]
         gap = max(abs(a - b) for a, b in zip(vals_closed, vals_generic))

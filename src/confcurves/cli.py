@@ -28,8 +28,7 @@ import numpy as np
 
 from . import families, mercator, symmetries, tractors
 from .multilinear import _MINORS_BUDGET, minors, tractor_metric_pair, wedge
-from .curves import DegenerateVelocityError, _check_speed, coefficients, derivatives
-from .jets import _dot
+from .curves import DegenerateVelocityError, coefficients, derivatives
 from .mercator import FlowDegeneracyError, PhasePoint
 
 EXIT_PASS = 0
@@ -164,7 +163,7 @@ def _sample_times(args, n):
     t0, t1 = _window(args)
     if not t1 > t0:
         raise ConfigError(f"window: need t1 > t0, got [{t0}, {t1}]")
-    columns = len(_quantity_columns(n))
+    columns = _column_count(n)
     if args.samples * columns > _TRACE_BUDGET:
         raise ConfigError(f"samples: {args.samples} rows of {columns} columns exceed {_TRACE_BUDGET} cells")
     return np.linspace(t0, t1, args.samples)
@@ -176,9 +175,7 @@ def _family_jets(family, times):
     under ``main``'s error state or a vanishing transform denominator is a
     config error, a speed at or below the floor a degeneracy."""
     try:
-        coeffs = family.jet_stack(times)
-        _check_speed(times, _dot(coeffs[..., 1], coeffs[..., 1]))
-        return coeffs
+        return family.jet(times)
     except (ValueError, ArithmeticError):
         for t in map(float, times):
             try:
@@ -212,7 +209,7 @@ def _random_fields(n, seed):
 # ---------------------------------------------------------------- verify
 
 
-def _verify_spiral(spiral, times, checks, seed):
+def _verify_spiral(spiral, times, checks, fields):
     c = spiral.c
     p2 = float(spiral.p0 @ spiral.p0)
     coeffs = _family_jets(spiral, times)
@@ -236,21 +233,19 @@ def _verify_spiral(spiral, times, checks, seed):
     pqr = minors(np.column_stack([spiral.p0, spiral.q0, spiral.r0]))
     expected = c / p2 * np.concatenate([pq, pqr, np.zeros_like(pqr)])
     checks.add("q_matches_spiral_values", np.max(np.abs(qs[0, : expected.size] - expected), initial=0.0), 1e-9)
-    worst_square = worst_match = 0.0
-    for t, piped in zip(times, tractors.canonical_tractor_stack(coeffs, 3)[2][..., 0]):
-        closed = spiral.acceleration_tractor(float(t))
-        worst_square = max(worst_square, abs(tractor_metric_pair(closed, closed) - (c**2 - 1.0)))
-        worst_match = max(worst_match, float(np.max(np.abs(closed - piped))))
-    checks.add("acceleration_tractor_square", worst_square, 1e-10)
-    checks.add("acceleration_tractor_matches_pipeline", worst_match, 1e-10)
+    piped = tractors.canonical_tractor_stack(coeffs, 3)[2][..., 0]
+    closed = spiral.acceleration_tractor(times)
+    square = tractor_metric_pair(closed.T, closed.T)
+    checks.add("acceleration_tractor_square", np.max(np.abs(square - (c**2 - 1.0))), 1e-10)
+    checks.add("acceleration_tractor_matches_pipeline", np.max(np.abs(closed - piped)), 1e-10)
     # kappa_1 is even in c, as delta_4 and alpha_1 are; an undefined kappa_1
     # is NaN, and a NaN measurement fails its check
     checks.add("kappa1_matches", np.max(np.abs(g.kappa1 + (c**2 - 1.0) / (2 * abs(c)))), 1e-8)
     checks.add("kappa1_constant", _spread(g.kappa1), 1e-8)
-    _verify_noether(coeffs, derivs, checks, seed)
+    _verify_noether(coeffs, derivs, checks, fields)
     hs = mercator.hamiltonian_stack(derivs[1], *mercator.momenta_stack(*derivs[1:]))
     checks.add("hamiltonian_constant", _spread(hs), 1e-9)
-    closed = np.array([spiral.closed_derivatives(float(t)) for t in times])
+    closed = np.stack(spiral.closed_derivatives(times), axis=1)
     worst = np.max(np.abs(np.stack(derivs[1:], axis=1) - closed), axis=(1, 2))
     scale = 1.0 + np.max(np.abs(closed), axis=(1, 2))
     checks.add("jet_matches_closed_derivatives", np.max(worst / scale), 1e-12)
@@ -262,12 +257,12 @@ def _check_delta5(checks, g):
     checks.add("delta5_vanishes_rel", np.max(np.abs(g.delta5) / scale**5), 1e-6)
 
 
-def _verify_noether(coeffs, derivs, checks, seed):
+def _verify_noether(coeffs, derivs, checks, fields):
     """Closed-form Noether values of random fields (paired with the
     ``noether_stack`` basis) against ``f_generic_stack``, one call each."""
     worst_agree = worst_spread = 0.0
     bases = symmetries.noether_stack(*derivs)
-    for field in _random_fields(coeffs.shape[-2], seed):
+    for field in fields:
         closed = field.pair(bases)
         generic = symmetries.f_generic_stack(field, coeffs)
         worst_agree = max(worst_agree, np.max(np.abs(closed - generic)) / (1.0 + np.max(np.abs(closed))))
@@ -276,7 +271,7 @@ def _verify_noether(coeffs, derivs, checks, seed):
     checks.add("noether_constant_along_curve", worst_spread, 1e-8)
 
 
-def _verify_circle(circle, times, checks, seed):
+def _verify_circle(circle, times, checks, fields):
     coeffs = _family_jets(circle, times)
     derivs = derivatives(coeffs, 4)
     checks.add("circle_residual", np.max(np.abs(mercator.circle_residual_stack(*derivs[1:]))), 1e-10)
@@ -298,10 +293,10 @@ def _verify_circle(circle, times, checks, seed):
     else:
         checks.add_range("t3_parallel_decay_order", math.log2(defects[0] / defects[1]), 1.6, 2.4)
     checks.add("circle_q_constant", max(map(_spread, tractors.q_circle_stack(coeffs).T)), 1e-9)
-    _verify_noether(coeffs, derivs, checks, seed)
+    _verify_noether(coeffs, derivs, checks, fields)
 
 
-def _verify_tspiral(tspiral, times, checks, seed):
+def _verify_tspiral(tspiral, times, checks, fields):
     c = tspiral.base.c
     coeffs = _family_jets(tspiral, times)
     # delta_4 = -c^2 on the base spiral and on its conformal images
@@ -326,11 +321,11 @@ def _verify_tspiral(tspiral, times, checks, seed):
     checks.add("q_constant_along_curve", max(map(_spread, tractors.q_stack(coeffs).T)), 1e-8)
     basis = symmetries.noether_stack(*(d[0] for d in derivs))
     worst = 0.0
-    for field in _random_fields(tspiral.dim, seed):
+    for field in fields:
         reported = field.pair(report)
         worst = max(worst, abs(field.pair(basis) - reported) / (1.0 + abs(reported)))
     checks.add("noether_matches_report", worst, 1e-9)
-    _verify_noether(coeffs, derivs, checks, seed)
+    _verify_noether(coeffs, derivs, checks, fields)
     hs = mercator.hamiltonian_stack(derivs[1], *mercator.momenta_stack(*derivs[1:]))
     checks.add("hamiltonian_constant", _spread(hs), 1e-9)
 
@@ -344,18 +339,19 @@ def cmd_verify(args):
         raise ConfigError(f"samples: verify needs at least 2 sample times, got {args.samples}")
     times = _sample_times(args, family.dim)
     checks = CheckList(args.tolerances)
+    fields = _random_fields(family.dim, args.seed)
     if isinstance(family, families.LogSpiral):
-        _verify_spiral(family, times, checks, args.seed)
+        _verify_spiral(family, times, checks, fields)
     elif isinstance(family, families.Circle):
-        _verify_circle(family, times, checks, args.seed)
+        _verify_circle(family, times, checks, fields)
     else:
-        _verify_tspiral(family, times, checks, args.seed)
+        _verify_tspiral(family, times, checks, fields)
     _write_report(args, "verify", checks)
     print("verify:", "PASS" if checks.ok else "FAIL")
     return EXIT_PASS if checks.ok else EXIT_FAIL
 
 
-def _write_report(args, command, checks, extra=None):
+def _write_report(args, command, checks):
     checks.require_checked()
     out = _resolve_out(args.out)
     payload = {
@@ -364,8 +360,6 @@ def _write_report(args, command, checks, extra=None):
         "checks": checks.records,
         "pass": checks.ok,
     }
-    if extra:
-        payload.update(extra)
     if out:
         with open(out, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
@@ -383,6 +377,11 @@ def _config_echo(args):
 
 
 # ------------------------------------------------------------- quantities
+
+
+def _column_count(n):
+    """``len(_quantity_columns(n))``, without building the names."""
+    return 10 + 5 * n + 3 * math.comb(n, 2) + 2 * math.comb(n, 3) + math.comb(n, 4)
 
 
 def _quantity_columns(n):
@@ -475,10 +474,12 @@ def cmd_integrate(args):
     p0 = _initial_phase(args)
     if args.out is None:
         raise ConfigError("out: required for integrate")
-    columns = _quantity_columns(p0.dim)
     rows = 1 + math.ceil(round(args.t_end / args.h) / args.store_every)
-    if rows * len(columns) > _TRACE_BUDGET:
-        raise ConfigError(f"store-every: {rows} rows of {len(columns)} columns exceed {_TRACE_BUDGET} cells")
+    width = _column_count(p0.dim)
+    if rows * width > _TRACE_BUDGET:
+        raise ConfigError(
+            f"store-every: {rows} rows of {width} columns exceed {_TRACE_BUDGET} cells"
+        )
     degenerate = None
     try:
         traj = mercator.integrate(p0, args.t_end, args.h, args.store_every)
@@ -488,6 +489,7 @@ def cmd_integrate(args):
     # one lift and one table for all stored states; the table rejects a
     # speed below the floor
     data = _quantity_table(traj.ts, mercator.taylor_lift(traj.states, order=6))
+    columns = _quantity_columns(p0.dim)
     out = _resolve_out(args.out)
     _write_table(out, columns, data, args.format)
     print(f"trace with {len(data)} samples written to {out}")

@@ -21,14 +21,6 @@ class DegenerateVelocityError(ValueError):
     """The squared speed fell at or below the usable floor."""
 
 
-def _check_speed(ts, u2):
-    """Raise :class:`DegenerateVelocityError` for the first of the times
-    ``ts`` whose squared speed in ``u2`` is at or below the floor."""
-    for t, v in zip(ts, u2):
-        if v <= VELOCITY_FLOOR:
-            raise DegenerateVelocityError(f"squared speed {v:.3e} at t={float(t)} is below the floor")
-
-
 def _speed_sq(coeffs, order, what):
     """Squared speed of every row of a position coefficient stack, after
     the entry checks of every stack: a component axis, finite entries,

@@ -5,9 +5,9 @@ and special-conformal images of spirals.
 All position coefficients are produced by the Taylor kernels of
 :mod:`confcurves.jets` on the defining formulas, so derivatives of any
 order (up to the jet limit) carry no discretization error.  A family's
-``jet_stack`` evaluates them at many times in one pass, with each
-product's operands in the kernels' order; its ``jet`` is the one-time
-row.
+``jet`` evaluates them at one time, or at an array of times in one pass
+with each product's operands in the kernels' order; the spiral's closed
+forms and the transform's denominator take times the same way.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import _check_speed, derivatives
-from .jets import _constant, _dot, _exp, _recip, _sincos, _stack_product, _sum_rows
+from .curves import VELOCITY_FLOOR, DegenerateVelocityError
+from .jets import _constant, _dot, _exp, _libm, _recip, _sincos, _stack_product, _sum_rows
 from .symmetries import EQuantities
 
 __all__ = [
@@ -42,13 +42,16 @@ def _times(a, value):
     return _stack_product(a, _constant(value, a.shape[-1] - 1))
 
 
-def _jet(self, t, order=DEFAULT_ORDER):
-    """The position coefficients ``(n, order+1)`` at ``t``, row 0 of
-    ``jet_stack``, with the speed checked against the floor."""
-    coeffs = self.jet_stack([t], order)[0]
-    u = derivatives(coeffs, 2)[1]
-    _check_speed([t], [u @ u])
-    return coeffs
+def _jet(self, times, order=DEFAULT_ORDER):
+    """The position coefficients ``(n, order+1)`` at one time, or ``(times,
+    n, order+1)`` at a list or 1-d array of times, every row's squared
+    speed checked against the floor; the first slow time is named."""
+    flat = np.atleast_1d(np.asarray(times, dtype=float))
+    coeffs = self._coefficients(flat, order)
+    for t, v in zip(flat.tolist(), _dot(coeffs[..., 1], coeffs[..., 1])):
+        if v <= VELOCITY_FLOOR:
+            raise DegenerateVelocityError(f"squared speed {v:.3e} at t={t} is below the floor")
+    return coeffs if np.ndim(times) else coeffs[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +91,7 @@ class Circle:
 
     jet = _jet
 
-    def jet_stack(self, times, order=DEFAULT_ORDER):
+    def _coefficients(self, times, order):
         """Position coefficients ``(times, n, order+1)``."""
         tau = _constant(times, order)  # the variable jets: t, then 1
         tau[:, 1] = 1.0
@@ -130,15 +133,14 @@ class LogSpiral:
         return self.p0.size
 
     def position(self, t):
-        return (
-            math.exp(t) * math.cos(self.c * t) * self.p0
-            + math.exp(t) * math.sin(self.c * t) * self.q0
-            + self.r0
-        )
+        """The point ``(n,)`` at one time, or ``(times, n)`` at an array of times."""
+        e = _libm(math.exp, t)[..., None]
+        cos, sin = (_libm(f, self.c * t)[..., None] for f in (math.cos, math.sin))
+        return e * cos * self.p0 + e * sin * self.q0 + self.r0
 
     jet = _jet
 
-    def jet_stack(self, times, order=DEFAULT_ORDER):
+    def _coefficients(self, times, order):
         """Position coefficients ``(times, n, order+1)``."""
         tau = _constant(times, order)
         tau[:, 1] = 1.0
@@ -149,16 +151,15 @@ class LogSpiral:
 
     def closed_derivatives(self, t):
         """First three derivative vectors in closed form, independent of the
-        jet route.
+        jet route: ``(n,)`` each at one time, ``(times, n)`` at an array.
 
         Note the velocity factors of ``c``: the derivative of
         ``e^t cos(ct)`` is ``e^t (cos(ct) - c sin(ct))``, which is what the
         stated squared speed ``e^{2t}(c^2+1)|p0|^2`` requires.
         """
         c = self.c
-        e = math.exp(t)
-        cos = math.cos(c * t)
-        sin = math.sin(c * t)
+        e = _libm(math.exp, t)[..., None]
+        cos, sin = (_libm(f, c * t)[..., None] for f in (math.cos, math.sin))
         U = e * (cos - c * sin) * self.p0 + e * (sin + c * cos) * self.q0
         A = (
             e * ((1 - c**2) * cos - 2 * c * sin) * self.p0
@@ -172,17 +173,16 @@ class LogSpiral:
 
     def acceleration_tractor(self, t) -> np.ndarray:
         """The third canonical tractor along the spiral in closed form, as
-        an ``(n+2)``-array; its metric square equals ``c^2 - 1`` for every
-        ``t``."""
+        an ``(n+2)``-array at one time or ``(times, n+2)`` at an array of
+        times; its metric square equals ``c^2 - 1`` for every ``t``."""
         c = self.c
         scale = float(np.linalg.norm(self.p0))
         root = math.sqrt(c**2 + 1.0)
-        w0 = math.exp(-t) / (scale * root)
-        wi = -root / scale * (
-            math.cos(c * t) * self.p0 + math.sin(c * t) * self.q0
-        )
-        wN = -math.exp(t) * scale * root
-        return np.concatenate([[w0], wi, [wN]])
+        w0 = _libm(math.exp, -t) / (scale * root)
+        cos, sin = (_libm(f, c * t)[..., None] for f in (math.cos, math.sin))
+        wi = -root / scale * (cos * self.p0 + sin * self.q0)
+        wN = -_libm(math.exp, t) * scale * root
+        return np.concatenate([w0[..., None], wi, wN[..., None]], axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,7 +201,7 @@ class TransformedSpiral:
             raise FamilyError("b must match the spiral dimension")
         object.__setattr__(self, "b", b)
         lo, hi = self.window
-        scan = list(np.linspace(lo, hi, 33))
+        scan = np.linspace(lo, hi, 33)
         # the denominator |b|^2 |x - b/|b|^2|^2 has a double zero, which a
         # grid can step over; the base radius e^t |p0| is monotone, so it
         # meets |b/|b|^2 - r0| = |b - |b|^2 r0| / |b|^2 once, at t*; Python
@@ -211,30 +211,30 @@ class TransformedSpiral:
         if gap:
             t_star = math.log(gap) - 2.0 * math.log(beta) - math.log(math.hypot(*self.base.p0.tolist()))
             if lo <= t_star <= hi:
-                scan.append(t_star)
-        for t in scan:
-            if abs(self._denominator(t)) < 1e-6:
-                raise FamilyError(f"transform denominator vanishes near t = {t:.3f}")
+                scan = np.append(scan, t_star)
+        near = np.flatnonzero(np.abs(self._denominator(scan)) < 1e-6)
+        if near.size:
+            raise FamilyError(f"transform denominator vanishes near t = {scan[near[0]]:.3f}")
 
     @property
     def dim(self):
         return self.base.dim
 
     def _denominator(self, t):
+        """The transform denominator at one time, or at an array of times."""
         xh = self.base.position(t)
-        return 1.0 - 2.0 * float(xh @ self.b) + float(self.b @ self.b) * float(xh @ xh)
+        return 1.0 - 2.0 * _dot(xh, self.b) + float(self.b @ self.b) * _dot(xh, xh)
 
     jet = _jet
 
-    def jet_stack(self, times, order=DEFAULT_ORDER):
-        """Position coefficients ``(times, n, order+1)``; a time at which
-        the transform denominator or the spiral's velocity vanishes is
-        rejected as that time's ``jet`` rejects it."""
-        for t in times:
-            if abs(self._denominator(t)) < 1e-9:
-                raise FamilyError(f"transform denominator vanishes at t = {t}")
-        x = self.base.jet_stack(times, order)
-        _check_speed(times, _dot(x[..., 1], x[..., 1]))
+    def _coefficients(self, times, order):
+        """Position coefficients ``(times, n, order+1)``; the first time at
+        which the transform denominator vanishes is named, and the base
+        spiral's ``jet`` names the first at which its velocity does."""
+        vanish = np.flatnonzero(np.abs(self._denominator(times)) < 1e-9)
+        if vanish.size:
+            raise FamilyError(f"transform denominator vanishes at t = {times[vanish[0]]}")
+        x = self.base.jet(times, order)
         n2 = _sum_rows(_stack_product(x, x))
         bx = _sum_rows(_times(x, self.b))
         den = _constant(1.0, order) - _times(bx, 2.0) + _times(n2, float(self.b @ self.b))

@@ -40,6 +40,12 @@ def _constant(value, order):
     return c
 
 
+def _libm(f, x):
+    """``f`` of every entry of a number or array ``x``, with libm's bits,
+    which ``np.exp`` and its kin do not always give, and its errors."""
+    return np.vectorize(f, otypes=[float])(x)
+
+
 def _dot(a, b):
     """``np.dot`` of the last axes of ``a`` and ``b``, batched over the leading
     axes, with its bits: one ``np.matmul`` over contiguous copies."""
@@ -106,7 +112,7 @@ def _exp(a):
     coefficients, each coefficient's dot one :func:`_dot`; the constant term
     is libm's, which ``np.exp`` does not always give, as are its errors."""
     b = np.zeros(a.shape)
-    b[..., 0] = np.vectorize(math.exp, otypes=[float])(a[..., 0])
+    b[..., 0] = _libm(math.exp, a[..., 0])
     for k in range(1, a.shape[-1]):
         b[..., k] = _dot(np.arange(1, k + 1) * a[..., 1 : k + 1], b[..., k - 1 :: -1]) / k
     return b
@@ -116,7 +122,7 @@ def _sincos(a):
     """Sine and cosine recurrences over the last axis of ``(..., order+1)``
     coefficients, each coefficient's dot one :func:`_dot`."""
     s, c = np.zeros(a.shape), np.zeros(a.shape)
-    s[..., 0], c[..., 0] = (np.vectorize(f, otypes=[float])(a[..., 0]) for f in (math.sin, math.cos))
+    s[..., 0], c[..., 0] = (_libm(f, a[..., 0]) for f in (math.sin, math.cos))
     for k in range(1, a.shape[-1]):
         ja = np.arange(1, k + 1) * a[..., 1 : k + 1]
         s[..., k] = _dot(ja, c[..., k - 1 :: -1]) / k

@@ -22,7 +22,6 @@ import functools
 import itertools
 import math
 import operator
-from typing import NamedTuple
 
 import numpy as np
 
@@ -83,12 +82,6 @@ def minors(columns, border=None):
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
 
 
-def _perm_sign(perm):
-    """Sign of a permutation: the parity of its inversion count."""
-    inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
-    return -1 if inversions % 2 else 1
-
-
 def tractor_metric_pair(a, b):
     """Indefinite pairing of two tractors: the two null slots cross-pair,
     the spatial block is Euclidean.  ``a`` and ``b`` have the slot axis
@@ -101,30 +94,16 @@ def tractor_metric_pair(a, b):
     return a[0] * b[-1] + a[-1] * b[0] + spatial
 
 
-class _SlotTables(NamedTuple):
-    """Index tables of one wedge space, whose slot tuples are
-    ``index_tuples(ambient, rank)``.
-
-    Each term of the nilpotent action is one entry of the ``rho_*`` arrays,
-    listed in input-tuple order: the coefficient at ``rho_src`` times
-    ``rho_sign * x[rho_comp]`` lands on ``rho_dst``.
-    """
-
-    rho_dst: np.ndarray
-    rho_src: np.ndarray
-    rho_comp: np.ndarray
-    rho_sign: np.ndarray
-
-
 @functools.cache
 def _slot_tables(ambient, rank):
+    """Read-only arrays ``(dst, src, comp, sign)`` of the nilpotent action on
+    the wedges over ``index_tuples(ambient, rank)``, one entry per term in
+    input-tuple order: ``sign * x[comp]`` times the coefficient at ``src``
+    lands on ``dst``.  Slot ``b > a`` in the place of ``a``, sorted, has the
+    sign ``(-1)^k``, ``k`` the tuple's slots strictly between the two."""
     n = ambient - 2
     slots = list(itertools.combinations(range(ambient), rank))
     position = {idx: k for k, idx in enumerate(slots)}
-
-    def sort_sign(seq):
-        return _perm_sign(sorted(range(rank), key=seq.__getitem__))
-
     terms = []
     for src, idx in enumerate(slots):
         for pos, a in enumerate(idx):
@@ -138,15 +117,10 @@ def _slot_tables(ambient, rank):
             for b, comp, sign in targets:
                 if b in idx:
                     continue
-                new = idx[:pos] + (b,) + idx[pos + 1 :]
-                terms.append((position[tuple(sorted(new))], src, comp, sign * sort_sign(new)))
+                new = tuple(sorted(idx[:pos] + (b,) + idx[pos + 1 :]))
+                terms.append((position[new], src, comp, sign * (-1) ** sum(a < s < b for s in idx)))
     terms = np.array(terms, dtype=np.intp).reshape(-1, 4)
-    tables = _SlotTables(
-        rho_dst=terms[:, 0],
-        rho_src=terms[:, 1],
-        rho_comp=terms[:, 2],
-        rho_sign=terms[:, 3].astype(float),
-    )
+    tables = (terms[:, 0], terms[:, 1], terms[:, 2], terms[:, 3].astype(float))
     for arr in tables:
         arr.flags.writeable = False
     return tables
@@ -170,15 +144,15 @@ def rho_wedge(x, w, rank):
     to rank-``rank`` wedges as a derivation: the top null slot feeds the
     spatial block, the spatial block feeds the bottom null slot with a minus
     sign, the bottom slot is annihilated.  ``w`` may carry trailing batch
-    axes."""
+    axes.  Each term is one entry of the :func:`_slot_tables` arrays."""
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
-    tables = _slot_tables(x.size + 2, rank)
+    dst, src, comp, sign = _slot_tables(x.size + 2, rank)
     if w.shape[0] != math.comb(x.size + 2, rank):
         raise ValueError("spatial vector dimension mismatch")
-    coef = (x[tables.rho_comp] * tables.rho_sign).reshape((-1,) + (1,) * (w.ndim - 1))
+    coef = (x[comp] * sign).reshape((-1,) + (1,) * (w.ndim - 1))
     out = np.zeros_like(w)
     # np.add.at sums each target in input-tuple order; the decay order of
     # parallel_defect is reported to round-off and depends on that order
-    np.add.at(out, tables.rho_dst, coef * w[tables.rho_src])
+    np.add.at(out, dst, coef * w[src])
     return out

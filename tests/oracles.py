@@ -15,7 +15,7 @@ import numpy as np
 
 from confcurves.curves import _speed_sq, derivatives
 from confcurves.jets import _dot
-from confcurves.multilinear import _perm_sign, rho_wedge, wedge
+from confcurves.multilinear import rho_wedge, wedge
 from confcurves.tractors import canonical_tractor_stack
 
 
@@ -49,6 +49,12 @@ def epsilon(idx, *vectors):
                 raise ValueError(f"index {i} out of range 1..{v.size}")
             mat[row, col] = v[i - 1]
     return float(np.linalg.det(mat))
+
+
+def _perm_sign(perm):
+    """Sign of a permutation: the parity of its inversion count."""
+    inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+    return -1 if inversions % 2 else 1
 
 
 @functools.cache

@@ -508,32 +508,54 @@ class TestMemory:
     """``multilinear.minors`` gathers its minor matrices a chunk at a time,
     and plain ``relations`` checks its samples a chunk at a time, so stacked
     ``relations`` runs and a wide quantity table stay under a fixed traced
-    peak; without the chunks each peaks above 50 MB."""
+    peak; without the chunks each peaks above 50 MB.  The table-size bound
+    counts the columns before it names any, so an n = 80 table (1,755,790
+    columns, about C(80, 4)) is refused in that peak too, where naming them
+    peaks near 270 MiB."""
 
     WIDE = ",".join(["1"] + ["0"] * 15), ",".join(["0", "1"] + ["0"] * 14)
+    N80 = [
+        "--family", "spiral", "--n", "80", "--c", "2", "--p0", "1" + ",0" * 79,
+        "--q0", "0,1" + ",0" * 78, "--r0", ",".join(["0.1"] * 80),
+    ]
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, refusal",
         [
-            ["relations", "--n", "16", "--samples", "200", "--seed", "0", "--out", "r.json"],
-            ["relations", "--n", "24", "--samples", "100", "--seed", "0", "--out", "r.json"],
-            ["quantities", "--family", "spiral", "--n", "16", "--c", "2", "--p0", WIDE[0],
-             "--q0", WIDE[1], "--r0=" + ",".join(["0.3", "-0.2"] * 8), "--samples", "201",
-             "--out", "q.csv"],
+            (["relations", "--n", "16", "--samples", "200", "--seed", "0", "--out", "r.json"],
+             None),
+            (["relations", "--n", "24", "--samples", "100", "--seed", "0", "--out", "r.json"],
+             None),
+            (["quantities", "--family", "spiral", "--n", "16", "--c", "2", "--p0", WIDE[0],
+              "--q0", WIDE[1], "--r0=" + ",".join(["0.3", "-0.2"] * 8), "--samples", "201",
+              "--out", "q.csv"], None),
+            (["verify", *N80, "--samples", "2"],
+             "samples: 2 rows of 1755790 columns exceed 1048576 cells"),
+            (["integrate", *N80, "--t-end", "0.01", "--h", "0.01", "--out", "i.csv"],
+             "store-every: 2 rows of 1755790 columns exceed 1048576 cells"),
         ],
-        ids=["relations", "wide-relations", "quantities"],
+        ids=["relations", "wide-relations", "quantities", "wide-verify", "wide-integrate"],
     )
-    def test_peak_is_bounded(self, tmp_path, monkeypatch, argv):
+    def test_peak_is_bounded(self, tmp_path, monkeypatch, capsys, argv, refusal):
         monkeypatch.chdir(tmp_path)
         main(argv)  # fill the per-dimension caches first
+        capsys.readouterr()
         tracemalloc.start()
         try:
             code = main(argv)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert code == 0
+        if refusal is None:
+            assert code == 0
+        else:
+            assert code == 2 and capsys.readouterr().err == f"config error: {refusal}\n"
         assert peak <= 40e6
+
+
+def test_column_count_counts_the_names():
+    for n in range(1, 31):
+        assert cli._column_count(n) == len(cli._quantity_columns(n))
 
 
 @pytest.mark.parametrize("command", ["verify", "quantities"])

@@ -208,7 +208,7 @@ def jet_tspiral(tspiral, t, order):
 
 
 class TestJetStacks:
-    """Each row of a family's ``jet_stack`` against the per-time jet body,
+    """Each row of a family's stacked ``jet`` against the per-time jet body,
     bit for bit (through order 10: beyond, ``np.convolve`` sums its
     coefficients differently)."""
 
@@ -224,12 +224,15 @@ class TestJetStacks:
         for n in range(2, 9):
             for family, oracle in self.families(rng, n):
                 for order in (4, 6, 10):
-                    stack = family.jet_stack(times, order)
+                    stack = family.jet(times, order)
                     assert stack.shape == (times.size, n, order + 1)
                     for t, row in zip(times, stack):
                         want = oracle(family, float(t), order)
                         assert np.array_equal(row, want) and row.tobytes() == want.tobytes()
-                        assert np.array_equal(family.jet(float(t), order), want)
+                        # a 0-d time gives the one row, bit for bit
+                        for one in (float(t), np.array(t)):
+                            row = family.jet(one, order)
+                            assert row.shape == want.shape and row.tobytes() == want.tobytes()
 
     def test_one_time_stack(self, rng):
         # integrate takes its initial point from a stack of one time
@@ -237,7 +240,30 @@ class TestJetStacks:
             for family, oracle in self.families(rng, n):
                 t0 = float(rng.uniform(-1.0, 1.0))
                 for order in (4, 6):
-                    assert np.array_equal(family.jet_stack([t0], order)[0], oracle(family, t0, order))
+                    stack = family.jet([t0], order)
+                    assert stack.shape == (1, n, order + 1)
+                    assert stack[0].tobytes() == oracle(family, t0, order).tobytes()
+                    assert family.jet(t0, order).shape == (n, order + 1)
+
+    def test_closed_forms_take_arrays(self, rng):
+        # the spiral's closed forms over an array of times repeat their 0-d
+        # calls row for row, bit for bit, and keep libm's bits
+        times = np.linspace(-1.0, 1.0, 13)
+        for n in (2, 3, 6):
+            spiral = random_spiral(rng, n)
+            c, p0, q0, r0 = spiral.c, spiral.p0, spiral.q0, spiral.r0
+
+            def closed(t):
+                U, A, Ap = spiral.closed_derivatives(t)
+                return [spiral.position(t), U, A, Ap, spiral.acceleration_tractor(t)]
+
+            stacked = closed(times)
+            for k, t in enumerate(map(float, times)):
+                for rows, one in zip(stacked, closed(t)):
+                    assert rows.shape == (times.size, *one.shape)
+                    assert rows[k].tobytes() == one.tobytes()
+                x = math.exp(t) * math.cos(c * t) * p0 + math.exp(t) * math.sin(c * t) * q0 + r0
+                assert spiral.position(t).tobytes() == x.tobytes()
 
     def test_transform_rejections_name_the_time(self, rng):
         tspiral = random_transformed_spiral(rng, 3)
@@ -245,10 +271,10 @@ class TestJetStacks:
         x2 = tspiral.base.position(2.0)
         pole = TransformedSpiral(tspiral.base, x2 / float(x2 @ x2), window=(-1.0, 1.0))
         with pytest.raises(FamilyError, match="t = 2.0"):
-            pole.jet_stack([0.0, 2.0])
+            pole.jet([0.0, 2.0])
         # the spiral's own speed vanishes at t = -30 before the image's does
         with pytest.raises(DegenerateVelocityError, match="at t=-30.0"):
-            tspiral.jet_stack([0.0, -30.0])
+            tspiral.jet([0.0, -30.0])
 
     def test_jet_checks_the_speed_at_its_time(self, rng):
         # a one-time row is checked against the velocity floor, and the

@@ -256,7 +256,7 @@ class TestHamiltonian:
         # along any spiral of pitch c the Hamiltonian is (c^2 - 1)/2
         for c in (0.7, 2.0):
             spiral = random_spiral(rng, 3, c=c)
-            p = phase_from_jet(spiral.jet_stack([-0.4, 0.8]))
+            p = phase_from_jet(spiral.jet([-0.4, 0.8]))
             h = hamiltonian_stack(p.U, p.P, p.R)
             assert np.max(np.abs(h - (c**2 - 1.0) / 2.0)) <= 1e-10
 

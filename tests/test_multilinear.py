@@ -10,7 +10,7 @@ from confcurves.multilinear import minors, rho_wedge, tractor_metric_pair
 
 from conftest import assert_same_bits, random_curve_jet, tractor_values
 from jet_oracle import JetScalar
-from oracles import epsilon, wedge_pair
+from oracles import _perm_sign, epsilon, wedge_pair
 
 
 class TestEpsilon:
@@ -36,7 +36,7 @@ class TestEpsilon:
         for length in range(1, 6):
             for perm in itertools.permutations(range(length)):
                 matrix = np.eye(length)[list(perm)]
-                assert multilinear._perm_sign(perm) == np.sign(np.linalg.det(matrix))
+                assert _perm_sign(perm) == np.sign(np.linalg.det(matrix))
 
     def test_alternating_in_arguments(self, rng):
         for _ in range(25):

@@ -508,7 +508,7 @@ class TestGenericStack:
             families = (random_spiral(rng, n), random_circle(rng, n), random_transformed_spiral(rng, n))
             for family in families:
                 times = np.linspace(-1.0, 1.0, 9)
-                coeffs = family.jet_stack(times)
+                coeffs = family.jet(times)
                 for field in sample_fields(rng, n):
                     got = f_generic_stack(field, coeffs)
                     for t, value in zip(times, got):
