@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from . import families, mercator, symmetries, tractors
-from .multilinear import _MINORS_BUDGET, minors, tractor_metric_pair, wedge
+from .multilinear import minors, tractor_metric_pair, wedge
 from .curves import DegenerateVelocityError, coefficients, derivatives
 from .mercator import FlowDegeneracyError, PhasePoint
 
@@ -38,6 +38,8 @@ EXIT_DEGENERATE = 3
 
 OUTDIR_ENV = "CONFCURVES_OUTDIR"
 _TRACE_BUDGET = 1 << 20  # integrate's RK4 steps, and its stored rows times table columns
+# float64 elements (8 MiB) of one plain relations chunk, 16 C(n, 4) per sample
+_RELATIONS_BUDGET = 1 << 20
 
 # A circle's parallel defect at step h within PARALLEL_ROUNDOFF eps S / h of
 # zero (S the largest wedge entry) is round-off.  Over 9,000 random circles
@@ -421,18 +423,22 @@ def _quantity_table(ts, coeffs):
 
 
 def _write_table(path, columns, rows, fmt):
-    # one %-format per row; "%.17g" gives the bytes of format(x, ".17g")
-    row_format = ",".join(["%.17g"] * len(columns))
-    lines = [row_format % tuple(row) for row in rows.tolist()]
+    # one "%.17g" (the bytes of format(x, ".17g")) per distinct float64 bit
+    # pattern, as conserved columns repeat theirs; the int64 view keeps
+    # -0.0 apart from 0.0
+    bits = np.ascontiguousarray(rows, dtype=float).view(np.int64)
+    bits, inverse = np.unique(bits, return_inverse=True)
+    text = np.array(["%.17g" % x for x in bits.view(float).tolist()], dtype=object)
+    cells = text[inverse.reshape(rows.shape)].tolist()
     if fmt == "json":
-        payload = {"columns": columns, "rows": [line.split(",") for line in lines]}
+        payload = {"columns": columns, "rows": cells}
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
     else:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(columns) + "\n")
-            fh.writelines(line + "\n" for line in lines)
+            fh.writelines(",".join(row) + "\n" for row in cells)
 
 
 def cmd_quantities(args):
@@ -509,13 +515,15 @@ def cmd_integrate(args):
 
 def _random_phase_points(rng, n, count):
     """``count`` uniform draws from ``[-1, 1]^{4n}`` with squared speed at
-    least 0.1, stacked into points whose ``4 x 4`` minors fill one chunk."""
+    least 0.1, stacked into points of at most ``_RELATIONS_BUDGET / (16
+    C(n, 4))`` rows, which bounds the ``(C(n, 4), rows)`` arrays that
+    ``quantity_identities`` holds at once."""
     rows = []
     while len(rows) < count:
         y = rng.uniform(-1.0, 1.0, 4 * n)
         if float(y[n : 2 * n] @ y[n : 2 * n]) >= 0.1:
             rows.append(y)
-    step = max(1, _MINORS_BUDGET // max(16, 16 * math.comb(n, 4)))
+    step = max(1, _RELATIONS_BUDGET // max(16, 16 * math.comb(n, 4)))
     return [PhasePoint.from_flat(np.array(rows[s : s + step]), n) for s in range(0, count, step)]
 
 

@@ -139,7 +139,13 @@ class GramStack(NamedTuple):
 
 def gram_stack(coeffs, max_ell: int = 5) -> GramStack:
     """Gram-matrix data of the first ``max_ell`` canonical tractors of every
-    row of a position coefficient stack ``(..., n, order+1)``, in one pass."""
+    row of a position coefficient stack ``(..., n, order+1)``, in one pass.
+
+    delta_3 and the delta_4 jet are Laplace sums (:func:`minors`).  delta_5
+    stays the LU determinant ``np.linalg.det``: on a spiral it is
+    round-off, which ``perfbench``'s trace reference compares at an
+    absolute 1e-13, and Laplace sums of the ``5 x 5`` matrices were slower.
+    """
     if max_ell not in (4, 5):
         raise ValueError("max_ell must be 4 or 5")
     # the slot axis first, as tractor_metric_pair takes it
@@ -155,11 +161,11 @@ def gram_stack(coeffs, max_ell: int = 5) -> GramStack:
     # determinants whose row r comes from G_{o_r}, over the orders o that
     # total j, added in table order as np.bincount adds them
     orders = _row_orders(k)
-    dets = np.linalg.det(G[..., orders, np.arange(4), :])
+    dets = minors(G[..., orders, np.arange(4), :])[..., 0]
     delta4_jet = np.zeros(dets.shape[:-1] + (k + 1,))
     np.add.at(np.moveaxis(delta4_jet, -1, 0), orders.sum(axis=1), np.moveaxis(dets, -1, 0))
     return GramStack(
-        delta3=np.linalg.det(gram[..., :3, :3]),
+        delta3=minors(gram[..., :3, :3])[..., 0],
         delta4=delta4_jet[..., 0],
         delta5=np.linalg.det(gram) if max_ell == 5 else None,
         alpha1=gram[..., 2, 2],

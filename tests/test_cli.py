@@ -471,7 +471,7 @@ class TestRelationChunks:
     def test_chunked_and_unchunked_reports_agree(self, tmp_path, monkeypatch):
         argv = ["relations", "--n", "24", "--samples", "40", "--seed", "5"]
         assert main(argv + ["--out", str(tmp_path / "chunked.json")]) == 0
-        monkeypatch.setattr(cli, "_MINORS_BUDGET", 1 << 40)
+        monkeypatch.setattr(cli, "_RELATIONS_BUDGET", 1 << 40)
         assert main(argv + ["--out", str(tmp_path / "whole.json")]) == 0
         assert (tmp_path / "chunked.json").read_bytes() == (tmp_path / "whole.json").read_bytes()
 
@@ -505,13 +505,15 @@ class TestParser:
 
 
 class TestMemory:
-    """``multilinear.minors`` gathers its minor matrices a chunk at a time,
-    and plain ``relations`` checks its samples a chunk at a time, so stacked
-    ``relations`` runs and a wide quantity table stay under a fixed traced
-    peak; without the chunks each peaks above 50 MB.  The table-size bound
-    counts the columns before it names any, so an n = 80 table (1,755,790
-    columns, about C(80, 4)) is refused in that peak too, where naming them
-    peaks near 270 MiB."""
+    """Plain ``relations`` checks its samples a chunk at a time, and
+    ``multilinear.minors`` holds one ``(rows, C(n, j))`` level of its
+    Laplace expansion at a time, so stacked ``relations`` runs and a wide
+    quantity table stay under a fixed traced peak; without the sample
+    chunks each peaks above 50 MB.  ``relations --n 48 --samples 2``, one
+    sample per chunk, peaks near 13 MB (18 MB with LU minors).  The
+    table-size bound counts the columns before it names any, so an n = 80
+    table (1,755,790 columns, about C(80, 4)) is refused in that peak too,
+    where naming them peaks near 270 MiB."""
 
     WIDE = ",".join(["1"] + ["0"] * 15), ",".join(["0", "1"] + ["0"] * 14)
     N80 = [
@@ -526,6 +528,8 @@ class TestMemory:
              None),
             (["relations", "--n", "24", "--samples", "100", "--seed", "0", "--out", "r.json"],
              None),
+            (["relations", "--n", "48", "--samples", "2", "--seed", "0", "--out", "r.json"],
+             None),
             (["quantities", "--family", "spiral", "--n", "16", "--c", "2", "--p0", WIDE[0],
               "--q0", WIDE[1], "--r0=" + ",".join(["0.3", "-0.2"] * 8), "--samples", "201",
               "--out", "q.csv"], None),
@@ -534,7 +538,7 @@ class TestMemory:
             (["integrate", *N80, "--t-end", "0.01", "--h", "0.01", "--out", "i.csv"],
              "store-every: 2 rows of 1755790 columns exceed 1048576 cells"),
         ],
-        ids=["relations", "wide-relations", "quantities", "wide-verify", "wide-integrate"],
+        ids=["relations", "wide-relations", "n48-relations", "quantities", "wide-verify", "wide-integrate"],
     )
     def test_peak_is_bounded(self, tmp_path, monkeypatch, capsys, argv, refusal):
         monkeypatch.chdir(tmp_path)
@@ -551,6 +555,29 @@ class TestMemory:
         else:
             assert code == 2 and capsys.readouterr().err == f"config error: {refusal}\n"
         assert peak <= 40e6
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_write_table_formats_each_cell_as_format_17g(tmp_path, fmt):
+    # the writer formats each distinct bit pattern once; the bytes are those
+    # of one format(x, ".17g") per cell
+    nans = np.array([0x7FF8000000000001, -0x0008000000000000], dtype=np.int64).view(float)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, *nans, 5e-324, -1e-310, 2.2250738585072014e-308,
+               1.0, 0.1, 1 / 3, -1e300]
+    rng = np.random.default_rng(0)
+    rows = rng.choice(np.array(special + list(rng.normal(size=6))), size=(30, 7))
+    rows[:, 3] = rows[0, 3]  # a conserved column
+    rows[::2, 5] = -0.0
+    columns = [f"c{i}" for i in range(7)]
+    cells = [[format(float(x), ".17g") for x in row] for row in rows]
+    path = tmp_path / f"t.{fmt}"
+    cli._write_table(path, columns, rows, fmt)
+    if fmt == "csv":
+        want = "".join(",".join(row) + "\n" for row in [columns] + cells)
+    else:
+        want = json.dumps({"columns": columns, "rows": cells}, indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == want.encode()
+    assert "-0" in path.read_text() and "nan" in path.read_text()
 
 
 def test_column_count_counts_the_names():

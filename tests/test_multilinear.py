@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from confcurves import derivatives, wedge
 from confcurves import multilinear
 from confcurves.multilinear import minors, rho_wedge, tractor_metric_pair
 
-from conftest import assert_same_bits, random_curve_jet, tractor_values
+from conftest import random_curve_jet, tractor_values
 from jet_oracle import JetScalar
 from oracles import _perm_sign, epsilon, wedge_pair
 
@@ -112,7 +113,7 @@ class TestMinors:
                     got = minors(cols, border)
                     expect = np.array(epsilon_loops(cols, border))
                     assert got.shape == expect.shape == (math.comb(n, k if border is None else k - 1),)
-                    assert np.all(np.abs(got - expect) <= 1e-13 * (1.0 + np.abs(expect)))
+                    assert np.all(np.abs(got - expect) <= 1e-14 * (1.0 + np.abs(expect)))
 
     def test_leading_axes_are_batch_axes(self, rng):
         for n in range(2, 8):
@@ -124,29 +125,49 @@ class TestMinors:
                         one = minors(cols[idx], None if border is None else border[idx])
                         assert np.array_equal(got[idx], one)
 
-    def test_chunks_leave_the_values_unchanged(self, rng, monkeypatch):
-        # budgets from one tuple per chunk to one chunk for all, including
-        # uneven last chunks and an empty tuple set (n < k)
-        for n in range(1, 9):
-            for k in range(1, 5):
-                cols = rng.uniform(-1.0, 1.0, (3, n, k))
-                for border in (None, rng.uniform(-1.0, 1.0, (3, n))):
-                    whole = minors(cols, border)
-                    for budget in (1, 48, 7 * 48, 1 << 20):
-                        with monkeypatch.context() as m:
-                            m.setattr(multilinear, "_MINORS_BUDGET", budget)
-                            assert_same_bits(minors(cols, border), whole)
+    def test_peak_is_a_few_levels(self, rng):
+        # the Laplace levels need no chunks: a stacked call holds a few
+        # (rows, C(n, j)) arrays, where the gathered k x k minor matrices of
+        # an LU path would take k^2 = 16 of them
+        rows, n, k = 200, 16, 4
+        cols = rng.uniform(-1.0, 1.0, (rows, n, k))
+        for border in (None, rng.uniform(-1.0, 1.0, (rows, n))):
+            top = k if border is None else k - 1
+            level = rows * math.comb(n, top) * 8
+            minors(cols, border)  # fill the per-(n, j) caches first
+            tracemalloc.start()
+            try:
+                got = minors(cols, border)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got.nbytes == level
+            assert peak <= 6 * level
+
+    def test_tables_match_itertools(self):
+        for n in range(0, 10):
+            for j in range(1, 6):
+                tuples = list(itertools.combinations(range(n), j))
+                assert multilinear.index_tuples(n, j).tolist() == [list(t) for t in tuples]
+                position = {t: p for p, t in enumerate(itertools.combinations(range(n), j - 1))}
+                sub = multilinear._sub_positions(n, j)
+                assert sub.shape == (j, math.comb(n, j)) and not sub.flags.writeable
+                for col, t in enumerate(tuples):
+                    assert [sub[i, col] for i in range(j)] == [
+                        position[t[:i] + t[i + 1 :]] for i in range(j)
+                    ]
 
     def test_integer_columns_round_to_the_exact_minors(self, rng):
-        # np.linalg.det factors through LU, so integer minors come back
-        # within round-off of the exact integers, not always equal to them
+        # Laplace minors are sums of products, exact on small integers; the
+        # LU determinants of epsilon come back within round-off of them
         for n in range(2, 8):
             for k in range(1, 5):
                 cols = rng.integers(-3, 4, (n, k)).astype(float)
                 for border in (None, rng.integers(-3, 4, n).astype(float)):
                     exact = np.array(exact_minors(cols, border), dtype=float)
-                    for got in (minors(cols, border), np.array(epsilon_loops(cols, border))):
-                        assert np.all(np.abs(got - exact) <= 1e-13 * (1.0 + np.abs(exact)))
+                    assert np.array_equal(minors(cols, border), exact)
+                    loops = np.array(epsilon_loops(cols, border))
+                    assert np.all(np.abs(loops - exact) <= 1e-13 * (1.0 + np.abs(exact)))
 
 
 def basis_tractor(ambient, slot):
