@@ -25,7 +25,7 @@ print("residual of the circle equation and the fourth invariant:")
 for t in (-1.0, -0.5, 0.0, 0.5, 1.0):
     jet = circle.jet(t)
     res = float(np.max(np.abs(circle_residual_stack(*derivatives(jet, 4)[1:]))))
-    d4 = gram_stack(jet, 4).delta4
+    d4 = gram_stack(jet).delta4
     print(f"  t={t:5.2f}: residual {res:.2e}   delta4 {d4:+.2e}")
 
 print()

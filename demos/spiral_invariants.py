@@ -25,7 +25,7 @@ print()
 print(f"{'t':>6} {'delta3':>10} {'delta4':>10} {'delta5':>12} {'alpha1':>10} {'kappa1':>10} {'|C|':>10}")
 for t in np.linspace(-1.0, 1.0, 9):
     jet = spiral.jet(float(t))
-    g = gram_stack(jet, 5)
+    g = gram_stack(jet)
     c_norm = float(np.max(np.abs(flow_vector_stack(*derivatives(jet, 4)[1:]))))
     print(
         f"{t:6.2f} {g.delta3:10.6f} {g.delta4:10.6f} {g.delta5:12.2e}"

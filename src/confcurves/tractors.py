@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -53,11 +54,11 @@ def canonical_tractor_stack(coeffs, count):
     coefficient stack ``(..., n, order+1)``: the ``i``-th (from 0) as a
     coefficient array ``(..., n+2, order-i)``.
 
-    ``count`` between 2 and 5; producing ``count`` tractors consumes
-    position derivatives through order ``count``.
+    ``count`` is at least 2; ``count`` tractors consume position derivatives
+    through order ``count``.
     """
-    if not 2 <= count <= 5:
-        raise ValueError("count must lie in 2..5")
+    if count < 2:
+        raise ValueError("count must be at least 2")
     coeffs = np.asarray(coeffs, dtype=float)
     _speed_sq(coeffs, count, "canonical tractor sequence")
     order = coeffs.shape[-1] - 1
@@ -89,17 +90,6 @@ def _row_orders(k):
     return orders
 
 
-def _pairing_jet(a, b):
-    """Taylor coefficients of the metric pairing of two tractor coefficient
-    arrays with the slot axis first and ``m`` coefficients last (leading
-    axes broadcast): coefficient ``j`` adds the pairings of coefficient
-    ``p`` of ``a`` with coefficient ``j-p`` of ``b`` in increasing ``p``."""
-    m = a.shape[-1]
-    pairs = tractor_metric_pair(a[..., :, None], b[..., None, :])
-    total = np.add.outer(np.arange(m), np.arange(m))
-    return np.stack([pairs[..., total == j].sum(axis=-1) for j in range(m)], axis=-1)
-
-
 def _kappa1(delta4_jet, alpha1):
     """kappa_1, the curvature invariant constant exactly on logarithmic
     spirals, from the ``(..., k+1)`` coefficients (``k >= 2``) of the delta_4
@@ -121,7 +111,7 @@ class GramStack(NamedTuple):
     tractors and ``kappa1`` (NaN where undefined) of every row of a position
     coefficient stack, over its leading axes; ``gram`` is the symmetric
     pairing matrix, and delta_4 also comes as a jet ``(..., k+1)``.
-    ``delta5`` is None at ``max_ell = 4``, ``kappa1`` below order 6."""
+    ``delta5`` is None below order 5, ``kappa1`` below order 6."""
 
     delta3: np.ndarray
     delta4: np.ndarray
@@ -137,37 +127,53 @@ class GramStack(NamedTuple):
         return np.max(np.abs(self.gram), axis=(-2, -1))
 
 
-def gram_stack(coeffs, max_ell: int = 5) -> GramStack:
-    """Gram-matrix data of the first ``max_ell`` canonical tractors of every
-    row of a position coefficient stack ``(..., n, order+1)``, in one pass.
+def _gram_jet(full, k):
+    """Taylor coefficients ``(..., k+1, 4, 4)`` of the pairings of the first
+    four canonical tractors, from the Gram matrix ``full`` of the values of
+    the first ``k+4`` or more.  The connection preserves the tractor metric,
+    ``d/dt <T_a, T_b> = <T_{a+1}, T_b> + <T_a, T_{b+1}>``, so ``G_j[a, b] =
+    sum_p full[a+p, b+j-p] / (p! (j-p)!)``, added in increasing ``p``."""
+    G = [full[..., :4, :4]]  # the block itself, so a -0.0 entry keeps its sign
+    for j in range(1, k + 1):
+        terms = [
+            full[..., p : p + 4, j - p : j - p + 4] / (math.factorial(p) * math.factorial(j - p))
+            for p in range(j + 1)
+        ]
+        G.append(sum(terms[1:], terms[0]))
+    return np.stack(G, axis=-3)
+
+
+def gram_stack(coeffs) -> GramStack:
+    """Gram-matrix data of every row of a position coefficient stack
+    ``(..., n, order+1)``, order at least 4, from one Gram matrix of the
+    values of its canonical tractors ``T_0 .. T_{order-1}``: ``gram`` is the
+    leading ``5 x 5`` block (``4 x 4`` at order 4), and the delta_4 jet the
+    determinant of :func:`_gram_jet`.
 
     delta_3 and the delta_4 jet are Laplace sums (:func:`minors`).  delta_5
     stays the LU determinant ``np.linalg.det``: on a spiral it is
     round-off, which ``perfbench``'s trace reference compares at an
     absolute 1e-13, and Laplace sums of the ``5 x 5`` matrices were slower.
     """
-    if max_ell not in (4, 5):
-        raise ValueError("max_ell must be 4 or 5")
+    coeffs = np.asarray(coeffs, dtype=float)
+    _speed_sq(coeffs, 4, "canonical tractor sequence")
+    trs = canonical_tractor_stack(coeffs, coeffs.shape[-1] - 1)
     # the slot axis first, as tractor_metric_pair takes it
-    trs = [np.moveaxis(t, -2, 0) for t in canonical_tractor_stack(coeffs, max_ell)]
-    values = np.stack([t[..., 0] for t in trs], axis=-1)
-    gram = tractor_metric_pair(values[..., :, None], values[..., None, :])
-    # Taylor coefficients G_j of the pairings of the first four tractors;
-    # each tractor has one order less than the one before it
-    k = trs[3].shape[-1] - 1
-    c = np.stack([t[..., : k + 1] for t in trs[:4]], axis=-2)
-    G = np.moveaxis(_pairing_jet(c[..., :, None, :], c[..., None, :, :]), -1, -3)
+    values = np.moveaxis(np.stack([t[..., 0] for t in trs], axis=-1), -2, 0)
+    full = tractor_metric_pair(values[..., :, None], values[..., None, :])
+    gram = full[..., :5, :5]
+    k = len(trs) - 4
     # the determinant is linear in each row: coefficient j sums the
     # determinants whose row r comes from G_{o_r}, over the orders o that
     # total j, added in table order as np.bincount adds them
     orders = _row_orders(k)
-    dets = minors(G[..., orders, np.arange(4), :])[..., 0]
+    dets = minors(_gram_jet(full, k)[..., orders, np.arange(4), :])[..., 0]
     delta4_jet = np.zeros(dets.shape[:-1] + (k + 1,))
     np.add.at(np.moveaxis(delta4_jet, -1, 0), orders.sum(axis=1), np.moveaxis(dets, -1, 0))
     return GramStack(
         delta3=minors(gram[..., :3, :3])[..., 0],
         delta4=delta4_jet[..., 0],
-        delta5=np.linalg.det(gram) if max_ell == 5 else None,
+        delta5=np.linalg.det(gram) if k >= 1 else None,
         alpha1=gram[..., 2, 2],
         alpha2=gram[..., 3, 3],
         kappa1=_kappa1(delta4_jet, gram[..., 2, 2]) if k >= 2 else None,
@@ -275,11 +281,10 @@ def alpha1_stationary_stack(coeffs):
     unit of velocity component, so one scalar solve per row suffices."""
     coeffs = np.asarray(coeffs, dtype=float)
     _speed_sq(coeffs, 4, "alpha_1 constraint")
-    # alpha_1's jet: the metric square of the third tractor, slot axis first
-    t2 = np.moveaxis(canonical_tractor_stack(coeffs, 3)[2], -2, 0)
-    a1p = _pairing_jet(t2, t2)[..., 1]
+    # alpha_1' = 2 <T_2, T_3>, of the tractor values with the slot axis first
+    t2, t3 = (np.moveaxis(t[..., 0], -1, 0) for t in canonical_tractor_stack(coeffs, 4)[2:])
     derivs = derivatives(coeffs, coeffs.shape[-1])
-    derivs[4] = derivs[4] - (0.5 * a1p)[..., None] * derivs[1]
+    derivs[4] = derivs[4] - tractor_metric_pair(t2, t3)[..., None] * derivs[1]
     return coefficients(derivs)
 
 

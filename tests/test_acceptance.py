@@ -66,7 +66,7 @@ def test_criterion_1_spiral_invariant_suite():
     start = time.perf_counter()
     spiral = ACCEPTANCE_SPIRAL
     jets = [spiral.jet(float(t)) for t in WINDOW]
-    grams = [gram_stack(j, 5) for j in jets]
+    grams = [gram_stack(j) for j in jets]
     ok = all(abs(g.delta3 + 1.0) <= 1e-9 for g in grams)
     ok &= all(abs(g.delta4 + 4.0) <= 1e-8 for g in grams)
     ok &= all(
@@ -102,7 +102,7 @@ def test_criterion_2_circle_suite():
             jet = circle.jet(float(t))
             residual = circle_residual_stack(*derivatives(jet, 4)[1:])
             worst_res = max(worst_res, float(np.max(np.abs(residual))))
-            worst_d4 = max(worst_d4, abs(gram_stack(jet, 4).delta4))
+            worst_d4 = max(worst_d4, abs(gram_stack(jet).delta4))
             samples.append(keyed(q_circle_stack(jet), 3, 3))
         for key in samples[0]:
             vals = np.array([s[key] for s in samples])
@@ -229,7 +229,7 @@ def test_criterion_6_oracle_equivalences():
         n = int(rng.integers(2, 5))
         jet = random_curve_jet(rng, n)
         a1, d4 = closed_form_alpha1_delta4(jet)
-        g = gram_stack(jet, 4)
+        g = gram_stack(jet)
         scale = 1.0 + abs(a1) + abs(d4)
         worst_gram = max(
             worst_gram, abs(g.alpha1 - a1) / scale, abs(g.delta4 - d4) / scale
@@ -313,7 +313,7 @@ def test_criterion_9_spiral_tractor_and_curvature():
             worst_sq = max(
                 worst_sq, abs(tractor_metric_pair(tr, tr) - (c**2 - 1.0))
             )
-            kappas.append(gram_stack(spiral.jet(float(t)), 4).kappa1)
+            kappas.append(gram_stack(spiral.jet(float(t))).kappa1)
         expect = -(c**2 - 1.0) / (2.0 * c)
         worst_k = max(worst_k, max(abs(k - expect) for k in kappas))
         worst_k = max(worst_k, max(kappas) - min(kappas))

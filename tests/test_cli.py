@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from confcurves import cli, mercator
+from confcurves import cli, families, mercator
 from confcurves.cli import _quantity_table, main
 
 
@@ -218,6 +218,36 @@ class TestVerify:
         assert code == 0
         records = {r["name"]: r for r in json.loads(out.read_text())["checks"]}
         assert records["t3_parallel_decay_order"]["pass"]
+
+    @pytest.mark.parametrize("a0, turn", [("0,40,0", "1.6"), ("0,20,0", "0.8"), ("0,0,100", "4")])
+    def test_tight_circle_decay_order_is_vacuous(self, a0, turn, tmp_path, capsys):
+        # the larger step turns the circle past PARALLEL_TURN, where the
+        # defect has left its h^2 law (at a0 = 0,40,0 the order reads 1.50)
+        out = tmp_path / "tight.json"
+        argv = ["verify", *CIRCLE_ARGS[:-1], a0, "--out", str(out)]
+        assert main(argv) == 0
+        assert f"note  t3_parallel_decay_order: vacuous, step turn {turn} > 0.5\n" in capsys.readouterr().out
+        names = {r["name"] for r in json.loads(out.read_text())["checks"]}
+        assert "t3_parallel_decay_order" not in names
+
+    def test_non_circle_still_fails_the_decay_order(self, tmp_path, monkeypatch):
+        # a mutated circle formula, an ellipse through the same initial
+        # data, at unit scale: its three-tractor wedge is not parallel away
+        # from the vertex at t = 0, where it osculates a circle to third order
+        def conic(self, times, order):
+            tau = families._constant(times, order)
+            tau[:, 1] = 1.0
+            tau2 = families._stack_product(tau, tau)
+            lam = 1.5 * float(self.a0 @ self.a0)
+            den = families._recip(families._times(tau2, lam) + families._constant(1.0, order))
+            num = families._times(tau[:, None], self.u0) + families._times(tau2[:, None], self.a0)
+            return families._stack_product(num, den[:, None]) + families._constant(self.x0, order)
+
+        monkeypatch.setattr(families.Circle, "_coefficients", conic)
+        out = tmp_path / "conic.json"
+        assert main(["verify", *CIRCLE_ARGS, "--t0", "0", "--t1", "1", "--out", str(out)]) == 1
+        records = {r["name"]: r for r in json.loads(out.read_text())["checks"]}
+        assert not records["t3_parallel_decay_order"]["pass"]
 
     def test_tolerance_override_can_fail(self, capsys):
         code = main(["verify", *SPIRAL_ARGS, "--tol", "delta4_matches_pitch=1e-30"])

@@ -51,8 +51,9 @@ def phase_basis(c):
 # function of one coefficient array and the dimension's Killing field.
 STACKS = {
     "canonical_tractor_stack": lambda c, f: canonical_tractor_stack(c, 5),
-    "gram_stack_4": lambda c, f: gram_stack(c, 4),
-    "gram_stack_5": lambda c, f: gram_stack(c, 5),
+    # four tractors from the row cut to order 4, five from the whole row
+    "gram_stack_4": lambda c, f: gram_stack(c[..., :5]),
+    "gram_stack_5": lambda c, f: gram_stack(c),
     "q_stack": lambda c, f: q_stack(c),
     "q_circle_stack": lambda c, f: q_circle_stack(c),
     "alpha1_stationary_stack": lambda c, f: alpha1_stationary_stack(c),
@@ -106,7 +107,11 @@ class TestOneRowContract:
                         assert got.shape == want.shape[1:]
                         assert np.array_equal(got, want[0], equal_nan=True)
                         undefined += bool(np.isnan(got).any())
-        if name in ("gram_stack_4", "gram_stack_5"):
+        if name == "gram_stack_4":
+            # order 4 gives the 4 x 4 Gram matrix, no delta_5 and no kappa_1
+            assert stack(row, field).gram.shape == (4, 4)
+            assert undefined == 0
+        if name == "gram_stack_5":
             # the circle rows have an undefined kappa_1
             assert undefined >= 5 * 7
 
@@ -139,7 +144,7 @@ class TestDerivativeScaling:
 # The stacks that read position coefficients, each with enough order.
 COEFFICIENT_CALLS = {
     "canonical_tractor_stack": lambda c: canonical_tractor_stack(c, 5),
-    "gram_stack": lambda c: gram_stack(c, 5),
+    "gram_stack": gram_stack,
     "q_stack": q_stack,
     "q_circle_stack": q_circle_stack,
     "alpha1_stationary_stack": alpha1_stationary_stack,

@@ -1,10 +1,10 @@
 """Exact certificates of the paper's main relation, on dyadic data.
 
 The identities between the pairing quantities and the basis quantities,
-and the tractor route against the phase route, are polynomial identities
-once ``1/u^2`` is exact.  Integer entries with ``|U|^2 = 2`` keep every
-product, every ``1/u^2`` and ``1/u^4``, every ``k!`` scaling and every
-``0.5`` a dyadic rational far below ``2^53``, and the minors are Laplace
+and the tractor and Noether routes against the phase route, are polynomial
+identities once ``1/u^2`` is exact.  Integer entries with ``|U|^2 = 2``
+keep every product, every ``1/u^2`` and ``1/u^4``, every ``k!`` scaling and
+every ``0.5`` a dyadic rational far below ``2^53``, and the minors are Laplace
 sums of products, so float64 arithmetic is exact: a true identity gives a
 residual of exactly ``0.0``.  A false one is nonzero at a random point with
 probability at least ``1 - d/|S|`` (Schwartz-Zippel), ``d <= 5`` the degree
@@ -16,7 +16,7 @@ miss negligible.  Each test asserts that its operands stay below
 import numpy as np
 import pytest
 
-from confcurves import PhasePoint, e_stack
+from confcurves import PhasePoint, derivatives, e_stack, noether_stack
 from confcurves.mercator import phase_from_jet
 from confcurves.symmetries import q_phase, quantity_identities
 from confcurves.tractors import q_stack
@@ -44,6 +44,13 @@ def integers(rng, *shape):
     return rng.integers(-BOUND, BOUND + 1, shape).astype(float)
 
 
+def dyadic_rows(rng, n):
+    """Coefficient rows ``[X, U, C2, C3]`` with integer entries and
+    ``|U|^2 = 2``."""
+    X, C2, C3 = integers(rng, 3, POINTS, n)
+    return np.stack([X, speed_two_velocities(rng, n, POINTS), C2, C3], axis=-1)
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_quantity_identities_hold_exactly(n):
     rng = np.random.default_rng(100 + n)
@@ -61,11 +68,23 @@ def test_quantity_identities_hold_exactly(n):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_tractor_route_equals_phase_route_exactly(n):
-    rng = np.random.default_rng(200 + n)
-    X, C2, C3 = integers(rng, 3, POINTS, n)
-    coeffs = np.stack([X, speed_two_velocities(rng, n, POINTS), C2, C3], axis=-1)
+    coeffs = dyadic_rows(np.random.default_rng(200 + n), n)
     p = phase_from_jet(coeffs)
     tractor, phase = q_stack(coeffs), q_phase(p)
     assert_exact_range(p.P, p.R, tractor, phase)
     assert np.any(tractor != 0.0)
     assert np.all(tractor - phase == 0.0)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_noether_route_equals_phase_route_exactly(n):
+    coeffs = dyadic_rows(np.random.default_rng(300 + n), n)
+    p = phase_from_jet(coeffs)
+    noether = noether_stack(*derivatives(coeffs, 4))
+    phase = e_stack(p.X, p.U, p.P, p.R)
+    assert_exact_range(p.P, p.R)
+    for name in ("E_T", "E_R", "E_D", "E_S"):
+        got, want = getattr(noether, name), getattr(phase, name)
+        assert_exact_range(got, want)
+        assert np.any(want != 0.0), name
+        assert np.all(got - want == 0.0), name

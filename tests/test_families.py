@@ -47,7 +47,7 @@ class TestCircleFamily:
         for t in np.linspace(-1, 1, 9):
             jet = circle.jet(float(t))
             assert np.max(np.abs(circle_residual_stack(*derivatives(jet, 4)[1:]))) <= 1e-10
-            assert abs(gram_stack(jet, 4).delta4) <= 1e-9
+            assert abs(gram_stack(jet).delta4) <= 1e-9
 
     def test_three_tractor_parallel(self, rng):
         circle = random_circle(rng, 3)
@@ -119,7 +119,7 @@ class TestLogSpiralFamily:
     def test_invariants_over_window(self, rng):
         spiral = random_spiral(rng, 3, c=2.0)
         for t in np.linspace(-1, 1, 21):
-            g = gram_stack(spiral.jet(float(t)), 5)
+            g = gram_stack(spiral.jet(float(t)))
             assert g.delta4 == pytest.approx(-4.0, abs=1e-8)
             assert g.alpha1 == pytest.approx(3.0, abs=1e-8)
             assert g.alpha2 == pytest.approx(13.0, abs=1e-8)

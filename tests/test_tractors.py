@@ -18,7 +18,7 @@ from confcurves import (
 )
 from confcurves.curves import VELOCITY_FLOOR
 from confcurves.multilinear import minors, rho_wedge, tractor_metric_pair, wedge
-from confcurves.tractors import canonical_tractor_stack, gram_stack, q_keys, q_stack
+from confcurves.tractors import _gram_jet, canonical_tractor_stack, gram_stack, q_keys, q_stack
 from conftest import (
     keyed,
     random_circle,
@@ -175,7 +175,7 @@ class TestGramInvariants:
             jet = random_curve_jet(rng, n, levels=6)
             pairs = pair_jets(tractor_jets(jet, 5), 5)
             expect = np.array([[pairs[min(a, b), max(a, b)].value for b in range(5)] for a in range(5)])
-            assert np.array_equal(gram_stack(jet, 5).gram, expect)
+            assert np.array_equal(gram_stack(jet).gram, expect)
 
     def test_delta4_jet_matches_cofactor_expansion(self, rng):
         for trial in range(56):
@@ -187,15 +187,30 @@ class TestGramInvariants:
             pairs = pair_jets(trs, 4)
             rows = [[pairs[min(a, b), max(a, b)].truncated(k) for b in range(4)] for a in range(4)]
             expect = cofactor_det(rows).coeffs
-            got = gram_stack(jet, 4).delta4_jet
+            got = gram_stack(jet).delta4_jet
             assert got.shape == expect.shape == (k + 1,)
             assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+    def test_pairing_jets_follow_from_the_value_gram(self, rng):
+        # the connection preserves the metric, so the Taylor coefficients of
+        # the pairings are sums over the Gram matrix of the tractor values
+        for n in range(2, 9):
+            for levels in range(6, 10):  # orders 5 to 8
+                jet = random_curve_jet(rng, n, levels=levels)
+                values = np.array(tractor_values(jet, levels - 1)).T
+                full = tractor_metric_pair(values[:, :, None], values[:, None, :])
+                G = _gram_jet(full, levels - 5)
+                pairs = pair_jets(tractor_jets(jet, 4), 4)
+                for j in range(1, min(levels - 5, 3) + 1):
+                    want = [[pairs[min(a, b), max(a, b)].coeffs[j] for b in range(4)] for a in range(4)]
+                    want = np.array(want)
+                    assert np.max(np.abs(G[j] - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_spiral_values(self, rng):
         for c in (0.8, 1.0, 2.0):
             spiral = random_spiral(rng, 3, c=c)
             for t in (-0.5, 0.0, 0.7):
-                g = gram_stack(spiral.jet(t), 5)
+                g = gram_stack(spiral.jet(t))
                 assert g.alpha1 == pytest.approx(c**2 - 1.0, abs=1e-10)
                 assert g.alpha2 == pytest.approx(c**4 - c**2 + 1.0, abs=1e-9)
                 assert g.delta4 == pytest.approx(-(c**2), abs=1e-9)
@@ -207,13 +222,13 @@ class TestGramInvariants:
         alpha1, delta4 = closed_form_alpha1_delta4(jet)
         assert alpha1 == pytest.approx(0.0, abs=1e-14)
         assert delta4 == pytest.approx(-1.0, abs=1e-14)
-        g = gram_stack(jet, 4)
+        g = gram_stack(jet)
         assert g.delta4 == pytest.approx(-1.0, abs=1e-12)
 
     def test_circle_delta4_vanishes(self, rng):
         for _ in range(5):
             circle = random_circle(rng, 3)
-            g = gram_stack(circle.jet(float(rng.uniform(-1, 1))), 4)
+            g = gram_stack(circle.jet(float(rng.uniform(-1, 1))))
             assert is_conformal_circle(g.delta4, g.alpha1)
 
     def test_closed_form_agrees_with_gram(self, rng):
@@ -221,7 +236,7 @@ class TestGramInvariants:
             n = int(rng.integers(2, 5))
             jet = random_curve_jet(rng, n)
             alpha1, delta4 = closed_form_alpha1_delta4(jet)
-            g = gram_stack(jet, 4)
+            g = gram_stack(jet)
             scale = 1.0 + abs(alpha1) + abs(delta4)
             assert abs(g.alpha1 - alpha1) <= 1e-10 * scale
             assert abs(g.delta4 - delta4) <= 1e-10 * scale
@@ -239,7 +254,7 @@ class TestGramInvariants:
     def test_delta3_and_nonpositivity(self, rng):
         for _ in range(50):
             n = int(rng.integers(2, 5))
-            g = gram_stack(random_curve_jet(rng, n), 4)
+            g = gram_stack(random_curve_jet(rng, n))
             assert abs(g.delta3 + 1.0) <= 1e-10
             assert g.delta4 <= 1e-10
 
@@ -249,7 +264,7 @@ class TestGramInvariants:
         for _ in range(25):
             n = int(rng.integers(2, 5))
             jet = random_curve_jet(rng, n, levels=6)
-            g = gram_stack(jet, 5)
+            g = gram_stack(jet)
             a1 = JetScalar(alpha1_jet(jet))
             a1p = a1.differentiate()
             tol = 1e-10 * (1.0 + g.gram_scale())
@@ -433,21 +448,21 @@ class TestKappa1:
     def test_spiral_value_and_constancy(self, rng):
         for c in (0.8, 2.0):
             spiral = random_spiral(rng, 3, c=c)
-            vals = [gram_stack(spiral.jet(float(t)), 4).kappa1 for t in np.linspace(-1, 1, 9)]
+            vals = [gram_stack(spiral.jet(float(t))).kappa1 for t in np.linspace(-1, 1, 9)]
             expect = -(c**2 - 1.0) / (2.0 * c)
             assert vals[0] == pytest.approx(expect, abs=1e-10)
             assert max(vals) - min(vals) <= 1e-8 * (1.0 + abs(expect))
 
     def test_unit_pitch_vanishes(self, planar_unit_spiral):
-        assert gram_stack(planar_unit_spiral.jet(0.2), 4).kappa1 == pytest.approx(0.0, abs=1e-12)
+        assert gram_stack(planar_unit_spiral.jet(0.2)).kappa1 == pytest.approx(0.0, abs=1e-12)
 
     def test_undefined_on_circles(self, rng):
         circle = random_circle(rng, 3)
-        assert np.isnan(gram_stack(circle.jet(0.0, order=6), 4).kappa1)
+        assert np.isnan(gram_stack(circle.jet(0.0, order=6)).kappa1)
 
     def test_needs_order_six(self, rng):
         # an order-5 row reaches delta_4's first derivative only
-        assert gram_stack(random_curve_jet(rng, 3, levels=6), 4).kappa1 is None
+        assert gram_stack(random_curve_jet(rng, 3, levels=6)).kappa1 is None
 
 
 class TestReductionIdentity:
@@ -584,7 +599,7 @@ class TestParallelTransport:
             ec, es = e * th.cos(), e * th.sin()
             return (ec * spiral.p0 + es * spiral.q0 + spiral.r0).coeffs
 
-        g = gram_stack(repar(0.2, 6), 5)
+        g = gram_stack(repar(0.2, 6))
         assert abs(g.delta5) <= 1e-8 * max(1.0, g.gram_scale()) ** 5
         assert abs(JetScalar(g.delta4_jet).differentiate().value) > 1e-3
         bare = assert_defect(repar, 0.2, 0.01, count=4)
@@ -649,21 +664,17 @@ class TestStacks:
         undefined = 0
         for n in range(2, 9):
             jets = mixed_rows(rng, n)
-            for max_ell in (4, 5):
-                g = gram_stack(stack_of(jets), max_ell)
-                for i, jet in enumerate(jets):
-                    one = gram_stack(jet, max_ell)
-                    assert np.array_equal(g.gram[i], one.gram)
-                    for name in ("delta3", "delta4", "delta5", "alpha1", "alpha2"):
-                        value = getattr(one, name)
-                        assert (getattr(g, name) is None) == (value is None)
-                        if value is not None:
-                            assert np.array_equal(getattr(g, name)[i], value)
-                    assert np.array_equal(g.delta4_jet[i], one.delta4_jet)
-                    undefined += bool(np.isnan(one.kappa1))
-                    assert np.array_equal(g.kappa1[i], one.kappa1, equal_nan=True)
-        # every circle and straight-line row, at max_ell 4 and 5
-        assert undefined >= 7 * 2 * 4
+            g = gram_stack(stack_of(jets))
+            for i, jet in enumerate(jets):
+                one = gram_stack(jet)
+                assert np.array_equal(g.gram[i], one.gram)
+                for name in ("delta3", "delta4", "delta5", "alpha1", "alpha2"):
+                    assert np.array_equal(getattr(g, name)[i], getattr(one, name))
+                assert np.array_equal(g.delta4_jet[i], one.delta4_jet)
+                undefined += bool(np.isnan(one.kappa1))
+                assert np.array_equal(g.kappa1[i], one.kappa1, equal_nan=True)
+        # every circle and straight-line row
+        assert undefined >= 7 * 4
 
     def test_q_matches_one_row_calls(self, rng):
         for n in range(2, 9):
@@ -684,22 +695,16 @@ class TestStacks:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 for call in (
                     lambda: canonical_tractor_stack(coeffs, 3),
-                    lambda: gram_stack(coeffs, 5),
+                    lambda: gram_stack(coeffs),
                     lambda: q_stack(coeffs),
                 ):
                     with pytest.raises(DegenerateVelocityError):
                         call()
 
-    def test_gram_needs_four_or_five_tractors(self, rng):
-        coeffs = stack_of([random_curve_jet(rng, 3, levels=7) for _ in range(3)])
-        for max_ell in (3, 6):
-            with pytest.raises(ValueError, match="^max_ell must be 4 or 5$"):
-                gram_stack(coeffs, max_ell)
-
     def test_insufficient_order_rejected(self, rng):
         coeffs = stack_of([random_curve_jet(rng, 3, levels=4) for _ in range(3)])
-        with pytest.raises(ValueError):
-            gram_stack(coeffs, 4)
+        with pytest.raises(ValueError, match="needs derivatives through order 4, jet stores 3$"):
+            gram_stack(coeffs)
         with pytest.raises(ValueError):
             q_stack(coeffs[..., :3])
 
@@ -708,7 +713,12 @@ class TestStacks:
 
 
 def jet_alpha1_stationary(jet):
-    a1p = alpha1_jet(jet)[1]
+    # alpha_1' = 2 <T_2, T_3>: the connection preserves the tractor metric
+    t2, t3 = tractor_values(jet, 4)[2:]
+    a1p = 2.0 * tractor_metric_pair(t2, t3)
+    # the coefficient-1 pairing of the third tractor's jet, the former oracle
+    pairing = alpha1_jet(jet)[1]
+    assert abs(a1p - pairing) <= 1e-12 * abs(pairing)
     derivs = derivatives(jet, jet.shape[-1])
     derivs[4] = derivs[4] - 0.5 * a1p * derivs[1]
     return coefficients(derivs)
