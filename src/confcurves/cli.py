@@ -38,6 +38,7 @@ EXIT_DEGENERATE = 3
 
 OUTDIR_ENV = "CONFCURVES_OUTDIR"
 _TRACE_BUDGET = 1 << 20  # integrate's RK4 steps, and its stored rows times table columns
+_RELATIONS_CELLS = 1 << 21  # relations' samples times max(n, C(n, 4)), refused before any draw
 # float64 elements (8 MiB) of one plain relations chunk, 16 C(n, 4) per sample
 _RELATIONS_BUDGET = 1 << 20
 
@@ -538,7 +539,9 @@ def _random_phase_points(rng, n, count):
 def cmd_relations(args):
     if args.n is None:
         raise ConfigError("n: required for relations")
-    n = args.n
+    n, width = args.n, max(args.n, math.comb(args.n, 4))
+    if args.samples * width > _RELATIONS_CELLS:
+        raise ConfigError(f"samples: {args.samples} rows of {width} columns exceed {_RELATIONS_CELLS} cells")
     rng = np.random.default_rng(args.seed)
     checks = CheckList(args.tolerances)
     if args.jet_identity:

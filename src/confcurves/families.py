@@ -42,6 +42,14 @@ def _times(a, value):
     return _stack_product(a, _constant(value, a.shape[-1] - 1))
 
 
+def conformal_image(coeffs, b):
+    """The special conformal image ``(x - |x|^2 b) / (1 - 2 b.x + |b|^2 |x|^2)`` of a coefficient stack."""
+    n2 = _sum_rows(_stack_product(coeffs, coeffs))
+    bx = _sum_rows(_times(coeffs, b))
+    den = _constant(1.0, coeffs.shape[-1] - 1) - _times(bx, 2.0) + _times(n2, float(b @ b))
+    return _stack_product(coeffs - _times(n2[..., None, :], b), _recip(den)[..., None, :])
+
+
 def _jet(self, times, order=DEFAULT_ORDER):
     """The position coefficients ``(n, order+1)`` at one time, or ``(times,
     n, order+1)`` at a list or 1-d array of times, every row's squared
@@ -68,9 +76,7 @@ class Circle:
     a0: np.ndarray
 
     def __post_init__(self):
-        x0 = np.asarray(self.x0, dtype=float)
-        u0 = np.asarray(self.u0, dtype=float)
-        a0 = np.asarray(self.a0, dtype=float)
+        x0, u0, a0 = (np.asarray(v, dtype=float) for v in (self.x0, self.u0, self.a0))
         if not x0.size == u0.size == a0.size:
             raise FamilyError("circle parameters must share one dimension")
         norm = float(np.linalg.norm(u0))
@@ -112,9 +118,7 @@ class LogSpiral:
     r0: np.ndarray
 
     def __post_init__(self):
-        p0 = np.asarray(self.p0, dtype=float)
-        q0 = np.asarray(self.q0, dtype=float)
-        r0 = np.asarray(self.r0, dtype=float)
+        p0, q0, r0 = (np.asarray(v, dtype=float) for v in (self.p0, self.q0, self.r0))
         if not p0.size == q0.size == r0.size:
             raise FamilyError("spiral parameters must share one dimension")
         scale = float(np.linalg.norm(p0))
@@ -234,11 +238,7 @@ class TransformedSpiral:
         vanish = np.flatnonzero(np.abs(self._denominator(times)) < 1e-9)
         if vanish.size:
             raise FamilyError(f"transform denominator vanishes at t = {times[vanish[0]]}")
-        x = self.base.jet(times, order)
-        n2 = _sum_rows(_stack_product(x, x))
-        bx = _sum_rows(_times(x, self.b))
-        den = _constant(1.0, order) - _times(bx, 2.0) + _times(n2, float(self.b @ self.b))
-        return _stack_product(x - _times(n2[:, None], self.b), _recip(den)[:, None])
+        return conformal_image(self.base.jet(times, order), self.b)
 
     def conserved_report(self) -> EQuantities:
         """Closed-form basis quantities along the image curve, for

@@ -27,6 +27,7 @@ import numpy as np
 
 from .curves import _speed_sq, coefficients, derivatives
 from .jets import _dot, _recip, _sqrt, _stack_product, _sum_rows
+from .mercator import _STEP, flow_vector_stack
 from .multilinear import minors, rho_wedge, tractor_metric_pair, wedge
 
 __all__ = [
@@ -298,39 +299,25 @@ class IdentityResiduals(NamedTuple):
 
 def identity_residual_stack(coeffs) -> IdentityResiduals:
     """Both sides of the identity between the tractor route and the flow for
-    every row of a coefficient stack ``(..., n, order+1)``: the spatial slot
-    of the dependency combination of the fifth canonical tractor, and the
-    expanded derivative of the flow vector, whose defect ``max |expansion +
-    slot / u|`` vanishes exactly where alpha_1 is stationary.  Inner products
-    are :func:`_dot` columns and powers ``np.float_power``, libm's ``pow``."""
+    every row of a coefficient stack ``(..., n, order+1)``, each from the
+    package's own route: the spatial slot of ``-(T_4 + alpha_1 T_2)``, with
+    the canonical tractors of :func:`canonical_tractor_stack`, and ``C'``,
+    the derivative of :func:`confcurves.mercator.flow_vector_stack` along
+    the jet, by a complex step.  The defect ``max |C' + slot / u|``
+    vanishes where alpha_1 is stationary."""
     coeffs = np.asarray(coeffs, dtype=float)
-    u2 = _speed_sq(coeffs, 4, "reduction identity")[..., None]
-    U, A, Ap, App = derivatives(coeffs, 5)[1:]
-    u = np.sqrt(u2)
-    pairs = ((U, A), (U, Ap), (U, App), (A, A), (A, Ap))
-    UA, UAp, UApp, AA, AAp = (_dot(a, b)[..., None] for a, b in pairs)
-    p = np.float_power
-    mercator = (
-        -24 * p(u2, -4) * p(UA, 3) * U
-        + 16 * p(u2, -3) * UA * UAp * U
-        + 12 * p(u2, -3) * UA * AA * U
-        + 12 * p(u2, -3) * p(UA, 2) * A
-        - 2 * p(u2, -2) * UApp * U
-        - 4 * p(u2, -2) * AAp * U
-        - 4 * p(u2, -2) * UAp * A
-        - 3 * p(u2, -2) * AA * A
-        - 4 * p(u2, -2) * UA * Ap
-        + p(u2, -1) * App
-    )
-    # spatial slot of the dependency combination, with the fourth-derivative
-    # inner product eliminated via stationarity of alpha_1
-    slot = (
-        -App / u
-        + 4 * UA / p(u, 3) * Ap
-        - (12 * p(UA, 2) / p(u, 5) - 4 * UAp / p(u, 3) - 3 * AA / p(u, 3)) * A
-        + (6 * UA * AA / p(u, 5) - 4 * AAp / p(u, 3)) * U
-    )
-    return IdentityResiduals(slot, mercator, np.max(np.abs(mercator + slot / u), axis=-1))
+    u = np.sqrt(_speed_sq(coeffs, 4, "reduction identity"))[..., None]
+    # the spatial and bottom slots of T_4 do not read the fifth position
+    # coefficient, so it is taken as zero
+    rows = np.zeros(coeffs.shape[:-1] + (6,))
+    rows[..., :5] = coeffs[..., :5]
+    t2, t4 = (t[..., 0] for t in canonical_tractor_stack(rows, 5)[2::2])
+    alpha1 = tractor_metric_pair(*[np.moveaxis(t2, -1, 0)] * 2)[..., None]
+    slot = -(t4[..., 1:-1] + alpha1 * t2[..., 1:-1])
+    # each derivative vector moves by i h times the next one
+    d = derivatives(coeffs, 5)
+    dflow = flow_vector_stack(*(d[k] + 1j * _STEP * d[k + 1] for k in (1, 2, 3))).imag / _STEP
+    return IdentityResiduals(slot, dflow, np.max(np.abs(dflow + slot / u), axis=-1))
 
 
 def parallel_defect(curve, t, h, count=3):

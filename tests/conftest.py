@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from confcurves import (
     PhasePoint,
     TransformedSpiral,
     coefficients,
+    derivatives,
     e_stack,
     hamiltonian_stack,
     three_d_reduction,
@@ -135,6 +137,19 @@ def tractor_values(jet, count):
     """Values of the first ``count`` canonical tractors of one coefficient
     row, one ``(n+2)``-array each."""
     return [t[..., 0] for t in canonical_tractor_stack(jet, count)]
+
+
+def identity_term_scale(jet):
+    """The speed ``u`` of one coefficient row and ``tau = (m / u^2) max(1,
+    m / u)^2``, ``m`` the largest of ``|A|, |A'|, |A''|``: a bound, up to a
+    constant, on the largest term of the hand-expanded ``C'`` of
+    ``test_tractors.jet_identity_residuals``, whose slot terms are ``u``
+    times as large.  Round-off of either side scales with it, not with the
+    sides themselves, which cancel."""
+    U, A, Ap, App = derivatives(jet, 5)[1:]
+    u = math.sqrt(float(U @ U))
+    m = max(float(np.linalg.norm(v)) for v in (A, Ap, App))
+    return u, m / u**2 * max(1.0, m / u) ** 2
 
 
 def keyed(values, n, rank=4):

@@ -20,6 +20,7 @@ from confcurves.curves import VELOCITY_FLOOR
 from confcurves.multilinear import minors, rho_wedge, tractor_metric_pair, wedge
 from confcurves.tractors import _gram_jet, canonical_tractor_stack, gram_stack, q_keys, q_stack
 from conftest import (
+    identity_term_scale,
     keyed,
     random_circle,
     random_curve_jet,
@@ -499,16 +500,31 @@ class TestReductionIdentity:
         assert max(defects) > 1e-3
 
     def test_slot_matches_jet_pipeline(self, rng):
-        # the implemented slot expression equals minus the spatial slot of
-        # (fifth tractor + alpha1 * third tractor) computed by the recurrence
+        # the hand-expanded slot of the oracle equals minus the spatial slot
+        # of (fifth tractor + alpha1 * third tractor) computed by the
+        # recurrence, which identity_residual_stack itself reads
         for _ in range(20):
             n = int(rng.integers(2, 5))
             jet = alpha1_stationary_stack(random_curve_jet(rng, n, levels=6))
             trs = tractor_values(jet, 5)
             pipeline = -(trs[4][1:-1] + alpha1_jet(jet)[0] * trs[2][1:-1])
-            res = identity_residual_stack(jet)
+            slot = jet_identity_residuals(jet)[0]
             scale = 1.0 + np.max(np.abs(pipeline))
-            assert np.max(np.abs(res.tractor_slot - pipeline)) <= 1e-9 * scale
+            assert np.max(np.abs(slot - pipeline)) <= 1e-9 * scale
+
+    def test_bottom_slot_vanishes(self, rng):
+        # the third residual, beside the spatial slot: the bottom null slot
+        # of -(T_4 + alpha_1 T_2) is u <T_4 + alpha_1 T_2, T_0>, and the
+        # Gram pattern gives <T_4, T_0> = alpha_1 = -<T_2, T_0> on every jet,
+        # stationary or not
+        for _ in range(40):
+            n = int(rng.integers(1, 9))
+            jet = random_curve_jet(rng, n, levels=6)
+            for row in (alpha1_stationary_stack(jet), jet):
+                t = tractor_values(row, 5)
+                bottom = -(t[4][-1] + tractor_metric_pair(t[2], t[2]) * t[2][-1])
+                u, tau = identity_term_scale(row)
+                assert abs(bottom) <= 1e-13 * u * tau
 
     def test_mercator_expansion_is_flow_derivative(self, rng):
         # expansion equals the jet derivative of the flow vector
@@ -773,10 +789,14 @@ def jet_q_circle(jet):
 
 class TestSampleStacks:
     """The stacks over the sample axis against the per-jet bodies they
-    replaced, bit for bit."""
+    replaced: bit for bit, and the jet identity's two routes against its
+    hand-expanded forms to round-off."""
 
     def test_jet_identity_repeats_the_per_sample_loop(self, rng):
-        # drawn as `relations --jet-identity` draws its samples
+        # drawn as `relations --jet-identity` draws its samples; the stacked
+        # rows repeat their one-row calls bit for bit, and the two routes
+        # agree with the hand-expanded forms to round-off of their largest
+        # term
         for n in range(1, 9):
             draws = []
             for _ in range(12):
@@ -791,12 +811,15 @@ class TestSampleStacks:
                 want = jet_alpha1_stationary(jet)
                 assert np.array_equal(stationary[k], want)
                 assert np.array_equal(alpha1_stationary_stack(jet), stationary[k])
-                slot, expansion, defect = jet_identity_residuals(want)
-                assert np.array_equal(res.tractor_slot[k], slot)
-                assert np.array_equal(res.mercator_expansion[k], expansion)
-                assert res.identity_defect[k] == defect
                 one = identity_residual_stack(want)
-                assert one.identity_defect == defect and isinstance(one.identity_defect, float)
+                for got, rows in zip(one, res):
+                    assert np.array_equal(got, rows[k])
+                assert isinstance(one.identity_defect, float)
+                slot, expansion, defect = jet_identity_residuals(want)
+                u, tau = identity_term_scale(want)
+                assert np.max(np.abs(res.tractor_slot[k] - slot)) <= 1e-13 * u * tau
+                assert np.max(np.abs(res.mercator_expansion[k] - expansion)) <= 1e-13 * tau
+                assert max(res.identity_defect[k], defect) <= 1e-13 * tau
 
     def test_circle_quantities_repeat_the_per_jet_body(self, rng):
         for n in range(2, 9):
