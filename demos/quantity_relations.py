@@ -6,7 +6,6 @@ constrained-jet identity between the tractor route and the flow route.
 import numpy as np
 
 from confcurves import (
-    PhasePoint,
     alpha1_stationary_stack,
     coefficients,
     e_stack,
@@ -19,30 +18,29 @@ from confcurves import (
 rng = np.random.default_rng(42)
 
 
-def random_point(n):
+def random_row(n):
+    """A uniform phase row [X, U, P, R] from [-1, 1]^{4n} with |U|^2 >= 0.1."""
     while True:
         y = rng.uniform(-1, 1, 4 * n)
         if y[n : 2 * n] @ y[n : 2 * n] >= 0.1:
-            return PhasePoint.from_flat(y, n)
+            return y
 
 
 print("pairing quantities rewritten through the basis quantities")
 print("(four identity families, 100 random points in dimension 4):")
-points = PhasePoint.from_flat(np.stack([random_point(4).flat() for _ in range(100)]), 4)
-for fam, rec in quantity_identities(points).items():
+points = np.stack([random_row(4) for _ in range(100)])
+for fam, rec in quantity_identities(*np.split(points, 4, axis=-1)).items():
     print(f"  {fam}: max scaled residual {np.max(rec['residual'] / (1.0 + rec['scale'])):.2e}")
 
 print()
 print("dimension-3 repackaging at one random point:")
-p = random_point(3)
-red = three_d_reduction(e_stack(p.X, p.U, p.P, p.R))
+red = three_d_reduction(e_stack(*np.split(random_row(3), 4)))
 print(f"  Q1 = {np.round(red.Q1, 6)}  Q2 = {red.Q2:.6f}  Q3 = {red.Q3:.6f}")
 print(f"  energy rewritten through the basis quantities: {red.H_from_E:.6f}")
 
 print()
 print("five-element involutive set {E_T1, E_T2, E_T3, Q3, H}, by complex step:")
-points = PhasePoint.from_flat(np.stack([random_point(3).flat() for _ in range(20)]), 3)
-table = involutivity_check(points)
+table = involutivity_check(np.stack([random_row(3) for _ in range(20)]))
 print(f"  max |bracket| over all pairs and 20 points: {max(table.values()):.2e}")
 
 print()

@@ -12,7 +12,6 @@ from .curves import DegenerateVelocityError, coefficients, derivatives
 from .families import Circle, FamilyError, LogSpiral, TransformedSpiral
 from .jets import JetDomainError, JetError
 from .mercator import (
-    PhasePoint,
     Trajectory,
     circle_residual_stack,
     flow_vector_stack,

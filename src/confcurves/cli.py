@@ -28,8 +28,8 @@ import numpy as np
 
 from . import families, mercator, symmetries, tractors
 from .multilinear import minors, tractor_metric_pair, wedge
-from .curves import DegenerateVelocityError, coefficients, derivatives
-from .mercator import FlowDegeneracyError, PhasePoint
+from .curves import VELOCITY_FLOOR, DegenerateVelocityError, coefficients, derivatives
+from .mercator import FlowDegeneracyError
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -466,9 +466,9 @@ def cmd_quantities(args):
 # -------------------------------------------------------------- integrate
 
 
-def _initial_phase(args):
+def _initial_phase(args, t0):
+    """The phase row ``[X, U, P, R]`` the run starts from."""
     if args.family is not None:
-        t0 = args.t0 if args.t0 is not None else 0.0
         family = _build_family(args, (t0, t0))
         return mercator.phase_from_jet(_family_jets(family, [t0])[0])
     if any(getattr(args, k) is None for k in ("x", "u", "p", "r")):
@@ -477,20 +477,24 @@ def _initial_phase(args):
     if args.n is not None and x.size != args.n:
         raise ConfigError(f"x: dimension {x.size} != n = {args.n}")
     try:
-        return PhasePoint(
-            x, _parse_vector(args.u, "u"), _parse_vector(args.p, "p"), _parse_vector(args.r, "r")
-        )
-    except ValueError as exc:
-        # unequal lengths, or a velocity below the floor
+        u, p, r = (_parse_vector(getattr(args, k), k) for k in "upr")
+    except ConfigError as exc:
         raise ConfigError(f"initial point: {exc}") from exc
+    if not x.size == u.size == p.size == r.size:
+        raise ConfigError("initial point: phase components must share one (..., n) shape")
+    if (u2 := u @ u) <= VELOCITY_FLOOR:
+        raise ConfigError(f"initial point: squared speed {u2:.3e} below floor")
+    return np.concatenate([x, u, p, r])
 
 
 def cmd_integrate(args):
-    p0 = _initial_phase(args)
+    t0 = args.t0 if args.t0 is not None else 0.0
+    p0 = _initial_phase(args, t0)
+    n = p0.size // 4
     if args.out is None:
         raise ConfigError("out: required for integrate")
     rows = 1 + math.ceil(round(args.t_end / args.h) / args.store_every)
-    width = _column_count(p0.dim)
+    width = _column_count(n)
     if rows * width > _TRACE_BUDGET:
         raise ConfigError(
             f"store-every: {rows} rows of {width} columns exceed {_TRACE_BUDGET} cells"
@@ -503,8 +507,8 @@ def cmd_integrate(args):
         traj = exc.trajectory
     # one lift and one table for all stored states; the table rejects a
     # speed below the floor
-    data = _quantity_table(traj.ts, mercator.taylor_lift(traj.states, order=6))
-    columns = _quantity_columns(p0.dim)
+    data = _quantity_table(t0 + traj.ts, mercator.taylor_lift(traj.states, order=6))
+    columns = _quantity_columns(n)
     out = _resolve_out(args.out)
     _write_table(out, columns, data, args.format)
     print(f"trace with {len(data)} samples written to {out}")
@@ -524,16 +528,16 @@ def cmd_integrate(args):
 
 def _random_phase_points(rng, n, count):
     """``count`` uniform draws from ``[-1, 1]^{4n}`` with squared speed at
-    least 0.1, stacked into points of at most ``_RELATIONS_BUDGET / (16
-    C(n, 4))`` rows, which bounds the ``(C(n, 4), rows)`` arrays that
-    ``quantity_identities`` holds at once."""
+    least 0.1, split into components ``(X, U, P, R)`` over chunks of at most
+    ``_RELATIONS_BUDGET / (16 C(n, 4))`` rows, which bounds the ``(C(n, 4),
+    rows)`` arrays that ``quantity_identities`` holds at once."""
     rows = []
     while len(rows) < count:
         y = rng.uniform(-1.0, 1.0, 4 * n)
         if float(y[n : 2 * n] @ y[n : 2 * n]) >= 0.1:
             rows.append(y)
     step = max(1, _RELATIONS_BUDGET // max(16, 16 * math.comb(n, 4)))
-    return [PhasePoint.from_flat(np.array(rows[s : s + step]), n) for s in range(0, count, step)]
+    return [np.split(np.array(rows[s : s + step]), 4, axis=-1) for s in range(0, count, step)]
 
 
 def cmd_relations(args):
@@ -557,7 +561,7 @@ def cmd_relations(args):
         scale = 1.0 + np.maximum(*sizes)
         checks.add("reduction_identity_defect", np.max(res.identity_defect / scale), 1e-9)
     else:
-        reps = [symmetries.quantity_identities(p) for p in _random_phase_points(rng, n, args.samples)]
+        reps = [symmetries.quantity_identities(*p) for p in _random_phase_points(rng, n, args.samples)]
         # q_keys lays out C(n, 2), C(n, 3), C(n, 3) and C(n, 4) keys, family by family
         for fam, rank in zip(reps[0], (2, 3, 3, 4)):
             if math.comb(n, rank) == 0:
@@ -601,7 +605,7 @@ def _add_family(p):
     p.add_argument("--x0", help="circle base point")
     p.add_argument("--u0", help="circle initial velocity (unit)")
     p.add_argument("--a0", help="circle curvature vector (orthogonal to u0)")
-    p.add_argument("--t0", type=float, help="window start (default -1)")
+    p.add_argument("--t0", type=float, help="window start (default -1); integrate: start time (default 0)")
     p.add_argument("--t1", type=float, help="window end (default 1)")
     p.add_argument("--samples", type=int, default=21)
 
@@ -700,6 +704,8 @@ def _apply_config(args, flags):
             overrides[name] = float(val)
         except ValueError as exc:
             raise ConfigError(f"tol: bad value in {item!r}") from exc
+        if not 0 <= overrides[name] < math.inf:
+            raise ConfigError(f"tol: {name} must be finite and at least 0, got {val}")
     args.tolerances = overrides
     for names, valid, need in (
         (("n", "samples", "store_every"), lambda v: v >= 1, "at least 1"),

@@ -4,10 +4,11 @@ The flow says that a particular vector ``C`` built from the first three
 derivative vectors is constant along the curve.  Writing the associated
 second-order Lagrangian in Ostrogradsky variables produces a polynomial
 Hamiltonian on the 4n-dimensional phase space ``(X, U, P, R)``; the
-functions here take curve data to phase points, integrate the flow with
-classical RK4, and evaluate Poisson brackets by complex step.  An RK4
-step is straight-line float code generated and compiled once per
-dimension: the same bits on every CPU and BLAS, and those of a loop.
+functions here take curve data to phase rows ``[X, U, P, R]``, ``(...,
+4n)``, integrate the flow with classical RK4, and evaluate Poisson brackets
+by complex step.  An RK4 step is straight-line float code generated and
+compiled once per dimension: the same bits on every CPU and BLAS, and those
+of a loop.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .curves import VELOCITY_FLOOR, DegenerateVelocityError, _speed_sq, derivati
 from .jets import _dot, _product_coefficient, _stack_product, _sum_rows
 
 __all__ = [
-    "PhasePoint",
     "Trajectory",
     "flow_vector_stack",
     "momenta_stack",
@@ -33,41 +33,6 @@ __all__ = [
     "poisson_bracket",
     "taylor_lift",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class PhasePoint:
-    """State of the first-order system: position, velocity, and the two
-    conjugate momenta.  The components share one ``(..., n)`` shape; leading
-    axes stack points, and every row is checked against the velocity
-    floor."""
-
-    X: np.ndarray
-    U: np.ndarray
-    P: np.ndarray
-    R: np.ndarray
-
-    def __post_init__(self):
-        for name in ("X", "U", "P", "R"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        shape = self.X.shape
-        if not shape or any(getattr(self, k).shape != shape for k in ("U", "P", "R")):
-            raise ValueError("phase components must share one (..., n) shape")
-        u2 = _dot(self.U, self.U)
-        if np.any(u2 <= VELOCITY_FLOOR):
-            raise DegenerateVelocityError(f"squared speed {np.min(u2):.3e} below floor")
-
-    @property
-    def dim(self):
-        return self.X.shape[-1]
-
-    def flat(self):
-        return np.concatenate([self.X, self.U, self.P, self.R], axis=-1)
-
-    @classmethod
-    def from_flat(cls, y, n):
-        """The point of each ``(..., 4n)`` row laid out like :meth:`flat`."""
-        return cls(y[..., 0:n], y[..., n : 2 * n], y[..., 2 * n : 3 * n], y[..., 3 * n : 4 * n])
 
 
 def flow_vector_stack(U, A, Ap):
@@ -101,14 +66,14 @@ def momenta_stack(U, A, Ap):
     return -flow_vector_stack(U, A, Ap), A / u2 - 2 * UA / np.float_power(u2, 2) * U
 
 
-def phase_from_jet(coeffs) -> PhasePoint:
-    """The phase point of every row of a coefficient stack ``(..., n,
-    order+1)``: ``P`` is minus the flow vector, ``R`` the velocity-weighted
-    acceleration."""
+def phase_from_jet(coeffs) -> np.ndarray:
+    """The phase row ``[X, U, P, R]``, ``(..., 4n)``, of every row of a
+    coefficient stack ``(..., n, order+1)``: ``P`` is minus the flow vector,
+    ``R`` the velocity-weighted acceleration."""
     coeffs = np.asarray(coeffs, dtype=float)
     _speed_sq(coeffs, 3, "flow vector")
     X, U, A, Ap = derivatives(coeffs, 4)
-    return PhasePoint(X, U, *momenta_stack(U, A, Ap))
+    return np.concatenate([X, U, *momenta_stack(U, A, Ap)], axis=-1)
 
 
 def hamiltonian_stack(U, P, R):
@@ -143,9 +108,8 @@ def _stage(u, r, p, du, dr):
 
 def _kernel_source(n):
     """Python source of a straight-line float function ``step(row, q..,
-    half, h, sixth)`` for dimension ``n``: the row ``x.., u.., p.., r..``,
-    laid out like :meth:`PhasePoint.flat`, one RK4 step on, whose stages
-    past the first see ``P = q``."""
+    half, h, sixth)`` for dimension ``n``: the phase row ``x.., u.., p..,
+    r..`` one RK4 step on, whose stages past the first see ``P = q``."""
     if type(n) is not int or n < 1:
         raise ValueError(f"the RK4 kernel needs a positive int dimension, got {n!r}")
     x, u, p, r, q = ([f"{c}{i}" for i in range(n)] for c in "xuprq")
@@ -173,7 +137,7 @@ def _kernel(n):
 @dataclass
 class Trajectory:
     """Stored samples of an integrated flow (every ``store_every``-th step);
-    ``PhasePoint.from_flat(states, dim)`` is them as one stacked point."""
+    ``np.split(states, 4, axis=-1)`` is their components ``(X, U, P, R)``."""
 
     ts: np.ndarray
     states: np.ndarray  # shape (len(ts), 4n)
@@ -201,13 +165,14 @@ class FlowDegeneracyError(DegenerateVelocityError):
         self.trajectory = trajectory
 
 
-def integrate(p0: PhasePoint, t_end: float, h: float = 1e-3, store_every: int = 10) -> Trajectory:
-    """Classical fixed-step RK4 for the first-order system.
+def integrate(y0, t_end: float, h: float = 1e-3, store_every: int = 10) -> Trajectory:
+    """Classical fixed-step RK4 for the first-order system from the phase row ``y0``, ``(4n,)``.
 
     Samples are stored every ``store_every`` steps (plus the final point).
     Velocity degeneracy anywhere in a stage aborts with
     :class:`FlowDegeneracyError` holding the partial trajectory; a state
-    that leaves the float range raises ``FloatingPointError``.  A step is one
+    that leaves the float range raises ``FloatingPointError``.  A row below
+    the floor fails the first stage, at ``t = 0``.  A step is one
     call of the compiled ``step`` (:func:`_kernel_source`) on the row ``(X,
     U, P, R)``; past the run's first stage ``P`` is ``p + 0.0``, the bits of
     ``p + (0.5 h) 0.0``.  Rows lie within round-off (3e-14 in 100 steps) of
@@ -215,11 +180,13 @@ def integrate(p0: PhasePoint, t_end: float, h: float = 1e-3, store_every: int = 
     """
     if h <= 0 or t_end <= 0:
         raise ValueError("need h > 0 and t_end > 0")
-    n = p0.dim
+    n = np.size(y0) // 4
+    if np.shape(y0) != (4 * n,) or not n:
+        raise ValueError(f"need a phase row of shape (4n,), got {np.shape(y0)}")
     step, steps = _kernel(n), int(round(t_end / h))
-    y = tuple(p0.flat().tolist())
+    y = tuple(np.asarray(y0, dtype=float).tolist())
     ts, states, t = [0.0], [y], 0.0
-    Ps = tuple(p + 0.0 for p in p0.P.tolist())
+    Ps = tuple(p + 0.0 for p in y[2 * n : 3 * n])
     # a fixed operand grouping keeps the bits: (0.5 h) k and (h/6) (((k1 + 2 k2) + 2 k3) + k4)
     half, sixth = 0.5 * h, h / 6.0
     for k in range(steps):
@@ -237,9 +204,9 @@ def integrate(p0: PhasePoint, t_end: float, h: float = 1e-3, store_every: int = 
 _STEP = 1e-30  # the complex step: far below round-off of any order-unity coordinate
 
 
-def poisson_bracket(f, g, p: PhasePoint):
-    """Canonical bracket ``{f, g}`` of two phase functions at every row of
-    a phase point, over its leading axes.
+def poisson_bracket(f, g, y):
+    """Canonical bracket ``{f, g}`` of two phase functions at every phase
+    row of ``y``, ``(..., 4n)``, over its leading axes.
 
     ``f`` and ``g`` map component arrays ``(X, U, P, R)`` with leading batch
     axes to their values over those axes, as :func:`hamiltonian_stack` and
@@ -251,8 +218,7 @@ def poisson_bracket(f, g, p: PhasePoint):
     determinants do) loses the imaginary part, and reads a bracket of 0;
     numpy warns with a ``ComplexWarning``.
     """
-    n = p.dim
-    y = p.flat()[..., None, :] + 1j * _STEP * np.eye(4 * n)
+    y = y[..., None, :] + 1j * _STEP * np.eye(y.shape[-1])
     df, dg = (np.imag(fun(*np.split(y, 4, axis=-1))) / _STEP for fun in (f, g))
     # the symplectic pairing: positions (X, U) against momenta (P, R)
     (fq, fm), (gq, gm) = np.split(df, 2, axis=-1), np.split(dg, 2, axis=-1)
@@ -261,8 +227,7 @@ def poisson_bracket(f, g, p: PhasePoint):
 
 def taylor_lift(states, order: int = 6) -> np.ndarray:
     """Taylor coefficients ``(..., n, order+1)`` of the positions of the flow
-    through each state of a ``(..., 4n)`` array, laid out like
-    :meth:`PhasePoint.flat`.
+    through each phase row ``[X, U, P, R]`` of a ``(..., 4n)`` array.
 
     The right-hand side is polynomial, so the coefficients follow by
     repeated substitution: step ``k`` needs all ``k+1`` coefficients of

@@ -13,7 +13,7 @@ import numpy as np
 
 from .curves import _speed_sq, derivatives
 from .jets import _dot, _recip, _stack_product, _sum_rows
-from .mercator import PhasePoint, flow_vector_stack, hamiltonian_stack, poisson_bracket
+from .mercator import flow_vector_stack, hamiltonian_stack, poisson_bracket
 from .multilinear import index_tuples
 from .tractors import _pairing_families
 
@@ -153,7 +153,7 @@ def e_stack(X, U, P, R) -> EQuantities:
     return EQuantities(P.copy(), E_R, E_D[..., 0], E_S)
 
 
-def q_phase(p: PhasePoint):
+def q_phase(X, U, P, R):
     """The four pairing-quantity families as polynomials in the phase
     variables, an array ``(..., keys)`` in :func:`confcurves.tractors.q_keys`
     order like :func:`confcurves.tractors.q_stack`.
@@ -161,28 +161,27 @@ def q_phase(p: PhasePoint):
     They are the curve-data forms with ``(A, A')`` replaced by ``(R, P)`` and
     the weights ``(3 (U.A)/u^4, -1/u^2, 1/u^4)`` by ``(-U.R, 1, -1)``.
     """
-    families = _pairing_families(p.X, p.U, p.R, p.P, (-_dot(p.U, p.R), 1.0, -1.0))
+    families = _pairing_families(X, U, R, P, (-_dot(U, R), 1.0, -1.0))
     return np.concatenate(families, axis=-1)
 
 
-def quantity_identities(p: PhasePoint):
+def quantity_identities(X, U, P, R):
     """Residuals of the four identities expressing the pairing quantities
-    through the basis quantities.
+    through the basis quantities, from ``(..., n)`` phase components.
 
     The pure-spatial identity is checked in multiplied-through form
     (``E_D`` times the quantity), so it is meaningful on the whole phase
     space.  Returns per-family dictionaries with the max absolute residual
-    and the operand scale for relative comparisons, over the leading axes
-    of the point.
+    and the operand scale for relative comparisons, over the leading axes.
     """
-    n = p.dim
-    e = e_stack(p.X, p.U, p.P, p.R)
+    n = X.shape[-1]
+    e = e_stack(X, U, P, R)
     # component axes first, batch axes last, so the gathers index them
     E_T, E_S = np.moveaxis(e.E_T, -1, 0), np.moveaxis(e.E_S, -1, 0)
     E_R, E_D = np.moveaxis(e.E_R, (-2, -1), (0, 1)), e.E_D
     # q_keys lays out C(n, 2), C(n, 3), C(n, 3) and C(n, 4) keys, family by family
     sizes = np.cumsum([math.comb(n, 2), math.comb(n, 3), math.comb(n, 3)])
-    q2, q3, q3N, q4 = np.split(np.moveaxis(q_phase(p), -1, 0), sizes)
+    q2, q3, q3N, q4 = np.split(np.moveaxis(q_phase(X, U, P, R), -1, 0), sizes)
     (i, j), (a, b, c), (w, x, y, z) = (tuple(index_tuples(n, k).T) for k in (2, 3, 4))
 
     def split3(v):
@@ -235,17 +234,18 @@ def three_d_reduction(e: EQuantities) -> ThreeDReduction:
     return ThreeDReduction(q1, q2, q3, h)
 
 
-def involutivity_check(points: PhasePoint):
+def involutivity_check(y):
     """Pairwise brackets among the five-element involutive set (the three
     translation quantities, the mixed rank-3 scalar, and the Hamiltonian)
-    over a stack of 3-d phase points; returns the max |bracket| per pair.
+    over the 3-d phase rows of ``y``, ``(..., 12)``; returns the max
+    |bracket| per pair.
 
     Each pair is one :func:`confcurves.mercator.poisson_bracket` call, a
     complex step through :func:`e_stack`, :func:`three_d_reduction` and
     :func:`confcurves.mercator.hamiltonian_stack`, none of which casts to
     float; ``Q_3`` through :func:`q_phase`, whose determinants do, would
     read 0."""
-    if points.dim != 3:
+    if np.shape(y)[-1] != 12:
         raise ValueError("involutivity table requires dimension 3")
 
     def et(i):
@@ -259,6 +259,6 @@ def involutivity_check(points: PhasePoint):
         "H": lambda X, U, P, R: hamiltonian_stack(U, P, R),
     }
     return {
-        (a, b): float(np.max(np.abs(poisson_bracket(fns[a], fns[b], points))))
+        (a, b): float(np.max(np.abs(poisson_bracket(fns[a], fns[b], y))))
         for a, b in itertools.combinations(fns, 2)
     }

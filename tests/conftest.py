@@ -7,7 +7,6 @@ import pytest
 from confcurves import (
     Circle,
     LogSpiral,
-    PhasePoint,
     TransformedSpiral,
     coefficients,
     derivatives,
@@ -28,15 +27,12 @@ def random_curve_jet(rng, n, levels=5, min_u2=0.1):
 
 
 def random_phase_point(rng, n, min_u2=0.1):
+    """A uniform phase row ``[X, U, P, R]`` from ``[-1, 1]^{4n}`` whose
+    velocity has squared speed at least ``min_u2``."""
     while True:
         y = rng.uniform(-1.0, 1.0, 4 * n)
         if float(y[n : 2 * n] @ y[n : 2 * n]) >= min_u2:
-            return PhasePoint.from_flat(y, n)
-
-
-def stacked(points):
-    """One phase point stacking the rows of a list of one-row points."""
-    return PhasePoint.from_flat(np.stack([p.flat() for p in points]), points[0].dim)
+            return y
 
 
 def energy(X, U, P, R):
@@ -65,13 +61,12 @@ def three_d_functions():
     return fns
 
 
-def central_difference_bracket(f, g, p, step=1e-5):
+def central_difference_bracket(f, g, y, step=1e-5):
     """Canonical bracket of two phase functions ``(X, U, P, R)`` at one phase
-    point by central differences: the oracle of the complex-step
+    row ``y`` by central differences: the oracle of the complex-step
     ``poisson_bracket``.  The step along coordinate ``i`` is ``step * (1 +
     |y_i|)``, balancing truncation against round-off for order-unity data;
     the ``4n`` shifted points of each sign are one batch."""
-    y = p.flat()
     hi = step * (1.0 + np.abs(y))
 
     def grad(fun):

@@ -162,10 +162,10 @@ def conformal_factor(field, x):
     return field.a - 2.0 * float(field.S @ x)
 
 
-def accel_from_phase(p):
-    """Invert the momentum definitions of a ``PhasePoint`` for the second and
-    third derivative vectors, over the leading axes of a stacked point."""
-    U, P, R = p.U, p.P, p.R
+def accel_from_phase(y):
+    """Invert the momentum definitions of phase rows ``y``, ``(..., 4n)``,
+    for the second and third derivative vectors, over their leading axes."""
+    _, U, P, R = np.split(y, 4, axis=-1)
     u2, UR, UP, R2 = (_dot(a, b)[..., None] for a, b in ((U, U), (U, R), (U, P), (R, R)))
     A = -2 * UR * U + u2 * R
     Ap = (2 * UP + 4 * np.float_power(UR, 2) - u2 * R2) * U - 2 * u2 * UR * R - u2 * P

@@ -13,7 +13,6 @@ import numpy as np
 from confcurves import (
     KillingField,
     LogSpiral,
-    PhasePoint,
     alpha1_stationary_stack,
     derivatives,
     e_stack,
@@ -42,7 +41,6 @@ from conftest import (
     random_phase_point,
     random_spiral,
     random_transformed_spiral,
-    stacked,
     three_d_functions,
 )
 from oracles import accel_from_phase, closed_form_alpha1_delta4, epsilon, parallel_section_oracle
@@ -124,11 +122,11 @@ def test_criterion_2_circle_suite():
 
 def _trajectory_drifts(p0, h):
     traj = integrate(p0, 1.0, h=h, store_every=10)
-    pts = PhasePoint.from_flat(traj.states, traj.dim)
-    e = e_stack(pts.X, pts.U, pts.P, pts.R)
+    X, U, P, R = np.split(traj.states, 4, axis=-1)
+    e = e_stack(X, U, P, R)
     i, j = np.triu_indices(3, 1)
     rows = np.column_stack([
-        hamiltonian_stack(pts.U, pts.P, pts.R), e.E_D, e.E_T, e.E_S, e.E_R[:, i, j], q_phase(pts)
+        hamiltonian_stack(U, P, R), e.E_D, e.E_T, e.E_S, e.E_R[:, i, j], q_phase(X, U, P, R)
     ])
     drift = float(
         np.max(np.max(np.abs(rows - rows[0]), axis=0) / (1.0 + np.abs(rows[0])))
@@ -166,7 +164,7 @@ def test_criterion_4_identity_relations():
     worst = 0.0
     for _ in range(100):
         p = random_phase_point(rng, 4)
-        rep = quantity_identities(p)
+        rep = quantity_identities(*np.split(p, 4))
         for rec in rep.values():
             worst = max(worst, rec["residual"] / (1.0 + rec["scale"]))
     ok = worst <= 1e-10
@@ -287,7 +285,7 @@ def test_criterion_7_reduction_identity():
 
 def test_criterion_8_poisson_suite():
     rng = np.random.default_rng(23)
-    points = stacked([random_phase_point(rng, 3) for _ in range(50)])
+    points = np.stack([random_phase_point(rng, 3) for _ in range(50)])
     worst = max(
         float(np.max(np.abs(poisson_bracket(f, energy, points))))
         for f in three_d_functions().values()

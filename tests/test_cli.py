@@ -368,9 +368,10 @@ class TestIntegrate:
         # the table checks the floor before its sqrt and recip recurrences,
         # which would otherwise stop the run as a float error (exit 2)
         def stalled(p0, t_end, h, store_every):
-            states = np.array([p0.flat(), p0.flat()])
-            states[1, p0.dim : 2 * p0.dim] = 0.0
-            return mercator.Trajectory(np.array([0.0, h]), states, p0.dim, h)
+            n = p0.size // 4
+            states = np.array([p0, p0])
+            states[1, n : 2 * n] = 0.0
+            return mercator.Trajectory(np.array([0.0, h]), states, n, h)
 
         monkeypatch.setattr(mercator, "integrate", stalled)
         argv = ["integrate", "--x", "0,0", "--u", "1,0", "--p", "0,0", "--r", "0,0",
@@ -419,6 +420,25 @@ class TestIntegrate:
              "--t-end", "0.01", "--h", "0.01", "--out", "x.csv"],
         ):
             assert_config_error(argv, capsys)
+        # a velocity below the floor, refused before the first step
+        argv = ["integrate", "--x=0,0", "--u=1e-7,0", "--p=0,0", "--r=0,0",
+                "--t-end", "0.01", "--h", "0.01", "--out", "x.csv"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: initial point: squared speed 1.000e-14 below floor\n"
+
+    def test_rows_are_labelled_from_t0(self, tmp_path):
+        # the run starts on the spiral at t0 = 0.5, and its rows say so
+        out = tmp_path / "t0.csv"
+        argv = ["integrate", *SPIRAL_ARGS, "--t0", "0.5", "--t-end", "0.1", "--h", "1e-2",
+                "--store-every", "2", "--out", str(out)]
+        assert main(argv) == 0
+        header, data = read_csv(out)
+        assert data[0, 0] == 0.5 and header[1:4] == ["x1", "x2", "x3"]
+        spiral = families.LogSpiral(2.0, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.3, -0.2, 0.5])
+        for t, x in zip(data[:, 0], data[:, 1:4]):
+            exact = spiral.position(t)
+            assert np.max(np.abs(x - exact)) <= 1e-6 * (1.0 + np.max(np.abs(exact)))
 
     @pytest.mark.parametrize(
         "flags",
@@ -508,8 +528,8 @@ class TestRelationChunks:
     def test_chunk_sizes(self):
         rng = np.random.default_rng(0)
         for n in range(1, 9):
-            assert [len(p.X) for p in cli._random_phase_points(rng, n, 100)] == [100]
-        assert [len(p.X) for p in cli._random_phase_points(rng, 24, 100)] == [6] * 16 + [4]
+            assert [len(p[0]) for p in cli._random_phase_points(rng, n, 100)] == [100]
+        assert [len(p[0]) for p in cli._random_phase_points(rng, 24, 100)] == [6] * 16 + [4]
 
 
 class TestParser:
@@ -525,8 +545,17 @@ class TestParser:
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({"samples": 5, "bogus": 1}))
         good = ["relations", "--n", "4", "--samples", "20", "--seed", "3", "--tol", "identity_0ijN=1e-9"]
+        # an infinite tolerance passes any measurement, a negative or nan one
+        # fails all: each is refused, by --tol and in a --config tol list
+        tols = ["identity_0ijN=inf", "identity_0ijN=nan", "identity_0ijN=-1"]
+        bads = [["--config", str(config)], ["--tol", "nope"], ["--n", "x"]]
+        for k, tol in enumerate(tols):
+            tol_config = tmp_path / f"tol{k}.json"
+            tol_config.write_text(json.dumps({"tol": [tol]}))
+            bads += [["--n", "4", "--samples", "10", flag, value]
+                     for flag, value in (("--tol", tol), ("--config", str(tol_config)))]
         reports = []
-        for bad in (["--config", str(config)], ["--tol", "nope"], ["--n", "x"]):
+        for bad in bads:
             out = tmp_path / f"r{len(reports)}.json"
             assert main(good + ["--out", str(out)]) == 0
             reports.append((out.read_bytes(), capsys.readouterr().out.replace(str(out), "OUT")))

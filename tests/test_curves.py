@@ -42,9 +42,8 @@ def general_field(rng, n):
 
 
 def phase_basis(c):
-    """:func:`e_stack` of the phase points of coefficient rows."""
-    p = phase_from_jet(c)
-    return e_stack(p.X, p.U, p.P, p.R)
+    """:func:`e_stack` of the phase rows of coefficient rows."""
+    return e_stack(*np.split(phase_from_jet(c), 4, axis=-1))
 
 
 # Every stack over position coefficients or derivative vectors, as a
@@ -74,7 +73,7 @@ def leaves(value):
         return [value]
     if isinstance(value, (list, tuple)):
         return [leaf for v in value for leaf in leaves(v)]
-    # EQuantities and PhasePoint
+    # EQuantities
     return [leaf for v in vars(value).values() for leaf in leaves(v)]
 
 

@@ -16,7 +16,7 @@ miss negligible.  Each test asserts that its operands stay below
 import numpy as np
 import pytest
 
-from confcurves import PhasePoint, derivatives, e_stack, noether_stack
+from confcurves import derivatives, e_stack, noether_stack
 from confcurves.mercator import phase_from_jet
 from confcurves.symmetries import q_phase, quantity_identities
 from confcurves.tractors import q_stack
@@ -55,10 +55,10 @@ def dyadic_rows(rng, n):
 def test_quantity_identities_hold_exactly(n):
     rng = np.random.default_rng(100 + n)
     X, P, R = integers(rng, 3, POINTS, n)
-    p = PhasePoint(X, speed_two_velocities(rng, n, POINTS), P, R)
-    e = e_stack(p.X, p.U, p.P, p.R)
-    assert_exact_range(e.E_R, e.E_D, e.E_S, q_phase(p))
-    report = quantity_identities(p)
+    p = (X, speed_two_velocities(rng, n, POINTS), P, R)
+    e = e_stack(*p)
+    assert_exact_range(e.E_R, e.E_D, e.E_S, q_phase(*p))
+    report = quantity_identities(*p)
     for family, rep in report.items():
         assert_exact_range(rep["scale"])
         assert np.all(rep["residual"] == 0.0), family
@@ -69,9 +69,9 @@ def test_quantity_identities_hold_exactly(n):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_tractor_route_equals_phase_route_exactly(n):
     coeffs = dyadic_rows(np.random.default_rng(200 + n), n)
-    p = phase_from_jet(coeffs)
-    tractor, phase = q_stack(coeffs), q_phase(p)
-    assert_exact_range(p.P, p.R, tractor, phase)
+    p = np.split(phase_from_jet(coeffs), 4, axis=-1)
+    tractor, phase = q_stack(coeffs), q_phase(*p)
+    assert_exact_range(p[2], p[3], tractor, phase)
     assert np.any(tractor != 0.0)
     assert np.all(tractor - phase == 0.0)
 
@@ -79,10 +79,10 @@ def test_tractor_route_equals_phase_route_exactly(n):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_noether_route_equals_phase_route_exactly(n):
     coeffs = dyadic_rows(np.random.default_rng(300 + n), n)
-    p = phase_from_jet(coeffs)
+    p = np.split(phase_from_jet(coeffs), 4, axis=-1)
     noether = noether_stack(*derivatives(coeffs, 4))
-    phase = e_stack(p.X, p.U, p.P, p.R)
-    assert_exact_range(p.P, p.R)
+    phase = e_stack(*p)
+    assert_exact_range(p[2], p[3])
     for name in ("E_T", "E_R", "E_D", "E_S"):
         got, want = getattr(noether, name), getattr(phase, name)
         assert_exact_range(got, want)

@@ -5,7 +5,6 @@ import pytest
 
 from confcurves import (
     LogSpiral,
-    PhasePoint,
     circle_residual_stack,
     coefficients,
     derivatives,
@@ -33,7 +32,6 @@ from conftest import (
     random_spiral,
     random_transformed_spiral,
     row_sets,
-    stacked,
 )
 from jet_oracle import JetScalar
 from oracles import accel_from_phase
@@ -114,19 +112,19 @@ class TestRowBatched:
             U, A, Ap = derivatives(np.stack(jets), 4)[1:]
             P, R = momenta_stack(U, A, Ap)
             H = hamiltonian_stack(U, P, R)
-            points = phase_from_jet(np.stack(jets))
-            assert_same_bits(points.P, P)
-            assert_same_bits(points.R, R)
+            _, _, points_P, points_R = np.split(phase_from_jet(np.stack(jets)), 4, axis=-1)
+            assert_same_bits(points_P, P)
+            assert_same_bits(points_R, R)
             for k, jet in enumerate(jets):
                 want_P, want_R = row_momenta(jet)
                 assert_same_bits(P[k], want_P)
                 assert_same_bits(R[k], want_R)
-                p = phase_from_jet(jet)
-                assert_same_bits(p.P, want_P)
-                assert_same_bits(p.R, want_R)
+                _, p_U, p_P, p_R = np.split(phase_from_jet(jet), 4)
+                assert_same_bits(p_P, want_P)
+                assert_same_bits(p_R, want_R)
                 want_H = row_hamiltonian(derivatives(jet, 2)[1], want_P, want_R)
                 assert_same_bits(H[k], want_H)
-                assert hamiltonian_stack(p.U, p.P, p.R) == want_H
+                assert hamiltonian_stack(p_U, p_P, p_R) == want_H
 
 
 class TestLagrangians:
@@ -203,13 +201,13 @@ class TestCircleResidual:
 
 class TestPhaseConversions:
     def test_unit_pitch_momenta(self, planar_unit_spiral):
-        p = phase_from_jet(planar_unit_spiral.jet(0.0))
-        assert np.allclose(p.P, [0.0, 0.0], atol=1e-14)
-        assert np.allclose(p.R, [-1.0, 0.0], atol=1e-14)
+        _, _, P, R = np.split(phase_from_jet(planar_unit_spiral.jet(0.0)), 4)
+        assert np.allclose(P, [0.0, 0.0], atol=1e-14)
+        assert np.allclose(R, [-1.0, 0.0], atol=1e-14)
 
     def test_straight_line_momenta(self):
-        p = phase_from_jet(straight_line_jet())
-        assert np.allclose(p.P, 0.0) and np.allclose(p.R, 0.0)
+        _, _, P, R = np.split(phase_from_jet(straight_line_jet()), 4)
+        assert np.allclose(P, 0.0) and np.allclose(R, 0.0)
 
     def test_inversion_formulas(self, planar_unit_spiral):
         p = phase_from_jet(planar_unit_spiral.jet(0.0))
@@ -218,8 +216,7 @@ class TestPhaseConversions:
         assert np.allclose(Ap, [-2.0, 2.0], atol=1e-13)
 
     def test_zero_momenta_invert_to_zero(self):
-        p = PhasePoint(np.zeros(3), np.array([1.0, 0, 0]), np.zeros(3), np.zeros(3))
-        A, Ap = accel_from_phase(p)
+        A, Ap = accel_from_phase(np.array([0.0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0]))
         assert np.allclose(A, 0.0) and np.allclose(Ap, 0.0)
 
     def test_round_trip(self, rng):
@@ -237,59 +234,54 @@ class TestPhaseConversions:
         jet = random_curve_jet(rng, 3)
         p = phase_from_jet(jet)
         A, Ap = accel_from_phase(p)
-        rebuilt = coefficients([p.X, p.U, A, Ap])
-        p2 = phase_from_jet(rebuilt)
-        for name in ("X", "U", "P", "R"):
-            assert np.max(np.abs(getattr(p, name) - getattr(p2, name))) <= 1e-12
+        rebuilt = coefficients([*np.split(p, 4)[:2], A, Ap])
+        assert np.max(np.abs(p - phase_from_jet(rebuilt))) <= 1e-12
 
 
 class TestHamiltonian:
     def test_unit_pitch_value(self, planar_unit_spiral):
         p = phase_from_jet(planar_unit_spiral.jet(0.0))
-        assert hamiltonian_stack(p.U, p.P, p.R) == pytest.approx(0.0, abs=1e-14)
+        assert energy(*np.split(p, 4)) == pytest.approx(0.0, abs=1e-14)
 
     def test_zero_momenta(self):
-        p = PhasePoint(np.zeros(2), np.array([2.0, 0.0]), np.zeros(2), np.zeros(2))
-        assert hamiltonian_stack(p.U, p.P, p.R) == 0.0
+        assert hamiltonian_stack(np.array([2.0, 0.0]), np.zeros(2), np.zeros(2)) == 0.0
 
     def test_spiral_energy_level(self, rng):
         # along any spiral of pitch c the Hamiltonian is (c^2 - 1)/2
         for c in (0.7, 2.0):
             spiral = random_spiral(rng, 3, c=c)
-            p = phase_from_jet(spiral.jet([-0.4, 0.8]))
-            h = hamiltonian_stack(p.U, p.P, p.R)
+            h = energy(*np.split(phase_from_jet(spiral.jet([-0.4, 0.8])), 4, axis=-1))
             assert np.max(np.abs(h - (c**2 - 1.0) / 2.0)) <= 1e-10
 
     def test_three_d_energy_identity(self, rng):
         for _ in range(100):
-            p = random_phase_point(rng, 3)
-            e = e_stack(p.X, p.U, p.P, p.R)
+            y = np.split(random_phase_point(rng, 3), 4)
+            e = e_stack(*y)
             er = np.array([e.E_R[1, 2], -e.E_R[0, 2], e.E_R[0, 1]])
             rhs = 0.5 * (float(er @ er) - float(e.E_T @ e.E_S) - e.E_D**2)
-            assert hamiltonian_stack(p.U, p.P, p.R) == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+            assert energy(*y) == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
 class TestHamiltonRHS:
     """The equations of motion of :func:`array_rhs`, the RK4 oracle."""
 
     def test_free_motion(self):
-        p = PhasePoint(np.zeros(3), np.array([0.7, 0, 0]), np.zeros(3), np.zeros(3))
-        rhs = array_rhs(p.flat(), 3)
+        y = np.array([0.0, 0, 0, 0.7, 0, 0, 0, 0, 0, 0, 0, 0])
+        rhs = array_rhs(y, 3)
         X, U, P, R = np.split(rhs, 4)
-        assert np.allclose(X, p.U)
+        assert np.allclose(X, y[3:6])
         assert np.allclose(U, 0.0) and np.allclose(P, 0.0) and np.allclose(R, 0.0)
 
     def test_velocity_equation_recovers_acceleration(self, planar_unit_spiral):
         p = phase_from_jet(planar_unit_spiral.jet(0.0))
-        U = np.split(array_rhs(p.flat(), 2), 4)[1]
+        U = np.split(array_rhs(p, 2), 4)[1]
         assert np.allclose(U, [0.0, 2.0], atol=1e-13)
 
     def test_matches_symplectic_gradient(self, rng):
         # central differences of H paired through the canonical structure
         for _ in range(100):
             n = int(rng.integers(2, 4))
-            p = random_phase_point(rng, n)
-            y = p.flat()
+            y = random_phase_point(rng, n)
             rhs = array_rhs(y, n)
             grad = np.empty(4 * n)
             for i in range(4 * n):
@@ -335,9 +327,9 @@ def array_rk4(p0, t_end, h, store_every, dot=ordered_dot):
     """Classical RK4 with the state as a numpy array, the oracle of the
     float-list loop of :func:`integrate`; ``dot`` takes the inner products
     of the right-hand side."""
-    n = p0.dim
+    n = p0.size // 4
     steps = int(round(t_end / h))
-    y = p0.flat().copy()
+    y = p0.copy()
     ts = [0.0]
     states = [y.copy()]
     t = 0.0
@@ -362,7 +354,7 @@ def stage_velocities(p0, h, steps):
     """The first velocity component of every RK4 stage of :func:`array_rk4`
     from ``p0``, in order, up to the first stage at or below the velocity
     floor or the end of ``steps`` steps."""
-    n, y, out = p0.dim, p0.flat().copy(), []
+    n, y, out = p0.size // 4, p0.copy(), []
     for _ in range(steps):
         ks = []
         for w in (None, 0.5 * h, 0.5 * h, h):
@@ -379,7 +371,7 @@ def stage_velocities(p0, h, steps):
 def first_nonfinite_stage(p0, h):
     """The first RK4 stage of the first step of :func:`array_rk4` whose
     inner products are not all finite, or ``None``."""
-    n, y, ks = p0.dim, p0.flat().copy(), []
+    n, y, ks = p0.size // 4, p0.copy(), []
     with np.errstate(all="ignore"):
         for stage, w in enumerate((None, 0.5 * h, 0.5 * h, h), start=1):
             z = y if w is None else y + w * ks[-1]
@@ -485,7 +477,7 @@ class TestFloatLoop:
         for n in (1, 2, 3):
             U, R = np.zeros(n), np.zeros(n)
             U[0], R[0] = 1.0, 5.0
-            p0 = PhasePoint(np.zeros(n), U, np.zeros(n), R)
+            p0 = np.concatenate([np.zeros(n), U, np.zeros(n), R])
             with pytest.raises(FlowDegeneracyError) as got:
                 integrate(p0, 5.0, h=1e-2, store_every=store_every)
             with pytest.raises(FlowDegeneracyError) as want:
@@ -497,7 +489,7 @@ class TestFloatLoop:
     def test_overflow_raises(self):
         # Python float products overflow to inf without raising; the loop
         # must not carry the inf on, whatever numpy's error state says
-        p0 = PhasePoint(np.zeros(3), [1e150, 0, 0], np.zeros(3), [0, 1e10, 0])
+        p0 = np.concatenate([np.zeros(3), [1e150, 0, 0], np.zeros(3), [0, 1e10, 0]])
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
             integrate(p0, 1.0, h=1e-3)
 
@@ -517,17 +509,16 @@ class TestFloatLoop:
                     # each R' entry is that of the P the stage sees
                     y[2 * n :] = np.where(pick[2 * n :] == 0, -0.0, 0.0)
                 y[n] = 1.0
-                p0 = PhasePoint.from_flat(y, n)
-                got = integrate(p0, 0.2, h=1e-2, store_every=store_every)
-                want = array_rk4(p0, 0.2, 1e-2, store_every)
+                got = integrate(y, 0.2, h=1e-2, store_every=store_every)
+                want = array_rk4(y, 0.2, 1e-2, store_every)
                 assert_same_bits(got.ts, want.ts)
                 assert_same_bits(got.states, want.states)
 
     def test_one_dimensional_zero_signs_follow_ddot(self):
         # U = 1, P = +0.0, R = -0.0: U.R is the lone product -0.0, so
         # U' = -0.0 - (-0.0) and R' = (-0.0 + 0.0) - 0.0 are both +0.0
-        p0 = PhasePoint([-0.0], [1.0], [0.0], [-0.0])
-        assert_same_bits(array_rhs(p0.flat(), 1), [1.0, 0.0, 0.0, 0.0])
+        p0 = np.array([-0.0, 1.0, 0.0, -0.0])
+        assert_same_bits(array_rhs(p0, 1), [1.0, 0.0, 0.0, 0.0])
         states = integrate(p0, 0.02, h=1e-2, store_every=1).states
         assert_same_bits(states[:, 2:], [[0.0, -0.0], [0.0, 0.0], [0.0, 0.0]])
 
@@ -537,7 +528,7 @@ class TestFloatLoop:
         for n in (1, 2, 3):
             U, P, R = np.zeros(n), np.full(n, -0.0), np.zeros(n)
             U[0], R[0] = 1.0, 200.0
-            p0 = PhasePoint(np.full(n, -0.0), U, P, R)
+            p0 = np.concatenate([np.full(n, -0.0), U, P, R])
             with pytest.raises(FlowDegeneracyError) as got:
                 integrate(p0, 1.0, h=1e-2)
             with pytest.raises(FlowDegeneracyError) as want:
@@ -545,13 +536,13 @@ class TestFloatLoop:
             assert got.value.t == want.value.t == 0.0
             assert_same_bits(got.value.trajectory.ts, want.value.trajectory.ts)
             assert_same_bits(got.value.trajectory.states, want.value.trajectory.states)
-            assert_same_bits(got.value.trajectory.states, p0.flat()[None])
+            assert_same_bits(got.value.trajectory.states, p0[None])
 
     @pytest.mark.parametrize("store_every", (1, 10))
     def test_position_overflow_raises(self, store_every):
         # only X leaves the float range: the stage inner products stay
         # finite, so the end-of-run check is the one that sees it
-        p0 = PhasePoint([1.7e308, 0.0], [1.0, 0.0], np.zeros(2), np.zeros(2))
+        p0 = np.array([1.7e308, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         with np.errstate(all="raise"), pytest.raises(FloatingPointError):
             array_rk4(p0, 1e308, 1e308, store_every)
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
@@ -564,7 +555,7 @@ class TestFloatLoop:
         for n in (2, 3, 6):
             U, R = np.zeros(n), np.zeros(n)
             U[0], R[1] = 1.0, scale
-            p0 = PhasePoint(np.zeros(n), U, np.zeros(n), R)
+            p0 = np.concatenate([np.zeros(n), U, np.zeros(n), R])
             assert first_nonfinite_stage(p0, 1e-2) == stage
             with np.errstate(all="ignore"), pytest.raises(FloatingPointError) as got:
                 integrate(p0, 1.0, h=1e-2)
@@ -579,7 +570,7 @@ class TestFloatLoop:
         def point(r, n):
             U, P, R = np.zeros(n), np.zeros(n), np.zeros(n)
             U[0], P[0], R[0] = 1.0, -300.0, r
-            return PhasePoint(np.zeros(n), U, P, R)
+            return np.concatenate([np.zeros(n), U, P, R])
 
         def velocity(r):
             return stage_velocities(point(r, 1), 1e-2, 3)[8 + stage - 1]
@@ -639,8 +630,7 @@ class TestFloatLoop:
         # a dyadic point and step, so no dot outside the loop rounds; the
         # in-order sums are plain binary64, the same on every CPU and BLAS
         # (at n = 3 the same steps with np.dot end 2 ulps away in one entry)
-        p0 = PhasePoint(*point)
-        states = integrate(p0, 0.5, h=0.015625, store_every=8).states
+        states = integrate(np.concatenate(point), 0.5, h=0.015625, store_every=8).states
         assert [float(v).hex() for v in states[-1]] == final
 
     def test_near_the_ddot_loop(self, rng):
@@ -656,10 +646,9 @@ class TestFloatLoop:
 
 class TestIntegrate:
     def test_free_motion_is_exact(self):
-        p0 = PhasePoint(np.zeros(2), np.array([0.3, -0.4]), np.zeros(2), np.zeros(2))
-        traj = integrate(p0, 1.0, h=1e-2, store_every=5)
-        X = PhasePoint.from_flat(traj.states, traj.dim).X
-        assert np.max(np.abs(X - traj.ts[:, None] * p0.U)) <= 1e-13
+        U = np.array([0.3, -0.4])
+        traj = integrate(np.concatenate([np.zeros(2), U, np.zeros(2), np.zeros(2)]), 1.0, h=1e-2, store_every=5)
+        assert np.max(np.abs(traj.states[:, :2] - traj.ts[:, None] * U)) <= 1e-13
 
     def test_momentum_exactly_conserved(self, rng):
         p0 = random_phase_point(rng, 3)
@@ -671,8 +660,7 @@ class TestIntegrate:
         p0 = random_phase_point(rng, 3)
 
         def h_drift(h):
-            points = PhasePoint.from_flat(integrate(p0, 1.0, h=h).states, 3)
-            hs = hamiltonian_stack(points.U, points.P, points.R)
+            hs = energy(*np.split(integrate(p0, 1.0, h=h).states, 4, axis=-1))
             return np.max(np.abs(hs - hs[0]))
 
         d1, d2 = h_drift(2e-3), h_drift(1e-3)
@@ -695,23 +683,21 @@ class TestIntegrate:
         p0 = phase_from_jet(spiral.jet(0.0))
         traj = integrate(p0, 1.0, h=1e-3)
         closed = np.array([spiral.position(float(t)) for t in traj.ts])
-        assert np.max(np.abs(PhasePoint.from_flat(traj.states, 3).X - closed)) <= 1e-9
+        assert np.max(np.abs(traj.states[:, :3] - closed)) <= 1e-9
 
     def test_conserved_quantities_drift(self, rng):
         p0 = random_phase_point(rng, 3)
-        pts = PhasePoint.from_flat(integrate(p0, 1.0, h=1e-3).states, 3)
-        e = e_stack(pts.X, pts.U, pts.P, pts.R)
+        X, U, P, R = np.split(integrate(p0, 1.0, h=1e-3).states, 4, axis=-1)
+        e = e_stack(X, U, P, R)
         i, j = np.triu_indices(3, 1)
         rows = np.column_stack([
-            hamiltonian_stack(pts.U, pts.P, pts.R), e.E_D, e.E_T, e.E_S, e.E_R[:, i, j], q_phase(pts)
+            hamiltonian_stack(U, P, R), e.E_D, e.E_T, e.E_S, e.E_R[:, i, j], q_phase(X, U, P, R)
         ])
         drift = np.max(np.abs(rows - rows[0]), axis=0) / (1.0 + np.abs(rows[0]))
         assert float(np.max(drift)) <= 1e-8
 
     def test_degeneracy_aborts_with_partial_trace(self):
-        p0 = PhasePoint(
-            np.zeros(2), np.array([1.0, 0.0]), np.zeros(2), np.array([5.0, 0.0])
-        )
+        p0 = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 5.0, 0.0])
         with pytest.raises(FlowDegeneracyError) as info:
             integrate(p0, 5.0, h=1e-2)
         assert info.value.trajectory.ts.size >= 1
@@ -724,9 +710,23 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(p0, -1.0, h=1e-3)
 
+    @pytest.mark.parametrize("shape", [(0,), (5,), (7,), (2, 8), (1, 4), ()])
+    def test_rejects_a_row_not_of_length_4n(self, shape):
+        y = np.ones(shape)
+        with pytest.raises(ValueError, match="phase row"):
+            integrate(y, 1.0, h=1e-2)
+
+    def test_slow_row_fails_at_t0(self):
+        # the first stage checks the velocity floor: no step is taken
+        y0 = np.array([0.0, 0.0, 1e-7, 0.0, 0.0, 0.0, 0.0, 0.0])
+        with pytest.raises(FlowDegeneracyError) as info:
+            integrate(y0, 1.0, h=1e-2)
+        assert info.value.t == 0.0
+        assert_same_bits(info.value.trajectory.states, y0[None])
+
 
 def coordinate(k):
-    """The ``k``-th coordinate of :meth:`PhasePoint.flat` as a phase function."""
+    """The ``k``-th coordinate of a phase row ``[X, U, P, R]`` as a phase function."""
     return lambda *y: np.concatenate(y, axis=-1)[..., k]
 
 
@@ -735,7 +735,7 @@ class TestPoissonBracket:
         # {y_j, y_k} over a stack: 1 for (position, its momentum), -1 for
         # the reverse, 0 otherwise, with no round-off
         for n in range(1, 5):
-            points = stacked([random_phase_point(rng, n) for _ in range(5)])
+            points = np.stack([random_phase_point(rng, n) for _ in range(5)])
             zero, one = np.zeros((2 * n, 2 * n)), np.eye(2 * n)
             form = np.block([[zero, one], [-one, zero]])
             for j, k in itertools.product(range(4 * n), repeat=2):
@@ -748,7 +748,7 @@ class TestPoissonBracket:
         for n in range(1, 9):
             for _ in range(10):
                 p = random_phase_point(rng, n)
-                rhs = array_rhs(p.flat(), n)
+                rhs = array_rhs(p, n)
                 got = np.array([poisson_bracket(coordinate(k), energy, p) for k in range(4 * n)])
                 assert np.max(np.abs(got - rhs)) <= 1e-14 * np.max(np.abs(rhs))
 
@@ -760,13 +760,13 @@ class TestPoissonBracket:
         def e_d(X, U, P, R):
             return _dot(X, P) + _dot(U, R)
 
-        points = stacked([random_phase_point(rng, 3) for _ in range(50)])
+        points = np.stack([random_phase_point(rng, 3) for _ in range(50)])
         assert np.max(np.abs(poisson_bracket(e_d, energy, points))) <= 1e-12
 
     def test_stacked_bracket_equals_its_rows(self, rng):
         for n in (1, 3, 6):
             rows = [random_phase_point(rng, n) for _ in range(6)]
-            got = poisson_bracket(coordinate(1), energy, stacked(rows))
+            got = poisson_bracket(coordinate(1), energy, np.stack(rows))
             assert_same_bits(got, [poisson_bracket(coordinate(1), energy, p) for p in rows])
 
 
@@ -789,7 +789,7 @@ class TestSolutionJet:
     def test_matches_spiral_jet(self, rng):
         spiral = random_spiral(rng, 3, c=1.6)
         j0 = spiral.jet(0.0)
-        lifted = taylor_lift(phase_from_jet(j0).flat(), 6)
+        lifted = taylor_lift(phase_from_jet(j0), 6)
         for got, want in zip(derivatives(lifted, 7), derivatives(j0, 7)):
             scale = 1.0 + np.max(np.abs(want))
             assert np.max(np.abs(got - want)) <= 1e-10 * scale
@@ -798,14 +798,13 @@ class TestSolutionJet:
         # the flow vector of the lifted jet equals minus the momentum
         for _ in range(20):
             p = random_phase_point(rng, 3)
-            lifted = taylor_lift(p.flat(), 4)
-            assert np.max(np.abs(flow_vector(lifted) + p.P)) <= 1e-11 * (
-                1.0 + np.max(np.abs(p.P))
-            )
+            lifted = taylor_lift(p, 4)
+            P = p[6:9]
+            assert np.max(np.abs(flow_vector(lifted) + P)) <= 1e-11 * (1.0 + np.max(np.abs(P)))
 
     def test_batched_rows_equal_single_rows(self, rng):
         for n in (1, 3, 6):
-            states = np.array([random_phase_point(rng, n).flat() for _ in range(25)])
+            states = np.array([random_phase_point(rng, n) for _ in range(25)])
             batched = taylor_lift(states, 6)
             assert batched.shape == (25, n, 7)
             for y, row in zip(states, batched):
@@ -815,29 +814,26 @@ class TestSolutionJet:
         for n in range(1, 9):
             for order in range(1, 7):
                 for _ in range(4):
-                    y = random_phase_point(rng, n).flat()
+                    y = random_phase_point(rng, n)
                     got = taylor_lift(y, order)
                     want = substitution_lift(y, n, order)
                     assert np.max(np.abs(got - want)) <= 1e-13 * (1.0 + np.max(np.abs(want)))
 
 
 def four_row_point(rng, n=3):
-    return PhasePoint.from_flat(np.stack([random_phase_point(rng, n).flat() for _ in range(4)]), n)
+    return np.stack([random_phase_point(rng, n) for _ in range(4)])
 
 
 class TestStackedPointHelpers:
-    """The phase helpers on a four-row point work over its leading axis,
-    with the bits of each row on its own."""
-
-    def rows(self, stack):
-        return [PhasePoint.from_flat(y, stack.dim) for y in stack.flat()]
+    """The phase helpers on four stacked phase rows work over their leading
+    axis, with the bits of each row on its own."""
 
     def test_hamiltonian_is_per_row(self, rng):
         stack = four_row_point(rng)
-        want = [hamiltonian_stack(p.U, p.P, p.R) for p in self.rows(stack)]
-        assert_same_bits(hamiltonian_stack(stack.U, stack.P, stack.R), want)
+        want = [energy(*np.split(y, 4)) for y in stack]
+        assert_same_bits(energy(*np.split(stack, 4, axis=-1)), want)
 
     def test_accel_from_phase_is_per_row(self, rng):
         stack = four_row_point(rng)
-        for got, want in zip(accel_from_phase(stack), zip(*map(accel_from_phase, self.rows(stack)))):
+        for got, want in zip(accel_from_phase(stack), zip(*map(accel_from_phase, stack))):
             assert_same_bits(got, want)

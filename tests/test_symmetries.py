@@ -6,12 +6,10 @@ import pytest
 
 from confcurves import (
     KillingField,
-    PhasePoint,
     derivatives,
     e_stack,
     f_generic_stack,
     flow_vector_stack,
-    hamiltonian_stack,
     involutivity_check,
     noether_stack,
     phase_from_jet,
@@ -35,16 +33,15 @@ from conftest import (
     random_spiral,
     random_transformed_spiral,
     row_sets,
-    stacked,
     three_d_functions,
 )
 from jet_oracle import JetScalar
 from oracles import ckv_eval, conformal_factor, epsilon
 
 
-def phase_basis(p):
-    """:func:`e_stack` of a phase point's components."""
-    return e_stack(p.X, p.U, p.P, p.R)
+def phase_basis(y):
+    """:func:`e_stack` of the components of phase rows ``y``."""
+    return e_stack(*np.split(y, 4, axis=-1))
 
 
 def closed_basis(jet):
@@ -195,11 +192,11 @@ class TestEQuantities:
         assert np.allclose(e.E_S, 0.0, atol=1e-13)
 
     def test_free_point_special_conformal_only(self):
-        p = PhasePoint(np.zeros(3), np.array([0.4, 0, 0]), np.zeros(3), np.zeros(3))
-        e = phase_basis(p)
+        U = np.array([0.4, 0, 0])
+        e = e_stack(np.zeros(3), U, np.zeros(3), np.zeros(3))
         assert np.allclose(e.E_T, 0.0) and e.E_D == 0.0
         assert np.allclose(e.E_R, 0.0)
-        assert np.allclose(e.E_S, -2.0 * p.U)
+        assert np.allclose(e.E_S, -2.0 * U)
 
     def test_spiral_general_values(self, rng):
         spiral = random_spiral(rng, 3, c=1.9)
@@ -252,7 +249,7 @@ class TestEQuantities:
 
 class TestQPhase:
     def test_unit_pitch_hand_value(self, planar_unit_spiral):
-        q = keyed(q_phase(phase_from_jet(planar_unit_spiral.jet(0.0))), 2)
+        q = keyed(q_phase(*np.split(phase_from_jet(planar_unit_spiral.jet(0.0)), 4)), 2)
         assert q[(0, 1, 2, 3)] == pytest.approx(1.0, abs=1e-14)
 
     def test_matches_derivative_route(self, rng):
@@ -260,35 +257,35 @@ class TestQPhase:
             n = 2 + trial % 7
             jet = random_curve_jet(rng, n)
             qj = keyed(q_stack(jet), n)
-            qp = keyed(q_phase(phase_from_jet(jet)), n)
+            qp = keyed(q_phase(*np.split(phase_from_jet(jet), 4)), n)
             for key, v in qj.items():
                 assert qp[key] == pytest.approx(v, rel=1e-10, abs=1e-10)
 
     def test_zero_momenta_vanish(self):
-        p = PhasePoint(np.ones(4), np.array([1.0, 0, 0, 0]), np.zeros(4), np.zeros(4))
-        assert all(abs(v) <= 1e-15 for v in q_phase(p))
+        q = q_phase(np.ones(4), np.array([1.0, 0, 0, 0]), np.zeros(4), np.zeros(4))
+        assert all(abs(v) <= 1e-15 for v in q)
 
 
 class TestQuantityIdentities:
     def test_unit_pitch_hand_identity(self, planar_unit_spiral):
-        p = phase_from_jet(planar_unit_spiral.jet(0.0))
-        e = phase_basis(p)
-        q = keyed(q_phase(p), 2)
+        y = np.split(phase_from_jet(planar_unit_spiral.jet(0.0)), 4)
+        e = e_stack(*y)
+        q = keyed(q_phase(*y), 2)
         assert q[(0, 1, 2, 3)] == pytest.approx(
             0.5 * 0.0 - e.E_D * e.E_R[0, 1], abs=1e-13
         )
-        rep = quantity_identities(p)
+        rep = quantity_identities(*y)
         assert rep["0ijN"]["residual"] <= 1e-13
 
     def test_zero_translation_quantity_kills_two_families(self, rng):
         n = 4
-        p = PhasePoint(
+        q = q_phase(
             rng.uniform(-1, 1, n),
             rng.uniform(-1, 1, n) + np.array([1.5, 0, 0, 0]),
             np.zeros(n),
             rng.uniform(-1, 1, n),
         )
-        q = keyed(q_phase(p), n)
+        q = keyed(q, n)
         for i, j, k in itertools.combinations(range(1, n + 1), 3):
             assert q[(i, j, k, n + 1)] == pytest.approx(0.0, abs=1e-13)
         for idx in itertools.combinations(range(1, n + 1), 4):
@@ -296,8 +293,7 @@ class TestQuantityIdentities:
 
     def test_residuals_on_random_points(self, rng):
         for trial in range(100):
-            p = random_phase_point(rng, 2 + trial % 7)
-            rep = quantity_identities(p)
+            rep = quantity_identities(*np.split(random_phase_point(rng, 2 + trial % 7), 4))
             for fam, rec in rep.items():
                 assert rec["residual"] <= 1e-10 * (1.0 + rec["scale"])
 
@@ -307,7 +303,7 @@ class TestThreeDReduction:
         for _ in range(100):
             p = random_phase_point(rng, 3)
             red = three_d_reduction(phase_basis(p))
-            q = keyed(q_phase(p), 3)
+            q = keyed(q_phase(*np.split(p, 4)), 3)
             assert red.Q1[0] == pytest.approx(q[(0, 2, 3, 4)], rel=1e-12, abs=1e-12)
             assert red.Q1[1] == pytest.approx(-q[(0, 1, 3, 4)], rel=1e-12, abs=1e-12)
             assert red.Q1[2] == pytest.approx(q[(0, 1, 2, 4)], rel=1e-12, abs=1e-12)
@@ -318,7 +314,7 @@ class TestThreeDReduction:
         for _ in range(100):
             p = random_phase_point(rng, 3)
             assert three_d_reduction(phase_basis(p)).H_from_E == pytest.approx(
-                hamiltonian_stack(p.U, p.P, p.R), rel=1e-12, abs=1e-12
+                energy(*np.split(p, 4)), rel=1e-12, abs=1e-12
             )
 
     def test_spiral_mixed_quantity_vanishes(self, rng):
@@ -339,17 +335,17 @@ class TestPoissonStructure:
             assert val == 0.0
 
     def test_involutive_set(self, rng):
-        points = stacked([random_phase_point(rng, 3) for _ in range(10)])
+        points = np.stack([random_phase_point(rng, 3) for _ in range(10)])
         table = involutivity_check(points)
         for pair, val in table.items():
             assert val <= 1e-12, pair
 
     def test_involutive_set_needs_dimension_three(self, rng):
         with pytest.raises(ValueError, match="dimension 3"):
-            involutivity_check(stacked([random_phase_point(rng, 4) for _ in range(2)]))
+            involutivity_check(np.stack([random_phase_point(rng, 4) for _ in range(2)]))
 
     def test_all_quantities_commute_with_energy(self, rng):
-        points = stacked([random_phase_point(rng, 3) for _ in range(10)])
+        points = np.stack([random_phase_point(rng, 3) for _ in range(10)])
         for name, f in three_d_functions().items():
             assert np.max(np.abs(poisson_bracket(f, energy, points))) <= 1e-12, name
 
@@ -361,14 +357,14 @@ class TestPoissonStructure:
         fns = three_d_functions()
         for g in (energy, fns["E_S0"]):
             for name, f in fns.items():
-                got = poisson_bracket(f, g, stacked(rows))
+                got = poisson_bracket(f, g, np.stack(rows))
                 want = [central_difference_bracket(f, g, p) for p in rows]
                 assert np.max(np.abs(got - want)) <= 1e-6, name
 
     def test_a_float_cast_warns(self, rng):
         # a function that casts to float has no imaginary part to read
         def q3(X, U, P, R):
-            return q_phase(PhasePoint(X, U, P, R))[..., -1]
+            return q_phase(X, U, P, R)[..., -1]
 
         with pytest.warns(np.exceptions.ComplexWarning):
             poisson_bracket(q3, energy, random_phase_point(rng, 3))
@@ -380,8 +376,8 @@ class TestPoissonStructure:
         fns = three_d_functions()
         names = ["E_D", "E_T0", "E_T1", "E_T2", "E_S0", "E_S1", "E_S2", "E_R01", "E_R02", "E_R12"]
         pairs = [("E_T0", "E_S0"), ("E_T0", "E_S1"), ("E_R01", "E_R12"), ("E_D", "E_S2")]
-        points = stacked([random_phase_point(rng, 3) for _ in range(26)])
-        y = (points.X, points.U, points.P, points.R)
+        points = np.stack([random_phase_point(rng, 3) for _ in range(26)])
+        y = np.split(points, 4, axis=-1)
         basis = np.stack([fns[name](*y) for name in names], axis=-1)
         for f, g in pairs:
             brackets = poisson_bracket(fns[f], fns[g], points)
@@ -434,10 +430,9 @@ class TestRowBatched:
     def test_e_quantities(self, rng):
         for jets in row_sets(rng):
             points = [phase_from_jet(j) for j in jets]
-            X, U, P, R = (np.stack([getattr(p, k) for p in points]) for k in "XUPR")
-            batched = e_stack(X, U, P, R)
+            batched = phase_basis(np.stack(points))
             for k, p in enumerate(points):
-                want = row_e_quantities(p.X, p.U, p.P, p.R)
+                want = row_e_quantities(*np.split(p, 4))
                 assert_basis(batched, k, want)
                 one = phase_basis(p)
                 assert_basis(one, None, want)
@@ -532,14 +527,15 @@ class TestGenericStack:
 
 def row_q_phase(p):
     """The per-point body of ``q_phase`` that the stacked call replaced."""
-    families = _pairing_families(p.X, p.U, p.R, p.P, (-float(p.U @ p.R), 1.0, -1.0))
-    return dict(zip(q_keys(p.dim), np.concatenate(families).tolist()))
+    X, U, P, R = np.split(p, 4)
+    families = _pairing_families(X, U, R, P, (-float(U @ R), 1.0, -1.0))
+    return dict(zip(q_keys(X.size), np.concatenate(families).tolist()))
 
 
 def row_quantity_identities(p):
     """The per-point body of ``quantity_identities`` that the stacked call
     replaced."""
-    n = p.dim
+    n = p.size // 4
     e = phase_basis(p)
     E_T, E_R, E_D, E_S = e.E_T, e.E_R, e.E_D, e.E_S
     q = np.array(list(row_q_phase(p).values()))
@@ -577,64 +573,49 @@ def relation_draws(seed, n, count):
     while len(points) < count:
         y = rng.uniform(-1.0, 1.0, 4 * n)
         if float(y[n : 2 * n] @ y[n : 2 * n]) >= 0.1:
-            points.append(PhasePoint.from_flat(y, n))
+            points.append(y)
     return points
 
 
 class TestStackedPhasePoints:
-    """``q_phase`` and ``quantity_identities`` on a stacked point against
+    """``q_phase`` and ``quantity_identities`` on stacked phase rows against
     their per-point bodies, bit for bit."""
 
     def test_stack_matches_the_per_point_bodies(self, rng):
         for n in range(1, 9):
             points = [random_phase_point(rng, n) for _ in range(25)]
-            flat = np.stack([p.flat() for p in points])
-            stack = PhasePoint.from_flat(flat, n)
-            assert stack.dim == n
-            assert_same_bits(stack.flat(), flat)
-            q = q_phase(stack)
-            rep = quantity_identities(stack)
+            stack = np.split(np.stack(points), 4, axis=-1)
+            q = q_phase(*stack)
+            rep = quantity_identities(*stack)
             assert q.shape == (25, len(q_keys(n))) and list(rep) == ["0ijN", "0ijk", "ijkN", "ijkl"]
             for k, p in enumerate(points):
                 want_q = row_q_phase(p)
                 assert q[k].tolist() == list(want_q.values())
-                assert q_phase(p).tolist() == list(want_q.values())
+                assert q_phase(*np.split(p, 4)).tolist() == list(want_q.values())
                 want = row_quantity_identities(p)
-                assert quantity_identities(p) == want
+                assert quantity_identities(*np.split(p, 4)) == want
                 for family, rec in rep.items():
                     assert rec["residual"][k] == want[family]["residual"]
                     assert rec["scale"][k] == want[family]["scale"]
 
     def test_vacuous_families_below_dimension_four(self, rng):
         for n in (1, 2, 3):
-            stack = PhasePoint.from_flat(np.stack([random_phase_point(rng, n).flat() for _ in range(4)]), n)
+            stack = np.split(np.stack([random_phase_point(rng, n) for _ in range(4)]), 4, axis=-1)
             sizes = [quantity_family(key, n) for key in q_keys(n)]
-            for family, rec in quantity_identities(stack).items():
+            for family, rec in quantity_identities(*stack).items():
                 if family not in sizes:
                     assert_same_bits(rec["residual"], np.zeros(4))
                     assert_same_bits(rec["scale"], np.zeros(4))
 
     def test_one_point_gives_python_floats(self, rng):
-        p = random_phase_point(rng, 4)
-        assert q_phase(p).shape == (len(q_keys(4)),)
-        for rec in quantity_identities(p).values():
+        p = np.split(random_phase_point(rng, 4), 4)
+        assert q_phase(*p).shape == (len(q_keys(4)),)
+        for rec in quantity_identities(*p).values():
             assert isinstance(rec["residual"], float) and isinstance(rec["scale"], float)
-
-    def test_component_shapes_must_match(self):
-        ones = np.ones(3)
-        for X, U in (
-            (np.zeros(3), np.ones(4)),
-            (np.zeros((2, 3)), ones),
-            (np.zeros(()), np.ones(())),
-        ):
-            with pytest.raises(ValueError):
-                PhasePoint(X, U, np.zeros(np.shape(X)), np.zeros(np.shape(X)))
-        with pytest.raises(ValueError):
-            PhasePoint(np.zeros((2, 3)), np.ones((2, 3)), np.zeros((2, 3)), np.zeros((3, 2)))
 
     def test_e_quantities_over_the_stack(self, rng):
         points = [random_phase_point(rng, 3) for _ in range(4)]
-        e = phase_basis(PhasePoint.from_flat(np.stack([p.flat() for p in points]), 3))
+        e = phase_basis(np.stack(points))
         for k, p in enumerate(points):
             want = phase_basis(p)
             for name in ("E_T", "E_R", "E_D", "E_S"):
@@ -642,15 +623,17 @@ class TestStackedPhasePoints:
 
     def test_three_d_reduction_is_per_row(self, rng):
         points = [random_phase_point(rng, 3) for _ in range(4)]
-        got = three_d_reduction(phase_basis(stacked(points)))
+        got = three_d_reduction(phase_basis(np.stack(points)))
         for name in ("Q1", "Q2", "Q3", "H_from_E"):
             assert_same_bits(getattr(got, name), [getattr(three_d_reduction(phase_basis(p)), name) for p in points])
 
     def test_one_slow_row_is_degenerate(self, rng):
-        y = np.stack([random_phase_point(rng, 3).flat() for _ in range(5)])
-        y[3, 3:6] = 1e-9
+        # the floor is checked where a speed divides: phase_from_jet over a
+        # coefficient stack refuses it for one slow row among five
+        coeffs = np.stack([random_curve_jet(rng, 3) for _ in range(5)])
+        coeffs[3, :, 1] = 1e-9
         with pytest.raises(DegenerateVelocityError):
-            PhasePoint.from_flat(y, 3)
+            phase_from_jet(coeffs)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_relations_report_matches_the_per_sample_loop(self, tmp_path, n):
