@@ -31,8 +31,8 @@ for t in (-1.0, -0.5, 0.0, 0.5, 1.0):
 print()
 print("discrete connection derivative of the three-wedge (parallel along circles):")
 prev = None
-for h in (0.08, 0.04, 0.02, 0.01):
-    d = parallel_defect(lambda s: circle.jet(s, 4), 0.0, h, count=3)
+steps = (0.08, 0.04, 0.02, 0.01)
+for h, d in zip(steps, parallel_defect(lambda s: circle.jet(s, 4), 0.0, steps, count=3)):
     note = f"  ratio {prev / d:.2f}" if prev else ""
     print(f"  h={h:5.3f}: defect {d:.3e}{note}")
     prev = d

@@ -43,9 +43,9 @@ def basis(jet):
 for name, family in (("spiral", spiral), ("circle", circle), ("transformed spiral", tspiral)):
     print(f"{name}:")
     jets = family.jet(np.linspace(-1, 1, 9))
-    for label, field in fields.items():
+    generic = f_generic_stack(list(fields.values()), jets)
+    for (label, field), vals_generic in zip(fields.items(), generic.tolist()):
         vals_closed = [field.pair(basis(jet)) for jet in jets]
-        vals_generic = [float(f_generic_stack(field, jet)) for jet in jets]
         gap = max(abs(a - b) for a, b in zip(vals_closed, vals_generic))
         spread = max(vals_closed) - min(vals_closed)
         print(

@@ -29,6 +29,7 @@ import numpy as np
 from . import families, mercator, symmetries, tractors
 from .multilinear import minors, tractor_metric_pair, wedge
 from .curves import VELOCITY_FLOOR, DegenerateVelocityError, coefficients, derivatives
+from .jets import _dot
 from .mercator import FlowDegeneracyError
 
 EXIT_PASS = 0
@@ -195,9 +196,10 @@ def _family_jets(family, times):
 
 
 def _spread(values):
+    """Largest ``(max - min) / (1 + max |v|)`` of a column; 1-d is one column."""
     values = np.asarray(values, dtype=float)
-    scale = 1.0 + float(np.max(np.abs(values)))
-    return float(values.max() - values.min()) / scale
+    scale = 1.0 + np.max(np.abs(values), axis=0)
+    return float(np.max((values.max(axis=0) - values.min(axis=0)) / scale))
 
 
 def _random_fields(n, seed):
@@ -234,7 +236,7 @@ def _verify_spiral(spiral, times, checks, fields):
     checks.add("alpha2_matches", np.max(np.abs(g.alpha2 - (c**4 - c**2 + 1.0))), 1e-9)
     checks.add("flow_vector_vanishes", np.max(np.abs(mercator.flow_vector_stack(*derivs[1:]))), 1e-10)
     qs = tractors.q_stack(coeffs)
-    checks.add("q_constant_along_curve", max(map(_spread, qs.T)), 1e-8)
+    checks.add("q_constant_along_curve", _spread(qs), 1e-8)
     # the first three q_keys families: c/p^2 eps(ij; p0, q0), c/p^2 eps(ijk; p0, q0, r0), zeros
     pq = minors(np.column_stack([spiral.p0, spiral.q0]))
     pqr = minors(np.column_stack([spiral.p0, spiral.q0, spiral.r0]))
@@ -266,12 +268,11 @@ def _check_delta5(checks, g):
 
 def _verify_noether(coeffs, derivs, checks, fields):
     """Closed-form Noether values of random fields (paired with the
-    ``noether_stack`` basis) against ``f_generic_stack``, one call each."""
+    ``noether_stack`` basis) against one ``f_generic_stack`` call."""
     worst_agree = worst_spread = 0.0
     bases = symmetries.noether_stack(*derivs)
-    for field in fields:
+    for field, generic in zip(fields, symmetries.f_generic_stack(fields, coeffs)):
         closed = field.pair(bases)
-        generic = symmetries.f_generic_stack(field, coeffs)
         worst_agree = max(worst_agree, np.max(np.abs(closed - generic)) / (1.0 + np.max(np.abs(closed))))
         worst_spread = max(worst_spread, _spread(closed))
     checks.add("noether_generic_matches_closed", worst_agree, 1e-9)
@@ -288,9 +289,7 @@ def _verify_circle(circle, times, checks, fields):
     centre = len(times) // 2
     mid = float(times[centre])
     steps = (0.02, 0.01)
-    defects = [
-        tractors.parallel_defect(lambda s: circle.jet(s, 4), mid, h, count=3) for h in steps
-    ]
+    defects = tractors.parallel_defect(lambda s: circle.jet(s, 4), mid, steps, count=3)
     values = [t[0, :, 0] for t in tractors.canonical_tractor_stack(coeffs[centre : centre + 1], 3)]
     scale = float(np.max(np.abs(wedge(values))))
     floor = PARALLEL_ROUNDOFF * np.finfo(float).eps * scale / steps[1]
@@ -303,7 +302,7 @@ def _verify_circle(circle, times, checks, fields):
         print(f"note  t3_parallel_decay_order: vacuous, defect {defects[1]:.3g} <= {floor:.3g}")
     else:
         checks.add_range("t3_parallel_decay_order", math.log2(defects[0] / defects[1]), 1.6, 2.4)
-    checks.add("circle_q_constant", max(map(_spread, tractors.q_circle_stack(coeffs).T)), 1e-9)
+    checks.add("circle_q_constant", _spread(tractors.q_circle_stack(coeffs)), 1e-9)
     _verify_noether(coeffs, derivs, checks, fields)
 
 
@@ -329,7 +328,7 @@ def _verify_tspiral(tspiral, times, checks, fields):
     g = tractors.gram_stack(coeffs)
     checks.add("delta4_matches_pitch", np.max(np.abs(g.delta4 + c**2)), 1e-8)
     _check_delta5(checks, g)
-    checks.add("q_constant_along_curve", max(map(_spread, tractors.q_stack(coeffs).T)), 1e-8)
+    checks.add("q_constant_along_curve", _spread(tractors.q_stack(coeffs)), 1e-8)
     basis = symmetries.noether_stack(*(d[0] for d in derivs))
     worst = 0.0
     for field in fields:
@@ -467,8 +466,13 @@ def cmd_quantities(args):
 
 
 def _initial_phase(args, t0):
-    """The phase row ``[X, U, P, R]`` the run starts from."""
-    if args.family is not None:
+    """The phase row ``[X, U, P, R]`` the run starts from: a family's, or
+    an explicit ``--x --u --p --r`` point that no family flag comes with."""
+    if any(getattr(args, k) is not None for k in "xupr"):
+        for k in ("family", "c", "p0", "q0", "r0", "b", "x0", "u0", "a0"):
+            if getattr(args, k) is not None:
+                raise ConfigError(f"initial point: --{k} does not apply to an explicit --x --u --p --r point")
+    elif args.family is not None:
         family = _build_family(args, (t0, t0))
         return mercator.phase_from_jet(_family_jets(family, [t0])[0])
     if any(getattr(args, k) is None for k in ("x", "u", "p", "r")):
@@ -528,16 +532,15 @@ def cmd_integrate(args):
 
 def _random_phase_points(rng, n, count):
     """``count`` uniform draws from ``[-1, 1]^{4n}`` with squared speed at
-    least 0.1, split into components ``(X, U, P, R)`` over chunks of at most
+    least 0.1, drawn as many rows at a time as are missing, split into components ``(X, U, P, R)`` over chunks of at most
     ``_RELATIONS_BUDGET / (16 C(n, 4))`` rows, which bounds the ``(C(n, 4),
     rows)`` arrays that ``quantity_identities`` holds at once."""
-    rows = []
+    rows = np.empty((0, 4 * n))
     while len(rows) < count:
-        y = rng.uniform(-1.0, 1.0, 4 * n)
-        if float(y[n : 2 * n] @ y[n : 2 * n]) >= 0.1:
-            rows.append(y)
+        y = rng.uniform(-1.0, 1.0, (count - len(rows), 4 * n))
+        rows = np.concatenate([rows, y[_dot(y[:, n : 2 * n], y[:, n : 2 * n]) >= 0.1]])
     step = max(1, _RELATIONS_BUDGET // max(16, 16 * math.comb(n, 4)))
-    return [np.split(np.array(rows[s : s + step]), 4, axis=-1) for s in range(0, count, step)]
+    return [np.split(rows[s : s + step], 4, axis=-1) for s in range(0, count, step)]
 
 
 def cmd_relations(args):
@@ -549,12 +552,11 @@ def cmd_relations(args):
     rng = np.random.default_rng(args.seed)
     checks = CheckList(args.tolerances)
     if args.jet_identity:
-        draws = []
-        for _ in range(args.samples):
-            derivs = [rng.uniform(-1, 1, n) for _ in range(5)]
+        draws = np.empty((args.samples, 5, n))
+        for derivs in draws:
+            derivs[:] = rng.uniform(-1, 1, (5, n))
             while float(derivs[1] @ derivs[1]) < 0.1:
                 derivs[1] = rng.uniform(-1, 1, n)
-            draws.append(derivs)
         coeffs = coefficients(np.swapaxes(draws, 0, 1))
         res = tractors.identity_residual_stack(tractors.alpha1_stationary_stack(coeffs))
         sizes = [np.max(np.abs(v), axis=-1) for v in (res.tractor_slot, res.mercator_expansion)]
@@ -606,6 +608,11 @@ def _add_family(p):
     p.add_argument("--u0", help="circle initial velocity (unit)")
     p.add_argument("--a0", help="circle curvature vector (orthogonal to u0)")
     p.add_argument("--t0", type=float, help="window start (default -1); integrate: start time (default 0)")
+
+
+def _add_window(p):
+    """The family flags and the sample window of ``verify`` and ``quantities``."""
+    _add_family(p)
     p.add_argument("--t1", type=float, help="window end (default 1)")
     p.add_argument("--samples", type=int, default=21)
 
@@ -619,7 +626,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run a family invariant suite")
-    _add_family(p)
+    _add_window(p)
     _add_common(p)
     _add_tol(p)
     p.set_defaults(func=cmd_verify)
@@ -650,7 +657,7 @@ def build_parser():
     p.set_defaults(func=cmd_relations)
 
     p = sub.add_parser("quantities", help="tabulate quantities along a family")
-    _add_family(p)
+    _add_window(p)
     _add_common(p)
     p.set_defaults(func=cmd_quantities)
 

@@ -89,22 +89,22 @@ def _ckv_stack(field: KillingField, c):
     return coeffs
 
 
-def f_generic_stack(field: KillingField, coeffs):
-    """Noether quantity of a Killing field ``v`` at every row of a position
-    coefficient stack ``(..., n, order+1)``, order at least 4, from its
-    defining expression ``d/ds <w, v'> + <w', v'> - <C, v>`` (``w = u /
-    |u|^2``, ``C`` the flow vector), independent of :func:`noether_stack`.
-    Only coefficients 0-2 of ``v'`` and ``w`` enter, formed by the stack
-    kernels in jet operand order."""
+def f_generic_stack(fields, coeffs):
+    """Noether quantities ``(len(fields), ...)`` of Killing fields ``v`` at
+    every row of a position coefficient stack ``(..., n, order+1)``, order
+    at least 4, from the defining expression ``d/ds <w, v'> + <w', v'> -
+    <C, v>`` (``w = u / |u|^2``, ``C`` the flow vector, both formed once),
+    independent of :func:`noether_stack`.  Only coefficients 0-2 of ``v'``
+    and ``w`` enter, formed by the stack kernels in jet operand order."""
     coeffs = np.asarray(coeffs, dtype=float)
     _speed_sq(coeffs, 4, "generic Noether quantity")
-    v = _ckv_stack(field, coeffs[..., :4])
+    v = np.stack([_ckv_stack(field, coeffs[..., :4]) for field in fields])
     vp = v[..., 1:] * np.arange(1, 4)
     u = coeffs[..., 1:4] * np.arange(1, 4)
     w = _stack_product(u, _recip(_sum_rows(_stack_product(u, u)))[..., None, :])
-    U, A, Ap = derivatives(coeffs, 4)[1:]
+    C = flow_vector_stack(*derivatives(coeffs, 4)[1:])
     dWVp = _sum_rows(_stack_product(w, vp))[..., 1]
-    return dWVp + _dot(w[..., 1], vp[..., 0]) - _dot(flow_vector_stack(U, A, Ap), v[..., 0])
+    return dWVp + _dot(w[..., 1], vp[..., 0]) - _dot(C, v[..., 0])
 
 
 def _outer(a, b):

@@ -320,19 +320,21 @@ def identity_residual_stack(coeffs) -> IdentityResiduals:
     return IdentityResiduals(slot, dflow, np.max(np.abs(dflow + slot / u), axis=-1))
 
 
-def parallel_defect(curve, t, h, count=3):
-    """Max-norm of the discrete connection derivative of the wedge of the
-    first ``count`` canonical tractors along a curve sampler.
+def parallel_defect(curve, t, steps, count=3):
+    """Max-norms of the discrete connection derivative of the wedge of the
+    first ``count`` canonical tractors along a curve sampler, one per step.
 
-    ``curve`` maps a parameter value to a coefficient row.  A parallel
-    wedge decays at second order in ``h``; a non-parallel one stays bounded
-    away from zero.
+    ``curve`` maps a 1-d array of parameter values to a coefficient stack;
+    one call samples ``t + h, t - h`` for each step ``h`` in turn, then
+    ``t``.  A parallel wedge decays at second order in ``h``; a
+    non-parallel one stays bounded away from zero.
     """
-    if h <= 0:
+    steps = np.asarray(steps, dtype=float)
+    if np.any(steps <= 0):
         raise ValueError("h must be positive")
-    rows = np.stack([curve(s) for s in (t + h, t - h, t)])
-    # one recurrence over the three sampled rows, then one wedge per row
+    rows = curve(np.append(np.column_stack([t + steps, t - steps]), t))
+    # one recurrence over the sampled rows, then one wedge per row
     stack = canonical_tractor_stack(rows, count)
-    wp, wm, w0 = (wedge([c[row, :, 0] for c in stack]) for row in range(3))
-    deriv = (wp - wm) * (0.5 / h) + rho_wedge(rows[2, :, 1], w0, count)
-    return float(np.max(np.abs(deriv)))
+    wedges = np.array([wedge([c[row, :, 0] for c in stack]) for row in range(len(rows))])
+    deriv = (wedges[:-1:2] - wedges[1::2]) * (0.5 / steps)[:, None]
+    return np.max(np.abs(deriv + rho_wedge(rows[-1, :, 1], wedges[-1], count)), axis=-1)

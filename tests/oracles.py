@@ -3,8 +3,10 @@ independent oracles of its batched kernels: the per-tuple determinant
 ``epsilon`` (the oracle of :func:`confcurves.multilinear.minors`), the
 pairing quantities from parallel sections (the oracle of ``q_stack`` and
 ``q_circle_stack``), the closed-form alpha_1 and delta_4 (the oracle of
-``gram_stack``), the pointwise Killing field and its conformal factor, and
-the inversion of the momentum definitions.
+``gram_stack``), the pointwise Killing field and its conformal factor, the
+inversion of the momentum definitions, and the per-item loops that the
+batched ``f_generic_stack``, ``cli._spread`` and the ``relations`` draws
+replaced.
 """
 
 import functools
@@ -13,9 +15,12 @@ import math
 
 import numpy as np
 
+from confcurves import cli
 from confcurves.curves import _speed_sq, derivatives
-from confcurves.jets import _dot
+from confcurves.jets import _dot, _recip, _stack_product, _sum_rows
+from confcurves.mercator import flow_vector_stack
 from confcurves.multilinear import rho_wedge, wedge
+from confcurves.symmetries import _ckv_stack
 from confcurves.tractors import canonical_tractor_stack
 
 
@@ -170,3 +175,55 @@ def accel_from_phase(y):
     A = -2 * UR * U + u2 * R
     Ap = (2 * UP + 4 * np.float_power(UR, 2) - u2 * R2) * U - 2 * u2 * UR * R - u2 * P
     return A, Ap
+
+
+def field_f_generic(field, coeffs):
+    """The per-field body of ``f_generic_stack``: the Noether quantity of one
+    field at every row of a coefficient stack, ``w`` and ``C`` formed anew
+    for the field."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    _speed_sq(coeffs, 4, "generic Noether quantity")
+    v = _ckv_stack(field, coeffs[..., :4])
+    vp = v[..., 1:] * np.arange(1, 4)
+    u = coeffs[..., 1:4] * np.arange(1, 4)
+    w = _stack_product(u, _recip(_sum_rows(_stack_product(u, u)))[..., None, :])
+    U, A, Ap = derivatives(coeffs, 4)[1:]
+    dWVp = _sum_rows(_stack_product(w, vp))[..., 1]
+    return dWVp + _dot(w[..., 1], vp[..., 0]) - _dot(flow_vector_stack(U, A, Ap), v[..., 0])
+
+
+def column_spread(values):
+    """The per-column body of ``cli._spread``: one Python call per column of
+    a 2-d table, the largest spread kept; a 1-d array is one column."""
+
+    def spread(column):
+        scale = 1.0 + float(np.max(np.abs(column)))
+        return float(column.max() - column.min()) / scale
+
+    values = np.asarray(values, dtype=float)
+    return spread(values) if values.ndim == 1 else max(map(spread, values.T))
+
+
+def scalar_phase_points(rng, n, count):
+    """The per-draw body of ``cli._random_phase_points``: one ``4n`` draw at
+    a time, kept when its squared speed is at least 0.1."""
+    rows = []
+    while len(rows) < count:
+        y = rng.uniform(-1.0, 1.0, 4 * n)
+        if float(y[n : 2 * n] @ y[n : 2 * n]) >= 0.1:
+            rows.append(y)
+    step = max(1, cli._RELATIONS_BUDGET // max(16, 16 * math.comb(n, 4)))
+    return [np.split(np.array(rows[s : s + step]), 4, axis=-1) for s in range(0, count, step)]
+
+
+def scalar_jet_identity_draws(rng, n, samples):
+    """The per-vector draws of ``relations --jet-identity``, ``(5, samples,
+    n)``: five ``n``-vectors per sample, the second redrawn until its
+    square is at least 0.1."""
+    draws = []
+    for _ in range(samples):
+        derivs = [rng.uniform(-1, 1, n) for _ in range(5)]
+        while float(derivs[1] @ derivs[1]) < 0.1:
+            derivs[1] = rng.uniform(-1, 1, n)
+        draws.append(derivs)
+    return np.swapaxes(draws, 0, 1)

@@ -107,8 +107,7 @@ def test_criterion_2_circle_suite():
             worst_q = max(
                 worst_q, (vals.max() - vals.min()) / (1.0 + np.max(np.abs(vals)))
             )
-        d1 = parallel_defect(lambda s: circle.jet(s, 4), 0.0, 0.02, count=3)
-        d2 = parallel_defect(lambda s: circle.jet(s, 4), 0.0, 0.01, count=3)
+        d1, d2 = parallel_defect(lambda s: circle.jet(s, 4), 0.0, (0.02, 0.01), count=3)
         orders.append(math.log2(d1 / d2))
     ok = worst_res <= 1e-10 and worst_d4 <= 1e-9 and worst_q <= 1e-9
     ok &= all(1.6 <= o <= 2.4 for o in orders)
@@ -189,9 +188,8 @@ def test_criterion_5_noether_cross_check():
     worst_agree, worst_spread = 0.0, 0.0
     times = np.linspace(-1, 1, 9)
     for family in families:
-        for field in fields:
-            jets = [family.jet(float(t)) for t in times]
-            generic = [float(f_generic_stack(field, jet)) for jet in jets]
+        jets = [family.jet(float(t)) for t in times]
+        for field, generic in zip(fields, f_generic_stack(fields, np.array(jets)).tolist()):
             closed = [field.pair(noether_stack(*derivatives(jet, 4))) for jet in jets]
             scale = 1.0 + max(abs(v) for v in closed)
             worst_agree = max(

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from confcurves import cli, families, mercator
+from confcurves import cli, families, mercator, tractors
 from confcurves.cli import _quantity_table, main
+from confcurves.curves import coefficients
+from conftest import random_circle, random_spiral, random_transformed_spiral
+from oracles import column_spread, scalar_jet_identity_draws, scalar_phase_points
 
 
 SPIRAL_ARGS = [
@@ -479,6 +482,45 @@ class TestIntegrate:
             assert_config_error([command, *SPIRAL_ARGS, "--tol", "typo=1", "--out", out], capsys)
             assert_config_error([command, *SPIRAL_ARGS, "--config", str(cfg), "--out", out], capsys)
 
+    @pytest.mark.parametrize("flags", [("--t1", "-100"), ("--samples", "3"), ("--t1=0",)])
+    def test_window_flags_are_refused(self, flags, tmp_path, capsys):
+        # the sample window is verify's and quantities'; integrate used to
+        # accept it and write the bytes of the run without it
+        out = tmp_path / "t.csv"
+        argv = ["integrate", *SPIRAL_ARGS, "--t-end", "0.1", "--h", "1e-2", *flags, "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: integrate: unrecognized arguments: {' '.join(flags)}\n"
+        assert not out.exists()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"samples": 3}))
+        assert_config_error([*argv[:-2], "--config", str(cfg), "--out", str(out)], capsys)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--c", "5"), ("--family", "spiral"), ("--p0", "1,0"), ("--q0", "0,1"),
+            ("--r0", "0,0"), ("--b", "0.1,0"), ("--x0", "0,0"), ("--u0", "1,0"), ("--a0", "0,1"),
+        ],
+    )
+    def test_family_flag_with_an_explicit_point_is_refused(self, flags, tmp_path, capsys):
+        # an explicit point used to run as if the family flag were absent
+        out = tmp_path / "t.csv"
+        point = ["--x=0,0", "--u=1,0", "--p=0,0", "--r=0,0"]
+        want = f"config error: initial point: {flags[0]} does not apply to an explicit --x --u --p --r point\n"
+        for argv in (
+            ["integrate", *point, *flags, "--t-end", "0.1", "--h", "1e-2", "--out", str(out)],
+            ["integrate", *flags, point[0], "--t-end", "0.1", "--h", "1e-2", "--out", str(out)],
+        ):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == want
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({flags[0][2:]: 5.0 if flags[0] == "--c" else flags[1]}))
+        assert main(["integrate", *point, "--config", str(cfg), "--t-end", "0.1", "--h", "1e-2",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == want
+        assert not out.exists()
+
 
 class TestRelations:
     def test_identities_pass(self, tmp_path):
@@ -530,6 +572,56 @@ class TestRelationChunks:
         for n in range(1, 9):
             assert [len(p[0]) for p in cli._random_phase_points(rng, n, 100)] == [100]
         assert [len(p[0]) for p in cli._random_phase_points(rng, 24, 100)] == [6] * 16 + [4]
+
+
+class TestBatchedOracles:
+    """The batched spread and ``relations`` draws against the per-item loops
+    they replaced (``tests/oracles.py``), compared with ``==``."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("count", (1, 100))
+    def test_phase_points_match_the_per_draw_loop(self, n, count):
+        for seed in range(20):
+            rng, old = np.random.default_rng(seed), np.random.default_rng(seed)
+            got, want = cli._random_phase_points(rng, n, count), scalar_phase_points(old, n, count)
+            assert len(got) == len(want)
+            for chunk, old_chunk in zip(got, want):
+                for a, b in zip(chunk, old_chunk):
+                    assert a.shape == b.shape and np.array_equal(a, b)
+            # no draw goes unused: the stream is where the loop left it
+            assert rng.random() == old.random()
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("samples", (1, 100))
+    def test_jet_identity_draws_match_the_per_vector_loop(self, n, samples, monkeypatch, capsys):
+        drawn = []
+
+        def record(draws):
+            drawn.append(np.array(draws))
+            return coefficients(draws)
+
+        monkeypatch.setattr(cli, "coefficients", record)
+        for seed in range(3):
+            argv = ["relations", "--n", str(n), "--samples", str(samples), "--seed", str(seed), "--jet-identity"]
+            assert main(argv) == 0
+            want = scalar_jet_identity_draws(np.random.default_rng(seed), n, samples)
+            assert drawn[-1].shape == want.shape and np.array_equal(drawn[-1], want)
+        capsys.readouterr()
+
+    def test_spread_matches_the_per_column_loop(self, rng):
+        tables = [
+            rng.uniform(-1, 1, (m, k)) * 10.0 ** rng.integers(-3, 4, k) for m in (2, 3, 21) for k in (1, 7, 70)
+        ]
+        tables += [np.ones((5, 3)), np.zeros((2, 4)), -np.ones((3, 2))]
+        times = np.linspace(-1.0, 1.0, 21)
+        for n in range(2, 7):
+            for family in (random_spiral(rng, n), random_transformed_spiral(rng, n)):
+                tables.append(tractors.q_stack(family.jet(times)))
+            tables.append(tractors.q_circle_stack(random_circle(rng, n).jet(times)))
+        for values in tables:
+            assert cli._spread(values) == column_spread(values)
+            for column in values.T:
+                assert cli._spread(column) == column_spread(column)
 
 
 class TestParser:

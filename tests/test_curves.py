@@ -57,7 +57,7 @@ STACKS = {
     "q_circle_stack": lambda c, f: q_circle_stack(c),
     "alpha1_stationary_stack": lambda c, f: alpha1_stationary_stack(c),
     "identity_residual_stack": lambda c, f: identity_residual_stack(c),
-    "f_generic_stack": lambda c, f: f_generic_stack(f, c),
+    "f_generic_stack": lambda c, f: f_generic_stack([f], c)[0],
     "phase_from_jet": lambda c, f: phase_from_jet(c),
     "flow_vector_stack": lambda c, f: flow_vector_stack(*derivatives(c, 4)[1:]),
     "circle_residual_stack": lambda c, f: circle_residual_stack(*derivatives(c, 4)[1:]),
@@ -148,7 +148,7 @@ COEFFICIENT_CALLS = {
     "q_circle_stack": q_circle_stack,
     "alpha1_stationary_stack": alpha1_stationary_stack,
     "identity_residual_stack": identity_residual_stack,
-    "f_generic_stack": lambda c: f_generic_stack(KillingField(3, a=1.0), c),
+    "f_generic_stack": lambda c: f_generic_stack([KillingField(3, a=1.0)], c),
     "phase_from_jet": phase_from_jet,
     "closed_form_alpha1_delta4": closed_form_alpha1_delta4,
     "parallel_section_oracle": parallel_section_oracle,

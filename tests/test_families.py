@@ -63,7 +63,7 @@ class TestCircleFamily:
 
     def test_three_tractor_parallel(self, rng):
         circle = random_circle(rng, 3)
-        assert parallel_defect(lambda t: circle.jet(t, 4), 0.0, 0.01, count=3) <= 1e-3
+        assert parallel_defect(lambda t: circle.jet(t, 4), 0.0, (0.01,), count=3) <= 1e-3
 
 
 class TestLogSpiralFamily:

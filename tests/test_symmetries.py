@@ -36,7 +36,7 @@ from conftest import (
     three_d_functions,
 )
 from jet_oracle import JetScalar
-from oracles import ckv_eval, conformal_factor, epsilon
+from oracles import ckv_eval, conformal_factor, epsilon, field_f_generic
 
 
 def phase_basis(y):
@@ -124,9 +124,9 @@ class TestNoetherQuantities:
             random_circle(rng, 3),
             random_transformed_spiral(rng, 3),
         ):
-            for field in sample_fields(rng, 3):
-                jets = [family.jet(float(t)) for t in np.linspace(-1, 1, 7)]
-                vals_g = [float(f_generic_stack(field, jet)) for jet in jets]
+            fields = sample_fields(rng, 3)
+            jets = [family.jet(float(t)) for t in np.linspace(-1, 1, 7)]
+            for field, vals_g in zip(fields, f_generic_stack(fields, np.array(jets)).tolist()):
                 vals_c = [field.pair(closed_basis(jet)) for jet in jets]
                 scale = 1.0 + max(abs(v) for v in vals_c)
                 assert max(abs(a - b) for a, b in zip(vals_g, vals_c)) <= 1e-9 * scale
@@ -135,7 +135,7 @@ class TestNoetherQuantities:
     def test_translation_reduces_to_flow_vector(self, rng):
         jet = random_curve_jet(rng, 3)
         T = rng.normal(size=3)
-        assert f_generic_stack(KillingField(3, T=T), jet) == pytest.approx(
+        assert f_generic_stack([KillingField(3, T=T)], jet)[0] == pytest.approx(
             -float(flow_vector_stack(*derivatives(jet, 4)[1:]) @ T), rel=1e-12, abs=1e-12
         )
 
@@ -154,7 +154,7 @@ class TestNoetherQuantities:
             rot = basis_rotation(2, 1, 2)
             for t in (-0.5, 0.0, 0.8):
                 assert rot.pair(closed_basis(lox.jet(t))) == pytest.approx(c, abs=1e-10)
-                assert f_generic_stack(rot, lox.jet(t)) == pytest.approx(c, abs=1e-10)
+                assert f_generic_stack([rot], lox.jet(t))[0] == pytest.approx(c, abs=1e-10)
 
     def test_circle_quantity_from_double_derivative(self, rng):
         # on circles the quantity collapses to d/dt <W', V> for the
@@ -173,7 +173,7 @@ class TestNoetherQuantities:
                 rate = w.differentiate().truncated(k - 1).dot(
                     v.truncated(k - 1)
                 ).differentiate().value
-                assert f_generic_stack(field, jet) == pytest.approx(rate, rel=1e-9, abs=1e-9)
+                assert f_generic_stack([field], jet)[0] == pytest.approx(rate, rel=1e-9, abs=1e-9)
 
     def test_transformed_spiral_dilatation_report(self, rng):
         for _ in range(5):
@@ -504,25 +504,32 @@ class TestGenericStack:
             for family in families:
                 times = np.linspace(-1.0, 1.0, 9)
                 coeffs = family.jet(times)
-                for field in sample_fields(rng, n):
-                    got = f_generic_stack(field, coeffs)
+                fields = sample_fields(rng, n)
+                stacked = f_generic_stack(fields, coeffs)
+                assert stacked.shape == (len(fields), len(times))
+                for k, t in enumerate(times):
+                    # every field at one row is that row of the stack
+                    assert np.array_equal(f_generic_stack(fields, family.jet(float(t))), stacked[:, k])
+                for field, got in zip(fields, stacked):
+                    # one call over the fields has the bits of one call per field
+                    assert np.array_equal(got, field_f_generic(field, coeffs))
                     for t, value in zip(times, got):
-                        jet = family.jet(float(t))
-                        want = jet_f_generic(field, jet)
+                        want = jet_f_generic(field, family.jet(float(t)))
                         worst = max(worst, abs(value - want) / (1.0 + abs(want)))
-                        assert f_generic_stack(field, jet) == value
         assert worst <= 1e-13
 
     def test_random_jets_and_order_check(self, rng):
         for n in range(2, 6):
             jets = [random_curve_jet(rng, n) for _ in range(6)]
             coeffs = np.stack(jets)
-            for field in sample_fields(rng, n):
-                for jet, value in zip(jets, f_generic_stack(field, coeffs)):
+            fields = sample_fields(rng, n)
+            for field, values in zip(fields, f_generic_stack(fields, coeffs)):
+                assert np.array_equal(values, field_f_generic(field, coeffs))
+                for jet, value in zip(jets, values):
                     want = jet_f_generic(field, jet)
                     assert abs(value - want) <= 1e-13 * (1.0 + abs(want))
         with pytest.raises(ValueError, match="through order 4"):
-            f_generic_stack(KillingField(3, a=1.0), np.ones((2, 3, 4)))
+            f_generic_stack([KillingField(3, a=1.0)], np.ones((2, 3, 4)))
 
 
 def row_q_phase(p):

@@ -570,35 +570,54 @@ def row_parallel_defect(curve, t, h, count=3, scaled=False):
     return float(np.max(np.abs(deriv)))
 
 
-def assert_defect(curve, t, h, count=3):
-    """``parallel_defect``, asserted equal to its per-time body."""
-    d = parallel_defect(curve, t, h, count=count)
-    assert d == row_parallel_defect(curve, t, h, count)
+def assert_defects(curve, t, steps, count=3):
+    """``parallel_defect`` over ``steps``, one call, asserted equal step by
+    step to its per-time body; ``curve`` takes one time or an array."""
+    d = parallel_defect(curve, t, steps, count=count)
+    assert d.shape == (len(steps),)
+    for h, got in zip(steps, d):
+        assert got == row_parallel_defect(curve, t, h, count)
     return d
+
+
+def by_time(row):
+    """A curve sampler of one time or an array of times from a sampler
+    ``row`` of one time."""
+    return lambda ts: np.stack([row(s) for s in ts]) if np.ndim(ts) else row(ts)
 
 
 class TestParallelTransport:
     def test_circle_second_order_decay(self, rng):
         circle = random_circle(rng, 3)
-        d1 = assert_defect(lambda t: circle.jet(t, 4), 0.1, 0.02, count=3)
-        d2 = assert_defect(lambda t: circle.jet(t, 4), 0.1, 0.01, count=3)
+        d1, d2 = assert_defects(lambda t: circle.jet(t, 4), 0.1, (0.02, 0.01), count=3)
         order = math.log2(d1 / d2)
         assert 1.6 <= order <= 2.4
 
     def test_circle_steps_match_the_per_time_body(self, rng):
-        # the circle steps of verify, the acceptance suite, the family
-        # tests and the transport demo: times 0 and mid-window, h 0.02 and
-        # 0.01, the demo's coarser 0.08 and 0.04, dimensions 2 to 6
+        # the circle steps of verify (0.02, 0.01 at mid-window), of the
+        # acceptance suite (0.02, 0.01 at 0), of the family tests (0.01 at
+        # 0) and of the transport demo (0.08 down to 0.01 at 0), in
+        # dimensions 2 to 6; one call over the steps equals one per step
         for n in range(2, 7):
             circle = random_circle(rng, n)
             for t in (0.0, 0.1, 0.5, -0.35):
-                for h in (0.08, 0.04, 0.02, 0.01, 0.005):
-                    assert_defect(lambda s: circle.jet(s, 4), t, h, count=3)
+                for steps in ((0.02, 0.01), (0.01,), (0.08, 0.04, 0.02, 0.01), (0.005,)):
+                    d = assert_defects(lambda s: circle.jet(s, 4), t, steps, count=3)
+                    for h, got in zip(steps, d):
+                        assert parallel_defect(lambda s: circle.jet(s, 4), t, (h,), count=3)[0] == got
+
+    def test_verify_steps_on_the_verify_times(self, rng):
+        # the mid-window time of a verify window, as cmd_verify forms it
+        for n in range(2, 7):
+            for samples in (2, 5, 21):
+                times = np.linspace(-1.0, 1.0, samples)
+                circle = random_circle(rng, n)
+                assert_defects(lambda s: circle.jet(s, 4), float(times[samples // 2]), (0.02, 0.01))
 
     def test_spiral_scaled_wedge_parallel(self, rng):
         spiral = random_spiral(rng, 3, c=1.7)
-        for h in (0.02, 0.01):
-            d = assert_defect(lambda t: spiral.jet(t, 5), 0.1, h, count=4)
+        steps = (0.02, 0.01)
+        for h, d in zip(steps, assert_defects(lambda t: spiral.jet(t, 5), 0.1, steps, count=4)):
             assert d <= 1.0 * h**2
 
     def test_reparametrized_spiral_needs_scaling(self, rng):
@@ -618,7 +637,7 @@ class TestParallelTransport:
         g = gram_stack(repar(0.2, 6))
         assert abs(g.delta5) <= 1e-8 * max(1.0, g.gram_scale()) ** 5
         assert abs(JetScalar(g.delta4_jet).differentiate().value) > 1e-3
-        bare = assert_defect(repar, 0.2, 0.01, count=4)
+        (bare,) = assert_defects(by_time(repar), 0.2, (0.01,), count=4)
         scaled = row_parallel_defect(repar, 0.2, 0.01, count=4, scaled=True)
         assert bare > 1e-2
         assert scaled <= 1e-10
@@ -636,14 +655,15 @@ class TestParallelTransport:
                 acc = acc + power * coeffs[k]
             return acc.coeffs
 
-        defects = [assert_defect(poly, 0.1, h, count=3) for h in (0.02, 0.01, 0.005)]
+        defects = assert_defects(by_time(poly), 0.1, (0.02, 0.01, 0.005), count=3)
         assert min(defects) > 0.1
         assert abs(defects[-1] / defects[-2] - 1.0) < 0.2
 
     def test_rejects_nonpositive_step(self, rng):
         circle = random_circle(rng, 3)
-        with pytest.raises(ValueError):
-            parallel_defect(lambda t: circle.jet(t, 4), 0.0, 0.0)
+        for steps in ((0.0,), (0.02, -0.01)):
+            with pytest.raises(ValueError):
+                parallel_defect(lambda t: circle.jet(t, 4), 0.0, steps)
 
 
 def mixed_rows(rng, n):
