@@ -563,9 +563,11 @@ def cmd_relations(args):
         scale = 1.0 + np.maximum(*sizes)
         checks.add("reduction_identity_defect", np.max(res.identity_defect / scale), 1e-9)
     else:
-        reps = [symmetries.quantity_identities(*p) for p in _random_phase_points(rng, n, args.samples)]
+        # below dimension 2 every family is vacuous: refused before any draw
+        chunks = _random_phase_points(rng, n, args.samples) if n > 1 else []
+        reps = [symmetries.quantity_identities(*p) for p in chunks]
         # q_keys lays out C(n, 2), C(n, 3), C(n, 3) and C(n, 4) keys, family by family
-        for fam, rank in zip(reps[0], (2, 3, 3, 4)):
+        for fam, rank in zip(("0ijN", "0ijk", "ijkN", "ijkl"), (2, 3, 3, 4)):
             if math.comb(n, rank) == 0:
                 print(f"note  identity_{fam}: vacuous in dimension {n}")
                 continue

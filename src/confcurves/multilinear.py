@@ -98,48 +98,25 @@ def _laplace_step(col, prev, m):
     return acc
 
 
-def minors(columns, border=None):
+def minors(columns):
     """Minors of an ``(n, k)`` column stack ``[V_1 .. V_k]``, one per increasing
-    row tuple ``I`` in :func:`index_tuples` order; leading axes of
-    ``columns`` (and of ``border``) are batch axes.
-
-    Without ``border``, ``I`` runs over the ``k``-tuples and the values are
-    the determinants of the rows ``I`` of the stack.  With a vector
-    ``border``, ``I`` runs over the ``(k-1)``-tuples and the values are
-    ``sum_l det(rows I + (l,)) * border[l]``: by multilinearity in the last
-    row, the determinants of the rows ``I`` of the stack bordered below by
-    the one row ``border @ [V_1 .. V_k]``.
+    row tuple ``I`` of ``k`` rows in :func:`index_tuples` order: the
+    determinants of the rows ``I`` of the stack.  Leading axes of
+    ``columns`` are batch axes.
 
     The values come by Laplace expansion, as sums of products: the minors
     of the last ``j`` columns expand along their first column into those
-    of the last ``j - 1``, and a bordered minor has one more term, the
-    border row's entry times the unbordered minor of the rows ``I``.  Every
-    sum adds in a fixed order, so integer or dyadic columns give the exact
-    minors while they stay below ``2^53``, and a stacked call repeats the
-    values of its rows to the bit.  The largest temporary has the size of
-    one level ``(..., C(n, j))``.
+    of the last ``j - 1``.  Every sum adds in a fixed order, so integer or
+    dyadic columns give the exact minors while they stay below ``2^53``,
+    and a stacked call repeats the values of its rows to the bit.  The
+    largest temporary has the size of one level ``(..., C(n, j))``.
     """
     mat = np.asarray(columns, dtype=float)
     k = mat.shape[-1]
     full = mat[..., k - 1].copy()
-    if border is not None:
-        # the border row, its products added in row order
-        terms = np.moveaxis(np.asarray(border, dtype=float)[..., None] * mat, -2, 0)
-        edge = functools.reduce(operator.add, terms)
-        bordered = edge[..., k - 1 :]
     for j in range(2, k + 1):
-        col = mat[..., k - j]
-        if border is not None:
-            # the border row sits last, at place j - 1 of the expanded column
-            bordered = _laplace_step(col, bordered, j - 1)
-            last = edge[..., k - j, None] * full
-            if j % 2:
-                bordered += last
-            else:
-                bordered -= last
-        if border is None or j < k:
-            full = _laplace_step(col, full, j)
-    return full if border is None else bordered
+        full = _laplace_step(mat[..., k - j], full, j)
+    return full
 
 
 def tractor_metric_pair(a, b):

@@ -15,7 +15,7 @@ from .curves import _speed_sq, derivatives
 from .jets import _dot, _recip, _stack_product, _sum_rows
 from .mercator import flow_vector_stack, hamiltonian_stack, poisson_bracket
 from .multilinear import index_tuples
-from .tractors import _pairing_families
+from .tractors import _parallel_minors
 
 __all__ = [
     "KillingField",
@@ -156,13 +156,15 @@ def e_stack(X, U, P, R) -> EQuantities:
 def q_phase(X, U, P, R):
     """The four pairing-quantity families as polynomials in the phase
     variables, an array ``(..., keys)`` in :func:`confcurves.tractors.q_keys`
-    order like :func:`confcurves.tractors.q_stack`.
-
-    They are the curve-data forms with ``(A, A')`` replaced by ``(R, P)`` and
-    the weights ``(3 (U.A)/u^4, -1/u^2, 1/u^4)`` by ``(-U.R, 1, -1)``.
-    """
-    families = _pairing_families(X, U, R, P, (-_dot(U, R), 1.0, -1.0))
-    return np.concatenate(families, axis=-1)
+    order like :func:`confcurves.tractors.q_stack`: the pairings with the
+    parallel sections of the wedge of ``e_0``, ``(0, U, 0)``, ``(0, -R, 1)``
+    and ``(0, P, -U.R)``, which is the wedge of the canonical tractors at
+    the curve's point."""
+    columns = np.zeros(X.shape[:-1] + (X.shape[-1] + 2, 4))
+    columns[..., 0, 0] = columns[..., -1, 2] = 1.0
+    columns[..., 1:-1, 1:] = np.stack([U, -R, P], axis=-1)
+    columns[..., -1, 3] = -_dot(U, R)
+    return _parallel_minors(columns, X)
 
 
 def quantity_identities(X, U, P, R):

@@ -212,67 +212,61 @@ def q_keys(n, rank=4):
     return tuple(keys)
 
 
-def _pairing_families(X, U, A, B, weights):
-    """The four rank-4 families in :func:`q_keys` order, for a position ``X``,
-    three vectors ``U, A, B`` and weights ``(w1, w2, w3)``, as minors of the
-    column stack ``[X, U, A, B]`` (``eps(I; V..)`` is the minor of the
-    rows ``I`` of the columns ``V..``):
+@functools.cache
+def _pairing_layout(n, k):
+    """Read-only arrays: the position of each :func:`q_keys` ``(n, k)`` tuple
+    among the ``k``-tuples of ``range(n+2)``, and its orientation, -1 on the
+    rank-4 ``ijkN`` keys (their metric duals are odd permutations)."""
+    position = {t: p for p, t in enumerate(itertools.combinations(range(n + 2), k))}
+    keys = q_keys(n, k)
+    pos = np.array([position[key] for key in keys], dtype=np.intp)
+    sign = np.array([-1.0 if k == 4 and quantity_family(key, n) == "ijkN" else 1.0 for key in keys])
+    pos.flags.writeable = sign.flags.writeable = False
+    return pos, sign
 
-    * ``0ijN``: ``w1 eps(ij; U,A) + w2 eps(ij; U,B) + w3 sum_l eps(ijl; U,A,B) X_l``
-    * ``0ijk``: ``w1 eps(ijk; X,U,A) + w2 eps(ijk; X,U,B)
-      + w3 (|X|^2/2 eps(ijk; U,A,B) + sum_l eps(ijkl; X,U,A,B) X_l)``
-    * ``ijkN``: ``w3 eps(ijk; U,A,B)``
-    * ``ijkl``: ``w3 eps(ijkl; X,U,A,B)``
 
-    Leading axes of the vectors and the weights are batch axes.
-    """
-    w1, w2, w3 = (np.asarray(w)[..., None] for w in weights)
-    M = np.stack([X, U, A, B], axis=-1)
-    uab = minors(M[..., 1:])
-    return (
-        w1 * minors(M[..., [1, 2]]) + w2 * minors(M[..., [1, 3]]) + w3 * minors(M[..., 1:], X),
-        w1 * minors(M[..., :3])
-        + w2 * minors(M[..., [0, 1, 3]])
-        + w3 * (0.5 * _dot(X, X)[..., None] * uab + minors(M, X)),
-        w3 * uab,
-        w3 * minors(M),
-    )
+def _parallel_minors(columns, X):
+    """The pairings of the wedge of ``k`` tractor columns ``(..., n+2, k)`` at
+    the position ``X`` ``(..., n)`` with the parallel sections
+    ``exp(-rho(X))`` of the basis wedges, in :func:`q_keys` order: ``rho``
+    is skew, so the columns move by ``exp(rho(X))``, ``(top, mid, bot) ->
+    (top, mid + X top, bot - X.mid - |X|^2/2 top)``, and the minors of the
+    moved columns lowered by the metric (slots 0 and ``n+1`` swapped)."""
+    top, mid, bot = columns[..., :1, :], columns[..., 1:-1, :], columns[..., -1:, :]
+    bot = bot - _sum_rows(X[..., :, None] * mid)[..., None, :] - 0.5 * _dot(X, X)[..., None, None] * top
+    pos, sign = _pairing_layout(X.shape[-1], columns.shape[-1])
+    return minors(np.concatenate([bot, mid + X[..., :, None] * top, top], axis=-2))[..., pos] * sign
+
+
+def _curve_pairings(coeffs, k, what):
+    """The rank-``k`` pairing quantities of every row of a coefficient stack,
+    order at least ``k - 1``, from its first ``k`` tractor values.  Only the
+    top slot of ``T_{k-1}`` reads coefficient ``k``, so a zero pads the rows;
+    ``T_0`` spans the top slot, so the others' top slots are set to 0, which
+    keeps the wedge and spares the minors their cancelling large terms."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    _speed_sq(coeffs, k - 1, what)
+    rows = np.zeros(coeffs.shape[:-1] + (k + 1,))
+    rows[..., :k] = coeffs[..., :k]
+    columns = np.stack([t[..., 0] for t in canonical_tractor_stack(rows, k)], axis=-1)
+    columns[..., 0, 1:] = 0.0
+    return _parallel_minors(columns, coeffs[..., 0])
 
 
 def q_stack(coeffs):
     """The four families of pairing quantities of every row of a position
-    coefficient stack ``(..., n, order+1)``, as an array with one entry per
-    key of ``q_keys(n)``, in that order: weighted sums of batched minors of
-    ``[X, U, A, A']`` with weights ``(3 (U.A)/u^4, -1/u^2, 1/u^4)``."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    iu2 = 1.0 / _speed_sq(coeffs, 3, "pairing quantities")
-    iu4 = iu2 * iu2
-    X, U, A, Ap = derivatives(coeffs, 4)
-    weights = (3 * iu4 * _dot(U, A), -iu2, iu4)
-    return np.concatenate(_pairing_families(X, U, A, Ap, weights), axis=-1)
+    coefficient stack ``(..., n, order+1)``, one entry per key of
+    ``q_keys(n)``, in that order: the pairings of the wedge of ``T_0 ..
+    T_3`` with the parallel sections (:func:`_parallel_minors`)."""
+    return _curve_pairings(coeffs, 4, "pairing quantities")
 
 
 def q_circle_stack(coeffs):
     """The rank-3 pairing quantities (the conformal-circle family) of every
     row of a position coefficient stack ``(..., n, order+1)``, in the order
-    of ``q_keys(n, 3)``: weighted sums of batched minors of ``[X, U, A]``;
-    the rank-2 family sits at ``(0, i, j)`` and ``(i, j, n+1)``."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    u2 = _speed_sq(coeffs, 2, "circle quantities")[..., None]
-    X, U, A = derivatives(coeffs, 3)
-    iu1 = 1.0 / np.sqrt(u2)
-    iu3 = iu1 / u2
-    M = np.stack([X, U, A], axis=-1)
-    ua = minors(M[..., 1:])
-    return np.concatenate(
-        [
-            iu1 * U + iu3 * minors(M[..., 1:], X),
-            -iu1 * minors(M[..., :2]) + iu3 * (0.5 * _dot(X, X)[..., None] * ua - minors(M, X)),
-            iu3 * ua,
-            iu3 * minors(M),
-        ],
-        axis=-1,
-    )
+    of ``q_keys(n, 3)``: the pairings of the wedge of ``T_0 .. T_2`` with the
+    parallel sections; the rank-2 family sits at ``(0, i, j)`` and ``(i, j, n+1)``."""
+    return _curve_pairings(coeffs, 3, "circle quantities")
 
 
 def alpha1_stationary_stack(coeffs):

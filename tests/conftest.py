@@ -147,6 +147,32 @@ def identity_term_scale(jet):
     return u, m / u**2 * max(1.0, m / u) ** 2
 
 
+def _norm(v):
+    return np.linalg.norm(v, axis=-1)
+
+
+def pairing_term_scale(X, U, A, B, weights):
+    """A bound, up to a constant, on the terms of the hand-expanded rank-4
+    pairing quantities (``oracles.pairing_families``) of ``[X, U, A, B]``
+    with weights ``(w1, w2, w3)``, per row: ``(1 + |X|)^2 |U| (|w1| |A| +
+    |w2| |B| + |w3| |A| |B|)``.  Round-off of either route scales with it,
+    not with the quantities, which can be small where the terms are not
+    (a row at n = 2 holds one key)."""
+    w1, w2, w3 = (np.abs(w) for w in weights)
+    A, B = _norm(A), _norm(B)
+    return (1.0 + _norm(X)) ** 2 * _norm(U) * (w1 * A + w2 * B + w3 * A * B)
+
+
+def curve_term_scales(coeffs):
+    """:func:`pairing_term_scale` of ``q_stack``'s hand form, weights ``(3
+    U.A/u^4, 1/u^2, 1/u^4)``, and the rank-3 analogue ``(1 + |X|)^2 (1 +
+    |A|/u^2)`` of ``q_circle_stack``'s, weights ``(1/u, 1/u^3)``."""
+    X, U, A, Ap = derivatives(coeffs, 4)
+    u2 = np.sum(U * U, axis=-1)
+    weights = (3.0 * np.sum(U * A, axis=-1) / u2**2, 1.0 / u2, 1.0 / u2**2)
+    return pairing_term_scale(X, U, A, Ap, weights), (1.0 + _norm(X)) ** 2 * (1.0 + _norm(A) / u2)
+
+
 def keyed(values, n, rank=4):
     """One row of pairing quantities as a dict keyed by ``q_keys(n, rank)``."""
     return dict(zip(q_keys(n, rank), np.asarray(values).tolist()))

@@ -1,8 +1,9 @@
 """Reference implementations that the package does not run, kept as the
 independent oracles of its batched kernels: the per-tuple determinant
 ``epsilon`` (the oracle of :func:`confcurves.multilinear.minors`), the
-pairing quantities from parallel sections (the oracle of ``q_stack`` and
-``q_circle_stack``), the closed-form alpha_1 and delta_4 (the oracle of
+pairing quantities from parallel sections and their hand-expanded sums of
+weighted minors (the oracles of ``q_stack``, ``q_circle_stack`` and
+``q_phase``), the closed-form alpha_1 and delta_4 (the oracle of
 ``gram_stack``), the pointwise Killing field and its conformal factor, the
 inversion of the momentum definitions, and the per-item loops that the
 batched ``f_generic_stack``, ``cli._spread`` and the ``relations`` draws
@@ -19,7 +20,7 @@ from confcurves import cli
 from confcurves.curves import _speed_sq, derivatives
 from confcurves.jets import _dot, _recip, _stack_product, _sum_rows
 from confcurves.mercator import flow_vector_stack
-from confcurves.multilinear import rho_wedge, wedge
+from confcurves.multilinear import index_tuples, minors, rho_wedge, wedge
 from confcurves.symmetries import _ckv_stack
 from confcurves.tractors import canonical_tractor_stack
 
@@ -120,6 +121,84 @@ def parallel_section_oracle(coeffs, rank=4):
     sections = basis - r1 + 0.5 * r2
     paired = wedge_pair(wedge(tractors), sections, rank)
     return dict(zip(slots, paired.tolist()))
+
+
+def bordered_minors(columns, border):
+    """``sum_l det(rows I + (l,)) * border[l]`` of an ``(n, k)`` column stack,
+    one per increasing ``(k-1)``-tuple ``I``: by multilinearity in the last
+    row, the minors of the rows ``I`` bordered below by the row ``border @
+    columns``.  The tuples ending in the border row ``n`` of the bordered
+    stack come in the order of their first ``k-1`` slots."""
+    n, k = columns.shape[-2:]
+    edge = np.sum(border[..., :, None] * columns, axis=-2)
+    full = minors(np.concatenate([columns, edge[..., None, :]], axis=-2))
+    return full[..., index_tuples(n + 1, k)[:, -1] == n]
+
+
+def pairing_families(X, U, A, B, weights):
+    """The four rank-4 families in ``q_keys`` order, for a position ``X``,
+    three vectors ``U, A, B`` and weights ``(w1, w2, w3)``, as minors of the
+    column stack ``[X, U, A, B]`` (``eps(I; V..)`` is the minor of the
+    rows ``I`` of the columns ``V..``):
+
+    * ``0ijN``: ``w1 eps(ij; U,A) + w2 eps(ij; U,B) + w3 sum_l eps(ijl; U,A,B) X_l``
+    * ``0ijk``: ``w1 eps(ijk; X,U,A) + w2 eps(ijk; X,U,B)
+      + w3 (|X|^2/2 eps(ijk; U,A,B) + sum_l eps(ijkl; X,U,A,B) X_l)``
+    * ``ijkN``: ``w3 eps(ijk; U,A,B)``
+    * ``ijkl``: ``w3 eps(ijkl; X,U,A,B)``
+
+    Leading axes of the vectors and the weights are batch axes.  It is the
+    hand-expanded oracle of ``q_stack`` and ``q_phase``, which pair the
+    canonical wedge with the parallel sections.
+    """
+    w1, w2, w3 = (np.asarray(w)[..., None] for w in weights)
+    M = np.stack([X, U, A, B], axis=-1)
+    uab = minors(M[..., 1:])
+    return np.concatenate(
+        [
+            w1 * minors(M[..., [1, 2]]) + w2 * minors(M[..., [1, 3]]) + w3 * bordered_minors(M[..., 1:], X),
+            w1 * minors(M[..., :3])
+            + w2 * minors(M[..., [0, 1, 3]])
+            + w3 * (0.5 * _dot(X, X)[..., None] * uab + bordered_minors(M, X)),
+            w3 * uab,
+            w3 * minors(M),
+        ],
+        axis=-1,
+    )
+
+
+def hand_q_stack(coeffs):
+    """``q_stack`` by hand: :func:`pairing_families` of ``[X, U, A, A']``
+    with the weights ``(3 (U.A)/u^4, -1/u^2, 1/u^4)``."""
+    X, U, A, Ap = derivatives(np.asarray(coeffs, dtype=float), 4)
+    iu2 = 1.0 / _dot(U, U)
+    iu4 = iu2 * iu2
+    return pairing_families(X, U, A, Ap, (3 * iu4 * _dot(U, A), -iu2, iu4))
+
+
+def hand_q_phase(X, U, P, R):
+    """``q_phase`` by hand: the curve-data form with ``(A, A')`` replaced by
+    ``(R, P)`` and the weights by ``(-U.R, 1, -1)``."""
+    return pairing_families(X, U, R, P, (-_dot(U, R), 1.0, -1.0))
+
+
+def hand_q_circle(coeffs):
+    """``q_circle_stack`` by hand: weighted sums of minors of ``[X, U, A]``."""
+    X, U, A = derivatives(np.asarray(coeffs, dtype=float), 3)
+    u2 = _dot(U, U)[..., None]
+    iu1 = 1.0 / np.sqrt(u2)
+    iu3 = iu1 / u2
+    M = np.stack([X, U, A], axis=-1)
+    ua = minors(M[..., 1:])
+    return np.concatenate(
+        [
+            iu1 * U + iu3 * bordered_minors(M[..., 1:], X),
+            -iu1 * minors(M[..., :2]) + iu3 * (0.5 * _dot(X, X)[..., None] * ua - bordered_minors(M, X)),
+            iu3 * ua,
+            iu3 * minors(M),
+        ],
+        axis=-1,
+    )
 
 
 def closed_form_alpha1_delta4(coeffs):

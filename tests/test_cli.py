@@ -555,6 +555,19 @@ class TestRelations:
     def test_jet_identity_alias(self):
         assert main(["relations", "--n", "3", "--samples", "10", "--seed", "7", "--appendix-c"]) == 0
 
+    def test_vacuous_dimension_is_refused_before_any_draw(self, monkeypatch, capsys):
+        # n = 1 has no identity to check whatever the draws, so the run
+        # stops before drawing: the same four notes and one-line refusal
+        def no_draw(*args):
+            raise AssertionError("relations drew phase points in dimension 1")
+
+        monkeypatch.setattr(cli, "_random_phase_points", no_draw)
+        assert main(["relations", "--n", "1", "--samples", "2000000", "--seed", "3"]) == 2
+        out, err = capsys.readouterr()
+        notes = [f"note  identity_{f}: vacuous in dimension 1\n" for f in ("0ijN", "0ijk", "ijkN", "ijkl")]
+        assert out == "".join(notes)
+        assert err == "config error: nothing checked: every check is vacuous for this configuration\n"
+
 
 class TestRelationChunks:
     """Plain ``relations`` runs ``quantity_identities`` a chunk of samples at

@@ -4,9 +4,12 @@ The identities between the pairing quantities and the basis quantities,
 and the tractor and Noether routes against the phase route, are polynomial
 identities once ``1/u^2`` is exact.  Integer entries with ``|U|^2 = 2``
 keep every product, every ``1/u^2`` and ``1/u^4``, every ``k!`` scaling and
-every ``0.5`` a dyadic rational far below ``2^53``, and the minors are Laplace
-sums of products, so float64 arithmetic is exact: a true identity gives a
-residual of exactly ``0.0``.  A false one is nonzero at a random point with
+every ``0.5`` a dyadic rational far below ``2^53``, and the minors are
+Laplace sums of products, so float64 arithmetic is exact.  The tractor
+route also divides by ``u`` itself: its canonical tractors start from
+``1/u``, which is dyadic only when ``u`` is, so its rows have ``|U|^2 =
+4``, one entry of ``+-2``.  A true identity then gives a residual of
+exactly ``0.0``.  A false one is nonzero at a random point with
 probability at least ``1 - d/|S|`` (Schwartz-Zippel), ``d <= 5`` the degree
 and ``S`` the 129 values an entry takes, so a few hundred points make a
 miss negligible.  Each test asserts that its operands stay below
@@ -40,15 +43,23 @@ def speed_two_velocities(rng, n, count):
     return U
 
 
+def speed_two_dyadic_velocities(rng, n, count):
+    """``count`` velocities with one entry of +-2 and the rest 0, so that
+    ``u = 2``."""
+    U = np.zeros((count, n))
+    U[np.arange(count), rng.integers(0, n, count)] = rng.choice([-2.0, 2.0], count)
+    return U
+
+
 def integers(rng, *shape):
     return rng.integers(-BOUND, BOUND + 1, shape).astype(float)
 
 
-def dyadic_rows(rng, n):
-    """Coefficient rows ``[X, U, C2, C3]`` with integer entries and
-    ``|U|^2 = 2``."""
+def dyadic_rows(rng, n, velocities=speed_two_velocities):
+    """Coefficient rows ``[X, U, C2, C3]`` with integer entries and the
+    velocities of ``velocities``, ``|U|^2 = 2`` by default."""
     X, C2, C3 = integers(rng, 3, POINTS, n)
-    return np.stack([X, speed_two_velocities(rng, n, POINTS), C2, C3], axis=-1)
+    return np.stack([X, velocities(rng, n, POINTS), C2, C3], axis=-1)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -68,7 +79,7 @@ def test_quantity_identities_hold_exactly(n):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_tractor_route_equals_phase_route_exactly(n):
-    coeffs = dyadic_rows(np.random.default_rng(200 + n), n)
+    coeffs = dyadic_rows(np.random.default_rng(200 + n), n, speed_two_dyadic_velocities)
     p = np.split(phase_from_jet(coeffs), 4, axis=-1)
     tractor, phase = q_stack(coeffs), q_phase(*p)
     assert_exact_range(p[2], p[3], tractor, phase)

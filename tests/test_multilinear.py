@@ -74,19 +74,13 @@ class TestEpsilon:
                     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
-def epsilon_loops(cols, border=None):
+def epsilon_loops(cols):
     """``minors`` through per-tuple ``epsilon`` calls (1-based indices)."""
     n, k = cols.shape
-    vecs = list(cols.T)
-    if border is None:
-        return [epsilon(idx, *vecs) for idx in itertools.combinations(range(1, n + 1), k)]
-    return [
-        sum(epsilon(idx + (l,), *vecs) * border[l - 1] for l in range(1, n + 1))
-        for idx in itertools.combinations(range(1, n + 1), k - 1)
-    ]
+    return [epsilon(idx, *cols.T) for idx in itertools.combinations(range(1, n + 1), k)]
 
 
-def exact_minors(cols, border=None):
+def exact_minors(cols):
     """``minors`` of an integer stack by the Leibniz formula in Python ints."""
     cols = cols.astype(int).tolist()
     n, k = len(cols), len(cols[0])
@@ -98,10 +92,7 @@ def exact_minors(cols, border=None):
             for perm in itertools.permutations(range(k))
         )
 
-    if border is None:
-        return [det([cols[i] for i in I]) for I in itertools.combinations(range(n), k)]
-    edge = [sum(int(b) * row[c] for b, row in zip(border, cols)) for c in range(k)]
-    return [det([cols[i] for i in I] + [edge]) for I in itertools.combinations(range(n), k - 1)]
+    return [det([cols[i] for i in I]) for I in itertools.combinations(range(n), k)]
 
 
 class TestMinors:
@@ -109,21 +100,18 @@ class TestMinors:
         for n in range(2, 8):
             for k in range(1, 5):
                 cols = rng.uniform(-1.0, 1.0, (n, k))
-                for border in (None, rng.uniform(-1.0, 1.0, n)):
-                    got = minors(cols, border)
-                    expect = np.array(epsilon_loops(cols, border))
-                    assert got.shape == expect.shape == (math.comb(n, k if border is None else k - 1),)
-                    assert np.all(np.abs(got - expect) <= 1e-14 * (1.0 + np.abs(expect)))
+                got = minors(cols)
+                expect = np.array(epsilon_loops(cols))
+                assert got.shape == expect.shape == (math.comb(n, k),)
+                assert np.all(np.abs(got - expect) <= 1e-14 * (1.0 + np.abs(expect)))
 
     def test_leading_axes_are_batch_axes(self, rng):
         for n in range(2, 8):
             for k in range(1, 5):
                 cols = rng.uniform(-1.0, 1.0, (3, 2, n, k))
-                for border in (None, rng.uniform(-1.0, 1.0, (3, 2, n))):
-                    got = minors(cols, border)
-                    for idx in np.ndindex(3, 2):
-                        one = minors(cols[idx], None if border is None else border[idx])
-                        assert np.array_equal(got[idx], one)
+                got = minors(cols)
+                for idx in np.ndindex(3, 2):
+                    assert np.array_equal(got[idx], minors(cols[idx]))
 
     def test_peak_is_a_few_levels(self, rng):
         # the Laplace levels need no chunks: a stacked call holds a few
@@ -131,18 +119,16 @@ class TestMinors:
         # an LU path would take k^2 = 16 of them
         rows, n, k = 200, 16, 4
         cols = rng.uniform(-1.0, 1.0, (rows, n, k))
-        for border in (None, rng.uniform(-1.0, 1.0, (rows, n))):
-            top = k if border is None else k - 1
-            level = rows * math.comb(n, top) * 8
-            minors(cols, border)  # fill the per-(n, j) caches first
-            tracemalloc.start()
-            try:
-                got = minors(cols, border)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert got.nbytes == level
-            assert peak <= 6 * level
+        level = rows * math.comb(n, k) * 8
+        minors(cols)  # fill the per-(n, j) caches first
+        tracemalloc.start()
+        try:
+            got = minors(cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.nbytes == level
+        assert peak <= 6 * level
 
     def test_tables_match_itertools(self):
         for n in range(0, 10):
@@ -163,11 +149,10 @@ class TestMinors:
         for n in range(2, 8):
             for k in range(1, 5):
                 cols = rng.integers(-3, 4, (n, k)).astype(float)
-                for border in (None, rng.integers(-3, 4, n).astype(float)):
-                    exact = np.array(exact_minors(cols, border), dtype=float)
-                    assert np.array_equal(minors(cols, border), exact)
-                    loops = np.array(epsilon_loops(cols, border))
-                    assert np.all(np.abs(loops - exact) <= 1e-13 * (1.0 + np.abs(exact)))
+                exact = np.array(exact_minors(cols), dtype=float)
+                assert np.array_equal(minors(cols), exact)
+                loops = np.array(epsilon_loops(cols))
+                assert np.all(np.abs(loops - exact) <= 1e-13 * (1.0 + np.abs(exact)))
 
 
 def basis_tractor(ambient, slot):

@@ -21,12 +21,13 @@ from confcurves import (
 from confcurves.cli import main
 from confcurves.curves import DegenerateVelocityError
 from confcurves.multilinear import index_tuples
-from confcurves.tractors import _pairing_families, q_keys, q_stack, quantity_family
+from confcurves.tractors import q_keys, q_stack, quantity_family
 from conftest import (
     assert_same_bits,
     central_difference_bracket,
     energy,
     keyed,
+    pairing_term_scale,
     random_circle,
     random_curve_jet,
     random_phase_point,
@@ -36,7 +37,7 @@ from conftest import (
     three_d_functions,
 )
 from jet_oracle import JetScalar
-from oracles import ckv_eval, conformal_factor, epsilon, field_f_generic
+from oracles import ckv_eval, conformal_factor, epsilon, field_f_generic, hand_q_phase
 
 
 def phase_basis(y):
@@ -533,10 +534,9 @@ class TestGenericStack:
 
 
 def row_q_phase(p):
-    """The per-point body of ``q_phase`` that the stacked call replaced."""
+    """``q_phase`` of one phase point, keyed."""
     X, U, P, R = np.split(p, 4)
-    families = _pairing_families(X, U, R, P, (-float(U @ R), 1.0, -1.0))
-    return dict(zip(q_keys(X.size), np.concatenate(families).tolist()))
+    return dict(zip(q_keys(X.size), q_phase(X, U, P, R).tolist()))
 
 
 def row_quantity_identities(p):
@@ -586,7 +586,8 @@ def relation_draws(seed, n, count):
 
 class TestStackedPhasePoints:
     """``q_phase`` and ``quantity_identities`` on stacked phase rows against
-    their per-point bodies, bit for bit."""
+    their one-point calls and per-point bodies, bit for bit, and ``q_phase``
+    against its hand-expanded form to round-off."""
 
     def test_stack_matches_the_per_point_bodies(self, rng):
         for n in range(1, 9):
@@ -595,10 +596,11 @@ class TestStackedPhasePoints:
             q = q_phase(*stack)
             rep = quantity_identities(*stack)
             assert q.shape == (25, len(q_keys(n))) and list(rep) == ["0ijN", "0ijk", "ijkN", "ijkl"]
+            X, U, P, R = stack
+            scale = pairing_term_scale(X, U, R, P, (np.sum(U * R, axis=-1), 1.0, 1.0))
+            assert np.all(np.abs(q - hand_q_phase(*stack)) <= 1e-14 * scale[:, None])
             for k, p in enumerate(points):
-                want_q = row_q_phase(p)
-                assert q[k].tolist() == list(want_q.values())
-                assert q_phase(*np.split(p, 4)).tolist() == list(want_q.values())
+                assert q[k].tolist() == list(row_q_phase(p).values())
                 want = row_quantity_identities(p)
                 assert quantity_identities(*np.split(p, 4)) == want
                 for family, rec in rep.items():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confcurves import (
     DegenerateVelocityError,
@@ -13,15 +15,19 @@ from confcurves import (
     identity_residual_stack,
     is_conformal_circle,
     parallel_defect,
+    phase_from_jet,
     q_circle_stack,
+    q_phase,
     quantity_family,
 )
 from confcurves.curves import VELOCITY_FLOOR
-from confcurves.multilinear import minors, rho_wedge, tractor_metric_pair, wedge
+from confcurves.multilinear import index_tuples, minors, rho_wedge, tractor_metric_pair, wedge
 from confcurves.tractors import _gram_jet, canonical_tractor_stack, gram_stack, q_keys, q_stack
 from conftest import (
+    curve_term_scales,
     identity_term_scale,
     keyed,
+    pairing_term_scale,
     random_circle,
     random_curve_jet,
     random_spiral,
@@ -29,7 +35,14 @@ from conftest import (
     tractor_values,
 )
 from jet_oracle import JetScalar
-from oracles import closed_form_alpha1_delta4, epsilon, parallel_section_oracle
+from oracles import (
+    closed_form_alpha1_delta4,
+    epsilon,
+    hand_q_circle,
+    hand_q_phase,
+    hand_q_stack,
+    parallel_section_oracle,
+)
 
 
 def straight_line_jet(n=3, order=4):
@@ -445,6 +458,124 @@ class TestCircleQuantities:
                 assert oracle[key] == pytest.approx(v, rel=1e-10, abs=1e-12)
 
 
+def uniform_jets(rng, n, count, min_u2=0.1):
+    """``count`` order-6 coefficient rows drawn as ``random_curve_jet`` draws
+    them, as one stack."""
+    return np.stack([random_curve_jet(rng, n, levels=7, min_u2=min_u2) for _ in range(count)])
+
+
+def compound(M, k):
+    """The rank-``k`` compound matrix of a square ``M`` by Cauchy-Binet: column
+    ``J`` holds the minors of the columns ``J`` of ``M``, rows and columns
+    over the increasing ``k``-tuples in combinations order."""
+    return np.stack([minors(M[:, J]) for J in index_tuples(len(M), k)], axis=-1)
+
+
+def moved_quantities(M, q, n, k):
+    """The quantities ``q``, in ``q_keys(n, k)`` order, of tractors moved by
+    ``M``: the rank-``k`` compound matrix of ``G M G`` (``G`` the swap of
+    slots 0 and ``n+1``, which lowers by the metric) on the minors ``sign *
+    q``, ``sign`` -1 on the rank-4 ``ijkN`` keys."""
+    swap = np.arange(n + 2)
+    swap[[0, -1]] = swap[[-1, 0]]
+    position = {t: p for p, t in enumerate(itertools.combinations(range(n + 2), k))}
+    keys = q_keys(n, k)
+    pos = [position[key] for key in keys]
+    sign = np.array([-1.0 if k == 4 and quantity_family(key, n) == "ijkN" else 1.0 for key in keys])
+    C = compound(M[np.ix_(swap, swap)], k)[np.ix_(pos, pos)]
+    return sign * (C @ (sign * q))
+
+
+@st.composite
+def motion_cases(draw):
+    """An order-6 random jet in dimension 2 to 5 drawn from a seed, a
+    translation ``a`` with ``|a_i| <= 1`` and an orthogonal ``O``, the Q
+    factor of a Gaussian matrix from the same seed."""
+    n = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    jet = random_curve_jet(rng, n, levels=7)
+    a = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    return jet, a, np.linalg.qr(rng.normal(size=(n, n)))[0]
+
+
+MOTION_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+QUANTITIES = {4: (q_stack, 0), 3: (q_circle_stack, 1)}
+
+
+class TestPairingHandForms:
+    """The pairing quantities, computed as the pairings of the parallel
+    tractor wedge with the parallel sections, against the hand-expanded
+    sums of weighted minors that the package used before
+    (``oracles.hand_q_*``), and their covariance under Euclidean motions.
+
+    Gaps are measured against the size of the hand forms' terms
+    (``conftest.pairing_term_scale``), not against the row's largest
+    quantity: at n = 2 a row holds one rank-4 key, which can be small.  Over
+    3,000 uniform order-6 jets per n = 1-8 with ``|U|^2 >= 0.1`` the worst
+    gap was 9.5e-16 of the term scale for ``q_stack``, 9.0e-16 for
+    ``q_circle_stack`` and 1.0e-16 for ``q_phase``; against the row's
+    largest quantity, ``q_stack`` reached 1.5e-12 at n = 2.  Over 800
+    draws, n = 2-5, the motions moved Q off the compound-matrix image by at
+    most 6.5e-16 of the term scale."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_match_the_hand_forms(self, rng, n):
+        coeffs = uniform_jets(rng, n, 200)
+        scale4, scale3 = curve_term_scales(coeffs)
+        X, U, P, R = np.split(phase_from_jet(coeffs), 4, axis=-1)
+        scalep = pairing_term_scale(X, U, R, P, (np.sum(U * R, axis=-1), 1.0, 1.0))
+        for got, want, scale in (
+            (q_stack(coeffs), hand_q_stack(coeffs), scale4),
+            (q_circle_stack(coeffs), hand_q_circle(coeffs), scale3),
+            (q_phase(X, U, P, R), hand_q_phase(X, U, P, R), scalep),
+        ):
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-14 * scale[:, None])
+
+    def test_slow_rows_keep_their_digits(self, rng):
+        # at |U|^2 = 9e-6 the top slots of T_1 .. T_{k-1} are 1/u^2 to 1/u^4
+        # times larger than the wedge's entries.  They leave the wedge
+        # unchanged, since T_0 spans the top slot; kept, they cancel in the
+        # minors and cost up to 5e-7 of the rank-3 term scale and 3e-3 of
+        # the rank-4 one.  Dropped, the worst gaps over 200 rows per n were
+        # 5.7e-16 and 3.7e-13: T_3 itself carries terms of order 1/u^5
+        for n in (1, 2, 3):
+            coeffs = uniform_jets(rng, n, 50)
+            coeffs[..., 1] *= 3e-3 / np.linalg.norm(coeffs[..., 1], axis=-1, keepdims=True)
+            scale4, scale3 = curve_term_scales(coeffs)
+            assert np.all(np.abs(q_circle_stack(coeffs) - hand_q_circle(coeffs)) <= 1e-14 * scale3[:, None])
+            assert np.all(np.abs(q_stack(coeffs) - hand_q_stack(coeffs)) <= 2e-12 * scale4[:, None])
+
+    @pytest.mark.parametrize("rank", (4, 3))
+    @MOTION_SETTINGS
+    @given(case=motion_cases())
+    def test_translation_moves_q_by_the_compound_matrix(self, rank, case):
+        jet, a, _ = case
+        n = len(a)
+        quantities, which = QUANTITIES[rank]
+        moved = jet.copy()
+        moved[:, 0] += a
+        # exp(rho(a)): the top slot feeds a and -|a|^2/2, the spatial block -a
+        E = np.eye(n + 2)
+        E[1:-1, 0], E[-1, 0], E[-1, 1:-1] = a, -0.5 * float(a @ a), -a
+        want = moved_quantities(E, quantities(jet), n, rank)
+        scale = curve_term_scales(moved)[which] * (1.0 + float(np.linalg.norm(a))) ** 2
+        assert np.max(np.abs(quantities(moved) - want)) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("rank", (4, 3))
+    @MOTION_SETTINGS
+    @given(case=motion_cases())
+    def test_rotation_moves_q_by_the_compound_matrix(self, rank, case):
+        jet, _, O = case
+        n = len(O)
+        quantities, which = QUANTITIES[rank]
+        D = np.eye(n + 2)
+        D[1:-1, 1:-1] = O
+        want = moved_quantities(D, quantities(jet), n, rank)
+        scale = curve_term_scales(jet)[which]
+        assert np.max(np.abs(quantities(O @ jet) - want)) <= 1e-14 * scale
+
+
 class TestKappa1:
     def test_spiral_value_and_constancy(self, rng):
         for c in (0.8, 2.0):
@@ -790,27 +921,10 @@ def jet_identity_residuals(jet):
     return slot, mercator, float(np.max(np.abs(mercator + slot / u)))
 
 
-def jet_q_circle(jet):
-    X, U, A = derivatives(jet, 3)
-    u2 = float(U @ U)
-    iu1 = 1.0 / math.sqrt(u2)
-    iu3 = iu1 / u2
-    M = np.column_stack([X, U, A])
-    ua = minors(M[:, 1:])
-    return np.concatenate(
-        [
-            iu1 * U + iu3 * minors(M[:, 1:], X),
-            -iu1 * minors(M[:, :2]) + iu3 * (0.5 * float(X @ X) * ua - minors(M, X)),
-            iu3 * ua,
-            iu3 * minors(M),
-        ]
-    )
-
-
 class TestSampleStacks:
-    """The stacks over the sample axis against the per-jet bodies they
-    replaced: bit for bit, and the jet identity's two routes against its
-    hand-expanded forms to round-off."""
+    """The stacks over the sample axis against their one-row calls and the
+    per-jet bodies they replaced, bit for bit, and against hand-expanded
+    forms (the jet identity's and the rank-3 quantities') to round-off."""
 
     def test_jet_identity_repeats_the_per_sample_loop(self, rng):
         # drawn as `relations --jet-identity` draws its samples; the stacked
@@ -842,10 +956,13 @@ class TestSampleStacks:
                 assert max(res.identity_defect[k], defect) <= 1e-13 * tau
 
     def test_circle_quantities_repeat_the_per_jet_body(self, rng):
+        # the stacked rows repeat their one-row calls bit for bit, and agree
+        # with the hand-expanded form to round-off of its terms
         for n in range(2, 9):
             jets = mixed_rows(rng, n)
-            values = q_circle_stack(stack_of(jets))
+            coeffs = stack_of(jets)
+            values = q_circle_stack(coeffs)
             for row, jet in zip(values, jets):
-                want = jet_q_circle(jet)
-                assert np.array_equal(row, want)
-                assert q_circle_stack(jet).tolist() == want.tolist()
+                assert row.tolist() == q_circle_stack(jet).tolist()
+            scale = curve_term_scales(coeffs)[1]
+            assert np.all(np.abs(values - hand_q_circle(coeffs)) <= 1e-14 * scale[:, None])
