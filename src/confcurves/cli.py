@@ -532,9 +532,10 @@ def cmd_integrate(args):
 
 def _random_phase_points(rng, n, count):
     """``count`` uniform draws from ``[-1, 1]^{4n}`` with squared speed at
-    least 0.1, drawn as many rows at a time as are missing, split into components ``(X, U, P, R)`` over chunks of at most
-    ``_RELATIONS_BUDGET / (16 C(n, 4))`` rows, which bounds the ``(C(n, 4),
-    rows)`` arrays that ``quantity_identities`` holds at once."""
+    least 0.1, drawn as many rows at a time as are missing, as components
+    ``(X, U, P, R)`` over chunks of at most ``_RELATIONS_BUDGET / (16 C(n,
+    4))`` rows: for large ``n`` that bounds the ``(rows, C(n+2, 4))`` arrays,
+    one entry per ``q_keys(n)`` key, that ``quantity_identities`` holds."""
     rows = np.empty((0, 4 * n))
     while len(rows) < count:
         y = rng.uniform(-1.0, 1.0, (count - len(rows), 4 * n))

@@ -1,6 +1,8 @@
 """Conformal Killing fields, their Noether quantities along the flow, the
-phase-space basis quantities, and the identities relating the two families
-of conserved quantities.
+phase-space basis quantities, and the paper's relation between the two
+families of conserved quantities: the basis quantities form the momentum
+bivector ``M``, an antisymmetric slot matrix; the pairing quantities are
+``-1/4 M^M`` and the Hamiltonian is its Casimir.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from .curves import _speed_sq, derivatives
 from .jets import _dot, _recip, _stack_product, _sum_rows
 from .mercator import flow_vector_stack, hamiltonian_stack, poisson_bracket
 from .multilinear import index_tuples
-from .tractors import _parallel_minors
+from .tractors import _pairing_layout, _parallel_minors
 
 __all__ = [
     "KillingField",
@@ -167,46 +169,53 @@ def q_phase(X, U, P, R):
     return _parallel_minors(columns, X)
 
 
-def quantity_identities(X, U, P, R):
-    """Residuals of the four identities expressing the pairing quantities
-    through the basis quantities, from ``(..., n)`` phase components.
+def _momentum_bivector(e: EQuantities):
+    """The basis quantities as one antisymmetric ``(..., n+2, n+2)`` slot
+    matrix ``M`` in their dtype: ``M[0, i] = -E_S_i``, ``M[i, n+1] = -2
+    E_T_i``, ``M[0, n+1] = 2 E_D`` and ``M[i, j] = 2 E_R_ij``."""
+    n = e.E_T.shape[-1]
+    M = np.zeros(e.E_T.shape[:-1] + (n + 2, n + 2), np.result_type(e.E_T, e.E_R, e.E_D, e.E_S))
+    M[..., 0, 1:-1], M[..., 1:-1, -1], M[..., 0, -1] = -e.E_S, -2.0 * e.E_T, 2.0 * e.E_D
+    M[..., 1:-1, 1:-1] = e.E_R
+    return M - np.swapaxes(M, -1, -2)
 
-    The pure-spatial identity is checked in multiplied-through form
-    (``E_D`` times the quantity), so it is meaningful on the whole phase
-    space.  Returns per-family dictionaries with the max absolute residual
-    and the operand scale for relative comparisons, over the leading axes.
-    """
+
+def _bivector_square(e: EQuantities):
+    """The pairing quantities ``-1/4 M^M`` of the momentum bivector: ``-1/4
+    (M_ab M_cd - M_ac M_bd + M_ad M_bc)`` over the 4-tuples ``(a, b, c,
+    d)``, gathered at the keys of :func:`confcurves.tractors.q_keys` with
+    their orientations, an array ``(..., keys)``."""
+    M = _momentum_bivector(e)
+    pos, sign = _pairing_layout(M.shape[-1] - 2, 4)
+    a, b, c, d = index_tuples(M.shape[-1], 4).T
+    square = M[..., a, b] * M[..., c, d] - M[..., a, c] * M[..., b, d] + M[..., a, d] * M[..., b, c]
+    return -0.25 * sign * square[..., pos]
+
+
+def _casimir(e: EQuantities):
+    """The Hamiltonian as the Casimir ``-tr((M G)^2) / 16 = sum M_ab M_a'b'
+    / 16`` of the momentum bivector, ``G`` the slot swap ``a -> a'`` of
+    slots 0 and ``n+1``."""
+    M = _momentum_bivector(e)
+    swap = np.r_[M.shape[-1] - 1, 1 : M.shape[-1] - 1, 0]
+    return np.sum(M * M[..., swap[:, None], swap], axis=(-2, -1)) / 16.0
+
+
+def quantity_identities(X, U, P, R):
+    """Residuals of the paper's relation ``Q = -1/4 M^M`` between the pairing
+    quantities (:func:`q_phase`) and the momentum bivector of the basis
+    quantities (:func:`_bivector_square`), from ``(..., n)`` phase
+    components: per-family dictionaries with the max absolute residual and
+    the operand scale for relative comparisons, over the leading axes."""
     n = X.shape[-1]
-    e = e_stack(X, U, P, R)
-    # component axes first, batch axes last, so the gathers index them
-    E_T, E_S = np.moveaxis(e.E_T, -1, 0), np.moveaxis(e.E_S, -1, 0)
-    E_R, E_D = np.moveaxis(e.E_R, (-2, -1), (0, 1)), e.E_D
     # q_keys lays out C(n, 2), C(n, 3), C(n, 3) and C(n, 4) keys, family by family
     sizes = np.cumsum([math.comb(n, 2), math.comb(n, 3), math.comb(n, 3)])
-    q2, q3, q3N, q4 = np.split(np.moveaxis(q_phase(X, U, P, R), -1, 0), sizes)
-    (i, j), (a, b, c), (w, x, y, z) = (tuple(index_tuples(n, k).T) for k in (2, 3, 4))
-
-    def split3(v):
-        # the signed splits of each increasing triple into a pair and a slot
-        return E_R[a, b] * v[c] - E_R[a, c] * v[b] + E_R[b, c] * v[a]
-
-    # the six signed splits of each increasing quadruple into two pairs
-    W = E_S[:, None] * E_T - E_T[:, None] * E_S
-    split4 = (
-        E_R[w, x] * W[y, z] - E_R[w, y] * W[x, z] + E_R[w, z] * W[x, y]
-        + E_R[x, y] * W[w, z] - E_R[x, z] * W[w, y] + E_R[y, z] * W[w, x]
-    )
-    sides = {
-        "0ijN": (q2, 0.5 * (E_T[i] * E_S[j] - E_T[j] * E_S[i]) - E_D * E_R[i, j]),
-        "0ijk": (q3, 0.5 * split3(E_S)),
-        "ijkN": (q3N, -split3(E_T)),
-        "ijkl": (E_D * q4, 0.5 * split4),
-    }
+    sides = (np.split(q, sizes, axis=-1) for q in (q_phase(X, U, P, R), _bivector_square(e_stack(X, U, P, R))))
     report = {}
-    for family, (lhs, rhs) in sides.items():
+    for family, lhs, rhs in zip(("0ijN", "0ijk", "ijkN", "ijkl"), *sides):
         # a vacuous family (no keys below dimension 4) reads 0
-        resid = np.max(np.abs(lhs - rhs), axis=0, initial=0.0)
-        scale = np.max(np.abs(np.concatenate([lhs, rhs])), axis=0, initial=0.0)
+        resid = np.max(np.abs(lhs - rhs), axis=-1, initial=0.0)
+        scale = np.max(np.abs(np.concatenate([lhs, rhs], axis=-1)), axis=-1, initial=0.0)
         report[family] = {"residual": resid, "scale": scale}
     return report
 
@@ -220,20 +229,15 @@ class ThreeDReduction:
 
 
 def three_d_reduction(e: EQuantities) -> ThreeDReduction:
-    """Dimension-three repackaging of the basis quantities ``e`` over their
-    leading axes: the rank-2 quantities as an axial vector, single scalars
-    for the two rank-3 families, and the Hamiltonian rewritten through the
-    basis quantities."""
+    """Dimension-three view of the momentum bivector of the basis quantities
+    ``e`` over their leading axes: the pairing quantities of
+    :func:`_bivector_square`, ``0ijN`` as an axial vector and ``0ijk`` and
+    ``ijkN`` as scalars, and the Hamiltonian as its Casimir."""
     if e.E_T.shape[-1] != 3:
         raise ValueError("reduction requires dimension 3")
-    # the axial vector (E_R[1, 2], -E_R[0, 2], E_R[0, 1])
-    er = e.E_R[..., (1, 0, 0), (2, 2, 1)] * np.array([1.0, -1.0, 1.0])
-    E_D = np.asarray(e.E_D)
-    q1 = 0.5 * np.cross(e.E_T, e.E_S) - E_D[..., None] * er
-    q2 = 0.5 * _dot(er, e.E_S)
-    q3 = -_dot(e.E_T, er)
-    h = 0.5 * (_dot(er, er) - _dot(e.E_T, e.E_S) - np.float_power(E_D, 2))
-    return ThreeDReduction(q1, q2, q3, h)
+    # keys (0,1,2,4), (0,1,3,4), (0,2,3,4), (0,1,2,3), (1,2,3,4)
+    q = _bivector_square(e)
+    return ThreeDReduction(q[..., (2, 1, 0)] * np.array([1.0, -1.0, 1.0]), q[..., 3], q[..., 4], _casimir(e))
 
 
 def involutivity_check(y):
@@ -250,16 +254,9 @@ def involutivity_check(y):
     if np.shape(y)[-1] != 12:
         raise ValueError("involutivity table requires dimension 3")
 
-    def et(i):
-        return lambda X, U, P, R: P[..., i]
-
-    fns = {
-        "E_T1": et(0),
-        "E_T2": et(1),
-        "E_T3": et(2),
-        "Q_3": lambda X, U, P, R: three_d_reduction(e_stack(X, U, P, R)).Q3,
-        "H": lambda X, U, P, R: hamiltonian_stack(U, P, R),
-    }
+    fns = {f"E_T{i + 1}": lambda X, U, P, R, i=i: P[..., i] for i in range(3)}
+    fns["Q_3"] = lambda X, U, P, R: three_d_reduction(e_stack(X, U, P, R)).Q3
+    fns["H"] = lambda X, U, P, R: hamiltonian_stack(U, P, R)
     return {
         (a, b): float(np.max(np.abs(poisson_bracket(fns[a], fns[b], y))))
         for a, b in itertools.combinations(fns, 2)

@@ -28,7 +28,7 @@ import numpy as np
 from .curves import _speed_sq, coefficients, derivatives
 from .jets import _dot, _recip, _sqrt, _stack_product, _sum_rows
 from .mercator import _STEP, flow_vector_stack
-from .multilinear import minors, rho_wedge, tractor_metric_pair, wedge
+from .multilinear import index_tuples, minors, rho_wedge, tractor_metric_pair, wedge
 
 __all__ = [
     "GramStack",
@@ -215,12 +215,13 @@ def q_keys(n, rank=4):
 @functools.cache
 def _pairing_layout(n, k):
     """Read-only arrays: the position of each :func:`q_keys` ``(n, k)`` tuple
-    among the ``k``-tuples of ``range(n+2)``, and its orientation, -1 on the
-    rank-4 ``ijkN`` keys (their metric duals are odd permutations)."""
-    position = {t: p for p, t in enumerate(itertools.combinations(range(n + 2), k))}
-    keys = q_keys(n, k)
-    pos = np.array([position[key] for key in keys], dtype=np.intp)
-    sign = np.array([-1.0 if k == 4 and quantity_family(key, n) == "ijkN" else 1.0 for key in keys])
+    among the ``k``-tuples of ``range(n+2)`` (by family: slots 0 and ``n+1``,
+    0 only, ``n+1`` only, neither), and its orientation, -1 on the rank-4
+    ``ijkN`` keys (their metric duals are odd permutations)."""
+    t = index_tuples(n + 2, k)
+    family = 2 * (t[:, 0] != 0) + (t[:, -1] != n + 1)
+    pos = np.concatenate([np.flatnonzero(family == f) for f in range(4)])
+    sign = np.where((k == 4) & (family[pos] == 2), -1.0, 1.0)
     pos.flags.writeable = sign.flags.writeable = False
     return pos, sign
 

@@ -3,7 +3,9 @@ independent oracles of its batched kernels: the per-tuple determinant
 ``epsilon`` (the oracle of :func:`confcurves.multilinear.minors`), the
 pairing quantities from parallel sections and their hand-expanded sums of
 weighted minors (the oracles of ``q_stack``, ``q_circle_stack`` and
-``q_phase``), the closed-form alpha_1 and delta_4 (the oracle of
+``q_phase``), the hand-expanded sides of the identities between the
+pairing and the basis quantities (the oracle of ``quantity_identities``),
+the closed-form alpha_1 and delta_4 (the oracle of
 ``gram_stack``), the pointwise Killing field and its conformal factor, the
 inversion of the momentum definitions, and the per-item loops that the
 batched ``f_generic_stack``, ``cli._spread`` and the ``relations`` draws
@@ -21,7 +23,7 @@ from confcurves.curves import _speed_sq, derivatives
 from confcurves.jets import _dot, _recip, _stack_product, _sum_rows
 from confcurves.mercator import flow_vector_stack
 from confcurves.multilinear import index_tuples, minors, rho_wedge, wedge
-from confcurves.symmetries import _ckv_stack
+from confcurves.symmetries import _ckv_stack, e_stack, q_phase
 from confcurves.tractors import canonical_tractor_stack
 
 
@@ -180,6 +182,39 @@ def hand_q_phase(X, U, P, R):
     """``q_phase`` by hand: the curve-data form with ``(A, A')`` replaced by
     ``(R, P)`` and the weights by ``(-U.R, 1, -1)``."""
     return pairing_families(X, U, R, P, (-_dot(U, R), 1.0, -1.0))
+
+
+def hand_quantity_identities(X, U, P, R):
+    """The four identities between the pairing and the basis quantities as
+    hand-expanded sides, ``family -> (lhs, rhs)`` arrays ``(..., keys)``
+    from ``(..., n)`` phase components: ``lhs`` is the family's slice of
+    ``q_phase``, multiplied by ``E_D`` for ``ijkl``, and ``rhs`` its sums
+    of signed splits of the slot tuples.  The oracle of
+    ``symmetries._bivector_square``, which reads them all off one square of
+    the momentum bivector."""
+    n = X.shape[-1]
+    e = e_stack(X, U, P, R)
+    E_T, E_R, E_S, E_D = e.E_T, e.E_R, e.E_S, e.E_D[..., None]
+    sizes = np.cumsum([math.comb(n, 2), math.comb(n, 3), math.comb(n, 3)])
+    q2, q3, q3N, q4 = np.split(q_phase(X, U, P, R), sizes, axis=-1)
+    (i, j), (a, b, c), (w, x, y, z) = (tuple(index_tuples(n, k).T) for k in (2, 3, 4))
+
+    def split3(v):
+        # the signed splits of each increasing triple into a pair and a slot
+        return E_R[..., a, b] * v[..., c] - E_R[..., a, c] * v[..., b] + E_R[..., b, c] * v[..., a]
+
+    # the six signed splits of each increasing quadruple into two pairs
+    W = E_S[..., :, None] * E_T[..., None, :] - E_T[..., :, None] * E_S[..., None, :]
+    split4 = (
+        E_R[..., w, x] * W[..., y, z] - E_R[..., w, y] * W[..., x, z] + E_R[..., w, z] * W[..., x, y]
+        + E_R[..., x, y] * W[..., w, z] - E_R[..., x, z] * W[..., w, y] + E_R[..., y, z] * W[..., w, x]
+    )
+    return {
+        "0ijN": (q2, 0.5 * (E_T[..., i] * E_S[..., j] - E_T[..., j] * E_S[..., i]) - E_D * E_R[..., i, j]),
+        "0ijk": (q3, 0.5 * split3(E_S)),
+        "ijkN": (q3N, -split3(E_T)),
+        "ijkl": (E_D * q4, 0.5 * split4),
+    }
 
 
 def hand_q_circle(coeffs):

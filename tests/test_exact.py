@@ -16,12 +16,14 @@ miss negligible.  Each test asserts that its operands stay below
 ``2^53 / 64``, where no sum of a few such terms can round.
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from confcurves import derivatives, e_stack, noether_stack
-from confcurves.mercator import phase_from_jet
-from confcurves.symmetries import q_phase, quantity_identities
+from confcurves import derivatives, e_stack, noether_stack, symmetries
+from confcurves.mercator import hamiltonian_stack, phase_from_jet
+from confcurves.symmetries import _bivector_square, _casimir, q_phase, quantity_identities
 from confcurves.tractors import q_stack
 
 BOUND = 64  # integer entries in [-64, 64]
@@ -75,6 +77,84 @@ def test_quantity_identities_hold_exactly(n):
         assert np.all(rep["residual"] == 0.0), family
     # every family with keys measured something
     assert np.all(report["0ijN"]["scale"] > 0.0)
+
+
+# the four blocks of the momentum bivector: E_S, E_T, E_D and E_R entries
+BLOCKS = {
+    "0i": (slice(0, 1), slice(1, -1)),
+    "iN": (slice(1, -1), slice(-1, None)),
+    "0N": (slice(0, 1), slice(-1, None)),
+    "ij": (slice(1, -1), slice(1, -1)),
+}
+
+
+def offset_bivector(monkeypatch, block):
+    """Move the weight of one block of ``_momentum_bivector`` by ``2^-10``
+    of itself, antisymmetrically."""
+    exact = symmetries._momentum_bivector
+
+    def moved(e):
+        M = exact(e)
+        rows, cols = BLOCKS[block]
+        M[..., rows, cols] *= 1.0 + 2.0**-10
+        if block != "ij":
+            M[..., cols, rows] *= 1.0 + 2.0**-10
+        return M
+
+    monkeypatch.setattr(symmetries, "_momentum_bivector", moved)
+
+
+def integer_phase_points(rng, n):
+    """Phase components ``(X, U, P, R)`` with integer entries: the basis
+    quantities, the Hamiltonian and ``q_phase`` do not divide by the
+    speed, so ``U`` need not have ``|U|^2 = 2``."""
+    return tuple(integers(rng, 4, POINTS, n))
+
+
+@pytest.mark.parametrize("block", [None, *BLOCKS])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_bivector_square_and_casimir_hold_exactly(monkeypatch, n, block):
+    # Q = -1/4 M^M and H = -tr((M G)^2)/16; a 2^-10 move of any one block
+    # weight breaks both
+    p = integer_phase_points(np.random.default_rng(400 + n), n)
+    if block is not None:
+        offset_bivector(monkeypatch, block)
+    e = e_stack(*p)
+    square, q = _bivector_square(e), q_phase(*p)
+    casimir, energy = _casimir(e), hamiltonian_stack(*p[1:])
+    assert_exact_range(e.E_R, e.E_D, e.E_S, square, q, casimir, energy)
+    assert np.any(energy != 0.0)
+    if block is None:
+        assert np.all(square == q) and np.all(casimir == energy)
+    else:
+        # n = 1 has no pairing quantities and no rotation block
+        assert n == 1 or np.any(square != q)
+        assert (n, block) == (1, "ij") or np.any(casimir != energy)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_ijkl_identity_sees_a_shift_where_e_d_vanishes(monkeypatch, n):
+    # on points with E_D = X.P + U.R = 0 exactly, an E_D-multiplied form of
+    # the ijkl identity reads 0 whatever the ijkl quantities are
+    X, U, P, R = integer_phase_points(np.random.default_rng(500 + n), n)
+    X[:, 0] = 1.0
+    P[:, 0] = -(np.sum(X[:, 1:] * P[:, 1:], axis=-1) + np.sum(U * R, axis=-1))
+    e = e_stack(X, U, P, R)
+    assert_exact_range(P, e.E_R, e.E_S, q_phase(X, U, P, R))
+    assert np.all(e.E_D == 0.0)
+    delta = 2.0**-10
+    exact = symmetries.q_phase
+
+    def shifted(*p):
+        q = exact(*p)
+        q[..., -math.comb(n, 4):] += delta
+        return q
+
+    monkeypatch.setattr(symmetries, "q_phase", shifted)
+    report = quantity_identities(X, U, P, R)
+    assert np.all(report["ijkl"]["residual"] >= delta)
+    for family in ("0ijN", "0ijk", "ijkN"):
+        assert np.all(report[family]["residual"] == 0.0)
 
 
 @pytest.mark.parametrize("n", range(2, 9))

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from confcurves import (
     three_d_reduction,
 )
 from confcurves.cli import main
+from confcurves.symmetries import _bivector_square, _momentum_bivector
 from confcurves.curves import DegenerateVelocityError
-from confcurves.multilinear import index_tuples
 from confcurves.tractors import q_keys, q_stack, quantity_family
 from conftest import (
     assert_same_bits,
@@ -37,7 +38,7 @@ from conftest import (
     three_d_functions,
 )
 from jet_oracle import JetScalar
-from oracles import ckv_eval, conformal_factor, epsilon, field_f_generic, hand_q_phase
+from oracles import ckv_eval, conformal_factor, epsilon, field_f_generic, hand_q_phase, hand_quantity_identities
 
 
 def phase_basis(y):
@@ -539,36 +540,19 @@ def row_q_phase(p):
     return dict(zip(q_keys(X.size), q_phase(X, U, P, R).tolist()))
 
 
-def row_quantity_identities(p):
-    """The per-point body of ``quantity_identities`` that the stacked call
-    replaced."""
-    n = p.size // 4
-    e = phase_basis(p)
-    E_T, E_R, E_D, E_S = e.E_T, e.E_R, e.E_D, e.E_S
-    q = np.array(list(row_q_phase(p).values()))
-    families = [quantity_family(key, n) for key in q_keys(n)]
-    sizes = [families.count(f) for f in ("0ijN", "0ijk", "ijkN")]
-    q2, q3, q3N, q4 = np.split(q, np.cumsum(sizes))
-    (i, j), (a, b, c), (w, x, y, z) = (tuple(index_tuples(n, k).T) for k in (2, 3, 4))
+def bivector_term_scale(X, U, P, R):
+    """The largest entry of the momentum bivector at each phase point, one
+    more than it: the products of two entries bound the terms of the
+    rank-4 hand forms, those of three the ``E_D``-multiplied ``ijkl`` one."""
+    return 1.0 + np.max(np.abs(_momentum_bivector(e_stack(X, U, P, R))), axis=(-2, -1))
 
-    def split3(v):
-        return E_R[a, b] * v[c] - E_R[a, c] * v[b] + E_R[b, c] * v[a]
 
-    W = np.outer(E_S, E_T) - np.outer(E_T, E_S)
-    split4 = (
-        E_R[w, x] * W[y, z] - E_R[w, y] * W[x, z] + E_R[w, z] * W[x, y]
-        + E_R[x, y] * W[w, z] - E_R[x, z] * W[w, y] + E_R[y, z] * W[w, x]
-    )
-    sides = {
-        "0ijN": (q2, 0.5 * (E_T[i] * E_S[j] - E_T[j] * E_S[i]) - E_D * E_R[i, j]),
-        "0ijk": (q3, 0.5 * split3(E_S)),
-        "ijkN": (q3N, -split3(E_T)),
-        "ijkl": (E_D * q4, 0.5 * split4),
-    }
+def hand_report(X, U, P, R):
+    """``quantity_identities``' report from the hand-expanded sides."""
     report = {}
-    for family, (lhs, rhs) in sides.items():
-        resid = float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
-        scale = float(np.max(np.abs(np.concatenate([lhs, rhs])))) if lhs.size else 0.0
+    for family, (lhs, rhs) in hand_quantity_identities(X, U, P, R).items():
+        resid = np.max(np.abs(lhs - rhs), axis=-1, initial=0.0)
+        scale = np.max(np.abs(np.concatenate([lhs, rhs], axis=-1)), axis=-1, initial=0.0)
         report[family] = {"residual": resid, "scale": scale}
     return report
 
@@ -586,8 +570,8 @@ def relation_draws(seed, n, count):
 
 class TestStackedPhasePoints:
     """``q_phase`` and ``quantity_identities`` on stacked phase rows against
-    their one-point calls and per-point bodies, bit for bit, and ``q_phase``
-    against its hand-expanded form to round-off."""
+    their one-point calls, bit for bit, and ``q_phase`` and the bivector
+    square against their hand-expanded forms to round-off."""
 
     def test_stack_matches_the_per_point_bodies(self, rng):
         for n in range(1, 9):
@@ -601,11 +585,21 @@ class TestStackedPhasePoints:
             assert np.all(np.abs(q - hand_q_phase(*stack)) <= 1e-14 * scale[:, None])
             for k, p in enumerate(points):
                 assert q[k].tolist() == list(row_q_phase(p).values())
-                want = row_quantity_identities(p)
-                assert quantity_identities(*np.split(p, 4)) == want
+                want = quantity_identities(*np.split(p, 4))
                 for family, rec in rep.items():
                     assert rec["residual"][k] == want[family]["residual"]
                     assert rec["scale"][k] == want[family]["scale"]
+            # the square of the momentum bivector against the hand forms
+            term = bivector_term_scale(*stack)[:, None]
+            E_D = e_stack(*stack).E_D[:, None]
+            sizes = np.cumsum([math.comb(n, 2), math.comb(n, 3), math.comb(n, 3)])
+            square = np.split(_bivector_square(e_stack(*stack)), sizes, axis=-1)
+            for got, (family, (lhs, rhs)) in zip(square, hand_quantity_identities(*stack).items()):
+                power = 2
+                if family == "ijkl":
+                    got, power = E_D * got, 3
+                assert np.all(np.abs(got - rhs) <= 1e-14 * term**power), family
+                assert np.all(np.abs(lhs - rhs) <= 1e-14 * term**power), family
 
     def test_vacuous_families_below_dimension_four(self, rng):
         for n in (1, 2, 3):
@@ -646,12 +640,17 @@ class TestStackedPhasePoints:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_relations_report_matches_the_per_sample_loop(self, tmp_path, n):
-        # the fold of the per-sample loop that one stacked call replaced
+        # the fold of the per-sample loop that one stacked call replaced,
+        # and of the hand-expanded sides to round-off
         points = relation_draws(11, n, 40)
         worst = {"0ijN": 0.0, "0ijk": 0.0, "ijkN": 0.0, "ijkl": 0.0}
         for p in points:
-            for family, rec in row_quantity_identities(p).items():
+            for family, rec in quantity_identities(*np.split(p, 4)).items():
                 worst[family] = max(worst[family], rec["residual"] / (1.0 + rec["scale"]))
+        hand = hand_report(*np.split(np.stack(points), 4, axis=-1))
+        for family, rec in hand.items():
+            assert np.max(rec["residual"] / (1.0 + rec["scale"])) <= 1e-14
+            assert worst[family] <= 1e-14
         sizes = {quantity_family(key, n) for key in q_keys(n)}
         out = tmp_path / "rel.json"
         code = main(["relations", "--n", str(n), "--samples", "40", "--seed", "11", "--out", str(out)])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,14 @@ from confcurves import (
 )
 from confcurves.curves import VELOCITY_FLOOR
 from confcurves.multilinear import index_tuples, minors, rho_wedge, tractor_metric_pair, wedge
-from confcurves.tractors import _gram_jet, canonical_tractor_stack, gram_stack, q_keys, q_stack
+from confcurves.tractors import (
+    _gram_jet,
+    _pairing_layout,
+    canonical_tractor_stack,
+    gram_stack,
+    q_keys,
+    q_stack,
+)
 from conftest import (
     curve_term_scales,
     identity_term_scale,
@@ -355,6 +363,32 @@ class TestQQuantities:
         assert quantity_family((1, 3, 4), 3) == "ijN"
         assert quantity_family((0, 1, 2), 3) == "0ij"
         assert quantity_family((1, 2, 3), 3) == "ijk"
+
+    def test_pairing_layout_matches_the_keys(self):
+        # the dict of every slot tuple's position, looked up key by key
+        for n in range(0, 13):
+            for k in (3, 4):
+                position = {t: p for p, t in enumerate(itertools.combinations(range(n + 2), k))}
+                keys = q_keys(n, k)
+                pos, sign = _pairing_layout(n, k)
+                assert pos.tolist() == [position[key] for key in keys]
+                assert sign.tolist() == [-1.0 if k == 4 and quantity_family(key, n) == "ijkN" else 1.0 for key in keys]
+                assert not pos.flags.writeable and not sign.flags.writeable
+
+    def test_pairing_layout_peak_on_a_cold_cache(self):
+        # a dict over the C(62, 4) = 557,845 slot tuples and the list of
+        # q_keys peak near 135 MB; the family masks need a few arrays of
+        # C(62, 4) entries, near 14 MB
+        index_tuples(62, 4)
+        _pairing_layout.cache_clear()
+        q_keys.cache_clear()
+        tracemalloc.start()
+        try:
+            pos, _ = _pairing_layout(60, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pos) == math.comb(62, 4) and peak <= 40e6
 
 
 class TestParallelSectionOracle:
