@@ -31,6 +31,7 @@ from .multilinear import minors, tractor_metric_pair, wedge
 from .curves import VELOCITY_FLOOR, DegenerateVelocityError, coefficients, derivatives
 from .jets import _dot
 from .mercator import FlowDegeneracyError
+from .tractors import _parallel_minors
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -40,8 +41,9 @@ EXIT_DEGENERATE = 3
 OUTDIR_ENV = "CONFCURVES_OUTDIR"
 _TRACE_BUDGET = 1 << 20  # integrate's RK4 steps, and its stored rows times table columns
 _RELATIONS_CELLS = 1 << 21  # relations' samples times max(n, C(n, 4)), refused before any draw
-# float64 elements (8 MiB) of one plain relations chunk, 16 C(n, 4) per sample
+# float64 elements (8 MiB) of one plain relations chunk, 16 C(n+2, 4) per sample
 _RELATIONS_BUDGET = 1 << 20
+_RELATIONS_ROWS = 16  # the fewest samples of a chunk, while they fit in 8 budgets
 
 # A circle's parallel defect at step h within PARALLEL_ROUNDOFF eps S / h of
 # zero (S the largest wedge entry) is round-off.  Over 9,000 random circles
@@ -235,23 +237,22 @@ def _verify_spiral(spiral, times, checks, fields):
     checks.add("alpha1_matches", np.max(np.abs(g.alpha1 - (c**2 - 1.0))), 1e-9)
     checks.add("alpha2_matches", np.max(np.abs(g.alpha2 - (c**4 - c**2 + 1.0))), 1e-9)
     checks.add("flow_vector_vanishes", np.max(np.abs(mercator.flow_vector_stack(*derivs[1:]))), 1e-10)
-    qs = tractors.q_stack(coeffs)
+    qs = _parallel_minors(g.columns[..., :4], derivs[0])
     checks.add("q_constant_along_curve", _spread(qs), 1e-8)
     # the first three q_keys families: c/p^2 eps(ij; p0, q0), c/p^2 eps(ijk; p0, q0, r0), zeros
     pq = minors(np.column_stack([spiral.p0, spiral.q0]))
     pqr = minors(np.column_stack([spiral.p0, spiral.q0, spiral.r0]))
     expected = c / p2 * np.concatenate([pq, pqr, np.zeros_like(pqr)])
     checks.add("q_matches_spiral_values", np.max(np.abs(qs[0, : expected.size] - expected), initial=0.0), 1e-9)
-    piped = tractors.canonical_tractor_stack(coeffs, 3)[2][..., 0]
     closed = spiral.acceleration_tractor(times)
     square = tractor_metric_pair(closed.T, closed.T)
     checks.add("acceleration_tractor_square", np.max(np.abs(square - (c**2 - 1.0))), 1e-10)
-    checks.add("acceleration_tractor_matches_pipeline", np.max(np.abs(closed - piped)), 1e-10)
+    checks.add("acceleration_tractor_matches_pipeline", np.max(np.abs(closed - g.columns[..., 2])), 1e-10)
     # kappa_1 is even in c, as delta_4 and alpha_1 are; an undefined kappa_1
     # is NaN, and a NaN measurement fails its check
     checks.add("kappa1_matches", np.max(np.abs(g.kappa1 + (c**2 - 1.0) / (2 * abs(c)))), 1e-8)
     checks.add("kappa1_constant", _spread(g.kappa1), 1e-8)
-    _verify_noether(coeffs, derivs, checks, fields)
+    _verify_noether(coeffs, symmetries.noether_stack(*derivs), checks, fields)
     hs = mercator.hamiltonian_stack(derivs[1], *mercator.momenta_stack(*derivs[1:]))
     checks.add("hamiltonian_constant", _spread(hs), 1e-9)
     closed = np.stack(spiral.closed_derivatives(times), axis=1)
@@ -266,11 +267,10 @@ def _check_delta5(checks, g):
     checks.add("delta5_vanishes_rel", np.max(np.abs(g.delta5) / scale**5), 1e-6)
 
 
-def _verify_noether(coeffs, derivs, checks, fields):
-    """Closed-form Noether values of random fields (paired with the
-    ``noether_stack`` basis) against one ``f_generic_stack`` call."""
+def _verify_noether(coeffs, bases, checks, fields):
+    """Closed-form Noether values of random fields (paired with the rows'
+    ``noether_stack`` basis ``bases``) against one ``f_generic_stack`` call."""
     worst_agree = worst_spread = 0.0
-    bases = symmetries.noether_stack(*derivs)
     for field, generic in zip(fields, symmetries.f_generic_stack(fields, coeffs)):
         closed = field.pair(bases)
         worst_agree = max(worst_agree, np.max(np.abs(closed - generic)) / (1.0 + np.max(np.abs(closed))))
@@ -290,8 +290,7 @@ def _verify_circle(circle, times, checks, fields):
     mid = float(times[centre])
     steps = (0.02, 0.01)
     defects = tractors.parallel_defect(lambda s: circle.jet(s, 4), mid, steps, count=3)
-    values = [t[0, :, 0] for t in tractors.canonical_tractor_stack(coeffs[centre : centre + 1], 3)]
-    scale = float(np.max(np.abs(wedge(values))))
+    scale = float(np.max(np.abs(wedge(g.columns[centre, :, :3].T))))
     floor = PARALLEL_ROUNDOFF * np.finfo(float).eps * scale / steps[1]
     # the turn at the mid time: a circle's curvature is 2 |a0|
     turn = 2.0 * steps[0] * float(np.linalg.norm(circle.a0) * np.linalg.norm(derivs[1][centre]))
@@ -302,8 +301,8 @@ def _verify_circle(circle, times, checks, fields):
         print(f"note  t3_parallel_decay_order: vacuous, defect {defects[1]:.3g} <= {floor:.3g}")
     else:
         checks.add_range("t3_parallel_decay_order", math.log2(defects[0] / defects[1]), 1.6, 2.4)
-    checks.add("circle_q_constant", _spread(tractors.q_circle_stack(coeffs)), 1e-9)
-    _verify_noether(coeffs, derivs, checks, fields)
+    checks.add("circle_q_constant", _spread(_parallel_minors(g.columns[..., :3], derivs[0])), 1e-9)
+    _verify_noether(coeffs, symmetries.noether_stack(*derivs), checks, fields)
 
 
 def _verify_tspiral(tspiral, times, checks, fields):
@@ -328,14 +327,14 @@ def _verify_tspiral(tspiral, times, checks, fields):
     g = tractors.gram_stack(coeffs)
     checks.add("delta4_matches_pitch", np.max(np.abs(g.delta4 + c**2)), 1e-8)
     _check_delta5(checks, g)
-    checks.add("q_constant_along_curve", _spread(tractors.q_stack(coeffs)), 1e-8)
-    basis = symmetries.noether_stack(*(d[0] for d in derivs))
+    checks.add("q_constant_along_curve", _spread(_parallel_minors(g.columns[..., :4], derivs[0])), 1e-8)
+    bases = symmetries.noether_stack(*derivs)
     worst = 0.0
     for field in fields:
         reported = field.pair(report)
-        worst = max(worst, abs(field.pair(basis) - reported) / (1.0 + abs(reported)))
+        worst = max(worst, abs(field.pair(bases)[0] - reported) / (1.0 + abs(reported)))
     checks.add("noether_matches_report", worst, 1e-9)
-    _verify_noether(coeffs, derivs, checks, fields)
+    _verify_noether(coeffs, bases, checks, fields)
     hs = mercator.hamiltonian_stack(derivs[1], *mercator.momenta_stack(*derivs[1:]))
     checks.add("hamiltonian_constant", _spread(hs), 1e-9)
 
@@ -425,8 +424,8 @@ def _quantity_table(ts, coeffs):
     i, j = np.triu_indices(X.shape[-1], 1)
     return np.column_stack([
         ts, X, mercator.hamiltonian_stack(U, P, R), e.E_D, e.E_T, e.E_R[:, i, j], e.E_S,
-        f.E_T, f.E_R[:, i, j], f.E_D, f.E_S,
-        tractors.q_stack(coeffs), g.delta3, g.delta4, g.delta5, g.alpha1, g.alpha2, g.kappa1,
+        f.E_T, f.E_R[:, i, j], f.E_D, f.E_S, _parallel_minors(g.columns[..., :4], X),
+        g.delta3, g.delta4, g.delta5, g.alpha1, g.alpha2, g.kappa1,
     ])
 
 
@@ -533,14 +532,17 @@ def cmd_integrate(args):
 def _random_phase_points(rng, n, count):
     """``count`` uniform draws from ``[-1, 1]^{4n}`` with squared speed at
     least 0.1, drawn as many rows at a time as are missing, as components
-    ``(X, U, P, R)`` over chunks of at most ``_RELATIONS_BUDGET / (16 C(n,
-    4))`` rows: for large ``n`` that bounds the ``(rows, C(n+2, 4))`` arrays,
-    one entry per ``q_keys(n)`` key, that ``quantity_identities`` holds."""
+    ``(X, U, P, R)`` over chunks of ``_RELATIONS_BUDGET / (16 C(n+2, 4))``
+    rows, one entry per ``q_keys(n)`` key, and at least ``_RELATIONS_ROWS``,
+    since a call's cost per row falls with its rows."""
     rows = np.empty((0, 4 * n))
     while len(rows) < count:
         y = rng.uniform(-1.0, 1.0, (count - len(rows), 4 * n))
-        rows = np.concatenate([rows, y[_dot(y[:, n : 2 * n], y[:, n : 2 * n]) >= 0.1]])
-    step = max(1, _RELATIONS_BUDGET // max(16, 16 * math.comb(n, 4)))
+        y = y[_dot(y[:, n : 2 * n], y[:, n : 2 * n]) >= 0.1]
+        rows = np.concatenate([rows, y]) if len(rows) else y  # no third copy of the first draw
+    width = 16 * max(1, math.comb(n + 2, 4))
+    floor = _RELATIONS_ROWS if _RELATIONS_ROWS * width <= 8 * _RELATIONS_BUDGET else 1
+    step = max(floor, _RELATIONS_BUDGET // width)
     return [np.split(rows[s : s + step], 4, axis=-1) for s in range(0, count, step)]
 
 

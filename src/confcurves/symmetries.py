@@ -75,19 +75,23 @@ class KillingField:
         )
 
 
-def _ckv_stack(field: KillingField, c):
-    """The field on every row of position coefficients ``(..., n, m)``, exact
-    since it is polynomial in the position: the linear parts act on the
-    coefficients directly, and each product puts the position first."""
+def _ckv_stack(fields, c):
+    """The fields ``(len(fields), ..., n, m)`` on every row of position
+    coefficients ``(..., n, m)``, exact since each is polynomial in the
+    position: the linear parts act on the coefficients directly, ``|x|^2``
+    is formed once, and each product puts the position first."""
+    lead = (len(fields),) + (1,) * (c.ndim - 2)
+    T, S, a = (np.reshape([getattr(f, k) for f in fields], lead + (-1, 1)) for k in "TSa")
+    Rt = np.reshape([f.R.T for f in fields], lead + c.shape[-2:-1] * 2)
     # S.x summed over the components in order
-    s_dot_x = (field.S[:, None] * c).sum(axis=-2)
+    s_dot_x = (S * c).sum(axis=-2)
     coeffs = (
-        field.R.T @ c
-        + field.a * c
-        + field.S[:, None] * _sum_rows(_stack_product(c, c))[..., None, :]
+        Rt @ c
+        + a * c
+        + S * _sum_rows(_stack_product(c, c))[..., None, :]
         - 2.0 * _stack_product(c, s_dot_x[..., None, :])
     )
-    coeffs[..., 0] += field.T
+    coeffs[..., 0] += T[..., 0]
     return coeffs
 
 
@@ -100,7 +104,7 @@ def f_generic_stack(fields, coeffs):
     and ``w`` enter, formed by the stack kernels in jet operand order."""
     coeffs = np.asarray(coeffs, dtype=float)
     _speed_sq(coeffs, 4, "generic Noether quantity")
-    v = np.stack([_ckv_stack(field, coeffs[..., :4]) for field in fields])
+    v = _ckv_stack(fields, coeffs[..., :4])
     vp = v[..., 1:] * np.arange(1, 4)
     u = coeffs[..., 1:4] * np.arange(1, 4)
     w = _stack_product(u, _recip(_sum_rows(_stack_product(u, u)))[..., None, :])

@@ -3,12 +3,13 @@ quantities obtained by pairing parallel wedges with parallel sections.
 
 The canonical sequence starts from the weighted inclusion ``u^{-1}`` in the
 top null slot and repeatedly applies the connection ``d/dt + rho(velocity)``.
-Each tractor is carried as ``(n+2)``-vector Taylor coefficients, so
-parameter derivatives of any derived scalar (alpha_1, delta_4) come out
-exact rather than by finite differences.  The ``*_stack`` functions do the
-work for every row of a stack of position coefficients ``(..., n,
-order+1)`` in one pass; one unbatched ``(n, order+1)`` row gives the bits
-of row 0 of its stack.
+:func:`canonical_tractor_stack` returns the tractor values as columns ``(...,
+n+2, count)``; the connection preserves the metric, so their Gram matrix
+gives the pairings' parameter derivatives (alpha_1, delta_4) exactly, and one
+pass serves a stack's Gram data, pairing quantities and acceleration tractor
+(``GramStack.columns``).  The ``*_stack`` functions work on every row of a
+stack of position coefficients ``(..., n, order+1)`` in one pass; one
+unbatched ``(n, order+1)`` row gives the bits of row 0 of its stack.
 
 Index conventions follow :mod:`confcurves.multilinear`: slot 0 and slot
 ``n+1`` are the null pair, slots ``1..n`` the Euclidean block.  Quantity
@@ -50,14 +51,10 @@ __all__ = [
 CIRCLE_BAND = 1e-9
 
 
-def canonical_tractor_stack(coeffs, count):
-    """First ``count`` canonical tractors of every row of a position
-    coefficient stack ``(..., n, order+1)``: the ``i``-th (from 0) as a
-    coefficient array ``(..., n+2, order-i)``.
-
-    ``count`` is at least 2; ``count`` tractors consume position derivatives
-    through order ``count``.
-    """
+def _tractor_coeffs(coeffs, count):
+    """The canonical recurrence: the first ``count`` tractors of every row of
+    a position coefficient stack ``(..., n, order+1)``, the ``i``-th (from
+    0) as a coefficient array ``(..., n+2, order-i)``."""
     if count < 2:
         raise ValueError("count must be at least 2")
     coeffs = np.asarray(coeffs, dtype=float)
@@ -79,6 +76,12 @@ def canonical_tractor_stack(coeffs, count):
         wN = d[..., -1:, :] - _sum_rows(_stack_product(low[..., 1:-1, :], uk))[..., None, :]
         seq.append(np.concatenate([d[..., :1, :], wi, wN], axis=-2))
     return seq
+
+
+def canonical_tractor_stack(coeffs, count):
+    """Values ``(..., n+2, count)`` of the first ``count >= 2`` canonical
+    tractors of every row of a stack ``(..., n, order+1)``, order >= ``count``."""
+    return np.stack([t[..., 0] for t in _tractor_coeffs(coeffs, count)], axis=-1)
 
 
 @functools.cache
@@ -112,7 +115,8 @@ class GramStack(NamedTuple):
     tractors and ``kappa1`` (NaN where undefined) of every row of a position
     coefficient stack, over its leading axes; ``gram`` is the symmetric
     pairing matrix, and delta_4 also comes as a jet ``(..., k+1)``.
-    ``delta5`` is None below order 5, ``kappa1`` below order 6."""
+    ``delta5`` is None below order 5, ``kappa1`` below order 6.  ``columns``
+    holds the values ``(..., n+2, order)`` of ``T_0 .. T_{order-1}``."""
 
     delta3: np.ndarray
     delta4: np.ndarray
@@ -122,6 +126,7 @@ class GramStack(NamedTuple):
     kappa1: np.ndarray | None
     delta4_jet: np.ndarray
     gram: np.ndarray
+    columns: np.ndarray
 
     def gram_scale(self):
         """The largest ``|entry|`` of ``gram`` in each row."""
@@ -158,12 +163,11 @@ def gram_stack(coeffs) -> GramStack:
     """
     coeffs = np.asarray(coeffs, dtype=float)
     _speed_sq(coeffs, 4, "canonical tractor sequence")
-    trs = canonical_tractor_stack(coeffs, coeffs.shape[-1] - 1)
-    # the slot axis first, as tractor_metric_pair takes it
-    values = np.moveaxis(np.stack([t[..., 0] for t in trs], axis=-1), -2, 0)
+    columns = canonical_tractor_stack(coeffs, coeffs.shape[-1] - 1)
+    values = np.moveaxis(columns, -2, 0)  # the slot axis first, as tractor_metric_pair takes it
     full = tractor_metric_pair(values[..., :, None], values[..., None, :])
     gram = full[..., :5, :5]
-    k = len(trs) - 4
+    k = columns.shape[-1] - 4
     # the determinant is linear in each row: coefficient j sums the
     # determinants whose row r comes from G_{o_r}, over the orders o that
     # total j, added in table order as np.bincount adds them
@@ -180,6 +184,7 @@ def gram_stack(coeffs) -> GramStack:
         kappa1=_kappa1(delta4_jet, gram[..., 2, 2]) if k >= 2 else None,
         delta4_jet=delta4_jet,
         gram=gram,
+        columns=columns,
     )
 
 
@@ -232,8 +237,10 @@ def _parallel_minors(columns, X):
     ``exp(-rho(X))`` of the basis wedges, in :func:`q_keys` order: ``rho``
     is skew, so the columns move by ``exp(rho(X))``, ``(top, mid, bot) ->
     (top, mid + X top, bot - X.mid - |X|^2/2 top)``, and the minors of the
-    moved columns lowered by the metric (slots 0 and ``n+1`` swapped)."""
-    top, mid, bot = columns[..., :1, :], columns[..., 1:-1, :], columns[..., -1:, :]
+    moved columns lowered by the metric (slots 0 and ``n+1`` swapped); the
+    other columns' top slots are taken as 0, as ``T_0`` spans the top slot."""
+    top = np.zeros_like(columns[..., :1, :])
+    top[..., 0, 0], mid, bot = columns[..., 0, 0], columns[..., 1:-1, :], columns[..., -1:, :]
     bot = bot - _sum_rows(X[..., :, None] * mid)[..., None, :] - 0.5 * _dot(X, X)[..., None, None] * top
     pos, sign = _pairing_layout(X.shape[-1], columns.shape[-1])
     return minors(np.concatenate([bot, mid + X[..., :, None] * top, top], axis=-2))[..., pos] * sign
@@ -242,16 +249,13 @@ def _parallel_minors(columns, X):
 def _curve_pairings(coeffs, k, what):
     """The rank-``k`` pairing quantities of every row of a coefficient stack,
     order at least ``k - 1``, from its first ``k`` tractor values.  Only the
-    top slot of ``T_{k-1}`` reads coefficient ``k``, so a zero pads the rows;
-    ``T_0`` spans the top slot, so the others' top slots are set to 0, which
-    keeps the wedge and spares the minors their cancelling large terms."""
+    top slot of ``T_{k-1}`` reads coefficient ``k``, and the kernel takes it
+    as 0, so a zero pads the rows of order ``k - 1``."""
     coeffs = np.asarray(coeffs, dtype=float)
     _speed_sq(coeffs, k - 1, what)
-    rows = np.zeros(coeffs.shape[:-1] + (k + 1,))
-    rows[..., :k] = coeffs[..., :k]
-    columns = np.stack([t[..., 0] for t in canonical_tractor_stack(rows, k)], axis=-1)
-    columns[..., 0, 1:] = 0.0
-    return _parallel_minors(columns, coeffs[..., 0])
+    rows = np.zeros(coeffs.shape[:-1] + (max(k + 1, coeffs.shape[-1]),))
+    rows[..., : coeffs.shape[-1]] = coeffs
+    return _parallel_minors(canonical_tractor_stack(rows, k), coeffs[..., 0])
 
 
 def q_stack(coeffs):
@@ -278,9 +282,9 @@ def alpha1_stationary_stack(coeffs):
     coeffs = np.asarray(coeffs, dtype=float)
     _speed_sq(coeffs, 4, "alpha_1 constraint")
     # alpha_1' = 2 <T_2, T_3>, of the tractor values with the slot axis first
-    t2, t3 = (np.moveaxis(t[..., 0], -1, 0) for t in canonical_tractor_stack(coeffs, 4)[2:])
+    values = np.moveaxis(canonical_tractor_stack(coeffs, 4), -2, 0)
     derivs = derivatives(coeffs, coeffs.shape[-1])
-    derivs[4] = derivs[4] - tractor_metric_pair(t2, t3)[..., None] * derivs[1]
+    derivs[4] = derivs[4] - tractor_metric_pair(values[..., 2], values[..., 3])[..., None] * derivs[1]
     return coefficients(derivs)
 
 
@@ -306,7 +310,7 @@ def identity_residual_stack(coeffs) -> IdentityResiduals:
     # coefficient, so it is taken as zero
     rows = np.zeros(coeffs.shape[:-1] + (6,))
     rows[..., :5] = coeffs[..., :5]
-    t2, t4 = (t[..., 0] for t in canonical_tractor_stack(rows, 5)[2::2])
+    t2, t4 = np.moveaxis(canonical_tractor_stack(rows, 5)[..., 2::2], -1, 0)
     alpha1 = tractor_metric_pair(*[np.moveaxis(t2, -1, 0)] * 2)[..., None]
     slot = -(t4[..., 1:-1] + alpha1 * t2[..., 1:-1])
     # each derivative vector moves by i h times the next one
@@ -329,7 +333,7 @@ def parallel_defect(curve, t, steps, count=3):
         raise ValueError("h must be positive")
     rows = curve(np.append(np.column_stack([t + steps, t - steps]), t))
     # one recurrence over the sampled rows, then one wedge per row
-    stack = canonical_tractor_stack(rows, count)
-    wedges = np.array([wedge([c[row, :, 0] for c in stack]) for row in range(len(rows))])
+    columns = canonical_tractor_stack(rows, count)
+    wedges = np.array([wedge(row.T) for row in columns])
     deriv = (wedges[:-1:2] - wedges[1::2]) * (0.5 / steps)[:, None]
     return np.max(np.abs(deriv + rho_wedge(rows[-1, :, 1], wedges[-1], count)), axis=-1)

@@ -131,7 +131,7 @@ def row_sets(rng, count=9):
 def tractor_values(jet, count):
     """Values of the first ``count`` canonical tractors of one coefficient
     row, one ``(n+2)``-array each."""
-    return [t[..., 0] for t in canonical_tractor_stack(jet, count)]
+    return list(np.moveaxis(canonical_tractor_stack(jet, count), -1, 0))
 
 
 def identity_term_scale(jet):

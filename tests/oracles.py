@@ -23,7 +23,7 @@ from confcurves.curves import _speed_sq, derivatives
 from confcurves.jets import _dot, _recip, _stack_product, _sum_rows
 from confcurves.mercator import flow_vector_stack
 from confcurves.multilinear import index_tuples, minors, rho_wedge, wedge
-from confcurves.symmetries import _ckv_stack, e_stack, q_phase
+from confcurves.symmetries import e_stack, q_phase
 from confcurves.tractors import canonical_tractor_stack
 
 
@@ -106,7 +106,7 @@ def parallel_section_oracle(coeffs, rank=4):
     if rank not in (3, 4):
         raise ValueError("rank must be 3 or 4")
     _check_row(coeffs, rank, "parallel sections", "parallel_section_oracle")
-    tractors = [c[..., 0] for c in canonical_tractor_stack(coeffs, rank)]
+    tractors = list(np.moveaxis(canonical_tractor_stack(coeffs, rank), -1, 0))
     X = np.asarray(coeffs, dtype=float)[:, 0]
     n = X.size
     slots = list(itertools.combinations(range(n + 2), rank))
@@ -291,13 +291,28 @@ def accel_from_phase(y):
     return A, Ap
 
 
+def field_ckv_stack(field, c):
+    """The per-field body of ``symmetries._ckv_stack``: one field on every row
+    of position coefficients ``(..., n, m)``, its own ``|x|^2`` jet and its
+    own rotation matmul."""
+    s_dot_x = (field.S[:, None] * c).sum(axis=-2)
+    coeffs = (
+        field.R.T @ c
+        + field.a * c
+        + field.S[:, None] * _sum_rows(_stack_product(c, c))[..., None, :]
+        - 2.0 * _stack_product(c, s_dot_x[..., None, :])
+    )
+    coeffs[..., 0] += field.T
+    return coeffs
+
+
 def field_f_generic(field, coeffs):
     """The per-field body of ``f_generic_stack``: the Noether quantity of one
-    field at every row of a coefficient stack, ``w`` and ``C`` formed anew
-    for the field."""
+    field at every row of a coefficient stack, ``v``, ``w`` and ``C`` formed
+    anew for the field."""
     coeffs = np.asarray(coeffs, dtype=float)
     _speed_sq(coeffs, 4, "generic Noether quantity")
-    v = _ckv_stack(field, coeffs[..., :4])
+    v = field_ckv_stack(field, coeffs[..., :4])
     vp = v[..., 1:] * np.arange(1, 4)
     u = coeffs[..., 1:4] * np.arange(1, 4)
     w = _stack_product(u, _recip(_sum_rows(_stack_product(u, u)))[..., None, :])
@@ -326,7 +341,9 @@ def scalar_phase_points(rng, n, count):
         y = rng.uniform(-1.0, 1.0, 4 * n)
         if float(y[n : 2 * n] @ y[n : 2 * n]) >= 0.1:
             rows.append(y)
-    step = max(1, cli._RELATIONS_BUDGET // max(16, 16 * math.comb(n, 4)))
+    width = 16 * max(1, math.comb(n + 2, 4))
+    floor = cli._RELATIONS_ROWS if cli._RELATIONS_ROWS * width <= 8 * cli._RELATIONS_BUDGET else 1
+    step = max(floor, cli._RELATIONS_BUDGET // width)
     return [np.split(np.array(rows[s : s + step]), 4, axis=-1) for s in range(0, count, step)]
 
 

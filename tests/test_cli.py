@@ -581,10 +581,16 @@ class TestRelationChunks:
         assert (tmp_path / "chunked.json").read_bytes() == (tmp_path / "whole.json").read_bytes()
 
     def test_chunk_sizes(self):
+        # 2^20 / (16 C(n+2, 4)) samples a chunk, and at least 16 while 16
+        # samples fit in 2^23 elements (up to n = 29)
         rng = np.random.default_rng(0)
         for n in range(1, 9):
             assert [len(p[0]) for p in cli._random_phase_points(rng, n, 100)] == [100]
-        assert [len(p[0]) for p in cli._random_phase_points(rng, 24, 100)] == [6] * 16 + [4]
+        assert [len(p[0]) for p in cli._random_phase_points(rng, 4, 10000)] == [4369, 4369, 1262]
+        assert [len(p[0]) for p in cli._random_phase_points(rng, 16, 100)] == [21] * 4 + [16]
+        assert [len(p[0]) for p in cli._random_phase_points(rng, 24, 100)] == [16] * 6 + [4]
+        assert [len(p[0]) for p in cli._random_phase_points(rng, 28, 40)] == [16, 16, 8]
+        assert [len(p[0]) for p in cli._random_phase_points(rng, 30, 3)] == [1] * 3
 
 
 class TestBatchedOracles:
@@ -668,6 +674,40 @@ class TestParser:
         assert reports[1:] == reports[:-1]
 
 
+class TestOneTractorPass:
+    """Each ``verify`` suite and the quantity table run the canonical tractor
+    recurrence once over their sample stack, whose values serve the Gram
+    data, the pairing quantities, the acceleration tractor and the circle's
+    wedge scale; the circle runs it once more in ``parallel_defect``, over
+    the five times that it samples itself."""
+
+    @pytest.mark.parametrize(
+        "argv, passes",
+        [
+            (["verify", *SPIRAL_ARGS], [(21,)]),
+            (["verify", *CIRCLE_ARGS], [(21,), (5,)]),
+            (["verify", "--family", "tspiral", *SPIRAL_ARGS[2:], "--b", "0.1,0.05,-0.1"], [(21,)]),
+            (["verify", *SPIRAL_ARGS, "--samples", "5"], [(5,)]),
+            (["quantities", *SPIRAL_ARGS], [(21,)]),
+            (["quantities", *CIRCLE_ARGS, "--samples", "7", "--format", "json"], [(7,)]),
+            (["integrate", *SPIRAL_ARGS, "--t-end", "0.1", "--h", "1e-2", "--store-every", "1"], [(11,)]),
+        ],
+        ids=["spiral", "circle", "tspiral", "spiral-5", "quantities", "quantities-circle", "integrate"],
+    )
+    def test_one_pass_per_stack(self, tmp_path, monkeypatch, capsys, argv, passes):
+        seen = []
+        real = tractors.canonical_tractor_stack
+
+        def counted(coeffs, count):
+            seen.append(np.shape(coeffs)[:-2])
+            return real(coeffs, count)
+
+        monkeypatch.setattr(tractors, "canonical_tractor_stack", counted)
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        assert seen == passes
+
+
 class TestMemory:
     """Plain ``relations`` checks its samples a chunk at a time, and
     ``multilinear.minors`` holds one ``(rows, C(n, j))`` level of its
@@ -724,6 +764,22 @@ class TestMemory:
         else:
             assert code == 2 and capsys.readouterr().err == f"config error: {refusal}\n"
         assert peak <= 40e6
+
+    def test_small_dimension_chunks_count_every_key(self, tmp_path, monkeypatch, capsys):
+        # a chunk is sized by the C(n+2, 4) keys each sample holds (15 at
+        # n = 4), and the draws keep no third copy of the samples: 105 MB
+        # when chunks counted C(n, 4) keys and the draws were concatenated
+        # onto an empty array, about 53 MB now
+        monkeypatch.chdir(tmp_path)
+        tracemalloc.start()
+        try:
+            code = main(["relations", "--n", "4", "--samples", "200000", "--seed", "1", "--out", "r.json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert peak <= 60e6
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

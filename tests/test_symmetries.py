@@ -20,7 +20,7 @@ from confcurves import (
     three_d_reduction,
 )
 from confcurves.cli import main
-from confcurves.symmetries import _bivector_square, _momentum_bivector
+from confcurves.symmetries import _bivector_square, _ckv_stack, _momentum_bivector
 from confcurves.curves import DegenerateVelocityError
 from confcurves.tractors import q_keys, q_stack, quantity_family
 from conftest import (
@@ -38,7 +38,7 @@ from conftest import (
     three_d_functions,
 )
 from jet_oracle import JetScalar
-from oracles import ckv_eval, conformal_factor, epsilon, field_f_generic, hand_q_phase, hand_quantity_identities
+from oracles import ckv_eval, conformal_factor, epsilon, field_ckv_stack, field_f_generic, hand_q_phase, hand_quantity_identities
 
 
 def phase_basis(y):
@@ -166,9 +166,7 @@ class TestNoetherQuantities:
             for t in (-0.4, 0.3):
                 jet = circle.jet(float(t))
                 x = JetScalar(jet)
-                from confcurves.symmetries import _ckv_stack
-
-                v = JetScalar(_ckv_stack(field, x.coeffs[None])[0])
+                v = JetScalar(field_ckv_stack(field, x.coeffs))
                 u_jet = x.differentiate()
                 k = u_jet.order - 1
                 w = u_jet.truncated(k + 1) * u_jet.truncated(k + 1).norm_sq().recip()
@@ -532,6 +530,26 @@ class TestGenericStack:
                     assert abs(value - want) <= 1e-13 * (1.0 + abs(want))
         with pytest.raises(ValueError, match="through order 4"):
             f_generic_stack([KillingField(3, a=1.0)], np.ones((2, 3, 4)))
+
+    def test_one_lift_has_the_bits_of_one_lift_per_field(self, rng):
+        # fields with all four parts nonzero, on one leading axis, two, and
+        # one unbatched row: the shared |x|^2 jet, the one product with the
+        # stacked S.x jets and the one stacked rotation matmul repeat the
+        # per-field lift and quantity of tests/oracles.py bit for bit
+        for n in range(2, 9):
+            fields = []
+            for _ in range(4):
+                R = rng.uniform(-1.0, 1.0, (n, n))
+                fields.append(
+                    KillingField(n, T=rng.uniform(-1, 1, n), R=R - R.T, a=rng.uniform(0.5, 1.5), S=rng.uniform(-1, 1, n))
+                )
+            jets = np.stack([random_curve_jet(rng, n, levels=7) for _ in range(6)])
+            for coeffs in (jets, jets.reshape(2, 3, n, 7), jets[4]):
+                lifted, values = _ckv_stack(fields, coeffs[..., :4]), f_generic_stack(fields, coeffs)
+                assert lifted.shape == (4, *coeffs.shape[:-1], 4) and values.shape == (4, *coeffs.shape[:-2])
+                for field, lift, got in zip(fields, lifted, values):
+                    assert np.array_equal(lift, field_ckv_stack(field, coeffs[..., :4]))
+                    assert np.array_equal(got, field_f_generic(field, coeffs))
 
 
 def row_q_phase(p):

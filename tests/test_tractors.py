@@ -26,6 +26,8 @@ from confcurves.multilinear import index_tuples, minors, rho_wedge, tractor_metr
 from confcurves.tractors import (
     _gram_jet,
     _pairing_layout,
+    _parallel_minors,
+    _tractor_coeffs,
     canonical_tractor_stack,
     gram_stack,
     q_keys,
@@ -61,7 +63,7 @@ def straight_line_jet(n=3, order=4):
 
 def tractor_jets(jet, count):
     """The canonical tractors of one coefficient row as vector jets."""
-    return [JetScalar(c) for c in canonical_tractor_stack(jet, count)]
+    return [JetScalar(c) for c in _tractor_coeffs(jet, count)]
 
 
 def displayed_sequence(jet):
@@ -124,11 +126,14 @@ class TestCanonicalSequence:
             for count in range(2, 6):
                 for levels in (count + 1, 7):
                     jet = random_curve_jet(rng, n, levels=levels)
-                    got = canonical_tractor_stack(jet, count)
+                    got = _tractor_coeffs(jet, count)
                     want = operator_tractor_jets(jet, count)
                     assert len(got) == count
                     for g, w in zip(got, want):
                         assert np.array_equal(g, w.coeffs)
+                    # the public stack: the values, one column per tractor
+                    values = np.stack([w.value for w in want], axis=-1)
+                    assert np.array_equal(canonical_tractor_stack(jet, count), values)
 
     def test_straight_line(self):
         trs = tractor_values(straight_line_jet(), 3)
@@ -857,9 +862,9 @@ class TestStacks:
         for n in range(2, 9):
             jets = mixed_rows(rng, n)
             stack = canonical_tractor_stack(stack_of(jets), 5)
+            assert stack.shape == (len(jets), n + 2, 5)
             for i, jet in enumerate(jets):
-                for got, want in zip(stack, canonical_tractor_stack(jet, 5)):
-                    assert np.array_equal(got[i], want)
+                assert np.array_equal(stack[i], canonical_tractor_stack(jet, 5))
 
     def test_gram_delta4_and_kappa1_bit_identical(self, rng):
         undefined = 0
@@ -886,6 +891,16 @@ class TestStacks:
                 want = q_stack(jet)
                 scale = 1.0 + np.max(np.abs(want))
                 assert np.max(np.abs(row - want)) <= 1e-13 * scale
+
+    def test_gram_columns_give_the_pairing_quantities(self, rng):
+        # the one pass of verify and the quantity table: Q from gram_stack's
+        # columns is q_stack (and the rank-3 family q_circle_stack) bit for bit
+        for n in range(2, 9):
+            coeffs = stack_of(mixed_rows(rng, n))
+            g = gram_stack(coeffs)
+            assert g.columns.shape == (len(coeffs), n + 2, 6)
+            assert np.array_equal(_parallel_minors(g.columns[..., :4], coeffs[..., 0]), q_stack(coeffs))
+            assert np.array_equal(_parallel_minors(g.columns[..., :3], coeffs[..., 0]), q_circle_stack(coeffs))
 
     def test_row_at_the_velocity_floor_is_degenerate(self, rng):
         coeffs = stack_of(mixed_rows(rng, 3))
