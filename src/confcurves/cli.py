@@ -41,9 +41,11 @@ EXIT_DEGENERATE = 3
 OUTDIR_ENV = "CONFCURVES_OUTDIR"
 _TRACE_BUDGET = 1 << 20  # integrate's RK4 steps, and its stored rows times table columns
 _RELATIONS_CELLS = 1 << 21  # relations' samples times max(n, C(n, 4)), refused before any draw
-# float64 elements (8 MiB) of one plain relations chunk, 16 C(n+2, 4) per sample
+# float64 elements (8 MiB) of one plain relations chunk, 16 max(C(n+2, 4),
+# (n+2)^2) per sample
 _RELATIONS_BUDGET = 1 << 20
 _RELATIONS_ROWS = 16  # the fewest samples of a chunk, while they fit in 8 budgets
+_FORMAT_BLOCK = 4096  # trace values formatted by one "%" call
 
 # A circle's parallel defect at step h within PARALLEL_ROUNDOFF eps S / h of
 # zero (S the largest wedge entry) is round-off.  Over 9,000 random circles
@@ -432,10 +434,15 @@ def _quantity_table(ts, coeffs):
 def _write_table(path, columns, rows, fmt):
     # one "%.17g" (the bytes of format(x, ".17g")) per distinct float64 bit
     # pattern, as conserved columns repeat theirs; the int64 view keeps
-    # -0.0 apart from 0.0
+    # -0.0 apart from 0.0.  One "%" call formats a block of _FORMAT_BLOCK
+    # values, split at the commas that no formatted float holds
     bits = np.ascontiguousarray(rows, dtype=float).view(np.int64)
     bits, inverse = np.unique(bits, return_inverse=True)
-    text = np.array(["%.17g" % x for x in bits.view(float).tolist()], dtype=object)
+    values, text = bits.view(float).tolist(), []
+    for s in range(0, len(values), _FORMAT_BLOCK):
+        block = tuple(values[s : s + _FORMAT_BLOCK])
+        text += (",".join(["%.17g"] * len(block)) % block).split(",")
+    text = np.array(text, dtype=object)
     cells = text[inverse.reshape(rows.shape)].tolist()
     if fmt == "json":
         payload = {"columns": columns, "rows": cells}
@@ -532,15 +539,16 @@ def cmd_integrate(args):
 def _random_phase_points(rng, n, count):
     """``count`` uniform draws from ``[-1, 1]^{4n}`` with squared speed at
     least 0.1, drawn as many rows at a time as are missing, as components
-    ``(X, U, P, R)`` over chunks of ``_RELATIONS_BUDGET / (16 C(n+2, 4))``
-    rows, one entry per ``q_keys(n)`` key, and at least ``_RELATIONS_ROWS``,
+    ``(X, U, P, R)`` over chunks of ``_RELATIONS_BUDGET / (16 w)`` rows,
+    ``w`` the larger of the ``C(n+2, 4)`` pairing keys and the ``(n+2)^2``
+    momentum bivector entries of a row, and at least ``_RELATIONS_ROWS``,
     since a call's cost per row falls with its rows."""
     rows = np.empty((0, 4 * n))
     while len(rows) < count:
         y = rng.uniform(-1.0, 1.0, (count - len(rows), 4 * n))
         y = y[_dot(y[:, n : 2 * n], y[:, n : 2 * n]) >= 0.1]
         rows = np.concatenate([rows, y]) if len(rows) else y  # no third copy of the first draw
-    width = 16 * max(1, math.comb(n + 2, 4))
+    width = 16 * max(math.comb(n + 2, 4), (n + 2) ** 2)
     floor = _RELATIONS_ROWS if _RELATIONS_ROWS * width <= 8 * _RELATIONS_BUDGET else 1
     step = max(floor, _RELATIONS_BUDGET // width)
     return [np.split(rows[s : s + step], 4, axis=-1) for s in range(0, count, step)]

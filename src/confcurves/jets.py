@@ -43,7 +43,8 @@ def _constant(value, order):
 def _libm(f, x):
     """``f`` of every entry of a number or array ``x``, with libm's bits,
     which ``np.exp`` and its kin do not always give, and its errors."""
-    return np.vectorize(f, otypes=[float])(x)
+    x = np.asarray(x)
+    return np.array([f(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
 
 
 def _dot(a, b):
@@ -60,26 +61,30 @@ def _product_coefficient(a, b, j):
     of ``np.convolve(a, b)``: below the last coefficient, the dot of
     ``a[:j+1]`` and ``b[j::-1]`` it calls (:func:`_dot`); the last, its
     small-kernel sum of the terms in order from 0.0 (through 12
-    coefficients with numpy 2.4; round-off beyond)."""
+    coefficients with numpy 2.4; round-off beyond), the terms formed in one
+    broadcast product."""
     if j < a.shape[-1] - 1:
         return _dot(a[..., : j + 1], b[..., j::-1])
-    acc = 0.0
-    for p in range(j + 1):
-        acc = acc + a[..., p] * b[..., j - p]
-    return acc
+    terms = a[..., : j + 1] * b[..., j::-1]
+    return functools.reduce(np.add, (terms[..., p] for p in range(j + 1)), 0.0)
 
 
 def _stack_product(a, b):
     """Truncated Cauchy product of coefficient arrays batched (and
     broadcast) over leading axes, one :func:`_product_coefficient` per
     coefficient: each row has the bits of ``np.convolve(a, b)[:m]``."""
-    return np.stack([_product_coefficient(a, b, j) for j in range(a.shape[-1])], axis=-1)
+    m = a.shape[-1]
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (m,)
+    out = np.empty(shape, np.result_type(a, b, 0.0))
+    for j in range(m):
+        out[..., j] = _product_coefficient(a, b, j)
+    return out
 
 
 def _sum_rows(a):
     """Sum over the second-to-last axis, the rows added in order from the
     first: the inner product of two vectors' componentwise products."""
-    return functools.reduce(np.add, np.moveaxis(a, -2, 0))
+    return functools.reduce(np.add, (a[..., i, :] for i in range(a.shape[-2])))
 
 
 def _recip(a):

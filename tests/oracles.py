@@ -7,9 +7,11 @@ weighted minors (the oracles of ``q_stack``, ``q_circle_stack`` and
 pairing and the basis quantities (the oracle of ``quantity_identities``),
 the closed-form alpha_1 and delta_4 (the oracle of
 ``gram_stack``), the pointwise Killing field and its conformal factor, the
-inversion of the momentum definitions, and the per-item loops that the
+inversion of the momentum definitions, the per-item loops that the
 batched ``f_generic_stack``, ``cli._spread`` and the ``relations`` draws
-replaced.
+replaced, and the per-term last product coefficient and the
+full-recompute Taylor lift that ``jets._product_coefficient`` and
+``mercator.taylor_lift`` replaced.
 """
 
 import functools
@@ -341,7 +343,7 @@ def scalar_phase_points(rng, n, count):
         y = rng.uniform(-1.0, 1.0, 4 * n)
         if float(y[n : 2 * n] @ y[n : 2 * n]) >= 0.1:
             rows.append(y)
-    width = 16 * max(1, math.comb(n + 2, 4))
+    width = 16 * max(math.comb(n + 2, 4), (n + 2) ** 2)
     floor = cli._RELATIONS_ROWS if cli._RELATIONS_ROWS * width <= 8 * cli._RELATIONS_BUDGET else 1
     step = max(floor, cli._RELATIONS_BUDGET // width)
     return [np.split(np.array(rows[s : s + step]), 4, axis=-1) for s in range(0, count, step)]
@@ -358,3 +360,38 @@ def scalar_jet_identity_draws(rng, n, samples):
             derivs[1] = rng.uniform(-1, 1, n)
         draws.append(derivs)
     return np.swapaxes(draws, 0, 1)
+
+
+def loop_product_coefficient(a, b, j):
+    """The per-term body of ``jets._product_coefficient``: below the last
+    coefficient the same dot, the last one product and one sum per term,
+    added in order from 0.0."""
+    if j < a.shape[-1] - 1:
+        return _dot(a[..., : j + 1], b[..., j::-1])
+    acc = 0.0
+    for p in range(j + 1):
+        acc = acc + a[..., p] * b[..., j - p]
+    return acc
+
+
+def full_taylor_lift(states, order=6):
+    """The body of ``mercator.taylor_lift`` that recomputes all ``k+1``
+    coefficients of ``U.U``, ``U.R`` and ``R.R`` at step ``k``, with
+    :func:`loop_product_coefficient`, ``np.stack`` and ``np.moveaxis``."""
+    states = np.asarray(states, dtype=float)
+    n = states.shape[-1] // 4
+    c = np.zeros(states.shape + (order + 1,))
+    c[..., 0] = states
+    for k in range(order):
+        U, P, R = (c[..., i * n : (i + 1) * n, : k + 1] for i in (1, 2, 3))
+        a, b = np.stack([U, U, R], axis=-3), np.stack([U, R, R], axis=-3)
+        terms = np.stack([loop_product_coefficient(a, b, j) for j in range(k + 1)], axis=-1)
+        u2, UR, R2 = np.moveaxis(functools.reduce(np.add, np.moveaxis(terms, -2, 0)), -2, 0)
+        UR2, R2n = 0.0 + 2.0 * UR, 0.0 - R2
+        scalars = np.stack([u2, UR2, R2n, UR2], axis=-2)[..., None, :]
+        top = loop_product_coefficient(np.stack([R, U, U, R], axis=-3), scalars, k)
+        u2R, URU, R2U, URR = np.moveaxis(top, -2, 0)
+        c[..., :n, k + 1] = U[..., k] / (k + 1)
+        c[..., n : 2 * n, k + 1] = (u2R - URU) / (k + 1)
+        c[..., 3 * n :, k + 1] = (R2U + URR - P[..., k]) / (k + 1)
+    return c[..., :n, :]

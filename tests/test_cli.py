@@ -581,12 +581,14 @@ class TestRelationChunks:
         assert (tmp_path / "chunked.json").read_bytes() == (tmp_path / "whole.json").read_bytes()
 
     def test_chunk_sizes(self):
-        # 2^20 / (16 C(n+2, 4)) samples a chunk, and at least 16 while 16
-        # samples fit in 2^23 elements (up to n = 29)
+        # 2^20 / (16 max(C(n+2, 4), (n+2)^2)) samples a chunk, and at least
+        # 16 while 16 samples fit in 2^23 elements (up to n = 29); the
+        # (n+2)^2 bivector entries outweigh the C(n+2, 4) keys below n = 6
         rng = np.random.default_rng(0)
         for n in range(1, 9):
             assert [len(p[0]) for p in cli._random_phase_points(rng, n, 100)] == [100]
-        assert [len(p[0]) for p in cli._random_phase_points(rng, 4, 10000)] == [4369, 4369, 1262]
+        assert [len(p[0]) for p in cli._random_phase_points(rng, 2, 10000)] == [4096, 4096, 1808]
+        assert [len(p[0]) for p in cli._random_phase_points(rng, 4, 10000)] == [1820] * 5 + [900]
         assert [len(p[0]) for p in cli._random_phase_points(rng, 16, 100)] == [21] * 4 + [16]
         assert [len(p[0]) for p in cli._random_phase_points(rng, 24, 100)] == [16] * 6 + [4]
         assert [len(p[0]) for p in cli._random_phase_points(rng, 28, 40)] == [16, 16, 8]
@@ -780,6 +782,35 @@ class TestMemory:
         capsys.readouterr()
         assert code == 0
         assert peak <= 60e6
+
+    def test_two_dimensional_chunks_count_the_bivector(self, tmp_path, monkeypatch, capsys):
+        # at n = 2 a row holds one pairing key but the (n+2)^2 = 16 entries
+        # of the momentum bivector, which size its chunk: 52 MB traced when
+        # chunks counted the pairing keys alone
+        monkeypatch.chdir(tmp_path)
+        tracemalloc.start()
+        try:
+            code = main(["relations", "--n", "2", "--samples", "200000", "--seed", "1", "--out", "r.json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert peak <= 30e6
+
+
+@pytest.mark.parametrize("count", [4095, 4096, 4097, 9000])
+def test_write_table_blocks_keep_the_bytes_of_each_value(tmp_path, count):
+    # one "%" call formats up to 4096 distinct values; the cells are the
+    # bytes of one "%.17g" % x per value across the block edges
+    special = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -1e-310, 1.7e308,
+               -1.7e308]
+    rng = np.random.default_rng(count)
+    scaled = rng.normal(size=count - len(special)) * 10.0 ** rng.integers(-300, 300, count - len(special))
+    values = rng.permutation(np.concatenate([special, scaled]))
+    path = tmp_path / "t.csv"
+    cli._write_table(path, ["c0"], values[:, None], "csv")
+    assert path.read_bytes() == "".join(["c0\n", *("%.17g\n" % x for x in values.tolist())]).encode()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

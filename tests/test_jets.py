@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -6,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confcurves import JetDomainError
-from confcurves.jets import _exp, _recip, _sincos, _sqrt
+from confcurves.jets import _exp, _libm, _product_coefficient, _recip, _sincos, _sqrt, _stack_product, _sum_rows
 
-from conftest import random_spiral
+from conftest import assert_same_bits, random_spiral
 from jet_oracle import JetOrderError, JetScalar
+from oracles import loop_product_coefficient
 
 
 def jet_of_poly(coeffs, order):
@@ -245,6 +247,52 @@ class TestBatchedRecurrences:
         for batched in (_recip, _sqrt):
             with pytest.raises(JetDomainError):
                 batched(a)
+
+
+def signed_zero_draw(rng, shape):
+    """Uniform draws from ``[-1, 1]`` with about a third of the entries
+    ``0.0`` and a third ``-0.0``."""
+    a = rng.uniform(-1.0, 1.0, shape)
+    pick = rng.integers(0, 3, shape)
+    a[pick == 0], a[pick == 1] = 0.0, -0.0
+    return a
+
+
+class TestProductKernels:
+    """The last product coefficient from one broadcast product, the stack
+    product in a preallocated array and the row sum over index views keep
+    the bits of the per-term loop, ``np.stack`` and ``np.moveaxis``."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_products_match_the_per_term_loop(self, rng, n):
+        for order in range(1, 13):
+            m = order + 1
+            shapes = (((5, n, m), (5, n, m)), ((n, m), (n, m)), ((5, n, m), (5, 1, m)), ((5, 1, m), (5, n, m)))
+            for a_shape, b_shape in shapes:
+                a, b = signed_zero_draw(rng, a_shape), signed_zero_draw(rng, b_shape)
+                assert_same_bits(_product_coefficient(a, b, order), loop_product_coefficient(a, b, order))
+                want = np.stack([loop_product_coefficient(a, b, j) for j in range(m)], axis=-1)
+                got = _stack_product(a, b)
+                assert_same_bits(got, want)
+                assert_same_bits(_sum_rows(got), functools.reduce(np.add, np.moveaxis(want, -2, 0)))
+
+
+class TestLibm:
+    @pytest.mark.parametrize("shape", [(), (21,), (3, 7)])
+    def test_keeps_the_bits_and_shape_of_the_vectorized_call(self, rng, shape):
+        # constant terms up to 20 in size, where np.exp and math.exp
+        # disagree in a few percent of values
+        x = rng.uniform(-20.0, 20.0, shape)
+        for f in (math.exp, math.sin, math.cos):
+            got = _libm(f, x)
+            assert got.shape == shape and got.dtype == np.float64
+            assert_same_bits(got, np.vectorize(f, otypes=[float])(x))
+        assert_same_bits(_libm(math.exp, 0.5), np.array(math.exp(0.5)))
+
+    @pytest.mark.parametrize("x", [800.0, [0.0, 800.0], [[0.0], [800.0]]])
+    def test_overflow_raises(self, x):
+        with pytest.raises(OverflowError):
+            _libm(math.exp, np.array(x))
 
 
 class TestDifferentiate:

@@ -34,7 +34,7 @@ from conftest import (
     row_sets,
 )
 from jet_oracle import JetScalar
-from oracles import accel_from_phase
+from oracles import accel_from_phase, full_taylor_lift
 
 
 def straight_line_jet(n=2):
@@ -382,79 +382,83 @@ def first_nonfinite_stage(p0, h):
     return None
 
 
-# the kernel source of n = 2, the text that integrate runs
+# the kernel source of n = 2, the whole RK4 run that integrate calls
 KERNEL_N2 = """\
-def step(x0, x1, u0, u1, p0, p1, r0, r1, q0, q1, half, h, sixth):
-    uu = u0 * u0 + u1 * u1
-    ur = u0 * r0 + u1 * r1
-    rr = r0 * r0 + r1 * r1
-    if not (isfinite(uu) and isfinite(ur) and isfinite(rr)):
-        raise FloatingPointError('the flow leaves the float range')
-    if uu <= VELOCITY_FLOOR:
-        raise DegenerateVelocityError(f'squared speed {uu:.3e} below floor')
-    ur2, rrn = 2.0 * ur, -rr
-    du0_1 = uu * r0 - ur2 * u0
-    du1_1 = uu * r1 - ur2 * u1
-    dr0_1 = rrn * u0 + ur2 * r0 - p0
-    dr1_1 = rrn * u1 + ur2 * r1 - p1
-    u0_2 = u0 + half * du0_1
-    u1_2 = u1 + half * du1_1
-    r0_2 = r0 + half * dr0_1
-    r1_2 = r1 + half * dr1_1
-    uu = u0_2 * u0_2 + u1_2 * u1_2
-    ur = u0_2 * r0_2 + u1_2 * r1_2
-    rr = r0_2 * r0_2 + r1_2 * r1_2
-    if not (isfinite(uu) and isfinite(ur) and isfinite(rr)):
-        raise FloatingPointError('the flow leaves the float range')
-    if uu <= VELOCITY_FLOOR:
-        raise DegenerateVelocityError(f'squared speed {uu:.3e} below floor')
-    ur2, rrn = 2.0 * ur, -rr
-    du0_2 = uu * r0_2 - ur2 * u0_2
-    du1_2 = uu * r1_2 - ur2 * u1_2
-    dr0_2 = rrn * u0_2 + ur2 * r0_2 - q0
-    dr1_2 = rrn * u1_2 + ur2 * r1_2 - q1
-    u0_3 = u0 + half * du0_2
-    u1_3 = u1 + half * du1_2
-    r0_3 = r0 + half * dr0_2
-    r1_3 = r1 + half * dr1_2
-    uu = u0_3 * u0_3 + u1_3 * u1_3
-    ur = u0_3 * r0_3 + u1_3 * r1_3
-    rr = r0_3 * r0_3 + r1_3 * r1_3
-    if not (isfinite(uu) and isfinite(ur) and isfinite(rr)):
-        raise FloatingPointError('the flow leaves the float range')
-    if uu <= VELOCITY_FLOOR:
-        raise DegenerateVelocityError(f'squared speed {uu:.3e} below floor')
-    ur2, rrn = 2.0 * ur, -rr
-    du0_3 = uu * r0_3 - ur2 * u0_3
-    du1_3 = uu * r1_3 - ur2 * u1_3
-    dr0_3 = rrn * u0_3 + ur2 * r0_3 - q0
-    dr1_3 = rrn * u1_3 + ur2 * r1_3 - q1
-    u0_4 = u0 + h * du0_3
-    u1_4 = u1 + h * du1_3
-    r0_4 = r0 + h * dr0_3
-    r1_4 = r1 + h * dr1_3
-    uu = u0_4 * u0_4 + u1_4 * u1_4
-    ur = u0_4 * r0_4 + u1_4 * r1_4
-    rr = r0_4 * r0_4 + r1_4 * r1_4
-    if not (isfinite(uu) and isfinite(ur) and isfinite(rr)):
-        raise FloatingPointError('the flow leaves the float range')
-    if uu <= VELOCITY_FLOOR:
-        raise DegenerateVelocityError(f'squared speed {uu:.3e} below floor')
-    ur2, rrn = 2.0 * ur, -rr
-    du0_4 = uu * r0_4 - ur2 * u0_4
-    du1_4 = uu * r1_4 - ur2 * u1_4
-    dr0_4 = rrn * u0_4 + ur2 * r0_4 - q0
-    dr1_4 = rrn * u1_4 + ur2 * r1_4 - q1
-    return (
-        x0 + sixth * (u0 + 2.0 * u0_2 + 2.0 * u0_3 + u0_4),
-        x1 + sixth * (u1 + 2.0 * u1_2 + 2.0 * u1_3 + u1_4),
-        u0 + sixth * (du0_1 + 2.0 * du0_2 + 2.0 * du0_3 + du0_4),
-        u1 + sixth * (du1_1 + 2.0 * du1_2 + 2.0 * du1_3 + du1_4),
-        q0,
-        q1,
-        r0 + sixth * (dr0_1 + 2.0 * dr0_2 + 2.0 * dr0_3 + dr0_4),
-        r1 + sixth * (dr1_1 + 2.0 * dr1_2 + 2.0 * dr1_3 + dr1_4),
-    )
+def run(x0, x1, u0, u1, p0, p1, r0, r1, q0, q1, half, h, sixth, steps, store_every, store):
+    for k in range(steps):
+        uu = u0 * u0 + u1 * u1
+        ur = u0 * r0 + u1 * r1
+        rr = r0 * r0 + r1 * r1
+        if not (isfinite(uu) and isfinite(ur) and isfinite(rr)):
+            raise FloatingPointError('the flow leaves the float range')
+        if uu <= VELOCITY_FLOOR:
+            break
+        ur2, rrn = 2.0 * ur, -rr
+        du0_1 = uu * r0 - ur2 * u0
+        du1_1 = uu * r1 - ur2 * u1
+        dr0_1 = rrn * u0 + ur2 * r0 - p0
+        dr1_1 = rrn * u1 + ur2 * r1 - p1
+        u0_2 = u0 + half * du0_1
+        u1_2 = u1 + half * du1_1
+        r0_2 = r0 + half * dr0_1
+        r1_2 = r1 + half * dr1_1
+        uu = u0_2 * u0_2 + u1_2 * u1_2
+        ur = u0_2 * r0_2 + u1_2 * r1_2
+        rr = r0_2 * r0_2 + r1_2 * r1_2
+        if not (isfinite(uu) and isfinite(ur) and isfinite(rr)):
+            raise FloatingPointError('the flow leaves the float range')
+        if uu <= VELOCITY_FLOOR:
+            break
+        ur2, rrn = 2.0 * ur, -rr
+        du0_2 = uu * r0_2 - ur2 * u0_2
+        du1_2 = uu * r1_2 - ur2 * u1_2
+        dr0_2 = rrn * u0_2 + ur2 * r0_2 - q0
+        dr1_2 = rrn * u1_2 + ur2 * r1_2 - q1
+        u0_3 = u0 + half * du0_2
+        u1_3 = u1 + half * du1_2
+        r0_3 = r0 + half * dr0_2
+        r1_3 = r1 + half * dr1_2
+        uu = u0_3 * u0_3 + u1_3 * u1_3
+        ur = u0_3 * r0_3 + u1_3 * r1_3
+        rr = r0_3 * r0_3 + r1_3 * r1_3
+        if not (isfinite(uu) and isfinite(ur) and isfinite(rr)):
+            raise FloatingPointError('the flow leaves the float range')
+        if uu <= VELOCITY_FLOOR:
+            break
+        ur2, rrn = 2.0 * ur, -rr
+        du0_3 = uu * r0_3 - ur2 * u0_3
+        du1_3 = uu * r1_3 - ur2 * u1_3
+        dr0_3 = rrn * u0_3 + ur2 * r0_3 - q0
+        dr1_3 = rrn * u1_3 + ur2 * r1_3 - q1
+        u0_4 = u0 + h * du0_3
+        u1_4 = u1 + h * du1_3
+        r0_4 = r0 + h * dr0_3
+        r1_4 = r1 + h * dr1_3
+        uu = u0_4 * u0_4 + u1_4 * u1_4
+        ur = u0_4 * r0_4 + u1_4 * r1_4
+        rr = r0_4 * r0_4 + r1_4 * r1_4
+        if not (isfinite(uu) and isfinite(ur) and isfinite(rr)):
+            raise FloatingPointError('the flow leaves the float range')
+        if uu <= VELOCITY_FLOOR:
+            break
+        ur2, rrn = 2.0 * ur, -rr
+        du0_4 = uu * r0_4 - ur2 * u0_4
+        du1_4 = uu * r1_4 - ur2 * u1_4
+        dr0_4 = rrn * u0_4 + ur2 * r0_4 - q0
+        dr1_4 = rrn * u1_4 + ur2 * r1_4 - q1
+        x0 = x0 + sixth * (u0 + 2.0 * u0_2 + 2.0 * u0_3 + u0_4)
+        x1 = x1 + sixth * (u1 + 2.0 * u1_2 + 2.0 * u1_3 + u1_4)
+        u0 = u0 + sixth * (du0_1 + 2.0 * du0_2 + 2.0 * du0_3 + du0_4)
+        u1 = u1 + sixth * (du1_1 + 2.0 * du1_2 + 2.0 * du1_3 + du1_4)
+        r0 = r0 + sixth * (dr0_1 + 2.0 * dr0_2 + 2.0 * dr0_3 + dr0_4)
+        r1 = r1 + sixth * (dr1_1 + 2.0 * dr1_2 + 2.0 * dr1_3 + dr1_4)
+        p0 = q0
+        p1 = q1
+        if (k + 1) % store_every == 0 or k + 1 == steps:
+            store(((k + 1) * h, (x0, x1, u0, u1, p0, p1, r0, r1)))
+    else:
+        k = steps
+    return k, (x0, x1, u0, u1, p0, p1, r0, r1)
 """
 
 
@@ -809,6 +813,19 @@ class TestSolutionJet:
             assert batched.shape == (25, n, 7)
             for y, row in zip(states, batched):
                 assert np.array_equal(taylor_lift(y, 6), row)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_the_full_recompute(self, rng, n):
+        # a step sums only the inner-product coefficient that stops being
+        # the last and its new last one; the full recompute sums all k+1
+        states = np.array([random_phase_point(rng, n) for _ in range(6)])
+        pick = (np.arange(4 * n) + np.arange(6)[:, None]) % 3
+        states[3:][pick[3:] == 0], states[3:][pick[3:] == 1] = -0.0, 0.0
+        states[3:, n] = 1.0
+        for order in range(1, 13):
+            assert_same_bits(taylor_lift(states, order), full_taylor_lift(states, order))
+            for y in states[[0, 4]]:
+                assert_same_bits(taylor_lift(y, order), full_taylor_lift(y, order))
 
     def test_matches_jet_substitution(self, rng):
         for n in range(1, 9):
