@@ -34,13 +34,10 @@ X, U, P, R = np.split(traj.states, 4, axis=-1)
 closed = spiral.position(traj.ts)
 print(f"trajectory vs closed-form spiral over [0,1]: max error {np.max(np.abs(X - closed)):.2e}")
 
-# one row per stored state: H, the basis quantities (E_R above the
-# diagonal) and the pairing quantities
-e = e_stack(X, U, P, R)
-i, j = np.triu_indices(3, 1)
-rows = np.column_stack([
-    hamiltonian_stack(U, P, R), e.E_D, e.E_T, e.E_S, e.E_R[:, i, j], q_phase(X, U, P, R)
-])
+# one row per stored state: H, the basis quantities (the entries of the
+# momentum bivector above its diagonal) and the pairing quantities
+i, j = np.triu_indices(5, 1)
+rows = np.column_stack([hamiltonian_stack(U, P, R), e_stack(X, U, P, R)[:, i, j], q_phase(X, U, P, R)])
 drift = np.max(np.abs(rows - rows[0]), axis=0) / (1.0 + np.abs(rows[0]))
 print(f"max relative drift across H and all basis/pairing quantities: {np.max(drift):.2e}")
 

@@ -7,18 +7,19 @@ identity between the tractor route and the flow route.
 
 import numpy as np
 
+import itertools
+
 from confcurves import (
     alpha1_stationary_stack,
     coefficients,
     e_stack,
     hamiltonian_stack,
     identity_residual_stack,
-    involutivity_check,
+    poisson_bracket,
     q_phase,
     quantity_identities,
-    three_d_reduction,
 )
-from confcurves.symmetries import _bivector_square, _casimir, _momentum_bivector
+from confcurves.symmetries import _bivector_square, _casimir
 from confcurves.tractors import q_keys
 
 rng = np.random.default_rng(42)
@@ -36,12 +37,11 @@ print("the momentum bivector M of the basis quantities at one random point in")
 print("dimension 4, its square against the pairing quantities (s the key's")
 print("orientation, -1 on the ijkN keys), and its Casimir:")
 X, U, P, R = np.split(random_row(4), 4)
-e = e_stack(X, U, P, R)
-M = _momentum_bivector(e)
+M = e_stack(X, U, P, R)
 print(f"  M is {M.shape[0]} x {M.shape[1]}, max |M + M^T| = {np.max(np.abs(M + M.T)):.1e}")
-for key, q, square in list(zip(q_keys(4), q_phase(X, U, P, R), _bivector_square(e)))[::4]:
+for key, q, square in list(zip(q_keys(4), q_phase(X, U, P, R), _bivector_square(M)))[::4]:
     print(f"  Q{key} = {q:+.12f}   -s/4 (M^M){key} = {square:+.12f}")
-print(f"  H = {hamiltonian_stack(U, P, R):.12f}   -tr((M G)^2)/16 = {_casimir(e):.12f}")
+print(f"  H = {hamiltonian_stack(U, P, R):.12f}   -tr((M G)^2)/16 = {_casimir(M):.12f}")
 
 print()
 print("pairing quantities rewritten through the basis quantities")
@@ -52,14 +52,21 @@ for fam, rec in quantity_identities(*np.split(points, 4, axis=-1)).items():
 
 print()
 print("dimension-3 view of the momentum bivector at one random point:")
-red = three_d_reduction(e_stack(*np.split(random_row(3), 4)))
-print(f"  Q1 = {np.round(red.Q1, 6)}  Q2 = {red.Q2:.6f}  Q3 = {red.Q3:.6f}")
-print(f"  energy as the Casimir of the bivector: {red.H_from_E:.6f}")
+# keys (0,1,2,4), (0,1,3,4), (0,2,3,4), (0,1,2,3), (1,2,3,4): the 0ijN
+# family is an axial vector Q1, the other two are scalars
+M3 = e_stack(*np.split(random_row(3), 4))
+q = _bivector_square(M3)
+print(f"  Q1 = {np.round(q[[2, 1, 0]] * [1, -1, 1], 6)}  Q2 = {q[3]:.6f}  Q3 = {q[4]:.6f}")
+print(f"  energy as the Casimir of the bivector: {_casimir(M3):.6f}")
 
 print()
 print("five-element involutive set {E_T1, E_T2, E_T3, Q3, H}, by complex step:")
-table = involutivity_check(np.stack([random_row(3) for _ in range(20)]))
-print(f"  max |bracket| over all pairs and 20 points: {max(table.values()):.2e}")
+# E_T = P; each bracket is one complex-step call over all 20 points
+fns = [lambda X, U, P, R, i=i: P[..., i] for i in range(3)]
+fns += [lambda *p: _bivector_square(e_stack(*p))[..., 4], lambda X, U, P, R: hamiltonian_stack(U, P, R)]
+points = np.stack([random_row(3) for _ in range(20)])
+worst = max(np.max(np.abs(poisson_bracket(f, g, points))) for f, g in itertools.combinations(fns, 2))
+print(f"  max |bracket| over all pairs and 20 points: {worst:.2e}")
 
 print()
 print("tractor/flow reduction identity on jets with stationary alpha_1:")

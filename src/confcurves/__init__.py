@@ -24,15 +24,11 @@ from .mercator import (
 )
 from .multilinear import wedge
 from .symmetries import (
-    EQuantities,
     KillingField,
     e_stack,
     f_generic_stack,
-    involutivity_check,
-    noether_stack,
     q_phase,
     quantity_identities,
-    three_d_reduction,
 )
 from .tractors import (
     GramStack,

@@ -31,7 +31,7 @@ from .multilinear import minors, tractor_metric_pair, wedge
 from .curves import VELOCITY_FLOOR, DegenerateVelocityError, coefficients, derivatives
 from .jets import _dot
 from .mercator import FlowDegeneracyError
-from .tractors import _parallel_minors
+from .tractors import _parallel_minors, _tractor_bivector
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -254,7 +254,7 @@ def _verify_spiral(spiral, times, checks, fields):
     # is NaN, and a NaN measurement fails its check
     checks.add("kappa1_matches", np.max(np.abs(g.kappa1 + (c**2 - 1.0) / (2 * abs(c)))), 1e-8)
     checks.add("kappa1_constant", _spread(g.kappa1), 1e-8)
-    _verify_noether(coeffs, symmetries.noether_stack(*derivs), checks, fields)
+    _verify_noether(coeffs, _tractor_bivector(g.columns, derivs[0]), checks, fields)
     hs = mercator.hamiltonian_stack(derivs[1], *mercator.momenta_stack(*derivs[1:]))
     checks.add("hamiltonian_constant", _spread(hs), 1e-9)
     closed = np.stack(spiral.closed_derivatives(times), axis=1)
@@ -269,12 +269,13 @@ def _check_delta5(checks, g):
     checks.add("delta5_vanishes_rel", np.max(np.abs(g.delta5) / scale**5), 1e-6)
 
 
-def _verify_noether(coeffs, bases, checks, fields):
-    """Closed-form Noether values of random fields (paired with the rows'
-    ``noether_stack`` basis ``bases``) against one ``f_generic_stack`` call."""
+def _verify_noether(coeffs, M, checks, fields):
+    """The Noether values of random fields from the rows' momentum bivectors
+    ``M``, read off the canonical tractors (:func:`_tractor_bivector`),
+    against one ``f_generic_stack`` call on the defining expression."""
     worst_agree = worst_spread = 0.0
     for field, generic in zip(fields, symmetries.f_generic_stack(fields, coeffs)):
-        closed = field.pair(bases)
+        closed = field.pair(M)
         worst_agree = max(worst_agree, np.max(np.abs(closed - generic)) / (1.0 + np.max(np.abs(closed))))
         worst_spread = max(worst_spread, _spread(closed))
     checks.add("noether_generic_matches_closed", worst_agree, 1e-9)
@@ -304,7 +305,7 @@ def _verify_circle(circle, times, checks, fields):
     else:
         checks.add_range("t3_parallel_decay_order", math.log2(defects[0] / defects[1]), 1.6, 2.4)
     checks.add("circle_q_constant", _spread(_parallel_minors(g.columns[..., :3], derivs[0])), 1e-9)
-    _verify_noether(coeffs, symmetries.noether_stack(*derivs), checks, fields)
+    _verify_noether(coeffs, _tractor_bivector(g.columns, derivs[0]), checks, fields)
 
 
 def _verify_tspiral(tspiral, times, checks, fields):
@@ -314,6 +315,7 @@ def _verify_tspiral(tspiral, times, checks, fields):
     if tractors.is_conformal_circle(-(c**2), c**2 - 1.0):
         raise ConfigError("c: the fourth invariant vanishes, outside the spiral class")
     report = tspiral.conserved_report()
+    E_T = symmetries.basis_parts(report)[0]
     derivs = derivatives(coeffs, 4)
     Cs = mercator.flow_vector_stack(*derivs[1:])
     checks.add(
@@ -323,20 +325,20 @@ def _verify_tspiral(tspiral, times, checks, fields):
     )
     checks.add(
         "flow_vector_matches_report",
-        float(np.max(np.abs(Cs[0] + report.E_T))) / (1.0 + float(np.max(np.abs(report.E_T)))),
+        float(np.max(np.abs(Cs[0] + E_T))) / (1.0 + float(np.max(np.abs(E_T)))),
         1e-9,
     )
     g = tractors.gram_stack(coeffs)
     checks.add("delta4_matches_pitch", np.max(np.abs(g.delta4 + c**2)), 1e-8)
     _check_delta5(checks, g)
     checks.add("q_constant_along_curve", _spread(_parallel_minors(g.columns[..., :4], derivs[0])), 1e-8)
-    bases = symmetries.noether_stack(*derivs)
+    M = _tractor_bivector(g.columns, derivs[0])
     worst = 0.0
     for field in fields:
         reported = field.pair(report)
-        worst = max(worst, abs(field.pair(bases)[0] - reported) / (1.0 + abs(reported)))
+        worst = max(worst, abs(field.pair(M)[0] - reported) / (1.0 + abs(reported)))
     checks.add("noether_matches_report", worst, 1e-9)
-    _verify_noether(coeffs, bases, checks, fields)
+    _verify_noether(coeffs, M, checks, fields)
     hs = mercator.hamiltonian_stack(derivs[1], *mercator.momenta_stack(*derivs[1:]))
     checks.add("hamiltonian_constant", _spread(hs), 1e-9)
 
@@ -414,19 +416,21 @@ def _q_column(key, n):
 def _quantity_table(ts, coeffs):
     """The quantity trace of a position coefficient stack ``(rows, n,
     order+1)``, order at least 6, one row per time in ``ts``, every column
-    in one pass over the stack."""
+    in one pass over the stack: the ``E_*`` columns from the phase
+    variables (:func:`confcurves.symmetries.e_stack`), the ``F_*`` columns
+    from the canonical tractors (:func:`_tractor_bivector`)."""
     if coeffs.shape[-1] < 7:
         raise ValueError(f"the quantity table needs jets of order 6 or more, got {coeffs.shape[-1] - 1}")
     g = tractors.gram_stack(coeffs)
     X, U, A, Ap = derivatives(coeffs, 4)
     P, R = mercator.momenta_stack(U, A, Ap)
-    e = symmetries.e_stack(X, U, P, R)
-    f = symmetries.noether_stack(X, U, A, Ap)
+    E_T, E_R, E_D, E_S = symmetries.basis_parts(symmetries.e_stack(X, U, P, R))
+    F_T, F_R, F_D, F_S = symmetries.basis_parts(_tractor_bivector(g.columns, X))
     # the rotation pairs (i, j), i < j, in the order of the column names
     i, j = np.triu_indices(X.shape[-1], 1)
     return np.column_stack([
-        ts, X, mercator.hamiltonian_stack(U, P, R), e.E_D, e.E_T, e.E_R[:, i, j], e.E_S,
-        f.E_T, f.E_R[:, i, j], f.E_D, f.E_S, _parallel_minors(g.columns[..., :4], X),
+        ts, X, mercator.hamiltonian_stack(U, P, R), E_D, E_T, E_R[:, i, j], E_S,
+        F_T, F_R[:, i, j], F_D, F_S, _parallel_minors(g.columns[..., :4], X),
         g.delta3, g.delta4, g.delta5, g.alpha1, g.alpha2, g.kappa1,
     ])
 
@@ -729,6 +733,7 @@ def _apply_config(args, flags):
     args.tolerances = overrides
     for names, valid, need in (
         (("n", "samples", "store_every"), lambda v: v >= 1, "at least 1"),
+        (("seed",), lambda v: v >= 0, "at least 0"),
         (("c", "t0", "t1"), math.isfinite, "finite"),
         (("h", "t_end"), lambda v: 0 < v < math.inf, "positive and finite"),
     ):

@@ -19,7 +19,6 @@ import numpy as np
 
 from .curves import VELOCITY_FLOOR, DegenerateVelocityError
 from .jets import _constant, _dot, _exp, _libm, _recip, _sincos, _stack_product, _sum_rows
-from .symmetries import EQuantities
 
 __all__ = [
     "FamilyError",
@@ -240,11 +239,13 @@ class TransformedSpiral:
             raise FamilyError(f"transform denominator vanishes at t = {times[vanish[0]]}")
         return conformal_image(self.base.jet(times, order), self.b)
 
-    def conserved_report(self) -> EQuantities:
-        """Closed-form basis quantities along the image curve, for
-        comparison against the evaluations from its jets: the flow vector
-        gives the translation part, and the special conformal part does not
-        depend on the transform parameter."""
+    def conserved_report(self):
+        """The momentum bivector of the basis quantities along the image
+        curve in closed form, an ``(n+2, n+2)`` slot matrix as
+        :mod:`confcurves.symmetries` lays it out, for comparison against the
+        evaluations from its jets: the flow vector ``C = -E_T`` gives the
+        translation part, and the special conformal part does not depend on
+        the transform parameter."""
         s = self.base
         b = self.b
         c = s.c
@@ -262,13 +263,14 @@ class TransformedSpiral:
             - b2 * p2 * s.r0
             + (2 * c * pr * qb - 2 * c * qr * pb + (2 * rb - 1.0) * p2) * b
         )
-        # an antisymmetric generator R has the rotation quantity <R, M>,
-        # which is <R, M - M^T> / 2
-        M = (
+        E_D = -(1.0 - 2 * rb + (2 * c / p2) * (pb * qr - qb * pr))
+        Y = -c * qr / p2 * s.p0 + c * pr / p2 * s.q0 + s.r0
+        M = np.zeros((s.dim + 2, s.dim + 2))
+        M[0, 1:-1], M[1:-1, -1], M[0, -1] = -2.0 * Y, 2.0 * C, 2.0 * E_D
+        # 2 E_R = 2 (K - K^T) for the K below: an antisymmetric R pairs as <R, K> = <R, E_R> / 2
+        M[1:-1, 1:-1] = 2.0 * (
             c / p2 * np.outer(s.p0, s.q0)
             - 2.0 * np.outer(b, s.r0)
             + 2.0 * c / p2 * (pr * np.outer(s.q0, b) - qr * np.outer(s.p0, b))
         )
-        E_D = -(1.0 - 2 * rb + (2 * c / p2) * (pb * qr - qb * pr))
-        Y = -c * qr / p2 * s.p0 + c * pr / p2 * s.q0 + s.r0
-        return EQuantities(-C, M - M.T, E_D, 2.0 * Y)
+        return M - M.T

@@ -1,13 +1,17 @@
-"""Conformal Killing fields, their Noether quantities along the flow, the
-phase-space basis quantities, and the paper's relation between the two
-families of conserved quantities: the basis quantities form the momentum
-bivector ``M``, an antisymmetric slot matrix; the pairing quantities are
-``-1/4 M^M`` and the Hamiltonian is its Casimir.
+"""Conformal Killing fields, their Noether quantities along the flow, and
+the paper's relation between the two families of conserved quantities.
+
+The basis quantities have one format, the momentum bivector ``M``: an
+antisymmetric ``(..., n+2, n+2)`` slot matrix with ``M[0, i] = -E_S_i``,
+``M[i, n+1] = -2 E_T_i``, ``M[0, n+1] = 2 E_D`` and ``M[i, j] = 2 E_R_ij``,
+read back by :func:`basis_parts`.  :func:`e_stack` gives it from the phase
+variables, and :func:`confcurves.tractors._tractor_bivector` from the
+canonical tractors of the curve; a field's quantity is a pairing with it,
+the pairing quantities are ``-1/4 M^M`` and the Hamiltonian is its Casimir.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -15,20 +19,17 @@ import numpy as np
 
 from .curves import _speed_sq, derivatives
 from .jets import _dot, _recip, _stack_product, _sum_rows
-from .mercator import flow_vector_stack, hamiltonian_stack, poisson_bracket
+from .mercator import flow_vector_stack
 from .multilinear import index_tuples
 from .tractors import _pairing_layout, _parallel_minors
 
 __all__ = [
     "KillingField",
+    "basis_parts",
     "f_generic_stack",
-    "noether_stack",
-    "EQuantities",
     "e_stack",
     "q_phase",
     "quantity_identities",
-    "three_d_reduction",
-    "involutivity_check",
 ]
 
 
@@ -63,16 +64,23 @@ class KillingField:
         object.__setattr__(self, "R", skew)
         object.__setattr__(self, "a", float(self.a))
 
-    def pair(self, basis: EQuantities):
-        """The quantity of this field from the basis quantities:
-        ``T.E_T + <R, E_R>/2 + a E_D + S.E_S``; an array over the leading
-        axes of stacked ones (:func:`noether_stack`, :func:`e_stack`)."""
+    def pair(self, M):
+        """The quantity of this field from the momentum bivector ``M`` of the
+        basis quantities, ``T.E_T + <R, E_R>/2 + a E_D + S.E_S``; an array
+        over the leading axes of ``M``."""
+        E_T, E_R, E_D, E_S = basis_parts(M)
         return (
-            _dot(self.T, basis.E_T)
-            + 0.5 * np.sum(self.R * basis.E_R, axis=(-2, -1))
-            + self.a * basis.E_D
-            + _dot(self.S, basis.E_S)
+            _dot(self.T, E_T)
+            + 0.5 * np.sum(self.R * E_R, axis=(-2, -1))
+            + self.a * E_D
+            + _dot(self.S, E_S)
         )
+
+
+def basis_parts(M):
+    """The basis quantities ``(E_T, E_R, E_D, E_S)`` read off momentum
+    bivectors ``M`` ``(..., n+2, n+2)``, ``E_R`` an antisymmetric matrix."""
+    return -0.5 * M[..., 1:-1, -1], 0.5 * M[..., 1:-1, 1:-1], 0.5 * M[..., 0, -1], -M[..., 0, 1:-1]
 
 
 def _ckv_stack(fields, c):
@@ -100,8 +108,8 @@ def f_generic_stack(fields, coeffs):
     every row of a position coefficient stack ``(..., n, order+1)``, order
     at least 4, from the defining expression ``d/ds <w, v'> + <w', v'> -
     <C, v>`` (``w = u / |u|^2``, ``C`` the flow vector, both formed once),
-    independent of :func:`noether_stack`.  Only coefficients 0-2 of ``v'``
-    and ``w`` enter, formed by the stack kernels in jet operand order."""
+    independent of the momentum bivector routes.  Only coefficients 0-2 of
+    ``v'`` and ``w`` enter, formed by the stack kernels in jet operand order."""
     coeffs = np.asarray(coeffs, dtype=float)
     _speed_sq(coeffs, 4, "generic Noether quantity")
     v = _ckv_stack(fields, coeffs[..., :4])
@@ -118,45 +126,20 @@ def _outer(a, b):
     return a[..., :, None] * b[..., None, :]
 
 
-def noether_stack(X, U, A, Ap) -> EQuantities:
-    """The basis quantities in closed form in the curve data ``(X, U, A)``
-    and the flow vector ``C`` over leading batch axes of ``(..., n)``
-    derivative vectors, independent of :func:`e_stack`."""
-    C = flow_vector_stack(U, A, Ap)
-    u2, UA, CX, UX, AX, XX = (
-        _dot(a, b)[..., None] for a, b in ((U, U), (U, A), (C, X), (U, X), (A, X), (X, X))
-    )
-    F_R = (_outer(U, A) - _outer(A, U)) / u2[..., None] + (_outer(C, X) - _outer(X, C))
-    F_D = -(UA / u2 + CX)[..., 0]
-    Y = UX / u2 * A - (1.0 + AX / u2) * U + (UA / u2 + CX) * X - 0.5 * XX * C
-    return EQuantities(-C, F_R, F_D, 2.0 * Y)
-
-
-@dataclass(frozen=True, eq=False)
-class EQuantities:
-    """The (n+1)(n+2)/2 basis quantities: one vector for translations, an
-    antisymmetric matrix for rotations, a scalar for the dilatation, and one
-    vector for the special conformal generators.  They come from the phase
-    variables (:func:`e_stack`) or the curve data (:func:`noether_stack`),
-    both with leading batch axes, or from a family's closed form;
-    :meth:`KillingField.pair` gives a field's quantity from them."""
-
-    E_T: np.ndarray
-    E_R: np.ndarray
-    E_D: float
-    E_S: np.ndarray
-
-
-def e_stack(X, U, P, R) -> EQuantities:
-    """The basis quantities from the phase variables over leading batch
-    axes of ``(..., n)`` phase components; ``E_D`` is an array."""
+def e_stack(X, U, P, R):
+    """The momentum bivector ``M`` ``(..., n+2, n+2)`` from the phase
+    variables over leading batch axes of ``(..., n)`` phase components, in
+    their dtype."""
     XP, UR, XX, XU, XR = (
         _dot(a, b)[..., None] for a, b in ((X, P), (U, R), (X, X), (X, U), (X, R))
     )
-    E_R = _outer(X, P) - _outer(P, X) + _outer(U, R) - _outer(R, U)
     E_D = XP + UR
-    E_S = XX * P + 2.0 * XU * R - 2.0 * E_D * X - 2.0 * (1.0 + XR) * U
-    return EQuantities(P.copy(), E_R, E_D[..., 0], E_S)
+    n = X.shape[-1]
+    M = np.zeros(X.shape[:-1] + (n + 2, n + 2), np.result_type(X, U, P, R))
+    M[..., 0, 1:-1] = -(XX * P + 2.0 * XU * R - 2.0 * E_D * X - 2.0 * (1.0 + XR) * U)
+    M[..., 1:-1, -1], M[..., 0, -1] = -2.0 * P, 2.0 * E_D[..., 0]
+    M[..., 1:-1, 1:-1] = _outer(X, P) - _outer(P, X) + _outer(U, R) - _outer(R, U)
+    return M - np.swapaxes(M, -1, -2)
 
 
 def q_phase(X, U, P, R):
@@ -173,34 +156,21 @@ def q_phase(X, U, P, R):
     return _parallel_minors(columns, X)
 
 
-def _momentum_bivector(e: EQuantities):
-    """The basis quantities as one antisymmetric ``(..., n+2, n+2)`` slot
-    matrix ``M`` in their dtype: ``M[0, i] = -E_S_i``, ``M[i, n+1] = -2
-    E_T_i``, ``M[0, n+1] = 2 E_D`` and ``M[i, j] = 2 E_R_ij``."""
-    n = e.E_T.shape[-1]
-    M = np.zeros(e.E_T.shape[:-1] + (n + 2, n + 2), np.result_type(e.E_T, e.E_R, e.E_D, e.E_S))
-    M[..., 0, 1:-1], M[..., 1:-1, -1], M[..., 0, -1] = -e.E_S, -2.0 * e.E_T, 2.0 * e.E_D
-    M[..., 1:-1, 1:-1] = e.E_R
-    return M - np.swapaxes(M, -1, -2)
-
-
-def _bivector_square(e: EQuantities):
+def _bivector_square(M):
     """The pairing quantities ``-1/4 M^M`` of the momentum bivector: ``-1/4
     (M_ab M_cd - M_ac M_bd + M_ad M_bc)`` over the 4-tuples ``(a, b, c,
     d)``, gathered at the keys of :func:`confcurves.tractors.q_keys` with
     their orientations, an array ``(..., keys)``."""
-    M = _momentum_bivector(e)
     pos, sign = _pairing_layout(M.shape[-1] - 2, 4)
     a, b, c, d = index_tuples(M.shape[-1], 4).T
     square = M[..., a, b] * M[..., c, d] - M[..., a, c] * M[..., b, d] + M[..., a, d] * M[..., b, c]
     return -0.25 * sign * square[..., pos]
 
 
-def _casimir(e: EQuantities):
+def _casimir(M):
     """The Hamiltonian as the Casimir ``-tr((M G)^2) / 16 = sum M_ab M_a'b'
     / 16`` of the momentum bivector, ``G`` the slot swap ``a -> a'`` of
     slots 0 and ``n+1``."""
-    M = _momentum_bivector(e)
     swap = np.r_[M.shape[-1] - 1, 1 : M.shape[-1] - 1, 0]
     return np.sum(M * M[..., swap[:, None], swap], axis=(-2, -1)) / 16.0
 
@@ -222,46 +192,3 @@ def quantity_identities(X, U, P, R):
         scale = np.max(np.abs(np.concatenate([lhs, rhs], axis=-1)), axis=-1, initial=0.0)
         report[family] = {"residual": resid, "scale": scale}
     return report
-
-
-@dataclass(frozen=True, eq=False)
-class ThreeDReduction:
-    Q1: np.ndarray
-    Q2: np.ndarray
-    Q3: np.ndarray
-    H_from_E: np.ndarray
-
-
-def three_d_reduction(e: EQuantities) -> ThreeDReduction:
-    """Dimension-three view of the momentum bivector of the basis quantities
-    ``e`` over their leading axes: the pairing quantities of
-    :func:`_bivector_square`, ``0ijN`` as an axial vector and ``0ijk`` and
-    ``ijkN`` as scalars, and the Hamiltonian as its Casimir."""
-    if e.E_T.shape[-1] != 3:
-        raise ValueError("reduction requires dimension 3")
-    # keys (0,1,2,4), (0,1,3,4), (0,2,3,4), (0,1,2,3), (1,2,3,4)
-    q = _bivector_square(e)
-    return ThreeDReduction(q[..., (2, 1, 0)] * np.array([1.0, -1.0, 1.0]), q[..., 3], q[..., 4], _casimir(e))
-
-
-def involutivity_check(y):
-    """Pairwise brackets among the five-element involutive set (the three
-    translation quantities, the mixed rank-3 scalar, and the Hamiltonian)
-    over the 3-d phase rows of ``y``, ``(..., 12)``; returns the max
-    |bracket| per pair.
-
-    Each pair is one :func:`confcurves.mercator.poisson_bracket` call, a
-    complex step through :func:`e_stack`, :func:`three_d_reduction` and
-    :func:`confcurves.mercator.hamiltonian_stack`, none of which casts to
-    float; ``Q_3`` through :func:`q_phase`, whose determinants do, would
-    read 0."""
-    if np.shape(y)[-1] != 12:
-        raise ValueError("involutivity table requires dimension 3")
-
-    fns = {f"E_T{i + 1}": lambda X, U, P, R, i=i: P[..., i] for i in range(3)}
-    fns["Q_3"] = lambda X, U, P, R: three_d_reduction(e_stack(X, U, P, R)).Q3
-    fns["H"] = lambda X, U, P, R: hamiltonian_stack(U, P, R)
-    return {
-        (a, b): float(np.max(np.abs(poisson_bracket(fns[a], fns[b], y))))
-        for a, b in itertools.combinations(fns, 2)
-    }

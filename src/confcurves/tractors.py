@@ -6,10 +6,14 @@ top null slot and repeatedly applies the connection ``d/dt + rho(velocity)``.
 :func:`canonical_tractor_stack` returns the tractor values as columns ``(...,
 n+2, count)``; the connection preserves the metric, so their Gram matrix
 gives the pairings' parameter derivatives (alpha_1, delta_4) exactly, and one
-pass serves a stack's Gram data, pairing quantities and acceleration tractor
-(``GramStack.columns``).  The ``*_stack`` functions work on every row of a
-stack of position coefficients ``(..., n, order+1)`` in one pass; one
-unbatched ``(n, order+1)`` row gives the bits of row 0 of its stack.
+pass serves a stack's Gram data, acceleration tractor and conserved
+quantities (``GramStack.columns``).  In the parallel frame the first four
+tractors give both curve-side families of conserved quantities: the pairing
+quantities are the minors of their wedge, and the basis (Noether)
+quantities form the momentum bivector of :func:`_tractor_bivector`.  The
+``*_stack`` functions work on every row of a stack of position coefficients
+``(..., n, order+1)`` in one pass; one unbatched ``(n, order+1)`` row gives
+the bits of row 0 of its stack.
 
 Index conventions follow :mod:`confcurves.multilinear`: slot 0 and slot
 ``n+1`` are the null pair, slots ``1..n`` the Euclidean block.  Quantity
@@ -231,19 +235,43 @@ def _pairing_layout(n, k):
     return pos, sign
 
 
-def _parallel_minors(columns, X):
-    """The pairings of the wedge of ``k`` tractor columns ``(..., n+2, k)`` at
-    the position ``X`` ``(..., n)`` with the parallel sections
-    ``exp(-rho(X))`` of the basis wedges, in :func:`q_keys` order: ``rho``
-    is skew, so the columns move by ``exp(rho(X))``, ``(top, mid, bot) ->
-    (top, mid + X top, bot - X.mid - |X|^2/2 top)``, and the minors of the
-    moved columns lowered by the metric (slots 0 and ``n+1`` swapped); the
-    other columns' top slots are taken as 0, as ``T_0`` spans the top slot."""
+def _parallel_frame(columns, X):
+    """Tractor columns ``(..., n+2, k)`` at the position ``X`` ``(..., n)``
+    moved to the parallel frame and lowered by the metric, the top slots of
+    all but the first column ``T_0`` taken as 0 (they cancel in a wedge with
+    ``T_0``): ``rho`` is skew, so the parallel sections ``exp(-rho(X))`` of
+    the basis pair with the columns moved by ``exp(rho(X))``, ``(top, mid,
+    bot) -> (top, mid + X top, bot - X.mid - |X|^2/2 top)``, and lowering
+    swaps slots 0 and ``n+1``."""
     top = np.zeros_like(columns[..., :1, :])
     top[..., 0, 0], mid, bot = columns[..., 0, 0], columns[..., 1:-1, :], columns[..., -1:, :]
     bot = bot - _sum_rows(X[..., :, None] * mid)[..., None, :] - 0.5 * _dot(X, X)[..., None, None] * top
+    return np.concatenate([bot, mid + X[..., :, None] * top, top], axis=-2)
+
+
+def _parallel_minors(columns, X):
+    """The pairings of the wedge of ``k`` tractor columns ``(..., n+2, k)`` at
+    ``X`` with the parallel sections of the basis wedges, in :func:`q_keys`
+    order: the minors of the :func:`_parallel_frame` columns."""
     pos, sign = _pairing_layout(X.shape[-1], columns.shape[-1])
-    return minors(np.concatenate([bot, mid + X[..., :, None] * top, top], axis=-2))[..., pos] * sign
+    return minors(_parallel_frame(columns, X))[..., pos] * sign
+
+
+def _tractor_bivector(columns, X):
+    """The momentum bivector ``M = 2 (T_1^T_2 - T_0^(T_3 + alpha_1 T_1))``,
+    an antisymmetric ``(..., n+2, n+2)`` slot matrix, from the values
+    ``(..., n+2, >= 4)`` of the canonical tractors at the position ``X``.
+    The top slot of ``T_k`` is ``u tau_k T_0``, so ``M = 2 (T_1'^T_2' -
+    T_0^W)`` with ``T_k'`` the :func:`_parallel_frame` columns and ``W =
+    T_3' + (|T_2 mid|^2 - u tau_2) T_1' - u tau_1 T_2'`` (``T_2``'s bottom
+    slot is ``-u``): moved with the frame, the top slots, of order
+    ``u^{-2k-1}``, would cancel in the wedges only to ``eps / u^2``."""
+    t0, t1, t2, t3 = np.moveaxis(_parallel_frame(columns[..., :4], X), -1, 0)
+    u_tau1, u_tau2 = np.moveaxis(columns[..., 0, 1:3] / columns[..., 0, :1], -1, 0)
+    beta = _dot(columns[..., 1:-1, 2], columns[..., 1:-1, 2]) - u_tau2  # alpha_1 + u tau_2
+    w = t3 + beta[..., None] * t1 - u_tau1[..., None] * t2
+    M = t1[..., :, None] * t2[..., None, :] - t0[..., :, None] * w[..., None, :]
+    return 2.0 * (M - np.swapaxes(M, -1, -2))
 
 
 def _curve_pairings(coeffs, k, what):

@@ -12,9 +12,9 @@ from confcurves import (
     derivatives,
     e_stack,
     hamiltonian_stack,
-    three_d_reduction,
 )
-from confcurves.tractors import canonical_tractor_stack, q_keys
+from confcurves.symmetries import _bivector_square, basis_parts
+from confcurves.tractors import _tractor_bivector, canonical_tractor_stack, q_keys
 
 
 def random_curve_jet(rng, n, levels=5, min_u2=0.1):
@@ -40,24 +40,47 @@ def energy(X, U, P, R):
     return hamiltonian_stack(U, P, R)
 
 
+def tractor_basis(coeffs):
+    """The momentum bivector of every row of a coefficient stack ``(..., n,
+    order+1)``, order at least 3, by the package's tractor route.  The route
+    does not read the top slot of ``T_3``, the one value of coefficient 4, so
+    a zero pads rows of order 3."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    rows = np.zeros(coeffs.shape[:-1] + (max(5, coeffs.shape[-1]),))
+    rows[..., : coeffs.shape[-1]] = coeffs
+    return _tractor_bivector(canonical_tractor_stack(rows, 4), coeffs[..., 0])
+
+
+def three_d_view(M):
+    """The dimension-three view of momentum bivectors ``(..., 5, 5)``: the
+    pairing quantities ``-1/4 M^M`` as the axial vector ``Q1`` of the
+    ``0ijN`` keys and the scalars ``Q2`` (``0123``) and ``Q3`` (``1234``)."""
+    # keys (0,1,2,4), (0,1,3,4), (0,2,3,4), (0,1,2,3), (1,2,3,4)
+    q = _bivector_square(M)
+    return q[..., (2, 1, 0)] * np.array([1.0, -1.0, 1.0]), q[..., 3], q[..., 4]
+
+
 def three_d_functions():
     """The fifteen conserved quantities of a 3-d phase point by name, as
     phase functions ``(X, U, P, R)`` over batch axes: the five reduced
-    pairing quantities of ``three_d_reduction`` and the ten basis
-    quantities of ``e_stack``."""
+    pairing quantities of :func:`three_d_view` and the ten basis quantities
+    read off ``e_stack``'s momentum bivector."""
 
     def reduced(*y):
-        return three_d_reduction(e_stack(*y))
+        return three_d_view(e_stack(*y))
 
-    fns = {f"Q1_{i}": lambda *y, i=i: reduced(*y).Q1[..., i] for i in range(3)}
-    fns["Q2"] = lambda *y: reduced(*y).Q2
-    fns["Q3"] = lambda *y: reduced(*y).Q3
+    def basis(*y):
+        return basis_parts(e_stack(*y))
+
+    fns = {f"Q1_{i}": lambda *y, i=i: reduced(*y)[0][..., i] for i in range(3)}
+    fns["Q2"] = lambda *y: reduced(*y)[1]
+    fns["Q3"] = lambda *y: reduced(*y)[2]
     for i in range(3):
-        fns[f"E_T{i}"] = lambda *y, i=i: e_stack(*y).E_T[..., i]
-        fns[f"E_S{i}"] = lambda *y, i=i: e_stack(*y).E_S[..., i]
+        fns[f"E_T{i}"] = lambda *y, i=i: basis(*y)[0][..., i]
+        fns[f"E_S{i}"] = lambda *y, i=i: basis(*y)[3][..., i]
     for i, j in itertools.combinations(range(3), 2):
-        fns[f"E_R{i}{j}"] = lambda *y, i=i, j=j: e_stack(*y).E_R[..., i, j]
-    fns["E_D"] = lambda *y: e_stack(*y).E_D
+        fns[f"E_R{i}{j}"] = lambda *y, i=i, j=j: basis(*y)[1][..., i, j]
+    fns["E_D"] = lambda *y: basis(*y)[2]
     return fns
 
 

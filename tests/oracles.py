@@ -6,7 +6,9 @@ weighted minors (the oracles of ``q_stack``, ``q_circle_stack`` and
 ``q_phase``), the hand-expanded sides of the identities between the
 pairing and the basis quantities (the oracle of ``quantity_identities``),
 the closed-form alpha_1 and delta_4 (the oracle of
-``gram_stack``), the pointwise Killing field and its conformal factor, the
+``gram_stack``), the closed-form basis quantities of the curve data (the
+oracle of ``tractors._tractor_bivector``), the five-element involutive set
+of a 3-d phase point, the pointwise Killing field and its conformal factor, the
 inversion of the momentum definitions, the per-item loops that the
 batched ``f_generic_stack``, ``cli._spread`` and the ``relations`` draws
 replaced, and the per-term last product coefficient and the
@@ -23,9 +25,9 @@ import numpy as np
 from confcurves import cli
 from confcurves.curves import _speed_sq, derivatives
 from confcurves.jets import _dot, _recip, _stack_product, _sum_rows
-from confcurves.mercator import flow_vector_stack
+from confcurves.mercator import flow_vector_stack, hamiltonian_stack, poisson_bracket
 from confcurves.multilinear import index_tuples, minors, rho_wedge, wedge
-from confcurves.symmetries import e_stack, q_phase
+from confcurves.symmetries import _bivector_square, basis_parts, e_stack, q_phase
 from confcurves.tractors import canonical_tractor_stack
 
 
@@ -195,8 +197,8 @@ def hand_quantity_identities(X, U, P, R):
     ``symmetries._bivector_square``, which reads them all off one square of
     the momentum bivector."""
     n = X.shape[-1]
-    e = e_stack(X, U, P, R)
-    E_T, E_R, E_S, E_D = e.E_T, e.E_R, e.E_S, e.E_D[..., None]
+    E_T, E_R, E_D, E_S = basis_parts(e_stack(X, U, P, R))
+    E_D = E_D[..., None]
     sizes = np.cumsum([math.comb(n, 2), math.comb(n, 3), math.comb(n, 3)])
     q2, q3, q3N, q4 = np.split(q_phase(X, U, P, R), sizes, axis=-1)
     (i, j), (a, b, c), (w, x, y, z) = (tuple(index_tuples(n, k).T) for k in (2, 3, 4))
@@ -216,6 +218,48 @@ def hand_quantity_identities(X, U, P, R):
         "0ijk": (q3, 0.5 * split3(E_S)),
         "ijkN": (q3N, -split3(E_T)),
         "ijkl": (E_D * q4, 0.5 * split4),
+    }
+
+
+def _outer(a, b):
+    return a[..., :, None] * b[..., None, :]
+
+
+def noether_stack(X, U, A, Ap):
+    """The momentum bivector in closed form in the curve data ``(X, U, A)``
+    and the flow vector ``C`` over leading batch axes of ``(..., n)``
+    derivative vectors: the oracle of the tractor route
+    ``tractors._tractor_bivector``, independent of it and of ``e_stack``.
+    The slot matrix holds ``M[0, i] = -E_S_i``, ``M[i, n+1] = -2 E_T_i``,
+    ``M[0, n+1] = 2 E_D`` and ``M[i, j] = 2 E_R_ij``."""
+    C = flow_vector_stack(U, A, Ap)
+    u2, UA, CX, UX, AX, XX = (
+        _dot(a, b)[..., None] for a, b in ((U, U), (U, A), (C, X), (U, X), (A, X), (X, X))
+    )
+    Y = UX / u2 * A - (1.0 + AX / u2) * U + (UA / u2 + CX) * X - 0.5 * XX * C
+    n = X.shape[-1]
+    M = np.zeros(X.shape[:-1] + (n + 2, n + 2))
+    M[..., 0, 1:-1], M[..., 1:-1, -1], M[..., 0, -1] = -2.0 * Y, 2.0 * C, -2.0 * (UA / u2 + CX)[..., 0]
+    M[..., 1:-1, 1:-1] = (_outer(U, A) - _outer(A, U)) / u2[..., None] + (_outer(C, X) - _outer(X, C))
+    return M - np.swapaxes(M, -1, -2)
+
+
+def involutivity_check(y):
+    """Pairwise brackets among the five-element involutive set of 3-d phase
+    rows ``y`` ``(..., 12)``: the three translation quantities, the mixed
+    rank-4 pairing quantity ``Q_3`` (key ``1234``) read off ``-1/4 M^M``,
+    and the Hamiltonian; the max |bracket| per pair.  Each pair is one
+    complex-step ``poisson_bracket`` call through ``e_stack``,
+    ``_bivector_square`` and ``hamiltonian_stack``, none of which casts to
+    float; ``Q_3`` through ``q_phase``, whose determinants do, would read 0."""
+    if np.shape(y)[-1] != 12:
+        raise ValueError("involutivity table requires dimension 3")
+    fns = {f"E_T{i + 1}": lambda X, U, P, R, i=i: P[..., i] for i in range(3)}
+    fns["Q_3"] = lambda *p: _bivector_square(e_stack(*p))[..., 4]
+    fns["H"] = lambda X, U, P, R: hamiltonian_stack(U, P, R)
+    return {
+        (a, b): float(np.max(np.abs(poisson_bracket(fns[a], fns[b], y))))
+        for a, b in itertools.combinations(fns, 2)
     }
 
 

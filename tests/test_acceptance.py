@@ -22,8 +22,6 @@ from confcurves import (
     hamiltonian_stack,
     identity_residual_stack,
     integrate,
-    involutivity_check,
-    noether_stack,
     parallel_defect,
     phase_from_jet,
     poisson_bracket,
@@ -31,6 +29,7 @@ from confcurves import (
     q_phase,
     q_stack,
 )
+from confcurves.symmetries import basis_parts
 from confcurves.multilinear import tractor_metric_pair
 
 from conftest import (
@@ -42,8 +41,9 @@ from conftest import (
     random_spiral,
     random_transformed_spiral,
     three_d_functions,
+    tractor_basis,
 )
-from oracles import accel_from_phase, closed_form_alpha1_delta4, epsilon, parallel_section_oracle
+from oracles import accel_from_phase, closed_form_alpha1_delta4, epsilon, involutivity_check, parallel_section_oracle
 
 ACCEPTANCE_SPIRAL = LogSpiral(
     2.0,
@@ -122,10 +122,10 @@ def test_criterion_2_circle_suite():
 def _trajectory_drifts(p0, h):
     traj = integrate(p0, 1.0, h=h, store_every=10)
     X, U, P, R = np.split(traj.states, 4, axis=-1)
-    e = e_stack(X, U, P, R)
+    E_T, E_R, E_D, E_S = basis_parts(e_stack(X, U, P, R))
     i, j = np.triu_indices(3, 1)
     rows = np.column_stack([
-        hamiltonian_stack(U, P, R), e.E_D, e.E_T, e.E_S, e.E_R[:, i, j], q_phase(X, U, P, R)
+        hamiltonian_stack(U, P, R), E_D, E_T, E_S, E_R[:, i, j], q_phase(X, U, P, R)
     ])
     drift = float(
         np.max(np.max(np.abs(rows - rows[0]), axis=0) / (1.0 + np.abs(rows[0])))
@@ -190,7 +190,7 @@ def test_criterion_5_noether_cross_check():
     for family in families:
         jets = [family.jet(float(t)) for t in times]
         for field, generic in zip(fields, f_generic_stack(fields, np.array(jets)).tolist()):
-            closed = [field.pair(noether_stack(*derivatives(jet, 4))) for jet in jets]
+            closed = [field.pair(tractor_basis(jet)) for jet in jets]
             scale = 1.0 + max(abs(v) for v in closed)
             worst_agree = max(
                 worst_agree, max(abs(a - b) for a, b in zip(generic, closed)) / scale
@@ -200,7 +200,7 @@ def test_criterion_5_noether_cross_check():
     for c in (0.8, 1.7):
         lox = LogSpiral(c, np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.zeros(2))
         r2 = KillingField(2, R=np.array([[0.0, 1.0], [-1.0, 0.0]]))
-        lox_err = max(lox_err, abs(r2.pair(noether_stack(*derivatives(lox.jet(0.3), 4))) - c))
+        lox_err = max(lox_err, abs(r2.pair(tractor_basis(lox.jet(0.3))) - c))
     ok = worst_agree <= 1e-9 and worst_spread <= 1e-8 and lox_err <= 1e-10
     report(
         5,

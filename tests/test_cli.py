@@ -43,6 +43,30 @@ def read_csv(path):
     return header, data
 
 
+def family_flags(family):
+    """The CLI flags of a family object from ``conftest``."""
+    if isinstance(family, families.Circle):
+        pairs = (("--x0", family.x0), ("--u0", family.u0), ("--a0", family.a0))
+        return [f"{flag}={','.join(map(repr, v.tolist()))}" for flag, v in pairs]
+    spiral = getattr(family, "base", family)
+    flags = [f"--c={spiral.c!r}"]
+    pairs = [("--p0", spiral.p0), ("--q0", spiral.q0), ("--r0", spiral.r0)]
+    if isinstance(family, families.TransformedSpiral):
+        pairs.append(("--b", family.b))
+    return flags + [f"{flag}={','.join(map(repr, v.tolist()))}" for flag, v in pairs]
+
+
+def assert_tractor_route_matches_phase_route(header, data, n):
+    """Every ``F_*`` column of a trace within ``1e-13 (1 + max |row|)`` of
+    its ``E_*`` column, row by row, the row's largest basis entry the scale."""
+    noether = [name for name in header if name.startswith("F_")]
+    assert len(noether) == (n + 1) * (n + 2) // 2
+    F = data[:, [header.index(name) for name in noether]]
+    E = data[:, [header.index("E_" + name[2:]) for name in noether]]
+    scale = 1.0 + np.max(np.abs(np.concatenate([F, E], axis=1)), axis=1)
+    assert np.all(np.max(np.abs(F - E), axis=1) <= 1e-13 * scale)
+
+
 class TestVerify:
     def test_spiral_suite_passes(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -654,6 +678,30 @@ class TestParser:
         assert cli.build_parser.cache_info().misses == 1
         assert cli.build_parser() is cli.build_parser()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", *SPIRAL_ARGS[:-1], "0,0,0"],
+            ["relations", "--n", "3", "--samples", "5"],
+            ["relations", "--n", "3", "--samples", "5", "--jet-identity"],
+        ],
+        ids=["verify", "relations", "jet-identity"],
+    )
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys, argv, via):
+        # numpy refuses a negative seed with a traceback, exit 1; the range
+        # table refuses it first, from the flag and from a config file
+        out = tmp_path / "r.json"
+        if via == "flag":
+            seed = ["--seed", "-1"]
+        else:
+            config = tmp_path / "seed.json"
+            config.write_text(json.dumps({"seed": -1}))
+            seed = ["--config", str(config)]
+        assert main([*argv, *seed, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: seed: must be at least 0, got -1\n"
+        assert not out.exists()
+
     def test_config_error_between_runs_leaves_the_report(self, tmp_path, capsys):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({"samples": 5, "bogus": 1}))
@@ -882,12 +930,24 @@ class TestQuantities:
         header, data = read_csv(out)
         k = data[:, header.index("kappa1")]
         assert np.allclose(k, -0.75, atol=1e-9)
-        # Noether columns agree with the phase-space basis columns
-        noether = [name for name in header if name.startswith("F_")]
-        assert len(noether) == 3 + 3 + 1 + 3
-        for a in noether:
-            b = "E_" + a[2:]
-            assert np.allclose(data[:, header.index(a)], data[:, header.index(b)], atol=1e-10)
+        assert_tractor_route_matches_phase_route(header, data, 3)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("kind", ["spiral", "circle", "tspiral"])
+    @pytest.mark.parametrize("command", ["quantities", "integrate"])
+    def test_tractor_columns_match_phase_columns(self, tmp_path, command, kind, n):
+        # the F_* columns, read off the canonical tractors, against the E_*
+        # columns of the phase variables, row by row
+        rng = np.random.default_rng(40 + n)
+        family = {"spiral": random_spiral, "circle": random_circle, "tspiral": random_transformed_spiral}[kind](rng, n)
+        out = tmp_path / "t.csv"
+        argv = [command, "--family", kind, "--n", str(n), *family_flags(family), "--out", str(out)]
+        if command == "quantities":
+            argv += ["--samples", "9"]
+        else:
+            argv += ["--t-end", "0.2", "--h", "1e-2"]
+        assert main(argv) == 0
+        assert_tractor_route_matches_phase_route(*read_csv(out), n)
 
     def test_output_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CONFCURVES_OUTDIR", str(tmp_path))

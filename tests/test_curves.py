@@ -18,7 +18,6 @@ from confcurves import (
     gram_stack,
     identity_residual_stack,
     momenta_stack,
-    noether_stack,
     phase_from_jet,
     q_circle_stack,
     q_stack,
@@ -31,6 +30,7 @@ from conftest import (
     random_curve_jet,
     random_spiral,
     random_transformed_spiral,
+    tractor_basis,
 )
 from jet_oracle import JetScalar
 from oracles import closed_form_alpha1_delta4, parallel_section_oracle
@@ -62,19 +62,16 @@ STACKS = {
     "flow_vector_stack": lambda c, f: flow_vector_stack(*derivatives(c, 4)[1:]),
     "circle_residual_stack": lambda c, f: circle_residual_stack(*derivatives(c, 4)[1:]),
     "momenta_stack": lambda c, f: momenta_stack(*derivatives(c, 4)[1:]),
-    "noether_stack": lambda c, f: noether_stack(*derivatives(c, 4)),
+    "tractor_bivector": lambda c, f: tractor_basis(c),
     "e_stack": lambda c, f: phase_basis(c),
 }
 
 
 def leaves(value):
     """The arrays of a stack's result, in a fixed order; None stays None."""
-    if value is None or isinstance(value, (np.ndarray, np.generic)):
-        return [value]
     if isinstance(value, (list, tuple)):
         return [leaf for v in value for leaf in leaves(v)]
-    # EQuantities
-    return [leaf for v in vars(value).values() for leaf in leaves(v)]
+    return [value]
 
 
 def contract_rows(rng, n):

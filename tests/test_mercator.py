@@ -19,6 +19,7 @@ from confcurves import (
     momenta_stack,
     taylor_lift,
 )
+from confcurves.symmetries import basis_parts
 from confcurves.curves import VELOCITY_FLOOR, DegenerateVelocityError
 from confcurves.jets import _dot
 from confcurves.mercator import FlowDegeneracyError, _kernel_source
@@ -256,9 +257,9 @@ class TestHamiltonian:
     def test_three_d_energy_identity(self, rng):
         for _ in range(100):
             y = np.split(random_phase_point(rng, 3), 4)
-            e = e_stack(*y)
-            er = np.array([e.E_R[1, 2], -e.E_R[0, 2], e.E_R[0, 1]])
-            rhs = 0.5 * (float(er @ er) - float(e.E_T @ e.E_S) - e.E_D**2)
+            E_T, E_R, E_D, E_S = basis_parts(e_stack(*y))
+            er = np.array([E_R[1, 2], -E_R[0, 2], E_R[0, 1]])
+            rhs = 0.5 * (float(er @ er) - float(E_T @ E_S) - E_D**2)
             assert energy(*y) == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -692,10 +693,10 @@ class TestIntegrate:
     def test_conserved_quantities_drift(self, rng):
         p0 = random_phase_point(rng, 3)
         X, U, P, R = np.split(integrate(p0, 1.0, h=1e-3).states, 4, axis=-1)
-        e = e_stack(X, U, P, R)
+        E_T, E_R, E_D, E_S = basis_parts(e_stack(X, U, P, R))
         i, j = np.triu_indices(3, 1)
         rows = np.column_stack([
-            hamiltonian_stack(U, P, R), e.E_D, e.E_T, e.E_S, e.E_R[:, i, j], q_phase(X, U, P, R)
+            hamiltonian_stack(U, P, R), E_D, E_T, E_S, E_R[:, i, j], q_phase(X, U, P, R)
         ])
         drift = np.max(np.abs(rows - rows[0]), axis=0) / (1.0 + np.abs(rows[0]))
         assert float(np.max(drift)) <= 1e-8

@@ -11,16 +11,13 @@ from confcurves import (
     e_stack,
     f_generic_stack,
     flow_vector_stack,
-    involutivity_check,
-    noether_stack,
     phase_from_jet,
     poisson_bracket,
     q_phase,
     quantity_identities,
-    three_d_reduction,
 )
 from confcurves.cli import main
-from confcurves.symmetries import _bivector_square, _ckv_stack, _momentum_bivector
+from confcurves.symmetries import _bivector_square, _casimir, _ckv_stack, basis_parts
 from confcurves.curves import DegenerateVelocityError
 from confcurves.tractors import q_keys, q_stack, quantity_family
 from conftest import (
@@ -36,20 +33,33 @@ from conftest import (
     random_transformed_spiral,
     row_sets,
     three_d_functions,
+    three_d_view,
+    tractor_basis,
 )
 from jet_oracle import JetScalar
-from oracles import ckv_eval, conformal_factor, epsilon, field_ckv_stack, field_f_generic, hand_q_phase, hand_quantity_identities
+from oracles import (
+    ckv_eval,
+    conformal_factor,
+    epsilon,
+    field_ckv_stack,
+    field_f_generic,
+    hand_q_phase,
+    hand_quantity_identities,
+    involutivity_check,
+    noether_stack,
+)
 
 
 def phase_basis(y):
-    """:func:`e_stack` of the components of phase rows ``y``."""
+    """:func:`e_stack` of the components of phase rows ``y``: the momentum
+    bivector ``M``."""
     return e_stack(*np.split(y, 4, axis=-1))
 
 
 def closed_basis(jet):
-    """The closed-form basis quantities of one coefficient row, an unbatched
-    :func:`noether_stack` call."""
-    return noether_stack(*derivatives(jet, 4))
+    """The momentum bivector of one coefficient row from its canonical
+    tractors, the route the CLI runs."""
+    return tractor_basis(jet)
 
 
 def basis_rotation(n, i, j):
@@ -178,35 +188,37 @@ class TestNoetherQuantities:
     def test_transformed_spiral_dilatation_report(self, rng):
         for _ in range(5):
             ts = random_transformed_spiral(rng, 3)
-            rep = ts.conserved_report()
+            E_D = basis_parts(ts.conserved_report())[2]
             got = KillingField(3, a=1.0).pair(closed_basis(ts.jet(0.2)))
-            assert got == pytest.approx(rep.E_D, rel=1e-9, abs=1e-9)
+            assert got == pytest.approx(E_D, rel=1e-9, abs=1e-9)
 
 
 class TestEQuantities:
     def test_unit_pitch_hand_values(self, planar_unit_spiral):
-        e = phase_basis(phase_from_jet(planar_unit_spiral.jet(0.0)))
-        assert np.allclose(e.E_T, 0.0, atol=1e-14)
-        assert e.E_R[0, 1] == pytest.approx(1.0, abs=1e-14)
-        assert e.E_D == pytest.approx(-1.0, abs=1e-14)
-        assert np.allclose(e.E_S, 0.0, atol=1e-13)
+        M = phase_basis(phase_from_jet(planar_unit_spiral.jet(0.0)))
+        assert M.shape == (4, 4) and np.array_equal(M, -M.T)
+        E_T, E_R, E_D, E_S = basis_parts(M)
+        assert np.allclose(E_T, 0.0, atol=1e-14)
+        assert E_R[0, 1] == pytest.approx(1.0, abs=1e-14)
+        assert E_D == pytest.approx(-1.0, abs=1e-14)
+        assert np.allclose(E_S, 0.0, atol=1e-13)
 
     def test_free_point_special_conformal_only(self):
         U = np.array([0.4, 0, 0])
-        e = e_stack(np.zeros(3), U, np.zeros(3), np.zeros(3))
-        assert np.allclose(e.E_T, 0.0) and e.E_D == 0.0
-        assert np.allclose(e.E_R, 0.0)
-        assert np.allclose(e.E_S, -2.0 * U)
+        E_T, E_R, E_D, E_S = basis_parts(e_stack(np.zeros(3), U, np.zeros(3), np.zeros(3)))
+        assert np.allclose(E_T, 0.0) and E_D == 0.0
+        assert np.allclose(E_R, 0.0)
+        assert np.allclose(E_S, -2.0 * U)
 
     def test_spiral_general_values(self, rng):
         spiral = random_spiral(rng, 3, c=1.9)
         p2 = float(spiral.p0 @ spiral.p0)
         for t in (-0.6, 0.5):
-            e = phase_basis(phase_from_jet(spiral.jet(float(t))))
-            assert np.allclose(e.E_T, 0.0, atol=1e-10)
-            assert e.E_D == pytest.approx(-1.0, abs=1e-10)
+            E_T, E_R, E_D, E_S = basis_parts(phase_basis(phase_from_jet(spiral.jet(float(t)))))
+            assert np.allclose(E_T, 0.0, atol=1e-10)
+            assert E_D == pytest.approx(-1.0, abs=1e-10)
             for i, j in itertools.combinations(range(1, 4), 2):
-                assert e.E_R[i - 1, j - 1] == pytest.approx(
+                assert E_R[i - 1, j - 1] == pytest.approx(
                     spiral.c / p2 * epsilon((i, j), spiral.p0, spiral.q0), abs=1e-10
                 )
             expect_s = (
@@ -214,7 +226,7 @@ class TestEQuantities:
                 + 2 * spiral.c * float(spiral.p0 @ spiral.r0) / p2 * spiral.q0
                 + 2 * spiral.r0
             )
-            assert np.max(np.abs(e.E_S - expect_s)) <= 1e-9
+            assert np.max(np.abs(E_S - expect_s)) <= 1e-9
 
     def test_killing_pairings_match_closed_forms(self, rng):
         # the Noether value of each generator equals the pairing of its
@@ -222,28 +234,28 @@ class TestEQuantities:
         for _ in range(25):
             n = int(rng.integers(2, 5))
             jet = random_curve_jet(rng, n)
-            e = phase_basis(phase_from_jet(jet))
+            E_T, E_R, E_D, E_S = basis_parts(phase_basis(phase_from_jet(jet)))
             basis = closed_basis(jet)
             T = rng.normal(size=n)
             assert KillingField(n, T=T).pair(basis) == pytest.approx(
-                float(T @ e.E_T), rel=1e-12, abs=1e-12
+                float(T @ E_T), rel=1e-12, abs=1e-12
             )
             i, j = sorted(rng.choice(np.arange(1, n + 1), size=2, replace=False))
             assert basis_rotation(n, i, j).pair(basis) == pytest.approx(
-                e.E_R[i - 1, j - 1], rel=1e-12, abs=1e-12
+                E_R[i - 1, j - 1], rel=1e-12, abs=1e-12
             )
             a = float(rng.uniform(0.5, 2.0))
             assert KillingField(n, a=a).pair(basis) == pytest.approx(
-                a * e.E_D, rel=1e-12, abs=1e-12
+                a * E_D, rel=1e-12, abs=1e-12
             )
             S = rng.normal(size=n)
             assert KillingField(n, S=S).pair(basis) == pytest.approx(
-                float(S @ e.E_S), rel=1e-12, abs=1e-12
+                float(S @ E_S), rel=1e-12, abs=1e-12
             )
             R = rng.normal(size=(n, n))
             R = R - R.T
             general = KillingField(n, T=T, R=R, a=a, S=S)
-            pairing = float(T @ e.E_T) + 0.5 * float(np.sum(R * e.E_R)) + a * e.E_D + float(S @ e.E_S)
+            pairing = float(T @ E_T) + 0.5 * float(np.sum(R * E_R)) + a * E_D + float(S @ E_S)
             assert general.pair(basis) == pytest.approx(pairing, rel=1e-12, abs=1e-12)
 
 
@@ -269,10 +281,10 @@ class TestQPhase:
 class TestQuantityIdentities:
     def test_unit_pitch_hand_identity(self, planar_unit_spiral):
         y = np.split(phase_from_jet(planar_unit_spiral.jet(0.0)), 4)
-        e = e_stack(*y)
+        _, E_R, E_D, _ = basis_parts(e_stack(*y))
         q = keyed(q_phase(*y), 2)
         assert q[(0, 1, 2, 3)] == pytest.approx(
-            0.5 * 0.0 - e.E_D * e.E_R[0, 1], abs=1e-13
+            0.5 * 0.0 - E_D * E_R[0, 1], abs=1e-13
         )
         rep = quantity_identities(*y)
         assert rep["0ijN"]["residual"] <= 1e-13
@@ -299,32 +311,31 @@ class TestQuantityIdentities:
 
 
 class TestThreeDReduction:
+    """The dimension-three view of the momentum bivector, read off its
+    square and its Casimir."""
+
     def test_repackaging_matches_q_phase(self, rng):
         for _ in range(100):
             p = random_phase_point(rng, 3)
-            red = three_d_reduction(phase_basis(p))
+            Q1, Q2, Q3 = three_d_view(phase_basis(p))
             q = keyed(q_phase(*np.split(p, 4)), 3)
-            assert red.Q1[0] == pytest.approx(q[(0, 2, 3, 4)], rel=1e-12, abs=1e-12)
-            assert red.Q1[1] == pytest.approx(-q[(0, 1, 3, 4)], rel=1e-12, abs=1e-12)
-            assert red.Q1[2] == pytest.approx(q[(0, 1, 2, 4)], rel=1e-12, abs=1e-12)
-            assert red.Q2 == pytest.approx(q[(0, 1, 2, 3)], rel=1e-12, abs=1e-12)
-            assert red.Q3 == pytest.approx(q[(1, 2, 3, 4)], rel=1e-12, abs=1e-12)
+            assert Q1[0] == pytest.approx(q[(0, 2, 3, 4)], rel=1e-12, abs=1e-12)
+            assert Q1[1] == pytest.approx(-q[(0, 1, 3, 4)], rel=1e-12, abs=1e-12)
+            assert Q1[2] == pytest.approx(q[(0, 1, 2, 4)], rel=1e-12, abs=1e-12)
+            assert Q2 == pytest.approx(q[(0, 1, 2, 3)], rel=1e-12, abs=1e-12)
+            assert Q3 == pytest.approx(q[(1, 2, 3, 4)], rel=1e-12, abs=1e-12)
 
     def test_energy_identity(self, rng):
         for _ in range(100):
             p = random_phase_point(rng, 3)
-            assert three_d_reduction(phase_basis(p)).H_from_E == pytest.approx(
+            assert _casimir(phase_basis(p)) == pytest.approx(
                 energy(*np.split(p, 4)), rel=1e-12, abs=1e-12
             )
 
     def test_spiral_mixed_quantity_vanishes(self, rng):
         spiral = random_spiral(rng, 3, c=1.2)
         p = phase_from_jet(spiral.jet(0.7))
-        assert three_d_reduction(phase_basis(p)).Q3 == pytest.approx(0.0, abs=1e-10)
-
-    def test_dimension_checked(self, rng):
-        with pytest.raises(ValueError):
-            three_d_reduction(phase_basis(random_phase_point(rng, 4)))
+        assert three_d_view(phase_basis(p))[2] == pytest.approx(0.0, abs=1e-10)
 
 
 class TestPoissonStructure:
@@ -416,16 +427,19 @@ def row_noether_basis(jet):
 
 
 def assert_basis(got, k, want):
-    """Row ``k`` of batched basis quantities (``k`` None for one row) has
-    the bits of the one-row formula's ``want``."""
-    fields = (got.E_T, got.E_R, got.E_D, got.E_S)
-    for value, expected in zip(fields, want):
-        assert_same_bits(value if k is None else value[k], expected)
+    """Row ``k`` of batched momentum bivectors (``k`` None for one row)
+    holds the bits of the one-row formula's parts ``want``."""
+    row = got if k is None else got[k]
+    parts = (-0.5 * row[1:-1, -1], row[1:-1, 1:-1], 0.5 * row[0, -1], -row[0, 1:-1])
+    E_T, E_R, E_D, E_S = want
+    for value, expected in zip(parts, (E_T, E_R - E_R.T, E_D, E_S)):
+        assert_same_bits(value, expected)
 
 
 class TestRowBatched:
     """The batched basis quantities against the one-row float formulas they
-    replaced, bit for bit."""
+    replaced, bit for bit, and the tractor route over a stack against its
+    one-row calls."""
 
     def test_e_quantities(self, rng):
         for jets in row_sets(rng):
@@ -436,32 +450,35 @@ class TestRowBatched:
                 assert_basis(batched, k, want)
                 one = phase_basis(p)
                 assert_basis(one, None, want)
-                assert np.ndim(one.E_D) == 0
+                assert one.shape == (p.size // 4 + 2,) * 2
 
     def test_noether_basis(self, rng):
+        # the tractor route has the bits of its one-row calls, and the
+        # closed-form oracle those of the one-row closed form; the two agree
+        # to round-off
         for jets in row_sets(rng):
-            batched = noether_stack(*derivatives(np.stack(jets), 4))
+            batched = tractor_basis(np.stack(jets))
+            closed = noether_stack(*derivatives(np.stack(jets), 4))
             for k, jet in enumerate(jets):
-                want = row_noether_basis(jet)
-                assert_basis(batched, k, want)
-                one = closed_basis(jet)
-                assert_basis(one, None, want)
-                assert np.ndim(one.E_D) == 0
+                assert_same_bits(batched[k], closed_basis(jet))
+                assert_basis(closed, k, row_noether_basis(jet))
+                assert np.max(np.abs(batched[k] - closed[k])) <= 1e-13 * (1.0 + np.max(np.abs(closed[k])))
 
     def test_pair_over_stacked_bases(self, rng):
         # the one-row pairing formula, with Python floats
         for jets in row_sets(rng, count=5):
             n = jets[0].shape[0]
-            bases = noether_stack(*derivatives(np.stack(jets), 4))
+            bases = tractor_basis(np.stack(jets))
             for field in sample_fields(rng, n):
                 values = field.pair(bases)
                 for k, jet in enumerate(jets):
                     b = closed_basis(jet)
+                    E_T, E_R, E_D, E_S = basis_parts(b)
                     want = (
-                        float(field.T @ b.E_T)
-                        + 0.5 * float(np.sum(field.R * b.E_R))
-                        + field.a * b.E_D
-                        + float(field.S @ b.E_S)
+                        float(field.T @ E_T)
+                        + 0.5 * float(np.sum(field.R * E_R))
+                        + field.a * E_D
+                        + float(field.S @ E_S)
                     )
                     assert values[k] == want and field.pair(b) == want
                     assert isinstance(field.pair(b), float)
@@ -562,7 +579,7 @@ def bivector_term_scale(X, U, P, R):
     """The largest entry of the momentum bivector at each phase point, one
     more than it: the products of two entries bound the terms of the
     rank-4 hand forms, those of three the ``E_D``-multiplied ``ijkl`` one."""
-    return 1.0 + np.max(np.abs(_momentum_bivector(e_stack(X, U, P, R))), axis=(-2, -1))
+    return 1.0 + np.max(np.abs(e_stack(X, U, P, R)), axis=(-2, -1))
 
 
 def hand_report(X, U, P, R):
@@ -609,9 +626,10 @@ class TestStackedPhasePoints:
                     assert rec["scale"][k] == want[family]["scale"]
             # the square of the momentum bivector against the hand forms
             term = bivector_term_scale(*stack)[:, None]
-            E_D = e_stack(*stack).E_D[:, None]
+            M = e_stack(*stack)
+            E_D = 0.5 * M[:, 0, -1:]
             sizes = np.cumsum([math.comb(n, 2), math.comb(n, 3), math.comb(n, 3)])
-            square = np.split(_bivector_square(e_stack(*stack)), sizes, axis=-1)
+            square = np.split(_bivector_square(M), sizes, axis=-1)
             for got, (family, (lhs, rhs)) in zip(square, hand_quantity_identities(*stack).items()):
                 power = 2
                 if family == "ijkl":
@@ -636,17 +654,18 @@ class TestStackedPhasePoints:
 
     def test_e_quantities_over_the_stack(self, rng):
         points = [random_phase_point(rng, 3) for _ in range(4)]
-        e = phase_basis(np.stack(points))
+        M = phase_basis(np.stack(points))
         for k, p in enumerate(points):
-            want = phase_basis(p)
-            for name in ("E_T", "E_R", "E_D", "E_S"):
-                assert_same_bits(getattr(e, name)[k], getattr(want, name))
+            assert_same_bits(M[k], phase_basis(p))
 
     def test_three_d_reduction_is_per_row(self, rng):
+        # the n = 3 view and the Casimir of stacked bivectors, row by row
         points = [random_phase_point(rng, 3) for _ in range(4)]
-        got = three_d_reduction(phase_basis(np.stack(points)))
-        for name in ("Q1", "Q2", "Q3", "H_from_E"):
-            assert_same_bits(getattr(got, name), [getattr(three_d_reduction(phase_basis(p)), name) for p in points])
+        M = phase_basis(np.stack(points))
+        rows = [phase_basis(p) for p in points]
+        for got, want in zip(three_d_view(M), zip(*map(three_d_view, rows))):
+            assert_same_bits(got, want)
+        assert_same_bits(_casimir(M), [_casimir(m) for m in rows])
 
     def test_one_slow_row_is_degenerate(self, rng):
         # the floor is checked where a speed divides: phase_from_jet over a

@@ -26,6 +26,7 @@ from confcurves.multilinear import index_tuples, minors, rho_wedge, tractor_metr
 from confcurves.tractors import (
     _gram_jet,
     _pairing_layout,
+    _parallel_frame,
     _parallel_minors,
     _tractor_coeffs,
     canonical_tractor_stack,
@@ -42,6 +43,7 @@ from conftest import (
     random_curve_jet,
     random_spiral,
     random_transformed_spiral,
+    tractor_basis,
     tractor_values,
 )
 from jet_oracle import JetScalar
@@ -1015,3 +1017,46 @@ class TestSampleStacks:
                 assert row.tolist() == q_circle_stack(jet).tolist()
             scale = curve_term_scales(coeffs)[1]
             assert np.all(np.abs(values - hand_q_circle(coeffs)) <= 1e-14 * scale[:, None])
+
+
+def _moved(M, B):
+    """``B M B^T`` over the leading axes of ``M``."""
+    return B @ M @ B.T
+
+
+class TestMomentumBivector:
+    """The momentum bivector of the tractor route moves with the curve under
+    the Euclidean and dilatation parts of the Moebius group, as the adjoint
+    action of the slot matrix of each motion; the special conformal part is
+    not covered."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+        lam=st.floats(0.25, 4.0),
+    )
+    def test_moebius_motions(self, n, seed, lam):
+        rng = np.random.default_rng(seed)
+        coeffs = np.stack([random_curve_jet(rng, n) for _ in range(3)])
+        M = tractor_basis(coeffs)
+        G = np.eye(n + 2)[np.r_[n + 1, 1 : n + 1, 0]]  # the slot swap
+        # translation x -> x + b: A = exp(rho(b)), raised from the lowered
+        # frame of _parallel_frame
+        b = rng.uniform(-1.0, 1.0, n)
+        A = G @ _parallel_frame(np.eye(n + 2), b)
+        shifted = coeffs.copy()
+        shifted[..., 0] += b
+        # rotation x -> O x and dilatation x -> lam x
+        O = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        B = np.eye(n + 2)
+        B[1:-1, 1:-1] = O
+        D = np.diag([lam, *[1.0] * n, 1.0 / lam])
+        for got, want in (
+            (tractor_basis(shifted), _moved(M, G @ A @ G)),
+            (tractor_basis(O @ coeffs), _moved(M, B)),
+            (tractor_basis(lam * coeffs), _moved(M, D)),
+        ):
+            scale = 1.0 + np.max(np.abs(want), axis=(-2, -1))[:, None, None]
+            assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
